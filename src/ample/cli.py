@@ -57,6 +57,11 @@ def _rational_str(q):
     return "%d/%d" % (q.numerator, q.denominator) if q.denominator != 1 else str(q.numerator)
 
 
+def _lp_stats(stats):
+    """The deterministic work counts of a state LP, for a report."""
+    return {"rows": stats.rows, "rows_kept": stats.rows_kept, "cells": stats.cols, "pivots": stats.pivots}
+
+
 def cmd_verify_witness(args):
     pres = serialize.parse_presentation_arg(args.presentation)
     w = serialize.decode_witness(serialize.load_json(args.witness), pres)
@@ -129,6 +134,7 @@ def cmd_state(args):
             "depth": cs.depth,
             "partial": cs.partial,
             "state": payload,
+            "stats": _lp_stats(outcome.stats),
         }
         _write_out(args, payload)
         _emit(
@@ -146,6 +152,7 @@ def cmd_state(args):
         "depth": cs.depth,
         "partial": cs.partial,
         "farkas": payload,
+        "stats": _lp_stats(outcome.stats),
     }
     _write_out(args, payload)
     _emit(args, report, ["no invariant state at depth %d; Farkas certificate emitted" % cs.depth])
@@ -162,6 +169,7 @@ def cmd_tarski(args):
         "depth": rep.depth,
         "partial": rep.partial,
         "note": rep.note,
+        "stats": _lp_stats(rep.stats),
     }
     lines = ["outcome: %s (depth %d)" % (rep.outcome, rep.depth)]
     if rep.outcome == "state":
@@ -246,21 +254,33 @@ def cmd_ideal_check(args):
 def cmd_isometries(args):
     pres = serialize.parse_presentation_arg(args.presentation)
     w = serialize.decode_witness(serialize.load_json(args.witness), pres)
+    mode = "matrix" if args.matrix else "pair"
+    try:
+        if args.matrix:
+            mats, rep = convalg.matrix_isometries(pres, w)
+        else:
+            f, g, rep = convalg.isometries_from_witness(pres, paradox.disjointify(pres, w))
+    except convalg.DepthOverflow as exc:
+        report = {
+            "command": "isometries",
+            "mode": mode,
+            "outcome": "depth_cap",
+            "depth_cap": convalg.DEPTH_CAP,
+            "reason": str(exc),
+        }
+        _emit(args, report, ["not checked: %s" % exc])
+        return EXIT_INCONCLUSIVE
+    ok = all(rep.values())
     if args.matrix:
-        mats, rep = convalg.matrix_isometries(pres, w)
-        ok = all(rep.values())
-        report = {"command": "isometries", "mode": "matrix", "checks": rep, "count": len(mats)}
+        report = {"command": "isometries", "mode": mode, "checks": rep, "count": len(mats)}
         _emit(args, report, ["matrix isometries: %s" % rep])
         return EXIT_OK if ok else EXIT_REJECTED
-    w = paradox.disjointify(pres, w)
-    f, g, rep = convalg.isometries_from_witness(pres, w)
-    ok = all(rep.values())
     payload = {
         "f": serialize.encode_element(f),
         "g": serialize.encode_element(g),
         "checks": rep,
     }
-    report = {"command": "isometries", "mode": "pair", "checks": rep}
+    report = {"command": "isometries", "mode": mode, "checks": rep}
     _write_out(args, payload)
     _emit(args, report, ["isometry relations: %s" % rep])
     return EXIT_OK if ok else EXIT_REJECTED
@@ -368,6 +388,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "depth", 0) < 0:
+        print("input error: --depth must be nonnegative, got %d" % args.depth, file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except serialize.SchemaError as exc:

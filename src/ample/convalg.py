@@ -213,7 +213,7 @@ def _key_inverse(pres, key):
     return ("p", (t, s))
 
 
-def conv(a, b, depth_cap=DEPTH_CAP):
+def conv(a, b):
     """The convolution product: arrows compose pairwise, t acting first."""
     if a.pres != b.pres:
         raise AlgebraError("elements over different presentations")
@@ -235,8 +235,8 @@ def conv(a, b, depth_cap=DEPTH_CAP):
             for cell in dom.cells:
                 terms.append((key, cell, q1 * q2))
     out = ConvElement(pres, terms)
-    if space.kind == stone.SHIFT and out.max_depth() > depth_cap:
-        raise DepthOverflow("product needs cells deeper than %d" % depth_cap)
+    if space.kind == stone.SHIFT and out.max_depth() > DEPTH_CAP:
+        raise DepthOverflow("product needs cells deeper than %d" % DEPTH_CAP)
     return out
 
 

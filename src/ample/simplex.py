@@ -7,30 +7,51 @@ terminal dictionary: y.A <= 0 componentwise while y.b > 0, which no
 nonnegative x can satisfy.  Phase two maximizes a linear objective from a
 feasible basis.
 
+Before any pivoting, an exact elimination over [A | b] keeps a maximal
+linearly independent subset of the input rows, in input order; the
+simplex runs on those alone.  Every dropped row is a combination of kept
+rows, right-hand side included, so a point feasible for the kept rows is
+feasible for all of them, and Farkas multipliers found on the kept rows
+extend to the full system with exact zeros on the dropped ones.
+
 No floating point enters anywhere; certificates re-verify by independent
 recomputation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+
+
+@dataclass(frozen=True)
+class Stats:
+    """Deterministic work counts of one solve."""
+
+    rows: int  # input rows
+    rows_kept: int  # rows left after presolve
+    cols: int
+    pivots: int  # over both phases
 
 
 @dataclass(frozen=True)
 class Feasible:
     x: tuple
+    stats: Stats = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Infeasible:
     y: tuple  # one multiplier per input row
+    stats: Stats = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Optimal:
     x: tuple
     value: Fraction
+    stats: Stats = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -48,10 +69,57 @@ def _as_fractions(rows, rhs):
     return a, b
 
 
+def _integer_row(row, rhs, rhs_col):
+    """The nonzeros of [row | rhs] scaled to a primitive integer dict."""
+    r = {j: v for j, v in enumerate(row) if v}
+    if rhs:
+        r[rhs_col] = rhs
+    den = math.lcm(*(v.denominator for v in r.values()))
+    r = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
+    g = math.gcd(*r.values())
+    return {j: v // g for j, v in r.items()} if g > 1 else r
+
+
+def _independent_rows(a, b):
+    """Indices of a maximal linearly independent subset of the rows of
+    [A | b], greedily in input order.
+
+    Rows are reduced fraction-free, as primitive integer dicts, against the
+    kept rows, each keyed by its lowest column.  The rhs is the last column,
+    so a row whose A part depends on kept rows but whose b does not is kept.
+    """
+    rhs_col = len(a[0]) if a else 0
+    by_lead = {}  # lowest column -> kept row, reduced
+    kept = []
+    for i, (row, rhs) in enumerate(zip(a, b)):
+        r = _integer_row(row, rhs, rhs_col)
+        while r:
+            lead = min(r)
+            p = by_lead.get(lead)
+            if p is None:
+                by_lead[lead] = r
+                kept.append(i)
+                break
+            f, g = p[lead], r[lead]
+            if f != 1:
+                r = {j: f * v for j, v in r.items()}
+            for j, v in p.items():
+                w = r.get(j, 0) - g * v
+                if w:
+                    r[j] = w
+                else:
+                    del r[j]
+            c = math.gcd(*r.values())
+            if c > 1:
+                r = {j: v // c for j, v in r.items()}
+    return kept
+
+
 class _Tableau:
     def __init__(self, a, b, n):
         self.n = n
         self.m = len(a)
+        self.pivots = 0
         # columns: n originals, m artificials, then the rhs
         self.rows = []
         for i in range(self.m):
@@ -71,16 +139,18 @@ class _Tableau:
                 self.obj[j] = cj - col
 
     def pivot(self, i, j):
+        # zero entries of the pivot row are skipped; they change nothing
         piv = self.rows[i][j]
-        self.rows[i] = [v / piv for v in self.rows[i]]
+        self.rows[i] = [v / piv if v else v for v in self.rows[i]]
         for r in range(self.m):
             if r != i and self.rows[r][j] != 0:
                 f = self.rows[r][j]
-                self.rows[r] = [v - f * w for v, w in zip(self.rows[r], self.rows[i])]
+                self.rows[r] = [v - f * w if w else v for v, w in zip(self.rows[r], self.rows[i])]
         if self.obj[j] != 0:
             f = self.obj[j]
-            self.obj = [v - f * w for v, w in zip(self.obj, self.rows[i])]
+            self.obj = [v - f * w if w else v for v, w in zip(self.obj, self.rows[i])]
         self.basis[i] = j
+        self.pivots += 1
 
     def bland_min(self, allowed):
         """Run Bland's rule to optimality over the allowed columns."""
@@ -117,9 +187,16 @@ class _Tableau:
         return tuple(x)
 
 
+def _stats(t, rows):
+    return Stats(len(rows), t.m, t.n, t.pivots)
+
+
 def _phase_one(rows, rhs):
     a, b = _as_fractions(rows, rhs)
     n = len(a[0]) if a else 0
+    kept = _independent_rows(a, b)
+    a = [a[i] for i in kept]
+    b = [b[i] for i in kept]
     signs = []
     for i in range(len(a)):
         if b[i] < 0:
@@ -132,11 +209,13 @@ def _phase_one(rows, rhs):
     status = t.bland_min(range(n + t.m))
     assert status == "optimal", "phase one is bounded below by zero"
     if t.objective() > 0:
-        # reduced cost of the i-th artificial is 1 - y_i
-        y = tuple(signs[i] * (Fraction(1) - t.obj[n + i]) for i in range(t.m))
-        return Infeasible(y), None
+        # reduced cost of the i-th artificial is 1 - y_i; dropped rows get 0
+        y = [Fraction(0)] * len(rows)
+        for k, i in enumerate(kept):
+            y[i] = signs[k] * (Fraction(1) - t.obj[n + k])
+        return Infeasible(tuple(y), _stats(t, rows)), None
     _drive_out_artificials(t)
-    return Feasible(t.solution()), t
+    return Feasible(t.solution(), _stats(t, rows)), t
 
 
 def _drive_out_artificials(t):
@@ -178,7 +257,7 @@ def maximize(rows, rhs, objective):
         return Unbounded()
     x = t.solution()
     value = sum(Fraction(objective[j]) * x[j] for j in range(n))
-    return Optimal(x, value)
+    return Optimal(x, value, _stats(t, rows))
 
 
 def verify_solution(rows, rhs, x):

@@ -13,7 +13,7 @@ carry the depth; nothing is claimed beyond it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import simplex, stone
@@ -44,8 +44,8 @@ class ConstraintSystem:
         return rows, rhs
 
 
-def _cell_vector(space, cells, index, clop, depth):
-    vec = [Fraction(0)] * len(cells)
+def _cell_vector(cells, index, clop, depth):
+    vec = [0] * len(cells)
     for cell in clop.expand(depth):
         vec[index[cell]] += 1
     return vec
@@ -83,8 +83,8 @@ def build_constraints(pres, depth):
                         continue
                     dom_part = clopen(space, [s])
                     ran_part = clopen(space, [a])
-                row = _cell_vector(space, cells, index, dom_part, depth)
-                rvec = _cell_vector(space, cells, index, ran_part, depth)
+                row = _cell_vector(cells, index, dom_part, depth)
+                rvec = _cell_vector(cells, index, ran_part, depth)
                 row = [d - r for d, r in zip(row, rvec)]
                 if all(v == 0 for v in row):
                     continue
@@ -113,6 +113,7 @@ class StateVector:
     depth: int
     cells: tuple
     values: tuple  # Fractions aligned with cells
+    stats: simplex.Stats = field(default=None, compare=False)  # set by solve_state
 
     def value(self, cell):
         return self.values[self.cells.index(cell)]
@@ -131,6 +132,7 @@ class StateVector:
 class FarkasCertificate:
     equality_multipliers: tuple
     normalization_multiplier: Fraction
+    stats: simplex.Stats = field(default=None, compare=False)  # set by solve_state
 
 
 def solve_state(cs):
@@ -138,8 +140,8 @@ def solve_state(cs):
     rows, rhs = cs.rows_rhs()
     res = simplex.solve_feasibility(rows, rhs)
     if isinstance(res, simplex.Infeasible):
-        return FarkasCertificate(tuple(res.y[:-1]), res.y[-1])
-    return StateVector(cs.depth, cs.cells, tuple(res.x))
+        return FarkasCertificate(tuple(res.y[:-1]), res.y[-1], res.stats)
+    return StateVector(cs.depth, cs.cells, tuple(res.x), res.stats)
 
 
 def verify_state(cs, sv, check_normalization=True):
@@ -181,6 +183,7 @@ class TarskiReport:
     farkas: object = None
     partial: bool = False
     note: str = ""
+    stats: simplex.Stats = None  # of the state LP
 
 
 def tarski_report(pres, a, depth, budget=100000, max_drop=3):
@@ -205,23 +208,26 @@ def tarski_report(pres, a, depth, budget=100000, max_drop=3):
             found = px.search_witness(pres, a, n + 1, n, depth, budget)
             if found.status == "found":
                 return TarskiReport(
-                    "paradox", eff_depth, witness=found.certificate, farkas=fc, partial=cs.partial
+                    "paradox", eff_depth, witness=found.certificate, farkas=fc, partial=cs.partial,
+                    stats=res.stats,
                 )
         return TarskiReport(
             "inconclusive", eff_depth, farkas=fc, partial=cs.partial,
-            note="no invariant state at this depth; no witness within budget",
+            note="no invariant state at this depth; no witness within budget", stats=res.stats,
         )
     if res.value == 0:
         found = px.search_witness(pres, a, 2, 1, depth, budget)
         if found.status == "found":
-            return TarskiReport("paradox", eff_depth, witness=found.certificate, partial=cs.partial)
+            return TarskiReport(
+                "paradox", eff_depth, witness=found.certificate, partial=cs.partial, stats=res.stats
+            )
         return TarskiReport(
             "inconclusive", eff_depth, partial=cs.partial,
-            note="a state exists but vanishes on the set at this depth",
+            note="a state exists but vanishes on the set at this depth", stats=res.stats,
         )
     scale = Fraction(1) / res.value
     sv = StateVector(cs.depth, cs.cells, tuple(v * scale for v in res.x))
-    return TarskiReport("state", eff_depth, state=sv, scale=scale, partial=cs.partial)
+    return TarskiReport("state", eff_depth, state=sv, scale=scale, partial=cs.partial, stats=res.stats)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ample import cli, serialize as ser
+from ample import cli, convalg, serialize as ser
 from ample import paradox as px
 from ample import typesemigroup as ts
 from ample.groupoid import cuntz
@@ -135,6 +135,47 @@ def test_isometries_subcommand(tmp_path, capsys):
     assert all(json.loads(out)["checks"].values())
     code, out, _ = run(capsys, "isometries", "cuntz:2", "--witness", str(wfile), "--matrix")
     assert code == 0
+
+
+def test_isometries_past_depth_cap_is_inconclusive(tmp_path, capsys, monkeypatch):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(ser.dumps(ser.encode_witness(px.cuntz_witness(cuntz(2), ""))))
+    monkeypatch.setattr(convalg, "DEPTH_CAP", 0)
+    for extra in (["--matrix"], []):
+        code, out, err = run(capsys, "isometries", "cuntz:2", "--witness", str(wfile), *extra)
+        assert code == 2
+        assert err == ""
+        report = json.loads(out)
+        assert report["outcome"] == "depth_cap"
+        assert report["depth_cap"] == 0
+        assert "deeper than 0" in report["reason"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "cuntz:2", "--depth", "-1"],
+    ["find-witness", "cuntz:2", "--depth", "-1"],
+])
+def test_negative_depth_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "--depth" in err
+
+
+def test_lp_reports_carry_stats(capsys):
+    code, out, _ = run(capsys, "state", "cuntz:2", "--depth", "3")
+    assert code == 1
+    report = json.loads(out)
+    stats = report["stats"]
+    assert (stats["rows"], stats["rows_kept"], stats["cells"]) == (20, 9, 8)
+    assert stats["pivots"] > 0
+    assert "stats" not in report["farkas"]
+    assert len(report["farkas"]["equality_multipliers"]) == 19
+    code, out, _ = run(capsys, "tarski", "odometer", "--set", "1", "--depth", "2",
+                       "--budget", "20000")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats["cells"] == 4 and stats["rows_kept"] <= stats["rows"]
 
 
 def test_probe_and_dichotomy(capsys):

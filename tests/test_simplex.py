@@ -134,3 +134,82 @@ def test_determinism():
     a = sx.solve_feasibility(rows, rhs)
     b = sx.solve_feasibility(rows, rhs)
     assert a == b
+
+
+def test_redundant_rows_are_dropped_before_pivoting():
+    rows, rhs = [[1, 1], [2, 2], [1, -1], [3, 1]], [1, 2, 0, 2]
+    res = sx.solve_feasibility(rows, rhs)
+    assert isinstance(res, sx.Feasible)
+    assert sx.verify_solution(rows, rhs, res.x)
+    assert (res.stats.rows, res.stats.rows_kept, res.stats.cols) == (4, 2, 2)
+
+
+def test_dependent_row_with_independent_rhs_is_kept():
+    # the second row repeats the first on A but not on b
+    rows, rhs = [[1, 1], [2, 2]], [1, 3]
+    res = sx.solve_feasibility(rows, rhs)
+    assert isinstance(res, sx.Infeasible)
+    assert res.stats.rows_kept == 2
+    assert sx.verify_farkas(rows, rhs, res.y)
+
+
+def test_all_zero_rows():
+    rows, rhs = [[0, 0, 0], [0, 0, 0]], [0, 0]
+    res = sx.solve_feasibility(rows, rhs)
+    assert res == sx.Feasible((Fraction(0),) * 3)
+    assert res.stats.rows_kept == 0
+    assert sx.maximize(rows, rhs, [-1, 0, -2]) == sx.Optimal((Fraction(0),) * 3, Fraction(0))
+    assert isinstance(sx.maximize(rows, rhs, [0, 1, 0]), sx.Unbounded)
+    res = sx.solve_feasibility(rows, [0, -1])
+    assert isinstance(res, sx.Infeasible)
+    assert sx.verify_farkas(rows, [0, -1], res.y)
+
+
+def _with_implied_rows(rng, rows, rhs):
+    """The rows plus duplicated, scaled and summed copies, shuffled."""
+    pairs = [(list(r), b) for r, b in zip(rows, rhs)]
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("dup", "scale", "sum"))
+        r, b = rng.choice(pairs)
+        if kind == "dup":
+            pairs.append((list(r), b))
+        elif kind == "scale":
+            f = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7)))
+            pairs.append(([f * v for v in r], f * b))
+        else:
+            r2, b2 = rng.choice(pairs)
+            pairs.append(([v + w for v, w in zip(r, r2)], b + b2))
+    rng.shuffle(pairs)
+    return [r for r, _ in pairs], [b for _, b in pairs]
+
+
+def test_presolve_property_against_unreduced_rows():
+    rng = random.Random(2007)
+    kinds = {sx.Feasible: 0, sx.Infeasible: 0, sx.Optimal: 0, sx.Unbounded: 0}
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 3)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randint(-2, 2) for _ in range(m)]
+        big_rows, big_rhs = _with_implied_rows(rng, rows, rhs)
+        small, big = sx.solve_feasibility(rows, rhs), sx.solve_feasibility(big_rows, big_rhs)
+        assert type(small) is type(big)
+        kinds[type(big)] += 1
+        assert big.stats.rows == len(big_rows)
+        assert big.stats.rows_kept <= min(len(rows), n + 1)
+        if isinstance(big, sx.Infeasible):
+            assert len(big.y) == len(big_rows)
+            assert sx.verify_farkas(big_rows, big_rhs, big.y)
+        else:
+            assert sx.verify_solution(big_rows, big_rhs, big.x)
+        objective = [rng.randint(-2, 2) for _ in range(n)]
+        small, big = sx.maximize(rows, rhs, objective), sx.maximize(big_rows, big_rhs, objective)
+        assert type(small) is type(big)
+        kinds[type(big)] += 1
+        if isinstance(big, sx.Infeasible):
+            assert len(big.y) == len(big_rows)
+            assert sx.verify_farkas(big_rows, big_rhs, big.y)
+        elif isinstance(big, sx.Optimal):
+            assert big.value == small.value
+            assert sx.verify_solution(big_rows, big_rhs, big.x)
+    assert all(count > 10 for count in kinds.values()), kinds

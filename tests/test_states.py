@@ -8,6 +8,7 @@ from ample import paradox as px
 from ample import states as st
 from ample import typesemigroup as ts
 from ample.groupoid import cuntz, odometer, pair_groupoid, rotation
+from ample.serialize import parse_presentation_arg
 from ample.stone import clopen, whole
 
 
@@ -165,3 +166,20 @@ def test_probe_no_unperforation_counterexample_on_cuntz():
 def test_farkas_file_constraints_travel():
     cs = st.build_constraints(C2, 1)
     assert all(note for _, note in cs.equalities)
+
+
+@pytest.mark.parametrize("spec, depth", [("cuntz:2", d) for d in range(1, 7)]
+                         + [("odometer:6", 5), ("pair:40", 2)])
+def test_outcomes_verify_against_unreduced_system(spec, depth):
+    cs = st.build_constraints(parse_presentation_arg(spec), depth)
+    out = st.solve_state(cs)
+    assert out.stats.rows == len(cs.equalities) + 1
+    assert out.stats.rows_kept <= out.stats.rows
+    assert out.stats.cols == len(cs.cells)
+    if spec == "cuntz:2":
+        assert isinstance(out, st.FarkasCertificate)
+        assert len(out.equality_multipliers) == len(cs.equalities)
+        assert st.verify_farkas(cs, out)
+    else:
+        assert isinstance(out, st.StateVector)
+        assert st.verify_state(cs, out)
