@@ -62,6 +62,12 @@ def _lp_stats(stats):
     return {"rows": stats.rows, "rows_kept": stats.rows_kept, "cells": stats.cols, "pivots": stats.pivots}
 
 
+def _search_stats(stats):
+    """The deterministic work counts of a search, for a report."""
+    return {"nodes": stats.nodes, "budget": stats.budget, "cells": stats.cells,
+            "candidates": stats.candidates}
+
+
 def cmd_verify_witness(args):
     pres = serialize.parse_presentation_arg(args.presentation)
     w = serialize.decode_witness(serialize.load_json(args.witness), pres)
@@ -81,6 +87,7 @@ def cmd_find_witness(args):
         "k": args.k,
         "l": args.l,
         "depth": args.depth,
+        "stats": _search_stats(out.stats),
     }
     if out.status == "found":
         payload = serialize.encode_witness(out.certificate)
@@ -97,7 +104,8 @@ def cmd_type_eq(args):
     f1 = serialize.decode_family(serialize.load_json(args.left), pres)
     f2 = serialize.decode_family(serialize.load_json(args.right), pres)
     out = ts.search_equiv(pres, f1, f2, args.depth, args.budget)
-    report = {"command": "type-eq", "status": out.status, "depth": args.depth}
+    report = {"command": "type-eq", "status": out.status, "depth": args.depth,
+              "stats": _search_stats(out.stats)}
     if out.status == "found":
         payload = serialize.encode_equiv_certificate(out.certificate)
         report["certificate"] = payload

@@ -70,15 +70,7 @@ def compose_actions(space, f, g):
 
 
 def action_domain(space, act):
-    if space.kind == stone.FINITE:
-        return clopen(space, [s for s, _ in act])
     return clopen(space, [s for s, _ in act])
-
-
-def action_range(space, act):
-    if space.kind == stone.FINITE:
-        return clopen(space, [t for _, t in act])
-    return clopen(space, [a for _, a in act])
 
 
 def action_apply(space, act, cells_or_clopen):
@@ -301,6 +293,7 @@ class Presentation:
                 raise PresentationError("table must assign an element to every generator")
             self._element_actions, self._element_words = self._close_table(isotropy)
         self._action_cache = {(): identity_action(space)}
+        self._enumeration_cache = {}  # depth -> Enumeration
 
     def _defining_data(self):
         return (self.space, self.generators, self.isotropy)
@@ -355,6 +348,17 @@ class Presentation:
         return actions, words
 
     # -- word machinery ----------------------------------------------------
+
+    def enumeration(self, depth):
+        """enumerate_bisections(self, depth), computed once per depth.
+
+        The searches ask for the same enumeration on every call; the state
+        LP enumerates once per system and keeps nothing.
+        """
+        cached = self._enumeration_cache.get(depth)
+        if cached is None:
+            cached = self._enumeration_cache[depth] = enumerate_bisections(self, depth)
+        return cached
 
     def word_action(self, word):
         """The composite partial action of a word (rightmost applied first)."""

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 from . import stone
 from .stone import clopen, empty
-from .groupoid import Bisection, identity_bisection, from_word, enumerate_bisections
+from .groupoid import Bisection, identity_bisection, from_word
 from . import typesemigroup as ts
 from .typesemigroup import (
     EquivCertificate,
     LeqCertificate,
     SearchBudget,
     SearchOutcome,
+    SearchStats,
     VerifyResult,
     family_of,
     multiple,
@@ -196,14 +197,6 @@ def weaken(pres, w, k2, l2):
     return leq_to_witness(pres, w.a, k2, l2, cert)
 
 
-def transform(pres, w, op, *args):
-    if op == "weaken":
-        return weaken(pres, w, *args)
-    if op == "disjointify":
-        return disjointify(pres, w)
-    raise ValueError("unknown transform %r" % op)
-
-
 def merge_to_pseudopair(pres, w):
     """Merge the two rows of a disjoint (2,1) witness into one bisection each."""
     res = verify_witness(pres, w)
@@ -231,89 +224,85 @@ def search_witness(pres, a, k, l, depth, budget=100000):
     Each row is tiled by refinement cells of A; candidate pieces are the
     depth-bounded words restricted to one cell with range inside A.  Slots
     are filled fewest-candidates-first with lexicographic tie-breaking, so
-    the outcome is deterministic.  None-within-budget is not a proof.
+    the outcome is deterministic.  The search runs on bit masks (see
+    typesemigroup._compile_pieces); bisections are restricted only for the
+    pieces of the witness returned.  None-within-budget is not a proof.
     """
     if not (k > l >= 1):
         raise WitnessError("need k > l >= 1")
     if a.is_empty:
         raise WitnessError("the decomposed set must be nonempty")
     space = pres.space
-    enum = enumerate_bisections(pres, depth).bisections
-    if space.kind == stone.FINITE:
-        cell_depth = 0
-    else:
-        cell_depth = a.max_depth()
-        for b in enum:
-            cell_depth = max(cell_depth, b.dom().max_depth())
-    cells = a.expand(cell_depth)
-
-    base_candidates = {}
-    for cell in cells:
-        cc = clopen(space, [cell])
-        opts = []
-        for bi, b in enumerate(enum):
-            if not cc.subset_of(b.dom()):
-                continue
-            image = b.apply(cc)
-            if not image.subset_of(a):
-                continue
-            for m in range(1, l + 1):
-                opts.append((bi, m, b.restrict(cc), image))
-        base_candidates[cell] = opts
+    enum = pres.enumeration(depth).bisections
+    cells = a.expand(ts._cell_depth(pres, [family_of(a)], enum))
+    options, (inside,), _ = ts._compile_pieces(pres, enum, cells, [a])
+    candidates = {
+        cell: [(bi, m, cell, image) for bi, image in options[cell] if image & inside == image
+               for m in range(1, l + 1)]
+        for cell in cells
+    }
 
     slots = [(i, cell) for i in range(k) for cell in cells]
     assigned = {}
-    remaining = {m: a for m in range(1, l + 1)}
+    remaining = {m: inside for m in range(1, l + 1)}
     tracker = SearchBudget(budget)
     blown = []
 
-    def feasible(slot):
-        out = []
-        for cand in base_candidates[slot[1]]:
-            if cand[3].subset_of(remaining[cand[1]]):
-                out.append(cand)
-        return out
+    def fewest_candidates():
+        """The first open slot with the fewest images that still fit."""
+        best, best_count = None, None
+        for slot in slots:
+            if slot in assigned:
+                continue
+            count = 0
+            for _, m, _, image in candidates[slot[1]]:
+                if image & remaining[m] == image:
+                    count += 1
+                    if count == best_count:
+                        break
+            if best is None or count < best_count:
+                best, best_count = slot, count
+                if not count:
+                    break
+        return best
 
     def backtrack():
         if len(assigned) == len(slots):
             return True
-        best = None
-        best_opts = None
-        for slot in slots:
-            if slot in assigned:
-                continue
-            opts = feasible(slot)
-            if best is None or len(opts) < len(best_opts):
-                best, best_opts = slot, opts
-                if not opts:
-                    break
-        if not best_opts:
-            return False
-        for bi, m, piece, image in best_opts:
+        best = fewest_candidates()
+        opts = [c for c in candidates[best[1]] if c[3] & remaining[c[1]] == c[3]]
+        for cand in opts:
             if not tracker.spend():
                 blown.append(True)
                 return False
-            assigned[best] = (piece, m)
-            remaining[m] = remaining[m].difference(image)
+            _, m, _, image = cand
+            assigned[best] = cand
+            remaining[m] ^= image
             if backtrack():
                 return True
             if blown:
                 return False
             del assigned[best]
-            remaining[m] = remaining[m].union(image)
+            remaining[m] |= image
         return False
 
-    if not backtrack():
-        return SearchOutcome(None, "budget" if blown else "exhausted")
+    found = backtrack()
+    stats = SearchStats(min(tracker.used, budget), budget, len(slots),
+                        k * sum(map(len, candidates.values())))
+    if not found:
+        return SearchOutcome(None, "budget" if blown else "exhausted", stats)
     rows = []
     for i in range(k):
-        row = [assigned[(i, cell)] for cell in cells]
+        row = []
+        for cell in cells:
+            bi, m, _, _ = assigned[(i, cell)]
+            row.append((enum[bi].restrict(clopen(space, [cell])), m))
         rows.append(tuple(row))
     w = ParadoxWitness(a, k, l, tuple(rows))
     res = verify_witness(pres, w)
     if not res:
         raise WitnessError("internal: search produced a non-verifying witness: %s" % res.reason)
-    return SearchOutcome(w, "found")
+    return SearchOutcome(w, "found", stats)
 
 
 def cuntz_witness(pres, alpha, k=2):

@@ -15,11 +15,11 @@ inequivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import stone
 from .stone import clopen, empty
-from .groupoid import Bisection, identity_bisection, enumerate_bisections
+from .groupoid import Bisection, identity_bisection
 
 
 class FamilyError(ValueError):
@@ -203,18 +203,6 @@ def sum_cert(pres, fa, fb, fc, fd, c1, c2):
     return EquivCertificate(tuple(triples))
 
 
-def certificate_algebra(op, pres, *args):
-    if op == "reflexive":
-        return reflexive_cert(pres, *args)
-    if op == "symmetric":
-        return symmetric_cert(*args)
-    if op == "transitive":
-        return transitive_cert(pres, *args)
-    if op == "sum":
-        return sum_cert(pres, *args)
-    raise ValueError("unknown certificate op %r" % op)
-
-
 # ---------------------------------------------------------------------------
 # the preorder
 
@@ -291,25 +279,37 @@ class SearchBudget:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """Deterministic work counts of one search.
+
+    nodes counts the candidates tried, so it never exceeds the budget;
+    cells counts the slots to fill, one per refinement cell of each row
+    (witness) or label (tiling); candidates sums their candidate lists.
+    """
+
+    nodes: int
+    budget: int
+    cells: int
+    candidates: int
+
+
+@dataclass(frozen=True)
 class SearchOutcome:
     certificate: object  # EquivCertificate, LeqCertificate, or None
     status: str  # found | exhausted | budget
+    stats: SearchStats = field(default=None, compare=False)
 
 
-def _slot_cells(pres, families, enum, extra=()):
-    """Cells tiling the family entries, fine enough for all piece domains."""
-    space = pres.space
-    if space.kind == stone.FINITE:
-        depth = 0
-    else:
-        depth = 0
-        for fam in families:
-            for c in fam.entries:
-                depth = max(depth, c.max_depth())
-        for b in enum:
-            depth = max(depth, b.dom().max_depth())
-        for c in extra:
+def _cell_depth(pres, families, enum):
+    """Depth of cells tiling the family entries, fine enough for all piece domains."""
+    if pres.space.kind == stone.FINITE:
+        return 0
+    depth = 0
+    for fam in families:
+        for c in fam.entries:
             depth = max(depth, c.max_depth())
+    for b in enum:
+        depth = max(depth, b.dom().max_depth())
     return depth
 
 
@@ -321,60 +321,145 @@ def _family_slots(fam, depth):
     return slots
 
 
+def _trie_masks(words, letters):
+    """Masks over the leaves of the prefix trie of `words`, keyed by trie node.
+
+    The trie holds every prefix of every word and all k children of each
+    inner node, so its leaves partition the space, and every trie node (the
+    root "" and each word among them) is a union of leaves.
+    """
+    inner = {w[:i] for w in words for i in range(len(w))}
+    leaves = sorted({p + a for p in inner for a in letters} - inner) if inner else [""]
+    bit = {w: 1 << i for i, w in enumerate(leaves)}
+    for p in sorted(inner, key=len, reverse=True):
+        mask = 0
+        for a in letters:
+            mask |= bit[p + a]
+        bit[p] = mask
+    return bit
+
+
+def _shift_image(act_at, cell):
+    """The image words of a cell under the action of the domain word above
+    it, or None when no domain word is a prefix of the cell."""
+    for i in range(len(cell) + 1):
+        act = act_at.get(cell[:i])
+        if act is not None:
+            return [a + cell[len(s):] if cell.startswith(s) else a
+                    for s, a in act if cell.startswith(s) or s.startswith(cell)]
+    return None
+
+
+def _compile_pieces(pres, enum, cells, targets):
+    """Compile a tiling search onto integer bit masks.
+
+    Returns (options, masks, to_clopen).  options[cell] lists (index into
+    enum, image mask) for every bisection whose domain holds the cell, in
+    enumeration order; masks[j] is the mask of the clopen targets[j]; and
+    to_clopen turns a mask back into a clopen.  On Finite(n) bit x is the
+    point x.  On the shift the bits are the leaves of the prefix trie of the
+    target cells and the image words, so masks grow with the words the
+    search meets, not as k^depth.  Images come from each piece's strip/add
+    (or src/tgt) pairs applied to the cell, which must be no shallower than
+    any domain cell.
+    """
+    space = pres.space
+    shift = space.kind == stone.SHIFT
+    images = {cell: [] for cell in cells}
+    for bi, b in enumerate(enum):
+        act_at = {}
+        for _, piece, act in b.pieces:
+            for d in piece.domain.cells:
+                act_at[d] = act if shift else dict(act)
+        for cell in cells:
+            if shift:
+                image = _shift_image(act_at, cell)
+            else:
+                image = [act_at[cell][cell]] if cell in act_at else None
+            if image is not None:
+                images[cell].append((bi, image))
+    if shift:
+        words = {w for t in targets for w in t.cells}
+        words.update(w for found in images.values() for _, image in found for w in image)
+        bit = _trie_masks(words, space.letters)
+
+        def to_clopen(mask):
+            # the maximal trie nodes inside the mask are its canonical cells
+            out, stack = [], [""]
+            while stack:
+                node = stack.pop()
+                if mask & bit[node] == bit[node]:
+                    out.append(node)
+                elif mask & bit[node]:
+                    stack.extend(node + a for a in space.letters)
+            return clopen(space, out)
+    else:
+        bit = {x: 1 << x for x in range(space.size)}
+
+        def to_clopen(mask):
+            return clopen(space, [x for x in range(space.size) if mask >> x & 1])
+
+    def mask_of(words):
+        mask = 0
+        for w in words:
+            mask |= bit[w]
+        return mask
+
+    options = {cell: [(bi, mask_of(image)) for bi, image in found] for cell, found in images.items()}
+    return options, [mask_of(t.cells) for t in targets], to_clopen
+
+
 def _search_tiling(pres, f1, f2, depth, budget, exact):
     """Backtracking tiling of f1 cells into f2 capacity via enumerated pieces.
 
     With exact=True the capacity must be consumed entirely (equivalence);
-    otherwise leftovers become the remainder of a <= certificate.
+    otherwise leftovers become the remainder of a <= certificate.  Slots are
+    filled in their static order; every candidate tried costs one unit of
+    budget, whether or not its image fits.
     """
-    enum = enumerate_bisections(pres, depth).bisections
-    cell_depth = _slot_cells(pres, [f1, f2], enum)
-    slots = _family_slots(f1, cell_depth)
-    space = pres.space
+    enum = pres.enumeration(depth).bisections
+    slots = _family_slots(f1, _cell_depth(pres, [f1, f2], enum))
+    cells = list(dict.fromkeys(cell for _, cell in slots))
+    options, masks, to_clopen = _compile_pieces(pres, enum, cells, f2.entries)
+    candidates = [[(bi, m, cell, image) for bi, image in options[cell] for m in f2.labels]
+                  for _, cell in slots]
 
-    candidates = {}
-    for label, cell in slots:
-        cc = clopen(space, [cell])
-        opts = []
-        for bi, b in enumerate(enum):
-            if not cc.subset_of(b.dom()):
-                continue
-            image = b.apply(cc)
-            for m in f2.labels:
-                opts.append((bi, m, b.restrict(cc), image))
-        candidates[(label, cell)] = opts
-
-    remaining = {m: f2.entry(m) for m in f2.labels}
+    remaining = dict(zip(f2.labels, masks))
     chosen = []
     tracker = SearchBudget(budget)
     blown = []
 
     def backtrack(i):
         if i == len(slots):
-            if exact and any(not r.is_empty for r in remaining.values()):
-                return False
-            return True
-        slot = slots[i]
-        for bi, m, piece, image in candidates[slot]:
+            return not (exact and any(remaining.values()))
+        for cand in candidates[i]:
             if not tracker.spend():
                 blown.append(True)
                 return False
-            if not image.subset_of(remaining[m]):
+            _, m, _, image = cand
+            if image & remaining[m] != image:
                 continue
-            remaining[m] = remaining[m].difference(image)
-            chosen.append((piece, slot[0], m))
+            remaining[m] ^= image
+            chosen.append(cand)
             if backtrack(i + 1):
                 return True
             if blown:
                 return False
             chosen.pop()
-            remaining[m] = remaining[m].union(image)
+            remaining[m] |= image
         return False
 
     found = backtrack(0)
+    stats = SearchStats(min(tracker.used, budget), budget, len(slots), sum(map(len, candidates)))
     if not found:
-        return SearchOutcome(None, "budget" if blown else "exhausted"), None
-    return SearchOutcome(EquivCertificate(tuple(chosen)), "found"), dict(remaining)
+        return SearchOutcome(None, "budget" if blown else "exhausted", stats), None
+    space = pres.space
+    triples = tuple(
+        (enum[bi].restrict(clopen(space, [cell])), label, m)
+        for (bi, m, cell, _), (label, _) in zip(chosen, slots)
+    )
+    left = {m: to_clopen(mask) for m, mask in remaining.items()}
+    return SearchOutcome(EquivCertificate(triples), "found", stats), left
 
 
 def search_equiv(pres, f1, f2, depth, budget=100000):
@@ -402,7 +487,9 @@ def search_leq(pres, f1, f2, depth, budget=100000):
             continue
         rank += 1
         triples.append((identity_bisection(pres, remaining[m]), shift + rank, m))
-    return SearchOutcome(LeqCertificate(remainder, EquivCertificate(tuple(triples))), "found")
+    return SearchOutcome(
+        LeqCertificate(remainder, EquivCertificate(tuple(triples))), "found", outcome.stats
+    )
 
 
 # ---------------------------------------------------------------------------

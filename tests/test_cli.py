@@ -214,3 +214,26 @@ def test_emitted_certificates_reverify_through_cli(tmp_path, capsys):
     assert code == 0
     code, _, _ = run(capsys, "verify-witness", "cuntz:3", "--witness", wfile)
     assert code == 0
+
+
+def test_search_reports_carry_stats(tmp_path, capsys):
+    for depth, nodes in ((3, 16), (4, 32), (5, 64)):
+        code, out, _ = run(capsys, "find-witness", "cuntz:2", "--set", "whole",
+                           "--depth", str(depth), "-o", str(tmp_path / "w.json"))
+        assert code == 0
+        report = json.loads(out)
+        assert report["stats"]["nodes"] == nodes
+        assert report["stats"]["cells"] == 2 * 2 ** depth
+        assert "stats" not in report["witness"]
+    code, out, _ = run(capsys, "find-witness", "rotation:3", "--k", "3", "--l", "2",
+                       "--depth", "3", "--budget", "5000")
+    assert code == 2
+    stats = json.loads(out)["stats"]
+    assert stats["nodes"] == stats["budget"] == 5000
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(ser.encode_family(ts.family_of(whole(cuntz(2).space)))))
+    code, out, _ = run(capsys, "type-eq", "cuntz:2", "--left", str(path), "--right", str(path),
+                       "--depth", "0")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert (stats["nodes"], stats["cells"], stats["candidates"]) == (1, 1, 1)

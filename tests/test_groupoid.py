@@ -284,3 +284,11 @@ def test_principal_arrows_are_canonical_across_words():
     assert via_first.arrow_pieces == via_second.arrow_pieces
     # the serialized word is the breadth-first least one
     assert via_second.arrow_pieces[0].word == ((0, 1),)
+
+
+def test_enumeration_is_cached_per_presentation():
+    pres = cuntz(2)
+    first = pres.enumeration(2)
+    assert pres.enumeration(2) is first
+    assert first == enumerate_bisections(pres, 2)
+    assert pres.enumeration(1) == enumerate_bisections(pres, 1)

@@ -59,13 +59,13 @@ def test_certificate_algebra_dispatch_fuzz():
         if out.status != "found":
             continue
         cert = out.certificate
-        back = ts.certificate_algebra("symmetric", pres, cert)
+        back = ts.symmetric_cert(cert)
         assert ts.verify_equiv(pres, g, f, back).ok
-        loop = ts.certificate_algebra("transitive", pres, f, g, f, cert, back)
+        loop = ts.transitive_cert(pres, f, g, f, cert, back)
         assert ts.verify_equiv(pres, f, f, loop).ok
-        both = ts.certificate_algebra("sum", pres, f, g, g, f, cert, back)
+        both = ts.sum_cert(pres, f, g, g, f, cert, back)
         assert ts.verify_equiv(pres, ts.add(f, g), ts.add(g, f), both).ok
-        refl = ts.certificate_algebra("reflexive", pres, f)
+        refl = ts.reflexive_cert(pres, f)
         assert ts.verify_equiv(pres, f, f, refl).ok
         verified += 1
     assert verified >= 20

@@ -114,7 +114,7 @@ def test_independent_witnesses_merge_blockwise():
 
 def test_weaken_to_three_two():
     w = px.cuntz_witness(C2, "")
-    w32 = px.transform(C2, w, "weaken", 3, 2)
+    w32 = px.weaken(C2, w, 3, 2)
     assert (w32.k, w32.l) == (3, 2)
     assert px.verify_witness(C2, w32).ok
 
@@ -131,7 +131,7 @@ def test_weaken_reaches_larger_k_and_l():
 def test_disjointify_is_identity_on_disjoint_rows():
     w = px.cuntz_witness(C2, "")
     assert px.rows_disjoint(w)
-    same = px.transform(C2, w, "disjointify")
+    same = px.disjointify(C2, w)
     assert same.rows == w.rows
 
 

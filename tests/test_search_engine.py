@@ -1,0 +1,115 @@
+"""The bit-mask engines behind search_witness, search_leq and search_equiv."""
+
+import random
+
+import pytest
+
+from ample import groupoid as gpd
+from ample import paradox as px
+from ample import typesemigroup as ts
+from ample.stone import FINITE, clopen, whole
+
+
+PRESENTATIONS = ("cuntz:2", "cuntz:3", "pair:4", "rotation:3:table", "odometer:3", "trivial:3")
+
+
+def _random_clopen(rng, space):
+    if space.kind == FINITE:
+        pts = [x for x in range(space.size) if rng.random() < 0.5]
+        return clopen(space, pts or [rng.randrange(space.size)])
+    cells = space.cells_at_depth(rng.randint(1, 2))
+    return clopen(space, [c for c in cells if rng.random() < 0.4] or [rng.choice(cells)])
+
+
+def _random_family(rng, space):
+    return ts.normalize(space, [(_random_clopen(rng, space), i + 1) for i in range(rng.randint(1, 2))])
+
+
+def _check_stats(out, budget):
+    assert out.stats.budget == budget
+    assert 0 <= out.stats.nodes <= budget
+    if out.status == "budget":
+        assert out.stats.nodes == budget and out.certificate is None
+
+
+@pytest.mark.parametrize("alias", PRESENTATIONS)
+def test_every_hit_verifies(alias):
+    pres = gpd.builtin(alias)
+    rng = random.Random(alias)
+    budget = 2000
+    hits = 0
+    for _ in range(12):
+        depth = rng.randint(1, 2)
+        a = _random_clopen(rng, pres.space)
+        k, l = rng.choice(((2, 1), (3, 2), (3, 1)))
+        out = px.search_witness(pres, a, k, l, depth, budget)
+        _check_stats(out, budget)
+        if out.status == "found":
+            assert px.verify_witness(pres, out.certificate).ok
+            hits += 1
+        f1, f2 = _random_family(rng, pres.space), _random_family(rng, pres.space)
+        out = ts.search_leq(pres, f1, f2, depth, budget)
+        _check_stats(out, budget)
+        if out.status == "found":
+            assert ts.verify_leq(pres, f1, f2, out.certificate).ok
+            hits += 1
+        for left, right in ((f1, f2), (f1, f1)):
+            out = ts.search_equiv(pres, left, right, depth, budget)
+            _check_stats(out, budget)
+            if out.status == "found":
+                assert ts.verify_equiv(pres, left, right, out.certificate).ok
+                hits += 1
+    assert hits >= 12  # f ~ f is always found
+
+
+@pytest.mark.parametrize("alias", PRESENTATIONS)
+def test_compiled_images_match_the_bisection_calculus(alias):
+    # the candidates of a cell are the bisections whose domain holds it, in
+    # enumeration order, and each image mask is the image under `apply`
+    pres = gpd.builtin(alias)
+    space = pres.space
+    enum = gpd.enumerate_bisections(pres, 2).bisections
+    a = whole(space)
+    cells = a.expand(ts._cell_depth(pres, [ts.family_of(a)], enum))
+    target = clopen(space, cells[: len(cells) // 2 + 1])
+    options, masks, to_clopen = ts._compile_pieces(pres, enum, cells, [a, target])
+    assert [to_clopen(m) for m in masks] == [a, target]
+    for cell in cells:
+        cc = clopen(space, [cell])
+        assert [bi for bi, _ in options[cell]] == [
+            bi for bi, b in enumerate(enum) if cc.subset_of(b.dom())
+        ]
+        for bi, image in options[cell]:
+            assert to_clopen(image) == enum[bi].apply(cc)
+
+
+def test_chosen_pieces_are_restricted_to_their_cell():
+    c2 = gpd.cuntz(2)
+    out = px.search_witness(c2, whole(c2.space), 2, 1, 3)
+    cells = c2.space.cells_at_depth(3)
+    for row in out.certificate.rows:
+        assert [bis.dom() for bis, _ in row] == [clopen(c2.space, [c]) for c in cells]
+    x = whole(c2.space)
+    f1 = ts.normalize(c2.space, [(x, 1), (x, 2)])
+    f2 = ts.family_of(x)
+    out = ts.search_equiv(c2, f1, f2, 1)
+    assert [(bis.dom(), n) for bis, n, _ in out.certificate.triples] == [
+        (clopen(c2.space, [c]), n) for n in (1, 2) for c in ("1", "2")
+    ]
+
+
+def test_masks_grow_with_the_words_met_not_with_depth():
+    # one bit per leaf of the prefix trie of the words the search meets,
+    # which here is at most k bits per distinct word
+    c9 = gpd.cuntz(9)
+    a = whole(c9.space)
+    out = px.search_witness(c9, a, 2, 1, 2)
+    assert out.status == "found"
+    assert px.verify_witness(c9, out.certificate).ok
+    enum = gpd.enumerate_bisections(c9, 2).bisections
+    cells = a.expand(ts._cell_depth(c9, [ts.family_of(a)], enum))
+    options, masks, to_clopen = ts._compile_pieces(c9, enum, cells, [a])
+    images = [m for found in options.values() for _, m in found]
+    words = {w for m in images for w in to_clopen(m).cells}
+    words.update(a.cells)
+    assert max(m.bit_length() for m in images + masks) <= 9 * len(words)
