@@ -43,13 +43,15 @@ def _write_out(args, payload):
 
 
 def _parse_set(pres, spec):
+    """The clopen named by --set: "whole", or comma-separated points or words."""
     if spec == "whole":
         return stone.whole(pres.space)
-    cells = []
-    for part in spec.split(","):
-        part = part.strip()
-        cells.append(int(part) if pres.space.kind == stone.FINITE else part)
-    return stone.clopen(pres.space, cells)
+    parts = [part.strip() for part in spec.split(",")]
+    try:
+        cells = [int(part) for part in parts] if pres.space.kind == stone.FINITE else parts
+        return stone.clopen(pres.space, cells)
+    except ValueError as exc:
+        raise stone.CellError("--set %s: %s" % (spec, exc)) from None
 
 
 def _rational_str(q):

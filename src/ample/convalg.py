@@ -280,18 +280,6 @@ def unit_proj_leq(p, q):
     return all(diff.pres.is_unit_key(k) and v == 1 for k, _, v in diff.items())
 
 
-def algebra_ops(op, a, b=None):
-    if op == "conv":
-        return conv(a, b)
-    if op == "star":
-        return star(a)
-    if op == "add":
-        return add(a, b)
-    if op == "expectation":
-        return expectation(a)
-    raise ValueError("unknown algebra op %r" % op)
-
-
 # ---------------------------------------------------------------------------
 # isometries from paradoxical witnesses
 

@@ -630,24 +630,6 @@ def from_word(pres, word, domain=None):
     return Bisection(pres, [(tuple(word), domain)])
 
 
-def bisection_calculus(op, s, other=None):
-    if op == "inverse":
-        return s.inverse()
-    if op == "compose":
-        return s.compose(other)
-    if op == "restrict":
-        return s.restrict(other)
-    if op == "dom":
-        return s.dom()
-    if op == "ran":
-        return s.ran()
-    raise ValueError("unknown bisection op %r" % op)
-
-
-def apply_clopen(s, part):
-    return s.apply(part)
-
-
 # ---------------------------------------------------------------------------
 # enumeration and saturation
 
@@ -772,28 +754,8 @@ def finite_groupoid(n, injections, isotropy=PRINCIPAL):
     return Presentation(space, gens, isotropy)
 
 
-def transformation(space, generators, isotropy=FREE):
-    return Presentation(space, generators, isotropy)
-
-
 def trivial(n):
     return Presentation(UnitSpace.finite(n), [], PRINCIPAL)
-
-
-def make_presentation(kind, *args, **kwargs):
-    """Uniform constructor dispatch over the builtin presentation kinds."""
-    makers = {
-        "cuntz": cuntz,
-        "pair_groupoid": pair_groupoid,
-        "rotation": rotation,
-        "odometer": odometer,
-        "finite_groupoid": finite_groupoid,
-        "transformation": transformation,
-        "trivial": trivial,
-    }
-    if kind not in makers:
-        raise PresentationError("unknown presentation kind %r" % kind)
-    return makers[kind](*args, **kwargs)
 
 
 def builtin(alias):

@@ -4,8 +4,8 @@ A (k,l) witness for a clopen A consists of k rows of bisection pieces: the
 domains in each row cover A, and the ranges, each tagged with a label
 below l, sit pairwise disjointly inside A x {1..l}.  Witnesses convert to
 and from certificates of k[A] <= l[A] in the type semigroup, can be
-weakened to other (k',l') shapes, and are searched for by backtracking
-over enumerated pieces.
+weakened to other (k',l') shapes, and are searched for as tilings of
+k[A] into l[A] by the type semigroup's one search engine.
 
 A failed search is reported as none-within-budget and never as a proof of
 non-paradoxicality; definitive non-paradoxicality only ever comes from a
@@ -23,9 +23,7 @@ from . import typesemigroup as ts
 from .typesemigroup import (
     EquivCertificate,
     LeqCertificate,
-    SearchBudget,
     SearchOutcome,
-    SearchStats,
     VerifyResult,
     family_of,
     multiple,
@@ -219,90 +217,31 @@ def merge_to_pseudopair(pres, w):
 
 
 def search_witness(pres, a, k, l, depth, budget=100000):
-    """Backtracking search for a (k,l) witness over enumerated pieces.
+    """Search a (k,l) witness as a tiling of k[A] into l[A].
 
-    Each row is tiled by refinement cells of A; candidate pieces are the
-    depth-bounded words restricted to one cell with range inside A.  Slots
-    are filled fewest-candidates-first with lexicographic tie-breaking, so
-    the outcome is deterministic.  The search runs on bit masks (see
-    typesemigroup._compile_pieces); bisections are restricted only for the
-    pieces of the witness returned.  None-within-budget is not a proof.
+    Row n of the witness is label n of k[A].  The one tiling engine,
+    typesemigroup._search_tiling, covers each refinement cell of that label
+    by a piece of a word up to depth whose range lands in A under a label
+    of l[A].  The search is deterministic; none-within-budget is not a
+    proof.
     """
     if not (k > l >= 1):
         raise WitnessError("need k > l >= 1")
     if a.is_empty:
         raise WitnessError("the decomposed set must be nonempty")
-    space = pres.space
-    enum = pres.enumeration(depth).bisections
-    cells = a.expand(ts._cell_depth(pres, [family_of(a)], enum))
-    options, (inside,), _ = ts._compile_pieces(pres, enum, cells, [a])
-    candidates = {
-        cell: [(bi, m, cell, image) for bi, image in options[cell] if image & inside == image
-               for m in range(1, l + 1)]
-        for cell in cells
-    }
-
-    slots = [(i, cell) for i in range(k) for cell in cells]
-    assigned = {}
-    remaining = {m: inside for m in range(1, l + 1)}
-    tracker = SearchBudget(budget)
-    blown = []
-
-    def fewest_candidates():
-        """The first open slot with the fewest images that still fit."""
-        best, best_count = None, None
-        for slot in slots:
-            if slot in assigned:
-                continue
-            count = 0
-            for _, m, _, image in candidates[slot[1]]:
-                if image & remaining[m] == image:
-                    count += 1
-                    if count == best_count:
-                        break
-            if best is None or count < best_count:
-                best, best_count = slot, count
-                if not count:
-                    break
-        return best
-
-    def backtrack():
-        if len(assigned) == len(slots):
-            return True
-        best = fewest_candidates()
-        opts = [c for c in candidates[best[1]] if c[3] & remaining[c[1]] == c[3]]
-        for cand in opts:
-            if not tracker.spend():
-                blown.append(True)
-                return False
-            _, m, _, image = cand
-            assigned[best] = cand
-            remaining[m] ^= image
-            if backtrack():
-                return True
-            if blown:
-                return False
-            del assigned[best]
-            remaining[m] |= image
-        return False
-
-    found = backtrack()
-    stats = SearchStats(min(tracker.used, budget), budget, len(slots),
-                        k * sum(map(len, candidates.values())))
-    if not found:
-        return SearchOutcome(None, "budget" if blown else "exhausted", stats)
-    rows = []
-    for i in range(k):
-        row = []
-        for cell in cells:
-            bi, m, _, _ = assigned[(i, cell)]
-            row.append((enum[bi].restrict(clopen(space, [cell])), m))
-        rows.append(tuple(row))
-    w = ParadoxWitness(a, k, l, tuple(rows))
+    fam_a = family_of(a)
+    outcome, _ = ts._search_tiling(pres, multiple(fam_a, k), multiple(fam_a, l), depth, budget,
+                                   exact=False)
+    if outcome.status != "found":
+        return outcome
+    rows = [[] for _ in range(k)]
+    for bis, n, m in outcome.certificate.triples:
+        rows[n - 1].append((bis, m))
+    w = ParadoxWitness(a, k, l, tuple(map(tuple, rows)))
     res = verify_witness(pres, w)
     if not res:
         raise WitnessError("internal: search produced a non-verifying witness: %s" % res.reason)
-    return SearchOutcome(w, "found", stats)
+    return SearchOutcome(w, "found", outcome.stats)
 
 
 def cuntz_witness(pres, alpha, k=2):

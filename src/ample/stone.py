@@ -262,10 +262,6 @@ def clopen(space, cells):
     return Clopen(space, _canon_shift_cells(cells, space.size))
 
 
-def canonicalize(cells, space):
-    return clopen(space, cells)
-
-
 def empty(space):
     return Clopen(space, ())
 
@@ -274,23 +270,6 @@ def whole(space):
     if space.kind == FINITE:
         return Clopen(space, tuple(range(space.size)))
     return Clopen(space, ("",))
-
-
-def boolean(op, a, b=None):
-    """Dispatch a set operation by name: union, intersect, difference, complement."""
-    if op == "complement":
-        if b is not None:
-            raise ValueError("complement is unary")
-        return a.complement()
-    if b is None:
-        raise ValueError("%s needs two operands" % op)
-    if op == "union":
-        return a.union(b)
-    if op == "intersect":
-        return a.intersect(b)
-    if op == "difference":
-        return a.difference(b)
-    raise ValueError("unknown boolean op %r" % op)
 
 
 @dataclass(frozen=True)

@@ -282,9 +282,10 @@ class SearchBudget:
 class SearchStats:
     """Deterministic work counts of one search.
 
-    nodes counts the candidates tried, so it never exceeds the budget;
-    cells counts the slots to fill, one per refinement cell of each row
-    (witness) or label (tiling); candidates sums their candidate lists.
+    nodes counts the candidates tried that fit, so it never exceeds the
+    budget; cells counts the slots to fill, one per refinement cell of each
+    label of the left family (of each row, for a witness); candidates sums
+    their lists of fitting candidates.
     """
 
     nodes: int
@@ -410,53 +411,87 @@ def _compile_pieces(pres, enum, cells, targets):
 
 
 def _search_tiling(pres, f1, f2, depth, budget, exact):
-    """Backtracking tiling of f1 cells into f2 capacity via enumerated pieces.
+    """The one backtracking search: tile the cells of f1 into f2 by pieces.
 
-    With exact=True the capacity must be consumed entirely (equivalence);
-    otherwise leftovers become the remainder of a <= certificate.  Slots are
-    filled in their static order; every candidate tried costs one unit of
-    budget, whether or not its image fits.
+    The slots are (label of f1, refinement cell) pairs in family order.  A
+    slot's candidates are the (enumerated bisection, label m of f2, image)
+    triples whose image fits inside entry m of f2, filtered once.  At each
+    node the open slot with the fewest candidates that still fit is filled
+    next, ties going to the earlier slot, and every fitting candidate tried
+    costs one unit of budget.  With exact=True the capacity must be
+    consumed entirely (equivalence); otherwise leftovers become the
+    remainder of a <= certificate.  The backtracking keeps an explicit
+    stack, so the slot count is not capped by Python's recursion limit.
+    Returns the outcome, whose triples follow slot order, and the leftover
+    clopen of each label of f2.
     """
     enum = pres.enumeration(depth).bisections
     slots = _family_slots(f1, _cell_depth(pres, [f1, f2], enum))
     cells = list(dict.fromkeys(cell for _, cell in slots))
     options, masks, to_clopen = _compile_pieces(pres, enum, cells, f2.entries)
-    candidates = [[(bi, m, cell, image) for bi, image in options[cell] for m in f2.labels]
-                  for _, cell in slots]
+    fitting = {cell: [(bi, m, image) for bi, image in options[cell]
+                      for m, mask in zip(f2.labels, masks) if image & mask == image]
+               for cell in cells}
+    candidates = [fitting[cell] for _, cell in slots]
 
     remaining = dict(zip(f2.labels, masks))
-    chosen = []
+    chosen = [None] * len(slots)
     tracker = SearchBudget(budget)
-    blown = []
 
-    def backtrack(i):
-        if i == len(slots):
-            return not (exact and any(remaining.values()))
-        for cand in candidates[i]:
-            if not tracker.spend():
-                blown.append(True)
-                return False
-            _, m, _, image = cand
-            if image & remaining[m] != image:
+    def fewest_fitting():
+        """The first open slot with the fewest candidates that still fit."""
+        best, best_count = None, None
+        for s, opts in enumerate(candidates):
+            if chosen[s] is not None:
                 continue
-            remaining[m] ^= image
-            chosen.append(cand)
-            if backtrack(i + 1):
-                return True
-            if blown:
-                return False
-            chosen.pop()
-            remaining[m] |= image
-        return False
+            count = 0
+            for _, m, image in opts:
+                if image & remaining[m] == image:
+                    count += 1
+                    if count == best_count:
+                        break
+            if best is None or count < best_count:
+                best, best_count = s, count
+                if not count:
+                    break
+        return best
 
-    found = backtrack(0)
+    stack = []  # [slot, its candidates that fit on arrival, next to try] down the path
+    while True:
+        if len(stack) < len(slots):
+            s = fewest_fitting()
+            stack.append([s, [c for c in candidates[s] if c[2] & remaining[c[1]] == c[2]], 0])
+        elif not (exact and any(remaining.values())):
+            status = "found"
+            break
+        # undo the deepest choice and move on to that slot's next candidate,
+        # backing up past slots whose candidates are spent
+        while stack:
+            s, opts, i = stack[-1]
+            if chosen[s] is not None:
+                _, m, image = chosen[s]
+                remaining[m] |= image
+                chosen[s] = None
+            if i < len(opts):
+                break
+            stack.pop()
+        if not stack:
+            status = "exhausted"
+            break
+        if not tracker.spend():
+            status = "budget"
+            break
+        stack[-1][2] = i + 1
+        chosen[s] = opts[i]
+        remaining[opts[i][1]] ^= opts[i][2]
+
     stats = SearchStats(min(tracker.used, budget), budget, len(slots), sum(map(len, candidates)))
-    if not found:
-        return SearchOutcome(None, "budget" if blown else "exhausted", stats), None
+    if status != "found":
+        return SearchOutcome(None, status, stats), None
     space = pres.space
     triples = tuple(
         (enum[bi].restrict(clopen(space, [cell])), label, m)
-        for (bi, m, cell, _), (label, _) in zip(chosen, slots)
+        for (bi, m, _), (label, cell) in zip(chosen, slots)
     )
     left = {m: to_clopen(mask) for m, mask in remaining.items()}
     return SearchOutcome(EquivCertificate(triples), "found", stats), left
@@ -634,10 +669,6 @@ def compose_with_bisection(f, bis):
 def rho(pres, f):
     """The canonical family of a function, via its level sets."""
     return normalize(pres.space, [(lvl, i + 1) for i, lvl in enumerate(f.levels())])
-
-
-def family_from_decomposition(pres, clopens):
-    return normalize(pres.space, [(c, i + 1) for i, c in enumerate(clopens)])
 
 
 def rho_welldef_cert(pres, decomp1, decomp2):

@@ -201,8 +201,8 @@ def test_criterion_07_rho_welldefined_and_invariant():
         f = ts.sum_of_indicators(space, decomp1)
         decomp2 = f.levels()
         cert = ts.rho_welldef_cert(pres, decomp1, decomp2)
-        f1 = ts.family_from_decomposition(pres, decomp1)
-        f2 = ts.family_from_decomposition(pres, decomp2)
+        f1 = ts.normalize(pres.space, [(c, i + 1) for i, c in enumerate(decomp1)])
+        f2 = ts.normalize(pres.space, [(c, i + 1) for i, c in enumerate(decomp2)])
         assert ts.verify_equiv(pres, f1, f2, cert).ok
 
     enum = [b for b in enumerate_bisections(pres, 2).bisections if not b.ran().is_empty]

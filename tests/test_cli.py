@@ -162,6 +162,14 @@ def test_negative_depth_is_input_error(capsys, argv):
     assert "--depth" in err
 
 
+@pytest.mark.parametrize("spec", ["a", "7", "0,b"])
+def test_bad_set_is_input_error(capsys, spec):
+    code, out, err = run(capsys, "find-witness", "pair:3", "--set", spec)
+    assert code == 3
+    assert out == ""
+    assert "--set" in err
+
+
 def test_lp_reports_carry_stats(capsys):
     code, out, _ = run(capsys, "state", "cuntz:2", "--depth", "3")
     assert code == 1

@@ -105,7 +105,7 @@ def test_rotation_table_collapses_isotropy():
 def test_apply_clopen_examples():
     pres = cuntz(2)
     u1 = from_word(pres, G1)
-    assert gpd.apply_clopen(u1, whole(pres.space)).cells == ("1",)
+    assert u1.apply(whole(pres.space)).cells == ("1",)
     assert u1.apply(clopen(pres.space, [])).is_empty
     rot = rotation(3)
     rho = from_word(rot, G1)

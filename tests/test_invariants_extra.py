@@ -9,19 +9,19 @@ from ample import groupoid as gpd
 from ample import paradox as px
 from ample import states as st
 from ample import typesemigroup as ts
-from ample.groupoid import cuntz, from_word, make_presentation, odometer, rotation
+from ample.groupoid import builtin, cuntz, from_word, odometer, rotation
 from ample.stone import UnitSpace, clopen, whole
 
 
 def test_make_presentation_dispatch():
-    assert make_presentation("cuntz", 2) == cuntz(2)
-    assert make_presentation("pair_groupoid", 3) == gpd.pair_groupoid(3)
-    assert make_presentation("rotation", 3, with_table=True) == rotation(3, with_table=True)
-    assert make_presentation(
-        "transformation", UnitSpace.finite(3), [gpd.PartialInjection(((0, 1),))]
+    assert builtin("cuntz:2") == cuntz(2)
+    assert builtin("pair:3") == gpd.pair_groupoid(3)
+    assert builtin("rotation:3:table") == rotation(3, with_table=True)
+    assert gpd.Presentation(
+        UnitSpace.finite(3), [gpd.PartialInjection(((0, 1),))]
     ).space == UnitSpace.finite(3)
     try:
-        make_presentation("coarse", 1)
+        builtin("coarse:1")
         assert False
     except gpd.PresentationError:
         pass
@@ -31,12 +31,12 @@ def test_bisection_calculus_dispatch():
     pres = cuntz(2)
     u1 = from_word(pres, ((0, 1),))
     u2 = from_word(pres, ((1, 1),))
-    assert gpd.bisection_calculus("inverse", u1) == u1.inverse()
-    assert gpd.bisection_calculus("compose", u1, u2) == u1.compose(u2)
-    assert gpd.bisection_calculus("dom", u1) == u1.dom()
-    assert gpd.bisection_calculus("ran", u1) == u1.ran()
     half = clopen(pres.space, ["1"])
-    assert gpd.bisection_calculus("restrict", u1, half) == u1.restrict(half)
+    assert u1.inverse() == from_word(pres, ((0, -1),))
+    assert u1.compose(u2) == from_word(pres, ((0, 1), (1, 1)))
+    assert u1.dom() == whole(pres.space)
+    assert u1.ran() == half
+    assert u1.restrict(half) == from_word(pres, ((0, 1),), domain=half)
 
 
 def test_certificate_algebra_dispatch_fuzz():

@@ -1,6 +1,7 @@
-"""The bit-mask engines behind search_witness, search_leq and search_equiv."""
+"""The one bit-mask tiling engine behind search_witness, search_leq and search_equiv."""
 
 import random
+import sys
 
 import pytest
 
@@ -46,6 +47,10 @@ def test_every_hit_verifies(alias):
         _check_stats(out, budget)
         if out.status == "found":
             assert px.verify_witness(pres, out.certificate).ok
+            # a witness is the tiling of k[A] into l[A], read back as rows
+            fam = ts.family_of(a)
+            leq = ts.search_leq(pres, ts.multiple(fam, k), ts.multiple(fam, l), depth, budget)
+            assert px.leq_to_witness(pres, a, k, l, leq.certificate).rows == out.certificate.rows
             hits += 1
         f1, f2 = _random_family(rng, pres.space), _random_family(rng, pres.space)
         out = ts.search_leq(pres, f1, f2, depth, budget)
@@ -113,3 +118,45 @@ def test_masks_grow_with_the_words_met_not_with_depth():
     words = {w for m in images for w in to_clopen(m).cells}
     words.update(a.cells)
     assert max(m.bit_length() for m in images + masks) <= 9 * len(words)
+
+
+def test_a_slot_with_no_fitting_candidate_costs_no_nodes():
+    # point 1 has only the identity piece, whose image misses the target {0}
+    pres = gpd.trivial(2)
+    f1 = ts.family_of(whole(pres.space))
+    f2 = ts.family_of(clopen(pres.space, [0]))
+    for search in (ts.search_leq, ts.search_equiv):
+        out = search(pres, f1, f2, 1)
+        assert out.status == "exhausted"
+        assert out.stats.nodes == 0
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_a_pair_routed_through_one_generator_needs_no_backtracking(seed):
+    # as the type-eq pairs of the benchmark: two labels of three depth-3
+    # cylinders each, and their images under one prepend generator
+    c2 = gpd.cuntz(2)
+    space = c2.space
+    rng = random.Random(seed)
+    gen = rng.choice("12")
+    sets = [sorted(rng.sample(space.cells_at_depth(3), 3)) for _ in range(2)]
+    f1 = ts.normalize(space, [(clopen(space, s), i + 1) for i, s in enumerate(sets)])
+    f2 = ts.normalize(space, [(clopen(space, [gen + c for c in s]), i + 1)
+                              for i, s in enumerate(sets)])
+    out = ts.search_equiv(c2, f1, f2, 1)
+    assert out.status == "found"
+    assert ts.verify_equiv(c2, f1, f2, out.certificate).ok
+    assert out.stats.nodes == out.stats.cells
+
+
+def test_slot_count_is_not_capped_by_the_recursion_limit():
+    pres = gpd.trivial(300)
+    f = ts.family_of(whole(pres.space))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        out = ts.search_equiv(pres, f, f, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.status == "found"
+    assert out.stats.nodes == out.stats.cells == 300

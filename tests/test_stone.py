@@ -54,11 +54,11 @@ def test_difference_finite():
 
 def test_boolean_dispatch_and_errors():
     a = clopen(S2, ["1"])
-    assert stone.boolean("union", a, a.complement()).is_whole
-    with pytest.raises(ValueError):
-        stone.boolean("complement", a, a)
+    assert a.union(a.complement()).is_whole
+    with pytest.raises(TypeError):
+        a.complement(a)
     with pytest.raises(stone.SpaceMismatch):
-        stone.boolean("union", a, clopen(S3, ["1"]))
+        a.union(clopen(S3, ["1"]))
     with pytest.raises(stone.CellError):
         clopen(S2, ["13"])
     with pytest.raises(stone.CellError):

@@ -266,8 +266,8 @@ def test_rho_welldef_certificate_example():
     d1 = [X, one]
     d2 = [one, one, two]
     cert = ts.rho_welldef_cert(C2, d1, d2)
-    f1 = ts.family_from_decomposition(C2, d1)
-    f2 = ts.family_from_decomposition(C2, d2)
+    f1 = ts.normalize(C2.space, [(c, i + 1) for i, c in enumerate(d1)])
+    f2 = ts.normalize(C2.space, [(c, i + 1) for i, c in enumerate(d2)])
     assert ts.verify_equiv(C2, f1, f2, cert).ok
 
 
