@@ -40,45 +40,8 @@ class AlgebraError(ValueError):
     pass
 
 
-def _canon_cylinder_map(space, pairs):
-    """Collapse possibly overlapping (cell, coefficient) pairs canonically."""
-    if space.kind == stone.FINITE:
-        vals = {}
-        for c, q in pairs:
-            vals[c] = vals.get(c, Fraction(0)) + q
-        return {c: q for c, q in vals.items() if q != 0}
-
-    out = {}
-
-    def emit(cell, rel):
-        const = sum((q for c, q in rel if cell.startswith(c)), Fraction(0))
-        deeper = [(c, q) for c, q in rel if c.startswith(cell) and c != cell]
-        if not deeper:
-            if const != 0:
-                out[cell] = const
-            return
-        for a in space.letters:
-            emit(cell + a, [(c, q) for c, q in rel if c.startswith(cell + a) or (cell + a).startswith(c)])
-
-    emit("", list(pairs))
-    # merge equal-valued siblings back up
-    changed = True
-    while changed:
-        changed = False
-        parents = {c[:-1] for c in out if c}
-        for p in sorted(parents, key=len, reverse=True):
-            kids = [p + a for a in space.letters]
-            if all(k in out for k in kids) and len({out[k] for k in kids}) == 1:
-                v = out[kids[0]]
-                for k in kids:
-                    del out[k]
-                out[p] = v
-                changed = True
-    return out
-
-
 class ConvElement:
-    """Canonical form: per arrow key, a merged cylinder map of coefficients."""
+    """Canonical form: per arrow key, its terms summed by `stone.sum_cells`."""
 
     def __init__(self, pres, raw_terms):
         self.pres = pres
@@ -90,13 +53,13 @@ class ConvElement:
             by_key.setdefault(key, []).append((cell, coef))
         terms = {}
         for key, pairs in by_key.items():
-            cyl = _canon_cylinder_map(pres.space, pairs)
+            cyl = dict(stone.sum_cells(pres.space, pairs))
             act_dom = action_domain(pres.space, pres.key_action(key))
             for cell in cyl:
                 if not act_dom.contains_cell(cell):
                     raise AlgebraError("term cell %r escapes the arrow domain" % (cell,))
             if cyl:
-                terms[key] = dict(sorted(cyl.items()))
+                terms[key] = cyl
         self.terms = terms
 
     def items(self):

@@ -514,13 +514,12 @@ class Bisection:
             out.append((key, ArrowPiece(pres.canonical_word(key), dom), act))
         out.sort(key=lambda t: (t[0], t[1].domain.cells))
         # bisection invariants: disjoint domains, disjoint ranges
+        ranges = [action_apply(space, act, piece.domain) for _, piece, act in out]
         for i in range(len(out)):
             for j in range(i + 1, len(out)):
                 if not out[i][1].domain.disjoint_from(out[j][1].domain):
                     raise PresentationError("bisection pieces with overlapping domains")
-                ri = action_apply(space, out[i][2], out[i][1].domain)
-                rj = action_apply(space, out[j][2], out[j][1].domain)
-                if not ri.disjoint_from(rj):
+                if not ranges[i].disjoint_from(ranges[j]):
                     raise PresentationError("bisection pieces with overlapping ranges")
         return tuple(out)
 

@@ -48,6 +48,10 @@ def _need(data, key, path):
     return data[key]
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # -- rationals ---------------------------------------------------------------
 
 
@@ -76,11 +80,17 @@ def encode_space(space):
 
 def decode_space(data, path="space"):
     kind = _need(data, "kind", path)
-    if kind == "finite":
-        return UnitSpace.finite(int(_need(data, "n", path)))
-    if kind == "shift":
-        return UnitSpace.shift(int(_need(data, "k", path)))
-    raise SchemaError(path, "unknown space kind %r" % kind)
+    size_key = "n" if kind == "finite" else "k" if kind == "shift" else None
+    if size_key is None:
+        raise SchemaError(path, "unknown space kind %r" % kind)
+    size = _need(data, size_key, path)
+    where = "%s.%s" % (path, size_key)
+    if not _is_int(size):
+        raise SchemaError(where, "expected an integer, got %r" % (size,))
+    try:
+        return UnitSpace(kind, size)
+    except ValueError as exc:
+        raise SchemaError(where, str(exc)) from exc
 
 
 def encode_clopen(clop):
@@ -121,7 +131,12 @@ def decode_generator(data, path):
         return PrefixMap(str(_need(data, "alpha", path)), str(_need(data, "beta", path)))
     if kind == "partial_injection":
         pairs = _need(data, "pairs", path)
-        return PartialInjection(tuple((int(s), int(t)) for s, t in pairs))
+        if not isinstance(pairs, list):
+            raise SchemaError(path + ".pairs", "expected a list")
+        for j, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
+                raise SchemaError("%s.pairs[%d]" % (path, j), "expected two integers")
+        return PartialInjection(tuple(tuple(p) for p in pairs))
     if kind == "group_element":
         pieces = _need(data, "pieces", path)
         return GroupElement(

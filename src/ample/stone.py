@@ -8,6 +8,10 @@ another, and never are all k one-letter extensions of a common word stored
 (they merge into the word itself).  With cells sorted, equal sets have
 identical representations, so equality is structural.
 
+The same canonical form serves every locally constant map on the unit space:
+integer functions (type semigroup) and coefficient maps (convolution algebra)
+are stored as the items of `merge_siblings` or `sum_cells`.
+
 All values are immutable; every operation is a pure function.
 """
 
@@ -94,26 +98,58 @@ def _is_prefix(u, v):
     return v.startswith(u)
 
 
-def _canon_shift_cells(cells, k):
-    letters = [str(i) for i in range(1, k + 1)]
-    s = set(cells)
-    if "" in s:
-        return ("",)
-    # absorption: a word with a proper prefix present is redundant
-    s = {w for w in s if not any(_is_prefix(p, w) for p in s if p != w)}
-    # merge: whenever all k children of a word are present, keep the word
-    changed = True
-    while changed:
-        changed = False
-        parents = {w[:-1] for w in s if w}
-        for p in sorted(parents, key=len, reverse=True):
-            if all(p + a in s for a in letters):
-                s.difference_update(p + a for a in letters)
-                s.add(p)
-                changed = True
-        if "" in s:
-            return ("",)
-    return tuple(sorted(s))
+def merge_siblings(vals, letters):
+    """The sorted items of a cylinder map in its canonical form.
+
+    `vals` maps pairwise disjoint words to values.  Bottom up, every k
+    siblings p+a (a in `letters`) that share one value are replaced by their
+    parent p with that value.  What remains are the maximal cylinders on
+    which the map is constant, so equal maps give identical items.
+    """
+    vals = dict(vals)
+    # the parents of the words of each length; a merge adds its own parent
+    # one level up, which is visited later
+    parents = {}
+    for w in vals:
+        if w:
+            parents.setdefault(len(w), set()).add(w[:-1])
+    for n in range(max(parents, default=0), 0, -1):
+        for p in parents.get(n, ()):
+            kids = [p + a for a in letters]
+            if all(kid in vals for kid in kids) and len({vals[kid] for kid in kids}) == 1:
+                vals[p] = vals[kids[0]]
+                for kid in kids:
+                    del vals[kid]
+                if p:
+                    parents.setdefault(n - 1, set()).add(p[:-1])
+    return sorted(vals.items())
+
+
+def sum_cells(space, pairs):
+    """The canonical items of the sum of (cell, value) pairs, zeros dropped.
+
+    The cells may overlap.  On the shift the sum is refined to the cells
+    below which no input cell lies, and then merged by `merge_siblings`.
+    """
+    vals = {}
+    for c, v in pairs:
+        vals[c] = vals.get(c, 0) + v
+    if space.kind == FINITE:
+        return sorted((c, v) for c, v in vals.items() if v)
+    out = {}
+
+    def split(word, base, below):
+        # base: the sum of the input cells containing cylinder(word);
+        # below: the input cells strictly inside it
+        if below:
+            for a in space.letters:
+                kid = word + a
+                split(kid, base + vals.get(kid, 0), [c for c in below if c.startswith(kid) and c != kid])
+        elif base:
+            out[word] = base
+
+    split("", vals.get("", 0), [c for c in vals if c])
+    return merge_siblings(out, space.letters)
 
 
 @dataclass(frozen=True)
@@ -122,10 +158,6 @@ class Clopen:
 
     space: UnitSpace
     cells: tuple
-
-    def __post_init__(self):
-        for c in self.cells:
-            self.space.check_cell(c)
 
     # -- basic predicates -------------------------------------------------
 
@@ -255,11 +287,23 @@ def _cell_minus(word, cells, letters):
 
 
 def clopen(space, cells):
-    """Canonicalize a list of cells into a Clopen. Idempotent."""
+    """Canonicalize a list of cells into a Clopen. Idempotent.
+
+    The one place that validates cells: `empty` and `whole`, the only other
+    constructors, build valid cells.
+    """
     cells = [space.check_cell(c) for c in cells]
     if space.kind == FINITE:
         return Clopen(space, tuple(sorted(set(cells))))
-    return Clopen(space, _canon_shift_cells(cells, space.size))
+    # absorption: in sorted order a word follows its prefixes, so it is
+    # redundant exactly when it starts with the last word kept
+    kept = []
+    for w in sorted(cells):
+        if not (kept and w.startswith(kept[-1])):
+            kept.append(w)
+    if len(kept) >= space.size:  # fewer than k words have no siblings to merge
+        kept = [w for w, _ in merge_siblings(dict.fromkeys(kept, True), space.letters)]
+    return Clopen(space, tuple(kept))
 
 
 def empty(space):

@@ -536,8 +536,8 @@ class IntFunction:
     """A locally constant function to the nonnegative integers.
 
     Stored as (cell, value) pieces with positive values; unlisted cells are
-    zero.  Sibling cells sharing a value are merged, so the representation
-    is canonical.
+    zero.  The pieces are the canonical cylinder-map items of
+    `stone.merge_siblings`, so equal functions have equal pieces.
     """
 
     space: stone.UnitSpace
@@ -579,7 +579,10 @@ class IntFunction:
 
 
 def int_function(space, pairs):
-    """Canonicalize (cell, value) pairs; cells must be pairwise disjoint."""
+    """Canonicalize (cell, value) pairs; cells must be pairwise disjoint.
+
+    Zero values are dropped; the rest go through `stone.merge_siblings`.
+    """
     pairs = [(space.check_cell(c), v) for c, v in pairs if v != 0]
     for _, v in pairs:
         if not isinstance(v, int) or v < 0:
@@ -593,21 +596,7 @@ def int_function(space, pairs):
         for j in range(i + 1, len(cells)):
             if cells[i].startswith(cells[j]) or cells[j].startswith(cells[i]):
                 raise FamilyError("function pieces overlap: %r, %r" % (cells[i], cells[j]))
-    vals = dict(pairs)
-    letters = space.letters
-    changed = True
-    while changed:
-        changed = False
-        parents = {c[:-1] for c in vals if c}
-        for p in sorted(parents, key=len, reverse=True):
-            kids = [p + a for a in letters]
-            if all(k in vals for k in kids) and len({vals[k] for k in kids}) == 1:
-                v = vals[kids[0]]
-                for k in kids:
-                    del vals[k]
-                vals[p] = v
-                changed = True
-    return IntFunction(space, tuple(sorted(vals.items())))
+    return IntFunction(space, tuple(stone.merge_siblings(dict(pairs), space.letters)))
 
 
 def zero_function(space):
@@ -621,30 +610,7 @@ def indicator(clop):
 def add_functions(f, g):
     if f.space != g.space:
         raise stone.SpaceMismatch("adding functions over different spaces")
-    space = f.space
-    if space.kind == stone.FINITE:
-        vals = dict(f.pieces)
-        for c, v in g.pieces:
-            vals[c] = vals.get(c, 0) + v
-        return int_function(space, list(vals.items()))
-
-    out = []
-
-    def emit(cell, fs, gs):
-        f_here = [(c, v) for c, v in fs if c.startswith(cell) or cell.startswith(c)]
-        g_here = [(c, v) for c, v in gs if c.startswith(cell) or cell.startswith(c)]
-        f_const = all(cell.startswith(c) for c, _ in f_here)
-        g_const = all(cell.startswith(c) for c, _ in g_here)
-        if f_const and g_const:
-            v = (f_here[0][1] if f_here else 0) + (g_here[0][1] if g_here else 0)
-            if v:
-                out.append((cell, v))
-            return
-        for a in space.letters:
-            emit(cell + a, f_here, g_here)
-
-    emit("", list(f.pieces), list(g.pieces))
-    return int_function(space, out)
+    return IntFunction(f.space, tuple(stone.sum_cells(f.space, f.pieces + g.pieces)))
 
 
 def sum_of_indicators(space, clopens):

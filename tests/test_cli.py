@@ -59,6 +59,34 @@ def test_malformed_input_is_exit_three(tmp_path, capsys):
     assert "overlapping" in err
 
 
+FINITE_2 = {"kind": "finite", "n": 2}
+
+
+def _injection(*pairs):
+    return [{"kind": "partial_injection", "pairs": [[0, 1]]},
+            {"kind": "partial_injection", "pairs": list(pairs)}]
+
+
+@pytest.mark.parametrize("space, generators, where", [
+    ({"kind": "finite", "n": "x"}, [], "presentation.space.n"),
+    ({"kind": "finite", "n": 0}, [], "presentation.space.n"),
+    ({"kind": "shift", "k": 12}, [], "presentation.space.k"),
+    (FINITE_2, _injection([0]), "presentation.generators[1].pairs[0]"),
+    (FINITE_2, _injection([1, 0], [0, 1, 1]), "presentation.generators[1].pairs[1]"),
+    (FINITE_2, _injection(["0", 1]), "presentation.generators[1].pairs[0]"),
+    (FINITE_2, _injection([0, True]), "presentation.generators[1].pairs[0]"),
+    (FINITE_2, _injection(3), "presentation.generators[1].pairs[0]"),
+    (FINITE_2, [{"kind": "partial_injection", "pairs": 5}], "presentation.generators[0].pairs"),
+], ids=["n-string", "n-zero", "k-twelve", "short-pair", "long-pair", "string-point",
+        "bool-point", "pair-not-a-list", "pairs-not-a-list"])
+def test_bad_presentation_file_is_exit_three(tmp_path, capsys, space, generators, where):
+    pres = tmp_path / "p.json"
+    pres.write_text(json.dumps({"space": space, "generators": generators}))
+    code, _, err = run(capsys, "orbits", str(pres))
+    assert code == 3
+    assert where + ":" in err
+
+
 def test_state_rotation_exact(capsys):
     code, out, _ = run(capsys, "state", "rotation:3", "--depth", "0")
     assert code == 0

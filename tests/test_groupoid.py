@@ -292,3 +292,20 @@ def test_enumeration_is_cached_per_presentation():
     assert pres.enumeration(2) is first
     assert first == enumerate_bisections(pres, 2)
     assert pres.enumeration(1) == enumerate_bisections(pres, 1)
+
+
+def test_bisection_check_applies_each_piece_once(monkeypatch):
+    # under principal isotropy the identity on Finite(n) has n pieces; the
+    # range check must not recompute ranges per pair of pieces
+    pres = trivial(200)
+    calls = []
+    real = gpd.action_apply
+
+    def counted(space, act, dom):
+        calls.append(dom)
+        return real(space, act, dom)
+
+    monkeypatch.setattr(gpd, "action_apply", counted)
+    ident = identity_bisection(pres)
+    assert len(ident.pieces) == 200
+    assert len(calls) <= len(ident.pieces)

@@ -23,15 +23,32 @@ def test_canonicalize_finite_dedups_and_sorts():
     assert clopen(F4, [2, 0, 2]).cells == (0, 2)
 
 
+def _assert_canonical_items(space, items):
+    """Disjoint cells, nonzero values, and no k siblings sharing a value."""
+    cells = [c for c, _ in items]
+    assert cells == sorted(set(cells))
+    assert all(v for _, v in items)
+    if space.kind == stone.FINITE:
+        return
+    vals = dict(items)
+    for i, a in enumerate(cells):
+        assert not any(b.startswith(a) for b in cells[i + 1:])
+    for p in {c[:-1] for c in cells if c}:
+        kids = [vals.get(p + a) for a in space.letters]
+        assert None in kids or len(set(kids)) > 1
+
+
 def test_canonicalize_idempotent_random():
     rng = random.Random(7)
-    for _ in range(300):
-        cells = []
-        for _ in range(rng.randint(0, 6)):
-            depth = rng.randint(0, 4)
-            cells.append("".join(rng.choice("12") for _ in range(depth)))
-        a = clopen(S2, cells)
-        assert clopen(S2, list(a.cells)).cells == a.cells
+    for space in (S2, S3):
+        for _ in range(300):
+            cells = []
+            for _ in range(rng.randint(0, 6)):
+                depth = rng.randint(0, 4)
+                cells.append("".join(rng.choice(space.letters) for _ in range(depth)))
+            a = clopen(space, cells)
+            assert clopen(space, list(a.cells)).cells == a.cells
+            _assert_canonical_items(space, [(c, True) for c in a.cells])
     for _ in range(100):
         pts = [rng.randrange(4) for _ in range(rng.randint(0, 6))]
         a = clopen(F4, pts)
@@ -150,3 +167,49 @@ def test_common_refinement_is_partition():
             for fam, fam_assign in zip(fams, assigns):
                 for clop, owned in zip(fam, fam_assign):
                     assert clopen(space, owned) == clop
+
+
+def _random_cell(rng, space, depth):
+    if space.kind == stone.FINITE:
+        return rng.randrange(space.size)
+    return "".join(rng.choice(space.letters) for _ in range(rng.randint(0, depth)))
+
+
+def _redecompose(rng, space, pairs):
+    """Another list of pairs with the same sum: split values and cells."""
+    out = []
+    for c, v in pairs:
+        if rng.random() < 0.5:
+            part = rng.randint(-2, 2)
+            out += [(c, part), (c, v - part)]
+        elif space.kind == stone.SHIFT and rng.random() < 0.5:
+            out += [(c + a, v) for a in space.letters]
+        else:
+            out.append((c, v))
+    rng.shuffle(out)
+    return out
+
+
+def test_sum_cells_random():
+    rng = random.Random(11)
+    for space in (S2, S3, F4):
+        for _ in range(150):
+            pairs = [
+                (_random_cell(rng, space, 3), rng.choice([-1, 1, 1, 2]))
+                for _ in range(rng.randint(0, 7))
+            ]
+            items = stone.sum_cells(space, pairs)
+            _assert_canonical_items(space, items)
+            depth = 0
+            if space.kind == stone.SHIFT:
+                depth = max((len(c) for c, _ in pairs), default=0)
+                assert all(len(c) <= depth for c, _ in items)
+            for w in space.cells_at_depth(depth):
+                if space.kind == stone.FINITE:
+                    want = sum(v for c, v in pairs if c == w)
+                    got = dict(items).get(w, 0)
+                else:
+                    want = sum(v for c, v in pairs if w.startswith(c))
+                    got = sum(v for c, v in items if w.startswith(c))
+                assert got == want
+            assert stone.sum_cells(space, _redecompose(rng, space, pairs)) == items
