@@ -252,13 +252,19 @@ def cmd_ideal_check(args):
     pres = serialize.parse_presentation_arg(args.presentation)
     rep = orbits.ideal_lattice_check(pres)
     rep["command"] = "ideal-check"
+    if rep["passed"]:
+        verdict, code = "passed", EXIT_OK
+    elif "not_run" in rep:
+        verdict, code = "not verified: %s did not run" % ", ".join(rep["not_run"]), EXIT_INCONCLUSIVE
+    else:
+        verdict, code = "FAILED", EXIT_REJECTED
     _emit(
         args,
         rep,
-        ["ideal lattice check: %s" % ("passed" if rep["passed"] else "FAILED"),
+        ["ideal lattice check: %s" % verdict,
          "orbits: %d, ideals: %d, primes: %d" % (rep["orbit_count"], rep["ideal_count"], rep["prime_count"])],
     )
-    return EXIT_OK if rep["passed"] else EXIT_REJECTED
+    return code
 
 
 def cmd_isometries(args):

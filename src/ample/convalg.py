@@ -233,10 +233,6 @@ def unit_function(a):
     return out
 
 
-def is_unit_projection(a):
-    return all(a.pres.is_unit_key(k) and v == 1 for k, _, v in a.items())
-
-
 def unit_proj_leq(p, q):
     """p <= q for commuting unit projections: q - p is {0,1}-valued on units."""
     diff = sub(q, p)

@@ -311,13 +311,6 @@ class Presentation:
             "table" if isinstance(self.isotropy, Table) else self.isotropy,
         )
 
-    @property
-    def gen_labels(self):
-        out = []
-        for i, g in enumerate(self.generators):
-            out.append(g.label if isinstance(g, GroupElement) else "g%d" % (i + 1))
-        return out
-
     def _close_table(self, table):
         """Element actions as the join closure of all generator words."""
         ident = table.identity()
@@ -552,9 +545,6 @@ class Bisection:
     @property
     def is_empty(self):
         return not self.pieces
-
-    def is_identity_on_units(self):
-        return all(self.pres.is_unit_key(key) for key, _, _ in self.pieces)
 
     # -- calculus -----------------------------------------------------------
 

@@ -12,6 +12,7 @@ keep arbitrary precision out of JSON number territory.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 from . import stone
@@ -50,6 +51,29 @@ def _need(data, key, path):
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _need_int(data, key, path):
+    value = _need(data, key, path)
+    if not _is_int(value):
+        raise SchemaError("%s.%s" % (path, key), "expected an integer, got %r" % (value,))
+    return value
+
+
+def _need_list(data, key, path):
+    value = _need(data, key, path)
+    if not isinstance(value, list):
+        raise SchemaError("%s.%s" % (path, key), "expected a list, got %r" % (value,))
+    return value
+
+
+def _check_version(data, path):
+    """Files without a tag are read as the current version."""
+    if isinstance(data, dict) and data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise SchemaError(
+            path + ".schema_version",
+            "unsupported schema version %r, expected %d" % (data["schema_version"], SCHEMA_VERSION),
+        )
 
 
 # -- rationals ---------------------------------------------------------------
@@ -162,6 +186,7 @@ def encode_presentation(pres):
 
 
 def decode_presentation(data, path="presentation"):
+    _check_version(data, path)
     space = decode_space(_need(data, "space", path), path + ".space")
     gens_data = _need(data, "generators", path)
     gens = [
@@ -247,6 +272,7 @@ def encode_family(fam):
 
 
 def decode_family(data, pres, path="family"):
+    _check_version(data, path)
     entries = _need(data, "entries", path)
     pairs = []
     for i, e in enumerate(entries):
@@ -294,6 +320,7 @@ def decode_leq_certificate(data, pres, path="certificate"):
 
 
 def decode_certificate(data, pres, path="certificate"):
+    _check_version(data, path)
     kind = data.get("kind", "equivalence")
     if kind == "equivalence":
         return decode_equiv_certificate(data, pres, path)
@@ -319,18 +346,20 @@ def encode_witness(w):
 
 
 def decode_witness(data, pres, path="witness"):
+    _check_version(data, path)
     a = decode_clopen(_need(data, "A", path), path + ".A", pres.space)
-    k = int(_need(data, "k", path))
-    l = int(_need(data, "l", path))
+    k = _need_int(data, "k", path)
+    l = _need_int(data, "l", path)
     rows = []
-    for i, row in enumerate(_need(data, "rows", path)):
+    for i, row in enumerate(_need_list(data, "rows", path)):
         here = "%s.rows[%d]" % (path, i)
+        if not isinstance(row, list):
+            raise SchemaError(here, "expected a list, got %r" % (row,))
         out = []
         for j, entry in enumerate(row):
-            b = decode_bisection(
-                _need(entry, "bisection", here), pres, "%s[%d].bisection" % (here, j)
-            )
-            out.append((b, int(_need(entry, "m", here))))
+            at = "%s[%d]" % (here, j)
+            b = decode_bisection(_need(entry, "bisection", at), pres, at + ".bisection")
+            out.append((b, _need_int(entry, "m", at)))
         rows.append(tuple(out))
     return ParadoxWitness(a, k, l, tuple(rows))
 
@@ -348,6 +377,7 @@ def encode_state(sv):
 
 
 def decode_state(data, path="state"):
+    _check_version(data, path)
     depth = int(_need(data, "depth", path))
     values = _need(data, "values", path)
     cells = []
@@ -373,6 +403,7 @@ def encode_farkas(fc, depth, notes=()):
 
 
 def decode_farkas(data, path="farkas"):
+    _check_version(data, path)
     eq = [
         decode_rational(v, "%s.equality_multipliers[%d]" % (path, i))
         for i, v in enumerate(_need(data, "equality_multipliers", path))
@@ -395,6 +426,7 @@ def encode_element(elem):
 
 
 def decode_element(data, pres, path="element"):
+    _check_version(data, path)
     triples = []
     for i, t in enumerate(_need(data, "terms", path)):
         here = "%s.terms[%d]" % (path, i)
@@ -423,15 +455,16 @@ def load_json(path):
 
 
 def parse_presentation_arg(spec):
-    """A builtin alias like cuntz:2, or a path to a presentation file."""
-    if ":" in spec or spec in ("odometer",):
+    """A builtin alias like cuntz:2, or a path to a presentation file.
+
+    A spec of the alias form (cuntz:1, odometer) that is neither a valid
+    alias nor an existing file raises the alias's PresentationError.
+    """
+    alias = ":" in spec or spec == "odometer"
+    if alias or not spec.endswith(".json"):
         try:
             return gpd.builtin(spec)
         except gpd.PresentationError:
-            pass
-    if spec.endswith(".json"):
-        return decode_presentation(load_json(spec))
-    try:
-        return gpd.builtin(spec)
-    except gpd.PresentationError:
-        return decode_presentation(load_json(spec))
+            if alias and not os.path.exists(spec):
+                raise
+    return decode_presentation(load_json(spec))

@@ -14,8 +14,11 @@ rows, right-hand side included, so a point feasible for the kept rows is
 feasible for all of them, and Farkas multipliers found on the kept rows
 extend to the full system with exact zeros on the dropped ones.
 
-No floating point enters anywhere; certificates re-verify by independent
-recomputation.
+Rows stay as given, integers in practice, until the tableau: the
+elimination runs fraction-free on their nonzeros, and Fractions are built
+only for the nonzeros of the kept rows.  Only the verifiers densify every
+entry to a Fraction.  No floating point enters anywhere; certificates
+re-verify by independent recomputation.
 """
 
 from __future__ import annotations
@@ -59,7 +62,12 @@ class Unbounded:
     pass
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 def _as_fractions(rows, rhs):
+    """Every entry as a Fraction; the verifiers' plain recomputation."""
     a = [[Fraction(v) for v in row] for row in rows]
     b = [Fraction(v) for v in rhs]
     if any(len(row) != len(a[0]) for row in a):
@@ -117,38 +125,54 @@ def _independent_rows(a, b):
 
 class _Tableau:
     def __init__(self, a, b, n):
+        """The phase-one tableau of the rows `a` (sparse {column: value}
+        dicts, int or Fraction) with nonnegative rhs `b`.
+
+        Fractions are built only for the distinct nonzero values; every zero
+        is one shared Fraction(0).  Fractions are immutable, so sharing is
+        safe.
+        """
         self.n = n
         self.m = len(a)
         self.pivots = 0
         # columns: n originals, m artificials, then the rhs
-        self.rows = []
-        for i in range(self.m):
-            row = list(a[i]) + [Fraction(0)] * self.m + [b[i]]
-            row[n + i] = Fraction(1)
-            self.rows.append(row)
-        self.basis = [n + i for i in range(self.m)]
-        # phase-one reduced costs: c_j - sum of column entries (all cB = 1)
         width = n + self.m + 1
-        self.obj = [Fraction(0)] * width
-        for j in range(width):
-            col = sum(row[j] for row in self.rows)
-            cj = Fraction(1) if n <= j < n + self.m else Fraction(0)
-            if j == width - 1:
-                self.obj[j] = -col  # rhs slot carries minus the objective
-            else:
-                self.obj[j] = cj - col
+        self.rows = []
+        colsum = {}
+        frac = {}
+        for i, (row, rhs) in enumerate(zip(a, b)):
+            full = [_ZERO] * width
+            for j, v in row.items():
+                f = frac.get(v)
+                if f is None:
+                    f = frac[v] = Fraction(v)
+                full[j] = f
+                colsum[j] = colsum.get(j, 0) + v
+            full[n + i] = _ONE
+            full[-1] = Fraction(rhs)
+            self.rows.append(full)
+        self.basis = [n + i for i in range(self.m)]
+        # phase-one reduced costs: c_j - sum of column entries (all cB = 1);
+        # an artificial column sums to its cost 1, and the rhs slot carries
+        # minus the objective
+        self.obj = [_ZERO] * width
+        for j, col in colsum.items():
+            if col:
+                self.obj[j] = -Fraction(col)
+        self.obj[-1] = -Fraction(sum(b))
 
     def pivot(self, i, j):
-        # zero entries of the pivot row are skipped; they change nothing
-        piv = self.rows[i][j]
-        self.rows[i] = [v / piv if v else v for v in self.rows[i]]
-        for r in range(self.m):
-            if r != i and self.rows[r][j] != 0:
-                f = self.rows[r][j]
-                self.rows[r] = [v - f * w if w else v for v, w in zip(self.rows[r], self.rows[i])]
-        if self.obj[j] != 0:
-            f = self.obj[j]
-            self.obj = [v - f * w if w else v for v, w in zip(self.obj, self.rows[i])]
+        # only the pivot row's nonzero columns change, in every row
+        prow = self.rows[i]
+        piv = prow[j]
+        nz = [k for k, v in enumerate(prow) if v]
+        for k in nz:
+            prow[k] = prow[k] / piv
+        for row in self.rows + [self.obj]:
+            f = row[j]
+            if f and row is not prow:
+                for k in nz:
+                    row[k] = row[k] - f * prow[k]
         self.basis[i] = j
         self.pivots += 1
 
@@ -180,7 +204,7 @@ class _Tableau:
         return -self.obj[-1]
 
     def solution(self):
-        x = [Fraction(0)] * self.n
+        x = [_ZERO] * self.n
         for i, j in enumerate(self.basis):
             if j < self.n:
                 x[j] = self.rows[i][-1]
@@ -192,27 +216,26 @@ def _stats(t, rows):
 
 
 def _phase_one(rows, rhs):
-    a, b = _as_fractions(rows, rhs)
-    n = len(a[0]) if a else 0
-    kept = _independent_rows(a, b)
-    a = [a[i] for i in kept]
-    b = [b[i] for i in kept]
-    signs = []
-    for i in range(len(a)):
-        if b[i] < 0:
-            a[i] = [-v for v in a[i]]
-            b[i] = -b[i]
-            signs.append(Fraction(-1))
-        else:
-            signs.append(Fraction(1))
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise ValueError("ragged constraint matrix")
+    if len(rhs) != len(rows):
+        raise ValueError("rhs length mismatch")
+    kept = _independent_rows(rows, rhs)
+    a, b, signs = [], [], []
+    for i in kept:
+        sign = -1 if rhs[i] < 0 else 1
+        a.append({j: sign * v for j, v in enumerate(rows[i]) if v})
+        b.append(sign * rhs[i])
+        signs.append(sign)
     t = _Tableau(a, b, n)
     status = t.bland_min(range(n + t.m))
     assert status == "optimal", "phase one is bounded below by zero"
     if t.objective() > 0:
         # reduced cost of the i-th artificial is 1 - y_i; dropped rows get 0
-        y = [Fraction(0)] * len(rows)
+        y = [_ZERO] * len(rows)
         for k, i in enumerate(kept):
-            y[i] = signs[k] * (Fraction(1) - t.obj[n + k])
+            y[i] = signs[k] * (_ONE - t.obj[n + k])
         return Infeasible(tuple(y), _stats(t, rows)), None
     _drive_out_artificials(t)
     return Feasible(t.solution(), _stats(t, rows)), t
@@ -241,16 +264,16 @@ def maximize(rows, rhs, objective):
     n = t.n
     cost = [-Fraction(v) for v in objective]  # minimize the negation
     width = n + t.m + 1
-    obj = [Fraction(0)] * width
-    cb = [cost[j] if j < n else Fraction(0) for j in t.basis]
+    obj = [_ZERO] * width
+    costed = [(cost[j], t.rows[i]) for i, j in enumerate(t.basis) if j < n and cost[j]]
     for j in range(width):
-        col = sum(cb[i] * t.rows[i][j] for i in range(t.m))
+        col = sum((c * row[j] for c, row in costed), _ZERO)
         if j == width - 1:
             obj[j] = -col
         elif j < n:
             obj[j] = cost[j] - col
         else:
-            obj[j] = Fraction(0)  # artificials are frozen out of phase two
+            obj[j] = _ZERO  # artificials are frozen out of phase two
     t.obj = obj
     status = t.bland_min(range(n))
     if status == "unbounded":

@@ -6,6 +6,10 @@ every enumerated word up to the depth, and the normalization mu(X) = 1.
 Solving is exact rational LP; the outcome is either a state vector or a
 Farkas certificate, and both re-verify by independent recomputation.
 
+Each invariance row is built from cell-index ranges, with no clopen
+expansion, and stays integer until the simplex tableau; only the
+verifiers densify it to Fractions.
+
 A depth-d state is a state of the truncated system only.  Reports always
 carry the depth; nothing is claimed beyond it.
 """
@@ -37,29 +41,54 @@ class ConstraintSystem:
     skipped: tuple
 
     def rows_rhs(self):
+        """The integer rows and rhs of the system, normalization last."""
         rows = [list(coeffs) for coeffs, _ in self.equalities]
-        rhs = [Fraction(0)] * len(rows)
-        rows.append([Fraction(1)] * len(self.cells))
-        rhs.append(Fraction(1))
+        rhs = [0] * len(rows)
+        rows.append([1] * len(self.cells))
+        rhs.append(1)
         return rows, rhs
 
 
-def _cell_vector(cells, index, clop, depth):
-    vec = [0] * len(cells)
-    for cell in clop.expand(depth):
-        vec[index[cell]] += 1
-    return vec
+def _under(cells, s):
+    """The cells of a canonical clopen restricted to cylinder(s).
+
+    Either `s` itself, when a stored cell contains it, or the stored cells
+    below it.  Those are canonical already: k stored siblings would have
+    merged into their parent, so they never cover all of cylinder(s).
+    """
+    if any(s.startswith(c) for c in cells):
+        return (s,)
+    return tuple(c for c in cells if c.startswith(s))
+
+
+def _span(space, cell, depth):
+    """The indices [start, end) of the depth cells inside `cell`.
+
+    In `cells_at_depth` order a word w of length L is the base-k numeral of
+    its letters minus one, and covers [idx(w) k^(d-L), (idx(w) + 1) k^(d-L)).
+    A point of Finite(n) is its own index.
+    """
+    if space.kind == stone.FINITE:
+        return cell, cell + 1
+    k = space.size
+    idx = 0
+    for ch in cell:
+        idx = idx * k + int(ch) - 1
+    width = k ** (depth - len(cell))
+    return idx * width, (idx + 1) * width
 
 
 def build_constraints(pres, depth):
     """The invariance system of all enumerated word pieces at the depth.
 
     Pieces whose cylinders are deeper than the truncation cannot be
-    expressed; they are skipped and the system is marked partial.
+    expressed; they are skipped and the system is marked partial.  A row
+    mu(dom) - mu(ran) is a sum of +-1 on index ranges; it is built as its
+    sorted nonzero steps, deduplicated up to sign in that form, and stored
+    as a dense integer tuple.
     """
     space = pres.space
     cells = tuple(space.cells_at_depth(depth))
-    index = {c: i for i, c in enumerate(cells)}
     rows = []
     seen = set()
     skipped = []
@@ -67,41 +96,43 @@ def build_constraints(pres, depth):
     # simply skipped as inexpressible and the system is marked partial
     for bis in enumerate_bisections(pres, max(depth, 1)).bisections:
         for _, piece, act in bis.pieces:
-            for atom in act:
+            for s, a in act:
+                if s == a:
+                    continue
                 if space.kind == stone.SHIFT:
-                    s, a = atom
-                    dom_part = clopen(space, [s]).intersect(piece.domain)
-                    if dom_part.is_empty or s == a:
+                    dom = _under(piece.domain.cells, s)
+                    if not dom:
                         continue
-                    ran_part = clopen(space, [a + c[len(s):] for c in dom_part.cells])
-                    if dom_part.max_depth() > depth or ran_part.max_depth() > depth:
+                    # strip s, add a: a bijection of cylinders, so the image
+                    # of canonical sorted cells is canonical and sorted
+                    ran = tuple(a + c[len(s):] for c in dom)
+                    if max(map(len, dom)) > depth or max(map(len, ran)) > depth:
                         skipped.append("%s: piece %s->%s too deep" % (word_str(piece.word), s, a))
                         continue
+                elif s in piece.domain.cells:
+                    dom, ran = (s,), (a,)
                 else:
-                    s, a = atom
-                    if s == a or s not in piece.domain.cells:
-                        continue
-                    dom_part = clopen(space, [s])
-                    ran_part = clopen(space, [a])
-                row = _cell_vector(cells, index, dom_part, depth)
-                rvec = _cell_vector(cells, index, ran_part, depth)
-                row = [d - r for d, r in zip(row, rvec)]
-                if all(v == 0 for v in row):
                     continue
-                canon = tuple(row)
-                for v in row:
-                    if v != 0:
-                        if v < 0:
-                            canon = tuple(-u for u in row)
-                        break
+                step = {}  # index -> change of the row's value there
+                for sign, part in ((1, dom), (-1, ran)):
+                    for c in part:
+                        start, end = _span(space, c, depth)
+                        step[start] = step.get(start, 0) + sign
+                        step[end] = step.get(end, 0) - sign
+                steps = sorted((i, v) for i, v in step.items() if v)
+                if not steps:
+                    continue
+                canon = tuple(steps) if steps[0][1] > 0 else tuple((i, -v) for i, v in steps)
                 if canon in seen:
                     continue
                 seen.add(canon)
-                note = "%s: %s = %s" % (
-                    word_str(piece.word),
-                    list(dom_part.cells),
-                    list(ran_part.cells),
-                )
+                row = [0] * len(cells)
+                level = 0
+                for (i, v), (end, _) in zip(steps, steps[1:]):
+                    level += v
+                    if level:
+                        row[i:end] = [level] * (end - i)
+                note = "%s: %s = %s" % (word_str(piece.word), list(dom), list(ran))
                 rows.append((tuple(row), note))
     return ConstraintSystem(
         pres, depth, cells, tuple(rows), partial=bool(skipped), skipped=tuple(skipped)

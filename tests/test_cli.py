@@ -273,3 +273,60 @@ def test_search_reports_carry_stats(tmp_path, capsys):
     assert code == 0
     stats = json.loads(out)["stats"]
     assert (stats["nodes"], stats["cells"], stats["candidates"]) == (1, 1, 1)
+
+
+def _bad_witness(field, value):
+    data = ser.encode_witness(px.cuntz_witness(cuntz(2), ""))
+    if field == "m":
+        data["rows"][0][0]["m"] = value
+    else:
+        data[field] = value
+    return data
+
+
+@pytest.mark.parametrize("field, value, path", [
+    ("k", "two", "witness.k"),
+    ("rows", 5, "witness.rows"),
+    ("m", [1], "witness.rows[0][0].m"),
+    ("schema_version", 99, "witness.schema_version"),
+])
+def test_bad_witness_field_is_input_error(tmp_path, capsys, field, value, path):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(_bad_witness(field, value)))
+    code, out, err = run(capsys, "verify-witness", "cuntz:2", "--witness", str(wfile))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error at %s: " % path)
+
+
+def test_bad_schema_version_of_a_presentation_file(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    data = ser.encode_presentation(cuntz(2))
+    data["schema_version"] = 2
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "state", str(path), "--depth", "1")
+    assert code == 3
+    assert "presentation.schema_version" in err
+
+
+def test_bad_builtin_alias_names_the_alias_error(capsys):
+    code, out, err = run(capsys, "dichotomy", "cuntz:1")
+    assert code == 3
+    assert out == ""
+    assert "cuntz:1" in err and "alphabet of size at least 2" in err
+    assert "No such file" not in err
+
+
+def test_ideal_check_with_a_skipped_check_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "ideal-check", "pair:8")
+    assert code == 2
+    report = json.loads(out)
+    assert report["associativity"] == "skipped"
+    assert report["passed"] is False
+    assert report["not_run"] == ["associativity"]
+    code, out, _ = run(capsys, "--human", "ideal-check", "pair:8")
+    assert code == 2
+    assert "not verified: associativity did not run" in out
+    code, out, _ = run(capsys, "ideal-check", "pair:3")
+    assert code == 0
+    assert "not_run" not in json.loads(out)

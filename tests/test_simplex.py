@@ -2,7 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from ample import simplex as sx
+from ample import states as st
+from ample.groupoid import cuntz
 
 
 def test_unique_solution():
@@ -213,3 +217,35 @@ def test_presolve_property_against_unreduced_rows():
             assert big.value == small.value
             assert sx.verify_solution(big_rows, big_rhs, big.x)
     assert all(count > 10 for count in kinds.values()), kinds
+
+
+def _same_outcome(a, b):
+    assert a == b and type(a) is type(b)
+    if not isinstance(a, sx.Unbounded):
+        assert a.stats == b.stats
+        values = a.y if isinstance(a, sx.Infeasible) else a.x
+        assert all(type(v) is Fraction for v in values)
+
+
+def test_int_and_fraction_rows_give_the_same_outcome_and_stats():
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        rhs = [rng.randint(-2, 2) for _ in rows]
+        objective = [rng.randint(-2, 2) for _ in range(n)]
+        frows = [[Fraction(v) for v in row] for row in rows]
+        frhs = [Fraction(v) for v in rhs]
+        _same_outcome(sx.solve_feasibility(rows, rhs), sx.solve_feasibility(frows, frhs))
+        _same_outcome(sx.maximize(rows, rhs, objective), sx.maximize(frows, frhs, objective))
+    for depth in (3, 4):
+        rows, rhs = st.build_constraints(cuntz(2), depth).rows_rhs()
+        frows = [[Fraction(v) for v in row] for row in rows]
+        _same_outcome(sx.solve_feasibility(rows, rhs),
+                      sx.solve_feasibility(frows, [Fraction(v) for v in rhs]))
+
+
+@pytest.mark.parametrize("rows, rhs", [([[1, 2], [1]], [0, 0]), ([[1, 2]], [0, 1])])
+def test_ragged_rows_and_rhs_length_are_rejected(rows, rhs):
+    with pytest.raises(ValueError):
+        sx.solve_feasibility(rows, rhs)

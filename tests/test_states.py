@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from ample import cli
 from ample import groupoid as gpd
 from ample import paradox as px
 from ample import states as st
@@ -183,3 +185,75 @@ def test_outcomes_verify_against_unreduced_system(spec, depth):
     else:
         assert isinstance(out, st.StateVector)
         assert st.verify_state(cs, out)
+
+
+def _oracle_constraints(pres, depth):
+    """The invariance system built the plain way: a clopen per atom's
+    domain and range, expanded to depth cells and counted densely."""
+    space = pres.space
+    cells = tuple(space.cells_at_depth(depth))
+    index = {c: i for i, c in enumerate(cells)}
+
+    def vector(clop):
+        vec = [0] * len(cells)
+        for cell in clop.expand(depth):
+            vec[index[cell]] += 1
+        return vec
+
+    rows, seen, skipped = [], set(), []
+    for bis in gpd.enumerate_bisections(pres, max(depth, 1)).bisections:
+        for _, piece, act in bis.pieces:
+            for s, a in act:
+                if space.kind == "shift":
+                    dom = clopen(space, [s]).intersect(piece.domain)
+                    if dom.is_empty or s == a:
+                        continue
+                    ran = clopen(space, [a + c[len(s):] for c in dom.cells])
+                    if dom.max_depth() > depth or ran.max_depth() > depth:
+                        skipped.append("%s: piece %s->%s too deep" % (gpd.word_str(piece.word), s, a))
+                        continue
+                else:
+                    if s == a or s not in piece.domain.cells:
+                        continue
+                    dom, ran = clopen(space, [s]), clopen(space, [a])
+                row = [d - r for d, r in zip(vector(dom), vector(ran))]
+                if not any(row):
+                    continue
+                first = next(v for v in row if v)
+                canon = tuple(row) if first > 0 else tuple(-v for v in row)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                note = "%s: %s = %s" % (gpd.word_str(piece.word), list(dom.cells), list(ran.cells))
+                rows.append((tuple(row), note))
+    return cells, tuple(rows), bool(skipped), tuple(skipped)
+
+
+def _seeded_finite(seed, points=30, injections=3, pairs=10):
+    rng = random.Random(seed)
+    gens = [list(zip(rng.sample(range(points), pairs), rng.sample(range(points), pairs)))
+            for _ in range(injections)]
+    return gpd.finite_groupoid(points, gens)
+
+
+@pytest.mark.parametrize(
+    "pres, depth",
+    [(cuntz(2), d) for d in range(7)]
+    + [(cuntz(3), d) for d in range(5)]
+    + [(odometer(6), d) for d in range(7)]
+    + [(ROT, 2), (pair_groupoid(40), 2), (_seeded_finite(1), 2), (_seeded_finite(2), 2)],
+)
+def test_index_range_rows_match_clopen_expansion(pres, depth):
+    cs = st.build_constraints(pres, depth)
+    assert (cs.cells, cs.equalities, cs.partial, cs.skipped) == _oracle_constraints(pres, depth)
+    assert all(type(v) is int for coeffs, _ in cs.equalities for v in coeffs)
+
+
+@pytest.mark.parametrize("spec, depth, stats", [
+    ("cuntz:2", 6, {"cells": 64, "rows": 256, "rows_kept": 65, "pivots": 12}),
+    ("cuntz:2", 7, {"cells": 128, "rows": 576, "rows_kept": 129, "pivots": 14}),
+    ("odometer:6", 7, {"cells": 128, "rows": 106, "rows_kept": 42, "pivots": 47}),
+])
+def test_state_report_stats_are_pinned(spec, depth, stats, capsys):
+    cli.main(["state", spec, "--depth", str(depth)])
+    assert json.loads(capsys.readouterr().out)["stats"] == stats
