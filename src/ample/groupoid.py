@@ -156,18 +156,9 @@ def _generator_action(gen, space):
         return tuple(sorted(gen.pairs))
     if isinstance(gen, GroupElement):
         pieces = tuple(gen.pieces)
-        if space.kind == stone.SHIFT:
-            for s, a in pieces:
-                for ch in s + a:
-                    space.check_cell(ch)
-            doms = [clopen(space, [s]) for s, _ in pieces]
-            rans = [clopen(space, [a]) for _, a in pieces]
-        else:
-            for s, t in pieces:
-                space.check_cell(s)
-                space.check_cell(t)
-            doms = [clopen(space, [s]) for s, _ in pieces]
-            rans = [clopen(space, [t]) for _, t in pieces]
+        # clopen() checks that both cells of each piece belong to the space
+        doms = [clopen(space, [s]) for s, _ in pieces]
+        rans = [clopen(space, [t]) for _, t in pieces]
         for i in range(len(pieces)):
             for j in range(i + 1, len(pieces)):
                 if not doms[i].disjoint_from(doms[j]):
@@ -219,16 +210,20 @@ class Table:
         raise PresentationError("element %d has no inverse in the table" % e)
 
     def validate(self):
+        """Square over 0..m-1, associative (checked on all m^3 triples),
+        with an identity and inverses, and generator images in range."""
         m = self.size
-        for row in self.products:
+        prod = self.products
+        for row in prod:
             if len(row) != m or any(not 0 <= x < m for x in row):
                 raise PresentationError("multiplication table is not square over 0..%d" % (m - 1))
-        if m <= 24:
-            for a in range(m):
-                for b in range(m):
-                    for c in range(m):
-                        if self.products[self.products[a][b]][c] != self.products[a][self.products[b][c]]:
-                            raise PresentationError("multiplication table is not associative")
+        if any(not 0 <= g < m for g in self.gen_elements):
+            raise PresentationError("generator element out of range 0..%d" % (m - 1))
+        for a in range(m):
+            for b in range(m):
+                for c in range(m):
+                    if prod[prod[a][b]][c] != prod[a][prod[b][c]]:
+                        raise PresentationError("multiplication table is not associative")
         self.identity()
         for e in range(m):
             self.inverse(e)

@@ -3,7 +3,9 @@
 Every file carries a schema_version tag.  Decoders validate as they walk
 the data and report the JSON path of the first offending field, so a CLI
 error names the exact location.  Encoders always emit canonical forms;
-parse-serialize-parse is the identity on every supported object.
+parse-serialize-parse is the identity on the files the CLI reads:
+presentations, families, certificates and witnesses.  State, Farkas and
+element files are only written.
 
 Rationals are written as {"num": "...", "den": "..."} decimal strings to
 keep arbitrary precision out of JSON number territory.
@@ -29,8 +31,6 @@ from .groupoid import (
 from . import typesemigroup as ts
 from .typesemigroup import EquivCertificate, LeqCertificate
 from .paradox import ParadoxWitness
-from .states import FarkasCertificate, StateVector
-from .convalg import from_terms
 
 SCHEMA_VERSION = 1
 
@@ -67,6 +67,15 @@ def _need_list(data, key, path):
     return value
 
 
+def _int_list(value, path):
+    if not isinstance(value, list):
+        raise SchemaError(path, "expected a list, got %r" % (value,))
+    for i, x in enumerate(value):
+        if not _is_int(x):
+            raise SchemaError("%s[%d]" % (path, i), "expected an integer, got %r" % (x,))
+    return tuple(value)
+
+
 def _check_version(data, path):
     """Files without a tag are read as the current version."""
     if isinstance(data, dict) and data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
@@ -82,15 +91,6 @@ def _check_version(data, path):
 def encode_rational(q):
     q = Fraction(q)
     return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
-def decode_rational(data, path="rational"):
-    num = _need(data, "num", path)
-    den = _need(data, "den", path)
-    try:
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(path, "bad rational: %s" % exc) from exc
 
 
 # -- spaces and clopens -------------------------------------------------------
@@ -125,9 +125,7 @@ def decode_clopen(data, path="clopen", space=None):
     found = decode_space(_need(data, "space", path), path + ".space")
     if space is not None and found != space:
         raise SchemaError(path + ".space", "clopen over the wrong space")
-    cells = _need(data, "cells", path)
-    if not isinstance(cells, list):
-        raise SchemaError(path + ".cells", "expected a list")
+    cells = _need_list(data, "cells", path)
     try:
         return clopen(found, cells)
     except (stone.CellError, ValueError) as exc:
@@ -154,15 +152,16 @@ def decode_generator(data, path):
     if kind == "prefix_map":
         return PrefixMap(str(_need(data, "alpha", path)), str(_need(data, "beta", path)))
     if kind == "partial_injection":
-        pairs = _need(data, "pairs", path)
-        if not isinstance(pairs, list):
-            raise SchemaError(path + ".pairs", "expected a list")
+        pairs = _need_list(data, "pairs", path)
         for j, pair in enumerate(pairs):
             if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
                 raise SchemaError("%s.pairs[%d]" % (path, j), "expected two integers")
         return PartialInjection(tuple(tuple(p) for p in pairs))
     if kind == "group_element":
-        pieces = _need(data, "pieces", path)
+        pieces = _need_list(data, "pieces", path)
+        for j, piece in enumerate(pieces):
+            if not (isinstance(piece, list) and len(piece) == 2):
+                raise SchemaError("%s.pieces[%d]" % (path, j), "expected two cells")
         return GroupElement(
             str(_need(data, "label", path)), tuple(tuple(p) for p in pieces)
         )
@@ -188,18 +187,21 @@ def encode_presentation(pres):
 def decode_presentation(data, path="presentation"):
     _check_version(data, path)
     space = decode_space(_need(data, "space", path), path + ".space")
-    gens_data = _need(data, "generators", path)
+    gens_data = _need_list(data, "generators", path)
     gens = [
         decode_generator(g, "%s.generators[%d]" % (path, i))
         for i, g in enumerate(gens_data)
     ]
     iso = data.get("isotropy", "free")
     if isinstance(iso, dict):
-        table = Table(
-            products=tuple(tuple(int(x) for x in row) for row in _need(iso, "table", path + ".isotropy")),
-            gen_elements=tuple(int(x) for x in _need(iso, "gen_elements", path + ".isotropy")),
+        here = path + ".isotropy"
+        iso = Table(
+            products=tuple(
+                _int_list(row, "%s.table[%d]" % (here, i))
+                for i, row in enumerate(_need_list(iso, "table", here))
+            ),
+            gen_elements=_int_list(_need(iso, "gen_elements", here), here + ".gen_elements"),
         )
-        iso = table
     elif iso not in (gpd.FREE, gpd.PRINCIPAL):
         raise SchemaError(path + ".isotropy", "unknown isotropy model %r" % iso)
     try:
@@ -246,7 +248,7 @@ def encode_bisection(bis):
 
 
 def decode_bisection(data, pres, path="bisection"):
-    pieces_data = _need(data, "pieces", path)
+    pieces_data = _need_list(data, "pieces", path)
     pieces = []
     for i, pd in enumerate(pieces_data):
         here = "%s.pieces[%d]" % (path, i)
@@ -273,12 +275,12 @@ def encode_family(fam):
 
 def decode_family(data, pres, path="family"):
     _check_version(data, path)
-    entries = _need(data, "entries", path)
+    entries = _need_list(data, "entries", path)
     pairs = []
     for i, e in enumerate(entries):
         here = "%s.entries[%d]" % (path, i)
         c = decode_clopen(_need(e, "set", here), here + ".set", pres.space)
-        pairs.append((c, int(_need(e, "label", here))))
+        pairs.append((c, _need_int(e, "label", here)))
     return ts.normalize(pres.space, pairs)
 
 
@@ -295,10 +297,10 @@ def encode_equiv_certificate(cert):
 
 def decode_equiv_certificate(data, pres, path="certificate"):
     triples = []
-    for i, t in enumerate(_need(data, "triples", path)):
+    for i, t in enumerate(_need_list(data, "triples", path)):
         here = "%s.triples[%d]" % (path, i)
         w = decode_bisection(_need(t, "bisection", here), pres, here + ".bisection")
-        triples.append((w, int(_need(t, "n", here)), int(_need(t, "m", here))))
+        triples.append((w, _need_int(t, "n", here), _need_int(t, "m", here)))
     return EquivCertificate(tuple(triples))
 
 
@@ -376,21 +378,6 @@ def encode_state(sv):
     }
 
 
-def decode_state(data, path="state"):
-    _check_version(data, path)
-    depth = int(_need(data, "depth", path))
-    values = _need(data, "values", path)
-    cells = []
-    vals = []
-    for i, pair in enumerate(values):
-        here = "%s.values[%d]" % (path, i)
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise SchemaError(here, "expected [cell, rational]")
-        cells.append(pair[0])
-        vals.append(decode_rational(pair[1], here))
-    return StateVector(depth, tuple(cells), tuple(vals))
-
-
 def encode_farkas(fc, depth, notes=()):
     return {
         "schema_version": SCHEMA_VERSION,
@@ -400,16 +387,6 @@ def encode_farkas(fc, depth, notes=()):
         "normalization_multiplier": encode_rational(fc.normalization_multiplier),
         "constraints": list(notes),
     }
-
-
-def decode_farkas(data, path="farkas"):
-    _check_version(data, path)
-    eq = [
-        decode_rational(v, "%s.equality_multipliers[%d]" % (path, i))
-        for i, v in enumerate(_need(data, "equality_multipliers", path))
-    ]
-    norm = decode_rational(_need(data, "normalization_multiplier", path), path)
-    return FarkasCertificate(tuple(eq), norm), int(_need(data, "depth", path))
 
 
 # -- convolution elements ----------------------------------------------------------
@@ -423,18 +400,6 @@ def encode_element(elem):
             {"word": encode_word(word), "cell": cell, "coef": encode_rational(coef)}
         )
     return {"schema_version": SCHEMA_VERSION, "kind": "element", "terms": out}
-
-
-def decode_element(data, pres, path="element"):
-    _check_version(data, path)
-    triples = []
-    for i, t in enumerate(_need(data, "terms", path)):
-        here = "%s.terms[%d]" % (path, i)
-        word = decode_word(_need(t, "word", here), pres, here + ".word")
-        cell = _need(t, "cell", here)
-        coef = decode_rational(_need(t, "coef", here), here + ".coef")
-        triples.append((word, cell, coef))
-    return from_terms(pres, triples)
 
 
 # -- file helpers ------------------------------------------------------------------

@@ -243,15 +243,6 @@ class Clopen:
             out.extend(c + t for t in tails)
         return sorted(out)
 
-    def __or__(self, other):
-        return self.union(other)
-
-    def __and__(self, other):
-        return self.intersect(other)
-
-    def __sub__(self, other):
-        return self.difference(other)
-
     def __repr__(self):
         return "Clopen(%s)" % (list(self.cells),)
 
@@ -314,30 +305,6 @@ def whole(space):
     if space.kind == FINITE:
         return Clopen(space, tuple(range(space.size)))
     return Clopen(space, ("",))
-
-
-@dataclass(frozen=True)
-class Comparison:
-    relation: str  # equal | subset | superset | disjoint | overlapping
-    left_empty: bool
-    right_empty: bool
-
-
-def compare(a, b):
-    _same_space(a, b)
-    if a.cells == b.cells:
-        rel = "equal"
-    else:
-        meet = a.intersect(b)
-        if meet.is_empty:
-            rel = "disjoint"
-        elif meet.cells == a.cells:
-            rel = "subset"
-        elif meet.cells == b.cells:
-            rel = "superset"
-        else:
-            rel = "overlapping"
-    return Comparison(rel, a.is_empty, b.is_empty)
 
 
 def common_refinement(families):

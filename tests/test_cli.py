@@ -5,7 +5,7 @@ import pytest
 from ample import cli, convalg, serialize as ser
 from ample import paradox as px
 from ample import typesemigroup as ts
-from ample.groupoid import cuntz
+from ample.groupoid import cuntz, rotation
 from ample.stone import clopen, whole
 
 
@@ -317,16 +317,83 @@ def test_bad_builtin_alias_names_the_alias_error(capsys):
     assert "No such file" not in err
 
 
-def test_ideal_check_with_a_skipped_check_is_inconclusive(capsys):
+def test_ideal_check_pair_eight_passes(capsys):
     code, out, _ = run(capsys, "ideal-check", "pair:8")
-    assert code == 2
-    report = json.loads(out)
-    assert report["associativity"] == "skipped"
-    assert report["passed"] is False
-    assert report["not_run"] == ["associativity"]
-    code, out, _ = run(capsys, "--human", "ideal-check", "pair:8")
-    assert code == 2
-    assert "not verified: associativity did not run" in out
-    code, out, _ = run(capsys, "ideal-check", "pair:3")
     assert code == 0
-    assert "not_run" not in json.loads(out)
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["arrow_count"] == 64
+    code, out, _ = run(capsys, "--human", "ideal-check", "pair:8")
+    assert code == 0
+    assert "ideal lattice check: passed" in out
+
+
+def _set(data, keys, value):
+    """A copy of the JSON `data` with the entry at `keys` set to `value`."""
+    data = json.loads(json.dumps(data))
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return data
+
+
+def _group_element(pieces):
+    return {"kind": "group_element", "label": "b", "pieces": pieces}
+
+
+@pytest.mark.parametrize("bad, keys, value, where", [
+    ("family", ("entries", 0, "label"), "x", "family.entries[0].label"),
+    ("certificate", ("triples", 0, "n"), "x", "certificate.triples[0].n"),
+    ("certificate", ("triples", 0, "m"), "2x", "certificate.triples[0].m"),
+    ("presentation", ("isotropy", "table"), [["x"]], "presentation.isotropy.table[0][0]"),
+    ("presentation", ("isotropy", "table"), [5], "presentation.isotropy.table[0]"),
+    ("presentation", ("isotropy", "gen_elements"), [["x"]],
+     "presentation.isotropy.gen_elements[0]"),
+    ("presentation", ("isotropy", "gen_elements"), [99], "presentation"),
+    ("presentation", ("generators", 0), _group_element(5), "presentation.generators[0].pieces"),
+    ("presentation", ("generators", 0), _group_element([5]),
+     "presentation.generators[0].pieces[0]"),
+], ids=["label-string", "n-string", "m-string", "table-entry-string", "table-row-int",
+        "gen-element-list", "gen-element-range", "pieces-int", "piece-int"])
+def test_bad_field_of_a_read_file_is_exit_three(tmp_path, capsys, bad, keys, value, where):
+    c2 = cuntz(2)
+    files = {
+        "presentation": ser.encode_presentation(rotation(3, with_table=True)),
+        "family": ser.encode_family(ts.family_of(whole(c2.space))),
+        "certificate": ser.encode_equiv_certificate(
+            px.witness_to_leq(c2, px.cuntz_witness(c2, "")).equivalence),
+    }
+    files[bad] = _set(files[bad], keys, value)
+    for name, data in files.items():
+        (tmp_path / (name + ".json")).write_text(json.dumps(data))
+    family, cert = str(tmp_path / "family.json"), str(tmp_path / "certificate.json")
+    if bad == "presentation":
+        argv = ["orbits", str(tmp_path / "presentation.json")]
+    else:
+        argv = ["verify-cert", "cuntz:2", "--left", family, "--right", family, "--cert", cert]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error at %s: " % where)
+
+
+def test_bad_budget_variable_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("AMPLE_BUDGET", "abc")
+    code, out, err = run(capsys, "orbits", "pair:3")
+    assert code == 3
+    assert out == ""
+    assert "AMPLE_BUDGET" in err
+
+
+@pytest.mark.parametrize("row", [1, 2])
+def test_non_associative_table_above_24_elements_is_input_error(tmp_path, capsys, row):
+    # Z_25 with two entries of one row swapped keeps its identity and inverses
+    data = ser.encode_presentation(rotation(25, with_table=True))
+    table = data["isotropy"]["table"]
+    table[row][1], table[row][2] = table[row][2], table[row][1]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "ideal-check", str(path))
+    assert code == 3
+    assert "multiplication table is not associative" in err

@@ -28,14 +28,6 @@ def test_invariant_lattice_sizes():
     assert ob.invariant_lattice(trivial(3)).size == 8
 
 
-def test_lattice_tables_are_consistent():
-    lat = ob.invariant_lattice(finite_groupoid(3, [[(0, 1)]]))
-    for i, a in enumerate(lat.subsets):
-        for j, b in enumerate(lat.subsets):
-            assert set(lat.subsets[lat.union_table[i][j]]) == set(a) | set(b)
-            assert set(lat.subsets[lat.meet_table[i][j]]) == set(a) & set(b)
-
-
 def test_principality_detection():
     assert ob.is_principal(pair_groupoid(3)) == "yes"
     assert ob.is_principal(trivial(2)) == "yes"
@@ -77,10 +69,11 @@ def test_ideal_check_refuses_unverified_isotropy():
         ob.ideal_lattice_check(rotation(3))
 
 
-def test_finite_algebra_products_and_involution():
+def test_finite_algebra_products():
     alg = ob.build_finite_algebra(pair_groupoid(2))
-    assert alg.associativity_check() == "passed"
-    n = len(alg.arrows)
-    for i in range(n):
-        s, t = alg.arrows[i]
-        assert alg.arrows[alg.involution[i]] == (t, s)
+    assert alg.arrows == ((0, 0), (0, 1), (1, 0), (1, 1))
+    # (i, j) -> k: arrow j, then arrow i, is arrow k
+    assert alg.products == {
+        (0, 0): 0, (0, 2): 2, (1, 0): 1, (1, 2): 3,
+        (2, 1): 0, (2, 3): 2, (3, 1): 1, (3, 3): 3,
+    }

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ample import stone
-from ample.stone import UnitSpace, clopen, common_refinement, compare, whole
+from ample.stone import UnitSpace, clopen, common_refinement, whole
 
 S2 = UnitSpace.shift(2)
 S3 = UnitSpace.shift(3)
@@ -119,15 +119,6 @@ def test_membership_agrees_with_bruteforce_expansion():
                 extensions = [word + tail for tail in S2.cells_at_depth(deep - depth)]
                 brute = all(x in leaves for x in extensions)
                 assert a.contains_cell(word) == brute
-
-
-def test_compare_examples():
-    assert compare(clopen(S2, ["11"]), clopen(S2, ["1"])).relation == "subset"
-    assert compare(clopen(S2, ["1"]), clopen(S2, ["2"])).relation == "disjoint"
-    assert compare(clopen(F3, [0, 1]), clopen(F3, [1, 2])).relation == "overlapping"
-    assert compare(clopen(S2, ["1"]), clopen(S2, ["11", "12"])).relation == "equal"
-    res = compare(clopen(S2, []), clopen(S2, ["1"]))
-    assert res.left_empty and not res.right_empty
 
 
 def test_common_refinement_shift_example():
