@@ -410,16 +410,9 @@ def main(argv=None):
     except serialize.SchemaError as exc:
         print("input error at %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except (gpd.PresentationError, gpd.PresentationMismatch) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except (orbits.NotFiniteError, orbits.PrincipalityError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except (paradox.WitnessError, ts.FamilyError, convalg.AlgebraError, states.DepthError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except (stone.SpaceMismatch, stone.CellError) as exc:
+    except (gpd.PresentationError, gpd.PresentationMismatch, orbits.NotFiniteError,
+            orbits.PrincipalityError, paradox.WitnessError, ts.FamilyError,
+            convalg.AlgebraError, states.DepthError, stone.SpaceMismatch, stone.CellError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

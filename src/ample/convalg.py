@@ -270,69 +270,23 @@ def isometries_from_witness(pres, witness):
     return f, g, report
 
 
-@dataclass(frozen=True)
-class MatConvElement:
-    size: int
-    entries: tuple  # size x size of ConvElement
-
-    def __add__(self, other):
-        return MatConvElement(
-            self.size,
-            tuple(
-                tuple(add(self.entries[i][j], other.entries[i][j]) for j in range(self.size))
-                for i in range(self.size)
-            ),
-        )
-
-    def conv(self, other):
-        k = self.size
-        rows = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                acc = zero(self.entries[0][0].pres)
-                for t in range(k):
-                    acc = add(acc, conv(self.entries[i][t], other.entries[t][j]))
-                row.append(acc)
-            rows.append(tuple(row))
-        return MatConvElement(k, tuple(rows))
-
-    def star(self):
-        k = self.size
-        return MatConvElement(
-            k, tuple(tuple(star(self.entries[j][i]) for j in range(k)) for i in range(k))
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatConvElement)
-            and self.size == other.size
-            and self.entries == other.entries
-        )
-
-    @property
-    def is_zero(self):
-        return all(e.is_zero for row in self.entries for e in row)
+def _mat_sum(terms):
+    """The entrywise sum of ((i, j), element) terms, zero entries dropped."""
+    out = {}
+    for ij, elem in terms:
+        out[ij] = add(out[ij], elem) if ij in out else elem
+    return {ij: elem for ij, elem in out.items() if not elem.is_zero}
 
 
-def mat_zero(pres, k):
-    z = zero(pres)
-    return MatConvElement(k, tuple(tuple(z for _ in range(k)) for _ in range(k)))
+def _mat_conv(x, y):
+    """The matrix product, formed only where the inner indices match."""
+    return _mat_sum(((i, j), conv(a, b))
+                    for (i, t), a in x.items() for (u, j), b in y.items() if t == u)
 
 
-def mat_unit(pres, k, i, j, elem):
-    rows = [[zero(pres)] * k for _ in range(k)]
-    rows[i][j] = elem
-    return MatConvElement(k, tuple(tuple(r) for r in rows))
-
-
-def mat_diag_units(pres, k, clop, upto):
-    """1_upto tensor 1_A inside the k by k matrices."""
-    one = unit_indicator(pres, clop)
-    rows = [[zero(pres)] * k for _ in range(k)]
-    for r in range(upto):
-        rows[r][r] = one
-    return MatConvElement(k, tuple(tuple(r) for r in rows))
+def _mat_star(x):
+    """The transpose with each entry starred."""
+    return {(j, i): star(elem) for (i, j), elem in x.items()}
 
 
 def matrix_isometries(pres, witness):
@@ -341,42 +295,28 @@ def matrix_isometries(pres, witness):
     Builds one matrix per witness piece, with the piece indicator in row
     m and column i, and checks that the domain projections tile the full
     k-fold diagonal while the range projections stay under the l-fold one.
+    A matrix is the dict {(i, j): element} of its nonzero entries only.
     """
     res = px.verify_witness(pres, witness)
     if not res:
         raise AlgebraError("witness does not verify: %s" % res.reason)
     w = px.disjointify(pres, witness)
-    k, l = w.k, w.l
-    mats = []
-    for i, row in enumerate(w.rows):
-        for bis, m in row:
-            mats.append(mat_unit(pres, k, m - 1, i, bisection_indicator(pres, bis)))
-    sum_dom = mat_zero(pres, k)
-    sum_ran = mat_zero(pres, k)
-    orthogonal = True
-    for idx, mat in enumerate(mats):
-        for jdx, other in enumerate(mats):
-            prod = mat.star().conv(other)
-            if idx == jdx:
-                sum_dom = sum_dom + prod
-            elif not prod.is_zero:
-                orthogonal = False
-        sum_ran = sum_ran + mat.conv(mat.star())
-    full = mat_diag_units(pres, k, w.a, k)
-    cap = mat_diag_units(pres, k, w.a, l)
-    dominated = True
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                if not sum_ran.entries[i][j].is_zero:
-                    dominated = False
-            else:
-                if not unit_proj_leq(sum_ran.entries[i][i], cap.entries[i][i]):
-                    dominated = False
+    mats = [{(m - 1, i): bisection_indicator(pres, bis)}
+            for i, row in enumerate(w.rows) for bis, m in row]
+    stars = [_mat_star(x) for x in mats]
+    # every product of two pieces is formed, so any of them may raise DepthOverflow
+    prods = [[_mat_conv(sx, y) for y in mats] for sx in stars]
+    sum_dom = _mat_sum(t for p, row in enumerate(prods) for t in row[p].items())
+    sum_ran = _mat_sum(t for x, sx in zip(mats, stars) for t in _mat_conv(x, sx).items())
+    one_a = unit_indicator(pres, w.a)
     report = {
-        "pairwise_orthogonal": orthogonal,
-        "domains_tile_full_diagonal": sum_dom == full,
-        "ranges_under_l_diagonal": dominated,
+        "pairwise_orthogonal": not any(
+            prod for p, row in enumerate(prods) for q, prod in enumerate(row) if p != q
+        ),
+        "domains_tile_full_diagonal": sum_dom == _mat_sum(((i, i), one_a) for i in range(w.k)),
+        "ranges_under_l_diagonal": all(
+            i == j < w.l and unit_proj_leq(elem, one_a) for (i, j), elem in sum_ran.items()
+        ),
     }
     return mats, report
 

@@ -48,9 +48,7 @@ def identity_action(space):
 
 
 def invert_action(space, act):
-    if space.kind == stone.FINITE:
-        return tuple(sorted((t, s) for s, t in act))
-    return tuple(sorted((a, s) for s, a in act))
+    return tuple(sorted((t, s) for s, t in act))
 
 
 def compose_actions(space, f, g):
@@ -621,7 +619,6 @@ def from_word(pres, word, domain=None):
 @dataclass(frozen=True)
 class Enumeration:
     bisections: tuple
-    complete: bool
 
 
 def enumerate_words(pres, depth):
@@ -645,15 +642,14 @@ def enumerate_words(pres, depth):
         level = nxt
 
 
-def enumerate_bisections(pres, depth, max_count=None):
+def enumerate_bisections(pres, depth):
     """All nonempty single-piece bisections of words up to the depth.
 
     Deterministic and duplicate-free; the empty word contributes the
-    identity.  When max_count is hit the list is truncated and flagged.
+    identity.
     """
     seen = set()
     out = []
-    complete = True
     for w in enumerate_words(pres, depth):
         act = pres.word_action(w)
         if not act:
@@ -662,12 +658,9 @@ def enumerate_bisections(pres, depth, max_count=None):
         ident = b.identity_key()
         if ident in seen:
             continue
-        if max_count is not None and len(out) >= max_count:
-            complete = False
-            break
         seen.add(ident)
         out.append(b)
-    return Enumeration(tuple(out), complete)
+    return Enumeration(tuple(out))
 
 
 def saturate(pres, part, depth):

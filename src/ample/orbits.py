@@ -17,6 +17,9 @@ from itertools import combinations
 from . import stone
 from .groupoid import PRINCIPAL, Table
 
+# The most orbits whose invariant subsets are enumerated (2 ** n of them).
+MAX_ORBITS = 12
+
 
 class NotFiniteError(ValueError):
     pass
@@ -73,10 +76,10 @@ def quasi_orbits(pres):
     return part, part.block_of
 
 
-def invariant_lattice(pres, max_orbits=12):
+def invariant_lattice(pres):
     """All invariant subsets: exactly the unions of orbits."""
     part = orbit_partition(pres)
-    if part.count > max_orbits:
+    if part.count > MAX_ORBITS:
         raise NotFiniteError("too many orbits for lattice enumeration")
     subsets = []
     for mask in range(1 << part.count):

@@ -67,6 +67,13 @@ def _need_list(data, key, path):
     return value
 
 
+def _need_str(data, key, path):
+    value = _need(data, key, path)
+    if not isinstance(value, str):
+        raise SchemaError("%s.%s" % (path, key), "expected a string, got %r" % (value,))
+    return value
+
+
 def _int_list(value, path):
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list, got %r" % (value,))
@@ -77,8 +84,10 @@ def _int_list(value, path):
 
 
 def _check_version(data, path):
-    """Files without a tag are read as the current version."""
-    if isinstance(data, dict) and data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+    """A file is an object; one without a tag is read as the current version."""
+    if not isinstance(data, dict):
+        raise SchemaError(path, "expected an object")
+    if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise SchemaError(
             path + ".schema_version",
             "unsupported schema version %r, expected %d" % (data["schema_version"], SCHEMA_VERSION),
@@ -150,7 +159,7 @@ def encode_generator(gen):
 def decode_generator(data, path):
     kind = _need(data, "kind", path)
     if kind == "prefix_map":
-        return PrefixMap(str(_need(data, "alpha", path)), str(_need(data, "beta", path)))
+        return PrefixMap(_need_str(data, "alpha", path), _need_str(data, "beta", path))
     if kind == "partial_injection":
         pairs = _need_list(data, "pairs", path)
         for j, pair in enumerate(pairs):
@@ -162,9 +171,7 @@ def decode_generator(data, path):
         for j, piece in enumerate(pieces):
             if not (isinstance(piece, list) and len(piece) == 2):
                 raise SchemaError("%s.pieces[%d]" % (path, j), "expected two cells")
-        return GroupElement(
-            str(_need(data, "label", path)), tuple(tuple(p) for p in pieces)
-        )
+        return GroupElement(_need_str(data, "label", path), tuple(tuple(p) for p in pieces))
     raise SchemaError(path, "unknown generator kind %r" % kind)
 
 
@@ -218,6 +225,8 @@ def encode_word(word):
 
 
 def decode_word(data, pres, path="word"):
+    if not isinstance(data, list):
+        raise SchemaError(path, "expected a list, got %r" % (data,))
     out = []
     for i, pair in enumerate(data):
         here = "%s[%d]" % (path, i)
@@ -232,7 +241,7 @@ def decode_word(data, pres, path="word"):
             raise SchemaError(here, "bad generator symbol %r" % sym) from exc
         if not 0 <= gi < len(pres.generators):
             raise SchemaError(here, "generator %r not in the presentation" % sym)
-        if exp not in (1, -1):
+        if not (_is_int(exp) and exp in (1, -1)):
             raise SchemaError(here, "exponent must be 1 or -1")
         out.append((gi, exp))
     return tuple(out)

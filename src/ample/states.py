@@ -26,6 +26,11 @@ from .groupoid import enumerate_bisections, word_str
 from . import typesemigroup as ts
 from . import paradox as px
 
+# The largest n for which the Tarski report searches an (n+1, n) witness.
+TARSKI_MAX_DROP = 3
+# The largest multiple n of x a probe tries for y <= n x.
+PROBE_N_CAP = 4
+
 
 class DepthError(ValueError):
     """A set or element is not expressible at the truncation depth."""
@@ -217,7 +222,7 @@ class TarskiReport:
     stats: simplex.Stats = None  # of the state LP
 
 
-def tarski_report(pres, a, depth, budget=100000, max_drop=3):
+def tarski_report(pres, a, depth, budget=100000):
     """Decide, at the truncation, between an invariant state normalized on A
     and a paradoxical witness for A; both can never verify together."""
     if a.is_empty:
@@ -235,7 +240,7 @@ def tarski_report(pres, a, depth, budget=100000, max_drop=3):
     res = simplex.maximize(rows, rhs, objective)
     if isinstance(res, simplex.Infeasible):
         fc = FarkasCertificate(tuple(res.y[:-1]), res.y[-1])
-        for n in range(1, max_drop + 1):
+        for n in range(1, TARSKI_MAX_DROP + 1):
             found = px.search_witness(pres, a, n + 1, n, depth, budget)
             if found.status == "found":
                 return TarskiReport(
@@ -287,7 +292,7 @@ def _random_clopen(rng, space, depth):
     return clopen(space, chosen)
 
 
-def probes(pres, depth, samples, seed, budget=20000, n_cap=4):
+def probes(pres, depth, samples, seed, budget=20000):
     rng = random.Random(seed)
     order_unit = []
     counterexample = None
@@ -296,7 +301,7 @@ def probes(pres, depth, samples, seed, budget=20000, n_cap=4):
         y = _random_clopen(rng, pres.space, depth)
         fx, fy = ts.family_of(x), ts.family_of(y)
         least = None
-        for n in range(1, n_cap + 1):
+        for n in range(1, PROBE_N_CAP + 1):
             out = ts.search_leq(pres, fy, ts.multiple(fx, n), depth, budget)
             if out.status == "found":
                 ok = ts.verify_leq(pres, fy, ts.multiple(fx, n), out.certificate)

@@ -11,7 +11,6 @@ from ample import groupoid as gpd
 from ample import orbits as ob
 from ample import paradox as px
 from ample import states as st
-from ample import stone
 from ample import typesemigroup as ts
 from ample.groupoid import (
     builtin,
@@ -21,7 +20,6 @@ from ample.groupoid import (
     from_word,
     odometer,
     pair_groupoid,
-    rotation,
 )
 from ample.stone import clopen, whole
 

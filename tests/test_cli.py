@@ -5,8 +5,8 @@ import pytest
 from ample import cli, convalg, serialize as ser
 from ample import paradox as px
 from ample import typesemigroup as ts
-from ample.groupoid import cuntz, rotation
-from ample.stone import clopen, whole
+from ample.groupoid import cuntz, odometer, rotation
+from ample.stone import whole
 
 
 def run(capsys, *argv):
@@ -67,6 +67,13 @@ def _injection(*pairs):
             {"kind": "partial_injection", "pairs": list(pairs)}]
 
 
+SHIFT_2 = {"kind": "shift", "k": 2}
+
+
+def _prefix_map(alpha, beta):
+    return [{"kind": "prefix_map", "alpha": alpha, "beta": beta}]
+
+
 @pytest.mark.parametrize("space, generators, where", [
     ({"kind": "finite", "n": "x"}, [], "presentation.space.n"),
     ({"kind": "finite", "n": 0}, [], "presentation.space.n"),
@@ -77,8 +84,12 @@ def _injection(*pairs):
     (FINITE_2, _injection([0, True]), "presentation.generators[1].pairs[0]"),
     (FINITE_2, _injection(3), "presentation.generators[1].pairs[0]"),
     (FINITE_2, [{"kind": "partial_injection", "pairs": 5}], "presentation.generators[0].pairs"),
+    (SHIFT_2, _prefix_map("", 1), "presentation.generators[0].beta"),
+    (SHIFT_2, _prefix_map("", 2.0), "presentation.generators[0].beta"),
+    (SHIFT_2, _prefix_map(None, "1"), "presentation.generators[0].alpha"),
 ], ids=["n-string", "n-zero", "k-twelve", "short-pair", "long-pair", "string-point",
-        "bool-point", "pair-not-a-list", "pairs-not-a-list"])
+        "bool-point", "pair-not-a-list", "pairs-not-a-list", "beta-int", "beta-float",
+        "alpha-null"])
 def test_bad_presentation_file_is_exit_three(tmp_path, capsys, space, generators, where):
     pres = tmp_path / "p.json"
     pres.write_text(json.dumps({"space": space, "generators": generators}))
@@ -279,6 +290,8 @@ def _bad_witness(field, value):
     data = ser.encode_witness(px.cuntz_witness(cuntz(2), ""))
     if field == "m":
         data["rows"][0][0]["m"] = value
+    elif field == "word":
+        data["rows"][0][0]["bisection"]["pieces"][0]["word"] = value
     else:
         data[field] = value
     return data
@@ -289,6 +302,9 @@ def _bad_witness(field, value):
     ("rows", 5, "witness.rows"),
     ("m", [1], "witness.rows[0][0].m"),
     ("schema_version", 99, "witness.schema_version"),
+    ("word", 5, "witness.rows[0][0].bisection.pieces[0].word"),
+    ("word", [["g1", True]], "witness.rows[0][0].bisection.pieces[0].word[0]"),
+    ("word", [["g1", 1.0]], "witness.rows[0][0].bisection.pieces[0].word[0]"),
 ])
 def test_bad_witness_field_is_input_error(tmp_path, capsys, field, value, path):
     wfile = tmp_path / "w.json"
@@ -354,8 +370,13 @@ def _group_element(pieces):
     ("presentation", ("generators", 0), _group_element(5), "presentation.generators[0].pieces"),
     ("presentation", ("generators", 0), _group_element([5]),
      "presentation.generators[0].pieces[0]"),
+    ("certificate", ("triples", 0, "bisection", "pieces", 0, "word"), 5,
+     "certificate.triples[0].bisection.pieces[0].word"),
+    ("presentation", ("generators", 0), dict(_group_element([]), label=7),
+     "presentation.generators[0].label"),
 ], ids=["label-string", "n-string", "m-string", "table-entry-string", "table-row-int",
-        "gen-element-list", "gen-element-range", "pieces-int", "piece-int"])
+        "gen-element-list", "gen-element-range", "pieces-int", "piece-int", "word-int",
+        "group-label-int"])
 def test_bad_field_of_a_read_file_is_exit_three(tmp_path, capsys, bad, keys, value, where):
     c2 = cuntz(2)
     files = {
@@ -397,3 +418,58 @@ def test_non_associative_table_above_24_elements_is_input_error(tmp_path, capsys
     code, _, err = run(capsys, "ideal-check", str(path))
     assert code == 3
     assert "multiplication table is not associative" in err
+
+
+LEAVES = (5, "x", None, True, 1.5, [], {})
+
+
+def _key_paths(data, keys=()):
+    """The keys leading to each node of the JSON `data`, the root first."""
+    yield keys
+    if isinstance(data, (dict, list)):
+        for key, value in (data.items() if isinstance(data, dict) else enumerate(data)):
+            yield from _key_paths(value, keys + (key,))
+
+
+def test_one_leaf_mutations_of_read_files_never_raise(tmp_path, capsys, monkeypatch):
+    # one parser serves every call; building it is most of a call's time
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    c2 = cuntz(2)
+    x = whole(c2.space)
+    written = {
+        "family": ser.encode_family(ts.normalize(c2.space, [(x, 1), (x, 2)])),
+        "right": ser.encode_family(ts.family_of(x)),
+        "shift": ser.encode_presentation(c2),
+        "finite": ser.encode_presentation(rotation(3, with_table=True)),
+        "odometer": ser.encode_presentation(odometer(2)),
+    }
+    path = {name: str(tmp_path / (name + ".json"))
+            for name in ("witness", "certificate", *written)}
+    for name, data in written.items():
+        (tmp_path / (name + ".json")).write_text(ser.dumps(data))
+    assert cli.main(["find-witness", "cuntz:2", "--set", "whole", "--depth", "1",
+                     "-o", path["witness"]]) == 0
+    verify_cert = ["verify-cert", "cuntz:2", "--left", path["family"], "--right", path["right"]]
+    assert cli.main(["type-eq", *verify_cert[1:], "--depth", "1", "-o", path["certificate"]]) == 0
+    verify_cert += ["--cert", path["certificate"]]
+    commands = {
+        "witness": ["verify-witness", "cuntz:2", "--witness", path["witness"]],
+        "family": verify_cert,
+        "certificate": verify_cert,
+        "shift": ["state", path["shift"], "--depth", "1"],
+        "finite": ["orbits", path["finite"]],
+        "odometer": ["state", path["odometer"], "--depth", "1"],
+    }
+    for name, argv in commands.items():
+        with open(path[name]) as fh:
+            original = fh.read()
+        data = json.loads(original)
+        for keys in _key_paths(data):
+            for leaf in LEAVES:
+                with open(path[name], "w") as fh:
+                    json.dump(_set(data, keys, leaf) if keys else leaf, fh)
+                code, _, _ = run(capsys, *argv)
+                assert code in (0, 1, 2, 3), (name, keys, leaf)
+        with open(path[name], "w") as fh:
+            fh.write(original)

@@ -7,7 +7,6 @@ from ample import convalg as ca
 from ample import groupoid as gpd
 from ample import paradox as px
 from ample import states as st
-from ample import typesemigroup as ts
 from ample.groupoid import cuntz, from_word, odometer, pair_groupoid, rotation
 from ample.stone import clopen, whole
 
@@ -124,6 +123,46 @@ def test_matrix_isometries_weakened_three_two():
     w32 = px.weaken(C2, px.cuntz_witness(C2, ""), 3, 2)
     mats, report = ca.matrix_isometries(C2, w32)
     assert all(report.values())
+
+
+def test_sparse_matrix_algebra_matches_its_dense_definition():
+    rng = random.Random(73)
+    enum = gpd.enumerate_bisections(C2, 2).bisections
+    zero = ca.zero(C2)
+    n = 3
+
+    def rand_mat():
+        return {(i, j): ca.scale(ca.bisection_indicator(C2, rng.choice(enum)),
+                                 rng.choice((-1, 1, 2)))
+                for i in range(n) for j in range(n) if rng.random() < 0.5}
+
+    def dense(x):
+        return [[x.get((i, j), zero) for j in range(n)] for i in range(n)]
+
+    def nonzero(rows):
+        return {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row) if not e.is_zero}
+
+    for _ in range(30):
+        x, y = rand_mat(), rand_mat()
+        a, b = dense(x), dense(y)
+        prod = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for t in range(n):
+                    prod[i][j] = ca.add(prod[i][j], ca.conv(a[i][t], b[t][j]))
+        assert ca._mat_conv(x, y) == nonzero(prod)
+        assert ca._mat_star(x) == nonzero([[ca.star(a[j][i]) for j in range(n)] for i in range(n)])
+        total = [[ca.add(a[i][j], b[i][j]) for j in range(n)] for i in range(n)]
+        assert ca._mat_sum(list(x.items()) + list(y.items())) == nonzero(total)
+
+
+def test_matrix_isometries_weakened_five_three():
+    # the ranges sit in rows below l = 3, so rows 3 and 4 of their sum stay empty
+    w53 = px.weaken(C2, px.cuntz_witness(C2, ""), 5, 3)
+    mats, report = ca.matrix_isometries(C2, w53)
+    assert all(report.values())
+    assert len(mats) == sum(len(row) for row in px.disjointify(C2, w53).rows)
+    assert all(len(x) == 1 for x in mats)
 
 
 def test_matrix_isometries_reject_empty_row():

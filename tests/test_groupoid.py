@@ -3,9 +3,7 @@ import random
 import pytest
 
 from ample import groupoid as gpd
-from ample import stone
 from ample.groupoid import (
-    Bisection,
     GroupElement,
     PartialInjection,
     PrefixMap,
@@ -130,7 +128,6 @@ def test_apply_round_trips_through_inverse():
 def test_enumerate_depth_one_cuntz():
     pres = cuntz(2)
     enum = enumerate_bisections(pres, 1)
-    assert enum.complete
     words = [b.arrow_pieces[0].word for b in enum.bisections]
     assert words == [(), ((0, 1),), ((1, 1),), ((0, -1),), ((1, -1),)]
 
@@ -142,13 +139,6 @@ def test_enumerate_contains_u12_at_depth_two():
     assert u12 in enum
     assert u12.dom().cells == ("2",)
     assert u12.ran().cells == ("1",)
-
-
-def test_enumerate_budget_flag():
-    pres = cuntz(2)
-    enum = enumerate_bisections(pres, 3, max_count=4)
-    assert not enum.complete
-    assert len(enum.bisections) == 4
 
 
 def test_enumerated_pieces_are_prefix_pairs_up_to_depth():

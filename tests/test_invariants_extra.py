@@ -1,7 +1,6 @@
 """Cross-module invariants that did not fit a single module's test file."""
 
 import random
-from fractions import Fraction
 
 from ample import cli
 from ample import convalg as ca

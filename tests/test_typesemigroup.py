@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from ample import groupoid as gpd
 from ample import stone
 from ample import typesemigroup as ts
-from ample.groupoid import cuntz, enumerate_bisections, from_word, identity_bisection, pair_groupoid
+from ample.groupoid import cuntz, from_word, identity_bisection, pair_groupoid
 from ample.stone import clopen, whole
 
 
