@@ -14,7 +14,6 @@ which is what makes the isometry constructions purely combinatorial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import stone
@@ -325,12 +324,14 @@ def matrix_isometries(pres, witness):
 # finite regular representations
 
 
-@dataclass(frozen=True)
 class RegularRep:
-    pres: object
-    point: object
-    arrows: tuple  # (key, target) with source the base point
-    truncated: bool
+    __slots__ = ("pres", "point", "arrows", "truncated")
+
+    def __init__(self, pres, point, arrows, truncated):
+        self.pres = pres
+        self.point = point
+        self.arrows = arrows  # (key, target) with source the base point
+        self.truncated = truncated
 
     def index(self, key, target):
         return self.arrows.index((key, target))

@@ -18,10 +18,8 @@ carries the merged maximal domain per word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import stone
-from .stone import Clopen, UnitSpace, clopen, empty, whole
+from .stone import Clopen, Frozen, UnitSpace, clopen, empty, whole
 
 
 class PresentationError(ValueError):
@@ -114,25 +112,56 @@ def _join_actions(space, acts):
 # generators
 
 
-@dataclass(frozen=True)
-class PrefixMap:
+class PrefixMap(Frozen):
     """Sends alpha+w to beta+w; domain the cylinder of alpha."""
 
-    alpha: str
-    beta: str
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha, beta):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alpha == other.alpha and self.beta == other.beta
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta))
 
 
-@dataclass(frozen=True)
-class PartialInjection:
-    pairs: tuple  # ((src, tgt), ...)
+class PartialInjection(Frozen):
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        object.__setattr__(self, "pairs", pairs)  # ((src, tgt), ...)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash((self.pairs,))
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Frozen):
     """A labeled generator acting by finitely many disjoint pieces."""
 
-    label: str
-    pieces: tuple  # (strip, add) pairs on the shift, (src, tgt) on finite
+    __slots__ = ("label", "pieces")
+
+    def __init__(self, label, pieces):
+        object.__setattr__(self, "label", label)
+        # (strip, add) pairs on the shift, (src, tgt) on finite
+        object.__setattr__(self, "pieces", pieces)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label and self.pieces == other.pieces
+
+    def __hash__(self):
+        return hash((self.label, self.pieces))
 
 
 def _generator_action(gen, space):
@@ -179,16 +208,26 @@ FREE = "free"
 PRINCIPAL = "principal"
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Frozen):
     """A finite group multiplication table plus the generator images.
 
     products[a][b] is the element acting like a-after-b; gen_elements maps
     each generator index to its element.
     """
 
-    products: tuple
-    gen_elements: tuple
+    __slots__ = ("products", "gen_elements")
+
+    def __init__(self, products, gen_elements):
+        object.__setattr__(self, "products", products)
+        object.__setattr__(self, "gen_elements", gen_elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.products == other.products and self.gen_elements == other.gen_elements
+
+    def __hash__(self):
+        return hash((self.products, self.gen_elements))
 
     @property
     def size(self):
@@ -444,10 +483,20 @@ def _check_same(a, b):
 # bisections
 
 
-@dataclass(frozen=True)
-class ArrowPiece:
-    word: tuple
-    domain: Clopen
+class ArrowPiece(Frozen):
+    __slots__ = ("word", "domain")
+
+    def __init__(self, word, domain):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "domain", domain)  # a Clopen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word and self.domain == other.domain
+
+    def __hash__(self):
+        return hash((self.word, self.domain))
 
 
 class Bisection:
@@ -616,9 +665,16 @@ def from_word(pres, word, domain=None):
 # enumeration and saturation
 
 
-@dataclass(frozen=True)
 class Enumeration:
-    bisections: tuple
+    __slots__ = ("bisections",)
+
+    def __init__(self, bisections):
+        self.bisections = bisections
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bisections == other.bisections
 
 
 def enumerate_words(pres, depth):

@@ -11,7 +11,6 @@ with prime ideals matching quasi-orbits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import stone
@@ -34,10 +33,12 @@ def _require_finite(pres):
         raise NotFiniteError("orbit computations need a finite space")
 
 
-@dataclass(frozen=True)
 class OrbitPartition:
-    blocks: tuple  # sorted tuples of points
-    block_of: tuple  # point -> block index
+    __slots__ = ("blocks", "block_of")
+
+    def __init__(self, blocks, block_of):
+        self.blocks = blocks  # sorted tuples of points
+        self.block_of = block_of  # point -> block index
 
     @property
     def count(self):
@@ -92,10 +93,12 @@ def invariant_lattice(pres):
     return InvariantLattice(part, tuple(subsets))
 
 
-@dataclass(frozen=True)
 class InvariantLattice:
-    orbits: OrbitPartition
-    subsets: tuple
+    __slots__ = ("orbits", "subsets")
+
+    def __init__(self, orbits, subsets):
+        self.orbits = orbits  # an OrbitPartition
+        self.subsets = subsets
 
     @property
     def size(self):
@@ -129,12 +132,14 @@ def is_principal(pres):
 # the finite groupoid algebra
 
 
-@dataclass(frozen=True)
 class FiniteAlgebra:
     """Arrow basis of a finite principal groupoid with exact structure data."""
 
-    arrows: tuple  # (src, tgt) pairs grouped by orbit
-    products: dict  # (i, j) -> k, missing when the product vanishes
+    __slots__ = ("arrows", "products")
+
+    def __init__(self, arrows, products):
+        self.arrows = arrows  # (src, tgt) pairs grouped by orbit
+        self.products = products  # (i, j) -> k, missing when the product vanishes
 
     def product(self, i, j):
         return self.products.get((i, j))

@@ -14,8 +14,6 @@ state certificate on the states side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import stone
 from .stone import clopen, empty
 from .groupoid import Bisection, identity_bisection, from_word
@@ -35,12 +33,19 @@ class WitnessError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ParadoxWitness:
-    a: stone.Clopen
-    k: int
-    l: int
-    rows: tuple  # k tuples of (Bisection, label in 1..l)
+    __slots__ = ("a", "k", "l", "rows")
+
+    def __init__(self, a, k, l, rows):
+        self.a = a  # a Clopen
+        self.k = k
+        self.l = l
+        self.rows = rows  # k tuples of (Bisection, label in 1..l)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.k, self.l, self.rows) == (other.a, other.k, other.l, other.rows)
 
     def presentation(self):
         for row in self.rows:

@@ -24,42 +24,78 @@ re-verify by independent recomputation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class Stats:
     """Deterministic work counts of one solve."""
 
-    rows: int  # input rows
-    rows_kept: int  # rows left after presolve
-    cols: int
-    pivots: int  # over both phases
+    __slots__ = ("rows", "rows_kept", "cols", "pivots")
+
+    def __init__(self, rows, rows_kept, cols, pivots):
+        self.rows = rows  # input rows
+        self.rows_kept = rows_kept  # rows left after presolve
+        self.cols = cols
+        self.pivots = pivots  # over both phases
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.rows_kept, self.cols, self.pivots) == (
+            other.rows, other.rows_kept, other.cols, other.pivots)
 
 
-@dataclass(frozen=True)
+# The outcomes below compare by value; their stats, the work one solve did,
+# take no part in ==.
+
+
 class Feasible:
-    x: tuple
-    stats: Stats = field(default=None, compare=False)
+    __slots__ = ("x", "stats")
+
+    def __init__(self, x, stats=None):
+        self.x = x
+        self.stats = stats
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.x == other.x
 
 
-@dataclass(frozen=True)
 class Infeasible:
-    y: tuple  # one multiplier per input row
-    stats: Stats = field(default=None, compare=False)
+    __slots__ = ("y", "stats")
+
+    def __init__(self, y, stats=None):
+        self.y = y  # one multiplier per input row
+        self.stats = stats
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.y == other.y
 
 
-@dataclass(frozen=True)
 class Optimal:
-    x: tuple
-    value: Fraction
-    stats: Stats = field(default=None, compare=False)
+    __slots__ = ("x", "value", "stats")
+
+    def __init__(self, x, value, stats=None):
+        self.x = x
+        self.value = value
+        self.stats = stats
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.x == other.x and self.value == other.value
 
 
-@dataclass(frozen=True)
 class Unbounded:
-    pass
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
 
 
 _ZERO = Fraction(0)

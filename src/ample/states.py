@@ -17,7 +17,6 @@ carry the depth; nothing is claimed beyond it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import simplex, stone
@@ -36,14 +35,16 @@ class DepthError(ValueError):
     """A set or element is not expressible at the truncation depth."""
 
 
-@dataclass(frozen=True)
 class ConstraintSystem:
-    pres: object
-    depth: int
-    cells: tuple
-    equalities: tuple  # ((coefficients per cell), provenance string)
-    partial: bool
-    skipped: tuple
+    __slots__ = ("pres", "depth", "cells", "equalities", "partial", "skipped")
+
+    def __init__(self, pres, depth, cells, equalities, partial, skipped):
+        self.pres = pres
+        self.depth = depth
+        self.cells = cells
+        self.equalities = equalities  # ((coefficients per cell), provenance string)
+        self.partial = partial
+        self.skipped = skipped
 
     def rows_rhs(self):
         """The integer rows and rhs of the system, normalization last."""
@@ -144,12 +145,21 @@ def build_constraints(pres, depth):
     )
 
 
-@dataclass(frozen=True)
 class StateVector:
-    depth: int
-    cells: tuple
-    values: tuple  # Fractions aligned with cells
-    stats: simplex.Stats = field(default=None, compare=False)  # set by solve_state
+    """Compares by value; the stats of the solve take no part in ==."""
+
+    __slots__ = ("depth", "cells", "values", "stats")
+
+    def __init__(self, depth, cells, values, stats=None):
+        self.depth = depth
+        self.cells = cells
+        self.values = values  # Fractions aligned with cells
+        self.stats = stats  # a simplex.Stats, set by solve_state
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.depth, self.cells, self.values) == (other.depth, other.cells, other.values)
 
     def value(self, cell):
         return self.values[self.cells.index(cell)]
@@ -164,11 +174,21 @@ class StateVector:
         return sum((lookup[c] for c in clop.expand(self.depth)), Fraction(0))
 
 
-@dataclass(frozen=True)
 class FarkasCertificate:
-    equality_multipliers: tuple
-    normalization_multiplier: Fraction
-    stats: simplex.Stats = field(default=None, compare=False)  # set by solve_state
+    """Compares by value; the stats of the solve take no part in ==."""
+
+    __slots__ = ("equality_multipliers", "normalization_multiplier", "stats")
+
+    def __init__(self, equality_multipliers, normalization_multiplier, stats=None):
+        self.equality_multipliers = equality_multipliers
+        self.normalization_multiplier = normalization_multiplier  # a Fraction
+        self.stats = stats  # a simplex.Stats, set by solve_state
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.equality_multipliers == other.equality_multipliers
+                and self.normalization_multiplier == other.normalization_multiplier)
 
 
 def solve_state(cs):
@@ -209,17 +229,21 @@ def evaluate(sv, family):
 # the Tarski dichotomy at a truncation
 
 
-@dataclass(frozen=True)
 class TarskiReport:
-    outcome: str  # state | paradox | inconclusive
-    depth: int
-    state: object = None
-    scale: object = None
-    witness: object = None
-    farkas: object = None
-    partial: bool = False
-    note: str = ""
-    stats: simplex.Stats = None  # of the state LP
+    __slots__ = ("outcome", "depth", "state", "scale", "witness", "farkas", "partial", "note",
+                 "stats")
+
+    def __init__(self, outcome, depth, state=None, scale=None, witness=None, farkas=None,
+                 partial=False, note="", stats=None):
+        self.outcome = outcome  # state | paradox | inconclusive
+        self.depth = depth
+        self.state = state
+        self.scale = scale
+        self.witness = witness
+        self.farkas = farkas
+        self.partial = partial
+        self.note = note
+        self.stats = stats  # a simplex.Stats of the state LP
 
 
 def tarski_report(pres, a, depth, budget=100000):
@@ -270,12 +294,15 @@ def tarski_report(pres, a, depth, budget=100000):
 # order-unit and almost-unperforation probing
 
 
-@dataclass(frozen=True)
 class ProbeReport:
-    depth: int
-    seed: int
-    order_unit: tuple
-    almost_unperforation: object  # None or a budget-relative counterexample dict
+    __slots__ = ("depth", "seed", "order_unit", "almost_unperforation")
+
+    def __init__(self, depth, seed, order_unit, almost_unperforation):
+        self.depth = depth
+        self.seed = seed
+        self.order_unit = order_unit
+        # None or a budget-relative counterexample dict
+        self.almost_unperforation = almost_unperforation
 
 
 def _random_clopen(rng, space, depth):

@@ -17,8 +17,6 @@ All values are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 FINITE = "finite"
 SHIFT = "shift"
@@ -35,22 +33,50 @@ class CellError(ValueError):
     """A cell does not belong to the given unit space."""
 
 
-@dataclass(frozen=True)
-class UnitSpace:
-    kind: str
-    size: int
+class Frozen:
+    """Base of the immutable values, which are hashed and shared.
 
-    def __post_init__(self):
-        if self.kind == FINITE:
-            if self.size < 1:
+    Each subclass declares its fields as `__slots__` and sets them once, in
+    `__init__`, past this class's `__setattr__` (by `object.__setattr__`);
+    assigning or deleting a field later raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of %s" % (name, type(self).__name__))
+
+
+class UnitSpace(Frozen):
+    __slots__ = ("kind", "size")
+
+    def __init__(self, kind, size):
+        if kind == FINITE:
+            if size < 1:
                 raise ValueError("finite space needs at least one point")
-        elif self.kind == SHIFT:
-            if not 2 <= self.size <= MAX_ALPHABET:
+        elif kind == SHIFT:
+            if not 2 <= size <= MAX_ALPHABET:
                 raise ValueError(
                     "shift alphabet size must be between 2 and %d" % MAX_ALPHABET
                 )
         else:
-            raise ValueError("unknown space kind %r" % (self.kind,))
+            raise ValueError("unknown space kind %r" % (kind,))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "size", size)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.size == other.size
+
+    def __hash__(self):
+        return hash((self.kind, self.size))
+
+    def __repr__(self):
+        return "UnitSpace(kind=%r, size=%r)" % (self.kind, self.size)
 
     @classmethod
     def finite(cls, n):
@@ -152,12 +178,22 @@ def sum_cells(space, pairs):
     return merge_siblings(out, space.letters)
 
 
-@dataclass(frozen=True)
-class Clopen:
+class Clopen(Frozen):
     """A canonical compact open subset of a unit space."""
 
-    space: UnitSpace
-    cells: tuple
+    __slots__ = ("space", "cells")
+
+    def __init__(self, space, cells):
+        _set_space(self, space)
+        _set_cells(self, cells)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space == other.space and self.cells == other.cells
+
+    def __hash__(self):
+        return hash((self.space, self.cells))
 
     # -- basic predicates -------------------------------------------------
 
@@ -245,6 +281,12 @@ class Clopen:
 
     def __repr__(self):
         return "Clopen(%s)" % (list(self.cells),)
+
+
+# The searches build Clopens in bulk; a slot's own setter gets past
+# Frozen.__setattr__ at about a third of the cost of object.__setattr__.
+_set_space = Clopen.space.__set__
+_set_cells = Clopen.cells.__set__
 
 
 def _same_space(a, b):

@@ -15,10 +15,8 @@ inequivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import stone
-from .stone import clopen, empty
+from .stone import Frozen, clopen, empty
 from .groupoid import Bisection, identity_bisection
 
 
@@ -30,12 +28,22 @@ class FamilyError(ValueError):
 # labeled families
 
 
-@dataclass(frozen=True)
-class LabeledFamily:
+class LabeledFamily(Frozen):
     """Canonical form: nonempty clopens only, labels 1..m, sorted by label."""
 
-    space: stone.UnitSpace
-    entries: tuple  # entries[i] is the clopen labeled i+1
+    __slots__ = ("space", "entries")
+
+    def __init__(self, space, entries):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "entries", entries)  # entries[i] is the clopen labeled i+1
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space == other.space and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.space, self.entries))
 
     @property
     def labels(self):
@@ -105,15 +113,24 @@ def multiple(f, n):
 # equivalence certificates
 
 
-@dataclass(frozen=True)
 class EquivCertificate:
-    triples: tuple  # ((Bisection, n, m), ...)
+    __slots__ = ("triples",)
+
+    def __init__(self, triples):
+        self.triples = triples  # ((Bisection, n, m), ...)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.triples == other.triples
 
 
-@dataclass(frozen=True)
 class VerifyResult:
-    ok: bool
-    reason: str = ""
+    __slots__ = ("ok", "reason")
+
+    def __init__(self, ok, reason=""):
+        self.ok = ok
+        self.reason = reason
 
     def __bool__(self):
         return self.ok
@@ -207,10 +224,17 @@ def sum_cert(pres, fa, fb, fc, fd, c1, c2):
 # the preorder
 
 
-@dataclass(frozen=True)
 class LeqCertificate:
-    remainder: LabeledFamily
-    equivalence: EquivCertificate
+    __slots__ = ("remainder", "equivalence")
+
+    def __init__(self, remainder, equivalence):
+        self.remainder = remainder  # a LabeledFamily
+        self.equivalence = equivalence  # an EquivCertificate
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.remainder == other.remainder and self.equivalence == other.equivalence
 
 
 def verify_leq(pres, f1, f2, cert):
@@ -268,17 +292,18 @@ def leq_transitive(pres, fx, fy, fz, c1, c2):
 # searches
 
 
-@dataclass
 class SearchBudget:
-    limit: int
-    used: int = 0
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.used = 0
 
     def spend(self):
         self.used += 1
         return self.used <= self.limit
 
 
-@dataclass(frozen=True)
 class SearchStats:
     """Deterministic work counts of one search.
 
@@ -288,17 +313,30 @@ class SearchStats:
     their lists of fitting candidates.
     """
 
-    nodes: int
-    budget: int
-    cells: int
-    candidates: int
+    __slots__ = ("nodes", "budget", "cells", "candidates")
+
+    def __init__(self, nodes, budget, cells, candidates):
+        self.nodes = nodes
+        self.budget = budget
+        self.cells = cells
+        self.candidates = candidates
 
 
-@dataclass(frozen=True)
 class SearchOutcome:
-    certificate: object  # EquivCertificate, LeqCertificate, or None
-    status: str  # found | exhausted | budget
-    stats: SearchStats = field(default=None, compare=False)
+    """Compares by value; the stats of the search take no part in ==."""
+
+    __slots__ = ("certificate", "status", "stats")
+
+    def __init__(self, certificate, status, stats=None):
+        # an EquivCertificate, LeqCertificate or ParadoxWitness, or None
+        self.certificate = certificate
+        self.status = status  # found | exhausted | budget
+        self.stats = stats  # a SearchStats
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.certificate == other.certificate and self.status == other.status
 
 
 def _cell_depth(pres, families, enum):
@@ -531,8 +569,7 @@ def search_leq(pres, f1, f2, depth, budget=100000):
 # nonnegative integer functions and the homomorphism onto the semigroup
 
 
-@dataclass(frozen=True)
-class IntFunction:
+class IntFunction(Frozen):
     """A locally constant function to the nonnegative integers.
 
     Stored as (cell, value) pieces with positive values; unlisted cells are
@@ -540,8 +577,19 @@ class IntFunction:
     `stone.merge_siblings`, so equal functions have equal pieces.
     """
 
-    space: stone.UnitSpace
-    pieces: tuple
+    __slots__ = ("space", "pieces")
+
+    def __init__(self, space, pieces):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "pieces", pieces)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space == other.space and self.pieces == other.pieces
+
+    def __hash__(self):
+        return hash((self.space, self.pieces))
 
     @property
     def is_zero(self):

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ample import cli, convalg, serialize as ser
 from ample import paradox as px
@@ -431,10 +436,10 @@ def _key_paths(data, keys=()):
             yield from _key_paths(value, keys + (key,))
 
 
-def test_one_leaf_mutations_of_read_files_never_raise(tmp_path, capsys, monkeypatch):
-    # one parser serves every call; building it is most of a call's time
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def _read_files(directory):
+    """An emitted witness, certificate and two families and three
+    presentation files, written to `directory`: for each file the reading
+    command's name -> (path, argv)."""
     c2 = cuntz(2)
     x = whole(c2.space)
     written = {
@@ -444,10 +449,10 @@ def test_one_leaf_mutations_of_read_files_never_raise(tmp_path, capsys, monkeypa
         "finite": ser.encode_presentation(rotation(3, with_table=True)),
         "odometer": ser.encode_presentation(odometer(2)),
     }
-    path = {name: str(tmp_path / (name + ".json"))
+    path = {name: str(directory / (name + ".json"))
             for name in ("witness", "certificate", *written)}
     for name, data in written.items():
-        (tmp_path / (name + ".json")).write_text(ser.dumps(data))
+        (directory / (name + ".json")).write_text(ser.dumps(data))
     assert cli.main(["find-witness", "cuntz:2", "--set", "whole", "--depth", "1",
                      "-o", path["witness"]]) == 0
     verify_cert = ["verify-cert", "cuntz:2", "--left", path["family"], "--right", path["right"]]
@@ -461,15 +466,106 @@ def test_one_leaf_mutations_of_read_files_never_raise(tmp_path, capsys, monkeypa
         "finite": ["orbits", path["finite"]],
         "odometer": ["state", path["odometer"], "--depth", "1"],
     }
-    for name, argv in commands.items():
-        with open(path[name]) as fh:
+    return {name: (path[name], argv) for name, argv in commands.items()}
+
+
+def test_one_leaf_mutations_of_read_files_never_raise(tmp_path, capsys, monkeypatch):
+    # one parser serves every call; building it is most of a call's time
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for name, (path, argv) in _read_files(tmp_path).items():
+        with open(path) as fh:
             original = fh.read()
         data = json.loads(original)
         for keys in _key_paths(data):
             for leaf in LEAVES:
-                with open(path[name], "w") as fh:
+                with open(path, "w") as fh:
                     json.dump(_set(data, keys, leaf) if keys else leaf, fh)
                 code, _, _ = run(capsys, *argv)
                 assert code in (0, 1, 2, 3), (name, keys, leaf)
-        with open(path[name], "w") as fh:
+        with open(path, "w") as fh:
             fh.write(original)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 10) | st.floats() | st.text("12gx", max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("knm", max_size=2), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+def _get(data, keys):
+    for key in keys:
+        data = data[key]
+    return data
+
+
+def _swapped(value):
+    """`value` as another JSON type: containers trade places, and scalars
+    go to and from strings."""
+    if isinstance(value, dict):
+        return list(value.values())
+    if isinstance(value, list):
+        return {str(i): item for i, item in enumerate(value)}
+    if isinstance(value, str):
+        return len(value)
+    if value is None:
+        return []
+    return str(value)
+
+
+def _mutated(data, draw):
+    """`data` with one node set to a drawn value, deleted, swapped to
+    another type or, for a list, truncated."""
+    op = draw(st.sampled_from(("set", "delete", "swap", "truncate")))
+    paths = list(_key_paths(data))
+    if op == "delete":
+        paths = paths[1:]
+    elif op == "truncate":
+        paths = [keys for keys in paths if isinstance(_get(data, keys), list) and _get(data, keys)]
+    if not paths:
+        return data
+    keys = draw(st.sampled_from(paths))
+    node = _get(data, keys)
+    if op == "delete":
+        data = json.loads(json.dumps(data))
+        del _get(data, keys[:-1])[keys[-1]]
+        return data
+    if op == "set":
+        value = draw(JSON)
+    elif op == "swap":
+        value = _swapped(node)
+    else:
+        value = node[:draw(st.integers(0, len(node) - 1))]
+    return _set(data, keys, value) if keys else value
+
+
+@pytest.fixture(scope="module")
+def read_files(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        parser = cli.build_parser()
+        mp.setattr(cli, "build_parser", lambda: parser)
+        files = _read_files(tmp_path_factory.mktemp("read"))
+        yield {name: (path, argv, pathlib.Path(path).read_text())
+               for name, (path, argv) in files.items()}
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_deep_mutations_of_read_files_never_raise(read_files, data):
+    # several leaves at once, deleted keys, type swaps and truncated lists
+    name = data.draw(st.sampled_from(sorted(read_files)))
+    path, argv, original = read_files[name]
+    doc = json.loads(original)
+    for _ in range(data.draw(st.integers(1, 5))):
+        doc = _mutated(doc, data.draw)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+    finally:
+        with open(path, "w") as fh:
+            fh.write(original)
+    assert code in (0, 1, 2, 3), (name, doc)

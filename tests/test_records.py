@@ -1,0 +1,94 @@
+"""What the record classes guarantee and the code relies on: equality by
+value within one class, hashing of the shared value types, stats kept out
+of ==, immutability, and UnitSpace's validation."""
+
+from fractions import Fraction
+
+import pytest
+
+from ample import paradox as px
+from ample import simplex as sx
+from ample import states as st
+from ample import typesemigroup as ts
+from ample.groupoid import (
+    ArrowPiece, GroupElement, PartialInjection, PrefixMap, Table, cuntz, from_word)
+from ample.stone import UnitSpace, clopen, whole
+
+C2 = cuntz(2)
+X = whole(C2.space)
+A1 = clopen(C2.space, ["1"])
+# Two different records of the work a solve or a search did.
+STATS = (sx.Stats(1, 1, 1, 0), sx.Stats(2, 1, 1, 3))
+BUDGETS = (100, 1000)
+
+
+def _found(search, *args):
+    """Equal outcomes of one search under two budgets, so with other stats."""
+    return lambda i: search(C2, *args, BUDGETS[i])
+
+
+# name -> (make, other, hashed): make(0) and make(1) build equal values
+# afresh (a stats-carrying class with different stats); `other` is a
+# different value of the same class; a hashed value type is immutable too.
+RECORDS = {
+    "UnitSpace": (lambda i: UnitSpace("shift", 2), UnitSpace("shift", 3), True),
+    "Clopen": (lambda i: clopen(C2.space, ["1", "21"]), A1, True),
+    "PrefixMap": (lambda i: PrefixMap("", "1"), PrefixMap("1", ""), True),
+    "PartialInjection": (lambda i: PartialInjection(((0, 1),)), PartialInjection(((1, 0),)), True),
+    "GroupElement": (lambda i: GroupElement("b", (("1", "2"),)), GroupElement("c", (("1", "2"),)),
+                     True),
+    "Table": (lambda i: Table(((0, 1), (1, 0)), (1,)), Table(((0, 1), (1, 0)), (0,)), True),
+    "ArrowPiece": (lambda i: from_word(C2, ((0, 1),)).arrow_pieces[0], ArrowPiece(((0, 1),), A1),
+                   True),
+    "LabeledFamily": (lambda i: ts.normalize(C2.space, [(X, 1), (A1, 2)]), ts.family_of(X), True),
+    "IntFunction": (lambda i: ts.int_function(C2.space, [("1", 2), ("2", 1)]),
+                    ts.indicator(X), True),
+    "Feasible": (lambda i: sx.Feasible((Fraction(1),), STATS[i]), sx.Feasible((Fraction(2),)),
+                 False),
+    "Infeasible": (lambda i: sx.Infeasible((Fraction(1),), STATS[i]),
+                   sx.Infeasible((Fraction(-1),)), False),
+    "Optimal": (lambda i: sx.Optimal((Fraction(0),), Fraction(0), STATS[i]),
+                sx.Optimal((Fraction(0),), Fraction(1)), False),
+    "Unbounded": (lambda i: sx.Unbounded(), None, False),
+    "StateVector": (lambda i: st.StateVector(1, ("1", "2"), (Fraction(1, 2),) * 2, STATS[i]),
+                    st.StateVector(1, ("1", "2"), (Fraction(1), Fraction(0))), False),
+    "FarkasCertificate": (lambda i: st.FarkasCertificate((Fraction(1),), Fraction(-1), STATS[i]),
+                          st.FarkasCertificate((Fraction(1),), Fraction(1)), False),
+    "SearchOutcome-equiv": (_found(ts.search_equiv, ts.family_of(X), ts.family_of(X), 1),
+                            ts.SearchOutcome(None, "exhausted"), False),
+    "SearchOutcome-leq": (_found(ts.search_leq, ts.family_of(A1), ts.family_of(X), 1),
+                          ts.SearchOutcome(None, "budget"), False),
+    "SearchOutcome-witness": (_found(px.search_witness, X, 2, 1, 1),
+                              ts.SearchOutcome(None, "budget"), False),
+}
+
+
+def _fields(record):
+    return tuple(getattr(record, name) for name in type(record).__slots__)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name):
+    make, other, hashed = RECORDS[name]
+    a, b = make(0), make(1)
+    assert a is not b
+    assert a == b and not a != b
+    assert a != other
+    # another class never compares equal, not even a tuple of the same fields
+    assert a != _fields(a) and a != object()
+    assert all(a != o for _, o, _ in RECORDS.values() if o is not None and type(o) is not type(a))
+    assert a  # no record is falsy, the empty Unbounded included
+    if hasattr(a, "stats"):
+        assert _fields(a.stats) != _fields(b.stats)
+    if hashed:
+        assert hash(a) == hash(b)
+        for field in type(a).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(a, field, None)
+        assert a == b
+
+
+@pytest.mark.parametrize("kind, size", [("shift", 10), ("shift", 1), ("finite", 0), ("torus", 2)])
+def test_unit_space_validates(kind, size):
+    with pytest.raises(ValueError):
+        UnitSpace(kind, size)
