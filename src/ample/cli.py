@@ -333,7 +333,7 @@ def build_parser():
         if with_depth:
             p.add_argument("--depth", type=int, default=1)
         if with_budget:
-            p.add_argument("--budget", type=int, default=default_budget())
+            p.add_argument("--budget", type=int, default=None)
         if with_output:
             p.add_argument("-o", "--output", help="write the emitted certificate here")
 
@@ -400,9 +400,19 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
+        # read on every call, so a bad AMPLE_BUDGET fails any command
+        budget = default_budget()
+        if getattr(args, "budget", 0) is None:
+            args.budget = budget
         if getattr(args, "depth", 0) < 0:
             print("input error: --depth must be nonnegative, got %d" % args.depth, file=sys.stderr)
             return EXIT_INPUT

@@ -88,11 +88,6 @@ def action_apply(space, act, cells_or_clopen):
     return clopen(space, out)
 
 
-def action_point(space, act, point):
-    """Apply a finite action to one point (None when undefined)."""
-    return dict(act).get(point)
-
-
 def _join_actions(space, acts):
     """Union of compatible partial actions; None on conflict."""
     if space.kind == stone.FINITE:
@@ -325,6 +320,8 @@ class Presentation:
                 raise PresentationError("table must assign an element to every generator")
             self._element_actions, self._element_words = self._close_table(isotropy)
         self._action_cache = {(): identity_action(space)}
+        self._point_map_cache = {}  # word -> dict(word_action(word)), finite spaces
+        self._principal_words = {}  # src -> {tgt: principal_word(src, tgt)}
         self._enumeration_cache = {}  # depth -> Enumeration
 
     def _defining_data(self):
@@ -398,6 +395,14 @@ class Presentation:
         self._action_cache[word] = act
         return act
 
+    def _point_map(self, word):
+        """The action of a word on a finite space as a {point: image} dict."""
+        word = tuple(word)
+        cached = self._point_map_cache.get(word)
+        if cached is None:
+            cached = self._point_map_cache[word] = dict(self.word_action(word))
+        return cached
+
     def table_element(self, word):
         table = self.isotropy
         e = table.identity()
@@ -419,8 +424,7 @@ class Presentation:
         if isinstance(self.isotropy, Table):
             return ("e", self.table_element(word))
         # principal: the arrow is its (source, target) pair
-        tgt = action_point(self.space, self.word_action(word), src)
-        return ("p", (src, tgt))
+        return ("p", (src, self._point_map(word).get(src)))
 
     def key_action(self, key):
         """The partial action the canonical piece acts by."""
@@ -442,27 +446,36 @@ class Presentation:
         """The breadth-first least word whose action sends src to tgt."""
         if src == tgt:
             return ()
+        words = self._principal_words.get(src)
+        if words is None:
+            words = self._principal_words[src] = self._words_from(src)
+        word = words.get(tgt)
+        if word is None:
+            raise PresentationError("no word connects %r to %r" % (src, tgt))
+        return word
+
+    def _words_from(self, src):
+        """{tgt: least word sending src to tgt} over every point reached by a
+        breadth-first search from src: each point keeps the word of its
+        first discovery, symbols tried in `_symbol_key` order."""
         syms = []
-        for gi in range(len(self.generators)):
-            syms.append(((gi, 1), self.gen_actions[gi]))
-            syms.append(((gi, -1), invert_action(self.space, self.gen_actions[gi])))
+        for gi, act in enumerate(self.gen_actions):
+            syms.append(((gi, 1), dict(act)))
+            syms.append(((gi, -1), {t: s for s, t in act}))
         syms.sort(key=lambda p: _symbol_key(p[0]))
         frontier = [(src, ())]
-        seen = {src}
+        words = {src: ()}
         while frontier:
             nxt = []
             for x, w in frontier:
-                for sym, act in syms:
-                    y = dict(act).get(x)
-                    if y is None or y in seen:
+                for sym, amap in syms:
+                    y = amap.get(x)
+                    if y is None or y in words:
                         continue
-                    w2 = (sym,) + w  # the new step applies last
-                    if y == tgt:
-                        return w2
-                    seen.add(y)
+                    words[y] = w2 = (sym,) + w  # the new step applies last
                     nxt.append((y, w2))
             frontier = nxt
-        raise PresentationError("no word connects %r to %r" % (src, tgt))
+        return words
 
     def canonical_word(self, key):
         """A deterministic word representing the arrow key in serialized form."""
@@ -497,6 +510,20 @@ class ArrowPiece(Frozen):
 
     def __hash__(self):
         return hash((self.word, self.domain))
+
+
+def _cells_overlap(space, clopens):
+    """Whether two of the clopens, each canonical, meet.
+
+    One sorted scan of all their cells: on a finite space a point repeats,
+    on the shift a cell is a prefix of some later cell exactly when it is a
+    prefix of the next one, since every word between u and uv in sorted
+    order starts with u.
+    """
+    cells = sorted(c for clop in clopens for c in clop.cells)
+    if space.kind == stone.FINITE:
+        return any(a == b for a, b in zip(cells, cells[1:]))
+    return any(b.startswith(a) for a, b in zip(cells, cells[1:]))
 
 
 class Bisection:
@@ -548,14 +575,13 @@ class Bisection:
             act = pres.key_action(key)
             out.append((key, ArrowPiece(pres.canonical_word(key), dom), act))
         out.sort(key=lambda t: (t[0], t[1].domain.cells))
-        # bisection invariants: disjoint domains, disjoint ranges
-        ranges = [action_apply(space, act, piece.domain) for _, piece, act in out]
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                if not out[i][1].domain.disjoint_from(out[j][1].domain):
-                    raise PresentationError("bisection pieces with overlapping domains")
-                if not ranges[i].disjoint_from(ranges[j]):
-                    raise PresentationError("bisection pieces with overlapping ranges")
+        # bisection invariants: disjoint domains, disjoint ranges; one piece's
+        # cells are canonical, so disjoint, and need no check
+        if len(out) > 1:
+            if _cells_overlap(space, [piece.domain for _, piece, _ in out]):
+                raise PresentationError("bisection pieces with overlapping domains")
+            if _cells_overlap(space, [action_apply(space, act, piece.domain) for _, piece, act in out]):
+                raise PresentationError("bisection pieces with overlapping ranges")
         return tuple(out)
 
     # -- structure ----------------------------------------------------------

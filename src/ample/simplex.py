@@ -14,16 +14,23 @@ rows, right-hand side included, so a point feasible for the kept rows is
 feasible for all of them, and Farkas multipliers found on the kept rows
 extend to the full system with exact zeros on the dropped ones.
 
-Rows stay as given, integers in practice, until the tableau: the
-elimination runs fraction-free on their nonzeros, and Fractions are built
-only for the nonzeros of the kept rows.  Only the verifiers densify every
-entry to a Fraction.  No floating point enters anywhere; certificates
-re-verify by independent recomputation.
+Rows stay as given, integers in practice: the elimination runs
+fraction-free on their nonzeros, and the tableau holds each row, the
+objective row included, as a list of Python ints over one positive int
+denominator.  A pivot brings the rows it changes to a common denominator
+and divides each by its gcd, so Bland's rule and the pivots build no
+Fraction.  Fractions are built only at the boundary: for fractional input
+rows (scaled to ints on the way in), for the point and the Farkas
+multipliers read off the final tableau, and for the phase-two objective
+that `maximize` assembles.  Only the verifiers densify every entry to a
+Fraction.  No floating point enters anywhere; certificates re-verify by
+independent recomputation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -159,56 +166,87 @@ def _independent_rows(a, b):
     return kept
 
 
-class _Tableau:
-    def __init__(self, a, b, n):
-        """The phase-one tableau of the rows `a` (sparse {column: value}
-        dicts, int or Fraction) with nonnegative rhs `b`.
+_denominator = operator.attrgetter("denominator")
 
-        Fractions are built only for the distinct nonzero values; every zero
-        is one shared Fraction(0).  Fractions are immutable, so sharing is
-        safe.
-        """
+
+def _int_row(values):
+    """A list of rationals as (ints, den), den > 0, ints[k] / den == values[k].
+
+    Ints come back unscaled, over 1."""
+    den = math.lcm(*set(map(_denominator, values)))
+    if den == 1:
+        return list(map(int, values)), 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _primitive(row, den):
+    """The same rationals row / den with the gcd of den and the entries
+    divided out."""
+    g = math.gcd(den, *row)
+    if g > 1:
+        return [v // g for v in row], den // g
+    return row, den
+
+
+def _eliminate(row, den, j, piv, nz):
+    """row / den minus (row[j] / den) times the pivot row, whose nonzero
+    entries `nz` are over `piv`: (piv * row - row[j] * prow) / (den * piv).
+
+    Mutates `row` when piv is 1."""
+    f = row[j]
+    if piv != 1:
+        row = [piv * v for v in row]
+        den *= piv
+    for k, v in nz:
+        row[k] -= f * v
+    return _primitive(row, den)
+
+
+class _Tableau:
+    """Row i stands for rows[i][k] / dens[i], and the objective row for
+    obj[k] / objden: Python ints over one positive int denominator each."""
+
+    def __init__(self, a, b, n):
+        """The phase-one tableau of the dense rows `a` (int or Fraction
+        entries) with nonnegative rhs `b`."""
         self.n = n
-        self.m = len(a)
+        self.m = m = len(a)
         self.pivots = 0
         # columns: n originals, m artificials, then the rhs
-        width = n + self.m + 1
+        width = n + m + 1
         self.rows = []
-        colsum = {}
-        frac = {}
+        self.dens = []
         for i, (row, rhs) in enumerate(zip(a, b)):
-            full = [_ZERO] * width
-            for j, v in row.items():
-                f = frac.get(v)
-                if f is None:
-                    f = frac[v] = Fraction(v)
-                full[j] = f
-                colsum[j] = colsum.get(j, 0) + v
-            full[n + i] = _ONE
-            full[-1] = Fraction(rhs)
+            ints, den = _int_row([*row, rhs])
+            full = ints[:n] + [0] * m + ints[n:]
+            full[n + i] = den
             self.rows.append(full)
-        self.basis = [n + i for i in range(self.m)]
+            self.dens.append(den)
+        self.basis = [n + i for i in range(m)]
         # phase-one reduced costs: c_j - sum of column entries (all cB = 1);
         # an artificial column sums to its cost 1, and the rhs slot carries
         # minus the objective
-        self.obj = [_ZERO] * width
-        for j, col in colsum.items():
-            if col:
-                self.obj[j] = -Fraction(col)
-        self.obj[-1] = -Fraction(sum(b))
+        self.objden = math.lcm(*self.dens)
+        scaled = [row if den == self.objden else [v * (self.objden // den) for v in row]
+                  for row, den in zip(self.rows, self.dens)]
+        self.obj = [-sum(col) for col in zip(*scaled)] if m else [0] * width
+        self.obj[n:n + m] = [0] * m
 
     def pivot(self, i, j):
-        # only the pivot row's nonzero columns change, in every row
         prow = self.rows[i]
         piv = prow[j]
-        nz = [k for k, v in enumerate(prow) if v]
-        for k in nz:
-            prow[k] = prow[k] / piv
-        for row in self.rows + [self.obj]:
-            f = row[j]
-            if f and row is not prow:
-                for k in nz:
-                    row[k] = row[k] - f * prow[k]
+        if piv < 0:
+            prow = [-v for v in prow]
+            piv = -piv
+        prow, piv = _primitive(prow, piv)
+        self.rows[i], self.dens[i] = prow, piv
+        # only the pivot row's nonzero columns get a subtraction
+        nz = [(k, v) for k, v in enumerate(prow) if v]
+        for r, row in enumerate(self.rows):
+            if row[j] and r != i:
+                self.rows[r], self.dens[r] = _eliminate(row, self.dens[r], j, piv, nz)
+        if self.obj[j]:
+            self.obj, self.objden = _eliminate(self.obj, self.objden, j, piv, nz)
         self.basis[i] = j
         self.pivots += 1
 
@@ -222,28 +260,32 @@ class _Tableau:
                     break
             if enter is None:
                 return "optimal"
+            # the least (rhs/coef, basis) over positive coefs; a row's
+            # denominator cancels from its ratio, and ratios compare by
+            # cross-multiplying the positive coefs
             leave = None
-            best = None
-            for i in range(self.m):
-                coef = self.rows[i][enter]
+            for i, row in enumerate(self.rows):
+                coef = row[enter]
                 if coef > 0:
-                    ratio = self.rows[i][-1] / coef
-                    key = (ratio, self.basis[i])
-                    if best is None or key < best:
-                        best = key
-                        leave = i
+                    rhs = row[-1]
+                    if leave is None:
+                        leave, best_rhs, best_coef = i, rhs, coef
+                        continue
+                    lhs, cmp = rhs * best_coef, best_rhs * coef
+                    if lhs < cmp or (lhs == cmp and self.basis[i] < self.basis[leave]):
+                        leave, best_rhs, best_coef = i, rhs, coef
             if leave is None:
                 return "unbounded"
             self.pivot(leave, enter)
 
-    def objective(self):
-        return -self.obj[-1]
+    def reduced_cost(self, j):
+        return Fraction(self.obj[j], self.objden)
 
     def solution(self):
         x = [_ZERO] * self.n
         for i, j in enumerate(self.basis):
             if j < self.n:
-                x[j] = self.rows[i][-1]
+                x[j] = Fraction(self.rows[i][-1], self.dens[i])
         return tuple(x)
 
 
@@ -261,17 +303,17 @@ def _phase_one(rows, rhs):
     a, b, signs = [], [], []
     for i in kept:
         sign = -1 if rhs[i] < 0 else 1
-        a.append({j: sign * v for j, v in enumerate(rows[i]) if v})
+        a.append(rows[i] if sign == 1 else [-v for v in rows[i]])
         b.append(sign * rhs[i])
         signs.append(sign)
     t = _Tableau(a, b, n)
     status = t.bland_min(range(n + t.m))
     assert status == "optimal", "phase one is bounded below by zero"
-    if t.objective() > 0:
+    if t.obj[-1] < 0:  # the phase-one optimum, -obj[-1], is positive
         # reduced cost of the i-th artificial is 1 - y_i; dropped rows get 0
         y = [_ZERO] * len(rows)
         for k, i in enumerate(kept):
-            y[i] = signs[k] * (_ONE - t.obj[n + k])
+            y[i] = signs[k] * (_ONE - t.reduced_cost(n + k))
         return Infeasible(tuple(y), _stats(t, rows)), None
     _drive_out_artificials(t)
     return Feasible(t.solution(), _stats(t, rows)), t
@@ -301,16 +343,16 @@ def maximize(rows, rhs, objective):
     cost = [-Fraction(v) for v in objective]  # minimize the negation
     width = n + t.m + 1
     obj = [_ZERO] * width
-    costed = [(cost[j], t.rows[i]) for i, j in enumerate(t.basis) if j < n and cost[j]]
+    costed = [(cost[j] / t.dens[i], t.rows[i]) for i, j in enumerate(t.basis)
+              if j < n and cost[j]]
     for j in range(width):
         col = sum((c * row[j] for c, row in costed), _ZERO)
         if j == width - 1:
             obj[j] = -col
         elif j < n:
             obj[j] = cost[j] - col
-        else:
-            obj[j] = _ZERO  # artificials are frozen out of phase two
-    t.obj = obj
+        # artificials stay 0: they are frozen out of phase two
+    t.obj, t.objden = _int_row(obj)
     status = t.bland_min(range(n))
     if status == "unbounded":
         return Unbounded()

@@ -469,10 +469,7 @@ def _read_files(directory):
     return {name: (path[name], argv) for name, argv in commands.items()}
 
 
-def test_one_leaf_mutations_of_read_files_never_raise(tmp_path, capsys, monkeypatch):
-    # one parser serves every call; building it is most of a call's time
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_one_leaf_mutations_of_read_files_never_raise(tmp_path, capsys):
     for name, (path, argv) in _read_files(tmp_path).items():
         with open(path) as fh:
             original = fh.read()
@@ -543,12 +540,9 @@ def _mutated(data, draw):
 
 @pytest.fixture(scope="module")
 def read_files(tmp_path_factory):
-    with pytest.MonkeyPatch.context() as mp:
-        parser = cli.build_parser()
-        mp.setattr(cli, "build_parser", lambda: parser)
-        files = _read_files(tmp_path_factory.mktemp("read"))
-        yield {name: (path, argv, pathlib.Path(path).read_text())
-               for name, (path, argv) in files.items()}
+    files = _read_files(tmp_path_factory.mktemp("read"))
+    return {name: (path, argv, pathlib.Path(path).read_text())
+            for name, (path, argv) in files.items()}
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)

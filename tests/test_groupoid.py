@@ -299,3 +299,87 @@ def test_bisection_check_applies_each_piece_once(monkeypatch):
     ident = identity_bisection(pres)
     assert len(ident.pieces) == 200
     assert len(calls) <= len(ident.pieces)
+
+
+def _pieces(pres, spec):
+    return [(word, clopen(pres.space, cells)) for word, cells in spec]
+
+
+G1G1 = ((0, 1), (0, 1))
+
+
+@pytest.mark.parametrize("pres, spec, which", [
+    # the shift: a cell against itself and against a cell below it
+    (cuntz(2), [(G1, ["1"]), (G2, ["1"])], "domains"),
+    (cuntz(2), [(G1, ["1"]), (G2, ["12"])], "domains"),
+    (cuntz(2), [(G1, ["11", "2"]), (G2, ["12"]), (G1G1, ["122"])], "domains"),
+    (cuntz(2), [(G1, ["1"]), (G1G1, ["2"])], "ranges"),
+    (cuntz(2), [(((0, -1),), ["11"]), (G2, ["12"]), (G1, ["2"])], "ranges"),
+    # finite spaces, principal and free isotropy
+    (pair_groupoid(3), [((), [0]), (G1, [0])], "domains"),
+    (pair_groupoid(3), [((), [1]), (G1, [0])], "ranges"),
+    (rotation(3), [((), [0, 2]), (G1, [1, 2])], "domains"),
+    (rotation(3), [((), [1]), (G1, [0, 2])], "ranges"),
+])
+def test_overlapping_pieces_are_rejected(pres, spec, which):
+    with pytest.raises(gpd.PresentationError, match="overlapping " + which):
+        gpd.Bisection(pres, _pieces(pres, spec))
+
+
+@pytest.mark.parametrize("pres, spec", [
+    (cuntz(2), [(G1, ["11", "2"]), (G2, ["12"])]),
+    (pair_groupoid(3), [((), [2]), (G1, [0])]),
+    (rotation(3), [((), [0]), (G1, [1])]),
+])
+def test_disjoint_pieces_are_accepted(pres, spec):
+    assert len(gpd.Bisection(pres, _pieces(pres, spec)).pieces) >= 2
+
+
+def _principal_word_search(pres, src, tgt):
+    """The reference: one breadth-first search for this (src, tgt) alone."""
+    if src == tgt:
+        return ()
+    syms = []
+    for gi in range(len(pres.generators)):
+        syms.append(((gi, 1), pres.gen_actions[gi]))
+        syms.append(((gi, -1), gpd.invert_action(pres.space, pres.gen_actions[gi])))
+    syms.sort(key=lambda p: gpd._symbol_key(p[0]))
+    frontier = [(src, ())]
+    seen = {src}
+    while frontier:
+        nxt = []
+        for x, w in frontier:
+            for sym, act in syms:
+                y = dict(act).get(x)
+                if y is None or y in seen:
+                    continue
+                w2 = (sym,) + w
+                if y == tgt:
+                    return w2
+                seen.add(y)
+                nxt.append((y, w2))
+        frontier = nxt
+    return None
+
+
+def _seeded_finite(seed, points=30, injections=3, pairs=10):
+    rng = random.Random(seed)
+    gens = [list(zip(rng.sample(range(points), pairs), rng.sample(range(points), pairs)))
+            for _ in range(injections)]
+    return gpd.finite_groupoid(points, gens)
+
+
+@pytest.mark.parametrize("pres", [pair_groupoid(40), _seeded_finite(1), _seeded_finite(2),
+                                  _seeded_finite(3, points=12, injections=2, pairs=5)])
+def test_principal_words_match_a_search_per_pair(pres):
+    unreachable = 0
+    for src in range(pres.space.size):
+        for tgt in range(pres.space.size):
+            expected = _principal_word_search(pres, src, tgt)
+            if expected is None:
+                unreachable += 1
+                with pytest.raises(gpd.PresentationError, match="no word connects"):
+                    pres.principal_word(src, tgt)
+            else:
+                assert pres.principal_word(src, tgt) == expected
+    assert (unreachable == 0) == (pres.space.size == 40)

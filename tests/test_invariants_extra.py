@@ -1,5 +1,6 @@
 """Cross-module invariants that did not fit a single module's test file."""
 
+import json
 import random
 
 from ample import cli
@@ -109,11 +110,13 @@ def test_random_witnesses_always_yield_isometries():
     assert built == 50
 
 
-def test_budget_env_var(monkeypatch):
+def test_budget_env_var(monkeypatch, capsys):
     monkeypatch.setenv("AMPLE_BUDGET", "123")
     assert cli.default_budget() == 123
-    parser = cli.build_parser()
-    args = parser.parse_args(["find-witness", "cuntz:2"])
-    assert args.budget == 123
+    # main reads the variable on each call, after the parser is built
+    assert cli.main(["find-witness", "cuntz:2"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["budget"] == 123
+    assert cli.main(["find-witness", "cuntz:2", "--budget", "77"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["budget"] == 77
     monkeypatch.delenv("AMPLE_BUDGET")
     assert cli.default_budget() == 100000

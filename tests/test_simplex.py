@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from ample import cli
 from ample import simplex as sx
 from ample import states as st
 from ample.groupoid import cuntz
@@ -64,9 +66,9 @@ def test_maximize_unbounded():
     assert isinstance(res, sx.Unbounded)
 
 
-def _brute_force_feasible(rows, rhs, n):
+def _brute_force_points(rows, rhs, n):
     """Independent oracle: basic solutions by Gaussian elimination over all
-    column subsets, plus a rational interior grid for tiny systems."""
+    column subsets; yields each one that is feasible."""
     m = len(rows)
     for size in range(0, min(n, m) + 1):
         for cols in itertools.combinations(range(n), size):
@@ -107,8 +109,18 @@ def _brute_force_feasible(rows, rhs, n):
             for idx, j in enumerate(cols):
                 full[j] = sol[idx]
             if sx.verify_solution(rows, rhs, full):
-                return True
-    return False
+                yield full
+
+
+def _brute_force_feasible(rows, rhs, n):
+    return next(_brute_force_points(rows, rhs, n), None) is not None
+
+
+def _brute_force_max(rows, rhs, objective):
+    """The largest objective over the oracle's points: the optimum of a
+    bounded feasible program, which a basic solution attains."""
+    return max(sum(c * v for c, v in zip(objective, x))
+               for x in _brute_force_points(rows, rhs, len(objective)))
 
 
 def test_fuzz_against_bruteforce_oracle():
@@ -249,3 +261,109 @@ def test_int_and_fraction_rows_give_the_same_outcome_and_stats():
 def test_ragged_rows_and_rhs_length_are_rejected(rows, rhs):
     with pytest.raises(ValueError):
         sx.solve_feasibility(rows, rhs)
+
+
+def test_drive_out_pivots_on_a_negative_entry(monkeypatch):
+    # x0 + x1 = 2 and x0 - 2 x1 = 2 meet at (2, 0); phase one ends with an
+    # artificial basic at zero, and its row has -3 where x0 enters
+    entries = []
+    real = sx._Tableau.pivot
+
+    def spy(t, i, j):
+        entries.append(Fraction(t.rows[i][j], t.dens[i]))
+        real(t, i, j)
+
+    monkeypatch.setattr(sx._Tableau, "pivot", spy)
+    rows, rhs = [[-1, -1], [1, -2]], [-2, 2]
+    res = sx.solve_feasibility(rows, rhs)
+    assert res.x == (2, 0) and res.stats.pivots == 2
+    assert entries[-1] == -3
+    assert sx.maximize(rows, rhs, [1, 1]) == sx.Optimal((2, 0), 2)
+
+
+def _drive_outs(monkeypatch):
+    """Record, per solve, whether the drive-out pivoted on a negative entry."""
+    log = []
+    real_drive, real_pivot = sx._drive_out_artificials, sx._Tableau.pivot
+
+    def drive(t):
+        log.append(False)
+        real_drive(t)
+
+    def pivot(t, i, j):
+        if t.basis[i] >= t.n and t.rows[i][j] < 0:
+            log[-1] = True
+        real_pivot(t, i, j)
+
+    monkeypatch.setattr(sx, "_drive_out_artificials", drive)
+    monkeypatch.setattr(sx._Tableau, "pivot", pivot)
+    return log
+
+
+def test_maximize_after_a_drive_out_matches_the_brute_force_optimum(monkeypatch):
+    log = _drive_outs(monkeypatch)
+    rng = random.Random(1968)
+    checked = 0
+    for _ in range(1500):
+        n = rng.randint(2, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(2, 3))]
+        rhs = [rng.randint(-3, 3) for _ in rows]
+        objective = [rng.randint(-2, 2) for _ in range(n)]
+        del log[:]
+        res = sx.maximize(rows, rhs, objective)
+        if not (log and log[-1] and isinstance(res, sx.Optimal)):
+            continue
+        assert sx.verify_solution(rows, rhs, res.x)
+        assert res.value == _brute_force_max(rows, rhs, objective)
+        checked += 1
+    assert checked > 20
+
+
+def test_mixed_fraction_denominators_and_negative_rhs():
+    # x0/2 + x1/3 = 1 and x0/5 - x1 = -1/5 have the one solution (28/17, 9/17)
+    rows, rhs = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), -1]], [1, Fraction(-1, 5)]
+    res = sx.solve_feasibility(rows, rhs)
+    assert res.x == (Fraction(28, 17), Fraction(9, 17))
+    rng = random.Random(2007)
+    kinds = {sx.Feasible: 0, sx.Infeasible: 0}
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        rows = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(n)]
+                for _ in range(rng.randint(1, 3))]
+        rhs = [Fraction(rng.randint(-3, 3), rng.choice((1, 4, 7))) for _ in rows]
+        res = sx.solve_feasibility(rows, rhs)
+        kinds[type(res)] += 1
+        assert isinstance(res, sx.Feasible) == _brute_force_feasible(rows, rhs, n)
+        if isinstance(res, sx.Infeasible):
+            assert sx.verify_farkas(rows, rhs, res.y)
+            continue
+        assert sx.verify_solution(rows, rhs, res.x)
+        objective = [rng.randint(-2, 2) for _ in range(n)]
+        best = sx.maximize(rows, rhs, objective)
+        if isinstance(best, sx.Optimal):
+            assert best.value == _brute_force_max(rows, rhs, objective)
+    assert all(count > 20 for count in kinds.values()), kinds
+
+
+# SHA-256 of the stdout of each command, recorded before the integer tableau
+# replaced the Fraction one: the vertices and multipliers must not move.
+REPORT_DIGESTS = {
+    ("state", "cuntz:2", "--depth", "0"): "7019df168c7b6f564cad0e4a0fff7f77464eece9e9be46cab117cbab015912d0",
+    ("state", "cuntz:2", "--depth", "1"): "988431c240603a735a820d62ce130856e8f59707f15bdbe1787d4ce1e1bf996c",
+    ("state", "cuntz:2", "--depth", "2"): "7fcc67d7dd130b418e9cf54fb26fff8b3de66a4a18cd81e1da7030142972a743",
+    ("state", "cuntz:2", "--depth", "3"): "b5998311f20c38ae2fc1db7e7335f00ef41aca554fc06808fa755ee91f74dfac",
+    ("state", "cuntz:2", "--depth", "4"): "ef418d8661451a801469302c334db1d0985b3b879565c5df2653f4834f0e81d6",
+    ("state", "cuntz:2", "--depth", "5"): "a0c04651f06112d5ae88e4392f8f8dea1debcaf3499e7b064b0257ce51705c5b",
+    ("state", "cuntz:2", "--depth", "6"): "4391b8ff9a2998b680348035a487b1fd7f18526288a6ee63fef8aa8316232846",
+    ("state", "cuntz:2", "--depth", "7"): "f24da2de22f4ef9ef8b5bd49e01081fea7d5f3dc8bcc3ec83cfabfcd254b8413",
+    ("state", "odometer:6", "--depth", "7"): "d854682cc8244950175458a988102298a7521ed9677891f1aa35d9f3330c2ab0",
+    ("tarski", "odometer:6", "--set", "whole", "--depth", "6"):
+        "383c0bd7cc43bf060ef68b0fa48ea8e2c9f1d0c9259a25e5914d412f44fdfa53",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+def test_lp_reports_are_pinned(argv, capsys):
+    cli.main(list(argv))
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
