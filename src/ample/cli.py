@@ -411,11 +411,16 @@ def main(argv=None):
         args = _parser.parse_args(argv)
         # read on every call, so a bad AMPLE_BUDGET fails any command
         budget = default_budget()
+        counts = [("AMPLE_BUDGET", budget)] + [
+            ("--" + name, getattr(args, name)) for name in ("depth", "budget", "samples")
+            if getattr(args, name, None) is not None]
+        for option, value in counts:
+            if value < 0:
+                print("input error: %s must be nonnegative, got %d" % (option, value),
+                      file=sys.stderr)
+                return EXIT_INPUT
         if getattr(args, "budget", 0) is None:
             args.budget = budget
-        if getattr(args, "depth", 0) < 0:
-            print("input error: --depth must be nonnegative, got %d" % args.depth, file=sys.stderr)
-            return EXIT_INPUT
         return args.func(args)
     except serialize.SchemaError as exc:
         print("input error at %s" % exc, file=sys.stderr)

@@ -222,16 +222,6 @@ def expectation(a):
     return ConvElement(pres, [(k, c, v) for k, c, v in a.items() if pres.is_unit_key(k)])
 
 
-def unit_function(a):
-    """The (cell -> coefficient) map of a unit-supported element."""
-    out = {}
-    for key, cell, coef in a.items():
-        if not a.pres.is_unit_key(key):
-            raise AlgebraError("element is not supported on the unit space")
-        out[cell] = coef
-    return out
-
-
 def unit_proj_leq(p, q):
     """p <= q for commuting unit projections: q - p is {0,1}-valued on units."""
     diff = sub(q, p)
@@ -318,113 +308,3 @@ def matrix_isometries(pres, witness):
         ),
     }
     return mats, report
-
-
-# ---------------------------------------------------------------------------
-# finite regular representations
-
-
-class RegularRep:
-    __slots__ = ("pres", "point", "arrows", "truncated")
-
-    def __init__(self, pres, point, arrows, truncated):
-        self.pres = pres
-        self.point = point
-        self.arrows = arrows  # (key, target) with source the base point
-        self.truncated = truncated
-
-    def index(self, key, target):
-        return self.arrows.index((key, target))
-
-    def unit_index(self):
-        for i, (key, _) in enumerate(self.arrows):
-            if self.pres.is_unit_key(key):
-                return i
-        raise AlgebraError("no unit arrow at the base point")
-
-    def matrix(self, elem):
-        """The matrix of left convolution on the arrows at the base point."""
-        n = len(self.arrows)
-        out = [[Fraction(0)] * n for _ in range(n)]
-        pres = self.pres
-        for col, (gkey, gtarget) in enumerate(self.arrows):
-            for hkey in elem.terms:
-                coef = elem.coefficient(hkey, gtarget)
-                if coef == 0:
-                    continue
-                pkey = _key_product(pres, hkey, gkey)
-                if pkey is None:
-                    continue
-                act = pres.key_action(pkey)
-                tgt = dict(act).get(self.point)
-                if tgt is None:
-                    continue
-                try:
-                    row = self.index(pkey, tgt)
-                except ValueError:
-                    raise AlgebraError(
-                        "arrow set truncated: product escapes the enumerated arrows"
-                    ) from None
-                out[row][col] += coef
-        return tuple(tuple(r) for r in out)
-
-
-def regular_rep(pres, point, word_cap=6):
-    """The arrows with source `point`, for matrices of the representation.
-
-    Finite spaces only.  Under the table or principal models the arrow set
-    is genuinely finite; under free words it is enumerated up to a word
-    length cap and flagged as truncated when the cap bites.
-    """
-    if pres.space.kind != stone.FINITE:
-        raise AlgebraError("regular representations are computed on finite spaces only")
-    space = pres.space
-    arrows = []
-    truncated = False
-    if pres.isotropy == "principal":
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            x = frontier.pop(0)
-            for gi in range(len(pres.generators)):
-                for act in (pres.gen_actions[gi], invert_action(space, pres.gen_actions[gi])):
-                    y = dict(act).get(x)
-                    if y is not None and y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        arrows = [(("p", (point, v)), v) for v in sorted(seen)]
-    elif pres.isotropy == "free":
-        from .groupoid import enumerate_words
-
-        seen = set()
-        for w in enumerate_words(pres, word_cap):
-            key = ("w", reduce_word(w))
-            if key in seen:
-                continue
-            tgt = dict(pres.word_action(w)).get(point)
-            if tgt is None:
-                continue
-            seen.add(key)
-            arrows.append((key, tgt))
-        truncated = bool(pres.generators)
-    else:
-        table = pres.isotropy
-        for e in range(table.size):
-            tgt = dict(pres.element_action(e)).get(point)
-            if tgt is not None:
-                arrows.append((("e", e), tgt))
-    return RegularRep(pres, point, tuple(arrows), truncated)
-
-
-class TraceFunctional:
-    """tau(a) = sum over cells of mu(cell) times E(a) on that cell."""
-
-    def __init__(self, state):
-        self.state = state
-
-    def __call__(self, elem):
-        total = Fraction(0)
-        for cell, coef in unit_function(expectation(elem)).items():
-            part = self.state.evaluate_clopen(clopen(elem.pres.space, [cell]))
-            total += coef * part
-        return total

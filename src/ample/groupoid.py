@@ -756,10 +756,30 @@ def saturate(pres, part, depth):
 
 
 def is_minimal(pres, depth):
-    """'yes' when every depth-cell saturates to the whole space, else 'unknown'."""
-    full = whole(pres.space)
-    for cell in pres.space.cells_at_depth(depth):
-        if saturate(pres, clopen(pres.space, [cell]), depth) != full:
+    """Whether every orbit is dense: "yes" and "no" are proofs, "unknown" is not.
+
+    On Finite(n) the answer is exact and ignores depth: "yes" when the
+    space is one orbit, otherwise "no".  On the shift it is "yes" when
+    every depth-`depth` cylinder saturates to the whole space under words
+    up to `depth`, and every depth-(depth+1) cylinder w starts with the
+    strip word s of a generator or inverse piece (s, a) that sends it to a
+    cylinder of length |a| + |w| - |s| <= depth.  A cylinder longer than
+    `depth` is then sent by one piece onto a strictly shorter one, so by
+    induction on length every cylinder saturates to the whole space.
+    Otherwise it is "unknown".
+    """
+    space = pres.space
+    if space.kind == stone.FINITE:
+        from .orbits import orbit_partition  # orbits imports this module
+
+        return "yes" if orbit_partition(pres).count == 1 else "no"
+    pieces = [p for act in pres.gen_actions for s, a in act for p in ((s, a), (a, s))]
+    for w in space.cells_at_depth(depth + 1):
+        if not any(w.startswith(s) and len(a) + len(w) - len(s) <= depth for s, a in pieces):
+            return "unknown"
+    full = whole(space)
+    for cell in space.cells_at_depth(depth):
+        if saturate(pres, clopen(space, [cell]), depth) != full:
             return "unknown"
     return "yes"
 

@@ -200,27 +200,6 @@ def weaken(pres, w, k2, l2):
     return leq_to_witness(pres, w.a, k2, l2, cert)
 
 
-def merge_to_pseudopair(pres, w):
-    """Merge the two rows of a disjoint (2,1) witness into one bisection each."""
-    res = verify_witness(pres, w)
-    if not res:
-        raise WitnessError("witness does not verify: %s" % res.reason)
-    if (w.k, w.l) != (2, 1):
-        raise WitnessError("pseudogroup merge needs a (2,1) witness")
-    if not rows_disjoint(w):
-        raise WitnessError("rows are not disjoint; apply disjointify first")
-    merged = []
-    for row in w.rows:
-        pieces = []
-        for bis, _ in row:
-            pieces.extend((p.word, p.domain) for p in bis.arrow_pieces)
-        merged.append(Bisection(pres, pieces))
-    s1, s2 = merged
-    if s1.dom() != w.a or s2.dom() != w.a or not s1.ran().disjoint_from(s2.ran()):
-        raise WitnessError("internal: merged pair is not weakly paradoxical")
-    return s1, s2
-
-
 def search_witness(pres, a, k, l, depth, budget=100000):
     """Search a (k,l) witness as a tiling of k[A] into l[A].
 

@@ -352,10 +352,3 @@ def probes(pres, depth, samples, seed, budget=20000):
                         "label": "budget-relative: x <= y not found at this depth, not proven false",
                     }
     return ProbeReport(depth, seed, tuple(order_unit), counterexample)
-
-
-def trace_from_state(sv):
-    """The tracial functional tau(a) = sum mu(cell) E(a)(cell)."""
-    from .convalg import TraceFunctional
-
-    return TraceFunctional(sv)

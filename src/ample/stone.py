@@ -8,9 +8,8 @@ another, and never are all k one-letter extensions of a common word stored
 (they merge into the word itself).  With cells sorted, equal sets have
 identical representations, so equality is structural.
 
-The same canonical form serves every locally constant map on the unit space:
-integer functions (type semigroup) and coefficient maps (convolution algebra)
-are stored as the items of `merge_siblings` or `sum_cells`.
+The same canonical form serves the coefficient maps of the convolution
+algebra, which are stored as the items of `sum_cells`.
 
 All values are immutable; every operation is a pure function.
 """
@@ -219,12 +218,6 @@ class Clopen(Frozen):
             return cell in self.cells
         return _covered(cell, self.cells, self.space.letters)
 
-    def meets_cell(self, cell):
-        self.space.check_cell(cell)
-        if self.space.kind == FINITE:
-            return cell in self.cells
-        return any(_is_prefix(c, cell) or _is_prefix(cell, c) for c in self.cells)
-
     # -- boolean operations ------------------------------------------------
 
     def union(self, other):
@@ -347,48 +340,3 @@ def whole(space):
     if space.kind == FINITE:
         return Clopen(space, tuple(range(space.size)))
     return Clopen(space, ("",))
-
-
-def common_refinement(families):
-    """Partition the whole space so that every input clopen is a union of cells.
-
-    `families` is a list of lists of Clopen over one space.  Returns
-    (cells, assignments) where `cells` partitions the whole space and
-    `assignments` mirrors the nesting of the input with, for each clopen,
-    the sublist of cells covering it.  In the shift case no cell is deeper
-    than the deepest input cell.
-    """
-    all_clopens = [c for fam in families for c in fam]
-    if not all_clopens:
-        raise ValueError("need at least one clopen")
-    space = all_clopens[0].space
-    for c in all_clopens:
-        if c.space != space:
-            raise SpaceMismatch("refinement inputs over different spaces")
-
-    if space.kind == FINITE:
-        cells = list(range(space.size))
-    else:
-        cells = []
-
-        def emit(word):
-            split = False
-            for c in all_clopens:
-                inside = c.contains_cell(word)
-                if not inside and c.meets_cell(word):
-                    split = True
-                    break
-            if split:
-                for a in space.letters:
-                    emit(word + a)
-            else:
-                cells.append(word)
-
-        emit("")
-        cells.sort()
-
-    assignments = [
-        [[cell for cell in cells if c.contains_cell(cell)] for c in fam]
-        for fam in families
-    ]
-    return cells, assignments

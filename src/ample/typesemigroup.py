@@ -563,175 +563,3 @@ def search_leq(pres, f1, f2, depth, budget=100000):
     return SearchOutcome(
         LeqCertificate(remainder, EquivCertificate(tuple(triples))), "found", outcome.stats
     )
-
-
-# ---------------------------------------------------------------------------
-# nonnegative integer functions and the homomorphism onto the semigroup
-
-
-class IntFunction(Frozen):
-    """A locally constant function to the nonnegative integers.
-
-    Stored as (cell, value) pieces with positive values; unlisted cells are
-    zero.  The pieces are the canonical cylinder-map items of
-    `stone.merge_siblings`, so equal functions have equal pieces.
-    """
-
-    __slots__ = ("space", "pieces")
-
-    def __init__(self, space, pieces):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "pieces", pieces)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.space == other.space and self.pieces == other.pieces
-
-    def __hash__(self):
-        return hash((self.space, self.pieces))
-
-    @property
-    def is_zero(self):
-        return not self.pieces
-
-    def max_value(self):
-        return max((v for _, v in self.pieces), default=0)
-
-    def value_at(self, cell):
-        """The value on a cell that does not straddle pieces."""
-        if self.space.kind == stone.FINITE:
-            for c, v in self.pieces:
-                if c == cell:
-                    return v
-            return 0
-        for c, v in self.pieces:
-            if cell.startswith(c):
-                return v
-        for c, _ in self.pieces:
-            if c.startswith(cell):
-                raise FamilyError("function is not constant on cell %r" % (cell,))
-        return 0
-
-    def support(self):
-        return clopen(self.space, [c for c, _ in self.pieces])
-
-    def level(self, i):
-        return clopen(self.space, [c for c, v in self.pieces if v >= i])
-
-    def levels(self):
-        return [self.level(i) for i in range(1, self.max_value() + 1)]
-
-    def __repr__(self):
-        return "IntFunction(%s)" % (dict(self.pieces),)
-
-
-def int_function(space, pairs):
-    """Canonicalize (cell, value) pairs; cells must be pairwise disjoint.
-
-    Zero values are dropped; the rest go through `stone.merge_siblings`.
-    """
-    pairs = [(space.check_cell(c), v) for c, v in pairs if v != 0]
-    for _, v in pairs:
-        if not isinstance(v, int) or v < 0:
-            raise FamilyError("values must be nonnegative integers")
-    cells = [c for c, _ in pairs]
-    if space.kind == stone.FINITE:
-        if len(set(cells)) != len(cells):
-            raise FamilyError("duplicate point in function pieces")
-        return IntFunction(space, tuple(sorted(pairs)))
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            if cells[i].startswith(cells[j]) or cells[j].startswith(cells[i]):
-                raise FamilyError("function pieces overlap: %r, %r" % (cells[i], cells[j]))
-    return IntFunction(space, tuple(stone.merge_siblings(dict(pairs), space.letters)))
-
-
-def zero_function(space):
-    return IntFunction(space, ())
-
-
-def indicator(clop):
-    return int_function(clop.space, [(c, 1) for c in clop.cells])
-
-
-def add_functions(f, g):
-    if f.space != g.space:
-        raise stone.SpaceMismatch("adding functions over different spaces")
-    return IntFunction(f.space, tuple(stone.sum_cells(f.space, f.pieces + g.pieces)))
-
-
-def sum_of_indicators(space, clopens):
-    f = zero_function(space)
-    for c in clopens:
-        f = add_functions(f, indicator(c))
-    return f
-
-
-def compose_with_bisection(f, bis):
-    """The pullback f o alpha_S for supp(f) inside ran(S)."""
-    if not f.support().subset_of(bis.ran()):
-        raise FamilyError("function support escapes the range of the bisection")
-    space = f.space
-    pairs = []
-    for c, v in f.pieces:
-        pre = bis.preimage(clopen(space, [c]))
-        pairs.extend((cell, v) for cell in pre.cells)
-    return int_function(space, pairs)
-
-
-def rho(pres, f):
-    """The canonical family of a function, via its level sets."""
-    return normalize(pres.space, [(lvl, i + 1) for i, lvl in enumerate(f.levels())])
-
-
-def rho_welldef_cert(pres, decomp1, decomp2):
-    """Certificate that two decompositions of one function are equivalent.
-
-    Follows the common refinement construction: on each refinement cell the
-    multiplicities agree, and identity bisections with a label shuffle match
-    both families to the level family of the function.
-    """
-    space = pres.space
-    if sum_of_indicators(space, decomp1) != sum_of_indicators(space, decomp2):
-        raise FamilyError("decompositions do not sum to the same function")
-    f = sum_of_indicators(space, decomp1)
-    if f.is_zero:
-        return EquivCertificate(())
-    fam_mid = rho(pres, f)
-    fam1, map1 = normalize_with_map(space, [(c, i + 1) for i, c in enumerate(decomp1)])
-    fam2, map2 = normalize_with_map(space, [(c, i + 1) for i, c in enumerate(decomp2)])
-
-    def half_cert(decomp, label_map):
-        # cells refined against this decomposition AND the level sets, so
-        # every triple domain sits inside a single level cell
-        cells, assigns = stone.common_refinement([list(decomp) + f.levels()])
-        inside = assigns[0][: len(decomp)]
-        triples = []
-        for j, cell in enumerate(cells):
-            owners = [i for i in range(len(decomp)) if cell in inside[i]]
-            cc = clopen(space, [cell])
-            for t, i in enumerate(sorted(owners), start=1):
-                triples.append((identity_bisection(pres, cc), label_map[i + 1], t))
-        return EquivCertificate(tuple(triples))
-
-    c1 = half_cert(decomp1, map1)
-    c2 = half_cert(decomp2, map2)
-    return transitive_cert(pres, fam1, fam_mid, fam2, c1, symmetric_cert(c2))
-
-
-def rho_invariance_cert(pres, bis, f):
-    """Certificate for rho(f) ~ rho(f o alpha_S) when supp(f) is in ran(S)."""
-    if not f.support().subset_of(bis.ran()):
-        raise FamilyError("function support escapes the range of the bisection")
-    triples = []
-    for i, lvl in enumerate(f.levels(), start=1):
-        s_i = bis.restrict_range(lvl)
-        triples.append((s_i.inverse(), i, i))
-    return EquivCertificate(tuple(triples))
-
-
-def rho_additivity_cert(pres, f, g):
-    """Certificate for rho(f+g) ~ rho(f) + rho(g)."""
-    total = add_functions(f, g)
-    return rho_welldef_cert(pres, total.levels(), f.levels() + g.levels())

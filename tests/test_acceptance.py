@@ -11,6 +11,7 @@ from ample import groupoid as gpd
 from ample import orbits as ob
 from ample import paradox as px
 from ample import states as st
+from ample import stone
 from ample import typesemigroup as ts
 from ample.groupoid import (
     builtin,
@@ -186,21 +187,32 @@ def test_criterion_06_matrix_amplification():
     _passed(6, "matrix partial isometries verified for the (2,1) and (3,2) shapes")
 
 
+def _levels(space, f):
+    """The level sets {f >= i}, i = 1 .. max f, of a {cell: value} function."""
+    top = max(f.values(), default=0)
+    return [clopen(space, [c for c, v in f.items() if v >= i]) for i in range(1, top + 1)]
+
+
 def test_criterion_07_rho_welldefined_and_invariant():
+    # an integer function is a {cell: value} dict; rho(f) is the family of
+    # its level sets, and every certificate is searched, then verified
     pres = cuntz(2)
     space = pres.space
     rng = random.Random(103)
     cells2 = space.cells_at_depth(2)
 
+    def rho(f):
+        return ts.normalize(space, [(lvl, i) for i, lvl in enumerate(_levels(space, f), 1)])
+
     for _ in range(100):
         decomp1 = []
         for _ in range(rng.randint(1, 3)):
             decomp1.append(clopen(space, [c for c in cells2 if rng.random() < 0.5]))
-        f = ts.sum_of_indicators(space, decomp1)
-        decomp2 = f.levels()
-        cert = ts.rho_welldef_cert(pres, decomp1, decomp2)
+        f = dict(stone.sum_cells(space, [(c, 1) for d in decomp1 for c in d.cells]))
+        decomp2 = _levels(space, f)
         f1 = ts.normalize(pres.space, [(c, i + 1) for i, c in enumerate(decomp1)])
         f2 = ts.normalize(pres.space, [(c, i + 1) for i, c in enumerate(decomp2)])
+        cert = ts.search_equiv(pres, f1, f2, 0).certificate
         assert ts.verify_equiv(pres, f1, f2, cert).ok
 
     enum = [b for b in enumerate_bisections(pres, 2).bisections if not b.ran().is_empty]
@@ -208,17 +220,22 @@ def test_criterion_07_rho_welldefined_and_invariant():
         bis = rng.choice(enum)
         ran = bis.ran()
         cells = ran.expand(max(2, ran.max_depth()))
-        f = ts.int_function(space, [(c, rng.randint(0, 2)) for c in cells if rng.random() < 0.7])
-        cert = ts.rho_invariance_cert(pres, bis, f)
-        pulled = ts.compose_with_bisection(f, bis)
-        assert ts.verify_equiv(pres, ts.rho(pres, f), ts.rho(pres, pulled), cert).ok
+        f = {c: rng.randint(0, 2) for c in cells if rng.random() < 0.7}
+        pulled = {c: v for cell, v in f.items() for c in bis.preimage(clopen(space, [cell])).cells}
+        cert = ts.search_equiv(pres, rho(f), rho(pulled), 2).certificate
+        assert ts.verify_equiv(pres, rho(f), rho(pulled), cert).ok
     _passed(7, "100 well-definedness and 100 invariance certificates verify")
 
 
 def test_criterion_08_trace_property():
     odo = odometer()
     sv = st.solve_state(st.build_constraints(odo, 3))
-    tau = st.trace_from_state(sv)
+
+    def tau(a):
+        # tau(a) = sum over cells of mu(cell) times E(a) on that cell
+        return sum(v * sv.evaluate_clopen(clopen(odo.space, [cell]))
+                   for _, cell, v in ca.expectation(a).items())
+
     assert tau(ca.unit_indicator(odo, whole(odo.space))) == 1
 
     words = [(), ((0, 1),), ((0, -1),)]
@@ -297,8 +314,8 @@ def test_criterion_10_algebraic_core_invariants():
         a, b, c = rand_elem(), rand_elem(), rand_elem()
         assert ca.conv(ca.conv(a, b), c) == ca.conv(a, ca.conv(b, c))
         assert ca.star(ca.conv(a, b)) == ca.conv(ca.star(b), ca.star(a))
-        e = ca.unit_function(ca.expectation(ca.conv(ca.star(a), a)))
-        assert all(v >= 0 for v in e.values())
+        e = [v for _, _, v in ca.expectation(ca.conv(ca.star(a), a)).items()]
+        assert all(v >= 0 for v in e)
         assert bool(e) == (not a.is_zero)
 
     space = pres.space

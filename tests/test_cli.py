@@ -198,12 +198,24 @@ def test_isometries_past_depth_cap_is_inconclusive(tmp_path, capsys, monkeypatch
 @pytest.mark.parametrize("argv", [
     ["state", "cuntz:2", "--depth", "-1"],
     ["find-witness", "cuntz:2", "--depth", "-1"],
+    ["find-witness", "cuntz:2", "--set", "whole", "--depth", "1", "--budget", "-1"],
+    ["AMPLE_BUDGET=-4", "find-witness", "cuntz:2", "--set", "whole", "--depth", "1"],
+    ["probe", "cuntz:2", "--samples", "-3"],
 ])
-def test_negative_depth_is_input_error(capsys, argv):
+def test_negative_depth_is_input_error(capsys, monkeypatch, argv):
+    # every count (--depth, --budget, AMPLE_BUDGET, --samples) is checked;
+    # a leading NAME=value sets the environment, otherwise the option
+    # before the last value is the negative one
+    if "=" in argv[0]:
+        option, value = argv[0].split("=")
+        monkeypatch.setenv(option, value)
+        argv = argv[1:]
+    else:
+        option = argv[-2]
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert "--depth" in err
+    assert option in err
 
 
 @pytest.mark.parametrize("spec", ["a", "7", "0,b"])

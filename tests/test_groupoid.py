@@ -217,10 +217,20 @@ def test_saturate_and_minimality():
     assert saturate(rot, clopen(rot.space, [0]), 3).is_whole
     assert is_minimal(rot, 3) == "yes"
 
-    # pair(2) next to a fixed point: saturation stalls, minimality unknown
+    # pair(2) next to a fixed point: two orbits, so not minimal
     mix = gpd.finite_groupoid(3, [[(0, 1)]])
     assert saturate(mix, clopen(mix.space, [0]), 3).cells == (0, 1)
-    assert is_minimal(mix, 3) == "unknown"
+    assert is_minimal(mix, 3) == "no"
+
+
+def test_minimality_is_never_yes_without_proof():
+    # 2w -> 1w: the orbit of 1^oo is {1^oo}, not dense, yet at depths 0
+    # and 1 every depth-d cylinder saturates to the whole space within words
+    # of length d; the truncated odometer sends no cylinder to a shorter one
+    stuck = Presentation(UnitSpace.shift(2), [PrefixMap("2", "1")])
+    for pres in (stuck, odometer()):
+        for depth in range(4):
+            assert is_minimal(pres, depth) == "unknown"
 
 
 def test_saturate_monotone_in_depth():
@@ -262,7 +272,7 @@ def test_presentation_mismatch_rejected():
 
 def test_trivial_groupoid_minimality():
     assert is_minimal(trivial(1), 2) == "yes"
-    assert is_minimal(trivial(3), 2) == "unknown"
+    assert is_minimal(trivial(3), 2) == "no"
 
 
 def test_principal_arrows_are_canonical_across_words():

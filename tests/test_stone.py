@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ample import stone
-from ample.stone import UnitSpace, clopen, common_refinement, whole
+from ample.stone import UnitSpace, clopen
 
 S2 = UnitSpace.shift(2)
 S3 = UnitSpace.shift(3)
@@ -119,45 +119,6 @@ def test_membership_agrees_with_bruteforce_expansion():
                 extensions = [word + tail for tail in S2.cells_at_depth(deep - depth)]
                 brute = all(x in leaves for x in extensions)
                 assert a.contains_cell(word) == brute
-
-
-def test_common_refinement_shift_example():
-    cells, assign = common_refinement([[clopen(S2, ["1"])], [clopen(S2, ["12"])]])
-    assert cells == ["11", "12", "2"]
-    assert assign[0][0] == ["11", "12"]
-    assert assign[1][0] == ["12"]
-
-
-def test_common_refinement_finite_example():
-    cells, assign = common_refinement([[clopen(F3, [0, 1]), clopen(F3, [1, 2])]])
-    assert cells == [0, 1, 2]
-    assert assign[0][0] == [0, 1]
-    assert assign[0][1] == [1, 2]
-
-
-def test_common_refinement_two_decompositions_of_one_function():
-    # 1_{1X} + 1_X split two ways refines to the depth-1 cells
-    fam1 = [whole(S2), clopen(S2, ["1"])]
-    fam2 = [clopen(S2, ["1"]), clopen(S2, ["1"]), clopen(S2, ["2"])]
-    cells, _ = common_refinement([fam1, fam2])
-    assert cells == ["1", "2"]
-
-
-def test_common_refinement_is_partition():
-    rng = random.Random(5)
-    for space in (S2, F4):
-        for _ in range(50):
-            fams = [[_random_clopen(rng, space) for _ in range(rng.randint(1, 3))]]
-            cells, assigns = common_refinement(fams)
-            parts = [clopen(space, [c]) for c in cells]
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    assert parts[i].disjoint_from(parts[j])
-            total = clopen(space, cells)
-            assert total.is_whole
-            for fam, fam_assign in zip(fams, assigns):
-                for clop, owned in zip(fam, fam_assign):
-                    assert clopen(space, owned) == clop
 
 
 def _random_cell(rng, space, depth):

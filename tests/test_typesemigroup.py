@@ -222,78 +222,72 @@ def test_search_soundness_fuzz():
 
 
 # -- integer functions and the level-set homomorphism -------------------------
+# A nonnegative integer function is a {cell: value} dict over disjoint cells,
+# and rho sends it to the family of its level sets.
 
 
-def test_int_function_canonical_merge():
-    f = ts.int_function(C2.space, [("11", 2), ("12", 2), ("2", 1)])
-    assert f.pieces == (("1", 2), ("2", 1))
-    assert f.value_at("12") == 2
-    assert f.value_at("22") == 1
+def _levels(space, f):
+    """The level sets {f >= i} for i = 1 .. max f."""
+    top = max(f.values(), default=0)
+    return [clopen(space, [c for c, v in f.items() if v >= i]) for i in range(1, top + 1)]
 
 
-def test_int_function_rejects_overlap():
-    with pytest.raises(ts.FamilyError):
-        ts.int_function(C2.space, [("1", 1), ("11", 2)])
+def _rho(pres, f):
+    return ts.normalize(pres.space, [(lvl, i) for i, lvl in enumerate(_levels(pres.space, f), 1)])
 
 
-def test_add_functions():
-    one_x = ts.indicator(X)
-    one_1 = ts.indicator(clopen(C2.space, ["1"]))
-    f = ts.add_functions(one_x, one_1)
-    assert f.pieces == (("1", 2), ("2", 1))
-    assert f.levels() == [X, clopen(C2.space, ["1"])]
+def _decomposition(space, decomp):
+    return ts.normalize(space, [(c, i + 1) for i, c in enumerate(decomp)])
 
 
 def test_rho_of_unit_is_whole_family():
-    f = ts.indicator(X)
-    assert ts.rho(C2, f) == ts.family_of(X)
+    assert _rho(C2, {"": 1}) == ts.family_of(X)
 
 
 def test_rho_faithful():
     rng = random.Random(31)
-    assert ts.rho(C2, ts.zero_function(C2.space)).is_empty
+    assert _rho(C2, {}).is_empty
     for _ in range(50):
         cells = [c for c in C2.space.cells_at_depth(2) if rng.random() < 0.3]
-        vals = [(c, rng.randint(1, 3)) for c in cells]
-        f = ts.int_function(C2.space, vals)
-        assert ts.rho(C2, f).is_empty == f.is_zero
+        f = {c: rng.randint(1, 3) for c in cells}
+        assert _rho(C2, f).is_empty == (not f)
 
 
 def test_rho_welldef_certificate_example():
+    # 1_X + 1_{1X} = 1_{1X} + 1_{1X} + 1_{2X}: identity pieces match the two
     one = clopen(C2.space, ["1"])
     two = clopen(C2.space, ["2"])
-    d1 = [X, one]
-    d2 = [one, one, two]
-    cert = ts.rho_welldef_cert(C2, d1, d2)
-    f1 = ts.normalize(C2.space, [(c, i + 1) for i, c in enumerate(d1)])
-    f2 = ts.normalize(C2.space, [(c, i + 1) for i, c in enumerate(d2)])
-    assert ts.verify_equiv(C2, f1, f2, cert).ok
+    f1 = _decomposition(C2.space, [X, one])
+    f2 = _decomposition(C2.space, [one, one, two])
+    out = ts.search_equiv(C2, f1, f2, 0)
+    assert ts.verify_equiv(C2, f1, f2, out.certificate).ok
 
 
 def test_rho_welldef_rejects_unequal_sums():
-    with pytest.raises(ts.FamilyError):
-        ts.rho_welldef_cert(C2, [X], [X, X])
+    # at depth 0 only identity pieces exist, and they keep multiplicities
+    out = ts.search_equiv(C2, _decomposition(C2.space, [X]), _decomposition(C2.space, [X, X]), 0)
+    assert out.status == "exhausted"
 
 
 def test_rho_invariance_certificate():
-    f = ts.indicator(clopen(C2.space, ["1"]))
-    cert = ts.rho_invariance_cert(C2, U1, f)
-    pulled = ts.compose_with_bisection(f, U1)
-    assert pulled == ts.indicator(X)
-    assert ts.verify_equiv(C2, ts.rho(C2, f), ts.rho(C2, pulled), cert).ok
+    f = {"1": 1}
+    pulled = {c: v for cell, v in f.items() for c in U1.preimage(clopen(C2.space, [cell])).cells}
+    assert pulled == {"": 1}
+    out = ts.search_equiv(C2, _rho(C2, f), _rho(C2, pulled), 1)
+    assert ts.verify_equiv(C2, _rho(C2, f), _rho(C2, pulled), out.certificate).ok
 
 
 def test_rho_additivity_random():
     rng = random.Random(37)
     for _ in range(40):
         cells = C2.space.cells_at_depth(2)
-        f = ts.int_function(C2.space, [(c, rng.randint(0, 2)) for c in cells if rng.random() < 0.5])
-        g = ts.int_function(C2.space, [(c, rng.randint(0, 2)) for c in cells if rng.random() < 0.5])
-        cert = ts.rho_additivity_cert(C2, f, g)
-        total = ts.add_functions(f, g)
+        f = {c: rng.randint(0, 2) for c in cells if rng.random() < 0.5}
+        g = {c: rng.randint(0, 2) for c in cells if rng.random() < 0.5}
+        total = dict(stone.sum_cells(C2.space, list(f.items()) + list(g.items())))
+        out = ts.search_equiv(C2, _rho(C2, total), ts.add(_rho(C2, f), _rho(C2, g)), 0)
         assert ts.verify_equiv(
             C2,
-            ts.rho(C2, total),
-            ts.add(ts.rho(C2, f), ts.rho(C2, g)),
-            cert,
+            _rho(C2, total),
+            ts.add(_rho(C2, f), _rho(C2, g)),
+            out.certificate,
         ).ok
