@@ -106,18 +106,9 @@ def zero(pres):
     return ConvElement(pres, [])
 
 
-def _unit_terms(pres, clop):
-    if pres.isotropy == "principal":
-        return [(("p", (x, x)), x, Fraction(1)) for x in clop.cells]
-    key = pres.piece_key(())
-    return [(key, cell, Fraction(1)) for cell in clop.cells]
-
-
 def unit_indicator(pres, clop):
     """The characteristic function of a clopen subset of the unit space."""
-    if clop.is_empty:
-        return zero(pres)
-    return ConvElement(pres, _unit_terms(pres, clop))
+    return ConvElement(pres, [(pres.piece_key((), cell), cell, Fraction(1)) for cell in clop.cells])
 
 
 def bisection_indicator(pres, bis):
@@ -130,14 +121,8 @@ def bisection_indicator(pres, bis):
 
 def from_terms(pres, triples):
     """Build an element from (word, cell, coefficient) triples."""
-    terms = []
-    for word, cell, coef in triples:
-        if pres.space.kind == stone.FINITE:
-            key = pres.piece_key(tuple(word), cell)
-        else:
-            key = pres.piece_key(tuple(word))
-        terms.append((key, cell, Fraction(coef)))
-    return ConvElement(pres, terms)
+    return ConvElement(pres, [(pres.piece_key(tuple(word), cell), cell, coef)
+                              for word, cell, coef in triples])
 
 
 def add(a, b):

@@ -19,7 +19,7 @@ carries the merged maximal domain per word.
 from __future__ import annotations
 
 from . import stone
-from .stone import Clopen, Frozen, UnitSpace, clopen, empty, whole
+from .stone import Frozen, UnitSpace, clopen, empty, whole
 
 
 class PresentationError(ValueError):
@@ -69,23 +69,20 @@ def action_domain(space, act):
     return clopen(space, [s for s, _ in act])
 
 
-def action_apply(space, act, cells_or_clopen):
-    """Image of (clopen intersect action domain) under the action."""
-    if isinstance(cells_or_clopen, Clopen):
-        cells = cells_or_clopen.cells
-    else:
-        cells = cells_or_clopen
+def shift_image_words(act, cells):
+    """The image words, uncanonicalized, of shift cells under a (strip, add)
+    action: a cell c below a strip s gives add+rest, a cell above it all of
+    cylinder(add)."""
+    return [a + c[len(s):] if c.startswith(s) else a
+            for s, a in act for c in cells if c.startswith(s) or s.startswith(c)]
+
+
+def action_apply(space, act, part):
+    """Image of (part intersect action domain) under the action."""
     if space.kind == stone.FINITE:
         amap = dict(act)
-        return clopen(space, [amap[x] for x in cells if x in amap])
-    out = []
-    for s, a in act:
-        for c in cells:
-            if c.startswith(s):
-                out.append(a + c[len(s):])
-            elif s.startswith(c):
-                out.append(a)
-    return clopen(space, out)
+        return clopen(space, [amap[x] for x in part.cells if x in amap])
+    return clopen(space, shift_image_words(act, part.cells))
 
 
 def _join_actions(space, acts):
@@ -374,8 +371,7 @@ class Presentation:
     def enumeration(self, depth):
         """enumerate_bisections(self, depth), computed once per depth.
 
-        The searches ask for the same enumeration on every call; the state
-        LP enumerates once per system and keeps nothing.
+        The searches ask for the same enumeration on every call.
         """
         cached = self._enumeration_cache.get(depth)
         if cached is None:
@@ -537,11 +533,7 @@ class Bisection:
     def _canonicalize(pres, pieces):
         space = pres.space
         merged = {}
-        for p in pieces:
-            if isinstance(p, ArrowPiece):
-                word, dom = p.word, p.domain
-            else:
-                word, dom = p
+        for word, dom in pieces:
             word = tuple(word)
             if dom.space != space:
                 raise PresentationMismatch("piece domain over the wrong space")
@@ -680,10 +672,8 @@ def identity_bisection(pres, dom=None):
 
 def from_word(pres, word, domain=None):
     """The single-piece bisection of a word on its maximal (or given) domain."""
-    act = pres.word_action(word)
-    maxdom = action_domain(pres.space, act)
     if domain is None:
-        domain = maxdom
+        domain = action_domain(pres.space, pres.word_action(word))
     return Bisection(pres, [(tuple(word), domain)])
 
 

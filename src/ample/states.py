@@ -1,8 +1,10 @@
 """Invariant states on the type semigroup at depth truncations.
 
 A depth-d system has one nonnegative rational unknown per depth-d cell,
-the invariance equalities mu(dom) = mu(ran) for every atomic piece of
-every enumerated word up to the depth, and the normalization mu(X) = 1.
+the invariance equalities mu(s) = mu(a) for every (strip, add) pair of
+the action of every word up to the depth, and the normalization
+mu(X) = 1.  The rows come from the word actions alone; no bisection is
+built.
 Solving is exact rational LP; the outcome is either a state vector or a
 Farkas certificate, and both re-verify by independent recomputation.
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from . import simplex, stone
 from .stone import clopen
-from .groupoid import enumerate_bisections, word_str
+from .groupoid import enumerate_words, word_str
 from . import typesemigroup as ts
 from . import paradox as px
 
@@ -55,18 +57,6 @@ class ConstraintSystem:
         return rows, rhs
 
 
-def _under(cells, s):
-    """The cells of a canonical clopen restricted to cylinder(s).
-
-    Either `s` itself, when a stored cell contains it, or the stored cells
-    below it.  Those are canonical already: k stored siblings would have
-    merged into their parent, so they never cover all of cylinder(s).
-    """
-    if any(s.startswith(c) for c in cells):
-        return (s,)
-    return tuple(c for c in cells if c.startswith(s))
-
-
 def _span(space, cell, depth):
     """The indices [start, end) of the depth cells inside `cell`.
 
@@ -85,64 +75,56 @@ def _span(space, cell, depth):
 
 
 def build_constraints(pres, depth):
-    """The invariance system of all enumerated word pieces at the depth.
+    """The invariance system of the word actions up to the depth.
 
-    Pieces whose cylinders are deeper than the truncation cannot be
-    expressed; they are skipped and the system is marked partial.  A row
-    mu(dom) - mu(ran) is a sum of +-1 on index ranges; it is built as its
-    sorted nonzero steps, deduplicated up to sign in that form, and stored
-    as a dense integer tuple.
+    Each (strip, add) pair (s, a) with s != a of each word's action gives
+    the row mu(s) - mu(a), read straight off the action: no bisection is
+    built.  On the shift a pair deeper than the truncation cannot be
+    expressed; it is skipped and the system is marked partial.  A row is a
+    sum of +-1 on index ranges; it is built as its sorted nonzero steps,
+    deduplicated up to sign in that form, and stored as a dense integer
+    tuple.  A note names the canonical word of the pair's arrow.
     """
     space = pres.space
+    shift = space.kind == stone.SHIFT
     cells = tuple(space.cells_at_depth(depth))
     rows = []
     seen = set()
     skipped = []
-    # generator pieces always enter the enumeration; at depth 0 they are
-    # simply skipped as inexpressible and the system is marked partial
-    for bis in enumerate_bisections(pres, max(depth, 1)).bisections:
-        for _, piece, act in bis.pieces:
-            for s, a in act:
-                if s == a:
-                    continue
-                if space.kind == stone.SHIFT:
-                    dom = _under(piece.domain.cells, s)
-                    if not dom:
-                        continue
-                    # strip s, add a: a bijection of cylinders, so the image
-                    # of canonical sorted cells is canonical and sorted
-                    ran = tuple(a + c[len(s):] for c in dom)
-                    if max(map(len, dom)) > depth or max(map(len, ran)) > depth:
-                        skipped.append("%s: piece %s->%s too deep" % (word_str(piece.word), s, a))
-                        continue
-                elif s in piece.domain.cells:
-                    dom, ran = (s,), (a,)
-                else:
-                    continue
-                step = {}  # index -> change of the row's value there
-                for sign, part in ((1, dom), (-1, ran)):
-                    for c in part:
-                        start, end = _span(space, c, depth)
-                        step[start] = step.get(start, 0) + sign
-                        step[end] = step.get(end, 0) - sign
-                steps = sorted((i, v) for i, v in step.items() if v)
-                if not steps:
-                    continue
-                canon = tuple(steps) if steps[0][1] > 0 else tuple((i, -v) for i, v in steps)
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                row = [0] * len(cells)
-                level = 0
-                for (i, v), (end, _) in zip(steps, steps[1:]):
-                    level += v
-                    if level:
-                        row[i:end] = [level] * (end - i)
-                note = "%s: %s = %s" % (word_str(piece.word), list(dom), list(ran))
-                rows.append((tuple(row), note))
+    # generator words always enter the enumeration; at depth 0 their pairs
+    # are simply skipped as inexpressible and the system is marked partial
+    for word in enumerate_words(pres, max(depth, 1)):
+        for s, a in pres.word_action(word):
+            if s == a:
+                continue
+            if shift and max(len(s), len(a)) > depth:
+                skipped.append("%s: piece %s->%s too deep" % (_arrow_str(pres, word, s), s, a))
+                continue
+            step = {}  # index -> change of the row's value there
+            for sign, c in ((1, s), (-1, a)):
+                start, end = _span(space, c, depth)
+                step[start] = step.get(start, 0) + sign
+                step[end] = step.get(end, 0) - sign
+            steps = sorted((i, v) for i, v in step.items() if v)
+            canon = tuple(steps) if steps[0][1] > 0 else tuple((i, -v) for i, v in steps)
+            if canon in seen:
+                continue
+            seen.add(canon)
+            row = [0] * len(cells)
+            level = 0
+            for (i, v), (end, _) in zip(steps, steps[1:]):
+                level += v
+                if level:
+                    row[i:end] = [level] * (end - i)
+            rows.append((tuple(row), "%s: %s = %s" % (_arrow_str(pres, word, s), [s], [a])))
     return ConstraintSystem(
         pres, depth, cells, tuple(rows), partial=bool(skipped), skipped=tuple(skipped)
     )
+
+
+def _arrow_str(pres, word, src):
+    """The canonical word of the arrow that `word` names at `src`."""
+    return word_str(pres.canonical_word(pres.piece_key(word, src)))
 
 
 class StateVector:
@@ -164,14 +146,14 @@ class StateVector:
     def value(self, cell):
         return self.values[self.cells.index(cell)]
 
-    def as_dict(self):
-        return dict(zip(self.cells, self.values))
-
     def evaluate_clopen(self, clop):
         if clop.space.kind == stone.SHIFT and clop.max_depth() > self.depth:
             raise DepthError("clopen %r deeper than state depth %d" % (list(clop.cells), self.depth))
-        lookup = self.as_dict()
-        return sum((lookup[c] for c in clop.expand(self.depth)), Fraction(0))
+        total = Fraction(0)
+        for c in clop.cells:
+            start, end = _span(clop.space, c, self.depth)
+            total += sum(self.values[start:end])
+        return total
 
 
 class FarkasCertificate:
@@ -257,9 +239,9 @@ def tarski_report(pres, a, depth, budget=100000):
     cs = build_constraints(pres, eff_depth)
     rows, rhs = cs.rows_rhs()
     objective = [Fraction(0)] * len(cs.cells)
-    lookup = {c: i for i, c in enumerate(cs.cells)}
-    for cell in a.expand(eff_depth):
-        objective[lookup[cell]] = Fraction(1)
+    for cell in a.cells:
+        start, end = _span(pres.space, cell, eff_depth)
+        objective[start:end] = [Fraction(1)] * (end - start)
 
     res = simplex.maximize(rows, rhs, objective)
     if isinstance(res, simplex.Infeasible):

@@ -216,7 +216,7 @@ class Clopen(Frozen):
         self.space.check_cell(cell)
         if self.space.kind == FINITE:
             return cell in self.cells
-        return _covered(cell, self.cells, self.space.letters)
+        return not _cell_minus(cell, self.cells, self.space.letters)
 
     # -- boolean operations ------------------------------------------------
 
@@ -285,17 +285,6 @@ _set_cells = Clopen.cells.__set__
 def _same_space(a, b):
     if a.space != b.space:
         raise SpaceMismatch("operands over different spaces: %s vs %s" % (a.space, b.space))
-
-
-def _covered(word, cells, letters):
-    """cylinder(word) contained in the union of the antichain `cells`."""
-    for c in cells:
-        if _is_prefix(c, word):
-            return True
-    below = [c for c in cells if _is_prefix(word, c) and c != word]
-    if not below:
-        return False
-    return all(_covered(word + a, below, letters) for a in letters)
 
 
 def _cell_minus(word, cells, letters):

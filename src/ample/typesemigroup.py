@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import stone
 from .stone import Frozen, clopen, empty
-from .groupoid import Bisection, identity_bisection
+from .groupoid import Bisection, identity_bisection, shift_image_words
 
 
 class FamilyError(ValueError):
@@ -378,17 +378,6 @@ def _trie_masks(words, letters):
     return bit
 
 
-def _shift_image(act_at, cell):
-    """The image words of a cell under the action of the domain word above
-    it, or None when no domain word is a prefix of the cell."""
-    for i in range(len(cell) + 1):
-        act = act_at.get(cell[:i])
-        if act is not None:
-            return [a + cell[len(s):] if cell.startswith(s) else a
-                    for s, a in act if cell.startswith(s) or s.startswith(cell)]
-    return None
-
-
 def _compile_pieces(pres, enum, cells, targets):
     """Compile a tiling search onto integer bit masks.
 
@@ -398,25 +387,25 @@ def _compile_pieces(pres, enum, cells, targets):
     to_clopen turns a mask back into a clopen.  On Finite(n) bit x is the
     point x.  On the shift the bits are the leaves of the prefix trie of the
     target cells and the image words, so masks grow with the words the
-    search meets, not as k^depth.  Images come from each piece's strip/add
-    (or src/tgt) pairs applied to the cell, which must be no shallower than
-    any domain cell.
+    search meets, not as k^depth.  Each piece's action is read once; on the
+    shift `shift_image_words` applies it to a cell, which must be no
+    shallower than any domain cell.
     """
     space = pres.space
     shift = space.kind == stone.SHIFT
     images = {cell: [] for cell in cells}
     for bi, b in enumerate(enum):
-        act_at = {}
         for _, piece, act in b.pieces:
-            for d in piece.domain.cells:
-                act_at[d] = act if shift else dict(act)
-        for cell in cells:
             if shift:
-                image = _shift_image(act_at, cell)
+                doms = piece.domain.cells
+                for cell in cells:
+                    if cell.startswith(doms):
+                        images[cell].append((bi, shift_image_words(act, (cell,))))
             else:
-                image = [act_at[cell][cell]] if cell in act_at else None
-            if image is not None:
-                images[cell].append((bi, image))
+                amap = dict(act)
+                for x in piece.domain.cells:
+                    if x in images:
+                        images[x].append((bi, [amap[x]]))
     if shift:
         words = {w for t in targets for w in t.cells}
         words.update(w for found in images.values() for _, image in found for w in image)

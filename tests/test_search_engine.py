@@ -8,10 +8,13 @@ import pytest
 from ample import groupoid as gpd
 from ample import paradox as px
 from ample import typesemigroup as ts
-from ample.stone import FINITE, clopen, whole
+from ample.stone import FINITE, UnitSpace, clopen, whole
 
 
 PRESENTATIONS = ("cuntz:2", "cuntz:3", "pair:4", "rotation:3:table", "odometer:3", "trivial:3")
+# one element with pieces 11->21 and 12->22: its canonical domain "1" is
+# shallower than its strips
+SPLIT = gpd.Presentation(UnitSpace.shift(2), [gpd.GroupElement("g", (("11", "21"), ("12", "22")))])
 
 
 def _random_clopen(rng, space):
@@ -67,11 +70,11 @@ def test_every_hit_verifies(alias):
     assert hits >= 12  # f ~ f is always found
 
 
-@pytest.mark.parametrize("alias", PRESENTATIONS)
-def test_compiled_images_match_the_bisection_calculus(alias):
+@pytest.mark.parametrize("pres", [gpd.builtin(alias) for alias in PRESENTATIONS] + [SPLIT],
+                         ids=list(PRESENTATIONS) + ["split-domain"])
+def test_compiled_images_match_the_bisection_calculus(pres):
     # the candidates of a cell are the bisections whose domain holds it, in
     # enumeration order, and each image mask is the image under `apply`
-    pres = gpd.builtin(alias)
     space = pres.space
     enum = gpd.enumerate_bisections(pres, 2).bisections
     a = whole(space)

@@ -11,12 +11,15 @@ from ample import states as st
 from ample import typesemigroup as ts
 from ample.groupoid import cuntz, odometer, pair_groupoid, rotation
 from ample.serialize import parse_presentation_arg
-from ample.stone import clopen, whole
+from ample.stone import UnitSpace, clopen, whole
 
 
 C2 = cuntz(2)
 ODO = odometer()
 ROT = rotation(3)
+# one element with pieces 11->21 and 12->22: its canonical domain "1" is
+# shallower than its strips
+SPLIT = gpd.Presentation(UnitSpace.shift(2), [gpd.GroupElement("g", (("11", "21"), ("12", "22")))])
 
 
 def test_cuntz_depth_one_system_shape():
@@ -241,12 +244,28 @@ def _seeded_finite(seed, points=30, injections=3, pairs=10):
     [(cuntz(2), d) for d in range(7)]
     + [(cuntz(3), d) for d in range(5)]
     + [(odometer(6), d) for d in range(7)]
-    + [(ROT, 2), (pair_groupoid(40), 2), (_seeded_finite(1), 2), (_seeded_finite(2), 2)],
+    + [(ROT, 2), (pair_groupoid(40), 2), (_seeded_finite(1), 2), (_seeded_finite(2), 2)]
+    + [(rotation(4, with_table=True), d) for d in range(3)]
+    + [(SPLIT, d) for d in range(5)]
+    # a row whose first word is not the principal word of its arrow
+    + [(_seeded_finite(6), 2)],
 )
 def test_index_range_rows_match_clopen_expansion(pres, depth):
     cs = st.build_constraints(pres, depth)
     assert (cs.cells, cs.equalities, cs.partial, cs.skipped) == _oracle_constraints(pres, depth)
     assert all(type(v) is int for coeffs, _ in cs.equalities for v in coeffs)
+
+
+def test_state_rows_build_no_bisection(monkeypatch):
+    # the rows are read off word actions; a bisection is built only for a
+    # certificate, and the state LP returns none
+    def refuse(self, pres, pieces):
+        raise AssertionError("the state LP built a bisection")
+
+    monkeypatch.setattr(gpd.Bisection, "__init__", refuse)
+    for spec, depth in (("cuntz:2", 3), ("rotation:3:table", 1)):
+        cs = st.build_constraints(gpd.builtin(spec), depth)
+        assert cs.equalities
 
 
 @pytest.mark.parametrize("spec, depth, stats", [
