@@ -305,6 +305,10 @@ class Presentation:
         self.generators = tuple(generators)
         self.isotropy = isotropy
         self.gen_actions = tuple(_generator_action(g, space) for g in self.generators)
+        self._letter_actions = {}  # (g, +-1) -> the action of that one letter
+        for g, act in enumerate(self.gen_actions):
+            self._letter_actions[g, 1] = act
+            self._letter_actions[g, -1] = invert_action(space, act)
         if isotropy == PRINCIPAL or isinstance(isotropy, Table):
             if space.kind != stone.FINITE:
                 raise PresentationError(
@@ -345,7 +349,7 @@ class Presentation:
         frontier = [ident]
         steps = [(table.gen_elements[i], self.gen_actions[i], ((i, 1),)) for i in range(len(self.generators))]
         steps += [
-            (table.inverse(table.gen_elements[i]), invert_action(self.space, self.gen_actions[i]), ((i, -1),))
+            (table.inverse(table.gen_elements[i]), self._letter_actions[i, -1], ((i, -1),))
             for i in range(len(self.generators))
         ]
         while frontier:
@@ -384,10 +388,7 @@ class Presentation:
         cached = self._action_cache.get(word)
         if cached is not None:
             return cached
-        head, tail = word[:-1], word[-1]
-        g, e = tail
-        gact = self.gen_actions[g] if e == 1 else invert_action(self.space, self.gen_actions[g])
-        act = compose_actions(self.space, self.word_action(head), gact)
+        act = compose_actions(self.space, self.word_action(word[:-1]), self._letter_actions[word[-1]])
         self._action_cache[word] = act
         return act
 
@@ -694,23 +695,31 @@ class Enumeration:
 
 
 def enumerate_words(pres, depth):
-    """Freely reduced words of length at most depth, by (length, symbols)."""
+    """Freely reduced words of length at most depth whose action is
+    nonempty, by (length, symbols).
+
+    The appended letter acts first, so every extension of a word with an
+    empty action has an empty action too: such a word is neither yielded
+    nor extended.  The words that remain come in the order of the full
+    enumeration.
+    """
     syms = sorted(
         [(g, 1) for g in range(len(pres.generators))]
         + [(g, -1) for g in range(len(pres.generators))],
         key=_symbol_key,
     )
-    level = [()]
-    yield ()
+    level = [()] if pres.word_action(()) else []
+    yield from level
     for _ in range(depth):
         nxt = []
         for w in level:
             for s in syms:
                 if w and w[-1][0] == s[0] and w[-1][1] == -s[1]:
                     continue
-                nxt.append(w + (s,))
-        for w in nxt:
-            yield w
+                v = w + (s,)
+                if pres.word_action(v):
+                    nxt.append(v)
+        yield from nxt
         level = nxt
 
 
@@ -723,9 +732,6 @@ def enumerate_bisections(pres, depth):
     seen = set()
     out = []
     for w in enumerate_words(pres, depth):
-        act = pres.word_action(w)
-        if not act:
-            continue
         b = from_word(pres, w)
         ident = b.identity_key()
         if ident in seen:
@@ -739,9 +745,7 @@ def saturate(pres, part, depth):
     """The union of all word images of the clopen, over words up to depth."""
     out = part
     for w in enumerate_words(pres, depth):
-        act = pres.word_action(w)
-        if act:
-            out = out.union(action_apply(pres.space, act, part))
+        out = out.union(action_apply(pres.space, pres.word_action(w), part))
     return out
 
 

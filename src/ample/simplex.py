@@ -12,23 +12,28 @@ linearly independent subset of the input rows, in input order; the
 simplex runs on those alone.  Every dropped row is a combination of kept
 rows, right-hand side included, so a point feasible for the kept rows is
 feasible for all of them, and Farkas multipliers found on the kept rows
-extend to the full system with exact zeros on the dropped ones.
+extend to the full system with exact zeros on the dropped ones.  The
+elimination runs in difference coordinates (r0, r1 - r0, ..., rn-1 - rn-2),
+rhs untouched: an invertible change of columns, so it keeps the same rows,
+and a row that is +-1 on index ranges has a nonzero only at each step.
 
 Rows stay as given, integers in practice: the elimination runs
 fraction-free on their nonzeros, and the tableau holds each row, the
 objective row included, as a list of Python ints over one positive int
 denominator.  A pivot brings the rows it changes to a common denominator
 and divides each by its gcd, so Bland's rule and the pivots build no
-Fraction.  Fractions are built only at the boundary: for fractional input
-rows (scaled to ints on the way in), for the point and the Farkas
-multipliers read off the final tableau, and for the phase-two objective
-that `maximize` assembles.  Only the verifiers densify every entry to a
-Fraction.  No floating point enters anywhere; certificates re-verify by
-independent recomputation.
+Fraction, and neither does the phase-two objective row, which `maximize`
+assembles in ints over one common denominator.  Fractions are built only
+at the boundary: for fractional input rows (scaled to ints on the way
+in), and for the point, the optimum and the Farkas multipliers read off
+the final tableau.  Only the verifiers densify every entry to a Fraction.
+No floating point enters anywhere; certificates re-verify by independent
+recomputation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -121,8 +126,17 @@ def _as_fractions(rows, rhs):
 
 
 def _integer_row(row, rhs, rhs_col):
-    """The nonzeros of [row | rhs] scaled to a primitive integer dict."""
-    r = {j: v for j, v in enumerate(row) if v}
+    """The nonzeros of [row | rhs] in difference coordinates, scaled to a
+    primitive integer dict.
+
+    Column 0 holds row[0] and column j > 0 holds row[j] - row[j - 1]; the
+    rhs is left as it is.  A row that is constant on index ranges has a
+    nonzero only where its value steps.
+    """
+    steps = map(operator.ne, itertools.islice(row, 1, None), row)
+    r = {j: row[j] - row[j - 1] for j in itertools.compress(itertools.count(1), steps)}
+    if row and row[0]:
+        r[0] = row[0]
     if rhs:
         r[rhs_col] = rhs
     den = math.lcm(*(v.denominator for v in r.values()))
@@ -135,6 +149,11 @@ def _independent_rows(a, b):
     """Indices of a maximal linearly independent subset of the rows of
     [A | b], greedily in input order.
 
+    Rows are reduced in the difference coordinates of `_integer_row`, an
+    invertible change of the A columns: a row lies in the span of earlier
+    rows exactly when its image does, so the kept indices are the same as
+    in the original coordinates.  A state-LP row, +-1 on two index ranges,
+    has at most four nonzeros there, and the elimination fills in little.
     Rows are reduced fraction-free, as primitive integer dicts, against the
     kept rows, each keyed by its lowest column.  The rhs is the last column,
     so a row whose A part depends on kept rows but whose b does not is kept.
@@ -339,20 +358,18 @@ def maximize(rows, rhs, objective):
     res, t = _phase_one(rows, rhs)
     if isinstance(res, Infeasible):
         return res
-    n = t.n
-    cost = [-Fraction(v) for v in objective]  # minimize the negation
-    width = n + t.m + 1
-    obj = [_ZERO] * width
-    costed = [(cost[j] / t.dens[i], t.rows[i]) for i, j in enumerate(t.basis)
-              if j < n and cost[j]]
-    for j in range(width):
-        col = sum((c * row[j] for c, row in costed), _ZERO)
-        if j == width - 1:
-            obj[j] = -col
-        elif j < n:
-            obj[j] = cost[j] - col
-        # artificials stay 0: they are frozen out of phase two
-    t.obj, t.objden = _int_row(obj)
+    n, m = t.n, t.m
+    # minimize -c.x: reduced costs -c_j + sum of c_B * row / den over the
+    # basic rows, all over cden * lden
+    c, cden = _int_row(objective)
+    costed = [(c[j], i) for i, j in enumerate(t.basis) if j < n and c[j]]
+    lden = math.lcm(*(t.dens[i] for _, i in costed))
+    obj = [-v * lden for v in c] + [0] * (m + 1)
+    for cj, i in costed:
+        f = cj * (lden // t.dens[i])
+        obj = [v + f * w for v, w in zip(obj, t.rows[i])]
+    obj[n:n + m] = [0] * m  # artificials are frozen out of phase two
+    t.obj, t.objden = _primitive(obj, cden * lden)
     status = t.bland_min(range(n))
     if status == "unbounded":
         return Unbounded()

@@ -393,3 +393,38 @@ def test_principal_words_match_a_search_per_pair(pres):
             else:
                 assert pres.principal_word(src, tgt) == expected
     assert (unreachable == 0) == (pres.space.size == 40)
+
+
+def _nonempty_words(pres, depth):
+    """Reference: every freely reduced word of length at most depth, in
+    (length, symbols) order, walked without pruning and kept when the
+    composite of its letters' actions is nonempty."""
+    letters = sorted(((g, e) for g in range(len(pres.generators)) for e in (1, -1)),
+                     key=lambda s: (s[1] == -1, s[0]))
+    acts = {(g, 1): act for g, act in enumerate(pres.gen_actions)}
+    acts.update({(g, -1): gpd.invert_action(pres.space, act) for g, act in enumerate(pres.gen_actions)})
+    level = [((), gpd.identity_action(pres.space))]
+    out = []
+    for length in range(depth + 1):
+        out += [w for w, act in level if act]
+        if length < depth:
+            level = [(w + (s,), gpd.compose_actions(pres.space, act, acts[s]))
+                     for w, act in level for s in letters if not w or w[-1] != (s[0], -s[1])]
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, depth",
+    [("cuntz:2", d) for d in range(9)]
+    + [("cuntz:3", d) for d in range(5)]
+    + [(spec, d) for spec in ("odometer:6", "rotation:4:table", "pair:5", "finite") for d in range(5)],
+)
+def test_enumerated_words_are_the_nonempty_ones_in_order(spec, depth):
+    pres = _seeded_finite(4, points=12, injections=3, pairs=4) if spec == "finite" else builtin(spec)
+    expected = _nonempty_words(pres, depth)
+    assert list(gpd.enumerate_words(pres, depth)) == expected
+
+
+def test_enumeration_skips_the_words_with_empty_actions():
+    # 12,287 of the 118,097 freely reduced words of length <= 10 act nonemptily
+    assert sum(1 for _ in gpd.enumerate_words(cuntz(2), 10)) == 12287

@@ -8,7 +8,7 @@ import pytest
 from ample import cli
 from ample import simplex as sx
 from ample import states as st
-from ample.groupoid import cuntz
+from ample.groupoid import cuntz, finite_groupoid, odometer, pair_groupoid
 
 
 def test_unique_solution():
@@ -345,6 +345,37 @@ def test_mixed_fraction_denominators_and_negative_rhs():
     assert all(count > 20 for count in kinds.values()), kinds
 
 
+def test_maximize_with_mixed_objective_denominators_matches_the_brute_force_optimum(monkeypatch):
+    # phase two assembles its objective row in ints over one denominator
+    costed = []
+    real = sx._Tableau.bland_min
+
+    def spy(t, allowed):
+        if allowed == range(t.n):  # phase two
+            costed.append(sum(1 for j in t.basis if j < t.n and objective[j]))
+        return real(t, allowed)
+
+    monkeypatch.setattr(sx._Tableau, "bland_min", spy)
+    rng = random.Random(1957)
+    optimal = many_costed = 0
+    for _ in range(500):
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        rhs = [rng.randint(-3, 3) for _ in rows]
+        objective = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7))) for _ in range(n)]
+        del costed[:]
+        res = sx.maximize(rows, rhs, objective)
+        many_costed += bool(costed and costed[0] > 1)
+        if isinstance(res, sx.Infeasible):
+            assert sx.verify_farkas(rows, rhs, res.y) and not costed
+        elif isinstance(res, sx.Optimal):
+            assert sx.verify_solution(rows, rhs, res.x)
+            assert res.value == sum(c * v for c, v in zip(objective, res.x))
+            assert res.value == _brute_force_max(rows, rhs, objective)
+            optimal += 1
+    assert many_costed >= 50 and optimal > 100, (many_costed, optimal)
+
+
 # SHA-256 of the stdout of each command, recorded before the integer tableau
 # replaced the Fraction one: the vertices and multipliers must not move.
 REPORT_DIGESTS = {
@@ -359,6 +390,15 @@ REPORT_DIGESTS = {
     ("state", "odometer:6", "--depth", "7"): "d854682cc8244950175458a988102298a7521ed9677891f1aa35d9f3330c2ab0",
     ("tarski", "odometer:6", "--set", "whole", "--depth", "6"):
         "383c0bd7cc43bf060ef68b0fa48ea8e2c9f1d0c9259a25e5914d412f44fdfa53",
+    # recorded before the presolve moved to difference coordinates: finite
+    # systems and the phase-two objective of `maximize`
+    ("state", "pair:40", "--depth", "2"): "fc472d63b6eb1e697e29e8bdb2b53577770c6068376d2e513bf5a41dd5a76225",
+    ("state", "cuntz:3", "--depth", "4"): "f1f4cc1fdb4d3c8f510bd9cf90d7722129d122ab10183a7746c5996009ba3815",
+    ("tarski", "cuntz:2", "--set", "1", "--depth", "4"):
+        "83e9f68039fdf882ece126e85275167003a7bdf6c30ee78fbf0874593087ff88",
+    ("tarski", "rotation:3", "--set", "whole", "--depth", "1"):
+        "b5d458c5a206359f862dd915a5c62e5e3d0806a10909a2d423f650d723323482",
+    ("dichotomy", "rotation:3", "--depth", "2"): "7b00e40d938600bd248a5babf97d2ca3b2af5c8fd7ed32727c9f96e9b16bc955",
 }
 
 
@@ -367,3 +407,103 @@ def test_lp_reports_are_pinned(argv, capsys):
     cli.main(list(argv))
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
+
+
+def _dense_independent_rows(rows, rhs):
+    """Reference presolve: greedy rank over the dense Fraction rows of
+    [A | b] in input order, in the original coordinates.  Each kept row is
+    stored scaled to 1 at its lead, with zeros before it."""
+    width = (len(rows[0]) if rows else 0) + 1
+    basis = {}  # lead column -> kept row, reduced
+    kept = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        if len(basis) == width:
+            break  # full rank: every later row is a combination
+        r = [Fraction(v) for v in row] + [Fraction(b)]
+        for lead in sorted(basis):
+            f = r[lead]
+            if f:
+                r = [v - f * w if w else v for v, w in zip(r, basis[lead])]
+        lead = next((j for j, v in enumerate(r) if v), None)
+        if lead is not None:
+            basis[lead] = [v / r[lead] for v in r]
+            kept.append(i)
+    return kept
+
+
+def _random_system(rng):
+    """Rows of ints and Fractions, zero rows, combinations of earlier rows,
+    and rows that repeat a combination of earlier rows on A but not on b."""
+    n = rng.randint(1, 6)
+    rows, rhs = [], []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.choice(("int", "fraction", "zero", "combination", "a-only")) if rows else "int"
+        if kind == "int":
+            row, b = [rng.randint(-3, 3) for _ in range(n)], rng.randint(-3, 3)
+        elif kind == "fraction":
+            row = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 7))) for _ in range(n)]
+            b = Fraction(rng.randint(-4, 4), rng.choice((1, 5)))
+        elif kind == "zero":
+            row, b = [0] * n, rng.choice((0, 0, 1))
+        else:
+            picks = [(Fraction(rng.randint(-3, 3), rng.choice((1, 2))), k)
+                     for k in rng.sample(range(len(rows)), rng.randint(1, len(rows)))]
+            row = [sum((f * rows[k][j] for f, k in picks), Fraction(0)) for j in range(n)]
+            b = sum((f * rhs[k] for f, k in picks), Fraction(0))
+            if kind == "a-only":
+                b += rng.choice((-1, 1))
+        rows.append(row)
+        rhs.append(b)
+    return rows, rhs
+
+
+def _range_rows(rng):
+    """Rows of +-1 on one or two random index ranges, which may overlap."""
+    n = rng.randint(1, 40)
+    rows, rhs = [], []
+    for _ in range(rng.randint(1, 30)):
+        row = [0] * n
+        for _ in range(rng.randint(1, 2)):
+            start = rng.randrange(n)
+            end = rng.randint(start + 1, n)
+            sign = rng.choice((-1, 1))
+            row[start:end] = [v + sign for v in row[start:end]]
+        rows.append(row)
+        rhs.append(rng.choice((0, 0, 0, 1)))
+    return rows, rhs
+
+
+def test_presolve_keeps_the_rows_of_a_dense_greedy_rank():
+    rng = random.Random(1313)
+    dropped = a_only = 0
+    for _ in range(300):
+        rows, rhs = _random_system(rng)
+        kept = sx._independent_rows(rows, rhs)
+        assert kept == _dense_independent_rows(rows, rhs)
+        dropped += len(rows) - len(kept)
+        a_part = _dense_independent_rows(rows, [0] * len(rows))
+        a_only += len(kept) - len(a_part)
+    assert dropped > 100 and a_only > 30, (dropped, a_only)
+    for _ in range(200):
+        rows, rhs = _range_rows(rng)
+        assert sx._independent_rows(rows, rhs) == _dense_independent_rows(rows, rhs)
+
+
+def _seeded_finite_presentation(seed, points=30, injections=3, pairs=10):
+    rng = random.Random(seed)
+    return finite_groupoid(points, [
+        list(zip(rng.sample(range(points), pairs), rng.sample(range(points), pairs)))
+        for _ in range(injections)])
+
+
+@pytest.mark.parametrize(
+    "pres, depth",
+    [(cuntz(2), d) for d in range(8)]
+    + [(cuntz(3), d) for d in range(5)]
+    + [(odometer(6), d) for d in range(8)]
+    + [(pair_groupoid(40), 2), (_seeded_finite_presentation(1), 2),
+       (_seeded_finite_presentation(2), 2)],
+)
+def test_presolve_keeps_the_rows_of_a_dense_greedy_rank_on_state_systems(pres, depth):
+    rows, rhs = st.build_constraints(pres, depth).rows_rhs()
+    assert sx._independent_rows(rows, rhs) == _dense_independent_rows(rows, rhs)
