@@ -291,10 +291,6 @@ def _symbol_key(sym):
     return (0 if e == 1 else 1, g)
 
 
-def word_sort_key(word):
-    return (len(word), tuple(_symbol_key(s) for s in word))
-
-
 # ---------------------------------------------------------------------------
 # presentation
 
@@ -533,7 +529,7 @@ class Bisection:
     @staticmethod
     def _canonicalize(pres, pieces):
         space = pres.space
-        merged = {}
+        merged = {}  # piece key -> the domain cells of its pieces
         for word, dom in pieces:
             word = tuple(word)
             if dom.space != space:
@@ -547,26 +543,13 @@ class Bisection:
                 )
             if space.kind == stone.FINITE:
                 for x in dom.cells:
-                    key = pres.piece_key(word, x)
-                    cell = clopen(space, [x])
-                    prev = merged.get(key)
-                    if prev is None:
-                        merged[key] = (reduce_word(word), cell)
-                    else:
-                        w0, d0 = prev
-                        merged[key] = (min(w0, reduce_word(word), key=word_sort_key), d0.union(cell))
+                    merged.setdefault(pres.piece_key(word, x), []).append(x)
             else:
-                key = pres.piece_key(word)
-                prev = merged.get(key)
-                if prev is None:
-                    merged[key] = (reduce_word(word), dom)
-                else:
-                    w0, d0 = prev
-                    merged[key] = (w0, d0.union(dom))
+                merged.setdefault(pres.piece_key(word), []).extend(dom.cells)
         out = []
-        for key, (word, dom) in merged.items():
-            act = pres.key_action(key)
-            out.append((key, ArrowPiece(pres.canonical_word(key), dom), act))
+        for key, cells in merged.items():
+            piece = ArrowPiece(pres.canonical_word(key), clopen(space, cells))
+            out.append((key, piece, pres.key_action(key)))
         out.sort(key=lambda t: (t[0], t[1].domain.cells))
         # bisection invariants: disjoint domains, disjoint ranges; one piece's
         # cells are canonical, so disjoint, and need no check

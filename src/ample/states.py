@@ -8,9 +8,11 @@ built.
 Solving is exact rational LP; the outcome is either a state vector or a
 Farkas certificate, and both re-verify by independent recomputation.
 
-Each invariance row is built from cell-index ranges, with no clopen
-expansion, and stays integer until the simplex tableau; only the
-verifiers densify it to Fractions.
+The unknowns are the leaves of `stone.leaf_spans` over the depth-d
+cells, the cell universe the tiling search shares, and a word of length
+at most d covers the index range span[word] of them.  Each invariance row
+is built from those ranges, with no clopen expansion, and stays integer
+until the simplex tableau; only the verifiers densify it to Fractions.
 
 A depth-d state is a state of the truncated system only.  Reports always
 carry the depth; nothing is claimed beyond it.
@@ -57,23 +59,6 @@ class ConstraintSystem:
         return rows, rhs
 
 
-def _span(space, cell, depth):
-    """The indices [start, end) of the depth cells inside `cell`.
-
-    In `cells_at_depth` order a word w of length L is the base-k numeral of
-    its letters minus one, and covers [idx(w) k^(d-L), (idx(w) + 1) k^(d-L)).
-    A point of Finite(n) is its own index.
-    """
-    if space.kind == stone.FINITE:
-        return cell, cell + 1
-    k = space.size
-    idx = 0
-    for ch in cell:
-        idx = idx * k + int(ch) - 1
-    width = k ** (depth - len(cell))
-    return idx * width, (idx + 1) * width
-
-
 def build_constraints(pres, depth):
     """The invariance system of the word actions up to the depth.
 
@@ -81,13 +66,15 @@ def build_constraints(pres, depth):
     the row mu(s) - mu(a), read straight off the action: no bisection is
     built.  On the shift a pair deeper than the truncation cannot be
     expressed; it is skipped and the system is marked partial.  A row is a
-    sum of +-1 on index ranges; it is built as its sorted nonzero steps,
+    sum of +-1 on the index ranges `stone.leaf_spans` gives s and a over
+    the depth cells; it is built as its sorted nonzero steps,
     deduplicated up to sign in that form, and stored as a dense integer
     tuple.  A note names the canonical word of the pair's arrow.
     """
     space = pres.space
     shift = space.kind == stone.SHIFT
-    cells = tuple(space.cells_at_depth(depth))
+    leaves, span = stone.leaf_spans(space, space.cells_at_depth(depth))
+    cells = tuple(leaves)
     rows = []
     seen = set()
     skipped = []
@@ -102,7 +89,7 @@ def build_constraints(pres, depth):
                 continue
             step = {}  # index -> change of the row's value there
             for sign, c in ((1, s), (-1, a)):
-                start, end = _span(space, c, depth)
+                start, end = span[c]
                 step[start] = step.get(start, 0) + sign
                 step[end] = step.get(end, 0) - sign
             steps = sorted((i, v) for i, v in step.items() if v)
@@ -143,15 +130,13 @@ class StateVector:
             return NotImplemented
         return (self.depth, self.cells, self.values) == (other.depth, other.cells, other.values)
 
-    def value(self, cell):
-        return self.values[self.cells.index(cell)]
-
     def evaluate_clopen(self, clop):
         if clop.space.kind == stone.SHIFT and clop.max_depth() > self.depth:
             raise DepthError("clopen %r deeper than state depth %d" % (list(clop.cells), self.depth))
+        _, span = stone.leaf_spans(clop.space, self.cells)
         total = Fraction(0)
         for c in clop.cells:
-            start, end = _span(clop.space, c, self.depth)
+            start, end = span[c]
             total += sum(self.values[start:end])
         return total
 
@@ -238,9 +223,10 @@ def tarski_report(pres, a, depth, budget=100000):
         eff_depth = max(depth, a.max_depth())
     cs = build_constraints(pres, eff_depth)
     rows, rhs = cs.rows_rhs()
+    _, span = stone.leaf_spans(pres.space, cs.cells)
     objective = [Fraction(0)] * len(cs.cells)
     for cell in a.cells:
-        start, end = _span(pres.space, cell, eff_depth)
+        start, end = span[cell]
         objective[start:end] = [Fraction(1)] * (end - start)
 
     res = simplex.maximize(rows, rhs, objective)

@@ -99,9 +99,9 @@ class UnitSpace(Frozen):
         else:
             if not isinstance(cell, str):
                 raise CellError("shift cell must be a word string, got %r" % (cell,))
-            for ch in cell:
-                if not ("1" <= ch <= str(self.size)):
-                    raise CellError("letter %r out of range for Shift(%d)" % (ch, self.size))
+            rest = cell.lstrip("123456789"[:self.size])  # from the first bad letter on
+            if rest:
+                raise CellError("letter %r out of range for Shift(%d)" % (rest[0], self.size))
         return cell
 
     def cells_at_depth(self, depth):
@@ -116,6 +116,35 @@ class UnitSpace(Frozen):
         for _ in range(depth):
             words = [w + a for w in words for a in self.letters]
         return words
+
+
+def leaf_spans(space, words):
+    """The cell universe of a set of cylinder words, as (leaves, span).
+
+    On the shift the leaves are those of the prefix trie of `words`, which
+    holds every prefix of every word and all k children of each inner
+    node, so they partition the space; they are sorted, and the leaves
+    below a trie node (the root "", each word, each prefix) are
+    consecutive, so span[node] is the range [start, end) of their indices.
+    On the full list of depth-d words the leaves are `cells_at_depth(d)`.
+    On Finite(n) the leaves are the points and span[x] = (x, x + 1).
+    """
+    if space.kind == FINITE:
+        leaves = list(range(space.size))
+        return leaves, {x: (x, x + 1) for x in leaves}
+    inner = set()
+    for w in words:
+        for i in range(len(w) - 1, -1, -1):
+            if w[:i] in inner:  # and so are its shorter prefixes
+                break
+            inner.add(w[:i])
+    letters = space.letters
+    leaves = sorted({p + a for p in inner for a in letters} - inner) if inner else [""]
+    span = {w: (i, i + 1) for i, w in enumerate(leaves)}
+    first, last = letters[0], letters[-1]
+    for p in sorted(inner, key=len, reverse=True):
+        span[p] = (span[p + first][0], span[p + last][1])
+    return leaves, span
 
 
 def _is_prefix(u, v):
@@ -266,10 +295,7 @@ class Clopen(Frozen):
         for c in self.cells:
             if len(c) > depth:
                 raise ValueError("cell %r deeper than %d" % (c, depth))
-            tails = [""]
-            for _ in range(depth - len(c)):
-                tails = [t + a for t in tails for a in self.space.letters]
-            out.extend(c + t for t in tails)
+            out.extend(c + t for t in self.space.cells_at_depth(depth - len(c)))
         return sorted(out)
 
     def __repr__(self):

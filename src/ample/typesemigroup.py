@@ -360,35 +360,19 @@ def _family_slots(fam, depth):
     return slots
 
 
-def _trie_masks(words, letters):
-    """Masks over the leaves of the prefix trie of `words`, keyed by trie node.
-
-    The trie holds every prefix of every word and all k children of each
-    inner node, so its leaves partition the space, and every trie node (the
-    root "" and each word among them) is a union of leaves.
-    """
-    inner = {w[:i] for w in words for i in range(len(w))}
-    leaves = sorted({p + a for p in inner for a in letters} - inner) if inner else [""]
-    bit = {w: 1 << i for i, w in enumerate(leaves)}
-    for p in sorted(inner, key=len, reverse=True):
-        mask = 0
-        for a in letters:
-            mask |= bit[p + a]
-        bit[p] = mask
-    return bit
-
-
 def _compile_pieces(pres, enum, cells, targets):
     """Compile a tiling search onto integer bit masks.
 
-    Returns (options, masks, to_clopen).  options[cell] lists (index into
-    enum, image mask) for every bisection whose domain holds the cell, in
-    enumeration order; masks[j] is the mask of the clopen targets[j]; and
-    to_clopen turns a mask back into a clopen.  On Finite(n) bit x is the
-    point x.  On the shift the bits are the leaves of the prefix trie of the
-    target cells and the image words, so masks grow with the words the
-    search meets, not as k^depth.  Each piece's action is read once; on the
-    shift `shift_image_words` applies it to a cell, which must be no
+    Returns (options, masks, leaves).  options[cell] lists (index into
+    enum, word, image mask) for every bisection whose domain holds the
+    cell, in enumeration order, where word is the canonical word of the
+    one piece of that bisection that holds the cell; masks[j] is the mask
+    of the clopen targets[j].  Bit i is leaves[i] of `stone.leaf_spans`
+    over the target cells and the image words, so a trie node of span
+    [start, end) has the mask (1 << end) - (1 << start): on Finite(n) bit
+    x is the point x, and on the shift masks grow with the words the
+    search meets, not as k^depth.  Each piece's action is read once; on
+    the shift `shift_image_words` applies it to a cell, which must be no
     shallower than any domain cell.
     """
     space = pres.space
@@ -400,52 +384,37 @@ def _compile_pieces(pres, enum, cells, targets):
                 doms = piece.domain.cells
                 for cell in cells:
                     if cell.startswith(doms):
-                        images[cell].append((bi, shift_image_words(act, (cell,))))
+                        images[cell].append((bi, piece.word, shift_image_words(act, (cell,))))
             else:
                 amap = dict(act)
                 for x in piece.domain.cells:
                     if x in images:
-                        images[x].append((bi, [amap[x]]))
-    if shift:
-        words = {w for t in targets for w in t.cells}
-        words.update(w for found in images.values() for _, image in found for w in image)
-        bit = _trie_masks(words, space.letters)
-
-        def to_clopen(mask):
-            # the maximal trie nodes inside the mask are its canonical cells
-            out, stack = [], [""]
-            while stack:
-                node = stack.pop()
-                if mask & bit[node] == bit[node]:
-                    out.append(node)
-                elif mask & bit[node]:
-                    stack.extend(node + a for a in space.letters)
-            return clopen(space, out)
-    else:
-        bit = {x: 1 << x for x in range(space.size)}
-
-        def to_clopen(mask):
-            return clopen(space, [x for x in range(space.size) if mask >> x & 1])
+                        images[x].append((bi, piece.word, [amap[x]]))
+    words = {w for t in targets for w in t.cells}
+    words.update(w for found in images.values() for _, _, image in found for w in image)
+    leaves, span = stone.leaf_spans(space, words)
 
     def mask_of(words):
         mask = 0
         for w in words:
-            mask |= bit[w]
+            start, end = span[w]
+            mask |= (1 << end) - (1 << start)
         return mask
 
-    options = {cell: [(bi, mask_of(image)) for bi, image in found] for cell, found in images.items()}
-    return options, [mask_of(t.cells) for t in targets], to_clopen
+    options = {cell: [(bi, word, mask_of(image)) for bi, word, image in found]
+               for cell, found in images.items()}
+    return options, [mask_of(t.cells) for t in targets], leaves
 
 
 def _search_tiling(pres, f1, f2, depth, budget, exact):
     """The one backtracking search: tile the cells of f1 into f2 by pieces.
 
     The slots are (label of f1, refinement cell) pairs in family order.  A
-    slot's candidates are the (enumerated bisection, label m of f2, image)
-    triples whose image fits inside entry m of f2, filtered once.  At each
-    node the open slot with the fewest candidates that still fit is filled
-    next, ties going to the earlier slot, and every fitting candidate tried
-    costs one unit of budget.  With exact=True the capacity must be
+    slot's candidates are the (piece word, label m of f2, image) triples of
+    the enumerated bisections whose image fits inside entry m of f2,
+    filtered once.  At each node the open slot with the fewest candidates
+    that still fit is filled next, ties going to the earlier slot, and
+    every fitting candidate tried costs one unit of budget.  With exact=True the capacity must be
     consumed entirely (equivalence); otherwise leftovers become the
     remainder of a <= certificate.  The backtracking keeps an explicit
     stack, so the slot count is not capped by Python's recursion limit.
@@ -455,8 +424,8 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
     enum = pres.enumeration(depth).bisections
     slots = _family_slots(f1, _cell_depth(pres, [f1, f2], enum))
     cells = list(dict.fromkeys(cell for _, cell in slots))
-    options, masks, to_clopen = _compile_pieces(pres, enum, cells, f2.entries)
-    fitting = {cell: [(bi, m, image) for bi, image in options[cell]
+    options, masks, leaves = _compile_pieces(pres, enum, cells, f2.entries)
+    fitting = {cell: [(word, m, image) for _, word, image in options[cell]
                       for m, mask in zip(f2.labels, masks) if image & mask == image]
                for cell in cells}
     candidates = [fitting[cell] for _, cell in slots]
@@ -516,11 +485,14 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
     if status != "found":
         return SearchOutcome(None, status, stats), None
     space = pres.space
+    # the chosen bisection restricted to the cell is its one piece there
     triples = tuple(
-        (enum[bi].restrict(clopen(space, [cell])), label, m)
-        for (bi, m, _), (label, cell) in zip(chosen, slots)
+        (Bisection(pres, [(word, clopen(space, [cell]))]), label, m)
+        for (word, m, _), (label, cell) in zip(chosen, slots)
     )
-    left = {m: to_clopen(mask) for m, mask in remaining.items()}
+    # bit i of a mask is leaves[i]; reversed(bin(mask)) reads it bit 0 first
+    left = {m: clopen(space, [w for w, b in zip(leaves, reversed(bin(mask))) if b == "1"])
+            for m, mask in remaining.items()}
     return SearchOutcome(EquivCertificate(triples), "found", stats), left
 
 

@@ -15,6 +15,9 @@ PRESENTATIONS = ("cuntz:2", "cuntz:3", "pair:4", "rotation:3:table", "odometer:3
 # one element with pieces 11->21 and 12->22: its canonical domain "1" is
 # shallower than its strips
 SPLIT = gpd.Presentation(UnitSpace.shift(2), [gpd.GroupElement("g", (("11", "21"), ("12", "22")))])
+# principal, two generators on the arrow 0->1: the pieces of the word of the
+# second carry different canonical words
+TWO_WAYS = gpd.finite_groupoid(4, [((0, 1),), ((0, 1), (2, 3))])
 
 
 def _random_clopen(rng, space):
@@ -27,6 +30,18 @@ def _random_clopen(rng, space):
 
 def _random_family(rng, space):
     return ts.normalize(space, [(_random_clopen(rng, space), i + 1) for i in range(rng.randint(1, 2))])
+
+
+def _decoder(space, leaves):
+    """The clopen of a compiled mask: the union of the leaves of its bits."""
+    def to_clopen(mask):
+        words = []
+        while mask:  # one step per set bit, lowest first
+            low = mask & -mask
+            words.append(leaves[low.bit_length() - 1])
+            mask ^= low
+        return clopen(space, words)
+    return to_clopen
 
 
 def _check_stats(out, budget):
@@ -70,8 +85,8 @@ def test_every_hit_verifies(alias):
     assert hits >= 12  # f ~ f is always found
 
 
-@pytest.mark.parametrize("pres", [gpd.builtin(alias) for alias in PRESENTATIONS] + [SPLIT],
-                         ids=list(PRESENTATIONS) + ["split-domain"])
+@pytest.mark.parametrize("pres", [gpd.builtin(alias) for alias in PRESENTATIONS] + [SPLIT, TWO_WAYS],
+                         ids=list(PRESENTATIONS) + ["split-domain", "two-ways"])
 def test_compiled_images_match_the_bisection_calculus(pres):
     # the candidates of a cell are the bisections whose domain holds it, in
     # enumeration order, and each image mask is the image under `apply`
@@ -80,15 +95,18 @@ def test_compiled_images_match_the_bisection_calculus(pres):
     a = whole(space)
     cells = a.expand(ts._cell_depth(pres, [ts.family_of(a)], enum))
     target = clopen(space, cells[: len(cells) // 2 + 1])
-    options, masks, to_clopen = ts._compile_pieces(pres, enum, cells, [a, target])
+    options, masks, leaves = ts._compile_pieces(pres, enum, cells, [a, target])
+    to_clopen = _decoder(space, leaves)
     assert [to_clopen(m) for m in masks] == [a, target]
     for cell in cells:
         cc = clopen(space, [cell])
-        assert [bi for bi, _ in options[cell]] == [
+        assert [bi for bi, _, _ in options[cell]] == [
             bi for bi, b in enumerate(enum) if cc.subset_of(b.dom())
         ]
-        for bi, image in options[cell]:
+        for bi, word, image in options[cell]:
             assert to_clopen(image) == enum[bi].apply(cc)
+            # the recorded piece is the bisection restricted to the cell
+            assert gpd.Bisection(pres, [(word, cc)]) == enum[bi].restrict(cc)
 
 
 def test_chosen_pieces_are_restricted_to_their_cell():
@@ -116,8 +134,9 @@ def test_masks_grow_with_the_words_met_not_with_depth():
     assert px.verify_witness(c9, out.certificate).ok
     enum = gpd.enumerate_bisections(c9, 2).bisections
     cells = a.expand(ts._cell_depth(c9, [ts.family_of(a)], enum))
-    options, masks, to_clopen = ts._compile_pieces(c9, enum, cells, [a])
-    images = [m for found in options.values() for _, m in found]
+    options, masks, leaves = ts._compile_pieces(c9, enum, cells, [a])
+    to_clopen = _decoder(c9.space, leaves)
+    images = [m for found in options.values() for _, _, m in found]
     words = {w for m in images for w in to_clopen(m).cells}
     words.update(a.cells)
     assert max(m.bit_length() for m in images + masks) <= 9 * len(words)
@@ -163,3 +182,26 @@ def test_slot_count_is_not_capped_by_the_recursion_limit():
         sys.setrecursionlimit(limit)
     assert out.status == "found"
     assert out.stats.nodes == out.stats.cells == 300
+
+
+@pytest.mark.parametrize("alias", ("trivial:300", "pair:5", "cuntz:2"))
+def test_found_tilings_restrict_no_bisection(alias, monkeypatch):
+    # each chosen triple is built from the one piece that holds its cell;
+    # restricting the whole bisection to a point of trivial:300 would
+    # intersect all 300 of its pieces
+    def refuse(self, dom_part):
+        raise AssertionError("Bisection.restrict called")
+
+    monkeypatch.setattr(gpd.Bisection, "restrict", refuse)
+    pres = gpd.builtin(alias)
+    a = whole(pres.space)
+    f = ts.family_of(a)
+    out = ts.search_equiv(pres, f, f, 1)
+    assert out.status == "found"
+    assert ts.verify_equiv(pres, f, f, out.certificate).ok
+    if pres.space.kind == FINITE:
+        a = clopen(pres.space, range(pres.space.size - 1))
+    found = px.search_witness(pres, a, 2, 1, 2, budget=2000)
+    assert found.status in ("found", "exhausted", "budget")
+    if found.status == "found":
+        assert px.verify_witness(pres, found.certificate).ok

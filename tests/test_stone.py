@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -80,6 +81,21 @@ def test_boolean_dispatch_and_errors():
         clopen(S2, ["13"])
     with pytest.raises(stone.CellError):
         clopen(F3, [3])
+
+
+def test_shift_cells_name_their_first_bad_letter():
+    rng = random.Random(5)
+    chars = "0123456789a\u0661"
+    for _ in range(400):
+        space = UnitSpace.shift(rng.randint(2, 9))
+        word = "".join(rng.choice(chars) for _ in range(rng.randint(0, 4)))
+        bad = [ch for ch in word if not "1" <= ch <= str(space.size)]
+        if not bad:
+            assert space.check_cell(word) == word
+            continue
+        with pytest.raises(stone.CellError) as err:
+            space.check_cell(word)
+        assert str(err.value) == "letter %r out of range for Shift(%d)" % (bad[0], space.size)
 
 
 def _random_clopen(rng, space):
@@ -165,3 +181,67 @@ def test_sum_cells_random():
                     got = sum(v for c, v in items if w.startswith(c))
                 assert got == want
             assert stone.sum_cells(space, _redecompose(rng, space, pairs)) == items
+
+
+# -- the cell universe ---------------------------------------------------------
+
+
+def _index_span(space, cell, depth):
+    """[start, end) of the depth cells inside `cell` by index arithmetic: in
+    `cells_at_depth` order a word w of length L is the base-k numeral of its
+    letters minus one and covers [idx(w) k^(d-L), (idx(w) + 1) k^(d-L))."""
+    k = space.size
+    idx = 0
+    for ch in cell:
+        idx = idx * k + int(ch) - 1
+    width = k ** (depth - len(cell))
+    return idx * width, (idx + 1) * width
+
+
+def _random_words(rng, space):
+    return [
+        "".join(rng.choice(space.letters) for _ in range(rng.randint(0, 5)))
+        for _ in range(rng.randint(0, 8))
+    ]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_leaf_spans_partition_the_shift_random(k):
+    space = UnitSpace.shift(k)
+    rng = random.Random(k)
+    for _ in range(150):
+        words = _random_words(rng, space)
+        leaves, span = stone.leaf_spans(space, words)
+        assert leaves == sorted(leaves)
+        # pairwise disjoint cylinders whose measures add up to the whole
+        for i, a in enumerate(leaves):
+            assert not any(b.startswith(a) or a.startswith(b) for b in leaves[i + 1:])
+        assert sum(Fraction(1, k ** len(w)) for w in leaves) == 1
+        # every word and each of its prefixes is a node of the trie
+        assert {w[:i] for w in words for i in range(len(w) + 1)} <= set(span)
+        for node, (start, end) in span.items():
+            assert [i for i, w in enumerate(leaves) if w.startswith(node)] == list(range(start, end))
+            if end - start > 1:  # an inner node has all k children
+                assert all(node + a in span for a in space.letters)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_leaf_spans_of_the_depth_cells_are_the_index_ranges(k):
+    space = UnitSpace.shift(k)
+    for d in range(7):
+        cells = space.cells_at_depth(d)
+        leaves, span = stone.leaf_spans(space, cells)
+        assert leaves == cells
+        words = [w for n in range(d + 1) for w in space.cells_at_depth(n)]
+        assert sorted(span) == sorted(words)
+        for w in words:
+            assert span[w] == _index_span(space, w, d)
+
+
+def test_leaf_spans_of_a_finite_space_are_its_points():
+    for n in (1, 3, 7):
+        space = UnitSpace.finite(n)
+        for words in ([], [0], list(range(n))):
+            leaves, span = stone.leaf_spans(space, words)
+            assert leaves == list(range(n))
+            assert span == {x: (x, x + 1) for x in range(n)}
