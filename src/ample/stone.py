@@ -132,12 +132,7 @@ def leaf_spans(space, words):
     if space.kind == FINITE:
         leaves = list(range(space.size))
         return leaves, {x: (x, x + 1) for x in leaves}
-    inner = set()
-    for w in words:
-        for i in range(len(w) - 1, -1, -1):
-            if w[:i] in inner:  # and so are its shorter prefixes
-                break
-            inner.add(w[:i])
+    inner = {w[:i] for w in words for i in range(len(w))}
     letters = space.letters
     leaves = sorted({p + a for p in inner for a in letters} - inner) if inner else [""]
     span = {w: (i, i + 1) for i, w in enumerate(leaves)}
