@@ -51,6 +51,9 @@ def _parse_set(pres, spec):
     if spec == "whole":
         return stone.whole(pres.space)
     parts = [part.strip() for part in spec.split(",")]
+    if "" in parts:
+        # on the shift the empty word would name the whole space
+        raise stone.CellError("--set %r: empty item; write whole for the whole space" % spec)
     try:
         cells = [int(part) for part in parts] if pres.space.kind == stone.FINITE else parts
         return stone.clopen(pres.space, cells)
@@ -217,12 +220,17 @@ def cmd_dichotomy(args):
         "note": rep.note,
         "almost_unperforation_counterexample": probe.almost_unperforation,
     }
+    side = rep.outcome
+    if side == "state" and rep.partial:
+        # the skipped pieces have no invariance row behind the state
+        side = "inconclusive"
+        report["note"] = "a state of a partial system: pieces too deep for this depth were skipped"
     lines = ["minimal: %s" % report["minimal"]]
-    if rep.outcome == "state":
+    if side == "state":
         report["side"] = "stably finite at this depth: faithful trace candidate exists"
         report["state"] = serialize.encode_state(rep.state)
         lines.append("whole space admits an invariant state: stably finite side")
-    elif rep.outcome == "paradox":
+    elif side == "paradox":
         report["side"] = "purely infinite at this depth: unit space is paradoxical"
         report["witness"] = serialize.encode_witness(rep.witness)
         lines.append("whole space is paradoxical: purely infinite side")
@@ -230,7 +238,7 @@ def cmd_dichotomy(args):
         report["side"] = "inconclusive"
         lines.append("inconclusive at this depth")
     _emit(args, report, lines)
-    return EXIT_OK if rep.outcome in ("state", "paradox") else EXIT_INCONCLUSIVE
+    return EXIT_OK if side in ("state", "paradox") else EXIT_INCONCLUSIVE
 
 
 def cmd_orbits(args):
@@ -274,7 +282,7 @@ def cmd_isometries(args):
         if args.matrix:
             mats, rep = convalg.matrix_isometries(pres, w)
         else:
-            f, g, rep = convalg.isometries_from_witness(pres, paradox.disjointify(pres, w))
+            f, g, rep = convalg.isometries_from_witness(pres, w)
     except convalg.DepthOverflow as exc:
         report = {
             "command": "isometries",

@@ -218,17 +218,19 @@ def unit_proj_leq(p, q):
 
 
 def isometries_from_witness(pres, witness):
-    """The pair f, g with f*f = g*g = 1_A and ff* + gg* <= 1_A, checked exactly."""
+    """The pair f, g with f*f = g*g = 1_A and ff* + gg* <= 1_A, checked exactly.
+
+    The witness is verified as given, then its rows are made disjoint.
+    """
     res = px.verify_witness(pres, witness)
     if not res:
         raise AlgebraError("witness does not verify: %s" % res.reason)
     if (witness.k, witness.l) != (2, 1):
         raise AlgebraError("the two-isometry construction needs a (2,1) witness")
-    if not px.rows_disjoint(witness):
-        raise AlgebraError("rows are not disjoint; apply disjointify first")
-    one_a = unit_indicator(pres, witness.a)
+    w = px.disjointify(pres, witness)
+    one_a = unit_indicator(pres, w.a)
     elems = []
-    for row in witness.rows:
+    for row in w.rows:
         f = zero(pres)
         for bis, _ in row:
             f = add(f, bisection_indicator(pres, bis))

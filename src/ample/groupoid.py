@@ -19,7 +19,7 @@ carries the merged maximal domain per word.
 from __future__ import annotations
 
 from . import stone
-from .stone import Frozen, UnitSpace, clopen, empty, whole
+from .stone import Frozen, Record, UnitSpace, clopen, empty, whole
 
 
 class PresentationError(ValueError):
@@ -109,51 +109,17 @@ class PrefixMap(Frozen):
 
     __slots__ = ("alpha", "beta")
 
-    def __init__(self, alpha, beta):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.alpha == other.alpha and self.beta == other.beta
-
-    def __hash__(self):
-        return hash((self.alpha, self.beta))
-
 
 class PartialInjection(Frozen):
+    # pairs: ((src, tgt), ...)
     __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        object.__setattr__(self, "pairs", pairs)  # ((src, tgt), ...)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash((self.pairs,))
 
 
 class GroupElement(Frozen):
     """A labeled generator acting by finitely many disjoint pieces."""
 
+    # pieces: (strip, add) pairs on the shift, (src, tgt) on finite
     __slots__ = ("label", "pieces")
-
-    def __init__(self, label, pieces):
-        object.__setattr__(self, "label", label)
-        # (strip, add) pairs on the shift, (src, tgt) on finite
-        object.__setattr__(self, "pieces", pieces)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.label == other.label and self.pieces == other.pieces
-
-    def __hash__(self):
-        return hash((self.label, self.pieces))
 
 
 def _generator_action(gen, space):
@@ -208,18 +174,6 @@ class Table(Frozen):
     """
 
     __slots__ = ("products", "gen_elements")
-
-    def __init__(self, products, gen_elements):
-        object.__setattr__(self, "products", products)
-        object.__setattr__(self, "gen_elements", gen_elements)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.products == other.products and self.gen_elements == other.gen_elements
-
-    def __hash__(self):
-        return hash((self.products, self.gen_elements))
 
     @property
     def size(self):
@@ -490,19 +444,8 @@ def _check_same(a, b):
 
 
 class ArrowPiece(Frozen):
+    # domain: a Clopen
     __slots__ = ("word", "domain")
-
-    def __init__(self, word, domain):
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "domain", domain)  # a Clopen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.word == other.word and self.domain == other.domain
-
-    def __hash__(self):
-        return hash((self.word, self.domain))
 
 
 def _cells_overlap(space, clopens):
@@ -665,16 +608,8 @@ def from_word(pres, word, domain=None):
 # enumeration and saturation
 
 
-class Enumeration:
+class Enumeration(Record):
     __slots__ = ("bisections",)
-
-    def __init__(self, bisections):
-        self.bisections = bisections
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bisections == other.bisections
 
 
 def enumerate_words(pres, depth):

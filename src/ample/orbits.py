@@ -14,6 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import stone
+from .stone import Record
 from .groupoid import PRINCIPAL, Table
 
 # The most orbits whose invariant subsets are enumerated (2 ** n of them).
@@ -33,12 +34,9 @@ def _require_finite(pres):
         raise NotFiniteError("orbit computations need a finite space")
 
 
-class OrbitPartition:
+class OrbitPartition(Record):
+    # blocks: sorted tuples of points; block_of: point -> block index
     __slots__ = ("blocks", "block_of")
-
-    def __init__(self, blocks, block_of):
-        self.blocks = blocks  # sorted tuples of points
-        self.block_of = block_of  # point -> block index
 
     @property
     def count(self):
@@ -93,12 +91,9 @@ def invariant_lattice(pres):
     return InvariantLattice(part, tuple(subsets))
 
 
-class InvariantLattice:
+class InvariantLattice(Record):
+    # orbits: an OrbitPartition
     __slots__ = ("orbits", "subsets")
-
-    def __init__(self, orbits, subsets):
-        self.orbits = orbits  # an OrbitPartition
-        self.subsets = subsets
 
     @property
     def size(self):
@@ -132,14 +127,12 @@ def is_principal(pres):
 # the finite groupoid algebra
 
 
-class FiniteAlgebra:
+class FiniteAlgebra(Record):
     """Arrow basis of a finite principal groupoid with exact structure data."""
 
+    # arrows: (src, tgt) pairs grouped by orbit; products: (i, j) -> k,
+    # missing when the product vanishes
     __slots__ = ("arrows", "products")
-
-    def __init__(self, arrows, products):
-        self.arrows = arrows  # (src, tgt) pairs grouped by orbit
-        self.products = products  # (i, j) -> k, missing when the product vanishes
 
     def product(self, i, j):
         return self.products.get((i, j))

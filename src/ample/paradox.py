@@ -15,8 +15,8 @@ state certificate on the states side.
 from __future__ import annotations
 
 from . import stone
-from .stone import clopen, empty
-from .groupoid import Bisection, identity_bisection, from_word
+from .stone import Record, clopen, empty
+from .groupoid import Bisection, from_word
 from . import typesemigroup as ts
 from .typesemigroup import (
     EquivCertificate,
@@ -25,7 +25,6 @@ from .typesemigroup import (
     VerifyResult,
     family_of,
     multiple,
-    normalize_with_map,
 )
 
 
@@ -33,19 +32,9 @@ class WitnessError(ValueError):
     pass
 
 
-class ParadoxWitness:
+class ParadoxWitness(Record):
+    # a: a Clopen; rows: k tuples of (Bisection, label in 1..l)
     __slots__ = ("a", "k", "l", "rows")
-
-    def __init__(self, a, k, l, rows):
-        self.a = a  # a Clopen
-        self.k = k
-        self.l = l
-        self.rows = rows  # k tuples of (Bisection, label in 1..l)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.k, self.l, self.rows) == (other.a, other.k, other.l, other.rows)
 
     def presentation(self):
         for row in self.rows:
@@ -103,17 +92,6 @@ def disjointify(pres, w):
     return ParadoxWitness(w.a, w.k, w.l, tuple(rows))
 
 
-def rows_disjoint(w):
-    for row in w.rows:
-        seen = None
-        for bis, _ in row:
-            d = bis.dom()
-            if seen is not None and not seen.disjoint_from(d):
-                return False
-            seen = d if seen is None else seen.union(d)
-    return True
-
-
 def witness_to_leq(pres, w):
     """The certificate k[A] <= l[A] read off a verifying witness."""
     res = verify_witness(pres, w)
@@ -127,13 +105,9 @@ def witness_to_leq(pres, w):
         for bis, m in row:
             triples.append((bis, i, m))
             taken[m] = taken[m].union(bis.ran())
-    pairs = [(w.a.difference(taken[m]), m) for m in range(1, w.l + 1)]
-    remainder, rmap = normalize_with_map(pres.space, pairs)
-    for m in range(1, w.l + 1):
-        rest = w.a.difference(taken[m])
-        if not rest.is_empty:
-            triples.append((identity_bisection(pres, rest), w.k + rmap[m], m))
-    cert = LeqCertificate(remainder, EquivCertificate(tuple(triples)))
+    leftover = {m: w.a.difference(ran) for m, ran in taken.items()}
+    remainder, rest = ts.leftover_remainder(pres, leftover, w.k)
+    cert = LeqCertificate(remainder, EquivCertificate(tuple(triples) + rest))
     check = ts.verify_leq(pres, multiple(fam_a, w.k), multiple(fam_a, w.l), cert)
     if not check:
         raise WitnessError("internal: constructed certificate fails: %s" % check.reason)

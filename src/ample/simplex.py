@@ -38,76 +38,38 @@ import math
 import operator
 from fractions import Fraction
 
+from .stone import Record
 
-class Stats:
+
+class Stats(Record):
     """Deterministic work counts of one solve."""
 
+    # rows: input rows; rows_kept: rows left after presolve; pivots: over
+    # both phases
     __slots__ = ("rows", "rows_kept", "cols", "pivots")
 
-    def __init__(self, rows, rows_kept, cols, pivots):
-        self.rows = rows  # input rows
-        self.rows_kept = rows_kept  # rows left after presolve
-        self.cols = cols
-        self.pivots = pivots  # over both phases
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rows, self.rows_kept, self.cols, self.pivots) == (
-            other.rows, other.rows_kept, other.cols, other.pivots)
-
-
-# The outcomes below compare by value; their stats, the work one solve did,
-# take no part in ==.
-
-
-class Feasible:
+class Feasible(Record):
     __slots__ = ("x", "stats")
-
-    def __init__(self, x, stats=None):
-        self.x = x
-        self.stats = stats
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.x == other.x
+    _defaults = {"stats": None}
+    _uncompared = ("stats",)
 
 
-class Infeasible:
+class Infeasible(Record):
+    # y: one multiplier per input row
     __slots__ = ("y", "stats")
-
-    def __init__(self, y, stats=None):
-        self.y = y  # one multiplier per input row
-        self.stats = stats
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.y == other.y
+    _defaults = {"stats": None}
+    _uncompared = ("stats",)
 
 
-class Optimal:
+class Optimal(Record):
     __slots__ = ("x", "value", "stats")
-
-    def __init__(self, x, value, stats=None):
-        self.x = x
-        self.value = value
-        self.stats = stats
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.x == other.x and self.value == other.value
+    _defaults = {"stats": None}
+    _uncompared = ("stats",)
 
 
-class Unbounded:
+class Unbounded(Record):
     __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return True
 
 
 _ZERO = Fraction(0)

@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 
 from . import simplex, stone
-from .stone import clopen
+from .stone import Record, clopen
 from .groupoid import enumerate_words, word_str
 from . import typesemigroup as ts
 from . import paradox as px
@@ -39,16 +39,9 @@ class DepthError(ValueError):
     """A set or element is not expressible at the truncation depth."""
 
 
-class ConstraintSystem:
+class ConstraintSystem(Record):
+    # equalities: ((coefficients per cell), provenance string)
     __slots__ = ("pres", "depth", "cells", "equalities", "partial", "skipped")
-
-    def __init__(self, pres, depth, cells, equalities, partial, skipped):
-        self.pres = pres
-        self.depth = depth
-        self.cells = cells
-        self.equalities = equalities  # ((coefficients per cell), provenance string)
-        self.partial = partial
-        self.skipped = skipped
 
     def rows_rhs(self):
         """The integer rows and rhs of the system, normalization last."""
@@ -114,21 +107,12 @@ def _arrow_str(pres, word, src):
     return word_str(pres.canonical_word(pres.piece_key(word, src)))
 
 
-class StateVector:
-    """Compares by value; the stats of the solve take no part in ==."""
-
+class StateVector(Record):
+    # values: Fractions aligned with cells; stats: a simplex.Stats, set by
+    # solve_state
     __slots__ = ("depth", "cells", "values", "stats")
-
-    def __init__(self, depth, cells, values, stats=None):
-        self.depth = depth
-        self.cells = cells
-        self.values = values  # Fractions aligned with cells
-        self.stats = stats  # a simplex.Stats, set by solve_state
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.depth, self.cells, self.values) == (other.depth, other.cells, other.values)
+    _defaults = {"stats": None}
+    _uncompared = ("stats",)
 
     def evaluate_clopen(self, clop):
         if clop.space.kind == stone.SHIFT and clop.max_depth() > self.depth:
@@ -141,21 +125,12 @@ class StateVector:
         return total
 
 
-class FarkasCertificate:
-    """Compares by value; the stats of the solve take no part in ==."""
-
+class FarkasCertificate(Record):
+    # normalization_multiplier: a Fraction; stats: a simplex.Stats, set by
+    # solve_state
     __slots__ = ("equality_multipliers", "normalization_multiplier", "stats")
-
-    def __init__(self, equality_multipliers, normalization_multiplier, stats=None):
-        self.equality_multipliers = equality_multipliers
-        self.normalization_multiplier = normalization_multiplier  # a Fraction
-        self.stats = stats  # a simplex.Stats, set by solve_state
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.equality_multipliers == other.equality_multipliers
-                and self.normalization_multiplier == other.normalization_multiplier)
+    _defaults = {"stats": None}
+    _uncompared = ("stats",)
 
 
 def solve_state(cs):
@@ -196,21 +171,13 @@ def evaluate(sv, family):
 # the Tarski dichotomy at a truncation
 
 
-class TarskiReport:
+class TarskiReport(Record):
+    # outcome: state | paradox | inconclusive; stats: a simplex.Stats of
+    # the state LP
     __slots__ = ("outcome", "depth", "state", "scale", "witness", "farkas", "partial", "note",
                  "stats")
-
-    def __init__(self, outcome, depth, state=None, scale=None, witness=None, farkas=None,
-                 partial=False, note="", stats=None):
-        self.outcome = outcome  # state | paradox | inconclusive
-        self.depth = depth
-        self.state = state
-        self.scale = scale
-        self.witness = witness
-        self.farkas = farkas
-        self.partial = partial
-        self.note = note
-        self.stats = stats  # a simplex.Stats of the state LP
+    _defaults = {"state": None, "scale": None, "witness": None, "farkas": None,
+                 "partial": False, "note": "", "stats": None}
 
 
 def tarski_report(pres, a, depth, budget=100000):
@@ -262,15 +229,9 @@ def tarski_report(pres, a, depth, budget=100000):
 # order-unit and almost-unperforation probing
 
 
-class ProbeReport:
+class ProbeReport(Record):
+    # almost_unperforation: None or a budget-relative counterexample dict
     __slots__ = ("depth", "seed", "order_unit", "almost_unperforation")
-
-    def __init__(self, depth, seed, order_unit, almost_unperforation):
-        self.depth = depth
-        self.seed = seed
-        self.order_unit = order_unit
-        # None or a budget-relative counterexample dict
-        self.almost_unperforation = almost_unperforation
 
 
 def _random_clopen(rng, space, depth):

@@ -12,9 +12,15 @@ The same canonical form serves the coefficient maps of the convolution
 algebra, which are stored as the items of `sum_cells`.
 
 All values are immutable; every operation is a pure function.
+
+`Record` is the base of the package's records and `Frozen` that of its
+hashed values: each derives construction, == and hashing from its
+`__slots__`.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 FINITE = "finite"
@@ -32,12 +38,77 @@ class CellError(ValueError):
     """A cell does not belong to the given unit space."""
 
 
-class Frozen:
-    """Base of the immutable values, which are hashed and shared.
+class Record:
+    """Base of the records: fields from `__slots__`, == by value.
 
-    Each subclass declares its fields as `__slots__` and sets them once, in
-    `__init__`, past this class's `__setattr__` (by `object.__setattr__`);
-    assigning or deleting a field later raises AttributeError.
+    A subclass lists its fields in `__slots__`.  They are passed by position
+    in that order or by keyword; a field left out takes its value from the
+    class's `_defaults`, and a missing, unknown, repeated or extra argument
+    raises TypeError.  Two records are equal when they are of the same
+    class and equal on every field not in `_uncompared`; a record of
+    another class gives NotImplemented.  A record is unhashable unless it
+    is `Frozen`.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+    _uncompared = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__slots__
+        # a slot's own setter gets past Frozen.__setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+        compared = tuple(name for name in fields if name not in cls._uncompared)
+        # the tuple of the compared fields; attrgetter gives one only for two or more
+        cls._key = staticmethod(attrgetter(*compared) if len(compared) > 1 else
+                                lambda record: tuple([getattr(record, name) for name in compared]))
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values in slot order, from positions, keywords and defaults."""
+        fields = cls.__slots__
+        name = cls.__name__
+        if len(args) > len(fields):
+            raise TypeError("%s takes %d fields, got %d" % (name, len(fields), len(args)))
+        rest = fields[len(args):]
+        for field in kwargs:
+            if field not in rest:
+                raise TypeError("%s got %s field %r" % (
+                    name, "a repeated" if field in fields else "an unknown", field))
+        values = list(args)
+        for field in rest:
+            if field in kwargs:
+                values.append(kwargs[field])
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
+            else:
+                raise TypeError("%s is missing field %r" % (name, field))
+        return values
+
+    def __eq__(self, other):
+        # the searches mostly compare a shared UnitSpace with itself
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+
+class Frozen(Record):
+    """Base of the immutable records, which are hashed and shared.
+
+    Their fields are set once, by the constructor; assigning or deleting a
+    field later raises AttributeError.  The hash is that of the compared
+    fields as a tuple.
     """
 
     __slots__ = ()
@@ -47,6 +118,9 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r of %s" % (name, type(self).__name__))
+
+    def __hash__(self):
+        return hash(self._key(self))
 
 
 class UnitSpace(Frozen):
@@ -63,16 +137,7 @@ class UnitSpace(Frozen):
                 )
         else:
             raise ValueError("unknown space kind %r" % (kind,))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.size == other.size
-
-    def __hash__(self):
-        return hash((self.kind, self.size))
+        super().__init__(kind, size)
 
     def __repr__(self):
         return "UnitSpace(kind=%r, size=%r)" % (self.kind, self.size)
@@ -177,28 +242,22 @@ def merge_siblings(vals, letters):
 def sum_cells(space, pairs):
     """The canonical items of the sum of (cell, value) pairs, zeros dropped.
 
-    The cells may overlap.  On the shift the sum is refined to the cells
-    below which no input cell lies, and then merged by `merge_siblings`.
+    The cells may overlap.  On the shift the sum is refined to the leaves
+    of `leaf_spans` over the cells, each the sum of the values of the cells
+    above it, and then merged by `merge_siblings`.
     """
     vals = {}
     for c, v in pairs:
         vals[c] = vals.get(c, 0) + v
     if space.kind == FINITE:
         return sorted((c, v) for c, v in vals.items() if v)
-    out = {}
-
-    def split(word, base, below):
-        # base: the sum of the input cells containing cylinder(word);
-        # below: the input cells strictly inside it
-        if below:
-            for a in space.letters:
-                kid = word + a
-                split(kid, base + vals.get(kid, 0), [c for c in below if c.startswith(kid) and c != kid])
-        elif base:
-            out[word] = base
-
-    split("", vals.get("", 0), [c for c in vals if c])
-    return merge_siblings(out, space.letters)
+    leaves, span = leaf_spans(space, vals)
+    total = [0] * len(leaves)
+    for c, v in vals.items():
+        start, end = span[c]
+        for i in range(start, end):
+            total[i] += v
+    return merge_siblings({w: t for w, t in zip(leaves, total) if t}, space.letters)
 
 
 class Clopen(Frozen):
@@ -209,14 +268,6 @@ class Clopen(Frozen):
     def __init__(self, space, cells):
         _set_space(self, space)
         _set_cells(self, cells)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.space == other.space and self.cells == other.cells
-
-    def __hash__(self):
-        return hash((self.space, self.cells))
 
     # -- basic predicates -------------------------------------------------
 
@@ -297,10 +348,8 @@ class Clopen(Frozen):
         return "Clopen(%s)" % (list(self.cells),)
 
 
-# The searches build Clopens in bulk; a slot's own setter gets past
-# Frozen.__setattr__ at about a third of the cost of object.__setattr__.
-_set_space = Clopen.space.__set__
-_set_cells = Clopen.cells.__set__
+# The searches build Clopens in bulk, past Record's generic constructor.
+_set_space, _set_cells = Clopen._setters
 
 
 def _same_space(a, b):

@@ -16,7 +16,7 @@ inequivalence.
 from __future__ import annotations
 
 from . import stone
-from .stone import Frozen, clopen, empty
+from .stone import Frozen, Record, clopen, empty
 from .groupoid import Bisection, identity_bisection, shift_image_words
 
 
@@ -31,19 +31,8 @@ class FamilyError(ValueError):
 class LabeledFamily(Frozen):
     """Canonical form: nonempty clopens only, labels 1..m, sorted by label."""
 
+    # entries[i] is the clopen labeled i+1
     __slots__ = ("space", "entries")
-
-    def __init__(self, space, entries):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "entries", entries)  # entries[i] is the clopen labeled i+1
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.space == other.space and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.space, self.entries))
 
     @property
     def labels(self):
@@ -113,24 +102,14 @@ def multiple(f, n):
 # equivalence certificates
 
 
-class EquivCertificate:
+class EquivCertificate(Record):
+    # triples: ((Bisection, n, m), ...)
     __slots__ = ("triples",)
 
-    def __init__(self, triples):
-        self.triples = triples  # ((Bisection, n, m), ...)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.triples == other.triples
-
-
-class VerifyResult:
+class VerifyResult(Record):
     __slots__ = ("ok", "reason")
-
-    def __init__(self, ok, reason=""):
-        self.ok = ok
-        self.reason = reason
+    _defaults = {"reason": ""}
 
     def __bool__(self):
         return self.ok
@@ -224,17 +203,9 @@ def sum_cert(pres, fa, fb, fc, fd, c1, c2):
 # the preorder
 
 
-class LeqCertificate:
+class LeqCertificate(Record):
+    # remainder: a LabeledFamily; equivalence: an EquivCertificate
     __slots__ = ("remainder", "equivalence")
-
-    def __init__(self, remainder, equivalence):
-        self.remainder = remainder  # a LabeledFamily
-        self.equivalence = equivalence  # an EquivCertificate
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.remainder == other.remainder and self.equivalence == other.equivalence
 
 
 def verify_leq(pres, f1, f2, cert):
@@ -304,7 +275,7 @@ class SearchBudget:
         return self.used <= self.limit
 
 
-class SearchStats:
+class SearchStats(Record):
     """Deterministic work counts of one search.
 
     nodes counts the candidates tried that fit, so it never exceeds the
@@ -315,28 +286,13 @@ class SearchStats:
 
     __slots__ = ("nodes", "budget", "cells", "candidates")
 
-    def __init__(self, nodes, budget, cells, candidates):
-        self.nodes = nodes
-        self.budget = budget
-        self.cells = cells
-        self.candidates = candidates
 
-
-class SearchOutcome:
-    """Compares by value; the stats of the search take no part in ==."""
-
+class SearchOutcome(Record):
+    # certificate: an EquivCertificate, LeqCertificate or ParadoxWitness, or
+    # None; status: found | exhausted | budget; stats: a SearchStats
     __slots__ = ("certificate", "status", "stats")
-
-    def __init__(self, certificate, status, stats=None):
-        # an EquivCertificate, LeqCertificate or ParadoxWitness, or None
-        self.certificate = certificate
-        self.status = status  # found | exhausted | budget
-        self.stats = stats  # a SearchStats
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.certificate == other.certificate and self.status == other.status
+    _defaults = {"stats": None}
+    _uncompared = ("stats",)
 
 
 def _cell_depth(pres, families, enum):
@@ -511,16 +467,21 @@ def search_leq(pres, f1, f2, depth, budget=100000):
     outcome, remaining = _search_tiling(pres, f1, f2, depth, budget, exact=False)
     if outcome.status != "found":
         return outcome
-    pairs = [(remaining[m], m) for m in sorted(remaining)]
-    remainder, _ = normalize_with_map(pres.space, pairs)
-    shift = len(f1.entries)
-    triples = list(outcome.certificate.triples)
-    rank = 0
-    for m in sorted(remaining):
-        if remaining[m].is_empty:
-            continue
-        rank += 1
-        triples.append((identity_bisection(pres, remaining[m]), shift + rank, m))
-    return SearchOutcome(
-        LeqCertificate(remainder, EquivCertificate(tuple(triples))), "found", outcome.stats
-    )
+    remainder, rest = leftover_remainder(pres, remaining, len(f1.entries))
+    triples = outcome.certificate.triples + rest
+    return SearchOutcome(LeqCertificate(remainder, EquivCertificate(triples)), "found", outcome.stats)
+
+
+def leftover_remainder(pres, leftover, shift):
+    """The remainder family of f1 <= f2 and its identity triples.
+
+    `leftover` maps each label m of f2 to the clopen that f1's pieces leave
+    uncovered there.  The nonempty ones, in label order, are the remainder's
+    entries, which follow f1's `shift` labels on the left side; each is
+    matched onto its leftover by the identity.
+    """
+    labels = sorted(leftover)
+    remainder, rank = normalize_with_map(pres.space, [(leftover[m], m) for m in labels])
+    triples = tuple((identity_bisection(pres, leftover[m]), shift + rank[m], m)
+                    for m in labels if m in rank)
+    return remainder, triples

@@ -181,6 +181,21 @@ def test_isometries_subcommand(tmp_path, capsys):
     assert code == 0
 
 
+def test_isometries_reject_a_witness_that_does_not_verify(tmp_path, capsys):
+    # row 1 lists its one piece twice, so two of its ranges overlap
+    data = ser.encode_witness(px.cuntz_witness(cuntz(2), ""))
+    data["rows"][0] = data["rows"][0] * 2
+    wfile = tmp_path / "dup.json"
+    wfile.write_text(json.dumps(data))
+    code, _, _ = run(capsys, "verify-witness", "cuntz:2", "--witness", str(wfile))
+    assert code == 1
+    for extra in ([], ["--matrix"]):
+        code, out, err = run(capsys, "isometries", "cuntz:2", "--witness", str(wfile), *extra)
+        assert code == 3
+        assert out == ""
+        assert "ranges overlap at label 1" in err
+
+
 def test_isometries_past_depth_cap_is_inconclusive(tmp_path, capsys, monkeypatch):
     wfile = tmp_path / "w.json"
     wfile.write_text(ser.dumps(ser.encode_witness(px.cuntz_witness(cuntz(2), ""))))
@@ -218,12 +233,14 @@ def test_negative_depth_is_input_error(capsys, monkeypatch, argv):
     assert option in err
 
 
-@pytest.mark.parametrize("spec", ["a", "7", "0,b"])
+@pytest.mark.parametrize("spec", ["a", "7", "0,b", ",1", "1,", ""])
 def test_bad_set_is_input_error(capsys, spec):
-    code, out, err = run(capsys, "find-witness", "pair:3", "--set", spec)
-    assert code == 3
-    assert out == ""
-    assert "--set" in err
+    # an empty item never names a set: on the shift the empty word would be X
+    for alias in ("pair:3", "cuntz:2"):
+        code, out, err = run(capsys, "find-witness", alias, "--set", spec, "--depth", "1")
+        assert code == 3
+        assert out == ""
+        assert "--set" in err
 
 
 def test_lp_reports_carry_stats(capsys):
@@ -252,6 +269,22 @@ def test_probe_and_dichotomy(capsys):
                        "--samples", "3", "--seed", "1", "--budget", "10000")
     assert code == 0
     assert json.loads(out)["whole_space"] == "state"
+
+
+@pytest.mark.parametrize("alias, depth, expected", [
+    ("cuntz:2", 0, 2), ("odometer", 1, 2), ("odometer", 2, 2), ("odometer", 3, 0)])
+def test_dichotomy_claims_no_side_from_a_partial_system(capsys, alias, depth, expected):
+    # below depth 3 the odometer's pieces of length 2 and 3 are skipped
+    code, out, _ = run(capsys, "dichotomy", alias, "--depth", str(depth), "--samples", "2",
+                       "--budget", "2000")
+    assert code == expected
+    report = json.loads(out)
+    assert report["whole_space"] == "state"
+    if expected:
+        assert report["side"] == "inconclusive"
+        assert "skipped" in report["note"]
+    else:
+        assert report["side"].startswith("stably finite")
 
 
 def test_reports_are_deterministic(capsys):

@@ -53,6 +53,37 @@ def test_no_module_imports_dataclasses():
     assert users == []
 
 
+# The classes that define == or hashing themselves: the record base, and
+# the values whose constructors bring them to a canonical form first.
+OWN_EQUALITY = {"Record", "Frozen", "ConvElement", "Presentation", "Bisection"}
+
+
+def classes_defining_equality(source):
+    """The classes of `source` that define __eq__ or __hash__."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            names = {stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+            names |= {target.id for stmt in node.body if isinstance(stmt, ast.Assign)
+                      for target in stmt.targets if isinstance(target, ast.Name)}
+            if names & {"__eq__", "__hash__"}:
+                found.append(node.name)
+    return found
+
+
+def test_checker_finds_classes_defining_equality():
+    source = ("class A:\n    def __eq__(self, o): pass\nclass B:\n    __hash__ = None\n"
+              "class C:\n    def __repr__(self): pass\n")
+    assert classes_defining_equality(source) == ["A", "B"]
+
+
+def test_only_the_record_base_and_canonical_values_define_equality():
+    # every other record takes ==, and hashing if Frozen, from stone.Record
+    found = {name for path in sorted(ROOT.glob("src/ample/*.py"))
+             for name in classes_defining_equality(path.read_text())}
+    assert found - OWN_EQUALITY == set()
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # -S keeps the environment's site hooks out of what is measured
     code = "import sys, ample.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"

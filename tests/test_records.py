@@ -1,18 +1,21 @@
 """What the record classes guarantee and the code relies on: equality by
 value within one class, hashing of the shared value types, stats kept out
-of ==, immutability, and UnitSpace's validation."""
+of ==, immutability, the constructor rules of the record base, and
+UnitSpace's validation."""
 
 from fractions import Fraction
 
 import pytest
 
+from ample import orbits
 from ample import paradox as px
 from ample import simplex as sx
 from ample import states as st
 from ample import typesemigroup as ts
 from ample.groupoid import (
-    ArrowPiece, GroupElement, PartialInjection, PrefixMap, Table, cuntz, from_word)
-from ample.stone import UnitSpace, clopen, whole
+    ArrowPiece, Enumeration, GroupElement, PartialInjection, PrefixMap, Table, cuntz,
+    enumerate_bisections, from_word, pair_groupoid, rotation)
+from ample.stone import Clopen, UnitSpace, clopen, whole
 
 C2 = cuntz(2)
 X = whole(C2.space)
@@ -58,6 +61,24 @@ RECORDS = {
                           ts.SearchOutcome(None, "budget"), False),
     "SearchOutcome-witness": (_found(px.search_witness, X, 2, 1, 1),
                               ts.SearchOutcome(None, "budget"), False),
+    "Enumeration": (lambda i: enumerate_bisections(C2, 1), Enumeration(()), False),
+    "OrbitPartition": (lambda i: orbits.orbit_partition(rotation(3)),
+                       orbits.OrbitPartition(((0,), (1, 2)), (0, 1, 1)), False),
+    "InvariantLattice": (lambda i: orbits.invariant_lattice(rotation(3)),
+                         orbits.invariant_lattice(pair_groupoid(2)), False),
+    "FiniteAlgebra": (lambda i: orbits.build_finite_algebra(pair_groupoid(2)),
+                      orbits.FiniteAlgebra((), {}), False),
+    "ParadoxWitness": (lambda i: px.cuntz_witness(C2, ""), px.cuntz_witness(C2, "1"), False),
+    "Stats": (lambda i: sx.Stats(1, 1, 1, 0), STATS[1], False),
+    "ConstraintSystem": (lambda i: st.build_constraints(C2, 1), st.build_constraints(C2, 2), False),
+    "TarskiReport": (lambda i: st.tarski_report(C2, A1, 1), st.TarskiReport("inconclusive", 1),
+                     False),
+    "ProbeReport": (lambda i: st.ProbeReport(1, 0, (), None), st.ProbeReport(1, 1, (), None), False),
+    "EquivCertificate": (lambda i: ts.reflexive_cert(C2, ts.family_of(X)), ts.EquivCertificate(()),
+                         False),
+    "VerifyResult": (lambda i: ts.VerifyResult(True), ts.VerifyResult(False, "no"), False),
+    "LeqCertificate": (lambda i: ts.subset_cert(C2, A1, X), ts.subset_cert(C2, X, X), False),
+    "SearchStats": (lambda i: ts.SearchStats(1, 100, 1, 1), ts.SearchStats(2, 100, 1, 1), False),
 }
 
 
@@ -76,7 +97,7 @@ def test_record_contract(name):
     assert a != _fields(a) and a != object()
     assert all(a != o for _, o, _ in RECORDS.values() if o is not None and type(o) is not type(a))
     assert a  # no record is falsy, the empty Unbounded included
-    if hasattr(a, "stats"):
+    if "stats" in type(a)._uncompared:
         assert _fields(a.stats) != _fields(b.stats)
     if hashed:
         assert hash(a) == hash(b)
@@ -90,3 +111,35 @@ def test_record_contract(name):
 def test_unit_space_validates(kind, size):
     with pytest.raises(ValueError):
         UnitSpace(kind, size)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_take_their_constructor_from_the_base(name):
+    # UnitSpace validates its input; Clopen sets its slots directly
+    cls = type(RECORDS[name][0](0))
+    assert ("__init__" in vars(cls)) == (cls in (UnitSpace, Clopen))
+
+
+def test_keywords_and_defaults_fill_the_fields():
+    assert ts.SearchStats(nodes=1, budget=2, cells=3, candidates=4) == ts.SearchStats(1, 2, 3, 4)
+    assert sx.Optimal((Fraction(1),), value=Fraction(2)) == sx.Optimal((Fraction(1),), Fraction(2))
+    assert PrefixMap(beta="1", alpha="") == PrefixMap("", "1")
+    assert ts.VerifyResult(True).reason == ""
+    assert sx.Feasible(()).stats is None and ts.SearchOutcome(None, "budget").stats is None
+    report = st.TarskiReport("inconclusive", 2)
+    assert (report.state, report.partial, report.note, report.stats) == (None, False, "", None)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ts.VerifyResult(),
+    lambda: PrefixMap(""),
+    lambda: ts.VerifyResult(True, "", None),
+    lambda: PrefixMap("", "1", "2"),
+    lambda: ts.VerifyResult(True, why=""),
+    lambda: ts.VerifyResult(True, ok=False),
+    lambda: PrefixMap("", alpha="1"),
+], ids=["missing", "missing-frozen", "extra", "extra-frozen", "unknown", "repeated",
+        "repeated-frozen"])
+def test_bad_constructor_arguments_raise_type_error(make):
+    with pytest.raises(TypeError):
+        make()
