@@ -176,20 +176,27 @@ def cmd_state(args):
     return EXIT_REJECTED
 
 
+# the skipped pieces have no invariance row behind the state
+PARTIAL_STATE_NOTE = "a state of a partial system: pieces too deep for this depth were skipped"
+
+
 def cmd_tarski(args):
     pres = serialize.parse_presentation_arg(args.presentation)
     a = _parse_set(pres, args.set)
     rep = states.tarski_report(pres, a, args.depth, args.budget)
+    outcome, note = rep.outcome, rep.note
+    if outcome == "state" and rep.partial:
+        outcome, note = "inconclusive", PARTIAL_STATE_NOTE
     report = {
         "command": "tarski",
-        "outcome": rep.outcome,
+        "outcome": outcome,
         "depth": rep.depth,
         "partial": rep.partial,
-        "note": rep.note,
+        "note": note,
         "stats": _lp_stats(rep.stats),
     }
-    lines = ["outcome: %s (depth %d)" % (rep.outcome, rep.depth)]
-    if rep.outcome == "state":
+    lines = ["outcome: %s (depth %d)" % (outcome, rep.depth)]
+    if outcome == "state":
         payload = serialize.encode_state(rep.state)
         report["state"] = payload
         report["scale"] = serialize.encode_rational(rep.scale)
@@ -203,7 +210,7 @@ def cmd_tarski(args):
         _write_out(args, payload)
         lines.append("paradoxical: (%d,%d) witness" % (rep.witness.k, rep.witness.l))
         return _emit(args, report, lines) or EXIT_OK
-    _emit(args, report, lines + [rep.note])
+    _emit(args, report, lines + [note])
     return EXIT_INCONCLUSIVE
 
 
@@ -222,9 +229,8 @@ def cmd_dichotomy(args):
     }
     side = rep.outcome
     if side == "state" and rep.partial:
-        # the skipped pieces have no invariance row behind the state
         side = "inconclusive"
-        report["note"] = "a state of a partial system: pieces too deep for this depth were skipped"
+        report["note"] = PARTIAL_STATE_NOTE
     lines = ["minimal: %s" % report["minimal"]]
     if side == "state":
         report["side"] = "stably finite at this depth: faithful trace candidate exists"
@@ -262,7 +268,13 @@ def cmd_orbits(args):
 
 def cmd_ideal_check(args):
     pres = serialize.parse_presentation_arg(args.presentation)
-    rep = orbits.ideal_lattice_check(pres)
+    try:
+        rep = orbits.ideal_lattice_check(pres)
+    except orbits.PrincipalityError as exc:
+        # a well-formed presentation whose isotropy is not verified trivial
+        report = {"command": "ideal-check", "outcome": "inconclusive", "reason": str(exc)}
+        _emit(args, report, ["inconclusive: %s" % exc])
+        return EXIT_INCONCLUSIVE
     rep["command"] = "ideal-check"
     verdict, code = ("passed", EXIT_OK) if rep["passed"] else ("FAILED", EXIT_REJECTED)
     _emit(
@@ -434,7 +446,7 @@ def main(argv=None):
         print("input error at %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except (gpd.PresentationError, gpd.PresentationMismatch, orbits.NotFiniteError,
-            orbits.PrincipalityError, paradox.WitnessError, ts.FamilyError,
+            paradox.WitnessError, ts.FamilyError,
             convalg.AlgebraError, states.DepthError, stone.SpaceMismatch, stone.CellError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

@@ -8,6 +8,13 @@ inverse; the conditional expectation keeps the terms whose arrows are
 units.  Coefficients are plain fractions, so every identity checked here
 is exact and involution needs no conjugation.
 
+Products and stars work on cylinder words.  A term is one cylinder (or
+point) c of its key's domain, and each (strip, add) piece of the key's
+action sends the part of c under it onto one image cylinder, so the part
+of c that lands in another term's cell is one cylinder or nothing,
+decided by prefix tests alone.  No clopen is built per pair of terms.
+Sums re-canonicalise only the keys that more than one summand carries.
+
 Indicator elements of bisections multiply like the bisections themselves,
 which is what makes the isometry constructions purely combinatorial.
 """
@@ -15,16 +22,10 @@ which is what makes the isometry constructions purely combinatorial.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import stone
-from .stone import clopen
-from .groupoid import (
-    action_apply,
-    action_domain,
-    invert_action,
-    invert_word,
-    reduce_word,
-)
+from .groupoid import invert_word, reduce_word
 from . import paradox as px
 
 
@@ -52,14 +53,44 @@ class ConvElement:
             by_key.setdefault(key, []).append((cell, coef))
         terms = {}
         for key, pairs in by_key.items():
-            cyl = dict(stone.sum_cells(pres.space, pairs))
-            act_dom = action_domain(pres.space, pres.key_action(key))
+            # a single nonzero term is already canonical
+            cyl = dict(pairs) if len(pairs) == 1 else dict(stone.sum_cells(pres.space, pairs))
+            act_dom = pres.key_domain(key)
             for cell in cyl:
                 if not act_dom.contains_cell(cell):
                     raise AlgebraError("term cell %r escapes the arrow domain" % (cell,))
             if cyl:
                 terms[key] = cyl
         self.terms = terms
+
+    @classmethod
+    def _canonical(cls, pres, terms):
+        """The element whose terms are already canonical and inside their domains."""
+        elem = cls.__new__(cls)
+        elem.pres = pres
+        elem.terms = terms
+        return elem
+
+    @cached_property
+    def _images(self):
+        """(key, part, image, coef) for each term and each piece of its
+        key's action that meets its cell: the piece sends `part`, a
+        cylinder (or point) inside the cell, onto the cylinder (or point)
+        `image`, prefix for prefix.  Built once, as elements do not change."""
+        finite = self.pres.space.kind == stone.FINITE
+        out = []
+        for key, cyl in self.terms.items():
+            act = self.pres.key_action(key)
+            for cell, coef in cyl.items():
+                for s, t in act:
+                    if finite:
+                        if s == cell:
+                            out.append((key, cell, t, coef))
+                    elif cell.startswith(s):
+                        out.append((key, cell, t + cell[len(s):], coef))
+                    elif s.startswith(cell):
+                        out.append((key, s, t, coef))
+        return out
 
     def items(self):
         for key in sorted(self.terms):
@@ -125,10 +156,31 @@ def from_terms(pres, triples):
                               for word, cell, coef in triples])
 
 
-def add(a, b):
-    if a.pres != b.pres:
+def _sum(pres, elems):
+    """The sum of elements over one presentation.
+
+    A key that only one summand carries keeps that summand's canonical
+    cells; only the keys that several carry are summed again.
+    """
+    if any(elem.pres != pres for elem in elems):
         raise AlgebraError("elements over different presentations")
-    return ConvElement(a.pres, list(a.items()) + list(b.items()))
+    by_key = {}
+    for elem in elems:
+        for key, cyl in elem.terms.items():
+            by_key.setdefault(key, []).append(cyl)
+    terms = {}
+    for key, cyls in by_key.items():
+        if len(cyls) == 1:
+            terms[key] = cyls[0]
+            continue
+        cyl = dict(stone.sum_cells(pres.space, [pair for c in cyls for pair in c.items()]))
+        if cyl:
+            terms[key] = cyl
+    return ConvElement._canonical(pres, terms)
+
+
+def add(a, b):
+    return _sum(a.pres, (a, b))
 
 
 def scale(a, q):
@@ -161,28 +213,39 @@ def _key_inverse(pres, key):
 
 
 def conv(a, b):
-    """The convolution product: arrows compose pairwise, t acting first."""
+    """The convolution product: arrows compose pairwise, t acting first.
+
+    A term (k2, c2) of b meets a term (k1, c1) of a on the part of c2
+    that k2's action sends into c1: per piece of the action, the whole
+    part, the cylinder of it that lands in c1, or nothing.
+    """
     if a.pres != b.pres:
         raise AlgebraError("elements over different presentations")
     pres = a.pres
     space = pres.space
+    finite = space.kind == stone.FINITE
+    left = a.terms.items()
     terms = []
-    for k1, c1, q1 in a.items():
-        act1 = pres.key_action(k1)
-        dom1 = clopen(space, [c1])
-        for k2, c2, q2 in b.items():
-            key = _key_product(pres, k1, k2)
-            if key is None:
-                continue
-            act2 = pres.key_action(k2)
-            image = action_apply(space, act2, clopen(space, [c2])).intersect(dom1)
-            if image.is_empty:
-                continue
-            dom = action_apply(space, invert_action(space, act2), image)
-            for cell in dom.cells:
-                terms.append((key, cell, q1 * q2))
+    for k2, part, image, q2 in b._images:
+        for k1, cyl1 in left:
+            for c1, q1 in cyl1.items():
+                if finite:
+                    if image != c1:
+                        continue
+                    dom = part
+                elif image.startswith(c1):
+                    dom = part
+                elif c1.startswith(image):
+                    dom = part + c1[len(image):]
+                else:
+                    continue
+                key = _key_product(pres, k1, k2)
+                if key is not None:
+                    terms.append((key, dom, q1 * q2))
+    if not terms:
+        return ConvElement._canonical(pres, {})
     out = ConvElement(pres, terms)
-    if space.kind == stone.SHIFT and out.max_depth() > DEPTH_CAP:
+    if not finite and out.max_depth() > DEPTH_CAP:
         raise DepthOverflow("product needs cells deeper than %d" % DEPTH_CAP)
     return out
 
@@ -190,15 +253,8 @@ def conv(a, b):
 def star(a):
     """The involution: each arrow is replaced by its inverse."""
     pres = a.pres
-    space = pres.space
-    terms = []
-    for key, cell, coef in a.items():
-        act = pres.key_action(key)
-        image = action_apply(space, act, clopen(space, [cell]))
-        ikey = _key_inverse(pres, key)
-        for icell in image.cells:
-            terms.append((ikey, icell, coef))
-    return ConvElement(pres, terms)
+    return ConvElement(pres, [(_key_inverse(pres, key), image, coef)
+                              for key, _, image, coef in a._images])
 
 
 def expectation(a):
@@ -248,10 +304,16 @@ def isometries_from_witness(pres, witness):
 
 def _mat_sum(terms):
     """The entrywise sum of ((i, j), element) terms, zero entries dropped."""
-    out = {}
+    entries = {}
     for ij, elem in terms:
-        out[ij] = add(out[ij], elem) if ij in out else elem
-    return {ij: elem for ij, elem in out.items() if not elem.is_zero}
+        if elem.terms:
+            entries.setdefault(ij, []).append(elem)
+    out = {}
+    for ij, elems in entries.items():
+        elem = elems[0] if len(elems) == 1 else _sum(elems[0].pres, elems)
+        if elem.terms:
+            out[ij] = elem
+    return out
 
 
 def _mat_conv(x, y):

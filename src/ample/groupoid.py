@@ -274,11 +274,15 @@ class Presentation:
         self._point_map_cache = {}  # word -> dict(word_action(word)), finite spaces
         self._principal_words = {}  # src -> {tgt: principal_word(src, tgt)}
         self._enumeration_cache = {}  # depth -> Enumeration
+        self._key_domains = {}  # arrow key -> action_domain of key_action(key)
 
     def _defining_data(self):
         return (self.space, self.generators, self.isotropy)
 
     def __eq__(self, other):
+        # the algebra mostly compares a presentation with itself
+        if self is other:
+            return True
         return isinstance(other, Presentation) and self._defining_data() == other._defining_data()
 
     def __hash__(self):
@@ -381,6 +385,13 @@ class Presentation:
             return self.element_action(key[1])
         src, tgt = key[1]
         return ((src, tgt),)
+
+    def key_domain(self, key):
+        """The domain of the key's action as a clopen, built once per key."""
+        dom = self._key_domains.get(key)
+        if dom is None:
+            dom = self._key_domains[key] = action_domain(self.space, self.key_action(key))
+        return dom
 
     def is_unit_key(self, key):
         if key[0] == "w":
@@ -620,18 +631,34 @@ def enumerate_words(pres, depth):
     empty action has an empty action too: such a word is neither yielded
     nor extended.  The words that remain come in the order of the full
     enumeration.
+
+    On Finite(n) a word w extended by a letter s acts nonemptily exactly
+    when the range of s meets the domain of w, so only the letters whose
+    range holds a point of that domain are tried.
     """
     syms = sorted(
         [(g, 1) for g in range(len(pres.generators))]
         + [(g, -1) for g in range(len(pres.generators))],
         key=_symbol_key,
     )
+    if pres.space.kind == stone.FINITE:
+        by_point = {}  # point -> the ranks in syms of the letters whose range holds it
+        for rank, s in enumerate(syms):
+            for _, t in pres._letter_actions[s]:
+                by_point.setdefault(t, []).append(rank)
+
+        def candidates(w):
+            ranks = {r for x, _ in pres.word_action(w) for r in by_point.get(x, ())}
+            return [syms[r] for r in sorted(ranks)]
+    else:
+        def candidates(w):
+            return syms
     level = [()] if pres.word_action(()) else []
     yield from level
     for _ in range(depth):
         nxt = []
         for w in level:
-            for s in syms:
+            for s in candidates(w):
                 if w and w[-1][0] == s[0] and w[-1][1] == -s[1]:
                     continue
                 v = w + (s,)

@@ -84,8 +84,11 @@ def disjointify(pres, w):
         seen = empty(pres.space)
         out = []
         for bis, m in row:
-            cut = bis.restrict(bis.dom().difference(seen))
-            seen = seen.union(bis.dom())
+            dom = bis.dom()
+            rest = dom.difference(seen)
+            # a piece that misses every earlier one is kept as it is
+            cut = bis if rest == dom else bis.restrict(rest)
+            seen = seen.union(dom)
             if not cut.is_empty:
                 out.append((cut, m))
         rows.append(tuple(out))

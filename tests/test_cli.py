@@ -124,10 +124,24 @@ def test_tarski_exit_codes(capsys):
     code, out, _ = run(capsys, "tarski", "cuntz:2", "--set", "whole", "--depth", "1")
     assert code == 0
     assert json.loads(out)["outcome"] == "paradox"
-    code, out, _ = run(capsys, "tarski", "odometer", "--set", "1", "--depth", "2",
+    code, out, _ = run(capsys, "tarski", "odometer", "--set", "1", "--depth", "3",
                        "--budget", "20000")
     assert code == 0
     assert json.loads(out)["outcome"] == "state"
+
+
+@pytest.mark.parametrize("argv", [("cuntz:2", "--depth", "0"),
+                                  ("odometer", "--set", "1", "--depth", "1"),
+                                  ("odometer", "--set", "1", "--depth", "2")])
+def test_tarski_claims_no_side_from_a_partial_system(capsys, argv):
+    # cuntz:2 is paradoxical, yet with its depth-1 pieces skipped the
+    # truncated system has a state
+    code, out, _ = run(capsys, "tarski", *argv, "--budget", "20000")
+    assert code == 2
+    report = json.loads(out)
+    assert report["outcome"] == "inconclusive" and report["partial"] is True
+    assert "skipped" in report["note"]
+    assert "state" not in report
 
 
 def test_type_eq_and_verify_cert(tmp_path, capsys):
@@ -165,8 +179,12 @@ def test_orbits_and_ideal_check(capsys):
     code, out, _ = run(capsys, "ideal-check", "pair:3")
     assert code == 0
     assert json.loads(out)["passed"]
-    code, _, err = run(capsys, "ideal-check", "rotation:3")
-    assert code == 3
+    # well formed, but g^3 fixes every point, so principality is not verified
+    code, out, _ = run(capsys, "ideal-check", "rotation:3")
+    assert code == 2
+    report = json.loads(out)
+    assert report["outcome"] == "inconclusive"
+    assert "principal" in report["reason"]
     code, _, err = run(capsys, "ideal-check", "cuntz:2")
     assert code == 3
 
@@ -252,11 +270,11 @@ def test_lp_reports_carry_stats(capsys):
     assert stats["pivots"] > 0
     assert "stats" not in report["farkas"]
     assert len(report["farkas"]["equality_multipliers"]) == 19
-    code, out, _ = run(capsys, "tarski", "odometer", "--set", "1", "--depth", "2",
+    code, out, _ = run(capsys, "tarski", "odometer", "--set", "1", "--depth", "3",
                        "--budget", "20000")
     assert code == 0
     stats = json.loads(out)["stats"]
-    assert stats["cells"] == 4 and stats["rows_kept"] <= stats["rows"]
+    assert stats["cells"] == 8 and stats["rows_kept"] <= stats["rows"]
 
 
 def test_probe_and_dichotomy(capsys):

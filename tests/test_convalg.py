@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ample import convalg as ca
 from ample import groupoid as gpd
 from ample import paradox as px
 from ample import states as st
+from ample import stone
 from ample.groupoid import cuntz, from_word, odometer, pair_groupoid, rotation
 from ample.stone import clopen, whole
 
@@ -274,3 +277,111 @@ def test_convolution_matches_sum_over_factorizations():
                         continue
                     total += coef1 * b.coefficient(rest, gsrc)
                 assert prod.coefficient(gkey, gsrc) == total
+
+
+# Reference product and star over clopens, a differential oracle: each
+# pair of terms goes through `clopen`, `action_apply` and `intersect`, every
+# key is canonicalised by `stone.sum_cells`, and the terms come out as
+# {key: [(cell, coef), ...]}.
+
+
+def _canonical_terms(pres, raw_terms):
+    by_key = {}
+    for key, cell, coef in raw_terms:
+        if coef:
+            by_key.setdefault(key, []).append((cell, Fraction(coef)))
+    terms = {key: stone.sum_cells(pres.space, pairs) for key, pairs in by_key.items()}
+    return {key: items for key, items in terms.items() if items}
+
+
+def _clopen_conv(a, b):
+    pres = a.pres
+    space = pres.space
+    terms = []
+    for k1, c1, q1 in a.items():
+        dom1 = clopen(space, [c1])
+        for k2, c2, q2 in b.items():
+            key = ca._key_product(pres, k1, k2)
+            if key is None:
+                continue
+            act2 = pres.key_action(k2)
+            image = gpd.action_apply(space, act2, clopen(space, [c2])).intersect(dom1)
+            if image.is_empty:
+                continue
+            dom = gpd.action_apply(space, gpd.invert_action(space, act2), image)
+            for cell in dom.cells:
+                terms.append((key, cell, q1 * q2))
+    return _canonical_terms(pres, terms)
+
+
+def _clopen_star(a):
+    pres = a.pres
+    space = pres.space
+    terms = []
+    for key, cell, coef in a.items():
+        image = gpd.action_apply(space, pres.key_action(key), clopen(space, [cell]))
+        ikey = ca._key_inverse(pres, key)
+        for icell in image.cells:
+            terms.append((ikey, icell, coef))
+    return _canonical_terms(pres, terms)
+
+
+def _listed(elem):
+    """An element's terms with each key's cells in their stored order."""
+    return {key: list(cyl.items()) for key, cyl in elem.terms.items()}
+
+
+ALIASES = ("cuntz:2", "odometer", "rotation:3", "rotation:3:table", "pair:4")
+PRESENTATIONS = {alias: gpd.builtin(alias) for alias in ALIASES}
+WORDS = {alias: list(gpd.enumerate_words(pres, 2)) for alias, pres in PRESENTATIONS.items()}
+
+
+@hs.composite
+def _raw_terms(draw, alias):
+    """(word, cell, coefficient) triples: each cell lies in its word's
+    domain, and on the shift it may sit below a domain cell."""
+    pres = PRESENTATIONS[alias]
+    triples = []
+    for _ in range(draw(hs.integers(0, 4))):
+        word = draw(hs.sampled_from(WORDS[alias]))
+        cell = draw(hs.sampled_from(gpd.action_domain(pres.space, pres.word_action(word)).cells))
+        if pres.space.kind == stone.SHIFT:
+            cell += draw(hs.text(alphabet="".join(pres.space.letters), max_size=2))
+        triples.append((word, cell, draw(hs.integers(-2, 2))))
+    return triples
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(data=hs.data())
+def test_cylinder_word_algebra_matches_the_clopen_oracle(data):
+    alias = data.draw(hs.sampled_from(ALIASES))
+    pres = PRESENTATIONS[alias]
+    raw_a, raw_b = data.draw(_raw_terms(alias)), data.draw(_raw_terms(alias))
+    a, b = ca.from_terms(pres, raw_a), ca.from_terms(pres, raw_b)
+    keyed = [(pres.piece_key(word, cell), cell, coef) for word, cell, coef in raw_a]
+    assert _listed(a) == _canonical_terms(pres, keyed)
+    assert _listed(ca.conv(a, b)) == _clopen_conv(a, b)
+    assert _listed(ca.star(a)) == _clopen_star(a)
+    assert _listed(ca.add(a, b)) == _canonical_terms(pres, list(a.items()) + list(b.items()))
+    assert _listed(ca.scale(a, -2)) == _canonical_terms(pres, [(k, c, -2 * v) for k, c, v in a.items()])
+
+
+@pytest.mark.parametrize("alias", ALIASES)
+def test_products_and_stars_build_no_clopen(alias, monkeypatch):
+    # the first pass builds each key's domain once, for the escape check;
+    # after it, products and stars are prefix arithmetic on cylinder words
+    pres = PRESENTATIONS[alias]
+    elems = [ca.bisection_indicator(pres, bis) for bis in pres.enumeration(2).bisections]
+    elems.append(ca.add(elems[-1], ca.scale(elems[len(elems) // 2], 3)))
+
+    def products():
+        return [(ca.conv(x, y), ca.star(x)) for x in elems for y in elems]
+
+    expected = products()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Clopen or an action image was built")
+
+    monkeypatch.setattr(stone.Clopen, "__init__", refuse)
+    monkeypatch.setattr(gpd, "action_apply", refuse)
+    assert products() == expected

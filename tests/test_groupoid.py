@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ample import groupoid as gpd
 from ample.groupoid import (
@@ -428,3 +430,34 @@ def test_enumerated_words_are_the_nonempty_ones_in_order(spec, depth):
 def test_enumeration_skips_the_words_with_empty_actions():
     # 12,287 of the 118,097 freely reduced words of length <= 10 act nonemptily
     assert sum(1 for _ in gpd.enumerate_words(cuntz(2), 10)) == 12287
+
+
+def _enumeration_trying_every_letter(pres, depth):
+    """The reference enumeration: every word of the last level is extended
+    by every letter, and kept when its action is nonempty."""
+    syms = sorted([(g, e) for g in range(len(pres.generators)) for e in (1, -1)],
+                  key=lambda s: (s[1] == -1, s[0]))
+    level = [()] if pres.word_action(()) else []
+    out = list(level)
+    for _ in range(depth):
+        level = [w + (s,) for w in level for s in syms
+                 if not (w and w[-1] == (s[0], -s[1])) and pres.word_action(w + (s,))]
+        out += level
+    return out
+
+
+@hs.composite
+def _finite_presentations(draw):
+    n = draw(hs.integers(1, 7))
+    injections = []
+    for _ in range(draw(hs.integers(0, 3))):
+        srcs = draw(hs.lists(hs.integers(0, n - 1), unique=True, max_size=n))
+        tgts = draw(hs.permutations(range(n)))[:len(srcs)]
+        injections.append(list(zip(srcs, tgts)))
+    return gpd.finite_groupoid(n, injections, draw(hs.sampled_from((gpd.FREE, gpd.PRINCIPAL))))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(pres=_finite_presentations(), depth=hs.integers(0, 4))
+def test_finite_enumeration_tries_only_letters_into_the_domain(pres, depth):
+    assert list(gpd.enumerate_words(pres, depth)) == _enumeration_trying_every_letter(pres, depth)
