@@ -25,7 +25,7 @@ EXIT_INPUT = 3
 
 
 def default_budget():
-    value = os.environ.get("AMPLE_BUDGET", "100000")
+    value = os.environ.get("AMPLE_BUDGET", str(ts.DEFAULT_BUDGET))
     try:
         return int(value)
     except ValueError:

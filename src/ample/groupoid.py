@@ -273,7 +273,6 @@ class Presentation:
         self._action_cache = {(): identity_action(space)}
         self._point_map_cache = {}  # word -> dict(word_action(word)), finite spaces
         self._principal_words = {}  # src -> {tgt: principal_word(src, tgt)}
-        self._enumeration_cache = {}  # depth -> Enumeration
         self._key_domains = {}  # arrow key -> action_domain of key_action(key)
 
     def _defining_data(self):
@@ -325,16 +324,6 @@ class Presentation:
         return actions, words
 
     # -- word machinery ----------------------------------------------------
-
-    def enumeration(self, depth):
-        """enumerate_bisections(self, depth), computed once per depth.
-
-        The searches ask for the same enumeration on every call.
-        """
-        cached = self._enumeration_cache.get(depth)
-        if cached is None:
-            cached = self._enumeration_cache[depth] = enumerate_bisections(self, depth)
-        return cached
 
     def word_action(self, word):
         """The composite partial action of a word (rightmost applied first)."""
@@ -490,8 +479,12 @@ class Bisection:
                 raise PresentationMismatch("piece domain over the wrong space")
             if dom.is_empty:
                 continue
-            act = pres.word_action(word)
-            if not dom.subset_of(action_domain(space, act)):
+            if isinstance(pres.isotropy, Table):
+                # a word names its element, which acts wherever any word naming it does
+                word_dom = pres.key_domain(pres.piece_key(word))
+            else:
+                word_dom = action_domain(space, pres.word_action(word))
+            if not dom.subset_of(word_dom):
                 raise PresentationError(
                     "piece domain %r escapes the partial map of its word" % (list(dom.cells),)
                 )
@@ -777,23 +770,20 @@ def trivial(n):
 
 
 def builtin(alias):
-    """Resolve aliases like cuntz:2, pair:3, rotation:3, odometer, trivial:2."""
-    parts = alias.split(":")
-    name = parts[0]
-    args = parts[1:]
+    """Resolve aliases like cuntz:2, pair:3, rotation:3, rotation:3:table,
+    odometer, trivial:2.  A part the alias does not take is an error."""
+    name, *args = alias.split(":")
+    make = {"cuntz": cuntz, "pair": pair_groupoid, "rotation": rotation, "odometer": odometer,
+            "trivial": trivial}.get(name)
+    if make is None:
+        raise PresentationError("unknown builtin alias %r" % alias)
+    table = name == "rotation" and args[1:] == ["table"]
+    sizes = args[:1] if table else args
+    if len(sizes) != 1 and not (name == "odometer" and not sizes):
+        raise PresentationError("bad builtin alias %r: expected %s:n%s"
+                                % (alias, name, " or rotation:n:table" if name == "rotation" else ""))
     try:
-        if name == "cuntz":
-            return cuntz(int(args[0]))
-        if name == "pair":
-            return pair_groupoid(int(args[0]))
-        if name == "rotation":
-            if len(args) > 1 and args[1] == "table":
-                return rotation(int(args[0]), with_table=True)
-            return rotation(int(args[0]))
-        if name == "odometer":
-            return odometer(int(args[0]) if args else 3)
-        if name == "trivial":
-            return trivial(int(args[0]))
-    except (IndexError, ValueError) as exc:
+        sizes = [int(a) for a in sizes]
+        return rotation(*sizes, with_table=True) if table else make(*sizes)
+    except ValueError as exc:
         raise PresentationError("bad builtin alias %r: %s" % (alias, exc)) from exc
-    raise PresentationError("unknown builtin alias %r" % alias)

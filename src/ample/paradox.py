@@ -177,7 +177,7 @@ def weaken(pres, w, k2, l2):
     return leq_to_witness(pres, w.a, k2, l2, cert)
 
 
-def search_witness(pres, a, k, l, depth, budget=100000):
+def search_witness(pres, a, k, l, depth, budget=ts.DEFAULT_BUDGET):
     """Search a (k,l) witness as a tiling of k[A] into l[A].
 
     Row n of the witness is label n of k[A].  The one tiling engine,

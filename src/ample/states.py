@@ -180,7 +180,7 @@ class TarskiReport(Record):
                  "partial": False, "note": "", "stats": None}
 
 
-def tarski_report(pres, a, depth, budget=100000):
+def tarski_report(pres, a, depth, budget=ts.DEFAULT_BUDGET):
     """Decide, at the truncation, between an invariant state normalized on A
     and a paradoxical witness for A; both can never verify together."""
     if a.is_empty:
@@ -248,7 +248,7 @@ def _random_clopen(rng, space, depth):
     return clopen(space, chosen)
 
 
-def probes(pres, depth, samples, seed, budget=20000):
+def probes(pres, depth, samples, seed, budget=ts.DEFAULT_BUDGET):
     rng = random.Random(seed)
     order_unit = []
     counterexample = None

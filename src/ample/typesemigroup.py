@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import stone
 from .stone import Frozen, Record, clopen, empty
-from .groupoid import Bisection, identity_bisection, shift_image_words
+from .groupoid import Bisection, enumerate_words, identity_bisection, shift_image_words
 
 
 class FamilyError(ValueError):
@@ -263,6 +263,10 @@ def leq_transitive(pres, fx, fy, fz, c1, c2):
 # searches
 
 
+# nodes a search may try unless told otherwise
+DEFAULT_BUDGET = 100000
+
+
 class SearchBudget:
     __slots__ = ("limit", "used")
 
@@ -295,16 +299,16 @@ class SearchOutcome(Record):
     _uncompared = ("stats",)
 
 
-def _cell_depth(pres, families, enum):
-    """Depth of cells tiling the family entries, fine enough for all piece domains."""
+def _cell_depth(pres, families, words):
+    """Depth of cells tiling the family entries, fine enough for all word domains."""
     if pres.space.kind == stone.FINITE:
         return 0
     depth = 0
     for fam in families:
         for c in fam.entries:
             depth = max(depth, c.max_depth())
-    for b in enum:
-        depth = max(depth, b.dom().max_depth())
+    for w in words:
+        depth = max(depth, pres.key_domain(pres.piece_key(w)).max_depth())
     return depth
 
 
@@ -316,39 +320,41 @@ def _family_slots(fam, depth):
     return slots
 
 
-def _compile_pieces(pres, enum, cells, targets):
-    """Compile a tiling search onto integer bit masks.
+def _compile_pieces(pres, words, cells, targets):
+    """Compile a tiling search onto integer bit masks, from word actions.
 
-    Returns (options, masks, leaves).  options[cell] lists (index into
-    enum, word, image mask) for every bisection whose domain holds the
-    cell, in enumeration order, where word is the canonical word of the
-    one piece of that bisection that holds the cell; masks[j] is the mask
-    of the clopen targets[j].  Bit i is leaves[i] of `stone.leaf_spans`
-    over the target cells and the image words, so a trie node of span
-    [start, end) has the mask (1 << end) - (1 << start): on Finite(n) bit
-    x is the point x, and on the shift masks grow with the words the
-    search meets, not as k^depth.  Each piece's action is read once; on
-    the shift `shift_image_words` applies it to a cell, which must be no
-    shallower than any domain cell.
+    Returns (options, masks, leaves).  options[cell] lists, in word order,
+    (canonical word of the arrow acting there, image mask) for each word
+    acting on the cell, skipping on Finite(n) a word that acts by the same
+    arrows on the same points as an earlier one; masks[j] is the mask of
+    targets[j].  Bit i is leaves[i] of `stone.leaf_spans` over the target
+    cells and image words, so a trie node of span [start, end) has the mask
+    (1 << end) - (1 << start): on Finite(n) bit x is the point x, and on
+    the shift masks grow with the words met, not as k^depth.  A shift cell
+    must be no shallower than any word's canonical domain.
     """
-    space = pres.space
-    shift = space.kind == stone.SHIFT
     images = {cell: [] for cell in cells}
-    for bi, b in enumerate(enum):
-        for _, piece, act in b.pieces:
-            if shift:
-                doms = piece.domain.cells
-                for cell in cells:
-                    if cell.startswith(doms):
-                        images[cell].append((bi, piece.word, shift_image_words(act, (cell,))))
-            else:
-                amap = dict(act)
-                for x in piece.domain.cells:
-                    if x in images:
-                        images[x].append((bi, piece.word, [amap[x]]))
-    words = {w for t in targets for w in t.cells}
-    words.update(w for found in images.values() for _, _, image in found for w in image)
-    leaves, span = stone.leaf_spans(space, words)
+    if pres.space.kind == stone.SHIFT:
+        for w in words:
+            doms = pres.key_domain(pres.piece_key(w)).cells
+            act = pres.word_action(w)
+            for cell in cells:
+                if cell.startswith(doms):
+                    images[cell].append((w, shift_image_words(act, (cell,))))
+    else:
+        seen = set()
+        for w in words:
+            act = pres.word_action(w)
+            keys = tuple((pres.piece_key(w, x), x) for x, _ in act)
+            if keys in seen:
+                continue
+            seen.add(keys)
+            for (key, x), (_, y) in zip(keys, act):
+                if x in images:
+                    images[x].append((pres.canonical_word(key), [y]))
+    image_words = {w for t in targets for w in t.cells}
+    image_words.update(w for found in images.values() for _, image in found for w in image)
+    leaves, span = stone.leaf_spans(pres.space, image_words)
 
     def mask_of(words):
         mask = 0
@@ -357,7 +363,7 @@ def _compile_pieces(pres, enum, cells, targets):
             mask |= (1 << end) - (1 << start)
         return mask
 
-    options = {cell: [(bi, word, mask_of(image)) for bi, word, image in found]
+    options = {cell: [(word, mask_of(image)) for word, image in found]
                for cell, found in images.items()}
     return options, [mask_of(t.cells) for t in targets], leaves
 
@@ -367,21 +373,22 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
 
     The slots are (label of f1, refinement cell) pairs in family order.  A
     slot's candidates are the (piece word, label m of f2, image) triples of
-    the enumerated bisections whose image fits inside entry m of f2,
-    filtered once.  At each node the open slot with the fewest candidates
-    that still fit is filled next, ties going to the earlier slot, and
-    every fitting candidate tried costs one unit of budget.  With exact=True the capacity must be
-    consumed entirely (equivalence); otherwise leftovers become the
-    remainder of a <= certificate.  The backtracking keeps an explicit
-    stack, so the slot count is not capped by Python's recursion limit.
-    Returns the outcome, whose triples follow slot order, and the leftover
-    clopen of each label of f2.
+    the words up to depth, enumerated once, whose action sends the cell
+    inside entry m of f2, filtered once.  At each node the open slot with
+    the fewest candidates that still fit is filled next, ties going to the
+    earlier slot, and every fitting candidate tried costs one unit of
+    budget.  With exact=True the capacity must be consumed entirely
+    (equivalence); otherwise leftovers become the remainder of a <=
+    certificate.  The backtracking keeps an explicit stack, so the slot
+    count is not capped by Python's recursion limit.  Returns the outcome,
+    whose triples follow slot order, and the leftover clopen of each label
+    of f2.
     """
-    enum = pres.enumeration(depth).bisections
-    slots = _family_slots(f1, _cell_depth(pres, [f1, f2], enum))
+    words = list(enumerate_words(pres, depth))
+    slots = _family_slots(f1, _cell_depth(pres, [f1, f2], words))
     cells = list(dict.fromkeys(cell for _, cell in slots))
-    options, masks, leaves = _compile_pieces(pres, enum, cells, f2.entries)
-    fitting = {cell: [(word, m, image) for _, word, image in options[cell]
+    options, masks, leaves = _compile_pieces(pres, words, cells, f2.entries)
+    fitting = {cell: [(word, m, image) for word, image in options[cell]
                       for m, mask in zip(f2.labels, masks) if image & mask == image]
                for cell in cells}
     candidates = [fitting[cell] for _, cell in slots]
@@ -441,7 +448,6 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
     if status != "found":
         return SearchOutcome(None, status, stats), None
     space = pres.space
-    # the chosen bisection restricted to the cell is its one piece there
     triples = tuple(
         (Bisection(pres, [(word, clopen(space, [cell]))]), label, m)
         for (word, m, _), (label, cell) in zip(chosen, slots)
@@ -452,7 +458,7 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
     return SearchOutcome(EquivCertificate(triples), "found", stats), left
 
 
-def search_equiv(pres, f1, f2, depth, budget=100000):
+def search_equiv(pres, f1, f2, depth, budget=DEFAULT_BUDGET):
     """Search an equivalence certificate over pieces of words up to depth.
 
     Deterministic; any hit verifies.  A miss is never a proof of
@@ -462,7 +468,7 @@ def search_equiv(pres, f1, f2, depth, budget=100000):
     return outcome
 
 
-def search_leq(pres, f1, f2, depth, budget=100000):
+def search_leq(pres, f1, f2, depth, budget=DEFAULT_BUDGET):
     """Search a certificate for f1 <= f2; leftovers become the remainder."""
     outcome, remaining = _search_tiling(pres, f1, f2, depth, budget, exact=False)
     if outcome.status != "found":

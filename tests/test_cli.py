@@ -401,6 +401,15 @@ def test_bad_builtin_alias_names_the_alias_error(capsys):
     assert "No such file" not in err
 
 
+@pytest.mark.parametrize("alias", ["cuntz:2:7", "trivial:2:x", "odometer:3:1", "rotation:3:foo",
+                                   "rotation:3:table:x", "pair:3:table"])
+def test_alias_parts_the_alias_does_not_take_are_input_errors(capsys, alias):
+    code, out, err = run(capsys, "find-witness", alias, "--depth", "0")
+    assert code == 3
+    assert out == ""
+    assert "bad builtin alias %r" % alias in err
+
+
 def test_ideal_check_pair_eight_passes(capsys):
     code, out, _ = run(capsys, "ideal-check", "pair:8")
     assert code == 0

@@ -371,7 +371,7 @@ def test_products_and_stars_build_no_clopen(alias, monkeypatch):
     # the first pass builds each key's domain once, for the escape check;
     # after it, products and stars are prefix arithmetic on cylinder words
     pres = PRESENTATIONS[alias]
-    elems = [ca.bisection_indicator(pres, bis) for bis in pres.enumeration(2).bisections]
+    elems = [ca.bisection_indicator(pres, bis) for bis in gpd.enumerate_bisections(pres, 2).bisections]
     elems.append(ca.add(elems[-1], ca.scale(elems[len(elems) // 2], 3)))
 
     def products():

@@ -288,14 +288,6 @@ def test_principal_arrows_are_canonical_across_words():
     assert via_second.arrow_pieces[0].word == ((0, 1),)
 
 
-def test_enumeration_is_cached_per_presentation():
-    pres = cuntz(2)
-    first = pres.enumeration(2)
-    assert pres.enumeration(2) is first
-    assert first == enumerate_bisections(pres, 2)
-    assert pres.enumeration(1) == enumerate_bisections(pres, 1)
-
-
 def test_bisection_check_applies_each_piece_once(monkeypatch):
     # under principal isotropy the identity on Finite(n) has n pieces; the
     # range check must not recompute ranges per pair of pieces

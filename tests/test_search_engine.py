@@ -7,6 +7,7 @@ import pytest
 
 from ample import groupoid as gpd
 from ample import paradox as px
+from ample import serialize as ser
 from ample import typesemigroup as ts
 from ample.stone import FINITE, UnitSpace, clopen, whole
 
@@ -85,28 +86,135 @@ def test_every_hit_verifies(alias):
     assert hits >= 12  # f ~ f is always found
 
 
+def _check_against_the_bisection_calculus(pres, depth):
+    """Compile the words up to depth and compare each cell's candidates with
+    the oracle: the enumerated bisections whose domain holds the cell, in
+    order (each first-wins representative of its arrows), restricted to
+    the cell, with their image under `apply`."""
+    space = pres.space
+    words = list(gpd.enumerate_words(pres, depth))
+    enum = gpd.enumerate_bisections(pres, depth).bisections
+    a = whole(space)
+    cell_depth = ts._cell_depth(pres, [ts.family_of(a)], words)
+    if space.kind != FINITE:
+        assert cell_depth == max(b.dom().max_depth() for b in enum)
+    cells = a.expand(cell_depth)
+    targets = [a, clopen(space, cells[: len(cells) // 2 + 1])]
+    options, masks, leaves = ts._compile_pieces(pres, words, cells, targets)
+    to_clopen = _decoder(space, leaves)
+    assert [to_clopen(m) for m in masks] == targets
+    for cell in cells:
+        cc = clopen(space, [cell])
+        expected = []
+        for b in enum:
+            if cc.subset_of(b.dom()):
+                (piece,) = b.restrict(cc).arrow_pieces
+                expected.append((piece.word, b.apply(cc)))
+        assert [(word, to_clopen(image)) for word, image in options[cell]] == expected
+    return options, masks, leaves
+
+
 @pytest.mark.parametrize("pres", [gpd.builtin(alias) for alias in PRESENTATIONS] + [SPLIT, TWO_WAYS],
                          ids=list(PRESENTATIONS) + ["split-domain", "two-ways"])
 def test_compiled_images_match_the_bisection_calculus(pres):
-    # the candidates of a cell are the bisections whose domain holds it, in
-    # enumeration order, and each image mask is the image under `apply`
-    space = pres.space
-    enum = gpd.enumerate_bisections(pres, 2).bisections
-    a = whole(space)
-    cells = a.expand(ts._cell_depth(pres, [ts.family_of(a)], enum))
-    target = clopen(space, cells[: len(cells) // 2 + 1])
-    options, masks, leaves = ts._compile_pieces(pres, enum, cells, [a, target])
-    to_clopen = _decoder(space, leaves)
-    assert [to_clopen(m) for m in masks] == [a, target]
-    for cell in cells:
-        cc = clopen(space, [cell])
-        assert [bi for bi, _, _ in options[cell]] == [
-            bi for bi, b in enumerate(enum) if cc.subset_of(b.dom())
-        ]
-        for bi, word, image in options[cell]:
-            assert to_clopen(image) == enum[bi].apply(cc)
-            # the recorded piece is the bisection restricted to the cell
-            assert gpd.Bisection(pres, [(word, cc)]) == enum[bi].restrict(cc)
+    # the candidates of a cell are the words acting there, one per
+    # enumerated bisection, with the piece's canonical word and its image
+    _check_against_the_bisection_calculus(pres, 2)
+
+
+def _random_injection(rng, n, shift=None):
+    """Random pairs on n points; with `shift`, each sends x to x + shift mod n."""
+    srcs = rng.sample(range(n), rng.randint(1, n))
+    if shift is not None:
+        return tuple((x, (x + shift) % n) for x in srcs)
+    return tuple(zip(srcs, rng.sample(range(n), len(srcs))))
+
+
+def _random_finite(rng):
+    """A random presentation on Finite(n) in the free, principal or table model.
+
+    The table model is Z_n acting by rotation: each generator is a rotation
+    restricted to random points, so the join closure never conflicts.
+    """
+    n = rng.randint(2, 5)
+    model = rng.choice(("free", "principal", "table"))
+    count = rng.randint(1, 2)
+    if model == "table":
+        steps = [rng.randrange(n) for _ in range(count)]
+        table = gpd.Table(tuple(tuple((a + b) % n for b in range(n)) for a in range(n)), tuple(steps))
+        return gpd.finite_groupoid(n, [_random_injection(rng, n, s) for s in steps], table)
+    isotropy = gpd.FREE if model == "free" else gpd.PRINCIPAL
+    return gpd.finite_groupoid(n, [_random_injection(rng, n) for _ in range(count)], isotropy)
+
+
+def _random_shift(rng):
+    """A random presentation on the shift by group elements with disjoint
+    cylinder pieces."""
+    space = UnitSpace.shift(rng.randint(2, 3))
+    gens = []
+    for g in range(rng.randint(1, 2)):
+        strips = space.cells_at_depth(rng.randint(0, 2))
+        adds = space.cells_at_depth(rng.randint(0, 2))
+        count = rng.randint(1, min(len(strips), len(adds), 3))
+        gens.append(gpd.GroupElement("g%d" % g, tuple(zip(rng.sample(strips, count),
+                                                          rng.sample(adds, count)))))
+    return gpd.Presentation(space, gens)
+
+
+# g^-1 and g^2 act alike, so they share arrows: the later word is dropped
+SHARED_ARROWS = {"rotation:3:table": gpd.rotation(3, with_table=True),
+                 "principal-3-cycle": gpd.finite_groupoid(3, [((0, 1), (1, 2), (2, 0))])}
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("name", list(SHARED_ARROWS) + ["finite-%d" % s for s in range(12)]
+                         + ["shift-%d" % s for s in range(8)])
+def test_word_actions_give_the_first_wins_candidates(name, depth):
+    rng = random.Random(name)
+    if name in SHARED_ARROWS:
+        pres = SHARED_ARROWS[name]
+    elif name.startswith("finite"):
+        pres = _random_finite(rng)
+    else:
+        pres = _random_shift(rng)
+    options, _, _ = _check_against_the_bisection_calculus(pres, depth)
+    if name in SHARED_ARROWS and depth:
+        # the identity, g and g^-1: g^2, g^-2 and longer words repeat them
+        assert all(len(found) == 3 for found in options.values())
+
+
+def test_a_table_word_names_its_element_on_the_whole_element_domain():
+    # in Z_4 the generator 0->2 and its inverse 2->0 are one element, which
+    # acts on {0, 2}, while its canonical word g acts only on 0
+    table = gpd.Table(tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4)), (2,))
+    pres = gpd.finite_groupoid(4, [((0, 2),)], table)
+    back = gpd.from_word(pres, ((0, -1),))
+    assert back.arrow_pieces[0].word == ((0, 1),)
+    assert back.restrict(back.dom()) == back
+    assert ser.decode_bisection(ser.encode_bisection(back), pres) == back
+    f1, f2 = (ts.family_of(clopen(pres.space, [x])) for x in (2, 0))
+    out = ts.search_equiv(pres, f1, f2, 1)
+    assert out.status == "found"
+    assert ts.verify_equiv(pres, f1, f2, out.certificate).ok
+
+
+def test_the_search_builds_no_bisection_per_word(monkeypatch):
+    # candidates come from the word actions; only the chosen pieces become
+    # bisections, built directly
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word went through the bisection calculus")
+
+    monkeypatch.setattr(gpd, "enumerate_bisections", refuse)
+    monkeypatch.setattr(gpd, "from_word", refuse)
+    monkeypatch.setattr(px, "from_word", refuse)
+    for alias in ("cuntz:2", "odometer:3", "pair:4", "rotation:3:table"):
+        pres = gpd.builtin(alias)
+        a = whole(pres.space)
+        f = ts.family_of(a)
+        found = px.search_witness(pres, a, 2, 1, 2, budget=2000)
+        assert found.status == ("found" if alias == "cuntz:2" else "exhausted")
+        assert ts.search_leq(pres, f, f, 2).status == "found"
+        assert ts.search_equiv(pres, f, f, 2).status == "found"
 
 
 def test_chosen_pieces_are_restricted_to_their_cell():
@@ -132,11 +240,11 @@ def test_masks_grow_with_the_words_met_not_with_depth():
     out = px.search_witness(c9, a, 2, 1, 2)
     assert out.status == "found"
     assert px.verify_witness(c9, out.certificate).ok
-    enum = gpd.enumerate_bisections(c9, 2).bisections
-    cells = a.expand(ts._cell_depth(c9, [ts.family_of(a)], enum))
-    options, masks, leaves = ts._compile_pieces(c9, enum, cells, [a])
+    words = list(gpd.enumerate_words(c9, 2))
+    cells = a.expand(ts._cell_depth(c9, [ts.family_of(a)], words))
+    options, masks, leaves = ts._compile_pieces(c9, words, cells, [a])
     to_clopen = _decoder(c9.space, leaves)
-    images = [m for found in options.values() for _, _, m in found]
+    images = [m for found in options.values() for _, m in found]
     words = {w for m in images for w in to_clopen(m).cells}
     words.update(a.cells)
     assert max(m.bit_length() for m in images + masks) <= 9 * len(words)
