@@ -247,10 +247,21 @@ def cmd_dichotomy(args):
     return EXIT_OK if side in ("state", "paradox") else EXIT_INCONCLUSIVE
 
 
+def _inconclusive(args, command, exc):
+    """Report a well-formed input that a limit or an unverified hypothesis
+    keeps the command from checking."""
+    _emit(args, {"command": command, "outcome": "inconclusive", "reason": str(exc)},
+          ["inconclusive: %s" % exc])
+    return EXIT_INCONCLUSIVE
+
+
 def cmd_orbits(args):
     pres = serialize.parse_presentation_arg(args.presentation)
     part, block_of = orbits.quasi_orbits(pres)
-    lattice = orbits.invariant_lattice(pres)
+    try:
+        lattice = orbits.invariant_lattice(pres)
+    except orbits.OrbitLimit as exc:
+        return _inconclusive(args, "orbits", exc)
     report = {
         "command": "orbits",
         "orbits": [list(b) for b in part.blocks],
@@ -270,11 +281,8 @@ def cmd_ideal_check(args):
     pres = serialize.parse_presentation_arg(args.presentation)
     try:
         rep = orbits.ideal_lattice_check(pres)
-    except orbits.PrincipalityError as exc:
-        # a well-formed presentation whose isotropy is not verified trivial
-        report = {"command": "ideal-check", "outcome": "inconclusive", "reason": str(exc)}
-        _emit(args, report, ["inconclusive: %s" % exc])
-        return EXIT_INCONCLUSIVE
+    except (orbits.PrincipalityError, orbits.OrbitLimit) as exc:
+        return _inconclusive(args, "ideal-check", exc)
     rep["command"] = "ideal-check"
     verdict, code = ("passed", EXIT_OK) if rep["passed"] else ("FAILED", EXIT_REJECTED)
     _emit(

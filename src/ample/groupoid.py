@@ -122,7 +122,8 @@ class GroupElement(Frozen):
     __slots__ = ("label", "pieces")
 
 
-def _generator_action(gen, space):
+def generator_action(gen, space):
+    """The partial action of one generator on the space; checks its cells."""
     if isinstance(gen, PrefixMap):
         if space.kind != stone.SHIFT:
             raise PresentationError("prefix map generator on a finite space")
@@ -254,7 +255,7 @@ class Presentation:
         self.space = space
         self.generators = tuple(generators)
         self.isotropy = isotropy
-        self.gen_actions = tuple(_generator_action(g, space) for g in self.generators)
+        self.gen_actions = tuple(generator_action(g, space) for g in self.generators)
         self._letter_actions = {}  # (g, +-1) -> the action of that one letter
         for g, act in enumerate(self.gen_actions):
             self._letter_actions[g, 1] = act
@@ -769,12 +770,16 @@ def trivial(n):
     return Presentation(UnitSpace.finite(n), [], PRINCIPAL)
 
 
+# the names of the builtin aliases, each with its constructor
+BUILTINS = {"cuntz": cuntz, "pair": pair_groupoid, "rotation": rotation, "odometer": odometer,
+            "trivial": trivial}
+
+
 def builtin(alias):
     """Resolve aliases like cuntz:2, pair:3, rotation:3, rotation:3:table,
     odometer, trivial:2.  A part the alias does not take is an error."""
     name, *args = alias.split(":")
-    make = {"cuntz": cuntz, "pair": pair_groupoid, "rotation": rotation, "odometer": odometer,
-            "trivial": trivial}.get(name)
+    make = BUILTINS.get(name)
     if make is None:
         raise PresentationError("unknown builtin alias %r" % alias)
     table = name == "rotation" and args[1:] == ["table"]

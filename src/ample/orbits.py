@@ -29,6 +29,10 @@ class PrincipalityError(ValueError):
     """The presentation's isotropy cannot be verified trivial."""
 
 
+class OrbitLimit(ValueError):
+    """More orbits than MAX_ORBITS: the invariant subsets are not enumerated."""
+
+
 def _require_finite(pres):
     if pres.space.kind != stone.FINITE:
         raise NotFiniteError("orbit computations need a finite space")
@@ -79,7 +83,8 @@ def invariant_lattice(pres):
     """All invariant subsets: exactly the unions of orbits."""
     part = orbit_partition(pres)
     if part.count > MAX_ORBITS:
-        raise NotFiniteError("too many orbits for lattice enumeration")
+        raise OrbitLimit("too many orbits for lattice enumeration: %d > %d"
+                         % (part.count, MAX_ORBITS))
     subsets = []
     for mask in range(1 << part.count):
         pts = []

@@ -2,10 +2,10 @@
 
 A (k,l) witness for a clopen A consists of k rows of bisection pieces: the
 domains in each row cover A, and the ranges, each tagged with a label
-below l, sit pairwise disjointly inside A x {1..l}.  Witnesses convert to
-and from certificates of k[A] <= l[A] in the type semigroup, can be
-weakened to other (k',l') shapes, and are searched for as tilings of
-k[A] into l[A] by the type semigroup's one search engine.
+below l, sit pairwise disjointly inside A x {1..l}: in the type
+semigroup, k[A] <= l[A].  Witnesses are searched for as tilings of k[A]
+into l[A] by the type semigroup's one search engine, and weakened to
+other (k',l') shapes by composing their rows.
 
 A failed search is reported as none-within-budget and never as a proof of
 non-paradoxicality; definitive non-paradoxicality only ever comes from a
@@ -16,16 +16,9 @@ from __future__ import annotations
 
 from . import stone
 from .stone import Record, clopen, empty
-from .groupoid import Bisection, from_word
+from .groupoid import Bisection, from_word, identity_bisection
 from . import typesemigroup as ts
-from .typesemigroup import (
-    EquivCertificate,
-    LeqCertificate,
-    SearchOutcome,
-    VerifyResult,
-    family_of,
-    multiple,
-)
+from .typesemigroup import SearchOutcome, VerifyResult, family_of, multiple
 
 
 class WitnessError(ValueError):
@@ -95,86 +88,45 @@ def disjointify(pres, w):
     return ParadoxWitness(w.a, w.k, w.l, tuple(rows))
 
 
-def witness_to_leq(pres, w):
-    """The certificate k[A] <= l[A] read off a verifying witness."""
-    res = verify_witness(pres, w)
-    if not res:
-        raise WitnessError("witness does not verify: %s" % res.reason)
-    w = disjointify(pres, w)
-    fam_a = family_of(w.a)
-    taken = {m: empty(pres.space) for m in range(1, w.l + 1)}
-    triples = []
-    for i, row in enumerate(w.rows, start=1):
-        for bis, m in row:
-            triples.append((bis, i, m))
-            taken[m] = taken[m].union(bis.ran())
-    leftover = {m: w.a.difference(ran) for m, ran in taken.items()}
-    remainder, rest = ts.leftover_remainder(pres, leftover, w.k)
-    cert = LeqCertificate(remainder, EquivCertificate(tuple(triples) + rest))
-    check = ts.verify_leq(pres, multiple(fam_a, w.k), multiple(fam_a, w.l), cert)
-    if not check:
-        raise WitnessError("internal: constructed certificate fails: %s" % check.reason)
-    return cert
-
-
-def leq_to_witness(pres, a, k, l, cert):
-    """Rebuild a witness from a verifying certificate of k[A] <= l[A]."""
-    if not (k > l >= 1):
-        raise WitnessError("k <= l rejected: a paradox needs a genuine drop")
-    fam_a = family_of(a)
-    res = ts.verify_leq(pres, multiple(fam_a, k), multiple(fam_a, l), cert)
-    if not res:
-        raise WitnessError("certificate does not verify: %s" % res.reason)
-    rows = [[] for _ in range(k)]
-    for bis, n, m in cert.equivalence.triples:
-        if bis.is_empty:
-            continue
-        if n <= k:
-            rows[n - 1].append((bis, m))
-    w = ParadoxWitness(a, k, l, tuple(tuple(r) for r in rows))
-    check = verify_witness(pres, w)
-    if not check:
-        raise WitnessError("internal: rebuilt witness fails: %s" % check.reason)
-    return w
-
-
-def _leq_identity(pres, fam):
-    return LeqCertificate(ts.LabeledFamily(pres.space, ()), ts.reflexive_cert(pres, fam))
-
-
 def weaken(pres, w, k2, l2):
     """A (k2,l2) witness from a (k,l) one, for any k2 > l2 >= l.
 
-    Runs the inequality chain in the type semigroup: iterate k[A] <= l[A]
-    to push the left side arbitrarily high, pad both sides, and read the
-    resulting certificate back as a witness.
+    The rows compose directly what k[A] <= l[A] gives in the type
+    semigroup.  While there are n < m = k2 - (l2 - l) rows, add k - l
+    identity rows sent to labels l+1..k, and route every piece with label
+    j through row j of the witness: (n + k - l)[A] <= k[A] <= l[A].  Then
+    keep the first m rows and add l2 - l identity rows sent to labels
+    l+1..l2.
     """
     if not (k2 > l2 >= w.l):
         raise WitnessError("invalid weakening targets (%r, %r)" % (k2, l2))
+    res = verify_witness(pres, w)
+    if not res:
+        raise WitnessError("witness does not verify: %s" % res.reason)
+    base = disjointify(pres, w).rows
     k, l = w.k, w.l
-    fam_a = family_of(w.a)
-    base = witness_to_leq(pres, w)
+    ident = identity_bisection(pres, w.a)
+
+    def route(row):
+        out = []
+        for p, j in row:
+            ran = p.ran()
+            for q, n in base[j - 1]:
+                mid = ran.intersect(q.dom())
+                if not mid.is_empty:
+                    out.append((q.restrict(mid).compose(p.restrict_range(mid)), n))
+        return tuple(out)
 
     m = k2 - (l2 - l)
-    cur_k = k
-    cert = base  # cur_k [A] <= l [A]
-    while cur_k < m:
-        pad = multiple(fam_a, k - l)
-        widened = ts.leq_add(pres, multiple(fam_a, cur_k), multiple(fam_a, l), cert,
-                             pad, pad, _leq_identity(pres, pad))
-        # (cur_k + k - l)[A] <= k[A] <= l[A]
-        cert = ts.leq_transitive(pres, multiple(fam_a, cur_k + k - l),
-                                 multiple(fam_a, k), multiple(fam_a, l), widened, base)
-        cur_k += k - l
-    if cur_k > m:
-        drop = ts.leq_padding(pres, multiple(fam_a, m), multiple(fam_a, cur_k - m))
-        cert = ts.leq_transitive(pres, multiple(fam_a, m), multiple(fam_a, cur_k),
-                                 multiple(fam_a, l), drop, cert)
-    if l2 > l:
-        pad = multiple(fam_a, l2 - l)
-        cert = ts.leq_add(pres, multiple(fam_a, m), multiple(fam_a, l), cert,
-                          pad, pad, _leq_identity(pres, pad))
-    return leq_to_witness(pres, w.a, k2, l2, cert)
+    rows = base
+    while len(rows) < m:
+        rows = tuple(map(route, rows + tuple(((ident, j),) for j in range(l + 1, k + 1))))
+    rows = rows[:m] + tuple(((ident, j),) for j in range(l + 1, l2 + 1))
+    out = ParadoxWitness(w.a, k2, l2, rows)
+    res = verify_witness(pres, out)
+    if not res:
+        raise WitnessError("internal: weakening produced a non-verifying witness: %s" % res.reason)
+    return out
 
 
 def search_witness(pres, a, k, l, depth, budget=ts.DEFAULT_BUDGET):

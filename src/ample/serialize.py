@@ -195,10 +195,14 @@ def decode_presentation(data, path="presentation"):
     _check_version(data, path)
     space = decode_space(_need(data, "space", path), path + ".space")
     gens_data = _need_list(data, "generators", path)
-    gens = [
-        decode_generator(g, "%s.generators[%d]" % (path, i))
-        for i, g in enumerate(gens_data)
-    ]
+    gens = []
+    for i, g in enumerate(gens_data):
+        here = "%s.generators[%d]" % (path, i)
+        gens.append(decode_generator(g, here))
+        try:
+            gpd.generator_action(gens[-1], space)
+        except (gpd.PresentationError, stone.CellError) as exc:
+            raise SchemaError(here, str(exc)) from exc
     iso = data.get("isotropy", "free")
     if isinstance(iso, dict):
         here = path + ".isotropy"
@@ -431,10 +435,10 @@ def load_json(path):
 def parse_presentation_arg(spec):
     """A builtin alias like cuntz:2, or a path to a presentation file.
 
-    A spec of the alias form (cuntz:1, odometer) that is neither a valid
-    alias nor an existing file raises the alias's PresentationError.
+    A spec of the alias form (cuntz:1, cuntz, odometer) that is neither a
+    valid alias nor an existing file raises the alias's PresentationError.
     """
-    alias = ":" in spec or spec == "odometer"
+    alias = ":" in spec or spec in gpd.BUILTINS
     if alias or not spec.endswith(".json"):
         try:
             return gpd.builtin(spec)

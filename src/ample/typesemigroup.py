@@ -155,50 +155,6 @@ def verify_equiv(pres, f1, f2, cert):
     return _tiling_matches(f2, rans, "range")
 
 
-def reflexive_cert(pres, fam):
-    triples = [(identity_bisection(pres, fam.entry(i)), i, i) for i in fam.labels]
-    return EquivCertificate(tuple(triples))
-
-
-def symmetric_cert(cert):
-    return EquivCertificate(tuple((w.inverse(), m, n) for w, n, m in cert.triples))
-
-
-def transitive_cert(pres, f1, f2, f3, c1, c2):
-    """Compose certificates for f1 ~ f2 and f2 ~ f3 via common refinement."""
-    r1 = verify_equiv(pres, f1, f2, c1)
-    if not r1:
-        raise FamilyError("left certificate does not verify: %s" % r1.reason)
-    r2 = verify_equiv(pres, f2, f3, c2)
-    if not r2:
-        raise FamilyError("right certificate does not verify: %s" % r2.reason)
-    triples = []
-    for w1, n1, m1 in c1.triples:
-        for w2, n2, m2 in c2.triples:
-            if m1 != n2:
-                continue
-            middle = w1.ran().intersect(w2.dom())
-            if middle.is_empty:
-                continue
-            w = w2.restrict(middle).compose(w1.restrict_range(middle))
-            triples.append((w, n1, m2))
-    return EquivCertificate(tuple(triples))
-
-
-def sum_cert(pres, fa, fb, fc, fd, c1, c2):
-    """From fa ~ fb and fc ~ fd, a certificate for fa+fc ~ fb+fd."""
-    r1 = verify_equiv(pres, fa, fb, c1)
-    if not r1:
-        raise FamilyError("left certificate does not verify: %s" % r1.reason)
-    r2 = verify_equiv(pres, fc, fd, c2)
-    if not r2:
-        raise FamilyError("right certificate does not verify: %s" % r2.reason)
-    shift_n = len(fa.entries)
-    shift_m = len(fb.entries)
-    triples = list(c1.triples) + [(w, n + shift_n, m + shift_m) for w, n, m in c2.triples]
-    return EquivCertificate(tuple(triples))
-
-
 # ---------------------------------------------------------------------------
 # the preorder
 
@@ -210,53 +166,6 @@ class LeqCertificate(Record):
 
 def verify_leq(pres, f1, f2, cert):
     return verify_equiv(pres, add(f1, cert.remainder), f2, cert.equivalence)
-
-
-def subset_cert(pres, a, b):
-    """The inclusion certificate [A] <= [B] for A a subset of B."""
-    if not a.subset_of(b):
-        raise FamilyError("subset_cert needs A contained in B")
-    rest = b.difference(a)
-    fa = family_of(a)
-    remainder = normalize(pres.space, [(rest, 1)])
-    triples = []
-    if not a.is_empty:
-        triples.append((identity_bisection(pres, a), 1, 1))
-    if not rest.is_empty:
-        triples.append((identity_bisection(pres, rest), len(fa.entries) + 1, 1))
-    return LeqCertificate(remainder, EquivCertificate(tuple(triples)))
-
-
-def leq_padding(pres, f, extra):
-    """f <= f + extra, witnessed by the extra itself."""
-    return LeqCertificate(extra, reflexive_cert(pres, add(f, extra)))
-
-
-def leq_add(pres, fa, fb, c1, fc, fd, c2):
-    """From fa <= fb and fc <= fd, a certificate for fa+fc <= fb+fd."""
-    a, c = len(fa.entries), len(fc.entries)
-    b, d = len(fb.entries), len(fd.entries)
-    r1len = len(c1.remainder.entries)
-    remainder = add(c1.remainder, c2.remainder)
-
-    def left_label_1(n):
-        return n if n <= a else n + c
-
-    def left_label_2(n):
-        return a + n if n <= c else a + c + r1len + (n - c)
-
-    triples = [(w, left_label_1(n), m) for w, n, m in c1.equivalence.triples]
-    triples += [(w, left_label_2(n), b + m) for w, n, m in c2.equivalence.triples]
-    return LeqCertificate(remainder, EquivCertificate(tuple(triples)))
-
-
-def leq_transitive(pres, fx, fy, fz, c1, c2):
-    """From fx <= fy and fy <= fz, a certificate for fx <= fz."""
-    r1, r2 = c1.remainder, c2.remainder
-    left = add(add(fx, r1), r2)  # same entries as add(fx, add(r1, r2))
-    step1 = sum_cert(pres, add(fx, r1), fy, r2, r2, c1.equivalence, reflexive_cert(pres, r2))
-    chain = transitive_cert(pres, left, add(fy, r2), fz, step1, c2.equivalence)
-    return LeqCertificate(add(r1, r2), chain)
 
 
 # ---------------------------------------------------------------------------
@@ -469,25 +378,17 @@ def search_equiv(pres, f1, f2, depth, budget=DEFAULT_BUDGET):
 
 
 def search_leq(pres, f1, f2, depth, budget=DEFAULT_BUDGET):
-    """Search a certificate for f1 <= f2; leftovers become the remainder."""
-    outcome, remaining = _search_tiling(pres, f1, f2, depth, budget, exact=False)
+    """Search a certificate for f1 <= f2; leftovers become the remainder.
+
+    The nonempty leftover of each label m of f2, in label order, is an
+    entry of the remainder, which follows f1's labels on the left side and
+    is matched onto its leftover by the identity.
+    """
+    outcome, leftover = _search_tiling(pres, f1, f2, depth, budget, exact=False)
     if outcome.status != "found":
         return outcome
-    remainder, rest = leftover_remainder(pres, remaining, len(f1.entries))
+    remainder, rank = normalize_with_map(pres.space, [(c, m) for m, c in leftover.items()])
+    rest = tuple((identity_bisection(pres, leftover[m]), len(f1.entries) + r, m)
+                 for m, r in rank.items())
     triples = outcome.certificate.triples + rest
     return SearchOutcome(LeqCertificate(remainder, EquivCertificate(triples)), "found", outcome.stats)
-
-
-def leftover_remainder(pres, leftover, shift):
-    """The remainder family of f1 <= f2 and its identity triples.
-
-    `leftover` maps each label m of f2 to the clopen that f1's pieces leave
-    uncovered there.  The nonempty ones, in label order, are the remainder's
-    entries, which follow f1's `shift` labels on the left side; each is
-    matched onto its leftover by the identity.
-    """
-    labels = sorted(leftover)
-    remainder, rank = normalize_with_map(pres.space, [(leftover[m], m) for m in labels])
-    triples = tuple((identity_bisection(pres, leftover[m]), shift + rank[m], m)
-                    for m in labels if m in rank)
-    return remainder, triples

@@ -6,6 +6,7 @@ import random
 import time
 from fractions import Fraction
 
+import leq_chain
 from ample import convalg as ca
 from ample import groupoid as gpd
 from ample import orbits as ob
@@ -95,12 +96,12 @@ def test_criterion_02_lemma_round_trip():
         assert px.verify_witness(pres, w).ok
         total += 1
         try:
-            cert = px.witness_to_leq(pres, w)
+            cert = leq_chain.witness_to_leq(pres, w)
             fam = ts.family_of(w.a)
             if not ts.verify_leq(pres, ts.multiple(fam, w.k), ts.multiple(fam, w.l), cert).ok:
                 failures += 1
                 continue
-            back = px.leq_to_witness(pres, w.a, w.k, w.l, cert)
+            back = leq_chain.leq_to_witness(pres, w.a, w.k, w.l, cert)
             if not px.verify_witness(pres, back).ok:
                 failures += 1
         except (px.WitnessError, ts.FamilyError):

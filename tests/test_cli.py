@@ -421,6 +421,33 @@ def test_ideal_check_pair_eight_passes(capsys):
     assert "ideal lattice check: passed" in out
 
 
+@pytest.mark.parametrize("name", ["cuntz", "pair", "rotation", "trivial"])
+def test_a_bare_builtin_name_is_the_alias_error(capsys, name):
+    code, out, err = run(capsys, "find-witness", name, "--depth", "0")
+    assert code == 3
+    assert out == ""
+    assert "bad builtin alias %r: expected %s:n" % (name, name) in err
+    assert "cannot read" not in err
+
+
+def test_a_file_named_like_a_builtin_is_still_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pair").write_text(ser.dumps(ser.encode_presentation(rotation(3))))
+    code, out, _ = run(capsys, "orbits", "pair")
+    assert code == 0
+    assert json.loads(out)["orbits"] == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("command", ["orbits", "ideal-check"])
+def test_more_orbits_than_enumerated_is_inconclusive(capsys, command):
+    # a well-formed presentation: only the orbit limit stops the command
+    code, out, err = run(capsys, command, "trivial:13")
+    assert code == 2
+    assert err == ""
+    assert json.loads(out) == {"command": command, "outcome": "inconclusive",
+                               "reason": "too many orbits for lattice enumeration: 13 > 12"}
+
+
 def _set(data, keys, value):
     """A copy of the JSON `data` with the entry at `keys` set to `value`."""
     data = json.loads(json.dumps(data))
@@ -456,11 +483,12 @@ def _group_element(pieces):
         "group-label-int"])
 def test_bad_field_of_a_read_file_is_exit_three(tmp_path, capsys, bad, keys, value, where):
     c2 = cuntz(2)
+    x = ts.family_of(whole(c2.space))
     files = {
         "presentation": ser.encode_presentation(rotation(3, with_table=True)),
-        "family": ser.encode_family(ts.family_of(whole(c2.space))),
+        "family": ser.encode_family(x),
         "certificate": ser.encode_equiv_certificate(
-            px.witness_to_leq(c2, px.cuntz_witness(c2, "")).equivalence),
+            ts.search_equiv(c2, ts.multiple(x, 2), x, 1).certificate),
     }
     files[bad] = _set(files[bad], keys, value)
     for name, data in files.items():
@@ -474,6 +502,21 @@ def test_bad_field_of_a_read_file_is_exit_three(tmp_path, capsys, bad, keys, val
     assert code == 3
     assert out == ""
     assert err.startswith("input error at %s: " % where)
+
+
+@pytest.mark.parametrize("space, good, bad, message", [
+    ({"kind": "shift", "k": 2}, {"kind": "prefix_map", "alpha": "", "beta": "1"},
+     _group_element([["1", "3"]]), "letter '3' out of range for Shift(2)"),
+    ({"kind": "finite", "n": 3}, {"kind": "partial_injection", "pairs": [[0, 1]]},
+     {"kind": "partial_injection", "pairs": [[0, 5]]}, "point 5 out of range for Finite(3)"),
+], ids=["group-element-letter", "partial-injection-point"])
+def test_a_cell_outside_the_space_names_its_generator(tmp_path, capsys, space, good, bad, message):
+    pfile = tmp_path / "presentation.json"
+    pfile.write_text(json.dumps({"schema_version": 1, "space": space, "generators": [good, bad]}))
+    code, out, err = run(capsys, "orbits", str(pfile))
+    assert code == 3
+    assert out == ""
+    assert err == "input error at presentation.generators[1]: %s\n" % message
 
 
 def test_bad_budget_variable_is_input_error(capsys, monkeypatch):

@@ -105,8 +105,6 @@ NO_CALLER_NEEDED = {
     "encode_leq_certificate": "the writer of the <= certificates verify-cert reads",
     "finite_groupoid": "builds a finite presentation from partial injections",
     "cuntz_witness": "the standard (k,1) witness on a cylinder of the shift",
-    "subset_cert": "the inclusion certificate [A] <= [B] for A inside B",
-    "symmetric_cert": "the reversed equivalence certificate, of the certificate algebra",
 }
 
 

@@ -3,6 +3,7 @@
 import json
 import random
 
+import leq_chain
 from ample import cli
 from ample import convalg as ca
 from ample import groupoid as gpd
@@ -59,13 +60,16 @@ def test_certificate_algebra_dispatch_fuzz():
         if out.status != "found":
             continue
         cert = out.certificate
-        back = ts.symmetric_cert(cert)
+        back = ts.search_equiv(pres, g, f, 1, budget=100000)
+        if back.status != "found":
+            continue
+        back = back.certificate
         assert ts.verify_equiv(pres, g, f, back).ok
-        loop = ts.transitive_cert(pres, f, g, f, cert, back)
+        loop = leq_chain.transitive_cert(pres, f, g, f, cert, back)
         assert ts.verify_equiv(pres, f, f, loop).ok
-        both = ts.sum_cert(pres, f, g, g, f, cert, back)
+        both = leq_chain.sum_cert(pres, f, g, g, f, cert, back)
         assert ts.verify_equiv(pres, ts.add(f, g), ts.add(g, f), both).ok
-        refl = ts.reflexive_cert(pres, f)
+        refl = leq_chain.reflexive_cert(pres, f)
         assert ts.verify_equiv(pres, f, f, refl).ok
         verified += 1
     assert verified >= 20

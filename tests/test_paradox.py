@@ -1,15 +1,22 @@
+import hashlib
+import importlib
+import json
+import pathlib
 import random
 from itertools import combinations
 
 import pytest
 
+import leq_chain
 from ample import groupoid as gpd
 from ample import paradox as px
+from ample import serialize as ser
 from ample import typesemigroup as ts
 from ample.groupoid import cuntz, finite_groupoid, from_word, odometer, pair_groupoid, rotation
 from ample.stone import clopen, whole
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 C2 = cuntz(2)
 C3 = cuntz(3)
 X2 = whole(C2.space)
@@ -71,7 +78,7 @@ def test_rotation_admits_no_witness_by_exhaustion():
 
 def test_witness_to_leq_whole_space_has_empty_remainder():
     w = px.cuntz_witness(C2, "")
-    cert = px.witness_to_leq(C2, w)
+    cert = leq_chain.witness_to_leq(C2, w)
     assert cert.remainder.is_empty
     fam = ts.family_of(X2)
     assert ts.verify_leq(C2, ts.multiple(fam, 2), ts.multiple(fam, 1), cert).ok
@@ -83,35 +90,29 @@ def test_witness_to_leq_with_genuine_remainder():
     u12 = from_word(C2, ((0, 1), (1, 1)))
     w = px.ParadoxWitness(X2, 2, 1, (((u11, 1),), ((u12, 1),)))
     assert px.verify_witness(C2, w).ok
-    cert = px.witness_to_leq(C2, w)
+    cert = leq_chain.witness_to_leq(C2, w)
     assert cert.remainder.entries == (clopen(C2.space, ["2"]),)
+    fam = ts.family_of(X2)
+    assert ts.verify_leq(C2, ts.multiple(fam, 2), ts.multiple(fam, 1), cert).ok
 
 
 def test_leq_round_trip():
     w = px.cuntz_witness(C2, "")
-    cert = px.witness_to_leq(C2, w)
-    back = px.leq_to_witness(C2, w.a, 2, 1, cert)
+    cert = leq_chain.witness_to_leq(C2, w)
+    back = leq_chain.leq_to_witness(C2, w.a, 2, 1, cert)
     assert px.verify_witness(C2, back).ok
-    again = px.witness_to_leq(C2, back)
+    again = leq_chain.witness_to_leq(C2, back)
     fam = ts.family_of(X2)
     assert ts.verify_leq(C2, ts.multiple(fam, 2), ts.multiple(fam, 1), again).ok
-
-
-def test_leq_to_witness_rejects_subset_only_certificates():
-    a = clopen(C2.space, ["11"])
-    b = clopen(C2.space, ["1"])
-    cert = ts.subset_cert(C2, a, b)
-    with pytest.raises(px.WitnessError):
-        px.leq_to_witness(C2, a, 1, 1, cert)
 
 
 def test_independent_witnesses_merge_blockwise():
     wa = px.cuntz_witness(C2, "1")
     wb = px.cuntz_witness(C2, "2")
-    ca = px.witness_to_leq(C2, wa)
-    cb = px.witness_to_leq(C2, wb)
+    ca = leq_chain.witness_to_leq(C2, wa)
+    cb = leq_chain.witness_to_leq(C2, wb)
     fa, fb = ts.family_of(wa.a), ts.family_of(wb.a)
-    combined = ts.leq_add(
+    combined = leq_chain.leq_add(
         C2, ts.multiple(fa, 2), ts.multiple(fa, 1), ca, ts.multiple(fb, 2), ts.multiple(fb, 1), cb
     )
     left = ts.add(ts.multiple(fa, 2), ts.multiple(fb, 2))
@@ -133,6 +134,84 @@ def test_weaken_reaches_larger_k_and_l():
         assert px.verify_witness(C2, out).ok
     with pytest.raises(px.WitnessError):
         px.weaken(C2, w, 2, 2)
+
+
+def test_weaken_rejects_bad_shapes_and_witnesses():
+    w = px.cuntz_witness(C2, "")
+    for k2, l2 in ((2, 2), (3, 0), (1, 2)):
+        with pytest.raises(px.WitnessError, match="invalid weakening targets"):
+            px.weaken(C2, w, k2, l2)
+    bad = px.ParadoxWitness(w.a, 2, 1, (w.rows[0], w.rows[0]))
+    with pytest.raises(px.WitnessError, match="does not verify: ranges overlap"):
+        px.weaken(C2, bad, 3, 2)
+    gap = px.ParadoxWitness(w.a, 2, 1, (w.rows[0], ()))
+    with pytest.raises(px.WitnessError, match="does not verify: row 2"):
+        px.weaken(C2, gap, 5, 3)
+
+
+# The shapes the direct weakening is compared on with the certificate chain.
+WEAK_SHAPES = ((3, 2), (5, 3), (8, 3), (4, 1), (3, 1), (6, 2), (15, 4), (7, 5), (9, 4), (4, 3))
+
+
+def _certify_inputs(monkeypatch, tmp_path, seed):
+    """The directory of the benchmark's certify inputs at seed."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    d = tmp_path / str(seed)
+    d.mkdir()
+    importlib.import_module("workloads").make_inputs("certify", seed, str(d))
+    return d
+
+
+def _weaken_agrees_with_the_chain(pres, w):
+    for k2, l2 in WEAK_SHAPES:
+        if l2 >= w.l:
+            direct, chain = (ser.dumps(ser.encode_witness(weaken(pres, w, k2, l2)))
+                             for weaken in (px.weaken, leq_chain.weaken))
+            assert direct == chain, (k2, l2)
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_weaken_matches_the_chain_on_certify_witnesses(monkeypatch, tmp_path, seed):
+    d = _certify_inputs(monkeypatch, tmp_path, seed)
+    w = ser.decode_witness(json.loads((d / "w3.json").read_text()), C2)
+    _weaken_agrees_with_the_chain(C2, w)
+
+
+@pytest.mark.parametrize("pres", (C2, C3), ids=("cuntz:2", "cuntz:3"))
+def test_weaken_matches_the_chain_on_cuntz_witnesses(pres):
+    _weaken_agrees_with_the_chain(pres, px.cuntz_witness(pres, ""))
+    _weaken_agrees_with_the_chain(pres, px.cuntz_witness(pres, "1", pres.space.size))
+
+
+@pytest.mark.parametrize("pres, depth", ((C2, 1), (C2, 2), (C2, 3), (C3, 1), (C3, 2)),
+                         ids=("cuntz:2-1", "cuntz:2-2", "cuntz:2-3", "cuntz:3-1", "cuntz:3-2"))
+def test_weaken_matches_the_chain_on_searched_witnesses(pres, depth):
+    for k, l in ((2, 1), (3, 2)):
+        out = px.search_witness(pres, whole(pres.space), k, l, depth, budget=20000)
+        assert out.status == "found"
+        _weaken_agrees_with_the_chain(pres, out.certificate)
+
+
+# SHA-256 of the certify workload's weak.json, the (5,3) weakening of its
+# depth-3 witness, at seeds 1 to 10, as the certificate chain wrote them.
+WEAK_JSON_DIGESTS = {
+    1: "6394c2e27e1d3610636c444f001c04f730eb230be7ee41bb124d3879431cec7b",
+    2: "517403e85127f9013f83950a61953d04a43465ae083c23669946f139b4dd189e",
+    3: "4c6a7fb8872b20acb2e323df3b4450602a0fe8171a83ed8a6565d715482ebc75",
+    4: "76b8ffa5cfa943cedb0439f9d8ac5b0d2a1ff62df5763ea4741c81ef4e94957a",
+    5: "ada103f490ad09ddb4cdbd7261518c935f1abdf8e787452da93ce75b2d187840",
+    6: "284237845c6c8a7b835742adcb6a4e16805c6cdda512cd4edb9ac12b3731cac5",
+    7: "0f4f48dec7a9852780c616274072d1bb79b5e4826aea31abf1f3fe85aeebd51e",
+    8: "c270fc453281e99f4e265a597b735d861719e6ae492147c86d6ea67525b7e6d1",
+    9: "76dcbf7b55100867ba90a572134868322ed2f95bf1ad34043a013e2ac3bda110",
+    10: "8ef9715ae1b22d648847abf22e2e026415f06034b2ba10310e28ef47e0cfdc80",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WEAK_JSON_DIGESTS))
+def test_certify_weak_json_is_pinned(monkeypatch, tmp_path, seed):
+    d = _certify_inputs(monkeypatch, tmp_path, seed)
+    assert hashlib.sha256((d / "weak.json").read_bytes()).hexdigest() == WEAK_JSON_DIGESTS[seed]
 
 
 def test_disjointify_is_identity_on_disjoint_rows():

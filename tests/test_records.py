@@ -20,6 +20,7 @@ from ample.stone import Clopen, UnitSpace, clopen, whole
 C2 = cuntz(2)
 X = whole(C2.space)
 A1 = clopen(C2.space, ["1"])
+FX = ts.family_of(X)
 # Two different records of the work a solve or a search did.
 STATS = (sx.Stats(1, 1, 1, 0), sx.Stats(2, 1, 1, 3))
 BUDGETS = (100, 1000)
@@ -74,10 +75,11 @@ RECORDS = {
     "TarskiReport": (lambda i: st.tarski_report(C2, A1, 1), st.TarskiReport("inconclusive", 1),
                      False),
     "ProbeReport": (lambda i: st.ProbeReport(1, 0, (), None), st.ProbeReport(1, 1, (), None), False),
-    "EquivCertificate": (lambda i: ts.reflexive_cert(C2, ts.family_of(X)), ts.EquivCertificate(()),
-                         False),
+    "EquivCertificate": (lambda i: ts.search_equiv(C2, FX, FX, 0).certificate,
+                         ts.EquivCertificate(()), False),
     "VerifyResult": (lambda i: ts.VerifyResult(True), ts.VerifyResult(False, "no"), False),
-    "LeqCertificate": (lambda i: ts.subset_cert(C2, A1, X), ts.subset_cert(C2, X, X), False),
+    "LeqCertificate": (lambda i: ts.search_leq(C2, ts.family_of(A1), FX, 0).certificate,
+                       ts.search_leq(C2, FX, FX, 0).certificate, False),
     "SearchStats": (lambda i: ts.SearchStats(1, 100, 1, 1), ts.SearchStats(2, 100, 1, 1), False),
 }
 
