@@ -10,6 +10,7 @@ AMPLE_BUDGET environment variable.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -348,95 +349,87 @@ def cmd_probe(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="ample",
-        description="exact computation with ample groupoid presentations",
-    )
+def _option(*flags, **kwargs):
+    """The arguments of one `add_argument` call."""
+    return flags, kwargs
+
+
+DEPTH = _option("--depth", type=int, default=1)
+BUDGET = _option("--budget", type=int, default=None)
+OUTPUT = _option("-o", "--output", help="write the emitted certificate here")
+SET = _option("--set", default="whole")
+WITNESS = _option("--witness", required=True)
+FAMILIES = [_option("--left", required=True), _option("--right", required=True)]
+SEED = _option("--seed", type=int, default=0)
+
+PRESENTATION_HELP = ("builtin alias (cuntz:2, pair:3, rotation:3, rotation:3:table, odometer, "
+                     "trivial:2) or a presentation file")
+
+# name: (handler, help line, options after the presentation), in help order
+COMMANDS = {
+    "verify-witness": (cmd_verify_witness, "check a paradoxical decomposition file", [WITNESS]),
+    "find-witness": (cmd_find_witness, "search a (k,l) witness for a clopen set",
+                     [DEPTH, BUDGET, OUTPUT, SET, _option("--k", type=int, default=2),
+                      _option("--l", type=int, default=1)]),
+    "type-eq": (cmd_type_eq, "search an equivalence certificate between families",
+                [DEPTH, BUDGET, OUTPUT, *FAMILIES]),
+    "verify-cert": (cmd_verify_cert, "check an equivalence or leq certificate",
+                    [*FAMILIES, _option("--cert", required=True)]),
+    "state": (cmd_state, "solve the invariant-state system at a depth", [DEPTH, OUTPUT]),
+    "tarski": (cmd_tarski, "state versus paradox for a clopen set", [DEPTH, BUDGET, OUTPUT, SET]),
+    "dichotomy": (cmd_dichotomy, "desk-scale dichotomy report for the unit space",
+                  [DEPTH, BUDGET, _option("--samples", type=int, default=20), SEED]),
+    "orbits": (cmd_orbits, "orbits, quasi-orbits, and invariant subsets", []),
+    "ideal-check": (cmd_ideal_check, "verify the ideal correspondence on a finite model", []),
+    "isometries": (cmd_isometries, "build and verify isometries from a witness",
+                   [OUTPUT, WITNESS,
+                    _option("--matrix", action="store_true", help="matrix amplification checks")]),
+    "probe": (cmd_probe, "order-unit and almost-unperforation probes",
+              [DEPTH, BUDGET, _option("--samples", type=int, default=50), SEED]),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits EXIT_INPUT with argparse's text:
+    a malformed command line is an input error, and 2 means inconclusive."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
+def build_parser(command=None):
+    """The parser of every subcommand, or of the subcommand `command` alone."""
+    parser = _Parser(prog="ample", description="exact computation with ample groupoid presentations")
     parser.add_argument("--human", action="store_true", help="prose output instead of JSON")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_depth=True, with_budget=True, with_output=True):
-        p.add_argument("presentation", help="builtin alias (cuntz:2, pair:3, rotation:3, rotation:3:table, odometer, trivial:2) or a presentation file")
-        if with_depth:
-            p.add_argument("--depth", type=int, default=1)
-        if with_budget:
-            p.add_argument("--budget", type=int, default=None)
-        if with_output:
-            p.add_argument("-o", "--output", help="write the emitted certificate here")
-
-    p = sub.add_parser("verify-witness", help="check a paradoxical decomposition file")
-    common(p, with_depth=False, with_budget=False, with_output=False)
-    p.add_argument("--witness", required=True)
-    p.set_defaults(func=cmd_verify_witness)
-
-    p = sub.add_parser("find-witness", help="search a (k,l) witness for a clopen set")
-    common(p)
-    p.add_argument("--set", default="whole")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--l", type=int, default=1)
-    p.set_defaults(func=cmd_find_witness)
-
-    p = sub.add_parser("type-eq", help="search an equivalence certificate between families")
-    common(p)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.set_defaults(func=cmd_type_eq)
-
-    p = sub.add_parser("verify-cert", help="check an equivalence or leq certificate")
-    common(p, with_depth=False, with_budget=False, with_output=False)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--cert", required=True)
-    p.set_defaults(func=cmd_verify_cert)
-
-    p = sub.add_parser("state", help="solve the invariant-state system at a depth")
-    common(p, with_budget=False)
-    p.set_defaults(func=cmd_state)
-
-    p = sub.add_parser("tarski", help="state versus paradox for a clopen set")
-    common(p)
-    p.add_argument("--set", default="whole")
-    p.set_defaults(func=cmd_tarski)
-
-    p = sub.add_parser("dichotomy", help="desk-scale dichotomy report for the unit space")
-    common(p, with_output=False)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_dichotomy)
-
-    p = sub.add_parser("orbits", help="orbits, quasi-orbits, and invariant subsets")
-    common(p, with_depth=False, with_budget=False, with_output=False)
-    p.set_defaults(func=cmd_orbits)
-
-    p = sub.add_parser("ideal-check", help="verify the ideal correspondence on a finite model")
-    common(p, with_depth=False, with_budget=False, with_output=False)
-    p.set_defaults(func=cmd_ideal_check)
-
-    p = sub.add_parser("isometries", help="build and verify isometries from a witness")
-    common(p, with_depth=False, with_budget=False)
-    p.add_argument("--witness", required=True)
-    p.add_argument("--matrix", action="store_true", help="matrix amplification checks")
-    p.set_defaults(func=cmd_isometries)
-
-    p = sub.add_parser("probe", help="order-unit and almost-unperforation probes")
-    common(p, with_output=False)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_probe)
-
+    # with one subparser, the usage would list only its name; a missing or
+    # unknown command, whose errors name the metavar, gets every subparser
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        func, help_line, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("presentation", help=PRESENTATION_HELP)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
-_parser = None
+def _command_of(argv):
+    """The subcommand argv names when only --human comes before it, else
+    None: help, a missing command and an unknown one need every subparser."""
+    for arg in argv:
+        if arg != "--human":
+            return arg if arg in COMMANDS else None
+    return None
 
 
 def main(argv=None):
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
+    """Run one command; returns its exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser.parse_args(argv)
+        args = build_parser(_command_of(argv)).parse_args(argv)
         # read on every call, so a bad AMPLE_BUDGET fails any command
         budget = default_budget()
         counts = [("AMPLE_BUDGET", budget)] + [
@@ -460,5 +453,24 @@ def main(argv=None):
         return EXIT_INPUT
 
 
+def run():
+    """The process entry of `ample` and `python -m ample.cli`.
+
+    Freezes the import heap, so the cyclic collector no longer rescans it,
+    runs main(), flushes stdout and stderr, and ends the process with
+    os._exit, skipping the interpreter's teardown.  A failed flush (a
+    closed pipe, say) and any exception out of main, argparse's exits
+    included, take the normal exit instead.  Library callers use main().
+    """
+    gc.freeze()
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # noqa: BLE001  (the teardown reports it, as it would without run)
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

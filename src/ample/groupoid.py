@@ -274,6 +274,7 @@ class Presentation:
         self._action_cache = {(): identity_action(space)}
         self._point_map_cache = {}  # word -> dict(word_action(word)), finite spaces
         self._principal_words = {}  # src -> {tgt: principal_word(src, tgt)}
+        self._steps = None  # the one-letter steps `_words_from` walks, finite spaces
         self._key_domains = {}  # arrow key -> action_domain of key_action(key)
 
     def _defining_data(self):
@@ -406,22 +407,21 @@ class Presentation:
         """{tgt: least word sending src to tgt} over every point reached by a
         breadth-first search from src: each point keeps the word of its
         first discovery, symbols tried in `_symbol_key` order."""
-        syms = []
-        for gi, act in enumerate(self.gen_actions):
-            syms.append(((gi, 1), dict(act)))
-            syms.append(((gi, -1), {t: s for s, t in act}))
-        syms.sort(key=lambda p: _symbol_key(p[0]))
+        steps = self._steps
+        if steps is None:
+            steps = self._steps = {}  # point -> [(symbol, image)] in `_symbol_key` order
+            for sym in sorted(self._letter_actions, key=_symbol_key):
+                for x, y in self._letter_actions[sym]:
+                    steps.setdefault(x, []).append((sym, y))
         frontier = [(src, ())]
         words = {src: ()}
         while frontier:
             nxt = []
             for x, w in frontier:
-                for sym, amap in syms:
-                    y = amap.get(x)
-                    if y is None or y in words:
-                        continue
-                    words[y] = w2 = (sym,) + w  # the new step applies last
-                    nxt.append((y, w2))
+                for sym, y in steps.get(x, ()):
+                    if y not in words:
+                        words[y] = w2 = (sym,) + w  # the new step applies last
+                        nxt.append((y, w2))
             frontier = nxt
         return words
 

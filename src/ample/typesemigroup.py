@@ -208,7 +208,15 @@ class SearchOutcome(Record):
     _uncompared = ("stats",)
 
 
-def _cell_depth(pres, families, words):
+def _word_pieces(pres, words):
+    """(word, action, canonical domain) of each word in order, the domain
+    only on the shift, where both the cell depth and the compile read it."""
+    shift = pres.space.kind == stone.SHIFT
+    return [(w, pres.word_action(w), pres.key_domain(pres.piece_key(w)) if shift else None)
+            for w in words]
+
+
+def _cell_depth(pres, families, pieces):
     """Depth of cells tiling the family entries, fine enough for all word domains."""
     if pres.space.kind == stone.FINITE:
         return 0
@@ -216,8 +224,8 @@ def _cell_depth(pres, families, words):
     for fam in families:
         for c in fam.entries:
             depth = max(depth, c.max_depth())
-    for w in words:
-        depth = max(depth, pres.key_domain(pres.piece_key(w)).max_depth())
+    for _, _, dom in pieces:
+        depth = max(depth, dom.max_depth())
     return depth
 
 
@@ -229,8 +237,8 @@ def _family_slots(fam, depth):
     return slots
 
 
-def _compile_pieces(pres, words, cells, targets):
-    """Compile a tiling search onto integer bit masks, from word actions.
+def _compile_pieces(pres, pieces, cells, targets):
+    """Compile a tiling search onto integer bit masks, from `_word_pieces`.
 
     Returns (options, masks, leaves).  options[cell] lists, in word order,
     (canonical word of the arrow acting there, image mask) for each word
@@ -244,16 +252,14 @@ def _compile_pieces(pres, words, cells, targets):
     """
     images = {cell: [] for cell in cells}
     if pres.space.kind == stone.SHIFT:
-        for w in words:
-            doms = pres.key_domain(pres.piece_key(w)).cells
-            act = pres.word_action(w)
+        for w, act, dom in pieces:
+            doms = dom.cells
             for cell in cells:
                 if cell.startswith(doms):
                     images[cell].append((w, shift_image_words(act, (cell,))))
     else:
         seen = set()
-        for w in words:
-            act = pres.word_action(w)
+        for w, act, _ in pieces:
             keys = tuple((pres.piece_key(w, x), x) for x, _ in act)
             if keys in seen:
                 continue
@@ -293,10 +299,10 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
     whose triples follow slot order, and the leftover clopen of each label
     of f2.
     """
-    words = list(enumerate_words(pres, depth))
-    slots = _family_slots(f1, _cell_depth(pres, [f1, f2], words))
+    pieces = _word_pieces(pres, enumerate_words(pres, depth))
+    slots = _family_slots(f1, _cell_depth(pres, [f1, f2], pieces))
     cells = list(dict.fromkeys(cell for _, cell in slots))
-    options, masks, leaves = _compile_pieces(pres, words, cells, f2.entries)
+    options, masks, leaves = _compile_pieces(pres, pieces, cells, f2.entries)
     fitting = {cell: [(word, m, image) for word, image in options[cell]
                       for m, mask in zip(f2.labels, masks) if image & mask == image]
                for cell in cells}

@@ -228,6 +228,22 @@ def test_isometries_past_depth_cap_is_inconclusive(tmp_path, capsys, monkeypatch
         assert "deeper than 0" in report["reason"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["state", "cuntz:2", "--depth", "x"], "ample state: error: argument --depth: invalid int value: 'x'"),
+    (["state"], "ample state: error: the following arguments are required: presentation"),
+    (["state", "cuntz:2", "--frob"], "ample: error: unrecognized arguments: --frob"),
+])
+def test_a_malformed_command_line_is_exit_three(capsys, argv, message):
+    # argparse's own usage and message, but 2 means inconclusive here
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: ample")
+    assert out.err.endswith("\n" + message + "\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["state", "cuntz:2", "--depth", "-1"],
     ["find-witness", "cuntz:2", "--depth", "-1"],

@@ -389,6 +389,41 @@ def test_principal_words_match_a_search_per_pair(pres):
     assert (unreachable == 0) == (pres.space.size == 40)
 
 
+def _words_from_per_symbol(pres, src):
+    """The search `_words_from` made before it kept an adjacency: one
+    {point: image} dict per symbol, rebuilt for each source and probed at
+    every point."""
+    syms = []
+    for gi, act in enumerate(pres.gen_actions):
+        syms.append(((gi, 1), dict(act)))
+        syms.append(((gi, -1), {t: s for s, t in act}))
+    syms.sort(key=lambda p: gpd._symbol_key(p[0]))
+    frontier = [(src, ())]
+    words = {src: ()}
+    while frontier:
+        nxt = []
+        for x, w in frontier:
+            for sym, amap in syms:
+                y = amap.get(x)
+                if y is None or y in words:
+                    continue
+                words[y] = w2 = (sym,) + w
+                nxt.append((y, w2))
+        frontier = nxt
+    return words
+
+
+@pytest.mark.parametrize("pres", [pair_groupoid(2), pair_groupoid(7), pair_groupoid(40),
+                                  rotation(3), rotation(8), trivial(3)]
+                         + [_seeded_finite(seed) for seed in range(1, 6)]
+                         + [_seeded_finite(seed, points=12, injections=4, pairs=6)
+                            for seed in range(6, 11)])
+def test_words_from_keeps_the_per_symbol_search(pres):
+    # the same words, discovered in the same order, from every source
+    for src in range(pres.space.size):
+        assert list(pres._words_from(src).items()) == list(_words_from_per_symbol(pres, src).items())
+
+
 def _nonempty_words(pres, depth):
     """Reference: every freely reduced word of length at most depth, in
     (length, symbols) order, walked without pruning and kept when the

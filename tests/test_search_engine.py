@@ -94,15 +94,15 @@ def _check_against_the_bisection_calculus(pres, depth):
     order (each first-wins representative of its arrows), restricted to
     the cell, with their image under `apply`."""
     space = pres.space
-    words = list(gpd.enumerate_words(pres, depth))
+    pieces = ts._word_pieces(pres, gpd.enumerate_words(pres, depth))
     enum = gpd.enumerate_bisections(pres, depth).bisections
     a = whole(space)
-    cell_depth = ts._cell_depth(pres, [ts.family_of(a)], words)
+    cell_depth = ts._cell_depth(pres, [ts.family_of(a)], pieces)
     if space.kind != FINITE:
         assert cell_depth == max(b.dom().max_depth() for b in enum)
     cells = a.expand(cell_depth)
     targets = [a, clopen(space, cells[: len(cells) // 2 + 1])]
-    options, masks, leaves = ts._compile_pieces(pres, words, cells, targets)
+    options, masks, leaves = ts._compile_pieces(pres, pieces, cells, targets)
     to_clopen = _decoder(space, leaves)
     assert [to_clopen(m) for m in masks] == targets
     for cell in cells:
@@ -242,9 +242,9 @@ def test_masks_grow_with_the_words_met_not_with_depth():
     out = px.search_witness(c9, a, 2, 1, 2)
     assert out.status == "found"
     assert px.verify_witness(c9, out.certificate).ok
-    words = list(gpd.enumerate_words(c9, 2))
-    cells = a.expand(ts._cell_depth(c9, [ts.family_of(a)], words))
-    options, masks, leaves = ts._compile_pieces(c9, words, cells, [a])
+    pieces = ts._word_pieces(c9, gpd.enumerate_words(c9, 2))
+    cells = a.expand(ts._cell_depth(c9, [ts.family_of(a)], pieces))
+    options, masks, leaves = ts._compile_pieces(c9, pieces, cells, [a])
     to_clopen = _decoder(c9.space, leaves)
     images = [m for found in options.values() for _, m in found]
     words = {w for m in images for w in to_clopen(m).cells}
