@@ -5,17 +5,21 @@ within budget, 3 input error.  Reports are JSON on stdout (stable key
 order, no timestamps); --human switches to prose.  All randomness flows
 from --seed, and the default search budget can be set through the
 AMPLE_BUDGET environment variable.
+
+A process pays only for its command: the common command line is parsed
+here from the COMMANDS table, argparse is imported only for help, errors
+and rarer syntax, and states, convalg and orbits only by the handlers
+that call them.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
-from fractions import Fraction
+import types
 
-from . import convalg, orbits, paradox, serialize, states, stone
+from . import paradox, serialize, stone
 from . import groupoid as gpd
 from . import typesemigroup as ts
 
@@ -43,8 +47,12 @@ def _emit(args, report, human_lines):
 
 def _write_out(args, payload):
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(serialize.dumps(payload))
+        text = serialize.dumps(payload)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise serialize.SchemaError(args.output, "cannot write: %s" % exc) from exc
 
 
 def _parse_set(pres, spec):
@@ -63,7 +71,7 @@ def _parse_set(pres, spec):
 
 
 def _rational_str(q):
-    q = Fraction(q)
+    """q, an int or a Fraction (always in lowest terms), as n or n/d."""
     return "%d/%d" % (q.numerator, q.denominator) if q.denominator != 1 else str(q.numerator)
 
 
@@ -141,6 +149,8 @@ def cmd_verify_cert(args):
 
 
 def cmd_state(args):
+    from . import states
+
     pres = serialize.parse_presentation_arg(args.presentation)
     cs = states.build_constraints(pres, args.depth)
     outcome = states.solve_state(cs)
@@ -182,6 +192,8 @@ PARTIAL_STATE_NOTE = "a state of a partial system: pieces too deep for this dept
 
 
 def cmd_tarski(args):
+    from . import states
+
     pres = serialize.parse_presentation_arg(args.presentation)
     a = _parse_set(pres, args.set)
     rep = states.tarski_report(pres, a, args.depth, args.budget)
@@ -216,6 +228,8 @@ def cmd_tarski(args):
 
 
 def cmd_dichotomy(args):
+    from . import states
+
     pres = serialize.parse_presentation_arg(args.presentation)
     full = stone.whole(pres.space)
     rep = states.tarski_report(pres, full, args.depth, args.budget)
@@ -257,6 +271,8 @@ def _inconclusive(args, command, exc):
 
 
 def cmd_orbits(args):
+    from . import orbits
+
     pres = serialize.parse_presentation_arg(args.presentation)
     part, block_of = orbits.quasi_orbits(pres)
     try:
@@ -279,6 +295,8 @@ def cmd_orbits(args):
 
 
 def cmd_ideal_check(args):
+    from . import orbits
+
     pres = serialize.parse_presentation_arg(args.presentation)
     try:
         rep = orbits.ideal_lattice_check(pres)
@@ -296,6 +314,8 @@ def cmd_ideal_check(args):
 
 
 def cmd_isometries(args):
+    from . import convalg
+
     pres = serialize.parse_presentation_arg(args.presentation)
     w = serialize.decode_witness(serialize.load_json(args.witness), pres)
     mode = "matrix" if args.matrix else "pair"
@@ -331,6 +351,8 @@ def cmd_isometries(args):
 
 
 def cmd_probe(args):
+    from . import states
+
     pres = serialize.parse_presentation_arg(args.presentation)
     rep = states.probes(pres, args.depth, args.samples, args.seed, budget=args.budget)
     report = {
@@ -383,24 +405,29 @@ COMMANDS = {
     "ideal-check": (cmd_ideal_check, "verify the ideal correspondence on a finite model", []),
     "isometries": (cmd_isometries, "build and verify isometries from a witness",
                    [OUTPUT, WITNESS,
-                    _option("--matrix", action="store_true", help="matrix amplification checks")]),
+                    _option("--matrix", action="store_true", default=False,
+                            help="matrix amplification checks")]),
     "probe": (cmd_probe, "order-unit and almost-unperforation probes",
               [DEPTH, BUDGET, _option("--samples", type=int, default=50), SEED]),
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, but a usage error exits EXIT_INPUT with argparse's text:
-    a malformed command line is an input error, and 2 means inconclusive."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
-
-
 def build_parser(command=None):
-    """The parser of every subcommand, or of the subcommand `command` alone."""
-    parser = _Parser(prog="ample", description="exact computation with ample groupoid presentations")
+    """The parser of every subcommand, or of the subcommand `command` alone.
+
+    argparse is imported here, so a plain command line never loads it.
+    """
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse, but a usage error exits EXIT_INPUT with argparse's text:
+        a malformed command line is an input error, and 2 means inconclusive."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+    parser = Parser(prog="ample", description="exact computation with ample groupoid presentations")
     parser.add_argument("--human", action="store_true", help="prose output instead of JSON")
     # with one subparser, the usage would list only its name; a missing or
     # unknown command, whose errors name the metavar, gets every subparser
@@ -425,11 +452,67 @@ def _command_of(argv):
     return None
 
 
+def _dest(flags):
+    """argparse's attribute for an option: its first long flag, else its first."""
+    flag = next((f for f in flags if f.startswith("--")), flags[0])
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _parse_plain(argv):
+    """The namespace argparse builds for a plain command line, or None.
+
+    Plain is an optional --human, the command, one presentation, and each
+    option at most once: a store_true flag alone, or an exact flag and a
+    value that does not start with "-".  Anything else (help, abbreviations,
+    --opt=value, values starting with "-", repeated options, "--", every
+    usage error) is left to argparse, the one source of help, usage and
+    error texts.
+    """
+    human = argv[:1] == ["--human"]
+    command = argv[human] if len(argv) > human else None
+    if command not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[command]
+    attrs = {"human": human, "command": command, "func": func}
+    by_flag = {}
+    for flags, kwargs in options:
+        dest = _dest(flags)
+        attrs[dest] = kwargs.get("default")
+        by_flag.update(dict.fromkeys(flags, (dest, kwargs)))
+    presentations, given = [], set()
+    words = iter(argv[human + 1:])
+    for word in words:
+        if not word.startswith("-"):
+            presentations.append(word)
+            continue
+        dest, kwargs = by_flag.get(word, (None, None))
+        if dest is None or dest in given:
+            return None
+        given.add(dest)
+        if kwargs.get("action") == "store_true":
+            attrs[dest] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            attrs[dest] = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+    required = {dest for dest, kwargs in by_flag.values() if kwargs.get("required")}
+    if len(presentations) != 1 or not required <= given:
+        return None
+    attrs["presentation"] = presentations[0]
+    return types.SimpleNamespace(**attrs)
+
+
 def main(argv=None):
     """Run one command; returns its exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(_command_of(argv)).parse_args(argv)
+        args = _parse_plain(argv)
+        if args is None:
+            args = build_parser(_command_of(argv)).parse_args(argv)
         # read on every call, so a bad AMPLE_BUDGET fails any command
         budget = default_budget()
         counts = [("AMPLE_BUDGET", budget)] + [
@@ -446,9 +529,7 @@ def main(argv=None):
     except serialize.SchemaError as exc:
         print("input error at %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except (gpd.PresentationError, gpd.PresentationMismatch, orbits.NotFiniteError,
-            paradox.WitnessError, ts.FamilyError,
-            convalg.AlgebraError, states.DepthError, stone.SpaceMismatch, stone.CellError) as exc:
+    except stone.InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

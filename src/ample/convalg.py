@@ -36,7 +36,7 @@ class DepthOverflow(ValueError):
     """A product would need cells deeper than the configured cap."""
 
 
-class AlgebraError(ValueError):
+class AlgebraError(stone.InputError):
     pass
 
 

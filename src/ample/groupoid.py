@@ -22,11 +22,11 @@ from . import stone
 from .stone import Frozen, Record, UnitSpace, clopen, empty, whole
 
 
-class PresentationError(ValueError):
+class PresentationError(stone.InputError):
     """Malformed generator or inconsistent presentation data."""
 
 
-class PresentationMismatch(ValueError):
+class PresentationMismatch(stone.InputError):
     """Operands built over different presentations."""
 
 

@@ -21,7 +21,7 @@ from .groupoid import PRINCIPAL, Table
 MAX_ORBITS = 12
 
 
-class NotFiniteError(ValueError):
+class NotFiniteError(stone.InputError):
     pass
 
 

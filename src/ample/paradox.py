@@ -21,7 +21,7 @@ from . import typesemigroup as ts
 from .typesemigroup import SearchOutcome, VerifyResult, family_of, multiple
 
 
-class WitnessError(ValueError):
+class WitnessError(stone.InputError):
     pass
 
 

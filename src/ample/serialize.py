@@ -8,14 +8,15 @@ presentations, families, certificates and witnesses.  State, Farkas and
 element files are only written.
 
 Rationals are written as {"num": "...", "den": "..."} decimal strings to
-keep arbitrary precision out of JSON number territory.
+keep arbitrary precision out of JSON number territory.  They are read
+through .numerator and .denominator, which ints and Fractions both have,
+so importing this module does not import fractions.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 
 from . import stone
 from .stone import UnitSpace, clopen
@@ -87,10 +88,14 @@ def _check_version(data, path):
     """A file is an object; one without a tag is read as the current version."""
     if not isinstance(data, dict):
         raise SchemaError(path, "expected an object")
-    if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+    version = data.get("schema_version", SCHEMA_VERSION)
+    if not _is_int(version):
+        # true and 1.0 are == 1 in Python, but not the version integer
+        raise SchemaError(path + ".schema_version", "expected an integer, got %r" % (version,))
+    if version != SCHEMA_VERSION:
         raise SchemaError(
             path + ".schema_version",
-            "unsupported schema version %r, expected %d" % (data["schema_version"], SCHEMA_VERSION),
+            "unsupported schema version %r, expected %d" % (version, SCHEMA_VERSION),
         )
 
 
@@ -98,7 +103,7 @@ def _check_version(data, path):
 
 
 def encode_rational(q):
-    q = Fraction(q)
+    """q, an int or a Fraction (always in lowest terms)."""
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
@@ -424,12 +429,16 @@ def dumps(obj):
 
 def load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(path, "cannot read: %s" % exc) from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, "not UTF-8: %s" % exc) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError("%s:%d" % (path, exc.lineno), exc.msg) from exc
+    except RecursionError:
+        raise SchemaError(path, "JSON nested too deeply to read") from None
 
 
 def parse_presentation_arg(spec):

@@ -35,7 +35,7 @@ TARSKI_MAX_DROP = 3
 PROBE_N_CAP = 4
 
 
-class DepthError(ValueError):
+class DepthError(stone.InputError):
     """A set or element is not expressible at the truncation depth."""
 
 

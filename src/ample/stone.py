@@ -30,11 +30,16 @@ SHIFT = "shift"
 MAX_ALPHABET = 9
 
 
-class SpaceMismatch(ValueError):
+class InputError(ValueError):
+    """Base of the errors a malformed input raises: the CLI reports each
+    as an input error and exits 3."""
+
+
+class SpaceMismatch(InputError):
     """Operands live over different unit spaces."""
 
 
-class CellError(ValueError):
+class CellError(InputError):
     """A cell does not belong to the given unit space."""
 
 

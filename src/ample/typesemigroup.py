@@ -20,7 +20,7 @@ from .stone import Frozen, Record, clopen, empty
 from .groupoid import Bisection, enumerate_words, identity_bisection, shift_image_words
 
 
-class FamilyError(ValueError):
+class FamilyError(stone.InputError):
     pass
 
 

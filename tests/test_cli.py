@@ -694,3 +694,38 @@ def test_deep_mutations_of_read_files_never_raise(read_files, data):
         with open(path, "w") as fh:
             fh.write(original)
     assert code in (0, 1, 2, 3), (name, doc)
+
+
+@pytest.mark.parametrize("argv", [["find-witness", "cuntz:2", "--depth", "1"],
+                                  ["tarski", "cuntz:2", "--depth", "1"]])
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_an_output_path_that_cannot_be_written_is_exit_three(tmp_path, capsys, argv, target):
+    path = tmp_path / "no" / "w.json" if target == "missing directory" else tmp_path
+    code, out, err = run(capsys, *argv, "-o", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("input error at %s: cannot write: " % path)
+
+
+def test_a_read_file_that_is_not_utf8_is_exit_three(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, "state", str(path))
+    assert code == 3
+    assert err.startswith("input error at %s: not UTF-8: " % path)
+
+
+def test_a_read_file_nested_too_deeply_is_exit_three(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "verify-witness", "cuntz:2", "--witness", str(path))
+    assert code == 3
+    assert err == "input error at %s: JSON nested too deeply to read\n" % path
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_a_schema_version_equal_to_one_but_not_the_integer_is_exit_three(tmp_path, capsys, version):
+    left = tmp_path / "left.json"
+    left.write_text(json.dumps({"schema_version": version, "entries": []}))
+    code, _, err = run(capsys, "type-eq", "cuntz:2", "--left", str(left), "--right", str(left))
+    assert code == 3
+    assert err == "input error at family.schema_version: expected an integer, got %r\n" % version

@@ -1,7 +1,8 @@
 """The process entry: `python -m ample.cli` answers exactly as cli.main does
-in process, run() skips only the interpreter's teardown, and the parser
-built for one subcommand prints the texts of the eager parser of every
-subcommand."""
+in process, run() skips only the interpreter's teardown, the parser built
+for one subcommand prints the texts of the eager parser of every
+subcommand, and the plain parser builds the eager parser's namespace or
+leaves the command line to argparse."""
 
 import argparse
 import contextlib
@@ -14,6 +15,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ample import cli
 
@@ -215,3 +218,68 @@ def test_texts_are_those_of_the_eager_parser(monkeypatch, argv):
         cli.main(argv)
     assert (out.getvalue(), err.getvalue()) == texts
     assert exc.value.code == {0: 0, 2: 3}[code]
+
+
+def eager_args(argv):
+    """vars() of the eager parser's namespace for argv, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(eager_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def plain_args(argv):
+    """vars() of the plain parser's namespace less the handler, or None."""
+    args = cli._parse_plain(argv)
+    if args is None:
+        return None
+    found = vars(args)
+    assert found.pop("func") is cli.COMMANDS[args.command][0]
+    return found
+
+
+FLAGS = sorted({flag for _, _, options in cli.COMMANDS.values() for flags, _ in options
+                for flag in flags})
+WORDS = [*cli.COMMANDS, *FLAGS, "--human", "-h", "--help", "--depth=2", "--dep", "--", "-", "-1",
+         "x", " 4", "1_0", "", "2"]
+ARGV = st.lists(st.sampled_from(WORDS), max_size=8)
+# a leading command, so that many draws are command lines the plain parser takes
+COMMAND_LINES = st.builds(lambda human, command, rest: human + [command] + rest,
+                          st.sampled_from([[], ["--human"]]), st.sampled_from(sorted(cli.COMMANDS)),
+                          ARGV)
+
+
+@settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+@given(argv=ARGV | COMMAND_LINES)
+def test_the_plain_parser_builds_the_eager_namespace_or_nothing(argv):
+    # in particular None whenever argparse exits, so argparse alone prints
+    # help, usage and error texts
+    found = plain_args(argv)
+    assert found is None or found == eager_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["find-witness", "cuntz:2", "--set", "whole", "--depth", "1", "-o", "w.json"],
+    ["--human", "state", "rotation:3", "--depth", "0"],
+    ["tarski", "odometer", "--set", "1", "--depth", "3", "--output", "s.json"],
+    ["verify-cert", "--cert", "c.json", "cuntz:2", "--left", "f1.json", "--right", "f2.json"],
+    ["isometries", "cuntz:2", "--matrix", "--witness", "w.json"],
+    ["isometries", "cuntz:2", "--witness", "w.json"],
+    ["probe", "cuntz:2", "--depth", " 2", "--samples", "1_0", "--seed", "7", "--budget", "9"],
+    ["dichotomy", "rotation:3"],
+    ["orbits", ""],
+])
+def test_the_plain_parser_takes_the_common_command_lines(argv):
+    assert plain_args(argv) == eager_args(argv) is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "cuntz:2", "--depth=2"], ["state", "cuntz:2", "--dep", "2"],
+    ["state", "cuntz:2", "--depth", "-1"], ["state", "cuntz:2", "--depth", "1", "--depth", "2"],
+    ["state", "--", "cuntz:2"], ["state", "-o", "-", "cuntz:2"], ["state", "-ox", "cuntz:2"],
+    ["--human", "--human", "state", "cuntz:2"],
+])
+def test_the_plain_parser_leaves_rarer_syntax_to_argparse(argv):
+    assert plain_args(argv) is None
+    assert eager_args(argv) is not None

@@ -7,6 +7,11 @@ import pathlib
 import subprocess
 import sys
 
+from ample import serialize as ser
+from ample import typesemigroup as ts
+from ample.groupoid import cuntz
+from ample.stone import whole
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -84,13 +89,47 @@ def test_only_the_record_base_and_canonical_values_define_equality():
     assert found - OWN_EQUALITY == set()
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S keeps the environment's site hooks out of what is measured
-    code = "import sys, ample.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def loaded_after(code, modules):
+    """The `modules` loaded after running `code` in a fresh interpreter."""
+    script = "import sys\n%s\nprint(sorted(%r & set(sys.modules)))" % (code, set(modules))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+    env.pop("AMPLE_BUDGET", None)
+    # -S keeps the environment's site hooks out of what is measured
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert loaded_after("import ample.cli", {"dataclasses", "inspect"}) == "[]"
+
+
+def test_cli_import_loads_no_module_only_some_commands_need():
+    # argparse serves only help, errors and rarer syntax; fractions (and the
+    # decimal it imports) and these layers serve only the commands calling them
+    lazy = {"argparse", "fractions", "decimal", "ample.states", "ample.simplex", "ample.convalg",
+            "ample.orbits"}
+    assert loaded_after("import ample.cli", lazy) == "[]"
+
+
+def test_commands_without_rationals_load_neither_argparse_nor_fractions(tmp_path):
+    space = cuntz(2).space
+    files = {name: str(tmp_path / (name + ".json")) for name in ("w", "f1", "f2", "cert")}
+    pathlib.Path(files["f1"]).write_text(
+        ser.dumps(ser.encode_family(ts.normalize(space, [(whole(space), 1), (whole(space), 2)]))))
+    pathlib.Path(files["f2"]).write_text(ser.dumps(ser.encode_family(ts.family_of(whole(space)))))
+    families = ["--left", files["f1"], "--right", files["f2"]]
+    commands = [
+        ["find-witness", "cuntz:2", "--depth", "1", "-o", files["w"]],
+        ["verify-witness", "cuntz:2", "--witness", files["w"]],
+        ["type-eq", "cuntz:2", *families, "--depth", "1", "-o", files["cert"]],
+        ["verify-cert", "cuntz:2", *families, "--cert", files["cert"]],
+        ["orbits", "pair:3"],
+    ]
+    code = ("import contextlib, io\nfrom ample import cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert [cli.main(argv) for argv in %r] == [0] * %d" % (commands, len(commands)))
+    # the subprocess fails unless every command exits 0
+    assert loaded_after(code, {"argparse", "fractions"}) == "[]"
 
 
 # Public names kept without a caller in src/ample or bench/, one reason each.
