@@ -412,8 +412,8 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None):
-    """The parser of every subcommand, or of the subcommand `command` alone.
+def build_parser():
+    """The parser of every subcommand.
 
     argparse is imported here, so a plain command line never loads it.
     """
@@ -429,27 +429,14 @@ def build_parser(command=None):
 
     parser = Parser(prog="ample", description="exact computation with ample groupoid presentations")
     parser.add_argument("--human", action="store_true", help="prose output instead of JSON")
-    # with one subparser, the usage would list only its name; a missing or
-    # unknown command, whose errors name the metavar, gets every subparser
-    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        func, help_line, options = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_line, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         p.add_argument("presentation", help=PRESENTATION_HELP)
         for flags, kwargs in options:
             p.add_argument(*flags, **kwargs)
         p.set_defaults(func=func)
     return parser
-
-
-def _command_of(argv):
-    """The subcommand argv names when only --human comes before it, else
-    None: help, a missing command and an unknown one need every subparser."""
-    for arg in argv:
-        if arg != "--human":
-            return arg if arg in COMMANDS else None
-    return None
 
 
 def _dest(flags):
@@ -512,7 +499,7 @@ def main(argv=None):
     try:
         args = _parse_plain(argv)
         if args is None:
-            args = build_parser(_command_of(argv)).parse_args(argv)
+            args = build_parser().parse_args(argv)
         # read on every call, so a bad AMPLE_BUDGET fails any command
         budget = default_budget()
         counts = [("AMPLE_BUDGET", budget)] + [

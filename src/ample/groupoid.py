@@ -145,16 +145,9 @@ def generator_action(gen, space):
         # clopen() checks that both cells of each piece belong to the space
         doms = [clopen(space, [s]) for s, _ in pieces]
         rans = [clopen(space, [t]) for _, t in pieces]
-        for i in range(len(pieces)):
-            for j in range(i + 1, len(pieces)):
-                if not doms[i].disjoint_from(doms[j]):
-                    raise PresentationError(
-                        "overlapping domains in generator %r" % (gen.label,)
-                    )
-                if not rans[i].disjoint_from(rans[j]):
-                    raise PresentationError(
-                        "overlapping ranges in generator %r" % (gen.label,)
-                    )
+        for side, parts in (("domains", doms), ("ranges", rans)):
+            if _cells_overlap(space, parts):
+                raise PresentationError("overlapping %s in generator %r" % (side, gen.label))
         return tuple(sorted(pieces))
     raise PresentationError("unknown generator %r" % (gen,))
 
@@ -328,13 +321,19 @@ class Presentation:
     # -- word machinery ----------------------------------------------------
 
     def word_action(self, word):
-        """The composite partial action of a word (rightmost applied first)."""
+        """The composite partial action of a word (rightmost applied first).
+
+        Composed from the cached action of word[:-1] when there is one, else
+        letter by letter from the identity; only the word itself is cached.
+        """
         word = tuple(word)
-        cached = self._action_cache.get(word)
-        if cached is not None:
-            return cached
-        act = compose_actions(self.space, self.word_action(word[:-1]), self._letter_actions[word[-1]])
-        self._action_cache[word] = act
+        act = self._action_cache.get(word)
+        if act is None:
+            prefix = self._action_cache.get(word[:-1])
+            act, letters = (self._action_cache[()], word) if prefix is None else (prefix, word[-1:])
+            for sym in letters:
+                act = compose_actions(self.space, act, self._letter_actions[sym])
+            self._action_cache[word] = act
         return act
 
     def _point_map(self, word):

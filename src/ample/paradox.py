@@ -29,12 +29,6 @@ class ParadoxWitness(Record):
     # a: a Clopen; rows: k tuples of (Bisection, label in 1..l)
     __slots__ = ("a", "k", "l", "rows")
 
-    def presentation(self):
-        for row in self.rows:
-            for bis, _ in row:
-                return bis.pres
-        raise WitnessError("witness has no pieces")
-
 
 def verify_witness(pres, w):
     """Check both defining conditions exactly; rejection carries a reason."""

@@ -437,6 +437,8 @@ def load_json(path):
         raise SchemaError(path, "not UTF-8: %s" % exc) from exc
     except json.JSONDecodeError as exc:
         raise SchemaError("%s:%d" % (path, exc.lineno), exc.msg) from exc
+    except ValueError as exc:  # an integer literal past the int conversion limit
+        raise SchemaError(path, "number too long to read: %s" % exc) from exc
     except RecursionError:
         raise SchemaError(path, "JSON nested too deeply to read") from None
 

@@ -341,8 +341,11 @@ def maximize(rows, rhs, objective):
 
 
 def verify_solution(rows, rhs, x):
+    """Recompute Ax = b and x >= 0 for a point with one entry per column."""
     a, b = _as_fractions(rows, rhs)
     xs = [Fraction(v) for v in x]
+    if a and len(xs) != len(a[0]):
+        return False
     if any(v < 0 for v in xs):
         return False
     for i in range(len(a)):

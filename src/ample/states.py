@@ -45,9 +45,9 @@ class ConstraintSystem(Record):
 
     def rows_rhs(self):
         """The integer rows and rhs of the system, normalization last."""
-        rows = [list(coeffs) for coeffs, _ in self.equalities]
+        rows = [coeffs for coeffs, _ in self.equalities]
         rhs = [0] * len(rows)
-        rows.append([1] * len(self.cells))
+        rows.append((1,) * len(self.cells))
         rhs.append(1)
         return rows, rhs
 
@@ -142,18 +142,9 @@ def solve_state(cs):
     return StateVector(cs.depth, cs.cells, tuple(res.x), res.stats)
 
 
-def verify_state(cs, sv, check_normalization=True):
+def verify_state(cs, sv):
     """Exact recomputation of every constraint against the vector."""
-    if sv.cells != cs.cells:
-        return False
-    if any(v < 0 for v in sv.values):
-        return False
-    for coeffs, _ in cs.equalities:
-        if sum(c * v for c, v in zip(coeffs, sv.values)) != 0:
-            return False
-    if check_normalization and sum(sv.values) != 1:
-        return False
-    return True
+    return sv.cells == cs.cells and simplex.verify_solution(*cs.rows_rhs(), sv.values)
 
 
 def verify_farkas(cs, fc):

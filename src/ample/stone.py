@@ -364,15 +364,21 @@ def _same_space(a, b):
 
 def _cell_minus(word, cells, letters):
     """cylinder(word) minus the union of `cells`, as a list of words."""
-    for c in cells:
-        if _is_prefix(c, word):
-            return []
-    below = [c for c in cells if _is_prefix(word, c)]
-    if not below:
-        return [word]
     out = []
-    for a in letters:
-        out.extend(_cell_minus(word + a, below, letters))
+    stack = [(word, cells)]  # cylinders still to split, the next one last
+    while stack:
+        word, cells = stack.pop()
+        below = []
+        for c in cells:
+            if word.startswith(c):  # c covers the cylinder
+                break
+            if c.startswith(word):
+                below.append(c)
+        else:
+            if below:
+                stack += [(word + a, below) for a in reversed(letters)]
+            else:
+                out.append(word)
     return out
 
 

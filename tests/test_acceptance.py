@@ -133,9 +133,10 @@ def test_criterion_03_tarski_dichotomy_consistency():
         assert rep.outcome in ("state", "paradox"), (name, depth, rep.outcome)
         assert (rep.state is None) != (rep.witness is None)
         if rep.outcome == "state":
-            assert st.verify_state(
-                st.build_constraints(pres, rep.depth), rep.state, check_normalization=False
-            )
+            # the state is normalized on the queried set; the system asks mu(X) = 1
+            total = sum(rep.state.values)
+            unit = st.StateVector(rep.depth, rep.state.cells, tuple(v / total for v in rep.state.values))
+            assert st.verify_state(st.build_constraints(pres, rep.depth), unit)
         else:
             assert px.verify_witness(pres, rep.witness).ok
     by = {(name, depth): rep for name, depth, _, rep in reports}

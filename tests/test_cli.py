@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -729,3 +730,50 @@ def test_a_schema_version_equal_to_one_but_not_the_integer_is_exit_three(tmp_pat
     code, _, err = run(capsys, "type-eq", "cuntz:2", "--left", str(left), "--right", str(left))
     assert code == 3
     assert err == "input error at family.schema_version: expected an integer, got %r\n" % version
+
+
+def test_a_read_file_with_an_integer_past_the_conversion_limit_is_exit_three(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text('{"schema_version": 1, "entries": [{"set": {"space": {"kind": "shift", "k": 2},'
+                    ' "cells": [""]}, "label": %s}]}' % ("1" * 5000))
+    code, out, err = run(capsys, "type-eq", "cuntz:2", "--left", str(path), "--right", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("input error at %s: number too long to read: " % path)
+
+
+def run_shallow(capsys, *argv):
+    """run() under a recursion limit far below the 3,000 letters or levels
+    of the inputs below, so a recursion per letter or level fails."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        return run(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _one_piece_witness(tmp_path, word):
+    """A (2,1) witness of the whole shift with the same piece in both rows."""
+    whole_set = {"space": SHIFT_2, "cells": [""]}
+    row = [{"bisection": {"pieces": [{"word": word, "domain": whole_set}]}, "m": 1}]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"schema_version": 1, "A": whole_set, "k": 2, "l": 1,
+                                "rows": [row, row]}))
+    return str(path)
+
+
+def test_a_piece_word_of_thousands_of_letters_reaches_the_verifier(tmp_path, capsys):
+    witness = _one_piece_witness(tmp_path, [["g1", 1]] * 3000)
+    code, out, _ = run_shallow(capsys, "verify-witness", "cuntz:2", "--witness", witness)
+    assert code == 1
+    assert json.loads(out)["reason"] == "ranges overlap at label 1 (piece (2,1))"
+
+
+def test_a_domain_escaping_a_map_thousands_of_letters_deep_is_exit_three(tmp_path, capsys):
+    pres = tmp_path / "p.json"
+    pres.write_text(json.dumps({"space": SHIFT_2, "generators": _prefix_map("1" * 3000, "")}))
+    witness = _one_piece_witness(tmp_path, [["g1", 1]])
+    code, _, err = run_shallow(capsys, "verify-witness", str(pres), "--witness", witness)
+    assert code == 3
+    assert err == ("input error at witness.rows[0][0].bisection: piece domain [''] escapes the "
+                   "partial map of its word\n")

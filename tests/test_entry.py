@@ -209,7 +209,7 @@ def test_texts_are_those_of_the_eager_parser(monkeypatch, argv):
     texts = out.getvalue(), err.getvalue()
     if code is None:
         # a valid command line: the same namespace, less the handler
-        args = cli.build_parser(cli._command_of(argv)).parse_args(argv)
+        args = cli.build_parser().parse_args(argv)
         del args.func
         assert args == eager_parser().parse_args(argv)
         return

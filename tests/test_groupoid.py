@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -488,3 +489,52 @@ def _finite_presentations(draw):
 @given(pres=_finite_presentations(), depth=hs.integers(0, 4))
 def test_finite_enumeration_tries_only_letters_into_the_domain(pres, depth):
     assert list(gpd.enumerate_words(pres, depth)) == _enumeration_trying_every_letter(pres, depth)
+
+
+@pytest.mark.parametrize("space, pieces, which", [
+    (UnitSpace.shift(2), (("1", "2"), ("12", "21")), "domains"),
+    (UnitSpace.shift(2), (("1", "2"), ("2", "21")), "ranges"),
+    # ranges overlap on the first pair, domains only on the last: domains win
+    (UnitSpace.shift(2), (("1", "1"), ("2", "11"), ("21", "2")), "domains"),
+    (UnitSpace.finite(3), ((0, 1), (0, 2)), "domains"),
+    (UnitSpace.finite(3), ((0, 1), (2, 1)), "ranges"),
+])
+def test_overlapping_group_element_pieces_are_rejected(space, pieces, which):
+    with pytest.raises(gpd.PresentationError, match="overlapping %s in generator 'b'" % which):
+        Presentation(space, [GroupElement("b", pieces)])
+
+
+def _letter_fold(pres, word):
+    """The action of a word composed letter by letter, rightmost acting first."""
+    act = gpd.identity_action(pres.space)
+    for g, e in word:
+        letter = pres.gen_actions[g]
+        act = gpd.compose_actions(pres.space, act, letter if e == 1 else gpd.invert_action(pres.space, letter))
+    return act
+
+
+@pytest.mark.parametrize("alias", ["cuntz:2", "odometer", "rotation:3", "pair:4"])
+def test_word_action_is_the_fold_of_its_letters_with_or_without_cached_prefixes(alias):
+    rng = random.Random(alias)
+    for _ in range(20):
+        n = len(builtin(alias).generators)
+        word = tuple((rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randrange(1, 8)))
+        cold, warm = builtin(alias), builtin(alias)
+        for k in range(len(word)):
+            warm.word_action(word[:k])
+        assert cold.word_action(word) == warm.word_action(word) == _letter_fold(cold, word)
+
+
+def test_a_long_word_action_needs_no_recursion_and_caches_only_the_word():
+    pres = cuntz(2)
+    cached = len(pres._action_cache)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        act = pres.word_action(G1 * 3000)
+        longer = pres.word_action(G1 * 3000 + G2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert act == (("", "1" * 3000),)
+    assert longer == (("", "1" * 3000 + "2"),)  # the last letter acts first
+    assert len(pres._action_cache) == cached + 2

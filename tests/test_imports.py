@@ -1,5 +1,6 @@
 """No module of the package or of the tests imports a name it never uses,
-and importing the CLI stays cheap."""
+no function of the package calls itself, and importing the CLI stays
+cheap."""
 
 import ast
 import os
@@ -37,6 +38,37 @@ def test_no_unused_imports():
     files = sorted(ROOT.glob("src/ample/*.py")) + sorted(ROOT.glob("tests/*.py"))
     unused = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in files}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def self_calls(source):
+    """The functions of `source` that call themselves, by bare name or as
+    self.<name>, in order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if (isinstance(f, ast.Name) and f.id == node.name) or (
+                        isinstance(f, ast.Attribute) and f.attr == node.name
+                        and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                    found.append(node.name)
+                    break
+    return found
+
+
+def test_checker_finds_self_calls():
+    source = ("def f(n):\n    return f(n - 1)\nclass A:\n    def g(self):\n        self.g()\n"
+              "    def h(self, o):\n        o.h()\n        g()\n")
+    assert self_calls(source) == ["f", "g"]
+
+
+def test_no_function_recurses():
+    # a recursion per letter, level or slot dies on Python's recursion
+    # limit with a traceback, on inputs only a few thousand deep
+    found = {path.name: self_calls(path.read_text()) for path in sorted(ROOT.glob("src/ample/*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def imported_modules(source):

@@ -507,3 +507,24 @@ def _seeded_finite_presentation(seed, points=30, injections=3, pairs=10):
 def test_presolve_keeps_the_rows_of_a_dense_greedy_rank_on_state_systems(pres, depth):
     rows, rhs = st.build_constraints(pres, depth).rows_rhs()
     assert sx._independent_rows(rows, rhs) == _dense_independent_rows(rows, rhs)
+
+
+def test_verify_solution_rejects_points_that_are_not_solutions():
+    rows, rhs = [[1, -1, 0], [0, 1, -1], [1, 1, 1]], [0, 0, 1]
+    third = Fraction(1, 3)
+    assert sx.verify_solution(rows, rhs, [third] * 3)
+    assert not sx.verify_solution(rows, rhs, [third, third, third + Fraction(1, 100)])
+    assert not sx.verify_solution([[1, 1]], [0], [1, -1])  # Ax = b, but x is negative
+    # a point with fewer or more entries than columns is no point of the system
+    assert not sx.verify_solution([[1, 1]], [1], [1])
+    assert not sx.verify_solution([[1, 1]], [1], [1, 0, 0])
+
+
+def test_verify_farkas_rejects_a_flipped_multiplier():
+    rows, rhs = [[0, 1], [1, 0], [1, 1]], [0, 0, 1]
+    y = sx.solve_feasibility(rows, rhs).y
+    assert sx.verify_farkas(rows, rhs, y)
+    for i, v in enumerate(y):
+        if v:
+            assert not sx.verify_farkas(rows, rhs, y[:i] + (-v,) + y[i + 1:])
+    assert not sx.verify_farkas(rows, rhs, y[:-1])

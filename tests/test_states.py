@@ -276,3 +276,39 @@ def test_state_rows_build_no_bisection(monkeypatch):
 def test_state_report_stats_are_pinned(spec, depth, stats, capsys):
     cli.main(["state", spec, "--depth", str(depth)])
     assert json.loads(capsys.readouterr().out)["stats"] == stats
+
+
+
+def test_verify_state_rejects_a_vector_that_is_not_the_state():
+    cs = st.build_constraints(ROT, 0)
+    third = Fraction(1, 3)
+    assert st.verify_state(cs, st.StateVector(0, (0, 1, 2), (third,) * 3))
+    for cells, values in [
+        ((0, 1, 2), (third, third, third + Fraction(1, 100))),
+        ((0, 1, 2), (Fraction(1),) * 3),  # invariant, but not of total 1
+        ((0, 1, 2), (third,) * 2),
+        ((0, 1, 2), (third,) * 3 + (Fraction(0),)),
+        ((0, 1, 3), (third,) * 3),
+    ]:
+        assert not st.verify_state(cs, st.StateVector(0, cells, values))
+    # of total 1 with no invariance row to break, but negative
+    cs = st.build_constraints(gpd.trivial(2), 0)
+    assert not st.verify_state(cs, st.StateVector(0, (0, 1), (Fraction(2), Fraction(-1))))
+
+
+def test_verify_farkas_rejects_a_certificate_with_a_flipped_multiplier():
+    cs = st.build_constraints(C2, 1)
+    fc = st.solve_state(cs)
+    assert st.verify_farkas(cs, fc)
+    eq, norm = fc.equality_multipliers, fc.normalization_multiplier
+    assert not st.verify_farkas(cs, st.FarkasCertificate(eq, -norm))
+    for i, v in enumerate(eq):
+        if v:
+            assert not st.verify_farkas(cs, st.FarkasCertificate(eq[:i] + (-v,) + eq[i + 1:], norm))
+
+
+def test_rows_rhs_passes_the_rows_through():
+    cs = st.build_constraints(C2, 3)
+    rows, rhs = cs.rows_rhs()
+    assert all(row is coeffs for row, (coeffs, _) in zip(rows, cs.equalities))
+    assert (rows[-1], rhs) == ((1,) * len(cs.cells), [0] * len(cs.equalities) + [1])

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -245,3 +246,13 @@ def test_leaf_spans_of_a_finite_space_are_its_points():
             leaves, span = stone.leaf_spans(space, words)
             assert leaves == list(range(n))
             assert span == {x: (x, x + 1) for x in range(n)}
+
+
+def test_difference_thousands_of_levels_deep_needs_no_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        rest = clopen(S2, [""]).difference(clopen(S2, ["1" * 3000]))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rest.cells == tuple(sorted("1" * i + "2" for i in range(3000)))

@@ -271,3 +271,9 @@ def test_rho_additivity_random():
             ts.add(_rho(C2, f), _rho(C2, g)),
             out.certificate,
         ).ok
+
+
+def test_multiple_is_the_repeated_sum():
+    f = ts.normalize(C2.space, [(clopen(C2.space, ["1"]), 1), (X, 2)])
+    assert ts.multiple(f, 3) == ts.add(ts.add(f, f), f)
+    assert ts.multiple(f, 0).is_empty
