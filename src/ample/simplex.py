@@ -1,11 +1,17 @@
 """Exact rational linear programming for equality systems A x = b, x >= 0.
 
-Two-phase simplex over fractions with Bland's rule, so runs are
-deterministic and never cycle.  Phase one either produces a basic feasible
-point or certifies infeasibility with Farkas multipliers y read off the
-terminal dictionary: y.A <= 0 componentwise while y.b > 0, which no
-nonnegative x can satisfy.  Phase two maximizes a linear objective from a
-feasible basis.
+A row of A is given by its steps: (index, change) pairs with increasing
+indices in 0..n, n the column count, and the row's entry in column j is
+the sum of the changes at indices <= j.  A row that is constant on index
+ranges, as every state-LP row is, has a step only where its value
+changes, so it is a few pairs however many columns there are.  A change
+at index n closes a range and enters no column.
+
+Two-phase simplex with Bland's rule, so runs are deterministic and never
+cycle.  Phase one either produces a basic feasible point or certifies
+infeasibility with Farkas multipliers y read off the terminal dictionary:
+y.A <= 0 componentwise while y.b > 0, which no nonnegative x can satisfy.
+Phase two maximizes a linear objective from a feasible basis.
 
 Before any pivoting, an exact elimination over [A | b] keeps a maximal
 linearly independent subset of the input rows, in input order; the
@@ -13,22 +19,23 @@ simplex runs on those alone.  Every dropped row is a combination of kept
 rows, right-hand side included, so a point feasible for the kept rows is
 feasible for all of them, and Farkas multipliers found on the kept rows
 extend to the full system with exact zeros on the dropped ones.  The
-elimination runs in difference coordinates (r0, r1 - r0, ..., rn-1 - rn-2),
-rhs untouched: an invertible change of columns, so it keeps the same rows,
-and a row that is +-1 on index ranges has a nonzero only at each step.
+elimination reads a row's steps below n, with the rhs, as its
+coordinates: they are the row in difference coordinates
+(r0, r1 - r0, ..., rn-1 - rn-2), an invertible change of columns, so a
+row depends on earlier rows exactly when its steps do.  It runs
+fraction-free on them, as primitive integer dicts.
 
-Rows stay as given, integers in practice: the elimination runs
-fraction-free on their nonzeros, and the tableau holds each row, the
-objective row included, as a list of Python ints over one positive int
-denominator.  A pivot brings the rows it changes to a common denominator
-and divides each by its gcd, so Bland's rule and the pivots build no
-Fraction, and neither does the phase-two objective row, which `maximize`
-assembles in ints over one common denominator.  Fractions are built only
-at the boundary: for fractional input rows (scaled to ints on the way
-in), and for the point, the optimum and the Farkas multipliers read off
-the final tableau.  Only the verifiers densify every entry to a Fraction.
-No floating point enters anywhere; certificates re-verify by independent
-recomputation.
+Only the kept rows are written out densely, once each, as the tableau's
+rows: lists of Python ints over one positive int denominator, and the
+phase-one objective row is summed from their steps.  A pivot brings the
+rows it changes to a common denominator and divides each by its gcd, so
+Bland's rule and the pivots build no Fraction, and neither does the
+phase-two objective row, which `maximize` assembles in ints over one
+common denominator.  Fractions are built only at the boundary: for
+fractional changes (scaled to ints on the way in), and for the point,
+the optimum and the Farkas multipliers read off the final tableau.  The
+verifiers write each row they read out as Fractions with one plain
+helper and recompute the sums.  No floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -76,55 +83,48 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _as_fractions(rows, rhs):
-    """Every entry as a Fraction; the verifiers' plain recomputation."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
-    if any(len(row) != len(a[0]) for row in a):
-        raise ValueError("ragged constraint matrix")
-    if len(b) != len(a):
+def _check_shape(rows, rhs, n):
+    """Raise ValueError unless there is one rhs per row and each row's step
+    indices increase within 0..n."""
+    if len(rhs) != len(rows):
         raise ValueError("rhs length mismatch")
-    return a, b
+    for steps in rows:
+        last = -1
+        for i, _ in steps:
+            if not last < i <= n:
+                raise ValueError("step indices must increase within 0..%d" % n)
+            last = i
 
 
-def _integer_row(row, rhs, rhs_col):
-    """The nonzeros of [row | rhs] in difference coordinates, scaled to a
-    primitive integer dict.
-
-    Column 0 holds row[0] and column j > 0 holds row[j] - row[j - 1]; the
-    rhs is left as it is.  A row that is constant on index ranges has a
-    nonzero only where its value steps.
-    """
-    steps = map(operator.ne, itertools.islice(row, 1, None), row)
-    r = {j: row[j] - row[j - 1] for j in itertools.compress(itertools.count(1), steps)}
-    if row and row[0]:
-        r[0] = row[0]
+def _integer_steps(steps, rhs, n):
+    """The nonzero steps below n of a row, with its rhs in column n, scaled
+    to a primitive integer dict: the row in difference coordinates."""
+    r = {i: v for i, v in steps if v and i < n}
     if rhs:
-        r[rhs_col] = rhs
+        r[n] = rhs
     den = math.lcm(*(v.denominator for v in r.values()))
     r = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
     g = math.gcd(*r.values())
     return {j: v // g for j, v in r.items()} if g > 1 else r
 
 
-def _independent_rows(a, b):
+def _independent_rows(rows, rhs, n):
     """Indices of a maximal linearly independent subset of the rows of
     [A | b], greedily in input order.
 
-    Rows are reduced in the difference coordinates of `_integer_row`, an
-    invertible change of the A columns: a row lies in the span of earlier
-    rows exactly when its image does, so the kept indices are the same as
-    in the original coordinates.  A state-LP row, +-1 on two index ranges,
-    has at most four nonzeros there, and the elimination fills in little.
+    Rows are reduced as their steps below n, the difference coordinates
+    of an invertible change of the A columns: a row lies in the span of
+    earlier rows exactly when its steps do, so the kept indices are the
+    same as in the original coordinates.  A state-LP row, +-1 on two index
+    ranges, has at most four steps, and the elimination fills in little.
     Rows are reduced fraction-free, as primitive integer dicts, against the
-    kept rows, each keyed by its lowest column.  The rhs is the last column,
-    so a row whose A part depends on kept rows but whose b does not is kept.
+    kept rows, each keyed by its lowest column.  The rhs is column n, so a
+    row whose A part depends on kept rows but whose b does not is kept.
     """
-    rhs_col = len(a[0]) if a else 0
     by_lead = {}  # lowest column -> kept row, reduced
     kept = []
-    for i, (row, rhs) in enumerate(zip(a, b)):
-        r = _integer_row(row, rhs, rhs_col)
+    for i, (steps, b) in enumerate(zip(rows, rhs)):
+        r = _integer_steps(steps, b, n)
         while r:
             lead = min(r)
             p = by_lead.get(lead)
@@ -187,31 +187,44 @@ class _Tableau:
     """Row i stands for rows[i][k] / dens[i], and the objective row for
     obj[k] / objden: Python ints over one positive int denominator each."""
 
-    def __init__(self, a, b, n):
-        """The phase-one tableau of the dense rows `a` (int or Fraction
-        entries) with nonnegative rhs `b`."""
+    def __init__(self, rows, rhs, n):
+        """The phase-one tableau of the step rows `rows` (int or Fraction
+        changes) with nonnegative rhs `rhs`, each written out densely here."""
         self.n = n
-        self.m = m = len(a)
+        self.m = m = len(rows)
         self.pivots = 0
         # columns: n originals, m artificials, then the rhs
         width = n + m + 1
         self.rows = []
         self.dens = []
-        for i, (row, rhs) in enumerate(zip(a, b)):
-            ints, den = _int_row([*row, rhs])
-            full = ints[:n] + [0] * m + ints[n:]
-            full[n + i] = den
-            self.rows.append(full)
+        scaled = []  # each row's steps below n, as ints over its den
+        for k, (steps, b) in enumerate(zip(rows, rhs)):
+            den = math.lcm(*(v.denominator for i, v in steps if i < n), b.denominator)
+            ints = [(i, v.numerator * (den // v.denominator)) for i, v in steps if i < n]
+            row = [0] * width
+            level = 0
+            for (i, v), (end, _) in zip(ints, ints[1:] + [(n, 0)]):
+                level += v
+                if level:
+                    row[i:end] = [level] * (end - i)
+            row[n + k] = den
+            row[-1] = b.numerator * (den // b.denominator)
+            self.rows.append(row)
             self.dens.append(den)
+            scaled.append(ints)
         self.basis = [n + i for i in range(m)]
-        # phase-one reduced costs: c_j - sum of column entries (all cB = 1);
-        # an artificial column sums to its cost 1, and the rhs slot carries
-        # minus the objective
+        # phase-one reduced costs: c_j - sum of column entries (all cB = 1),
+        # summed over one denominator as steps; an artificial column sums to
+        # its cost 1, and the rhs slot carries minus the objective
         self.objden = math.lcm(*self.dens)
-        scaled = [row if den == self.objden else [v * (self.objden // den) for v in row]
-                  for row, den in zip(self.rows, self.dens)]
-        self.obj = [-sum(col) for col in zip(*scaled)] if m else [0] * width
-        self.obj[n:n + m] = [0] * m
+        change = [0] * n
+        total = 0
+        for ints, den, row in zip(scaled, self.dens, self.rows):
+            f = self.objden // den
+            for i, v in ints:
+                change[i] -= f * v
+            total -= f * row[-1]
+        self.obj = [*itertools.accumulate(change), *[0] * m, total]
 
     def pivot(self, i, j):
         prow = self.rows[i]
@@ -274,17 +287,13 @@ def _stats(t, rows):
     return Stats(len(rows), t.m, t.n, t.pivots)
 
 
-def _phase_one(rows, rhs):
-    n = len(rows[0]) if rows else 0
-    if any(len(row) != n for row in rows):
-        raise ValueError("ragged constraint matrix")
-    if len(rhs) != len(rows):
-        raise ValueError("rhs length mismatch")
-    kept = _independent_rows(rows, rhs)
+def _phase_one(rows, rhs, n):
+    _check_shape(rows, rhs, n)
+    kept = _independent_rows(rows, rhs, n)
     a, b, signs = [], [], []
     for i in kept:
         sign = -1 if rhs[i] < 0 else 1
-        a.append(rows[i] if sign == 1 else [-v for v in rows[i]])
+        a.append(rows[i] if sign == 1 else [(j, -v) for j, v in rows[i]])
         b.append(sign * rhs[i])
         signs.append(sign)
     t = _Tableau(a, b, n)
@@ -309,18 +318,22 @@ def _drive_out_artificials(t):
                     break
 
 
-def solve_feasibility(rows, rhs):
-    """A basic feasible point of {Ax = b, x >= 0}, or Farkas multipliers."""
-    outcome, _ = _phase_one(rows, rhs)
+def solve_feasibility(rows, rhs, n):
+    """A basic feasible point of {Ax = b, x >= 0}, or Farkas multipliers,
+    for step rows over n columns."""
+    outcome, _ = _phase_one(rows, rhs, n)
     return outcome
 
 
-def maximize(rows, rhs, objective):
-    """Maximize c.x over {Ax = b, x >= 0}; assumes rational data throughout."""
-    res, t = _phase_one(rows, rhs)
+def maximize(rows, rhs, n, objective):
+    """Maximize c.x over {Ax = b, x >= 0}, step rows over n columns and one
+    objective entry per column; assumes rational data throughout."""
+    if len(objective) != n:
+        raise ValueError("objective length mismatch")
+    res, t = _phase_one(rows, rhs, n)
     if isinstance(res, Infeasible):
         return res
-    n, m = t.n, t.m
+    m = t.m
     # minimize -c.x: reduced costs -c_j + sum of c_B * row / den over the
     # basic rows, all over cden * lden
     c, cden = _int_row(objective)
@@ -340,28 +353,40 @@ def maximize(rows, rhs, objective):
     return Optimal(x, value, _stats(t, rows))
 
 
-def verify_solution(rows, rhs, x):
+def _dense(steps, n):
+    """A step row's n entries as Fractions: entry j is the sum of the
+    changes at indices <= j."""
+    change = [_ZERO] * (n + 1)
+    for i, v in steps:
+        change[i] += Fraction(v)
+    return list(itertools.accumulate(change[:n]))
+
+
+def verify_solution(rows, rhs, n, x):
     """Recompute Ax = b and x >= 0 for a point with one entry per column."""
-    a, b = _as_fractions(rows, rhs)
+    _check_shape(rows, rhs, n)
     xs = [Fraction(v) for v in x]
-    if a and len(xs) != len(a[0]):
+    if len(xs) != n:
         return False
     if any(v < 0 for v in xs):
         return False
-    for i in range(len(a)):
-        if sum(a[i][j] * xs[j] for j in range(len(xs))) != b[i]:
+    for steps, b in zip(rows, rhs):
+        row = _dense(steps, n)
+        if sum(row[j] * xs[j] for j in range(n)) != Fraction(b):
             return False
     return True
 
 
-def verify_farkas(rows, rhs, y):
-    """Recompute the combination: y.A <= 0 in every column and y.b > 0."""
-    a, b = _as_fractions(rows, rhs)
+def verify_farkas(rows, rhs, n, y):
+    """Recompute the combination: y.A <= 0 in every column and y.b > 0.
+
+    A row whose multiplier is 0 adds nothing to either side and is skipped."""
+    _check_shape(rows, rhs, n)
     ys = [Fraction(v) for v in y]
-    if len(ys) != len(a):
+    if len(ys) != len(rows):
         return False
-    n = len(a[0]) if a else 0
+    used = [(v, _dense(steps, n), Fraction(b)) for v, steps, b in zip(ys, rows, rhs) if v]
     for j in range(n):
-        if sum(ys[i] * a[i][j] for i in range(len(a))) > 0:
+        if sum(v * row[j] for v, row, _ in used) > 0:
             return False
-    return sum(ys[i] * b[i] for i in range(len(a))) > 0
+    return sum(v * b for v, _, b in used) > 0

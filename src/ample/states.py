@@ -11,8 +11,10 @@ Farkas certificate, and both re-verify by independent recomputation.
 The unknowns are the leaves of `stone.leaf_spans` over the depth-d
 cells, the cell universe the tiling search shares, and a word of length
 at most d covers the index range span[word] of them.  Each invariance row
-is built from those ranges, with no clopen expansion, and stays integer
-until the simplex tableau; only the verifiers densify it to Fractions.
+is built from those ranges, with no clopen expansion, as its integer
+steps in the sense of `simplex`: a row of the LP is never written out
+over all cells, except a kept row in the simplex tableau and a row a
+verifier reads.
 
 A depth-d state is a state of the truncated system only.  Reports always
 carry the depth; nothing is claimed beyond it.
@@ -40,16 +42,17 @@ class DepthError(stone.InputError):
 
 
 class ConstraintSystem(Record):
-    # equalities: ((coefficients per cell), provenance string)
+    # equalities: ((sorted (cell index, change) steps), provenance string)
     __slots__ = ("pres", "depth", "cells", "equalities", "partial", "skipped")
 
     def rows_rhs(self):
-        """The integer rows and rhs of the system, normalization last."""
-        rows = [coeffs for coeffs, _ in self.equalities]
+        """The step rows, rhs and column count of the system, normalization
+        last."""
+        rows = [steps for steps, _ in self.equalities]
         rhs = [0] * len(rows)
-        rows.append((1,) * len(self.cells))
+        rows.append(((0, 1),))
         rhs.append(1)
-        return rows, rhs
+        return rows, rhs, len(self.cells)
 
 
 def build_constraints(pres, depth):
@@ -60,9 +63,9 @@ def build_constraints(pres, depth):
     built.  On the shift a pair deeper than the truncation cannot be
     expressed; it is skipped and the system is marked partial.  A row is a
     sum of +-1 on the index ranges `stone.leaf_spans` gives s and a over
-    the depth cells; it is built as its sorted nonzero steps,
-    deduplicated up to sign in that form, and stored as a dense integer
-    tuple.  A note names the canonical word of the pair's arrow.
+    the depth cells; it is built and stored as its sorted nonzero steps,
+    the rows of `simplex`, and deduplicated up to sign in that form.  A
+    note names the canonical word of the pair's arrow.
     """
     space = pres.space
     shift = space.kind == stone.SHIFT
@@ -85,18 +88,12 @@ def build_constraints(pres, depth):
                 start, end = span[c]
                 step[start] = step.get(start, 0) + sign
                 step[end] = step.get(end, 0) - sign
-            steps = sorted((i, v) for i, v in step.items() if v)
-            canon = tuple(steps) if steps[0][1] > 0 else tuple((i, -v) for i, v in steps)
+            steps = tuple(sorted((i, v) for i, v in step.items() if v))
+            canon = steps if steps[0][1] > 0 else tuple((i, -v) for i, v in steps)
             if canon in seen:
                 continue
             seen.add(canon)
-            row = [0] * len(cells)
-            level = 0
-            for (i, v), (end, _) in zip(steps, steps[1:]):
-                level += v
-                if level:
-                    row[i:end] = [level] * (end - i)
-            rows.append((tuple(row), "%s: %s = %s" % (_arrow_str(pres, word, s), [s], [a])))
+            rows.append((steps, "%s: %s = %s" % (_arrow_str(pres, word, s), [s], [a])))
     return ConstraintSystem(
         pres, depth, cells, tuple(rows), partial=bool(skipped), skipped=tuple(skipped)
     )
@@ -135,8 +132,7 @@ class FarkasCertificate(Record):
 
 def solve_state(cs):
     """Exactly one of a StateVector or a FarkasCertificate, deterministic."""
-    rows, rhs = cs.rows_rhs()
-    res = simplex.solve_feasibility(rows, rhs)
+    res = simplex.solve_feasibility(*cs.rows_rhs())
     if isinstance(res, simplex.Infeasible):
         return FarkasCertificate(tuple(res.y[:-1]), res.y[-1], res.stats)
     return StateVector(cs.depth, cs.cells, tuple(res.x), res.stats)
@@ -148,9 +144,8 @@ def verify_state(cs, sv):
 
 
 def verify_farkas(cs, fc):
-    rows, rhs = cs.rows_rhs()
     y = list(fc.equality_multipliers) + [fc.normalization_multiplier]
-    return simplex.verify_farkas(rows, rhs, y)
+    return simplex.verify_farkas(*cs.rows_rhs(), y)
 
 
 def evaluate(sv, family):
@@ -180,14 +175,13 @@ def tarski_report(pres, a, depth, budget=ts.DEFAULT_BUDGET):
     if pres.space.kind == stone.SHIFT:
         eff_depth = max(depth, a.max_depth())
     cs = build_constraints(pres, eff_depth)
-    rows, rhs = cs.rows_rhs()
     _, span = stone.leaf_spans(pres.space, cs.cells)
     objective = [Fraction(0)] * len(cs.cells)
     for cell in a.cells:
         start, end = span[cell]
         objective[start:end] = [Fraction(1)] * (end - start)
 
-    res = simplex.maximize(rows, rhs, objective)
+    res = simplex.maximize(*cs.rows_rhs(), objective)
     if isinstance(res, simplex.Infeasible):
         fc = FarkasCertificate(tuple(res.y[:-1]), res.y[-1])
         for n in range(1, TARSKI_MAX_DROP + 1):

@@ -5,46 +5,48 @@ from fractions import Fraction
 
 import pytest
 
+import dense_lp
 from ample import cli
 from ample import simplex as sx
 from ample import states as st
-from ample.groupoid import cuntz, finite_groupoid, odometer, pair_groupoid
+from ample.groupoid import cuntz, finite_groupoid, odometer, pair_groupoid, rotation
+from dense_lp import as_steps, dense_rows
 
 
 def test_unique_solution():
     rows = [[1, -1, 0], [0, 1, -1], [1, 1, 1]]
     rhs = [0, 0, 1]
-    res = sx.solve_feasibility(rows, rhs)
+    res = sx.solve_feasibility(*as_steps(rows, rhs))
     assert isinstance(res, sx.Feasible)
     assert res.x == (Fraction(1, 3),) * 3
-    assert sx.verify_solution(rows, rhs, res.x)
+    assert sx.verify_solution(*as_steps(rows, rhs), res.x)
 
 
 def test_infeasible_with_farkas():
     # x2 = 0, x1 = 0, x1 + x2 = 1
     rows = [[0, 1], [1, 0], [1, 1]]
     rhs = [0, 0, 1]
-    res = sx.solve_feasibility(rows, rhs)
+    res = sx.solve_feasibility(*as_steps(rows, rhs))
     assert isinstance(res, sx.Infeasible)
-    assert sx.verify_farkas(rows, rhs, res.y)
+    assert sx.verify_farkas(*as_steps(rows, rhs), res.y)
 
 
 def test_negative_rhs_rows_are_handled():
     rows = [[-1, -1]]
     rhs = [-1]
-    res = sx.solve_feasibility(rows, rhs)
+    res = sx.solve_feasibility(*as_steps(rows, rhs))
     assert isinstance(res, sx.Feasible)
-    assert sx.verify_solution(rows, rhs, res.x)
+    assert sx.verify_solution(*as_steps(rows, rhs), res.x)
 
 
 def test_redundant_rows():
-    res = sx.solve_feasibility([[1, 1], [2, 2]], [1, 2])
+    res = sx.solve_feasibility(*as_steps([[1, 1], [2, 2]], [1, 2]))
     assert isinstance(res, sx.Feasible)
-    assert sx.verify_solution([[1, 1], [2, 2]], [1, 2], res.x)
+    assert sx.verify_solution(*as_steps([[1, 1], [2, 2]], [1, 2]), res.x)
 
 
 def test_maximize_simple():
-    res = sx.maximize([[1, 1]], [1], [1, 0])
+    res = sx.maximize(*as_steps([[1, 1]], [1]), [1, 0])
     assert isinstance(res, sx.Optimal)
     assert res.value == 1
     assert res.x == (Fraction(1), Fraction(0))
@@ -52,17 +54,17 @@ def test_maximize_simple():
 
 def test_maximize_respects_equalities():
     # x0 = x1 and x0 + x1 = 1 forces the half-half point
-    res = sx.maximize([[1, -1], [1, 1]], [0, 1], [1, 0])
+    res = sx.maximize(*as_steps([[1, -1], [1, 1]], [0, 1]), [1, 0])
     assert res.value == Fraction(1, 2)
 
 
 def test_maximize_detects_infeasible():
-    res = sx.maximize([[0, 1], [1, 0], [1, 1]], [0, 0, 1], [1, 1])
+    res = sx.maximize(*as_steps([[0, 1], [1, 0], [1, 1]], [0, 0, 1]), [1, 1])
     assert isinstance(res, sx.Infeasible)
 
 
 def test_maximize_unbounded():
-    res = sx.maximize([[1, -1]], [0], [1, 0])
+    res = sx.maximize(*as_steps([[1, -1]], [0]), [1, 0])
     assert isinstance(res, sx.Unbounded)
 
 
@@ -108,7 +110,7 @@ def _brute_force_points(rows, rhs, n):
             full = [Fraction(0)] * n
             for idx, j in enumerate(cols):
                 full[j] = sol[idx]
-            if sx.verify_solution(rows, rhs, full):
+            if sx.verify_solution(*as_steps(rows, rhs), full):
                 yield full
 
 
@@ -131,14 +133,14 @@ def test_fuzz_against_bruteforce_oracle():
         m = rng.randint(1, 3)
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
         rhs = [rng.randint(-2, 2) for _ in range(m)]
-        res = sx.solve_feasibility(rows, rhs)
+        res = sx.solve_feasibility(*as_steps(rows, rhs))
         brute = _brute_force_feasible(rows, rhs, n)
         if isinstance(res, sx.Feasible):
-            assert sx.verify_solution(rows, rhs, res.x)
+            assert sx.verify_solution(*as_steps(rows, rhs), res.x)
             assert brute
             agree_feasible += 1
         else:
-            assert sx.verify_farkas(rows, rhs, res.y)
+            assert sx.verify_farkas(*as_steps(rows, rhs), res.y)
             assert not brute
             agree_infeasible += 1
     assert agree_feasible > 10 and agree_infeasible > 10
@@ -147,38 +149,38 @@ def test_fuzz_against_bruteforce_oracle():
 def test_determinism():
     rows = [[1, 2, -1], [0, 1, 1]]
     rhs = [1, 1]
-    a = sx.solve_feasibility(rows, rhs)
-    b = sx.solve_feasibility(rows, rhs)
+    a = sx.solve_feasibility(*as_steps(rows, rhs))
+    b = sx.solve_feasibility(*as_steps(rows, rhs))
     assert a == b
 
 
 def test_redundant_rows_are_dropped_before_pivoting():
     rows, rhs = [[1, 1], [2, 2], [1, -1], [3, 1]], [1, 2, 0, 2]
-    res = sx.solve_feasibility(rows, rhs)
+    res = sx.solve_feasibility(*as_steps(rows, rhs))
     assert isinstance(res, sx.Feasible)
-    assert sx.verify_solution(rows, rhs, res.x)
+    assert sx.verify_solution(*as_steps(rows, rhs), res.x)
     assert (res.stats.rows, res.stats.rows_kept, res.stats.cols) == (4, 2, 2)
 
 
 def test_dependent_row_with_independent_rhs_is_kept():
     # the second row repeats the first on A but not on b
     rows, rhs = [[1, 1], [2, 2]], [1, 3]
-    res = sx.solve_feasibility(rows, rhs)
+    res = sx.solve_feasibility(*as_steps(rows, rhs))
     assert isinstance(res, sx.Infeasible)
     assert res.stats.rows_kept == 2
-    assert sx.verify_farkas(rows, rhs, res.y)
+    assert sx.verify_farkas(*as_steps(rows, rhs), res.y)
 
 
 def test_all_zero_rows():
     rows, rhs = [[0, 0, 0], [0, 0, 0]], [0, 0]
-    res = sx.solve_feasibility(rows, rhs)
+    res = sx.solve_feasibility(*as_steps(rows, rhs))
     assert res == sx.Feasible((Fraction(0),) * 3)
     assert res.stats.rows_kept == 0
-    assert sx.maximize(rows, rhs, [-1, 0, -2]) == sx.Optimal((Fraction(0),) * 3, Fraction(0))
-    assert isinstance(sx.maximize(rows, rhs, [0, 1, 0]), sx.Unbounded)
-    res = sx.solve_feasibility(rows, [0, -1])
+    assert sx.maximize(*as_steps(rows, rhs), [-1, 0, -2]) == sx.Optimal((Fraction(0),) * 3, Fraction(0))
+    assert isinstance(sx.maximize(*as_steps(rows, rhs), [0, 1, 0]), sx.Unbounded)
+    res = sx.solve_feasibility(*as_steps(rows, [0, -1]))
     assert isinstance(res, sx.Infeasible)
-    assert sx.verify_farkas(rows, [0, -1], res.y)
+    assert sx.verify_farkas(*as_steps(rows, [0, -1]), res.y)
 
 
 def _with_implied_rows(rng, rows, rhs):
@@ -208,26 +210,28 @@ def test_presolve_property_against_unreduced_rows():
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
         rhs = [rng.randint(-2, 2) for _ in range(m)]
         big_rows, big_rhs = _with_implied_rows(rng, rows, rhs)
-        small, big = sx.solve_feasibility(rows, rhs), sx.solve_feasibility(big_rows, big_rhs)
+        small = sx.solve_feasibility(*as_steps(rows, rhs))
+        big = sx.solve_feasibility(*as_steps(big_rows, big_rhs))
         assert type(small) is type(big)
         kinds[type(big)] += 1
         assert big.stats.rows == len(big_rows)
         assert big.stats.rows_kept <= min(len(rows), n + 1)
         if isinstance(big, sx.Infeasible):
             assert len(big.y) == len(big_rows)
-            assert sx.verify_farkas(big_rows, big_rhs, big.y)
+            assert sx.verify_farkas(*as_steps(big_rows, big_rhs), big.y)
         else:
-            assert sx.verify_solution(big_rows, big_rhs, big.x)
+            assert sx.verify_solution(*as_steps(big_rows, big_rhs), big.x)
         objective = [rng.randint(-2, 2) for _ in range(n)]
-        small, big = sx.maximize(rows, rhs, objective), sx.maximize(big_rows, big_rhs, objective)
+        small = sx.maximize(*as_steps(rows, rhs), objective)
+        big = sx.maximize(*as_steps(big_rows, big_rhs), objective)
         assert type(small) is type(big)
         kinds[type(big)] += 1
         if isinstance(big, sx.Infeasible):
             assert len(big.y) == len(big_rows)
-            assert sx.verify_farkas(big_rows, big_rhs, big.y)
+            assert sx.verify_farkas(*as_steps(big_rows, big_rhs), big.y)
         elif isinstance(big, sx.Optimal):
             assert big.value == small.value
-            assert sx.verify_solution(big_rows, big_rhs, big.x)
+            assert sx.verify_solution(*as_steps(big_rows, big_rhs), big.x)
     assert all(count > 10 for count in kinds.values()), kinds
 
 
@@ -248,19 +252,40 @@ def test_int_and_fraction_rows_give_the_same_outcome_and_stats():
         objective = [rng.randint(-2, 2) for _ in range(n)]
         frows = [[Fraction(v) for v in row] for row in rows]
         frhs = [Fraction(v) for v in rhs]
-        _same_outcome(sx.solve_feasibility(rows, rhs), sx.solve_feasibility(frows, frhs))
-        _same_outcome(sx.maximize(rows, rhs, objective), sx.maximize(frows, frhs, objective))
+        _same_outcome(sx.solve_feasibility(*as_steps(rows, rhs)),
+                      sx.solve_feasibility(*as_steps(frows, frhs)))
+        _same_outcome(sx.maximize(*as_steps(rows, rhs), objective),
+                      sx.maximize(*as_steps(frows, frhs), objective))
     for depth in (3, 4):
-        rows, rhs = st.build_constraints(cuntz(2), depth).rows_rhs()
-        frows = [[Fraction(v) for v in row] for row in rows]
-        _same_outcome(sx.solve_feasibility(rows, rhs),
-                      sx.solve_feasibility(frows, [Fraction(v) for v in rhs]))
+        rows, rhs, n = st.build_constraints(cuntz(2), depth).rows_rhs()
+        frows = [tuple((i, Fraction(v)) for i, v in steps) for steps in rows]
+        _same_outcome(sx.solve_feasibility(rows, rhs, n),
+                      sx.solve_feasibility(frows, [Fraction(v) for v in rhs], n))
 
 
-@pytest.mark.parametrize("rows, rhs", [([[1, 2], [1]], [0, 0]), ([[1, 2]], [0, 1])])
+# over 2 columns: a row with a step past the last column, and a missing rhs
+@pytest.mark.parametrize("rows, rhs", [([((0, 1), (1, 1)), ((0, 1), (3, -1))], [0, 0]),
+                                       (as_steps([[1, 2]], [0])[0], [0, 1])])
 def test_ragged_rows_and_rhs_length_are_rejected(rows, rhs):
     with pytest.raises(ValueError):
-        sx.solve_feasibility(rows, rhs)
+        sx.solve_feasibility(rows, rhs, 2)
+
+
+@pytest.mark.parametrize("steps", [((1, 1), (0, -1)), ((0, 1), (0, -1)), ((-1, 1),), ((3, 1),)])
+def test_steps_out_of_order_or_range_are_rejected_by_every_entry_point(steps):
+    rows, rhs = [((0, 1),), steps], [1, 0]
+    for call in (lambda: sx.solve_feasibility(rows, rhs, 2),
+                 lambda: sx.maximize(rows, rhs, 2, [1, 0]),
+                 lambda: sx.verify_solution(rows, rhs, 2, [1, 0]),
+                 lambda: sx.verify_farkas(rows, rhs, 2, [1, 1])):
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("objective", [[1], [1, 0, 0]])
+def test_maximize_rejects_an_objective_of_the_wrong_length(objective):
+    with pytest.raises(ValueError):
+        sx.maximize(*as_steps([[1, 1]], [1]), objective)
 
 
 def test_drive_out_pivots_on_a_negative_entry(monkeypatch):
@@ -275,10 +300,10 @@ def test_drive_out_pivots_on_a_negative_entry(monkeypatch):
 
     monkeypatch.setattr(sx._Tableau, "pivot", spy)
     rows, rhs = [[-1, -1], [1, -2]], [-2, 2]
-    res = sx.solve_feasibility(rows, rhs)
+    res = sx.solve_feasibility(*as_steps(rows, rhs))
     assert res.x == (2, 0) and res.stats.pivots == 2
     assert entries[-1] == -3
-    assert sx.maximize(rows, rhs, [1, 1]) == sx.Optimal((2, 0), 2)
+    assert sx.maximize(*as_steps(rows, rhs), [1, 1]) == sx.Optimal((2, 0), 2)
 
 
 def _drive_outs(monkeypatch):
@@ -310,10 +335,10 @@ def test_maximize_after_a_drive_out_matches_the_brute_force_optimum(monkeypatch)
         rhs = [rng.randint(-3, 3) for _ in rows]
         objective = [rng.randint(-2, 2) for _ in range(n)]
         del log[:]
-        res = sx.maximize(rows, rhs, objective)
+        res = sx.maximize(*as_steps(rows, rhs), objective)
         if not (log and log[-1] and isinstance(res, sx.Optimal)):
             continue
-        assert sx.verify_solution(rows, rhs, res.x)
+        assert sx.verify_solution(*as_steps(rows, rhs), res.x)
         assert res.value == _brute_force_max(rows, rhs, objective)
         checked += 1
     assert checked > 20
@@ -322,7 +347,7 @@ def test_maximize_after_a_drive_out_matches_the_brute_force_optimum(monkeypatch)
 def test_mixed_fraction_denominators_and_negative_rhs():
     # x0/2 + x1/3 = 1 and x0/5 - x1 = -1/5 have the one solution (28/17, 9/17)
     rows, rhs = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), -1]], [1, Fraction(-1, 5)]
-    res = sx.solve_feasibility(rows, rhs)
+    res = sx.solve_feasibility(*as_steps(rows, rhs))
     assert res.x == (Fraction(28, 17), Fraction(9, 17))
     rng = random.Random(2007)
     kinds = {sx.Feasible: 0, sx.Infeasible: 0}
@@ -331,15 +356,15 @@ def test_mixed_fraction_denominators_and_negative_rhs():
         rows = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(n)]
                 for _ in range(rng.randint(1, 3))]
         rhs = [Fraction(rng.randint(-3, 3), rng.choice((1, 4, 7))) for _ in rows]
-        res = sx.solve_feasibility(rows, rhs)
+        res = sx.solve_feasibility(*as_steps(rows, rhs))
         kinds[type(res)] += 1
         assert isinstance(res, sx.Feasible) == _brute_force_feasible(rows, rhs, n)
         if isinstance(res, sx.Infeasible):
-            assert sx.verify_farkas(rows, rhs, res.y)
+            assert sx.verify_farkas(*as_steps(rows, rhs), res.y)
             continue
-        assert sx.verify_solution(rows, rhs, res.x)
+        assert sx.verify_solution(*as_steps(rows, rhs), res.x)
         objective = [rng.randint(-2, 2) for _ in range(n)]
-        best = sx.maximize(rows, rhs, objective)
+        best = sx.maximize(*as_steps(rows, rhs), objective)
         if isinstance(best, sx.Optimal):
             assert best.value == _brute_force_max(rows, rhs, objective)
     assert all(count > 20 for count in kinds.values()), kinds
@@ -364,49 +389,71 @@ def test_maximize_with_mixed_objective_denominators_matches_the_brute_force_opti
         rhs = [rng.randint(-3, 3) for _ in rows]
         objective = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7))) for _ in range(n)]
         del costed[:]
-        res = sx.maximize(rows, rhs, objective)
+        res = sx.maximize(*as_steps(rows, rhs), objective)
         many_costed += bool(costed and costed[0] > 1)
         if isinstance(res, sx.Infeasible):
-            assert sx.verify_farkas(rows, rhs, res.y) and not costed
+            assert sx.verify_farkas(*as_steps(rows, rhs), res.y) and not costed
         elif isinstance(res, sx.Optimal):
-            assert sx.verify_solution(rows, rhs, res.x)
+            assert sx.verify_solution(*as_steps(rows, rhs), res.x)
             assert res.value == sum(c * v for c, v in zip(objective, res.x))
             assert res.value == _brute_force_max(rows, rhs, objective)
             optimal += 1
     assert many_costed >= 50 and optimal > 100, (many_costed, optimal)
 
 
-# SHA-256 of the stdout of each command, recorded before the integer tableau
-# replaced the Fraction one: the vertices and multipliers must not move.
+# SHA-256 of the stdout of each command, and its exit code, recorded before
+# the integer tableau replaced the Fraction one: the vertices and multipliers
+# must not move.
 REPORT_DIGESTS = {
-    ("state", "cuntz:2", "--depth", "0"): "7019df168c7b6f564cad0e4a0fff7f77464eece9e9be46cab117cbab015912d0",
-    ("state", "cuntz:2", "--depth", "1"): "988431c240603a735a820d62ce130856e8f59707f15bdbe1787d4ce1e1bf996c",
-    ("state", "cuntz:2", "--depth", "2"): "7fcc67d7dd130b418e9cf54fb26fff8b3de66a4a18cd81e1da7030142972a743",
-    ("state", "cuntz:2", "--depth", "3"): "b5998311f20c38ae2fc1db7e7335f00ef41aca554fc06808fa755ee91f74dfac",
-    ("state", "cuntz:2", "--depth", "4"): "ef418d8661451a801469302c334db1d0985b3b879565c5df2653f4834f0e81d6",
-    ("state", "cuntz:2", "--depth", "5"): "a0c04651f06112d5ae88e4392f8f8dea1debcaf3499e7b064b0257ce51705c5b",
-    ("state", "cuntz:2", "--depth", "6"): "4391b8ff9a2998b680348035a487b1fd7f18526288a6ee63fef8aa8316232846",
-    ("state", "cuntz:2", "--depth", "7"): "f24da2de22f4ef9ef8b5bd49e01081fea7d5f3dc8bcc3ec83cfabfcd254b8413",
-    ("state", "odometer:6", "--depth", "7"): "d854682cc8244950175458a988102298a7521ed9677891f1aa35d9f3330c2ab0",
+    ("state", "cuntz:2", "--depth", "0"):
+        ("7019df168c7b6f564cad0e4a0fff7f77464eece9e9be46cab117cbab015912d0", 0),
+    ("state", "cuntz:2", "--depth", "1"):
+        ("988431c240603a735a820d62ce130856e8f59707f15bdbe1787d4ce1e1bf996c", 1),
+    ("state", "cuntz:2", "--depth", "2"):
+        ("7fcc67d7dd130b418e9cf54fb26fff8b3de66a4a18cd81e1da7030142972a743", 1),
+    ("state", "cuntz:2", "--depth", "3"):
+        ("b5998311f20c38ae2fc1db7e7335f00ef41aca554fc06808fa755ee91f74dfac", 1),
+    ("state", "cuntz:2", "--depth", "4"):
+        ("ef418d8661451a801469302c334db1d0985b3b879565c5df2653f4834f0e81d6", 1),
+    ("state", "cuntz:2", "--depth", "5"):
+        ("a0c04651f06112d5ae88e4392f8f8dea1debcaf3499e7b064b0257ce51705c5b", 1),
+    ("state", "cuntz:2", "--depth", "6"):
+        ("4391b8ff9a2998b680348035a487b1fd7f18526288a6ee63fef8aa8316232846", 1),
+    ("state", "cuntz:2", "--depth", "7"):
+        ("f24da2de22f4ef9ef8b5bd49e01081fea7d5f3dc8bcc3ec83cfabfcd254b8413", 1),
+    ("state", "odometer:6", "--depth", "7"):
+        ("d854682cc8244950175458a988102298a7521ed9677891f1aa35d9f3330c2ab0", 0),
     ("tarski", "odometer:6", "--set", "whole", "--depth", "6"):
-        "383c0bd7cc43bf060ef68b0fa48ea8e2c9f1d0c9259a25e5914d412f44fdfa53",
+        ("383c0bd7cc43bf060ef68b0fa48ea8e2c9f1d0c9259a25e5914d412f44fdfa53", 0),
     # recorded before the presolve moved to difference coordinates: finite
     # systems and the phase-two objective of `maximize`
-    ("state", "pair:40", "--depth", "2"): "fc472d63b6eb1e697e29e8bdb2b53577770c6068376d2e513bf5a41dd5a76225",
-    ("state", "cuntz:3", "--depth", "4"): "f1f4cc1fdb4d3c8f510bd9cf90d7722129d122ab10183a7746c5996009ba3815",
+    ("state", "pair:40", "--depth", "2"):
+        ("fc472d63b6eb1e697e29e8bdb2b53577770c6068376d2e513bf5a41dd5a76225", 0),
+    ("state", "cuntz:3", "--depth", "4"):
+        ("f1f4cc1fdb4d3c8f510bd9cf90d7722129d122ab10183a7746c5996009ba3815", 1),
     ("tarski", "cuntz:2", "--set", "1", "--depth", "4"):
-        "83e9f68039fdf882ece126e85275167003a7bdf6c30ee78fbf0874593087ff88",
+        ("83e9f68039fdf882ece126e85275167003a7bdf6c30ee78fbf0874593087ff88", 0),
     ("tarski", "rotation:3", "--set", "whole", "--depth", "1"):
-        "b5d458c5a206359f862dd915a5c62e5e3d0806a10909a2d423f650d723323482",
-    ("dichotomy", "rotation:3", "--depth", "2"): "7b00e40d938600bd248a5babf97d2ca3b2af5c8fd7ed32727c9f96e9b16bc955",
+        ("b5d458c5a206359f862dd915a5c62e5e3d0806a10909a2d423f650d723323482", 0),
+    ("dichotomy", "rotation:3", "--depth", "2"):
+        ("7b00e40d938600bd248a5babf97d2ca3b2af5c8fd7ed32727c9f96e9b16bc955", 0),
+    # recorded before the state LP's rows became steps
+    ("state", "cuntz:2", "--depth", "9"):
+        ("76142f2d0eddfd21b1e4200779a45d70cdfc591457e4b5fe8939dce41781a335", 1),
+    ("state", "rotation:3", "--depth", "0"):
+        ("79798aafc7dd3101983c09bf716c5fe13c035afb99ecfc9d41f4e217d77b6617", 0),
+    ("tarski", "odometer", "--set", "1", "--depth", "3"):
+        ("6e8305cc0216f5b83c7202ab589d4227770a215658a0123daecb3bb3e3545f0b", 0),
+    ("tarski", "cuntz:2", "--set", "1", "--depth", "5"):
+        ("04f212994e308f8020a7e5bb5cea462e2e4f82371a145dba218040ba28dbb87a", 0),
 }
 
 
 @pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
 def test_lp_reports_are_pinned(argv, capsys):
-    cli.main(list(argv))
+    code = cli.main(list(argv))
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == REPORT_DIGESTS[argv]
 
 
 def _dense_independent_rows(rows, rhs):
@@ -478,15 +525,16 @@ def test_presolve_keeps_the_rows_of_a_dense_greedy_rank():
     dropped = a_only = 0
     for _ in range(300):
         rows, rhs = _random_system(rng)
-        kept = sx._independent_rows(rows, rhs)
-        assert kept == _dense_independent_rows(rows, rhs)
+        kept = sx._independent_rows(*as_steps(rows, rhs))
+        assert kept == _dense_independent_rows(rows, rhs) == dense_lp.independent_rows(rows, rhs)
         dropped += len(rows) - len(kept)
         a_part = _dense_independent_rows(rows, [0] * len(rows))
         a_only += len(kept) - len(a_part)
     assert dropped > 100 and a_only > 30, (dropped, a_only)
     for _ in range(200):
         rows, rhs = _range_rows(rng)
-        assert sx._independent_rows(rows, rhs) == _dense_independent_rows(rows, rhs)
+        kept = sx._independent_rows(*as_steps(rows, rhs))
+        assert kept == _dense_independent_rows(rows, rhs) == dense_lp.independent_rows(rows, rhs)
 
 
 def _seeded_finite_presentation(seed, points=30, injections=3, pairs=10):
@@ -502,29 +550,89 @@ def _seeded_finite_presentation(seed, points=30, injections=3, pairs=10):
     + [(cuntz(3), d) for d in range(5)]
     + [(odometer(6), d) for d in range(8)]
     + [(pair_groupoid(40), 2), (_seeded_finite_presentation(1), 2),
-       (_seeded_finite_presentation(2), 2)],
+       (_seeded_finite_presentation(2), 2)]
+    + [(cuntz(2), 8), (_seeded_finite_presentation(6), 2)]
+    + [(rotation(3, with_table=True), d) for d in range(3)],
 )
 def test_presolve_keeps_the_rows_of_a_dense_greedy_rank_on_state_systems(pres, depth):
-    rows, rhs = st.build_constraints(pres, depth).rows_rhs()
-    assert sx._independent_rows(rows, rhs) == _dense_independent_rows(rows, rhs)
+    # against the Fraction rank and against the dense presolve it replaced
+    rows, rhs, n = st.build_constraints(pres, depth).rows_rhs()
+    dense = dense_rows(rows, n)
+    kept = sx._independent_rows(rows, rhs, n)
+    assert kept == _dense_independent_rows(dense, rhs) == dense_lp.independent_rows(dense, rhs)
 
 
 def test_verify_solution_rejects_points_that_are_not_solutions():
     rows, rhs = [[1, -1, 0], [0, 1, -1], [1, 1, 1]], [0, 0, 1]
     third = Fraction(1, 3)
-    assert sx.verify_solution(rows, rhs, [third] * 3)
-    assert not sx.verify_solution(rows, rhs, [third, third, third + Fraction(1, 100)])
-    assert not sx.verify_solution([[1, 1]], [0], [1, -1])  # Ax = b, but x is negative
+    assert sx.verify_solution(*as_steps(rows, rhs), [third] * 3)
+    assert not sx.verify_solution(*as_steps(rows, rhs), [third, third, third + Fraction(1, 100)])
+    assert not sx.verify_solution(*as_steps([[1, 1]], [0]), [1, -1])  # Ax = b, but x is negative
     # a point with fewer or more entries than columns is no point of the system
-    assert not sx.verify_solution([[1, 1]], [1], [1])
-    assert not sx.verify_solution([[1, 1]], [1], [1, 0, 0])
+    assert not sx.verify_solution(*as_steps([[1, 1]], [1]), [1])
+    assert not sx.verify_solution(*as_steps([[1, 1]], [1]), [1, 0, 0])
 
 
 def test_verify_farkas_rejects_a_flipped_multiplier():
     rows, rhs = [[0, 1], [1, 0], [1, 1]], [0, 0, 1]
-    y = sx.solve_feasibility(rows, rhs).y
-    assert sx.verify_farkas(rows, rhs, y)
+    y = sx.solve_feasibility(*as_steps(rows, rhs)).y
+    assert sx.verify_farkas(*as_steps(rows, rhs), y)
     for i, v in enumerate(y):
         if v:
-            assert not sx.verify_farkas(rows, rhs, y[:i] + (-v,) + y[i + 1:])
-    assert not sx.verify_farkas(rows, rhs, y[:-1])
+            assert not sx.verify_farkas(*as_steps(rows, rhs), y[:i] + (-v,) + y[i + 1:])
+    assert not sx.verify_farkas(*as_steps(rows, rhs), y[:-1])
+
+
+def _same_verdicts(rows, rhs, n, points, multipliers):
+    """The step verifiers and the dense ones agree on every candidate;
+    returns how many candidates verified."""
+    dense = dense_rows(rows, n)
+    accepted = 0
+    for x in points:
+        verdict = sx.verify_solution(rows, rhs, n, x)
+        assert verdict == dense_lp.verify_solution(dense, rhs, x)
+        accepted += verdict
+    for y in multipliers:
+        verdict = sx.verify_farkas(rows, rhs, n, y)
+        assert verdict == dense_lp.verify_farkas(dense, rhs, y)
+        accepted += verdict
+    return accepted
+
+
+def _variants(rng, v, count):
+    """v itself, then copies of it with one entry changed each."""
+    out = [tuple(v)]
+    for _ in range(count):
+        w = list(v)
+        k = rng.randrange(len(w))
+        w[k] = rng.choice((-w[k], w[k] + Fraction(1, 7), Fraction(0), Fraction(-1)))
+        out.append(tuple(w))
+    return out
+
+
+def test_step_verifiers_agree_with_the_dense_verifiers():
+    rng = random.Random(1957)
+    accepted = rejected = 0
+    for _ in range(300):
+        rows, rhs = _random_system(rng)
+        rows, rhs, n = as_steps(rows, rhs)
+        res = sx.solve_feasibility(rows, rhs, n)
+        points = [[Fraction(rng.randint(0, 2), 3) for _ in range(n)]]
+        multipliers = [[Fraction(rng.randint(-2, 2)) for _ in rows]]
+        if isinstance(res, sx.Feasible):
+            points += _variants(rng, res.x, 3)
+        else:
+            multipliers += _variants(rng, res.y, 3)
+        ok = _same_verdicts(rows, rhs, n, points, multipliers)
+        accepted += ok
+        rejected += len(points) + len(multipliers) - ok
+    assert accepted > 100 and rejected > 300, (accepted, rejected)
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_step_verifiers_agree_with_the_dense_verifiers_on_cuntz(depth):
+    rows, rhs, n = st.build_constraints(cuntz(2), depth).rows_rhs()
+    y = sx.solve_feasibility(rows, rhs, n).y
+    rng = random.Random(depth)
+    points = [[Fraction(1, n)] * n, [Fraction(0)] * n]
+    assert _same_verdicts(rows, rhs, n, points, _variants(rng, y, 3)) >= 1

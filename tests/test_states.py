@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +16,7 @@ from ample import typesemigroup as ts
 from ample.groupoid import cuntz, odometer, pair_groupoid, rotation
 from ample.serialize import parse_presentation_arg
 from ample.stone import UnitSpace, clopen, whole
+from dense_lp import dense_row
 
 
 C2 = cuntz(2)
@@ -252,8 +257,14 @@ def _seeded_finite(seed, points=30, injections=3, pairs=10):
 )
 def test_index_range_rows_match_clopen_expansion(pres, depth):
     cs = st.build_constraints(pres, depth)
-    assert (cs.cells, cs.equalities, cs.partial, cs.skipped) == _oracle_constraints(pres, depth)
-    assert all(type(v) is int for coeffs, _ in cs.equalities for v in coeffs)
+    n = len(cs.cells)
+    rows = tuple((dense_row(steps, n), note) for steps, note in cs.equalities)
+    assert (cs.cells, rows, cs.partial, cs.skipped) == _oracle_constraints(pres, depth)
+    assert all(type(v) is int for coeffs, _ in rows for v in coeffs)
+    # each row is stored as its nonzero steps, in increasing index order
+    for steps, _ in cs.equalities:
+        assert all(type(i) is int and type(v) is int and v for i, v in steps)
+        assert [i for i, _ in steps] == sorted({i for i, _ in steps})
 
 
 def test_state_rows_build_no_bisection(monkeypatch):
@@ -309,6 +320,27 @@ def test_verify_farkas_rejects_a_certificate_with_a_flipped_multiplier():
 
 def test_rows_rhs_passes_the_rows_through():
     cs = st.build_constraints(C2, 3)
-    rows, rhs = cs.rows_rhs()
+    rows, rhs, n = cs.rows_rhs()
+    assert n == len(cs.cells)
     assert all(row is coeffs for row, (coeffs, _) in zip(rows, cs.equalities))
-    assert (rows[-1], rhs) == ((1,) * len(cs.cells), [0] * len(cs.equalities) + [1])
+    assert (dense_row(rows[-1], n), rhs) == ((1,) * len(cs.cells), [0] * len(cs.equalities) + [1])
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# A fresh wrapper process runs one command and reports the peak RSS of its
+# only child, so no earlier child of this process counts.
+PEAK_RSS = """
+import resource, subprocess, sys
+code = subprocess.call([sys.executable, "-m", "ample.cli", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_deep_state_lp_stays_small():
+    # 6,144 rows over 1,024 cells; as dense rows of ints they alone take 48 MiB
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", PEAK_RSS, "state", "cuntz:2", "--depth", "10"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    code, kib = map(int, out.split())
+    assert code == 1  # no invariant state: a Farkas certificate
+    assert kib < 64 * 1024, "peak RSS %.1f MiB" % (kib / 1024)
