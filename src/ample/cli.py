@@ -63,6 +63,8 @@ def _parse_set(pres, spec):
     if "" in parts:
         # on the shift the empty word would name the whole space
         raise stone.CellError("--set %r: empty item; write whole for the whole space" % spec)
+    for part in parts:
+        serialize.check_word(part, "--set")
     try:
         cells = [int(part) for part in parts] if pres.space.kind == stone.FINITE else parts
         return stone.clopen(pres.space, cells)

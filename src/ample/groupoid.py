@@ -269,6 +269,7 @@ class Presentation:
         self._principal_words = {}  # src -> {tgt: principal_word(src, tgt)}
         self._steps = None  # the one-letter steps `_words_from` walks, finite spaces
         self._key_domains = {}  # arrow key -> action_domain of key_action(key)
+        self._search_words = {}  # depth -> the tiling searches' typesemigroup._Words
 
     def _defining_data(self):
         return (self.space, self.generators, self.isotropy)

@@ -135,11 +135,21 @@ def encode_clopen(clop):
     return {"space": encode_space(clop.space), "cells": list(clop.cells)}
 
 
+def check_word(word, path):
+    """Reject a shift word longer than `stone.MAX_WORD_LENGTH`."""
+    if isinstance(word, str) and len(word) > stone.MAX_WORD_LENGTH:
+        raise SchemaError(path, "word of %d letters; at most %d are accepted"
+                          % (len(word), stone.MAX_WORD_LENGTH))
+    return word
+
+
 def decode_clopen(data, path="clopen", space=None):
     found = decode_space(_need(data, "space", path), path + ".space")
     if space is not None and found != space:
         raise SchemaError(path + ".space", "clopen over the wrong space")
     cells = _need_list(data, "cells", path)
+    for i, cell in enumerate(cells):
+        check_word(cell, "%s.cells[%d]" % (path, i))
     try:
         return clopen(found, cells)
     except (stone.CellError, ValueError) as exc:
@@ -164,7 +174,8 @@ def encode_generator(gen):
 def decode_generator(data, path):
     kind = _need(data, "kind", path)
     if kind == "prefix_map":
-        return PrefixMap(_need_str(data, "alpha", path), _need_str(data, "beta", path))
+        return PrefixMap(*(check_word(_need_str(data, key, path), "%s.%s" % (path, key))
+                           for key in ("alpha", "beta")))
     if kind == "partial_injection":
         pairs = _need_list(data, "pairs", path)
         for j, pair in enumerate(pairs):
@@ -176,6 +187,8 @@ def decode_generator(data, path):
         for j, piece in enumerate(pieces):
             if not (isinstance(piece, list) and len(piece) == 2):
                 raise SchemaError("%s.pieces[%d]" % (path, j), "expected two cells")
+            for t, cell in enumerate(piece):
+                check_word(cell, "%s.pieces[%d][%d]" % (path, j, t))
         return GroupElement(_need_str(data, "label", path), tuple(tuple(p) for p in pieces))
     raise SchemaError(path, "unknown generator kind %r" % kind)
 

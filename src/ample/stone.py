@@ -28,6 +28,11 @@ SHIFT = "shift"
 
 # serialization writes shift letters as single digits, which caps k at 9
 MAX_ALPHABET = 9
+# the longest shift word an input may hold: `leaf_spans` builds every
+# prefix of every word, so a word of n letters costs time and memory ~ n^2
+# (a type-eq of one cell took 52 MiB at 5,000 letters, 162 MiB at 10,000,
+# and ran past 120 s at 100,000)
+MAX_WORD_LENGTH = 4000
 
 
 class InputError(ValueError):

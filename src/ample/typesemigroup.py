@@ -226,6 +226,33 @@ def _cell_depth(pres, families, pieces):
     return depth
 
 
+class _Words:
+    """What the tiling searches on one presentation at one depth share.
+
+    pieces: `_word_pieces` of the words up to the depth; depth: the
+    `_cell_depth` of the pieces alone; images: shift cell -> its (word,
+    image words) list, as `_compile_pieces` finds it, filled as searches
+    meet the cell; bisections: (word, cell) -> the Bisection of the word
+    on that cell, filled as searches choose the pair.
+    """
+
+    __slots__ = ("pieces", "depth", "images", "bisections")
+
+    def __init__(self, pres, depth):
+        self.pieces = _word_pieces(pres, enumerate_words(pres, depth))
+        self.depth = _cell_depth(pres, (), self.pieces)
+        self.images = {}
+        self.bisections = {}
+
+
+def _words(pres, depth):
+    """The presentation's `_Words` at this depth, built on first use."""
+    memo = pres._search_words.get(depth)
+    if memo is None:
+        memo = pres._search_words[depth] = _Words(pres, depth)
+    return memo
+
+
 def _family_slots(fam, depth):
     slots = []
     for label in fam.labels:
@@ -234,7 +261,7 @@ def _family_slots(fam, depth):
     return slots
 
 
-def _compile_pieces(pres, pieces, cells, targets):
+def _compile_pieces(pres, pieces, cells, targets, cached=None):
     """Compile a tiling search onto integer bit masks, from `_word_pieces`.
 
     Returns (options, masks, leaves).  options[cell] lists, in word order,
@@ -245,16 +272,23 @@ def _compile_pieces(pres, pieces, cells, targets):
     cells and image words, so a trie node of span [start, end) has the mask
     (1 << end) - (1 << start): on Finite(n) bit x is the point x, and on
     the shift masks grow with the words met, not as k^depth.  A shift cell
-    must be no shallower than any word's canonical domain.
+    must be no shallower than any word's canonical domain.  On the shift,
+    `cached` (the `_Words.images` of the same pieces) supplies the image
+    words of the cells it holds and keeps those of the others.
     """
-    images = {cell: [] for cell in cells}
     if pres.space.kind == stone.SHIFT:
+        cached = {} if cached is None else cached
+        new = [cell for cell in cells if cell not in cached]
+        for cell in new:
+            cached[cell] = []
         for w, act, dom in pieces:
             doms = dom.cells
-            for cell in cells:
+            for cell in new:
                 if cell.startswith(doms):
-                    images[cell].append((w, shift_image_words(act, (cell,))))
+                    cached[cell].append((w, shift_image_words(act, (cell,))))
+        images = {cell: cached[cell] for cell in cells}
     else:
+        images = {cell: [] for cell in cells}
         seen = set()
         for w, act, _ in pieces:
             keys = tuple((pres.piece_key(w, x), x) for x, _ in act)
@@ -285,25 +319,34 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
 
     The slots are (label of f1, refinement cell) pairs in family order.  A
     slot's candidates are the (piece word, label m of f2, image) triples of
-    the words up to depth, enumerated once, whose action sends the cell
-    inside entry m of f2, filtered once.  At each node the open slot with
-    the fewest candidates that still fit is filled next, ties going to the
-    earlier slot, and every fitting candidate tried costs one unit of
-    budget.  With exact=True the capacity must be consumed entirely
-    (equivalence); otherwise leftovers become the remainder of a <=
-    certificate.  The backtracking keeps an explicit stack, so the slot
-    count is not capped by Python's recursion limit.  Returns the outcome,
-    whose triples follow slot order, and the leftover clopen of each label
-    of f2.
+    the words up to depth whose action sends the cell inside entry m of f2.
+    Each refinement cell keeps the list of its candidates that still fit,
+    shared by its slots: placing (word, m, image) drops from the lists of
+    the cells with an open slot the candidates of label m whose image meets
+    image, and undoing it puts the replaced lists back.  At each node the
+    open slot whose list is shortest is filled next, ties going to the
+    earlier slot, by the candidates of that list in order; every one tried
+    costs one unit of budget.  With exact=True the capacity must be
+    consumed entirely (equivalence); otherwise leftovers become the
+    remainder of a <= certificate.  The backtracking keeps an explicit
+    stack, so the slot count is not capped by Python's recursion limit.
+    The words, the cells' image words and the chosen bisections come from
+    the presentation's `_Words` at this depth, built once; the masks are
+    the search's own.  Returns the outcome, whose triples follow slot
+    order, and the leftover clopen of each label of f2.
     """
-    pieces = _word_pieces(pres, enumerate_words(pres, depth))
-    slots = _family_slots(f1, _cell_depth(pres, [f1, f2], pieces))
+    words = _words(pres, depth)
+    slots = _family_slots(f1, max(words.depth, _cell_depth(pres, [f1, f2], ())))
     cells = list(dict.fromkeys(cell for _, cell in slots))
-    options, masks, leaves = _compile_pieces(pres, pieces, cells, f2.entries)
-    fitting = {cell: [(word, m, image) for word, image in options[cell]
-                      for m, mask in zip(f2.labels, masks) if image & mask == image]
-               for cell in cells}
-    candidates = [fitting[cell] for _, cell in slots]
+    options, masks, leaves = _compile_pieces(pres, words.pieces, cells, f2.entries, words.images)
+    fits = {cell: [(word, m, image) for word, image in options[cell]
+                   for m, mask in zip(f2.labels, masks) if image & mask == image]
+            for cell in cells}
+    slot_cells = [cell for _, cell in slots]
+    candidates = sum(len(fits[cell]) for cell in slot_cells)
+    unfilled = dict.fromkeys(cells, 0)  # cell -> its open slots
+    for cell in slot_cells:
+        unfilled[cell] += 1
 
     remaining = dict(zip(f2.labels, masks))
     chosen = [None] * len(slots)
@@ -312,37 +355,36 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
     def fewest_fitting():
         """The first open slot with the fewest candidates that still fit."""
         best, best_count = None, None
-        for s, opts in enumerate(candidates):
-            if chosen[s] is not None:
-                continue
-            count = 0
-            for _, m, image in opts:
-                if image & remaining[m] == image:
-                    count += 1
-                    if count == best_count:
+        for s, cell in enumerate(slot_cells):
+            if chosen[s] is None:
+                count = len(fits[cell])
+                if best is None or count < best_count:
+                    best, best_count = s, count
+                    if not count:
                         break
-            if best is None or count < best_count:
-                best, best_count = s, count
-                if not count:
-                    break
         return best
 
-    stack = []  # [slot, its candidates that fit on arrival, next to try] down the path
+    # [slot, its candidates that fit on arrival, next to try, the lists the
+    # slot's placement replaced] down the path
+    stack = []
     while True:
         if len(stack) < len(slots):
             s = fewest_fitting()
-            stack.append([s, [c for c in candidates[s] if c[2] & remaining[c[1]] == c[2]], 0])
+            stack.append([s, fits[slot_cells[s]], 0, ()])
         elif not (exact and any(remaining.values())):
             status = "found"
             break
         # undo the deepest choice and move on to that slot's next candidate,
         # backing up past slots whose candidates are spent
         while stack:
-            s, opts, i = stack[-1]
+            s, opts, i, replaced = stack[-1]
             if chosen[s] is not None:
                 _, m, image = chosen[s]
                 remaining[m] |= image
                 chosen[s] = None
+                unfilled[slot_cells[s]] += 1
+                for cell, old in replaced:
+                    fits[cell] = old
             if i < len(opts):
                 break
             stack.pop()
@@ -352,22 +394,34 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
         if not tracker.spend():
             status = "budget"
             break
-        stack[-1][2] = i + 1
-        chosen[s] = opts[i]
-        remaining[opts[i][1]] ^= opts[i][2]
+        _, m, image = chosen[s] = opts[i]
+        remaining[m] ^= image
+        unfilled[slot_cells[s]] -= 1
+        replaced = []
+        for cell, count in unfilled.items():
+            if count:
+                old = fits[cell]
+                new = [c for c in old if c[1] != m or not c[2] & image]
+                if len(new) < len(old):
+                    fits[cell] = new
+                    replaced.append((cell, old))
+        stack[-1][2:] = i + 1, replaced
 
-    stats = SearchStats(min(tracker.used, budget), budget, len(slots), sum(map(len, candidates)))
+    stats = SearchStats(min(tracker.used, budget), budget, len(slots), candidates)
     if status != "found":
         return SearchOutcome(None, status, stats), None
     space = pres.space
-    triples = tuple(
-        (Bisection(pres, [(word, clopen(space, [cell]))]), label, m)
-        for (word, m, _), (label, cell) in zip(chosen, slots)
-    )
+    bisections = words.bisections
+    triples = []
+    for (word, m, _), (label, cell) in zip(chosen, slots):
+        bis = bisections.get((word, cell))
+        if bis is None:
+            bis = bisections[word, cell] = Bisection(pres, [(word, clopen(space, [cell]))])
+        triples.append((bis, label, m))
     # bit i of a mask is leaves[i]; reversed(bin(mask)) reads it bit 0 first
     left = {m: clopen(space, [w for w, b in zip(leaves, reversed(bin(mask))) if b == "1"])
             for m, mask in remaining.items()}
-    return SearchOutcome(EquivCertificate(triples), "found", stats), left
+    return SearchOutcome(EquivCertificate(tuple(triples)), "found", stats), left
 
 
 def search_equiv(pres, f1, f2, depth, budget=DEFAULT_BUDGET):

@@ -1,0 +1,87 @@
+"""The tiling search as it was before it kept fit lists: the oracle of the engine.
+
+`typesemigroup._search_tiling` keeps, per refinement cell, the list of its
+candidates that still fit, and reuses its words, cell images and chosen
+bisections across the searches on one presentation and depth.  This copy
+recounts every open slot's fitting candidates at every node and builds
+everything afresh on each call; the tests compare the two on status,
+triples, stats and leftovers.
+"""
+
+from ample import typesemigroup as ts
+from ample.groupoid import Bisection, enumerate_words
+from ample.stone import clopen
+
+
+def search_tiling(pres, f1, f2, depth, budget, exact):
+    """Tile the cells of f1 into f2 by pieces; returns (outcome, leftover)."""
+    pieces = ts._word_pieces(pres, enumerate_words(pres, depth))
+    slots = ts._family_slots(f1, ts._cell_depth(pres, [f1, f2], pieces))
+    cells = list(dict.fromkeys(cell for _, cell in slots))
+    options, masks, leaves = ts._compile_pieces(pres, pieces, cells, f2.entries)
+    fitting = {cell: [(word, m, image) for word, image in options[cell]
+                      for m, mask in zip(f2.labels, masks) if image & mask == image]
+               for cell in cells}
+    candidates = [fitting[cell] for _, cell in slots]
+
+    remaining = dict(zip(f2.labels, masks))
+    chosen = [None] * len(slots)
+    tracker = ts.SearchBudget(budget)
+
+    def fewest_fitting():
+        """The first open slot with the fewest candidates that still fit."""
+        best, best_count = None, None
+        for s, opts in enumerate(candidates):
+            if chosen[s] is not None:
+                continue
+            count = 0
+            for _, m, image in opts:
+                if image & remaining[m] == image:
+                    count += 1
+                    if count == best_count:
+                        break
+            if best is None or count < best_count:
+                best, best_count = s, count
+                if not count:
+                    break
+        return best
+
+    stack = []  # [slot, its candidates that fit on arrival, next to try] down the path
+    while True:
+        if len(stack) < len(slots):
+            s = fewest_fitting()
+            stack.append([s, [c for c in candidates[s] if c[2] & remaining[c[1]] == c[2]], 0])
+        elif not (exact and any(remaining.values())):
+            status = "found"
+            break
+        while stack:
+            s, opts, i = stack[-1]
+            if chosen[s] is not None:
+                _, m, image = chosen[s]
+                remaining[m] |= image
+                chosen[s] = None
+            if i < len(opts):
+                break
+            stack.pop()
+        if not stack:
+            status = "exhausted"
+            break
+        if not tracker.spend():
+            status = "budget"
+            break
+        stack[-1][2] = i + 1
+        chosen[s] = opts[i]
+        remaining[opts[i][1]] ^= opts[i][2]
+
+    stats = ts.SearchStats(min(tracker.used, budget), budget, len(slots), sum(map(len, candidates)))
+    if status != "found":
+        return ts.SearchOutcome(None, status, stats), None
+    space = pres.space
+    triples = tuple(
+        (Bisection(pres, [(word, clopen(space, [cell]))]), label, m)
+        for (word, m, _), (label, cell) in zip(chosen, slots)
+    )
+    left = {m: clopen(space, [w for w, b in zip(leaves, reversed(bin(mask))) if b == "1"])
+            for m, mask in remaining.items()}
+    return ts.SearchOutcome(ts.EquivCertificate(triples), "found", stats), left
+

@@ -1,18 +1,22 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ample import cli, convalg, serialize as ser
+from ample import cli, convalg, serialize as ser, stone
 from ample import paradox as px
 from ample import typesemigroup as ts
 from ample.groupoid import cuntz, odometer, rotation
 from ample.stone import whole
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -777,3 +781,51 @@ def test_a_domain_escaping_a_map_thousands_of_letters_deep_is_exit_three(tmp_pat
     assert code == 3
     assert err == ("input error at witness.rows[0][0].bisection: piece domain [''] escapes the "
                    "partial map of its word\n")
+
+
+def _one_cell_family(tmp_path, cell):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"schema_version": 1, "entries": [
+        {"set": {"space": SHIFT_2, "cells": [cell]}, "label": 1}]}))
+    return str(path)
+
+
+def test_a_cell_of_a_hundred_thousand_letters_is_exit_three_at_once(tmp_path):
+    # `stone.leaf_spans` would build all 100,000 prefixes of the cell: over
+    # 120 s and about 5 GB
+    family = _one_cell_family(tmp_path, "1" * 100000)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["type-eq", "cuntz:2", "--left", family, "--right", family, "--depth", "0"]
+    proc = subprocess.run([sys.executable, "-m", "ample.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("input error at family.entries[0].set.cells[0]: word of 100000 letters;"
+                           " at most %d are accepted\n" % stone.MAX_WORD_LENGTH)
+
+
+@pytest.mark.parametrize("where", ["cells", "alpha", "beta", "pieces", "set"])
+def test_every_shift_word_input_is_capped(tmp_path, capsys, where):
+    def outcome(n):
+        word = "1" * n
+        pres = tmp_path / "p.json"
+        generators = (_prefix_map(word, "") if where == "alpha" else _prefix_map("", word)
+                      if where == "beta" else [{"kind": "group_element", "label": "g",
+                                                "pieces": [["2", word]]}])
+        pres.write_text(json.dumps({"schema_version": 1, "space": SHIFT_2,
+                                    "generators": generators}))
+        if where == "set":
+            return run(capsys, "find-witness", "cuntz:2", "--set", word, "--depth", "0")
+        if where == "cells":
+            family = _one_cell_family(tmp_path, word)
+            return run(capsys, "type-eq", "cuntz:2", "--left", family, "--right", family,
+                       "--depth", "0")
+        return run(capsys, "find-witness", str(pres), "--depth", "0")
+
+    at_cap = outcome(stone.MAX_WORD_LENGTH)
+    assert at_cap[0] in (0, 2), at_cap
+    path = {"cells": "family.entries[0].set.cells[0]", "alpha": "presentation.generators[0].alpha",
+            "beta": "presentation.generators[0].beta",
+            "pieces": "presentation.generators[0].pieces[0][1]", "set": "--set"}[where]
+    assert outcome(stone.MAX_WORD_LENGTH + 1) == (
+        3, "", "input error at %s: word of %d letters; at most %d are accepted\n"
+        % (path, stone.MAX_WORD_LENGTH + 1, stone.MAX_WORD_LENGTH))
