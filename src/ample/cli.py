@@ -8,8 +8,8 @@ AMPLE_BUDGET environment variable.
 
 A process pays only for its command: the common command line is parsed
 here from the COMMANDS table, argparse is imported only for help, errors
-and rarer syntax, and states, convalg and orbits only by the handlers
-that call them.
+and rarer syntax, and the search layers (typesemigroup, paradox), states,
+convalg and orbits only by the handlers that call them.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import os
 import sys
 import types
 
-from . import paradox, serialize, stone
+from . import serialize, stone
 from . import groupoid as gpd
-from . import typesemigroup as ts
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -30,7 +29,7 @@ EXIT_INPUT = 3
 
 
 def default_budget():
-    value = os.environ.get("AMPLE_BUDGET", str(ts.DEFAULT_BUDGET))
+    value = os.environ.get("AMPLE_BUDGET", str(stone.DEFAULT_BUDGET))
     try:
         return int(value)
     except ValueError:
@@ -89,6 +88,8 @@ def _search_stats(stats):
 
 
 def cmd_verify_witness(args):
+    from . import paradox
+
     pres = serialize.parse_presentation_arg(args.presentation)
     w = serialize.decode_witness(serialize.load_json(args.witness), pres)
     res = paradox.verify_witness(pres, w)
@@ -98,6 +99,8 @@ def cmd_verify_witness(args):
 
 
 def cmd_find_witness(args):
+    from . import paradox
+
     pres = serialize.parse_presentation_arg(args.presentation)
     a = _parse_set(pres, args.set)
     out = paradox.search_witness(pres, a, args.k, args.l, args.depth, args.budget)
@@ -120,6 +123,8 @@ def cmd_find_witness(args):
 
 
 def cmd_type_eq(args):
+    from . import typesemigroup as ts
+
     pres = serialize.parse_presentation_arg(args.presentation)
     f1 = serialize.decode_family(serialize.load_json(args.left), pres)
     f2 = serialize.decode_family(serialize.load_json(args.right), pres)
@@ -137,6 +142,8 @@ def cmd_type_eq(args):
 
 
 def cmd_verify_cert(args):
+    from . import typesemigroup as ts
+
     pres = serialize.parse_presentation_arg(args.presentation)
     f1 = serialize.decode_family(serialize.load_json(args.left), pres)
     f2 = serialize.decode_family(serialize.load_json(args.right), pres)

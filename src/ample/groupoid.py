@@ -224,14 +224,11 @@ def invert_word(word):
     return tuple((g, -e) for g, e in reversed(word))
 
 
-def word_str(word, labels=None):
+def word_str(word):
+    """The word as text, g1*g2^-1 say; the empty word is 1."""
     if not word:
         return "1"
-    parts = []
-    for g, e in word:
-        name = labels[g] if labels else "g%d" % (g + 1)
-        parts.append(name if e == 1 else name + "^-1")
-    return "*".join(parts)
+    return "*".join(["g%d" % (g + 1) if e == 1 else "g%d^-1" % (g + 1) for g, e in word])
 
 
 def _symbol_key(sym):
@@ -629,6 +626,9 @@ def enumerate_words(pres, depth):
     On Finite(n) a word w extended by a letter s acts nonemptily exactly
     when the range of s meets the domain of w, so only the letters whose
     range holds a point of that domain are tried.
+
+    An extension's action, unless cached, is one composition of its
+    parent's action with the letter's, cached as `word_action` caches it.
     """
     syms = sorted(
         [(g, 1) for g in range(len(pres.generators))]
@@ -641,24 +641,29 @@ def enumerate_words(pres, depth):
             for _, t in pres._letter_actions[s]:
                 by_point.setdefault(t, []).append(rank)
 
-        def candidates(w):
-            ranks = {r for x, _ in pres.word_action(w) for r in by_point.get(x, ())}
+        def candidates(act):
+            ranks = {r for x, _ in act for r in by_point.get(x, ())}
             return [syms[r] for r in sorted(ranks)]
     else:
-        def candidates(w):
+        def candidates(act):
             return syms
-    level = [()] if pres.word_action(()) else []
-    yield from level
+    space, cache, letters = pres.space, pres._action_cache, pres._letter_actions
+    unit = pres.word_action(())
+    level = [((), unit)] if unit else []  # (word, its action)
+    yield from (w for w, _ in level)
     for _ in range(depth):
         nxt = []
-        for w in level:
-            for s in candidates(w):
+        for w, act in level:
+            for s in candidates(act):
                 if w and w[-1][0] == s[0] and w[-1][1] == -s[1]:
                     continue
                 v = w + (s,)
-                if pres.word_action(v):
-                    nxt.append(v)
-        yield from nxt
+                v_act = cache.get(v)
+                if v_act is None:
+                    v_act = cache[v] = compose_actions(space, act, letters[s])
+                if v_act:
+                    nxt.append((v, v_act))
+        yield from (w for w, _ in nxt)
         level = nxt
 
 

@@ -10,13 +10,16 @@ element files are only written.
 Rationals are written as {"num": "...", "den": "..."} decimal strings to
 keep arbitrary precision out of JSON number territory.  They are read
 through .numerator and .denominator, which ints and Fractions both have,
-so importing this module does not import fractions.
+so importing this module does not import fractions.  Nor does it import
+json, which only `load_json` needs, or the search layers, which only the
+family, certificate and witness decoders need: `dumps` writes with json's
+C string encoder alone.
 """
 
 from __future__ import annotations
 
-import json
 import os
+from _json import encode_basestring_ascii as _quote
 
 from . import stone
 from .stone import UnitSpace, clopen
@@ -29,9 +32,6 @@ from .groupoid import (
     Presentation,
     Table,
 )
-from . import typesemigroup as ts
-from .typesemigroup import EquivCertificate, LeqCertificate
-from .paradox import ParadoxWitness
 
 SCHEMA_VERSION = 1
 
@@ -135,11 +135,43 @@ def encode_clopen(clop):
     return {"space": encode_space(clop.space), "cells": list(clop.cells)}
 
 
+# the letters of the shift words read so far from the file being decoded,
+# or None outside the decoding of a file
+_letters = None
+
+
+def _one_file(decode):
+    """decode, counting the letters of the shift words of one file against
+    `stone.MAX_INPUT_LETTERS`; nested in another such decoder, it counts
+    on in that decoder's file."""
+    def decode_file(*args, **kwargs):
+        global _letters
+        if _letters is not None:
+            return decode(*args, **kwargs)
+        _letters = 0
+        try:
+            return decode(*args, **kwargs)
+        finally:
+            _letters = None
+
+    decode_file.__name__ = decode.__name__
+    decode_file.__doc__ = decode.__doc__
+    return decode_file
+
+
 def check_word(word, path):
-    """Reject a shift word longer than `stone.MAX_WORD_LENGTH`."""
-    if isinstance(word, str) and len(word) > stone.MAX_WORD_LENGTH:
-        raise SchemaError(path, "word of %d letters; at most %d are accepted"
-                          % (len(word), stone.MAX_WORD_LENGTH))
+    """Reject a shift word longer than `stone.MAX_WORD_LENGTH`, or one that
+    takes the file being decoded past `stone.MAX_INPUT_LETTERS` letters."""
+    global _letters
+    if isinstance(word, str):
+        if len(word) > stone.MAX_WORD_LENGTH:
+            raise SchemaError(path, "word of %d letters; at most %d are accepted"
+                              % (len(word), stone.MAX_WORD_LENGTH))
+        if _letters is not None:
+            _letters += len(word)
+            if _letters > stone.MAX_INPUT_LETTERS:
+                raise SchemaError(path, "shift words of over %d letters in one file"
+                                  % stone.MAX_INPUT_LETTERS)
     return word
 
 
@@ -209,6 +241,7 @@ def encode_presentation(pres):
     }
 
 
+@_one_file
 def decode_presentation(data, path="presentation"):
     _check_version(data, path)
     space = decode_space(_need(data, "space", path), path + ".space")
@@ -304,7 +337,10 @@ def encode_family(fam):
     }
 
 
+@_one_file
 def decode_family(data, pres, path="family"):
+    from . import typesemigroup as ts
+
     _check_version(data, path)
     entries = _need_list(data, "entries", path)
     pairs = []
@@ -327,6 +363,8 @@ def encode_equiv_certificate(cert):
 
 
 def decode_equiv_certificate(data, pres, path="certificate"):
+    from .typesemigroup import EquivCertificate
+
     triples = []
     for i, t in enumerate(_need_list(data, "triples", path)):
         here = "%s.triples[%d]" % (path, i)
@@ -345,6 +383,8 @@ def encode_leq_certificate(cert):
 
 
 def decode_leq_certificate(data, pres, path="certificate"):
+    from .typesemigroup import LeqCertificate
+
     remainder = decode_family(_need(data, "remainder", path), pres, path + ".remainder")
     equiv = decode_equiv_certificate(
         _need(data, "equivalence", path), pres, path + ".equivalence"
@@ -352,6 +392,7 @@ def decode_leq_certificate(data, pres, path="certificate"):
     return LeqCertificate(remainder, equiv)
 
 
+@_one_file
 def decode_certificate(data, pres, path="certificate"):
     _check_version(data, path)
     kind = data.get("kind", "equivalence")
@@ -378,7 +419,10 @@ def encode_witness(w):
     }
 
 
+@_one_file
 def decode_witness(data, pres, path="witness"):
+    from .paradox import ParadoxWitness
+
     _check_version(data, path)
     a = decode_clopen(_need(data, "A", path), path + ".A", pres.space)
     k = _need_int(data, "k", path)
@@ -436,11 +480,81 @@ def encode_element(elem):
 # -- file helpers ------------------------------------------------------------------
 
 
+def _scalar_str(value):
+    """json's text for a str, int, bool or None."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
 def dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Exactly json.dumps(obj, sort_keys=True, indent=2) + "\n" for what
+    reports hold: str, int, bool and None, in lists, tuples and dicts with
+    str keys.  Anything else raises TypeError, and a container inside
+    itself ValueError.
+
+    With an indent, json writes through its pure-Python encoder, one
+    generator per container, and imports it at a cost of its own.  This
+    writer keeps an explicit stack of the open containers, so depth costs
+    no recursion, pairs each item with the text that goes before it, works
+    out that text once per depth and set of dict keys, and quotes strings
+    with json's C encoder."""
+    out = []
+    # open containers: (iterator of (text before, value), closing text, id);
+    # the root holds obj alone
+    stack = [(iter((("", obj),)), "\n", None)]
+    open_ids = set()
+    forms = {}  # (depth, a dict's keys in order) -> (its keys sorted, the text before each)
+    while stack:
+        items, close, ident = stack[-1]
+        for before, value in items:
+            if not isinstance(value, (list, tuple, dict)):
+                out.append(before + _scalar_str(value))
+                continue
+            is_dict = isinstance(value, dict)
+            if not value:
+                out.append(before + ("{}" if is_dict else "[]"))
+                continue
+            child = id(value)
+            if child in open_ids:
+                raise ValueError("Circular reference detected")
+            depth = len(stack)
+            indent = "\n" + "  " * depth
+            if is_dict:
+                keys = (depth, *value)
+                form = forms.get(keys)
+                if form is None:
+                    order = sorted(value)
+                    heads = ["," + indent + _quote(k) + ": " for k in order]
+                    heads[0] = heads[0][1:]
+                    form = forms[keys] = order, heads
+                order, heads = form
+                value = list(map(value.__getitem__, order))
+            else:
+                heads = ["," + indent] * len(value)
+                heads[0] = indent
+            open_ids.add(child)
+            out.append(before + ("{" if is_dict else "["))
+            stack.append((zip(heads, value), indent[:-2] + ("}" if is_dict else "]"), child))
+            break
+        else:
+            stack.pop()
+            open_ids.discard(ident)
+            out.append(close)
+    return "".join(out)
 
 
 def load_json(path):
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)

@@ -102,8 +102,9 @@ def _integer_steps(steps, rhs, n):
     r = {i: v for i, v in steps if v and i < n}
     if rhs:
         r[n] = rhs
-    den = math.lcm(*(v.denominator for v in r.values()))
-    r = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
+    if type(sum(r.values())) is not int:  # a Fraction among them makes the sum one
+        den = math.lcm(*(v.denominator for v in r.values()))
+        r = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
     g = math.gcd(*r.values())
     return {j: v // g for j, v in r.items()} if g > 1 else r
 

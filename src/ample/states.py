@@ -28,8 +28,6 @@ from fractions import Fraction
 from . import simplex, stone
 from .stone import Record, clopen
 from .groupoid import enumerate_words, word_str
-from . import typesemigroup as ts
-from . import paradox as px
 
 # The largest n for which the Tarski report searches an (n+1, n) witness.
 TARSKI_MAX_DROP = 3
@@ -63,9 +61,11 @@ def build_constraints(pres, depth):
     built.  On the shift a pair deeper than the truncation cannot be
     expressed; it is skipped and the system is marked partial.  A row is a
     sum of +-1 on the index ranges `stone.leaf_spans` gives s and a over
-    the depth cells; it is built and stored as its sorted nonzero steps,
-    the rows of `simplex`, and deduplicated up to sign in that form.  A
-    note names the canonical word of the pair's arrow.
+    the depth cells, stored as its sorted nonzero steps, the rows of
+    `simplex`.  Distinct cells give distinct rows up to sign, so a row is
+    a repeat exactly when its unordered pair {s, a} is, and a repeated
+    pair is dropped before its steps are built.  A note names the
+    canonical word of the pair's arrow.
     """
     space = pres.space
     shift = space.kind == stone.SHIFT
@@ -83,16 +83,15 @@ def build_constraints(pres, depth):
             if shift and max(len(s), len(a)) > depth:
                 skipped.append("%s: piece %s->%s too deep" % (_arrow_str(pres, word, s), s, a))
                 continue
-            step = {}  # index -> change of the row's value there
-            for sign, c in ((1, s), (-1, a)):
-                start, end = span[c]
-                step[start] = step.get(start, 0) + sign
-                step[end] = step.get(end, 0) - sign
-            steps = tuple(sorted((i, v) for i, v in step.items() if v))
-            canon = steps if steps[0][1] > 0 else tuple((i, -v) for i, v in steps)
-            if canon in seen:
+            pair = (s, a) if s < a else (a, s)
+            if pair in seen:
                 continue
-            seen.add(canon)
+            seen.add(pair)
+            (s_start, s_end), (a_start, a_end) = span[s], span[a]
+            step = {s_start: 1, s_end: -1}  # index -> change of the row's value there
+            step[a_start] = step.get(a_start, 0) - 1
+            step[a_end] = step.get(a_end, 0) + 1
+            steps = tuple(sorted((i, v) for i, v in step.items() if v))
             rows.append((steps, "%s: %s = %s" % (_arrow_str(pres, word, s), [s], [a])))
     return ConstraintSystem(
         pres, depth, cells, tuple(rows), partial=bool(skipped), skipped=tuple(skipped)
@@ -166,9 +165,12 @@ class TarskiReport(Record):
                  "partial": False, "note": "", "stats": None}
 
 
-def tarski_report(pres, a, depth, budget=ts.DEFAULT_BUDGET):
+def tarski_report(pres, a, depth, budget=stone.DEFAULT_BUDGET):
     """Decide, at the truncation, between an invariant state normalized on A
-    and a paradoxical witness for A; both can never verify together."""
+    and a paradoxical witness for A; both can never verify together.
+
+    The witness search, and the layers it needs, load only when the state
+    LP leaves it to decide."""
     if a.is_empty:
         raise ValueError("the queried set must be nonempty")
     eff_depth = depth
@@ -183,6 +185,8 @@ def tarski_report(pres, a, depth, budget=ts.DEFAULT_BUDGET):
 
     res = simplex.maximize(*cs.rows_rhs(), objective)
     if isinstance(res, simplex.Infeasible):
+        from . import paradox as px
+
         fc = FarkasCertificate(tuple(res.y[:-1]), res.y[-1])
         for n in range(1, TARSKI_MAX_DROP + 1):
             found = px.search_witness(pres, a, n + 1, n, depth, budget)
@@ -196,6 +200,8 @@ def tarski_report(pres, a, depth, budget=ts.DEFAULT_BUDGET):
             note="no invariant state at this depth; no witness within budget", stats=res.stats,
         )
     if res.value == 0:
+        from . import paradox as px
+
         found = px.search_witness(pres, a, 2, 1, depth, budget)
         if found.status == "found":
             return TarskiReport(
@@ -233,7 +239,9 @@ def _random_clopen(rng, space, depth):
     return clopen(space, chosen)
 
 
-def probes(pres, depth, samples, seed, budget=ts.DEFAULT_BUDGET):
+def probes(pres, depth, samples, seed, budget=stone.DEFAULT_BUDGET):
+    from . import typesemigroup as ts
+
     rng = random.Random(seed)
     order_unit = []
     counterexample = None

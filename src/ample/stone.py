@@ -33,6 +33,12 @@ MAX_ALPHABET = 9
 # (a type-eq of one cell took 52 MiB at 5,000 letters, 162 MiB at 10,000,
 # and ran past 120 s at 100,000)
 MAX_WORD_LENGTH = 4000
+# the most letters the shift words of one input file may hold together:
+# at most two words at the cap, so the cells of one file cost at most
+# twice what one cell at the cap costs
+MAX_INPUT_LETTERS = 2 * MAX_WORD_LENGTH
+# nodes a search may try unless told otherwise
+DEFAULT_BUDGET = 100000
 
 
 class InputError(ValueError):

@@ -169,8 +169,7 @@ def verify_leq(pres, f1, f2, cert):
 # searches
 
 
-# nodes a search may try unless told otherwise
-DEFAULT_BUDGET = 100000
+DEFAULT_BUDGET = stone.DEFAULT_BUDGET
 
 
 class SearchBudget:

@@ -3,8 +3,10 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -801,6 +803,47 @@ def test_a_cell_of_a_hundred_thousand_letters_is_exit_three_at_once(tmp_path):
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == ("input error at family.entries[0].set.cells[0]: word of 100000 letters;"
                            " at most %d are accepted\n" % stone.MAX_WORD_LENGTH)
+
+
+def test_ten_cells_at_the_word_cap_are_exit_three_at_once(tmp_path):
+    # each cell is under the word cap, but `stone.leaf_spans` over all ten
+    # took 1.16 s and 263 MiB; the file's letters cross the cap at the third
+    rng = random.Random(10)
+    cells = ["".join(rng.choice("12") for _ in range(stone.MAX_WORD_LENGTH)) for _ in range(10)]
+    family = tmp_path / "f.json"
+    family.write_text(json.dumps({"schema_version": 1, "entries": [
+        {"set": {"space": SHIFT_2, "cells": cells}, "label": 1}]}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["type-eq", "cuntz:2", "--left", str(family), "--right", str(family), "--depth", "0"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ample.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("input error at family.entries[0].set.cells[2]: shift words of over"
+                           " %d letters in one file\n" % stone.MAX_INPUT_LETTERS)
+    assert elapsed < 0.5, elapsed
+
+
+def test_the_letter_cap_counts_each_file_alone(tmp_path, capsys):
+    # a presentation and a family each at the cap are read; one more word
+    # in the family is an input error at that word
+    half = stone.MAX_INPUT_LETTERS // 2
+    pres = tmp_path / "p.json"
+    pres.write_text(json.dumps({"schema_version": 1, "space": SHIFT_2,
+                                "generators": _prefix_map("1" * half, "2" * half)}))
+
+    def type_eq(cells):
+        family = tmp_path / "f.json"
+        family.write_text(json.dumps({"schema_version": 1, "entries": [
+            {"set": {"space": SHIFT_2, "cells": cells}, "label": 1}]}))
+        return run(capsys, "type-eq", str(pres), "--left", str(family), "--right", str(family),
+                   "--depth", "0")
+
+    assert type_eq(["1" * half, "2" * half])[0] in (0, 2)
+    assert type_eq(["1" * half, "2" * half, "12"]) == (
+        3, "", "input error at family.entries[0].set.cells[2]: shift words of over %d letters"
+        " in one file\n" % stone.MAX_INPUT_LETTERS)
 
 
 @pytest.mark.parametrize("where", ["cells", "alpha", "beta", "pieces", "set"])

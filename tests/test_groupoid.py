@@ -455,6 +455,17 @@ def test_enumerated_words_are_the_nonempty_ones_in_order(spec, depth):
     assert list(gpd.enumerate_words(pres, depth)) == expected
 
 
+@pytest.mark.parametrize("spec, depth", [("cuntz:2", 6), ("cuntz:3", 4), ("odometer:6", 5),
+                                         ("rotation:4:table", 4), ("pair:5", 3), ("finite", 4)])
+def test_enumeration_caches_the_actions_word_action_computes(spec, depth):
+    pres = _seeded_finite(4, points=12, injections=3, pairs=4) if spec == "finite" else builtin(spec)
+    words = list(gpd.enumerate_words(pres, depth))
+    fresh = _seeded_finite(4, points=12, injections=3, pairs=4) if spec == "finite" else builtin(spec)
+    assert set(words) <= set(pres._action_cache)
+    # a fresh presentation composes each word letter by letter
+    assert {w: fresh.word_action(w) for w in pres._action_cache} == pres._action_cache
+
+
 def test_enumeration_skips_the_words_with_empty_actions():
     # 12,287 of the 118,097 freely reduced words of length <= 10 act nonemptily
     assert sum(1 for _ in gpd.enumerate_words(cuntz(2), 10)) == 12287

@@ -136,12 +136,30 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert loaded_after("import ample.cli", {"dataclasses", "inspect"}) == "[]"
 
 
+# Modules that only some commands load: argparse serves only help, errors
+# and rarer syntax, json only the commands that read a file, fractions (and
+# the decimal it imports) only those that compute rationals, and each of
+# these layers only the commands that call it.
+LAZY = {"argparse", "json", "fractions", "decimal", "ample.typesemigroup", "ample.paradox",
+        "ample.states", "ample.simplex", "ample.convalg", "ample.orbits"}
+
+
 def test_cli_import_loads_no_module_only_some_commands_need():
-    # argparse serves only help, errors and rarer syntax; fractions (and the
-    # decimal it imports) and these layers serve only the commands calling them
-    lazy = {"argparse", "fractions", "decimal", "ample.states", "ample.simplex", "ample.convalg",
-            "ample.orbits"}
-    assert loaded_after("import ample.cli", lazy) == "[]"
+    assert loaded_after("import ample.cli", LAZY) == "[]"
+
+
+def _main_code(commands, codes):
+    """Code that runs each command line through cli.main, quietly, and fails
+    unless they exit with these codes."""
+    return ("import contextlib, io\nfrom ample import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert [cli.main(argv) for argv in %r] == %r" % (commands, codes))
+
+
+def test_state_and_orbits_load_neither_json_nor_the_search_layers():
+    # `state` on cuntz:2 exits 1 with a Farkas certificate
+    code = _main_code([["state", "cuntz:2", "--depth", "3"], ["orbits", "pair:3"]], [1, 0])
+    assert loaded_after(code, {"json", "ample.typesemigroup", "ample.paradox"}) == "[]"
 
 
 def test_commands_without_rationals_load_neither_argparse_nor_fractions(tmp_path):
@@ -158,10 +176,10 @@ def test_commands_without_rationals_load_neither_argparse_nor_fractions(tmp_path
         ["verify-cert", "cuntz:2", *families, "--cert", files["cert"]],
         ["orbits", "pair:3"],
     ]
-    code = ("import contextlib, io\nfrom ample import cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert [cli.main(argv) for argv in %r] == [0] * %d" % (commands, len(commands)))
-    # the subprocess fails unless every command exits 0
-    assert loaded_after(code, {"argparse", "fractions"}) == "[]"
+    # the subprocess fails unless every command exits 0; those that read a
+    # file load json
+    code = _main_code(commands, [0] * len(commands))
+    assert loaded_after(code, {"argparse", "fractions", "json"}) == "['json']"
 
 
 # Public names kept without a caller in src/ample or bench/, one reason each.

@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ample import convalg as ca
 from ample import paradox as px
@@ -153,3 +156,50 @@ def test_builtin_arg_parsing(tmp_path):
     assert ser.parse_presentation_arg(str(path)) == odometer()
     with pytest.raises(ser.SchemaError):
         ser.parse_presentation_arg(str(tmp_path / "missing.json"))
+
+
+# Strings with non-ASCII characters, control characters, quotes and
+# backslashes; ints past 2**64; the JSON constants; empty containers.
+_TEXT = hs.text(hs.sampled_from('a\u00e9\u2028\U0001f600"\\/\n\t\x00\x1f\x7f '), max_size=6)
+_VALUES = hs.recursive(
+    _TEXT | hs.none() | hs.booleans() | hs.integers(-2**70, 2**70),
+    lambda children: (hs.lists(children, max_size=4) | hs.lists(children, max_size=4).map(tuple)
+                      | hs.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+def test_dumps_writes_what_json_writes(value):
+    assert ser.dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_writes_shared_values_as_json_does():
+    # one dict met twice, at two depths, is no cycle
+    shared = {"num": "1", "den": "2"}
+    value = [shared, [shared], {"a": shared, "b": [[], {}, ()]}]
+    assert ser.dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_writes_values_deeper_than_the_recursion_limit():
+    n = 5000  # json itself recurses, so the text is written out here
+    deep = []
+    for _ in range(n):
+        deep = [deep]
+    text = "".join("  " * i + "[\n" for i in range(n)) + "  " * n + "[]"
+    text += "".join("\n" + "  " * i + "]" for i in reversed(range(n)))
+    assert ser.dumps(deep) == text + "\n"
+
+
+@pytest.mark.parametrize("value", [{1}, [b"x"], {"a": [object()]}, {(1,): 2}, {"a": 1, 2: 3},
+                                   1.5, {"a": [0.0]}, {1: "a"}])
+def test_dumps_rejects_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        ser.dumps(value)
+
+
+def test_dumps_refuses_a_container_inside_itself():
+    loop = [1]
+    loop.append({"a": loop})
+    with pytest.raises(ValueError, match="Circular reference"):
+        ser.dumps(loop)

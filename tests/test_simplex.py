@@ -537,6 +537,19 @@ def test_presolve_keeps_the_rows_of_a_dense_greedy_rank():
         assert kept == _dense_independent_rows(rows, rhs) == dense_lp.independent_rows(rows, rhs)
 
 
+def test_integer_steps_of_int_rows_equal_those_of_fraction_rows():
+    rng = random.Random(77)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        indices = sorted(rng.sample(range(n + 1), rng.randint(1, n + 1)))
+        steps = [(i, rng.choice((0, 1, -1, 2, -6, 12, 3 * 2**70))) for i in indices]
+        rhs = rng.choice((0, 1, 4, -8))
+        as_fractions = [(i, Fraction(v)) for i, v in steps]
+        got = sx._integer_steps(steps, rhs, n)
+        assert got == sx._integer_steps(as_fractions, Fraction(rhs), n)
+        assert all(type(v) is int for v in got.values())
+
+
 def _seeded_finite_presentation(seed, points=30, injections=3, pairs=10):
     rng = random.Random(seed)
     return finite_groupoid(points, [
