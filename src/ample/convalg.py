@@ -97,26 +97,10 @@ class ConvElement:
             for cell, coef in self.terms[key].items():
                 yield key, cell, coef
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def max_depth(self):
         if self.pres.space.kind == stone.FINITE:
             return 0
         return max((len(c) for cyl in self.terms.values() for c in cyl), default=0)
-
-    def coefficient(self, key, point):
-        """The value on the arrow with the given key and source point."""
-        cyl = self.terms.get(key)
-        if not cyl:
-            return Fraction(0)
-        if self.pres.space.kind == stone.FINITE:
-            return cyl.get(point, Fraction(0))
-        for cell, coef in cyl.items():
-            if point.startswith(cell):
-                return coef
-        return Fraction(0)
 
     def __eq__(self, other):
         return (

@@ -291,12 +291,6 @@ class Clopen(Frozen):
     def is_empty(self):
         return not self.cells
 
-    @property
-    def is_whole(self):
-        if self.space.kind == FINITE:
-            return len(self.cells) == self.space.size
-        return self.cells == ("",)
-
     def max_depth(self):
         if self.space.kind == FINITE or not self.cells:
             return 0
@@ -336,9 +330,6 @@ class Clopen(Frozen):
         for a in self.cells:
             out.extend(_cell_minus(a, other.cells, self.space.letters))
         return clopen(self.space, out)
-
-    def complement(self):
-        return whole(self.space).difference(self)
 
     def subset_of(self, other):
         return self.difference(other).is_empty

@@ -355,26 +355,19 @@ def test_emitted_certificates_reverify_through_cli(tmp_path, capsys):
 
 
 def test_search_reports_carry_stats(tmp_path, capsys):
-    for depth, nodes in ((3, 16), (4, 32), (5, 64)):
-        code, out, _ = run(capsys, "find-witness", "cuntz:2", "--set", "whole",
-                           "--depth", str(depth), "-o", str(tmp_path / "w.json"))
-        assert code == 0
-        report = json.loads(out)
-        assert report["stats"]["nodes"] == nodes
-        assert report["stats"]["cells"] == 2 * 2 ** depth
-        assert "stats" not in report["witness"]
-    code, out, _ = run(capsys, "find-witness", "rotation:3", "--k", "3", "--l", "2",
-                       "--depth", "3", "--budget", "5000")
-    assert code == 2
-    stats = json.loads(out)["stats"]
-    assert stats["nodes"] == stats["budget"] == 5000
+    # the values are pinned in golden.json; here, only where stats go
+    code, out, _ = run(capsys, "find-witness", "cuntz:2", "--set", "whole",
+                       "--depth", "3", "-o", str(tmp_path / "w.json"))
+    assert code == 0
+    report = json.loads(out)
+    assert "stats" in report and "stats" not in report["witness"]
     path = tmp_path / "f.json"
     path.write_text(json.dumps(ser.encode_family(ts.family_of(whole(cuntz(2).space)))))
     code, out, _ = run(capsys, "type-eq", "cuntz:2", "--left", str(path), "--right", str(path),
                        "--depth", "0")
     assert code == 0
-    stats = json.loads(out)["stats"]
-    assert (stats["nodes"], stats["cells"], stats["candidates"]) == (1, 1, 1)
+    report = json.loads(out)
+    assert "stats" in report and "stats" not in report["certificate"]
 
 
 def _bad_witness(field, value):

@@ -29,7 +29,7 @@ def test_cuntz_isometry_relations():
 
 def test_expectation_kills_off_unit_arrows():
     u12 = from_word(C2, ((0, 1), (1, -1)))
-    assert ca.expectation(ca.bisection_indicator(C2, u12)).is_zero
+    assert not ca.expectation(ca.bisection_indicator(C2, u12)).terms
     one = ca.unit_indicator(C2, clopen(C2.space, ["12"]))
     assert ca.expectation(one) == one
 
@@ -74,7 +74,7 @@ def test_expectation_positive_and_faithful():
         e = ca.expectation(ca.conv(ca.star(a), a))
         values = [v for _, _, v in e.items()]
         assert all(v >= 0 for v in values)
-        assert bool(values) == (not a.is_zero)
+        assert bool(values) == bool(a.terms)
 
 
 def test_conditional_expectation_bimodule_property():
@@ -143,7 +143,7 @@ def test_sparse_matrix_algebra_matches_its_dense_definition():
         return [[x.get((i, j), zero) for j in range(n)] for i in range(n)]
 
     def nonzero(rows):
-        return {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row) if not e.is_zero}
+        return {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row) if e.terms}
 
     for _ in range(30):
         x, y = rand_mat(), rand_mat()
@@ -197,14 +197,23 @@ def test_regular_rep_rotation_table_cycle():
     assert ca.conv(powers[2], rho) == one
 
 
+def _coefficient(a, key, point):
+    """The value of `a` on the arrow with the given key and source point."""
+    finite = a.pres.space.kind == stone.FINITE
+    for cell, coef in a.terms.get(key, {}).items():
+        if cell == point if finite else point.startswith(cell):
+            return coef
+    return Fraction(0)
+
+
 def test_regular_rep_diagonal_matches_expectation():
     rt = rotation(3, with_table=True)
     e0 = ca.unit_indicator(rt, clopen(rt.space, [0]))
     ((unit_key, _, _),) = e0.items()
     rho = ca.bisection_indicator(rt, from_word(rt, ((0, 1),)))
     x = ca.conv(rho, ca.star(rho))
-    diag = ca.conv(x, e0).coefficient(unit_key, 0)
-    assert ca.expectation(x).coefficient(unit_key, 0) == diag
+    diag = _coefficient(ca.conv(x, e0), unit_key, 0)
+    assert _coefficient(ca.expectation(x), unit_key, 0) == diag
 
 
 def _trace(sv, a):
@@ -265,7 +274,7 @@ def test_convolution_matches_sum_over_factorizations():
                     hact = dict(pres.key_action(hkey))
                     if hact[hsrc] != gtgt:
                         continue  # h runs over the arrows with r(h) = r(g)
-                    coef1 = a.coefficient(hkey, hsrc)
+                    coef1 = _coefficient(a, hkey, hsrc)
                     if coef1 == 0:
                         continue
                     inv_h = ca._key_inverse(pres, hkey)
@@ -275,8 +284,8 @@ def test_convolution_matches_sum_over_factorizations():
                     ract = dict(pres.key_action(rest))
                     if gsrc not in ract:
                         continue
-                    total += coef1 * b.coefficient(rest, gsrc)
-                assert prod.coefficient(gkey, gsrc) == total
+                    total += coef1 * _coefficient(b, rest, gsrc)
+                assert _coefficient(prod, gkey, gsrc) == total
 
 
 # Reference product and star over clopens, a differential oracle: each

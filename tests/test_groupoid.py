@@ -35,7 +35,7 @@ def test_cuntz_presentation_shape():
     assert pres.space == UnitSpace.shift(2)
     assert len(pres.generators) == 2
     u1 = from_word(pres, G1)
-    assert u1.dom().is_whole
+    assert u1.dom() == whole(pres.space)
     assert u1.ran().cells == ("1",)
 
 
@@ -50,7 +50,7 @@ def test_pair_groupoid_degenerate():
 def test_rotation_is_a_total_injection():
     pres = rotation(3)
     rho = from_word(pres, G1)
-    assert rho.dom().is_whole and rho.ran().is_whole
+    assert rho.dom() == rho.ran() == whole(pres.space)
 
 
 def test_generator_validation():
@@ -72,7 +72,7 @@ def test_compose_prefix_maps():
     c = u1.compose(u1)
     assert len(c.pieces) == 1
     assert c.arrow_pieces[0].word == ((0, 1), (0, 1))
-    assert c.dom().is_whole
+    assert c.dom() == whole(pres.space)
     assert c.ran().cells == ("11",)
 
 
@@ -81,7 +81,7 @@ def test_inverse_swaps_dom_and_ran():
     u1 = from_word(pres, G1)
     inv = u1.inverse()
     assert inv.dom().cells == ("1",)
-    assert inv.ran().is_whole
+    assert inv.ran() == whole(pres.space)
     assert inv.inverse() == u1
 
 
@@ -213,11 +213,11 @@ def test_apply_respects_boolean_structure():
 
 def test_saturate_and_minimality():
     c2 = cuntz(2)
-    assert saturate(c2, clopen(c2.space, ["1"]), 2).is_whole
+    assert saturate(c2, clopen(c2.space, ["1"]), 2) == whole(c2.space)
     assert is_minimal(c2, 2) == "yes"
 
     rot = rotation(3)
-    assert saturate(rot, clopen(rot.space, [0]), 3).is_whole
+    assert saturate(rot, clopen(rot.space, [0]), 3) == whole(rot.space)
     assert is_minimal(rot, 3) == "yes"
 
     # pair(2) next to a fixed point: two orbits, so not minimal

@@ -1,6 +1,6 @@
 """No module of the package or of the tests imports a name it never uses,
-no function of the package calls itself, and importing the CLI stays
-cheap."""
+no function of the package calls itself, every public name has a caller,
+only the golden table pins digests, and importing the CLI stays cheap."""
 
 import ast
 import os
@@ -194,12 +194,19 @@ NO_CALLER_NEEDED = {
     "encode_leq_certificate": "the writer of the <= certificates verify-cert reads",
     "finite_groupoid": "builds a finite presentation from partial injections",
     "cuntz_witness": "the standard (k,1) witness on a cylinder of the shift",
+    "Bisection.preimage": "bench/spans.py traces it by name, as a string",
 }
 
 
+def _public(nodes):
+    return [node for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
 def names_without_caller(paths):
-    """Module-level public defs and classes of src/ample that no code in
-    `paths` reads as a name, an attribute or an imported name."""
+    """Module-level public defs and classes of src/ample, and the public
+    methods and properties of its public classes (as Class.name), that no
+    code in `paths` reads as a name, an attribute or an imported name."""
     defined, read = {}, set()
     for path in paths:
         tree = ast.parse(path.read_text())
@@ -211,10 +218,20 @@ def names_without_caller(paths):
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
         if path.parent.name == "ample":
-            for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                    defined[node.name] = path.name
-    return sorted((module, name) for name, module in defined.items() if name not in read)
+            for node in _public(tree.body):
+                defined[node.name] = (path.name, node.name)
+                if isinstance(node, ast.ClassDef):
+                    for method in _public(node.body):
+                        defined[node.name + "." + method.name] = (path.name, method.name)
+    return sorted((module, name) for name, (module, last) in defined.items() if last not in read)
+
+
+def test_checker_reads_methods_by_attribute(tmp_path):
+    (tmp_path / "ample").mkdir()
+    module, caller = tmp_path / "ample" / "m.py", tmp_path / "caller.py"
+    module.write_text("class A:\n    def f(self): pass\n    def g(self): pass\n    def _h(self): pass\n")
+    caller.write_text("A().f()\n")
+    assert names_without_caller([module, caller]) == [("m.py", "A.g")]
 
 
 def test_every_public_name_has_a_caller():
@@ -222,3 +239,10 @@ def test_every_public_name_has_a_caller():
     missing = [(module, name) for module, name in names_without_caller(paths)
                if name not in NO_CALLER_NEEDED]
     assert missing == []
+
+
+def test_only_the_golden_table_pins_digests():
+    # report bytes are pinned in one place, golden.json, which its runner reads
+    users = [path.name for path in sorted(ROOT.glob("tests/*.py"))
+             if "hashlib" in imported_modules(path.read_text())]
+    assert users == ["test_golden.py"]

@@ -1,4 +1,3 @@
-import hashlib
 import importlib
 import json
 import pathlib
@@ -190,28 +189,6 @@ def test_weaken_matches_the_chain_on_searched_witnesses(pres, depth):
         out = px.search_witness(pres, whole(pres.space), k, l, depth, budget=20000)
         assert out.status == "found"
         _weaken_agrees_with_the_chain(pres, out.certificate)
-
-
-# SHA-256 of the certify workload's weak.json, the (5,3) weakening of its
-# depth-3 witness, at seeds 1 to 10, as the certificate chain wrote them.
-WEAK_JSON_DIGESTS = {
-    1: "6394c2e27e1d3610636c444f001c04f730eb230be7ee41bb124d3879431cec7b",
-    2: "517403e85127f9013f83950a61953d04a43465ae083c23669946f139b4dd189e",
-    3: "4c6a7fb8872b20acb2e323df3b4450602a0fe8171a83ed8a6565d715482ebc75",
-    4: "76b8ffa5cfa943cedb0439f9d8ac5b0d2a1ff62df5763ea4741c81ef4e94957a",
-    5: "ada103f490ad09ddb4cdbd7261518c935f1abdf8e787452da93ce75b2d187840",
-    6: "284237845c6c8a7b835742adcb6a4e16805c6cdda512cd4edb9ac12b3731cac5",
-    7: "0f4f48dec7a9852780c616274072d1bb79b5e4826aea31abf1f3fe85aeebd51e",
-    8: "c270fc453281e99f4e265a597b735d861719e6ae492147c86d6ea67525b7e6d1",
-    9: "76dcbf7b55100867ba90a572134868322ed2f95bf1ad34043a013e2ac3bda110",
-    10: "8ef9715ae1b22d648847abf22e2e026415f06034b2ba10310e28ef47e0cfdc80",
-}
-
-
-@pytest.mark.parametrize("seed", sorted(WEAK_JSON_DIGESTS))
-def test_certify_weak_json_is_pinned(monkeypatch, tmp_path, seed):
-    d = _certify_inputs(monkeypatch, tmp_path, seed)
-    assert hashlib.sha256((d / "weak.json").read_bytes()).hexdigest() == WEAK_JSON_DIGESTS[seed]
 
 
 def test_disjointify_is_identity_on_disjoint_rows():

@@ -1,9 +1,5 @@
 """The one bit-mask tiling engine behind search_witness, search_leq and search_equiv."""
 
-import contextlib
-import hashlib
-import io
-import json
 import random
 import sys
 
@@ -11,7 +7,6 @@ import pytest
 
 import leq_chain
 import recount_search
-from ample import cli
 from ample import groupoid as gpd
 from ample import paradox as px
 from ample import serialize as ser
@@ -433,76 +428,3 @@ def test_equal_presentations_keep_their_own_memos():
     out = px.search_witness(p2, whole(p2.space), 2, 1, 2)
     assert p2._search_words[2] is not p1._search_words[2]
     assert all(bis.pres is p2 for row in out.certificate.rows for bis, _ in row)
-
-
-# The `search` benchmark workload at seed 1: three type-eq pairs, each a
-# family of depth-3 cylinders and its image under one generator.
-SEARCH_FAMILIES = {
-    "left0.json": (("111", "121", "221"), ("111", "121", "221")),
-    "right0.json": (("1111", "1121", "1221"), ("1111", "1121", "1221")),
-    "left1.json": (("121", "212", "221"), ("122", "221", "222")),
-    "right1.json": (("2121", "2212", "2221"), ("2122", "2221", "2222")),
-    "left2.json": (("111", "211", "222"), ("111", "211", "222")),
-    "right2.json": (("2111", "2211", "2222"), ("2111", "2211", "2222")),
-}
-
-# (stdout digest, exit code, digest of the -o file or None), in run order:
-# a verify-witness reads the file its find-witness wrote.  Recorded before
-# the engine kept its fit lists and its memo per presentation and depth.
-SEARCH_DIGESTS = {
-    ("find-witness", "cuntz:2", "--set", "whole", "--depth", "3", "-o", "w3.json"):
-        ("c2f4dcad76aac0fefb3a71aec57d99649459a2a0c41fe30004171c02173f300e", 0,
-         "694147c6a8c1725c92cdd29f7c7f20a6136252ecc2ad125dd8c3ad873afc440d"),
-    ("verify-witness", "cuntz:2", "--witness", "w3.json"):
-        ("997cdd75859a10ef1488994dd2fadd48ff62bb5c069307fdd281249cc0d10ee5", 0, None),
-    ("find-witness", "cuntz:2", "--set", "whole", "--depth", "4", "-o", "w4.json"):
-        ("bc08541764b0eb432ca14ff9d1f17589a5b8ddf254633a427449424a2c1fa918", 0,
-         "11c49f2f9e105a0bcdb6f1e8d5bfd037c0cc67c6ab6b5ad4db46c68440ebbe52"),
-    ("verify-witness", "cuntz:2", "--witness", "w4.json"):
-        ("997cdd75859a10ef1488994dd2fadd48ff62bb5c069307fdd281249cc0d10ee5", 0, None),
-    ("find-witness", "cuntz:2", "--set", "whole", "--depth", "5", "-o", "w5.json"):
-        ("e29b3e9fa7a8a073bcd9872fda58edbe34efbd6b38c51051c05b2a1cc5db6eb1", 0,
-         "1a5f6ac3d98f7cef7378b4b79442bbb0cc782e303e471fd761560955087c746f"),
-    ("verify-witness", "cuntz:2", "--witness", "w5.json"):
-        ("997cdd75859a10ef1488994dd2fadd48ff62bb5c069307fdd281249cc0d10ee5", 0, None),
-    ("find-witness", "rotation:3", "--k", "3", "--l", "2", "--depth", "3", "--budget", "5000"):
-        ("3885d70fcf53709c0a1f085343af308f1f35312597ab855c46a69ede7cf56330", 2, None),
-    ("probe", "cuntz:2", "--depth", "2", "--seed", "0", "--samples", "50"):
-        ("11e6147a48788b53f1b2a547e93009de2d80c30f2e90b9c085f55e9ca41082b6", 0, None),
-    ("type-eq", "cuntz:2", "--left", "left0.json", "--right", "right0.json", "--depth", "1"):
-        ("081803211a22228e4594e4d25577496853c180f805090ce1724b445db059312f", 0, None),
-    ("type-eq", "cuntz:2", "--left", "left1.json", "--right", "right1.json", "--depth", "1"):
-        ("02793903fde166ce9a27b2022d89516452b1fb744b7d9fdd909a65a503de63ad", 0, None),
-    ("type-eq", "cuntz:2", "--left", "left2.json", "--right", "right2.json", "--depth", "1"):
-        ("7221b5766641a50c29775999a718d49cfc4983155501433dcd3be55a76ba8e3e", 0, None),
-    ("find-witness", "cuntz:2", "--set", "whole", "--depth", "6", "--budget", "1000"):
-        ("d11c0d0a75e4bfbb7c53dcce829fc52db8a770b2ce6e105f7c1a33710a4ddd46", 0, None),
-    ("probe", "cuntz:2", "--depth", "2", "--seed", "3"):
-        ("d3260c8a32e8cfa199e767f1eee02997fff6ad9a1eb466695afd1657c73b5799", 0, None),
-    ("dichotomy", "cuntz:2", "--depth", "3"):
-        ("2ccd846f7afc213660c7df8f0b07a129de9f0c42aa839fbebd3a1fa62c271f7f", 0, None),
-    ("dichotomy", "rotation:3", "--depth", "2"):
-        ("7b00e40d938600bd248a5babf97d2ca3b2af5c8fd7ed32727c9f96e9b16bc955", 0, None),
-}
-
-
-def _search_reports(d):
-    """Run each pinned command with its .json arguments in directory d."""
-    for name, sets in SEARCH_FAMILIES.items():
-        entries = [{"set": {"space": {"kind": "shift", "k": 2}, "cells": list(s)}, "label": i + 1}
-                   for i, s in enumerate(sets)]
-        (d / name).write_text(json.dumps({"schema_version": 1, "entries": entries}))
-    got = {}
-    for argv in SEARCH_DIGESTS:
-        paths = [d / a if a.endswith(".json") else a for a in argv]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main([str(a) for a in paths])
-        written = d / argv[argv.index("-o") + 1] if "-o" in argv else None
-        got[argv] = (hashlib.sha256(out.getvalue().encode()).hexdigest(), code,
-                     hashlib.sha256(written.read_bytes()).hexdigest() if written else None)
-    return got
-
-
-def test_search_reports_are_pinned(tmp_path):
-    assert _search_reports(tmp_path) == SEARCH_DIGESTS

