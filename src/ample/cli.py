@@ -87,21 +87,44 @@ def _search_stats(stats):
             "candidates": stats.candidates}
 
 
-def cmd_verify_witness(args):
-    from . import paradox
-
-    pres = serialize.parse_presentation_arg(args.presentation)
-    w = serialize.decode_witness(serialize.load_json(args.witness), pres)
-    res = paradox.verify_witness(pres, w)
-    report = {"command": "verify-witness", "accepted": res.ok, "reason": res.reason}
-    _emit(args, report, ["accepted" if res.ok else "rejected: %s" % res.reason])
+def _verdict(args, command, res):
+    """Report a verifier's verdict."""
+    _emit(args, {"command": command, "accepted": res.ok, "reason": res.reason},
+          ["accepted" if res.ok else "rejected: %s" % res.reason])
     return EXIT_OK if res.ok else EXIT_REJECTED
 
 
-def cmd_find_witness(args):
+def _certified(args, report, key, payload, lines, code=EXIT_OK):
+    """Put a certificate into the report under `key`, write it to -o, and
+    emit the report."""
+    report[key] = payload
+    _write_out(args, payload)
+    _emit(args, report, lines)
+    return code
+
+
+# the skipped pieces have no invariance row behind the state
+PARTIAL_STATE_NOTE = "a state of a partial system: pieces too deep for this depth were skipped"
+
+
+def _side(rep):
+    """The outcome and note a Tarski report supports: a state of a partial
+    system supports none."""
+    if rep.outcome == "state" and rep.partial:
+        return "inconclusive", PARTIAL_STATE_NOTE
+    return rep.outcome, rep.note
+
+
+def cmd_verify_witness(args, pres):
     from . import paradox
 
-    pres = serialize.parse_presentation_arg(args.presentation)
+    w = serialize.decode_witness(serialize.load_json(args.witness), pres)
+    return _verdict(args, "verify-witness", paradox.verify_witness(pres, w))
+
+
+def cmd_find_witness(args, pres):
+    from . import paradox
+
     a = _parse_set(pres, args.set)
     out = paradox.search_witness(pres, a, args.k, args.l, args.depth, args.budget)
     report = {
@@ -113,102 +136,65 @@ def cmd_find_witness(args):
         "stats": _search_stats(out.stats),
     }
     if out.status == "found":
-        payload = serialize.encode_witness(out.certificate)
-        report["witness"] = payload
-        _write_out(args, payload)
-        _emit(args, report, ["found a (%d,%d) witness" % (args.k, args.l)])
-        return EXIT_OK
+        return _certified(args, report, "witness", serialize.encode_witness(out.certificate),
+                          ["found a (%d,%d) witness" % (args.k, args.l)])
     _emit(args, report, ["none within budget (not a proof of non-paradoxicality)"])
     return EXIT_INCONCLUSIVE
 
 
-def cmd_type_eq(args):
+def cmd_type_eq(args, pres):
     from . import typesemigroup as ts
 
-    pres = serialize.parse_presentation_arg(args.presentation)
     f1 = serialize.decode_family(serialize.load_json(args.left), pres)
     f2 = serialize.decode_family(serialize.load_json(args.right), pres)
     out = ts.search_equiv(pres, f1, f2, args.depth, args.budget)
     report = {"command": "type-eq", "status": out.status, "depth": args.depth,
               "stats": _search_stats(out.stats)}
     if out.status == "found":
-        payload = serialize.encode_equiv_certificate(out.certificate)
-        report["certificate"] = payload
-        _write_out(args, payload)
-        _emit(args, report, ["equivalent: certificate found"])
-        return EXIT_OK
+        return _certified(args, report, "certificate",
+                          serialize.encode_equiv_certificate(out.certificate),
+                          ["equivalent: certificate found"])
     _emit(args, report, ["none within budget (not a proof of inequivalence)"])
     return EXIT_INCONCLUSIVE
 
 
-def cmd_verify_cert(args):
+def cmd_verify_cert(args, pres):
     from . import typesemigroup as ts
 
-    pres = serialize.parse_presentation_arg(args.presentation)
     f1 = serialize.decode_family(serialize.load_json(args.left), pres)
     f2 = serialize.decode_family(serialize.load_json(args.right), pres)
     cert = serialize.decode_certificate(serialize.load_json(args.cert), pres)
-    if isinstance(cert, ts.LeqCertificate):
-        res = ts.verify_leq(pres, f1, f2, cert)
-    else:
-        res = ts.verify_equiv(pres, f1, f2, cert)
-    report = {"command": "verify-cert", "accepted": res.ok, "reason": res.reason}
-    _emit(args, report, ["accepted" if res.ok else "rejected: %s" % res.reason])
-    return EXIT_OK if res.ok else EXIT_REJECTED
+    verify = ts.verify_leq if isinstance(cert, ts.LeqCertificate) else ts.verify_equiv
+    return _verdict(args, "verify-cert", verify(pres, f1, f2, cert))
 
 
-def cmd_state(args):
+def cmd_state(args, pres):
     from . import states
 
-    pres = serialize.parse_presentation_arg(args.presentation)
     cs = states.build_constraints(pres, args.depth)
     outcome = states.solve_state(cs)
+    report = {"command": "state", "depth": cs.depth, "partial": cs.partial,
+              "stats": _lp_stats(outcome.stats)}
     if isinstance(outcome, states.StateVector):
-        payload = serialize.encode_state(outcome)
-        report = {
-            "command": "state",
-            "outcome": "state",
-            "depth": cs.depth,
-            "partial": cs.partial,
-            "state": payload,
-            "stats": _lp_stats(outcome.stats),
-        }
-        _write_out(args, payload)
-        _emit(
-            args,
-            report,
+        report["outcome"] = "state"
+        return _certified(
+            args, report, "state", serialize.encode_state(outcome),
             ["state at depth %d:" % cs.depth]
             + ["  mu(%s) = %s" % (c, _rational_str(v)) for c, v in zip(outcome.cells, outcome.values)],
         )
-        return EXIT_OK
+    report["outcome"] = "infeasible"
     notes = [note for _, note in cs.equalities]
-    payload = serialize.encode_farkas(outcome, cs.depth, notes)
-    report = {
-        "command": "state",
-        "outcome": "infeasible",
-        "depth": cs.depth,
-        "partial": cs.partial,
-        "farkas": payload,
-        "stats": _lp_stats(outcome.stats),
-    }
-    _write_out(args, payload)
-    _emit(args, report, ["no invariant state at depth %d; Farkas certificate emitted" % cs.depth])
-    return EXIT_REJECTED
+    return _certified(args, report, "farkas", serialize.encode_farkas(outcome, cs.depth, notes),
+                      ["no invariant state at depth %d; Farkas certificate emitted" % cs.depth],
+                      EXIT_REJECTED)
 
 
-# the skipped pieces have no invariance row behind the state
-PARTIAL_STATE_NOTE = "a state of a partial system: pieces too deep for this depth were skipped"
-
-
-def cmd_tarski(args):
+def cmd_tarski(args, pres):
     from . import states
 
-    pres = serialize.parse_presentation_arg(args.presentation)
     a = _parse_set(pres, args.set)
     rep = states.tarski_report(pres, a, args.depth, args.budget)
-    outcome, note = rep.outcome, rep.note
-    if outcome == "state" and rep.partial:
-        outcome, note = "inconclusive", PARTIAL_STATE_NOTE
+    outcome, note = _side(rep)
     report = {
         "command": "tarski",
         "outcome": outcome,
@@ -219,42 +205,30 @@ def cmd_tarski(args):
     }
     lines = ["outcome: %s (depth %d)" % (outcome, rep.depth)]
     if outcome == "state":
-        payload = serialize.encode_state(rep.state)
-        report["state"] = payload
         report["scale"] = serialize.encode_rational(rep.scale)
-        _write_out(args, payload)
-        lines.append("state normalized on the set; scale %s" % _rational_str(rep.scale))
-        return _emit(args, report, lines) or EXIT_OK
-    if rep.outcome == "paradox":
-        payload = serialize.encode_witness(rep.witness)
-        report["witness"] = payload
+        return _certified(args, report, "state", serialize.encode_state(rep.state),
+                          lines + ["state normalized on the set; scale %s"
+                                   % _rational_str(rep.scale)])
+    if outcome == "paradox":
         report["shape"] = [rep.witness.k, rep.witness.l]
-        _write_out(args, payload)
-        lines.append("paradoxical: (%d,%d) witness" % (rep.witness.k, rep.witness.l))
-        return _emit(args, report, lines) or EXIT_OK
+        return _certified(args, report, "witness", serialize.encode_witness(rep.witness),
+                          lines + ["paradoxical: (%d,%d) witness" % (rep.witness.k, rep.witness.l)])
     _emit(args, report, lines + [note])
     return EXIT_INCONCLUSIVE
 
 
-def cmd_dichotomy(args):
+def cmd_dichotomy(args, pres):
     from . import states
 
-    pres = serialize.parse_presentation_arg(args.presentation)
-    full = stone.whole(pres.space)
-    rep = states.tarski_report(pres, full, args.depth, args.budget)
-    probe = states.probes(pres, args.depth, args.samples, args.seed, budget=args.budget)
+    rep = states.tarski_report(pres, stone.whole(pres.space), args.depth, args.budget)
+    side, note = _side(rep)
     report = {
         "command": "dichotomy",
         "depth": args.depth,
         "minimal": gpd.is_minimal(pres, args.depth),
         "whole_space": rep.outcome,
-        "note": rep.note,
-        "almost_unperforation_counterexample": probe.almost_unperforation,
+        "note": note,
     }
-    side = rep.outcome
-    if side == "state" and rep.partial:
-        side = "inconclusive"
-        report["note"] = PARTIAL_STATE_NOTE
     lines = ["minimal: %s" % report["minimal"]]
     if side == "state":
         report["side"] = "stably finite at this depth: faithful trace candidate exists"
@@ -279,10 +253,9 @@ def _inconclusive(args, command, exc):
     return EXIT_INCONCLUSIVE
 
 
-def cmd_orbits(args):
+def cmd_orbits(args, pres):
     from . import orbits
 
-    pres = serialize.parse_presentation_arg(args.presentation)
     part, block_of = orbits.quasi_orbits(pres)
     try:
         lattice = orbits.invariant_lattice(pres)
@@ -303,10 +276,9 @@ def cmd_orbits(args):
     return EXIT_OK
 
 
-def cmd_ideal_check(args):
+def cmd_ideal_check(args, pres):
     from . import orbits
 
-    pres = serialize.parse_presentation_arg(args.presentation)
     try:
         rep = orbits.ideal_lattice_check(pres)
     except (orbits.PrincipalityError, orbits.OrbitLimit) as exc:
@@ -322,10 +294,9 @@ def cmd_ideal_check(args):
     return code
 
 
-def cmd_isometries(args):
+def cmd_isometries(args, pres):
     from . import convalg
 
-    pres = serialize.parse_presentation_arg(args.presentation)
     w = serialize.decode_witness(serialize.load_json(args.witness), pres)
     mode = "matrix" if args.matrix else "pair"
     try:
@@ -359,10 +330,9 @@ def cmd_isometries(args):
     return EXIT_OK if ok else EXIT_REJECTED
 
 
-def cmd_probe(args):
+def cmd_probe(args, pres):
     from . import states
 
-    pres = serialize.parse_presentation_arg(args.presentation)
     rep = states.probes(pres, args.depth, args.samples, args.seed, budget=args.budget)
     report = {
         "command": "probe",
@@ -391,12 +361,12 @@ OUTPUT = _option("-o", "--output", help="write the emitted certificate here")
 SET = _option("--set", default="whole")
 WITNESS = _option("--witness", required=True)
 FAMILIES = [_option("--left", required=True), _option("--right", required=True)]
-SEED = _option("--seed", type=int, default=0)
 
 PRESENTATION_HELP = ("builtin alias (cuntz:2, pair:3, rotation:3, rotation:3:table, odometer, "
                      "trivial:2) or a presentation file")
 
-# name: (handler, help line, options after the presentation), in help order
+# name: (handler(args, presentation), help line, options after the
+# presentation), in help order
 COMMANDS = {
     "verify-witness": (cmd_verify_witness, "check a paradoxical decomposition file", [WITNESS]),
     "find-witness": (cmd_find_witness, "search a (k,l) witness for a clopen set",
@@ -409,7 +379,7 @@ COMMANDS = {
     "state": (cmd_state, "solve the invariant-state system at a depth", [DEPTH, OUTPUT]),
     "tarski": (cmd_tarski, "state versus paradox for a clopen set", [DEPTH, BUDGET, OUTPUT, SET]),
     "dichotomy": (cmd_dichotomy, "desk-scale dichotomy report for the unit space",
-                  [DEPTH, BUDGET, _option("--samples", type=int, default=20), SEED]),
+                  [DEPTH, BUDGET]),
     "orbits": (cmd_orbits, "orbits, quasi-orbits, and invariant subsets", []),
     "ideal-check": (cmd_ideal_check, "verify the ideal correspondence on a finite model", []),
     "isometries": (cmd_isometries, "build and verify isometries from a witness",
@@ -417,7 +387,8 @@ COMMANDS = {
                     _option("--matrix", action="store_true", default=False,
                             help="matrix amplification checks")]),
     "probe": (cmd_probe, "order-unit and almost-unperforation probes",
-              [DEPTH, BUDGET, _option("--samples", type=int, default=50), SEED]),
+              [DEPTH, BUDGET, _option("--samples", type=int, default=50),
+               _option("--seed", type=int, default=0)]),
 }
 
 
@@ -521,7 +492,7 @@ def main(argv=None):
                 return EXIT_INPUT
         if getattr(args, "budget", 0) is None:
             args.budget = budget
-        return args.func(args)
+        return args.func(args, serialize.parse_presentation_arg(args.presentation))
     except serialize.SchemaError as exc:
         print("input error at %s" % exc, file=sys.stderr)
         return EXIT_INPUT

@@ -34,8 +34,10 @@ phase-two objective row, which `maximize` assembles in ints over one
 common denominator.  Fractions are built only at the boundary: for
 fractional changes (scaled to ints on the way in), and for the point,
 the optimum and the Farkas multipliers read off the final tableau.  The
-verifiers write each row they read out as Fractions with one plain
-helper and recompute the sums.  No floating point enters anywhere.
+verifiers sum steps too and write out no row: `verify_solution` weighs
+each step by the sum of x from its index on, and `verify_farkas` adds
+the multiplied steps into one change array and takes its running sum
+over the columns.  No floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -354,40 +356,34 @@ def maximize(rows, rhs, n, objective):
     return Optimal(x, value, _stats(t, rows))
 
 
-def _dense(steps, n):
-    """A step row's n entries as Fractions: entry j is the sum of the
-    changes at indices <= j."""
-    change = [_ZERO] * (n + 1)
-    for i, v in steps:
-        change[i] += Fraction(v)
-    return list(itertools.accumulate(change[:n]))
-
-
 def verify_solution(rows, rhs, n, x):
-    """Recompute Ax = b and x >= 0 for a point with one entry per column."""
+    """Recompute Ax = b and x >= 0 for a point with one entry per column.
+
+    A row's value at x is the sum over its steps of the change times the
+    sum of x over the columns from the step's index on."""
     _check_shape(rows, rhs, n)
     xs = [Fraction(v) for v in x]
-    if len(xs) != n:
+    if len(xs) != n or any(v < 0 for v in xs):
         return False
-    if any(v < 0 for v in xs):
-        return False
-    for steps, b in zip(rows, rhs):
-        row = _dense(steps, n)
-        if sum(row[j] * xs[j] for j in range(n)) != Fraction(b):
-            return False
-    return True
+    tail = list(itertools.accumulate(reversed(xs), initial=_ZERO))[::-1]
+    return all(sum(Fraction(v) * tail[i] for i, v in steps) == Fraction(b)
+               for steps, b in zip(rows, rhs))
 
 
 def verify_farkas(rows, rhs, n, y):
     """Recompute the combination: y.A <= 0 in every column and y.b > 0.
 
-    A row whose multiplier is 0 adds nothing to either side and is skipped."""
+    The multiplied steps of every row add into one change array, whose
+    running sum over the columns is y.A."""
     _check_shape(rows, rhs, n)
     ys = [Fraction(v) for v in y]
     if len(ys) != len(rows):
         return False
-    used = [(v, _dense(steps, n), Fraction(b)) for v, steps, b in zip(ys, rows, rhs) if v]
-    for j in range(n):
-        if sum(v * row[j] for v, row, _ in used) > 0:
-            return False
-    return sum(v * b for v, _, b in used) > 0
+    change = [_ZERO] * (n + 1)
+    for v, steps in zip(ys, rows):
+        if v:
+            for i, c in steps:
+                change[i] += v * c
+    if any(total > 0 for total in itertools.accumulate(change[:n])):
+        return False
+    return sum(v * Fraction(b) for v, b in zip(ys, rhs)) > 0

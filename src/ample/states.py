@@ -13,8 +13,7 @@ cells, the cell universe the tiling search shares, and a word of length
 at most d covers the index range span[word] of them.  Each invariance row
 is built from those ranges, with no clopen expansion, as its integer
 steps in the sense of `simplex`: a row of the LP is never written out
-over all cells, except a kept row in the simplex tableau and a row a
-verifier reads.
+over all cells, except a kept row in the simplex tableau.
 
 A depth-d state is a state of the truncated system only.  Reports always
 carry the depth; nothing is claimed beyond it.
@@ -159,10 +158,9 @@ def evaluate(sv, family):
 class TarskiReport(Record):
     # outcome: state | paradox | inconclusive; stats: a simplex.Stats of
     # the state LP
-    __slots__ = ("outcome", "depth", "state", "scale", "witness", "farkas", "partial", "note",
-                 "stats")
-    _defaults = {"state": None, "scale": None, "witness": None, "farkas": None,
-                 "partial": False, "note": "", "stats": None}
+    __slots__ = ("outcome", "depth", "state", "scale", "witness", "partial", "note", "stats")
+    _defaults = {"state": None, "scale": None, "witness": None, "partial": False, "note": "",
+                 "stats": None}
 
 
 def tarski_report(pres, a, depth, budget=stone.DEFAULT_BUDGET):
@@ -184,33 +182,21 @@ def tarski_report(pres, a, depth, budget=stone.DEFAULT_BUDGET):
         objective[start:end] = [Fraction(1)] * (end - start)
 
     res = simplex.maximize(*cs.rows_rhs(), objective)
-    if isinstance(res, simplex.Infeasible):
+    infeasible = isinstance(res, simplex.Infeasible)
+    if infeasible or res.value == 0:
         from . import paradox as px
 
-        fc = FarkasCertificate(tuple(res.y[:-1]), res.y[-1])
-        for n in range(1, TARSKI_MAX_DROP + 1):
+        # no state: an (n+1, n) witness for each n; a state that vanishes
+        # on A: a (2, 1) witness alone
+        for n in range(1, TARSKI_MAX_DROP + 1 if infeasible else 2):
             found = px.search_witness(pres, a, n + 1, n, depth, budget)
             if found.status == "found":
-                return TarskiReport(
-                    "paradox", eff_depth, witness=found.certificate, farkas=fc, partial=cs.partial,
-                    stats=res.stats,
-                )
-        return TarskiReport(
-            "inconclusive", eff_depth, farkas=fc, partial=cs.partial,
-            note="no invariant state at this depth; no witness within budget", stats=res.stats,
-        )
-    if res.value == 0:
-        from . import paradox as px
-
-        found = px.search_witness(pres, a, 2, 1, depth, budget)
-        if found.status == "found":
-            return TarskiReport(
-                "paradox", eff_depth, witness=found.certificate, partial=cs.partial, stats=res.stats
-            )
-        return TarskiReport(
-            "inconclusive", eff_depth, partial=cs.partial,
-            note="a state exists but vanishes on the set at this depth", stats=res.stats,
-        )
+                return TarskiReport("paradox", eff_depth, witness=found.certificate,
+                                    partial=cs.partial, stats=res.stats)
+        note = ("no invariant state at this depth; no witness within budget" if infeasible
+                else "a state exists but vanishes on the set at this depth")
+        return TarskiReport("inconclusive", eff_depth, partial=cs.partial, note=note,
+                            stats=res.stats)
     scale = Fraction(1) / res.value
     sv = StateVector(cs.depth, cs.cells, tuple(v * scale for v in res.x))
     return TarskiReport("state", eff_depth, state=sv, scale=scale, partial=cs.partial, stats=res.stats)

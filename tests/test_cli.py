@@ -306,8 +306,7 @@ def test_probe_and_dichotomy(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["seed"] == 3
-    code, out, _ = run(capsys, "dichotomy", "rotation:3", "--depth", "2",
-                       "--samples", "3", "--seed", "1", "--budget", "10000")
+    code, out, _ = run(capsys, "dichotomy", "rotation:3", "--depth", "2", "--budget", "10000")
     assert code == 0
     assert json.loads(out)["whole_space"] == "state"
 
@@ -316,8 +315,7 @@ def test_probe_and_dichotomy(capsys):
     ("cuntz:2", 0, 2), ("odometer", 1, 2), ("odometer", 2, 2), ("odometer", 3, 0)])
 def test_dichotomy_claims_no_side_from_a_partial_system(capsys, alias, depth, expected):
     # below depth 3 the odometer's pieces of length 2 and 3 are skipped
-    code, out, _ = run(capsys, "dichotomy", alias, "--depth", str(depth), "--samples", "2",
-                       "--budget", "2000")
+    code, out, _ = run(capsys, "dichotomy", alias, "--depth", str(depth), "--budget", "2000")
     assert code == expected
     report = json.loads(out)
     assert report["whole_space"] == "state"

@@ -168,8 +168,6 @@ def eager_parser():
 
     p = sub.add_parser("dichotomy", help="desk-scale dichotomy report for the unit space")
     common(p, with_output=False)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("orbits", help="orbits, quasi-orbits, and invariant subsets")
     common(p, with_depth=False, with_budget=False, with_output=False)

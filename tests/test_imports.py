@@ -162,6 +162,12 @@ def test_state_and_orbits_load_neither_json_nor_the_search_layers():
     assert loaded_after(code, {"json", "ample.typesemigroup", "ample.paradox"}) == "[]"
 
 
+def test_dichotomy_decided_by_the_state_lp_loads_no_search_layer():
+    # rotation:3 has an invariant state, so no witness search runs
+    code = _main_code([["dichotomy", "rotation:3", "--depth", "2"]], [0])
+    assert loaded_after(code, {"ample.typesemigroup", "ample.paradox"}) == "[]"
+
+
 def test_commands_without_rationals_load_neither_argparse_nor_fractions(tmp_path):
     space = cuntz(2).space
     files = {name: str(tmp_path / (name + ".json")) for name in ("w", "f1", "f2", "cert")}
