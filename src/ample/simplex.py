@@ -383,7 +383,7 @@ def verify_farkas(rows, rhs, n, y):
     for v, steps in zip(ys, rows):
         if v:
             for i, c in steps:
-                change[i] += v * c
+                change[i] += v * Fraction(c)
     if any(total > 0 for total in itertools.accumulate(change[:n])):
         return False
     return sum(v * Fraction(b) for v, b in zip(ys, rhs)) > 0
