@@ -3,8 +3,7 @@
 Exit codes: 0 verified or found, 1 rejected or refuted, 2 inconclusive
 within budget, 3 input error.  Reports are JSON on stdout (stable key
 order, no timestamps); --human switches to prose.  All randomness flows
-from --seed, and the default search budget can be set through the
-AMPLE_BUDGET environment variable.
+from --seed, and --budget defaults to stone.DEFAULT_BUDGET search nodes.
 
 A process pays only for its command: the common command line is parsed
 here from the COMMANDS table, argparse is imported only for help, errors
@@ -26,14 +25,6 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
-
-
-def default_budget():
-    value = os.environ.get("AMPLE_BUDGET", str(stone.DEFAULT_BUDGET))
-    try:
-        return int(value)
-    except ValueError:
-        raise serialize.SchemaError("AMPLE_BUDGET", "expected an integer, got %r" % value) from None
 
 
 def _emit(args, report, human_lines):
@@ -356,7 +347,7 @@ def _option(*flags, **kwargs):
 
 
 DEPTH = _option("--depth", type=int, default=1)
-BUDGET = _option("--budget", type=int, default=None)
+BUDGET = _option("--budget", type=int, default=stone.DEFAULT_BUDGET)
 OUTPUT = _option("-o", "--output", help="write the emitted certificate here")
 SET = _option("--set", default="whole")
 WITNESS = _option("--witness", required=True)
@@ -480,18 +471,12 @@ def main(argv=None):
         args = _parse_plain(argv)
         if args is None:
             args = build_parser().parse_args(argv)
-        # read on every call, so a bad AMPLE_BUDGET fails any command
-        budget = default_budget()
-        counts = [("AMPLE_BUDGET", budget)] + [
-            ("--" + name, getattr(args, name)) for name in ("depth", "budget", "samples")
-            if getattr(args, name, None) is not None]
-        for option, value in counts:
-            if value < 0:
-                print("input error: %s must be nonnegative, got %d" % (option, value),
+        for name in ("depth", "budget", "samples"):
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                print("input error: --%s must be nonnegative, got %d" % (name, value),
                       file=sys.stderr)
                 return EXIT_INPUT
-        if getattr(args, "budget", 0) is None:
-            args.budget = budget
         return args.func(args, serialize.parse_presentation_arg(args.presentation))
     except serialize.SchemaError as exc:
         print("input error at %s" % exc, file=sys.stderr)

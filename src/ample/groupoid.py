@@ -77,12 +77,17 @@ def shift_image_words(act, cells):
             for s, a in act for c in cells if c.startswith(s) or s.startswith(c)]
 
 
-def action_apply(space, act, part):
-    """Image of (part intersect action domain) under the action."""
+def _image_cells(space, act, cells):
+    """The image cells, uncanonicalized, of (cells intersect action domain)."""
     if space.kind == stone.FINITE:
         amap = dict(act)
-        return clopen(space, [amap[x] for x in part.cells if x in amap])
-    return clopen(space, shift_image_words(act, part.cells))
+        return [amap[x] for x in cells if x in amap]
+    return shift_image_words(act, cells)
+
+
+def action_apply(space, act, part):
+    """Image of (part intersect action domain) under the action."""
+    return clopen(space, _image_cells(space, act, part.cells))
 
 
 def _join_actions(space, acts):
@@ -686,11 +691,11 @@ def enumerate_bisections(pres, depth):
 
 
 def saturate(pres, part, depth):
-    """The union of all word images of the clopen, over words up to depth."""
-    out = part
-    for w in enumerate_words(pres, depth):
-        out = out.union(action_apply(pres.space, pres.word_action(w), part))
-    return out
+    """The union of all word images of the clopen, over words up to depth,
+    canonicalized once.  The empty word acts as the identity, so the clopen
+    is one of its images."""
+    return clopen(pres.space, [c for w in enumerate_words(pres, depth)
+                               for c in _image_cells(pres.space, pres.word_action(w), part.cells)])
 
 
 def is_minimal(pres, depth):

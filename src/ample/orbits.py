@@ -11,8 +11,6 @@ with prime ideals matching quasi-orbits.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from . import stone
 from .stone import Record
 from .groupoid import PRINCIPAL, Table
@@ -139,9 +137,6 @@ class FiniteAlgebra(Record):
     # missing when the product vanishes
     __slots__ = ("arrows", "products")
 
-    def product(self, i, j):
-        return self.products.get((i, j))
-
 
 def build_finite_algebra(pres):
     """The arrow basis and its product table.
@@ -170,30 +165,22 @@ def build_finite_algebra(pres):
     return FiniteAlgebra(arrows, products)
 
 
-def _ideal_arrows(alg, orbit_blocks, block_subset):
-    pts = set()
-    for b in block_subset:
-        pts.update(orbit_blocks[b])
-    return frozenset(
-        i for i, (s, t) in enumerate(alg.arrows) if s in pts and t in pts
-    )
-
-
-def _is_two_sided_ideal(alg, ideal):
-    n = len(alg.arrows)
-    for i in ideal:
-        for j in range(n):
-            for p in (alg.product(i, j), alg.product(j, i)):
-                if p is not None and p not in ideal:
-                    return False
-    return True
-
-
 def ideal_lattice_check(pres):
     """Build the finite algebra and verify the ideal correspondence.
 
     Refuses presentations whose isotropy cannot be verified trivial; for
     those the matrix decomposition argument does not apply.
+
+    Every arrow lies inside one orbit, so the block sums (the spans of the
+    arrows of a set of orbits) are one candidate ideal per invariant subset,
+    and Xi sends each invariant subset to its block sum.  Both tests read
+    only the block products, taken in one pass over the table: prod[a][b]
+    is the mask of the orbits that hold a product of an arrow of orbit a
+    and one of orbit b.  A block sum I is two-sided iff prod[a][b] and
+    prod[b][a] lie in I for every orbit a in I and every b.  The product JK
+    of two block sums is the union of prod[a][b] over a in J and b in K, so
+    a proper I is prime iff no two orbits a, b outside I have prod[a][b]
+    inside I.
     """
     _require_finite(pres)
     principal = is_principal(pres)
@@ -201,105 +188,73 @@ def ideal_lattice_check(pres):
         raise PrincipalityError(
             "ideal lattice check needs a verified principal presentation (got %r)" % principal
         )
-    part = orbit_partition(pres)
     lattice = invariant_lattice(pres)
+    part = lattice.orbits
     alg = build_finite_algebra(pres)
+    n = part.count
+
+    arrow_orbit = [part.block_of[s] for s, t in alg.arrows]
+    sizes = [0] * n
+    units = [[] for _ in range(n)]
+    for (s, t), a in zip(alg.arrows, arrow_orbit):
+        sizes[a] += 1
+        if s == t:
+            units[a].append(s)
+    prod = [[0] * n for _ in range(n)]
+    for (i, j), k in alg.products.items():
+        prod[arrow_orbit[i]][arrow_orbit[j]] |= 1 << arrow_orbit[k]
+    # the orbits that a two-sided block sum holding orbit a must hold
+    reach = [0] * n
+    for a in range(n):
+        for b in range(n):
+            reach[a] |= prod[a][b] | prod[b][a]
 
     report = {
         "points": pres.space.size,
         "orbits": [list(b) for b in part.blocks],
-        "orbit_count": part.count,
+        "orbit_count": n,
         "arrow_count": len(alg.arrows),
     }
 
-    # every block subset gives an ideal and these are pairwise distinct
-    block_sets = []
-    for mask in range(1 << part.count):
-        block_sets.append(frozenset(i for i in range(part.count) if mask & (1 << i)))
-    ideals = {}
-    all_are_ideals = True
-    for bs in block_sets:
-        ideal = _ideal_arrows(alg, part.blocks, bs)
-        if not _is_two_sided_ideal(alg, ideal):
-            all_are_ideals = False
-        ideals[bs] = ideal
-    report["ideal_count"] = len(set(ideals.values()))
-    report["ideal_count_is_power"] = len(set(ideals.values())) == 2 ** part.count
-    report["all_block_sums_are_ideals"] = all_are_ideals
-
-    # Theta: the open support of the unit-supported part of an ideal
-    def theta(ideal):
-        return tuple(sorted(s for i in ideal for (s, t) in [alg.arrows[i]] if s == t))
-
-    # Xi: the ideal generated by functions on an invariant subset, which for
-    # the finite model is the span of arrows with source inside it
-    def xi(subset):
-        pts = set(subset)
-        return frozenset(i for i, (s, t) in enumerate(alg.arrows) if s in pts)
+    # per block sum, by its mask of orbits: two-sided or not, its dimension,
+    # and Theta of it, the points of its unit arrows
+    full = (1 << n) - 1
+    two_sided, dims, theta = [], [], []
+    for mask in range(full + 1):
+        inside = [a for a in range(n) if mask >> a & 1]
+        two_sided.append(all(not reach[a] & ~mask for a in inside))
+        dims.append(sum(sizes[a] for a in inside))
+        theta.append(tuple(sorted(x for a in inside for x in units[a])))
+    # the block sums are unions of disjoint blocks, so they are distinct
+    # exactly when no block is empty
+    report["ideal_count"] = 2 ** sum(1 for size in sizes if size)
+    report["ideal_count_is_power"] = report["ideal_count"] == 2 ** n
+    report["all_block_sums_are_ideals"] = all(two_sided)
 
     xi_all_ideals = True
     theta_xi_identity = True
     bijection_table = []
     for subset in lattice.subsets:
-        ideal = xi(subset)
-        if not _is_two_sided_ideal(alg, ideal):
-            xi_all_ideals = False
-        if theta(ideal) != subset:
-            theta_xi_identity = False
-        bijection_table.append(
-            {"invariant_subset": list(subset), "ideal_dimension": len(ideal)}
-        )
+        mask = 0
+        for x in subset:
+            mask |= 1 << part.block_of[x]
+        xi_all_ideals = xi_all_ideals and two_sided[mask]
+        theta_xi_identity = theta_xi_identity and theta[mask] == subset
+        bijection_table.append({"invariant_subset": list(subset), "ideal_dimension": dims[mask]})
     report["xi_images_are_ideals"] = xi_all_ideals
     report["theta_xi_is_identity"] = theta_xi_identity
     report["bijection_table"] = bijection_table
+    report["theta_injective"] = len(set(theta)) == full + 1
+    report["theta_onto_invariant_lattice"] = set(theta) == set(lattice.subsets)
 
-    # Theta is injective, inclusion preserving, and respects meets
-    theta_values = {bs: theta(ideals[bs]) for bs in block_sets}
-    report["theta_injective"] = len(set(theta_values.values())) == len(block_sets)
-    monotone = True
-    meets = True
-    for a, b in combinations(block_sets, 2):
-        ia, ib = ideals[a], ideals[b]
-        if ia <= ib and not set(theta_values[a]) <= set(theta_values[b]):
-            monotone = False
-        if theta(ia & ib) != tuple(sorted(set(theta_values[a]) & set(theta_values[b]))):
-            meets = False
-    report["theta_monotone"] = monotone
-    report["theta_respects_meets"] = meets
-    report["theta_onto_invariant_lattice"] = set(theta_values.values()) == set(lattice.subsets)
-
-    # primes: proper ideals I with JK inside I forcing J or K inside I
-    def product_ideal(i1, i2):
-        out = set()
-        for a in i1:
-            for b in i2:
-                p = alg.product(a, b)
-                if p is not None:
-                    out.add(p)
-        return frozenset(out)
-
-    # each pair's product ideal, computed once for all candidate primes; the
-    # 4^n products take at most 2^n values, so equal ones share one set
-    distinct = {}
-    pair_products = []
-    for a in block_sets:
-        for b in block_sets:
-            p = product_ideal(ideals[a], ideals[b])
-            pair_products.append((ideals[a], ideals[b], distinct.setdefault(p, p)))
-    full = frozenset(range(len(alg.arrows)))
-    primes = []
-    for bs in block_sets:
-        ideal = ideals[bs]
-        if ideal == full:
-            continue
-        if all(ia <= ideal or ib <= ideal for ia, ib, p in pair_products if p <= ideal):
-            primes.append(bs)
+    primes = set()
+    for mask in range(full):
+        outside = [a for a in range(n) if not mask >> a & 1]
+        if all(prod[a][b] & ~mask for a in outside for b in outside):
+            primes.add(mask)
     report["prime_count"] = len(primes)
-    report["primes_match_quasi_orbits"] = len(primes) == part.count
-    expected_primes = {
-        frozenset(range(part.count)) - {i} for i in range(part.count)
-    }
-    report["primes_are_orbit_complements"] = set(primes) == expected_primes
+    report["primes_match_quasi_orbits"] = len(primes) == n
+    report["primes_are_orbit_complements"] = primes == {full & ~(1 << a) for a in range(n)}
 
     checks = [
         "ideal_count_is_power",
@@ -307,8 +262,6 @@ def ideal_lattice_check(pres):
         "xi_images_are_ideals",
         "theta_xi_is_identity",
         "theta_injective",
-        "theta_monotone",
-        "theta_respects_meets",
         "theta_onto_invariant_lattice",
         "primes_match_quasi_orbits",
         "primes_are_orbit_complements",

@@ -123,7 +123,7 @@ def weaken(pres, w, k2, l2):
     return out
 
 
-def search_witness(pres, a, k, l, depth, budget=ts.DEFAULT_BUDGET):
+def search_witness(pres, a, k, l, depth, budget=stone.DEFAULT_BUDGET):
     """Search a (k,l) witness as a tiling of k[A] into l[A].
 
     Row n of the witness is label n of k[A].  The one tiling engine,

@@ -169,9 +169,6 @@ def verify_leq(pres, f1, f2, cert):
 # searches
 
 
-DEFAULT_BUDGET = stone.DEFAULT_BUDGET
-
-
 class SearchBudget:
     __slots__ = ("limit", "used")
 
@@ -423,7 +420,7 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
     return SearchOutcome(EquivCertificate(tuple(triples)), "found", stats), left
 
 
-def search_equiv(pres, f1, f2, depth, budget=DEFAULT_BUDGET):
+def search_equiv(pres, f1, f2, depth, budget=stone.DEFAULT_BUDGET):
     """Search an equivalence certificate over pieces of words up to depth.
 
     Deterministic; any hit verifies.  A miss is never a proof of
@@ -433,7 +430,7 @@ def search_equiv(pres, f1, f2, depth, budget=DEFAULT_BUDGET):
     return outcome
 
 
-def search_leq(pres, f1, f2, depth, budget=DEFAULT_BUDGET):
+def search_leq(pres, f1, f2, depth, budget=stone.DEFAULT_BUDGET):
     """Search a certificate for f1 <= f2; leftovers become the remainder.
 
     The nonempty leftover of each label m of f2, in label order, is an

@@ -255,19 +255,13 @@ def test_a_malformed_command_line_is_exit_three(capsys, argv, message):
     ["state", "cuntz:2", "--depth", "-1"],
     ["find-witness", "cuntz:2", "--depth", "-1"],
     ["find-witness", "cuntz:2", "--set", "whole", "--depth", "1", "--budget", "-1"],
-    ["AMPLE_BUDGET=-4", "find-witness", "cuntz:2", "--set", "whole", "--depth", "1"],
+    ["dichotomy", "cuntz:2", "--depth", "1", "--budget", "-4"],
     ["probe", "cuntz:2", "--samples", "-3"],
 ])
-def test_negative_depth_is_input_error(capsys, monkeypatch, argv):
-    # every count (--depth, --budget, AMPLE_BUDGET, --samples) is checked;
-    # a leading NAME=value sets the environment, otherwise the option
+def test_negative_depth_is_input_error(capsys, argv):
+    # every count (--depth, --budget, --samples) is checked; the option
     # before the last value is the negative one
-    if "=" in argv[0]:
-        option, value = argv[0].split("=")
-        monkeypatch.setenv(option, value)
-        argv = argv[1:]
-    else:
-        option = argv[-2]
+    option = argv[-2]
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -531,14 +525,6 @@ def test_a_cell_outside_the_space_names_its_generator(tmp_path, capsys, space, g
     assert code == 3
     assert out == ""
     assert err == "input error at presentation.generators[1]: %s\n" % message
-
-
-def test_bad_budget_variable_is_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("AMPLE_BUDGET", "abc")
-    code, out, err = run(capsys, "orbits", "pair:3")
-    assert code == 3
-    assert out == ""
-    assert "AMPLE_BUDGET" in err
 
 
 @pytest.mark.parametrize("row", [1, 2])

@@ -22,7 +22,6 @@ from ample import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
-ENV.pop("AMPLE_BUDGET", None)
 
 
 def in_process(argv):
@@ -53,14 +52,12 @@ def as_process(argv, env=ENV, **kwargs):
 ])
 def test_the_process_answers_as_main_does(monkeypatch, argv, code):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("AMPLE_BUDGET", raising=False)
     expected = in_process(argv)
     assert expected[0] == code
     assert as_process(argv) == expected
 
 
-def test_the_process_writes_the_whole_output_file(tmp_path, monkeypatch):
-    monkeypatch.delenv("AMPLE_BUDGET", raising=False)
+def test_the_process_writes_the_whole_output_file(tmp_path):
     argv = ["find-witness", "cuntz:2", "--depth", "2", "--k", "3", "--l", "1", "-o"]
     expected = in_process(argv + [str(tmp_path / "main.json")])
     assert expected[0] == 0
@@ -134,7 +131,7 @@ def eager_parser():
         if with_depth:
             p.add_argument("--depth", type=int, default=1)
         if with_budget:
-            p.add_argument("--budget", type=int, default=None)
+            p.add_argument("--budget", type=int, default=100000)
         if with_output:
             p.add_argument("-o", "--output", help="write the emitted certificate here")
 

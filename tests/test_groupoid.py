@@ -1,4 +1,7 @@
+import os
+import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
@@ -23,8 +26,10 @@ from ample.groupoid import (
     saturate,
     trivial,
 )
-from ample.stone import UnitSpace, clopen, whole
+from ample.stone import FINITE, UnitSpace, clopen, whole
 
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 G1 = ((0, 1),)
 G2 = ((1, 1),)
@@ -244,6 +249,49 @@ def test_saturate_monotone_in_depth():
         cur = saturate(pres, a, depth)
         assert prev.subset_of(cur)
         prev = cur
+
+
+def fold_saturate(pres, part, depth):
+    """`saturate` as one clopen union per word, its oracle."""
+    out = part
+    for w in gpd.enumerate_words(pres, depth):
+        out = out.union(gpd.action_apply(pres.space, pres.word_action(w), part))
+    return out
+
+
+def random_shift_presentation(rng):
+    words = ["", "1", "2", "11", "12", "21", "22", "3", "13", "31"]
+    k = rng.choice([2, 3])
+    words = [w for w in words if all(int(ch) <= k for ch in w)]
+    return Presentation(UnitSpace.shift(k), [PrefixMap(*rng.sample(words, 2))
+                                             for _ in range(rng.randint(1, 3))])
+
+
+def test_saturate_matches_the_fold_of_unions():
+    rng = random.Random(5)
+    finite = [gpd.finite_groupoid(n, [list(zip(rng.sample(range(n), 2), rng.sample(range(n), 2)))])
+              for n in (3, 5, 8)]
+    shifts = [random_shift_presentation(rng) for _ in range(30)]
+    for pres in [cuntz(2), cuntz(3), odometer(), rotation(3), pair_groupoid(4), *finite, *shifts]:
+        for depth in range(4):
+            cells = (range(pres.space.size) if pres.space.kind == FINITE
+                     else pres.space.cells_at_depth(rng.randint(0, 3)))
+            for _ in range(3):
+                part = clopen(pres.space, [c for c in cells if rng.random() < 0.4])
+                assert saturate(pres, part, depth) == fold_saturate(pres, part, depth)
+            if pres.space.kind != FINITE:
+                for cell in pres.space.cells_at_depth(depth):
+                    part = clopen(pres.space, [cell])
+                    assert saturate(pres, part, depth) == fold_saturate(pres, part, depth)
+
+
+def test_minimality_of_cuntz_three_at_depth_five_is_fast():
+    # the fold of one clopen union per word took about 100 s
+    code = "from ample.groupoid import cuntz, is_minimal; print(is_minimal(cuntz(3), 5))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=10)
+    assert proc.stdout == "yes\n"
 
 
 def test_builtin_aliases():

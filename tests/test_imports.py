@@ -125,7 +125,6 @@ def loaded_after(code, modules):
     """The `modules` loaded after running `code` in a fresh interpreter."""
     script = "import sys\n%s\nprint(sorted(%r & set(sys.modules)))" % (code, set(modules))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("AMPLE_BUDGET", None)
     # -S keeps the environment's site hooks out of what is measured
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
                           text=True, check=True)

@@ -9,6 +9,7 @@ from ample import convalg as ca
 from ample import groupoid as gpd
 from ample import paradox as px
 from ample import states as st
+from ample import stone
 from ample import typesemigroup as ts
 from ample.groupoid import builtin, cuntz, from_word, odometer, rotation
 from ample.stone import UnitSpace, clopen, whole
@@ -114,13 +115,13 @@ def test_random_witnesses_always_yield_isometries():
     assert built == 50
 
 
-def test_budget_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("AMPLE_BUDGET", "123")
-    assert cli.default_budget() == 123
-    # main reads the variable on each call, after the parser is built
-    assert cli.main(["find-witness", "cuntz:2"]) == 0
-    assert json.loads(capsys.readouterr().out)["stats"]["budget"] == 123
-    assert cli.main(["find-witness", "cuntz:2", "--budget", "77"]) == 0
-    assert json.loads(capsys.readouterr().out)["stats"]["budget"] == 77
-    monkeypatch.delenv("AMPLE_BUDGET")
-    assert cli.default_budget() == 100000
+def test_budget_option_and_default(capsys):
+    # the budget is --budget, else stone.DEFAULT_BUDGET, on the plain
+    # parser and on argparse (an abbreviated flag goes to argparse)
+    for argv, budget in [(["find-witness", "cuntz:2"], stone.DEFAULT_BUDGET),
+                         (["find-witness", "cuntz:2", "--budget", "77"], 77),
+                         (["find-witness", "cuntz:2", "--bud", "77"], 77),
+                         (["find-witness", "cuntz:2", "--dep", "1"], stone.DEFAULT_BUDGET)]:
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["budget"] == budget
+    assert stone.DEFAULT_BUDGET == 100000

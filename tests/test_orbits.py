@@ -1,8 +1,18 @@
+import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 
+import ideal_oracle
 from ample import groupoid as gpd
 from ample import orbits as ob
-from ample.groupoid import cuntz, finite_groupoid, pair_groupoid, rotation, trivial
+from ample.groupoid import builtin, cuntz, finite_groupoid, pair_groupoid, rotation, trivial
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_rotation_single_orbit():
@@ -77,3 +87,78 @@ def test_finite_algebra_products():
         (0, 0): 0, (0, 2): 2, (1, 0): 1, (1, 2): 3,
         (2, 1): 0, (2, 3): 2, (3, 1): 1, (3, 3): 3,
     }
+
+
+# keys of the oracle's report that hold for any sets, and are not reported
+ALWAYS_TRUE = {"theta_monotone", "theta_respects_meets"}
+
+
+def oracle_report(pres):
+    report = ideal_oracle.ideal_lattice_check(pres)
+    assert all(report.pop(key) for key in ALWAYS_TRUE)
+    return report
+
+
+def random_principal(rng, max_points):
+    points = rng.randint(1, max_points)
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        pairs = rng.randint(1, points)
+        gens.append(list(zip(rng.sample(range(points), pairs), rng.sample(range(points), pairs))))
+    return finite_groupoid(points, gens)
+
+
+@pytest.mark.parametrize("spec", ["%s:%d" % (name, n) for name in ("trivial", "pair")
+                                  for n in range(1, 9)])
+def test_ideal_check_matches_the_oracle_on_builtins(spec):
+    pres = builtin(spec)
+    assert ob.ideal_lattice_check(pres) == oracle_report(pres)
+
+
+def test_ideal_check_matches_the_oracle_on_random_principal_models():
+    rng = random.Random(28)
+    for _ in range(200):
+        pres = random_principal(rng, 8)
+        assert ob.ideal_lattice_check(pres) == oracle_report(pres), pres
+
+
+def perturbed(alg, rng):
+    """The algebra with 1-3 products added, redirected or dropped."""
+    products = dict(alg.products)
+    n = len(alg.arrows)
+    for _ in range(rng.randint(1, 3)):
+        keys = sorted(products)
+        change = rng.choice(["add", "redirect", "drop"] if keys else ["add"])
+        if change == "add":
+            products[(rng.randrange(n), rng.randrange(n))] = rng.randrange(n)
+        elif change == "redirect":
+            products[rng.choice(keys)] = rng.randrange(n)
+        else:
+            del products[rng.choice(keys)]
+    return ob.FiniteAlgebra(alg.arrows, products)
+
+
+def test_ideal_check_matches_the_oracle_on_perturbed_tables(monkeypatch):
+    # the check reads the table: it agrees with the oracle on tables that
+    # are not the matrix-unit rule, and such tables fail both
+    rng = random.Random(7)
+    build = ob.build_finite_algebra
+    verdicts = []
+    for _ in range(200):
+        pres = random_principal(rng, 6)
+        alg = perturbed(build(pres), rng)
+        for module in (ob, ideal_oracle):
+            monkeypatch.setattr(module, "build_finite_algebra", lambda pres: alg)
+        report = ob.ideal_lattice_check(pres)
+        assert report == oracle_report(pres), (pres, alg)
+        verdicts.append(report["passed"])
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_ideal_check_of_twelve_orbits_is_fast():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ample.cli", "ideal-check", "trivial:12"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["passed"] and report["orbit_count"] == 12 and report["prime_count"] == 12
