@@ -477,7 +477,11 @@ def main(argv=None):
                 print("input error: --%s must be nonnegative, got %d" % (name, value),
                       file=sys.stderr)
                 return EXIT_INPUT
-        return args.func(args, serialize.parse_presentation_arg(args.presentation))
+        try:
+            return args.func(args, serialize.parse_presentation_arg(args.presentation))
+        except MemoryError:
+            pass  # the report is written once this clause has let the handler's frames go
+        return _inconclusive(args, args.command, "out of memory")
     except serialize.SchemaError as exc:
         print("input error at %s" % exc, file=sys.stderr)
         return EXIT_INPUT

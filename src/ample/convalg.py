@@ -3,14 +3,15 @@
 An element is a finite rational combination of canonical arrow terms: an
 arrow key (reduced word, table element, or source-target pair, depending
 on the isotropy model) together with a single cell of the key's domain.
-Convolution multiplies arrows pairwise; the star swaps an arrow for its
-inverse; the conditional expectation keeps the terms whose arrows are
-units.  Coefficients are plain fractions, so every identity checked here
-is exact and involution needs no conjugation.
+Convolution multiplies arrows pairwise, by the presentation's
+`key_product`; the star swaps an arrow for its `key_inverse`; the
+conditional expectation keeps the terms whose arrows are units.
+Coefficients are plain fractions, so every identity checked here is
+exact and involution needs no conjugation.
 
 Products and stars work on cylinder words.  A term is one cylinder (or
-point) c of its key's domain, and each (strip, add) piece of the key's
-action sends the part of c under it onto one image cylinder, so the part
+point) c of its key's domain, and `groupoid.cell_images` sends, per piece
+of the key's action, one part of c onto one image cylinder, so the part
 of c that lands in another term's cell is one cylinder or nothing,
 decided by prefix tests alone.  No clopen is built per pair of terms.
 Sums re-canonicalise only the keys that more than one summand carries.
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import stone
-from .groupoid import invert_word, reduce_word
+from .groupoid import cell_images
 from . import paradox as px
 
 
@@ -77,20 +78,9 @@ class ConvElement:
         key's action that meets its cell: the piece sends `part`, a
         cylinder (or point) inside the cell, onto the cylinder (or point)
         `image`, prefix for prefix.  Built once, as elements do not change."""
-        finite = self.pres.space.kind == stone.FINITE
-        out = []
-        for key, cyl in self.terms.items():
-            act = self.pres.key_action(key)
-            for cell, coef in cyl.items():
-                for s, t in act:
-                    if finite:
-                        if s == cell:
-                            out.append((key, cell, t, coef))
-                    elif cell.startswith(s):
-                        out.append((key, cell, t + cell[len(s):], coef))
-                    elif s.startswith(cell):
-                        out.append((key, s, t, coef))
-        return out
+        pres = self.pres
+        return [(key, part, image, coef) for key, cyl in self.terms.items() for cell, coef in cyl.items()
+                for part, image in cell_images(pres.space, pres.key_action(key), (cell,))]
 
     def items(self):
         for key in sorted(self.terms):
@@ -176,26 +166,6 @@ def sub(a, b):
     return add(a, scale(b, -1))
 
 
-def _key_product(pres, k1, k2):
-    if k1[0] == "w":
-        return ("w", reduce_word(tuple(k1[1]) + tuple(k2[1])))
-    if k1[0] == "e":
-        return ("e", pres.isotropy.products[k1[1]][k2[1]])
-    (s1, t1), (s2, t2) = k1[1], k2[1]
-    if t2 != s1:
-        return None
-    return ("p", (s2, t1))
-
-
-def _key_inverse(pres, key):
-    if key[0] == "w":
-        return ("w", invert_word(key[1]))
-    if key[0] == "e":
-        return ("e", pres.isotropy.inverse(key[1]))
-    s, t = key[1]
-    return ("p", (t, s))
-
-
 def conv(a, b):
     """The convolution product: arrows compose pairwise, t acting first.
 
@@ -223,7 +193,7 @@ def conv(a, b):
                     dom = part + c1[len(image):]
                 else:
                     continue
-                key = _key_product(pres, k1, k2)
+                key = pres.key_product(k1, k2)
                 if key is not None:
                     terms.append((key, dom, q1 * q2))
     if not terms:
@@ -237,7 +207,7 @@ def conv(a, b):
 def star(a):
     """The involution: each arrow is replaced by its inverse."""
     pres = a.pres
-    return ConvElement(pres, [(_key_inverse(pres, key), image, coef)
+    return ConvElement(pres, [(pres.key_inverse(key), image, coef)
                               for key, _, image, coef in a._images])
 
 

@@ -19,7 +19,7 @@ carries the merged maximal domain per word.
 from __future__ import annotations
 
 from . import stone
-from .stone import Frozen, Record, UnitSpace, clopen, empty, whole
+from .stone import Frozen, Record, UnitSpace, clopen, whole
 
 
 class PresentationError(stone.InputError):
@@ -69,25 +69,24 @@ def action_domain(space, act):
     return clopen(space, [s for s, _ in act])
 
 
-def shift_image_words(act, cells):
-    """The image words, uncanonicalized, of shift cells under a (strip, add)
-    action: a cell c below a strip s gives add+rest, a cell above it all of
-    cylinder(add)."""
-    return [a + c[len(s):] if c.startswith(s) else a
-            for s, a in act for c in cells if c.startswith(s) or s.startswith(c)]
+def cell_images(space, act, cells):
+    """(part, image) for each piece of the action and each cell it meets,
+    uncanonicalized: the piece sends `part`, inside the cell, onto `image`.
 
-
-def _image_cells(space, act, cells):
-    """The image cells, uncanonicalized, of (cells intersect action domain)."""
+    On Finite(n) part is a point among the cells and image its image.  On
+    the shift a piece (s, a) sends a cell c below s, as c = s+rest, onto
+    a+rest, and of a cell c above s the part cylinder(s) onto cylinder(a).
+    """
     if space.kind == stone.FINITE:
         amap = dict(act)
-        return [amap[x] for x in cells if x in amap]
-    return shift_image_words(act, cells)
+        return [(x, amap[x]) for x in cells if x in amap]
+    return [(c, a + c[len(s):]) if c.startswith(s) else (s, a)
+            for s, a in act for c in cells if c.startswith(s) or s.startswith(c)]
 
 
 def action_apply(space, act, part):
     """Image of (part intersect action domain) under the action."""
-    return clopen(space, _image_cells(space, act, part.cells))
+    return clopen(space, [image for _, image in cell_images(space, act, part.cells)])
 
 
 def _join_actions(space, acts):
@@ -358,9 +357,6 @@ class Presentation:
     def element_action(self, e):
         return self._element_actions[e]
 
-    def element_word(self, e):
-        return self._element_words[e]
-
     def piece_key(self, word, src=None):
         """Arrow identity key of a word under the isotropy model."""
         if self.isotropy == FREE:
@@ -392,6 +388,25 @@ class Presentation:
         if key[0] == "e":
             return key[1] == self.isotropy.identity()
         return key[1][0] == key[1][1]
+
+    def key_product(self, k1, k2):
+        """The key of the arrow k1 after k2, or None if k2 ends where k1 does not start."""
+        if k1[0] == "w":
+            return ("w", reduce_word(tuple(k1[1]) + tuple(k2[1])))
+        if k1[0] == "e":
+            return ("e", self.isotropy.products[k1[1]][k2[1]])
+        (s1, t1), (s2, t2) = k1[1], k2[1]
+        if t2 != s1:
+            return None
+        return ("p", (s2, t1))
+
+    def key_inverse(self, key):
+        if key[0] == "w":
+            return ("w", invert_word(key[1]))
+        if key[0] == "e":
+            return ("e", self.isotropy.inverse(key[1]))
+        s, t = key[1]
+        return ("p", (t, s))
 
     def principal_word(self, src, tgt):
         """The breadth-first least word whose action sends src to tgt."""
@@ -432,7 +447,7 @@ class Presentation:
         if key[0] == "w":
             return key[1]
         if key[0] == "e":
-            return self.element_word(key[1])
+            return self._element_words[key[1]]
         src, tgt = key[1]
         return self.principal_word(src, tgt)
 
@@ -543,23 +558,17 @@ class Bisection:
     # -- calculus -----------------------------------------------------------
 
     def dom(self):
-        out = empty(self.pres.space)
-        for _, piece, _ in self.pieces:
-            out = out.union(piece.domain)
-        return out
+        return clopen(self.pres.space, [c for _, piece, _ in self.pieces for c in piece.domain.cells])
 
     def ran(self):
-        out = empty(self.pres.space)
-        for _, piece, act in self.pieces:
-            out = out.union(action_apply(self.pres.space, act, piece.domain))
-        return out
+        space = self.pres.space
+        return clopen(space, [image for _, piece, act in self.pieces
+                              for _, image in cell_images(space, act, piece.domain.cells)])
 
     def inverse(self):
-        pieces = []
-        for _, piece, act in self.pieces:
-            ran = action_apply(self.pres.space, act, piece.domain)
-            pieces.append((invert_word(piece.word), ran))
-        return Bisection(self.pres, pieces)
+        space = self.pres.space
+        return Bisection(self.pres, [(invert_word(piece.word), action_apply(space, act, piece.domain))
+                                     for _, piece, act in self.pieces])
 
     def compose(self, other):
         """All products st with s from self and t from other (t acts first)."""
@@ -576,10 +585,8 @@ class Bisection:
         return Bisection(self.pres, pieces)
 
     def restrict(self, dom_part):
-        pieces = []
-        for _, piece, _ in self.pieces:
-            pieces.append((piece.word, piece.domain.intersect(dom_part)))
-        return Bisection(self.pres, pieces)
+        return Bisection(self.pres, [(piece.word, piece.domain.intersect(dom_part))
+                                     for _, piece, _ in self.pieces])
 
     def restrict_range(self, ran_part):
         return self.inverse().restrict(ran_part).inverse()
@@ -589,10 +596,8 @@ class Bisection:
         if not part.subset_of(self.dom()):
             raise ValueError("clopen is not contained in the domain of the bisection")
         space = self.pres.space
-        out = empty(space)
-        for _, piece, act in self.pieces:
-            out = out.union(action_apply(space, act, part.intersect(piece.domain)))
-        return out
+        return clopen(space, [image for _, piece, act in self.pieces for _, image
+                              in cell_images(space, act, part.intersect(piece.domain).cells)])
 
     def preimage(self, part):
         return self.inverse().apply(part)
@@ -632,8 +637,8 @@ def enumerate_words(pres, depth):
     when the range of s meets the domain of w, so only the letters whose
     range holds a point of that domain are tried.
 
-    An extension's action, unless cached, is one composition of its
-    parent's action with the letter's, cached as `word_action` caches it.
+    Each extension's action comes from `word_action`, which composes it
+    once from its parent's cached action.
     """
     syms = sorted(
         [(g, 1) for g in range(len(pres.generators))]
@@ -652,7 +657,6 @@ def enumerate_words(pres, depth):
     else:
         def candidates(act):
             return syms
-    space, cache, letters = pres.space, pres._action_cache, pres._letter_actions
     unit = pres.word_action(())
     level = [((), unit)] if unit else []  # (word, its action)
     yield from (w for w, _ in level)
@@ -663,9 +667,7 @@ def enumerate_words(pres, depth):
                 if w and w[-1][0] == s[0] and w[-1][1] == -s[1]:
                     continue
                 v = w + (s,)
-                v_act = cache.get(v)
-                if v_act is None:
-                    v_act = cache[v] = compose_actions(space, act, letters[s])
+                v_act = pres.word_action(v)
                 if v_act:
                     nxt.append((v, v_act))
         yield from (w for w, _ in nxt)
@@ -694,8 +696,8 @@ def saturate(pres, part, depth):
     """The union of all word images of the clopen, over words up to depth,
     canonicalized once.  The empty word acts as the identity, so the clopen
     is one of its images."""
-    return clopen(pres.space, [c for w in enumerate_words(pres, depth)
-                               for c in _image_cells(pres.space, pres.word_action(w), part.cells)])
+    return clopen(pres.space, [image for w in enumerate_words(pres, depth)
+                               for _, image in cell_images(pres.space, pres.word_action(w), part.cells)])
 
 
 def is_minimal(pres, depth):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import stone
 from .stone import Frozen, Record, clopen, empty
-from .groupoid import Bisection, enumerate_words, identity_bisection, shift_image_words
+from .groupoid import Bisection, cell_images, enumerate_words, identity_bisection
 
 
 class FamilyError(stone.InputError):
@@ -55,24 +55,19 @@ class LabeledFamily(Frozen):
 
 def normalize_with_map(space, pairs):
     """Canonicalize (clopen, label) pairs; also return original->new labels."""
-    by_label = {}
-    order = []
+    by_label = {}  # label -> its cells, labels in order of first appearance
     for c, label in pairs:
         if c.space != space:
             raise stone.SpaceMismatch("family entry over the wrong space")
         if not isinstance(label, int) or label < 1:
             raise FamilyError("labels must be positive integers, got %r" % (label,))
-        if label not in by_label:
-            by_label[label] = empty(space)
-            order.append(label)
-        by_label[label] = by_label[label].union(c)
+        by_label.setdefault(label, []).extend(c.cells)
     entries = []
     label_map = {}
-    for label in order:
-        if by_label[label].is_empty:
-            continue
-        entries.append(by_label[label])
-        label_map[label] = len(entries)
+    for label, cells in by_label.items():
+        if cells:
+            entries.append(clopen(space, cells))
+            label_map[label] = len(entries)
     return LabeledFamily(space, tuple(entries)), label_map
 
 
@@ -227,7 +222,7 @@ class _Words:
 
     pieces: `_word_pieces` of the words up to the depth; depth: the
     `_cell_depth` of the pieces alone; images: shift cell -> its (word,
-    image words) list, as `_compile_pieces` finds it, filled as searches
+    `cell_images`) list, as `_compile_pieces` finds it, filled as searches
     meet the cell; bisections: (word, cell) -> the Bisection of the word
     on that cell, filled as searches choose the pair.
     """
@@ -257,7 +252,7 @@ def _family_slots(fam, depth):
     return slots
 
 
-def _compile_pieces(pres, pieces, cells, targets, cached=None):
+def _compile_pieces(pres, pieces, cells, targets, cached):
     """Compile a tiling search onto integer bit masks, from `_word_pieces`.
 
     Returns (options, masks, leaves).  options[cell] lists, in word order,
@@ -269,11 +264,12 @@ def _compile_pieces(pres, pieces, cells, targets, cached=None):
     (1 << end) - (1 << start): on Finite(n) bit x is the point x, and on
     the shift masks grow with the words met, not as k^depth.  A shift cell
     must be no shallower than any word's canonical domain.  On the shift,
-    `cached` (the `_Words.images` of the same pieces) supplies the image
-    words of the cells it holds and keeps those of the others.
+    `cached` (the `_Words.images` of the same pieces, or a new dict)
+    supplies the `cell_images` of the cells it holds and keeps those of
+    the others.
     """
-    if pres.space.kind == stone.SHIFT:
-        cached = {} if cached is None else cached
+    space = pres.space
+    if space.kind == stone.SHIFT:
         new = [cell for cell in cells if cell not in cached]
         for cell in new:
             cached[cell] = []
@@ -281,7 +277,7 @@ def _compile_pieces(pres, pieces, cells, targets, cached=None):
             doms = dom.cells
             for cell in new:
                 if cell.startswith(doms):
-                    cached[cell].append((w, shift_image_words(act, (cell,))))
+                    cached[cell].append((w, cell_images(space, act, (cell,))))
         images = {cell: cached[cell] for cell in cells}
     else:
         images = {cell: [] for cell in cells}
@@ -293,21 +289,22 @@ def _compile_pieces(pres, pieces, cells, targets, cached=None):
             seen.add(keys)
             for (key, x), (_, y) in zip(keys, act):
                 if x in images:
-                    images[x].append((pres.canonical_word(key), [y]))
+                    images[x].append((pres.canonical_word(key), [(x, y)]))
     image_words = {w for t in targets for w in t.cells}
-    image_words.update(w for found in images.values() for _, image in found for w in image)
-    leaves, span = stone.leaf_spans(pres.space, image_words)
+    image_words.update(w for found in images.values() for _, pairs in found for _, w in pairs)
+    leaves, span = stone.leaf_spans(space, image_words)
 
-    def mask_of(words):
+    def mask_of(pairs):
         mask = 0
-        for w in words:
+        for _, w in pairs:
             start, end = span[w]
             mask |= (1 << end) - (1 << start)
         return mask
 
-    options = {cell: [(word, mask_of(image)) for word, image in found]
+    options = {cell: [(word, mask_of(pairs)) for word, pairs in found]
                for cell, found in images.items()}
-    return options, [mask_of(t.cells) for t in targets], leaves
+    # a target's cells are their own images
+    return options, [mask_of(zip(t.cells, t.cells)) for t in targets], leaves
 
 
 def _search_tiling(pres, f1, f2, depth, budget, exact):

@@ -18,7 +18,7 @@ def search_tiling(pres, f1, f2, depth, budget, exact):
     pieces = ts._word_pieces(pres, enumerate_words(pres, depth))
     slots = ts._family_slots(f1, ts._cell_depth(pres, [f1, f2], pieces))
     cells = list(dict.fromkeys(cell for _, cell in slots))
-    options, masks, leaves = ts._compile_pieces(pres, pieces, cells, f2.entries)
+    options, masks, leaves = ts._compile_pieces(pres, pieces, cells, f2.entries, {})
     fitting = {cell: [(word, m, image) for word, image in options[cell]
                       for m, mask in zip(f2.labels, masks) if image & mask == image]
                for cell in cells}

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -849,3 +850,22 @@ def test_every_shift_word_input_is_capped(tmp_path, capsys, where):
     assert outcome(stone.MAX_WORD_LENGTH + 1) == (
         3, "", "input error at %s: word of %d letters; at most %d are accepted\n"
         % (path, stone.MAX_WORD_LENGTH + 1, stone.MAX_WORD_LENGTH))
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+
+@pytest.mark.parametrize("argv", [
+    ["find-witness", "cuntz:2", "--set", "whole", "--depth", "8", "--budget", "1"],
+    ["dichotomy", "cuntz:2", "--depth", "8"],
+    ["state", "cuntz:2", "--depth", "13"],
+], ids=lambda argv: argv[0])
+def test_running_out_of_memory_is_inconclusive(argv):
+    # each needs well over 400 MiB; the limit is set in the child alone
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ample.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=30, preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout) == {"command": argv[0], "outcome": "inconclusive",
+                                       "reason": "out of memory"}

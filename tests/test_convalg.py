@@ -277,8 +277,8 @@ def test_convolution_matches_sum_over_factorizations():
                     coef1 = _coefficient(a, hkey, hsrc)
                     if coef1 == 0:
                         continue
-                    inv_h = ca._key_inverse(pres, hkey)
-                    rest = ca._key_product(pres, inv_h, gkey)
+                    inv_h = pres.key_inverse(hkey)
+                    rest = pres.key_product(inv_h, gkey)
                     if rest is None:
                         continue
                     ract = dict(pres.key_action(rest))
@@ -310,7 +310,7 @@ def _clopen_conv(a, b):
     for k1, c1, q1 in a.items():
         dom1 = clopen(space, [c1])
         for k2, c2, q2 in b.items():
-            key = ca._key_product(pres, k1, k2)
+            key = pres.key_product(k1, k2)
             if key is None:
                 continue
             act2 = pres.key_action(k2)
@@ -329,7 +329,7 @@ def _clopen_star(a):
     terms = []
     for key, cell, coef in a.items():
         image = gpd.action_apply(space, pres.key_action(key), clopen(space, [cell]))
-        ikey = ca._key_inverse(pres, key)
+        ikey = pres.key_inverse(key)
         for icell in image.cells:
             terms.append((ikey, icell, coef))
     return _canonical_terms(pres, terms)

@@ -1,6 +1,8 @@
 """No module of the package or of the tests imports a name it never uses,
 no function of the package calls itself, every public name has a caller,
-only the golden table pins digests, and importing the CLI stays cheap."""
+only the golden table pins digests, only groupoid reads the isotropy model
+and the action cache (with orbits and serialize reading the model too),
+and importing the CLI stays cheap."""
 
 import ast
 import os
@@ -244,6 +246,27 @@ def test_every_public_name_has_a_caller():
     missing = [(module, name) for module, name in names_without_caller(paths)
                if name not in NO_CALLER_NEEDED]
     assert missing == []
+
+
+def attribute_readers(paths, attr):
+    """The names of the files among `paths` that read the attribute `attr`."""
+    return [path.name for path in paths
+            if any(isinstance(node, ast.Attribute) and node.attr == attr
+                   for node in ast.walk(ast.parse(path.read_text())))]
+
+
+def test_checker_finds_attribute_readers(tmp_path):
+    (tmp_path / "a.py").write_text("x = p.isotropy\n")
+    (tmp_path / "b.py").write_text("isotropy = 1\ny = q.isotropy_of\n")
+    assert attribute_readers(sorted(tmp_path.glob("*.py")), "isotropy") == ["a.py"]
+
+
+def test_only_groupoid_knows_the_isotropy_model_and_the_action_cache():
+    # the arrow keys and their algebra live in groupoid; orbits decides
+    # principality and serialize writes the model, so they read it too
+    paths = sorted(ROOT.glob("src/ample/*.py"))
+    assert attribute_readers(paths, "isotropy") == ["groupoid.py", "orbits.py", "serialize.py"]
+    assert attribute_readers(paths, "_action_cache") == ["groupoid.py"]
 
 
 def test_only_the_golden_table_pins_digests():

@@ -103,7 +103,7 @@ def _check_against_the_bisection_calculus(pres, depth):
         assert cell_depth == max(b.dom().max_depth() for b in enum)
     cells = a.expand(cell_depth)
     targets = [a, clopen(space, cells[: len(cells) // 2 + 1])]
-    options, masks, leaves = ts._compile_pieces(pres, pieces, cells, targets)
+    options, masks, leaves = ts._compile_pieces(pres, pieces, cells, targets, {})
     to_clopen = _decoder(space, leaves)
     assert [to_clopen(m) for m in masks] == targets
     for cell in cells:
@@ -245,7 +245,7 @@ def test_masks_grow_with_the_words_met_not_with_depth():
     assert px.verify_witness(c9, out.certificate).ok
     pieces = ts._word_pieces(c9, gpd.enumerate_words(c9, 2))
     cells = a.expand(ts._cell_depth(c9, [ts.family_of(a)], pieces))
-    options, masks, leaves = ts._compile_pieces(c9, pieces, cells, [a])
+    options, masks, leaves = ts._compile_pieces(c9, pieces, cells, [a], {})
     to_clopen = _decoder(c9.space, leaves)
     images = [m for found in options.values() for _, m in found]
     words = {w for m in images for w in to_clopen(m).cells}
