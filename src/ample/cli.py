@@ -174,8 +174,7 @@ def cmd_state(args, pres):
             + ["  mu(%s) = %s" % (c, _rational_str(v)) for c, v in zip(outcome.cells, outcome.values)],
         )
     report["outcome"] = "infeasible"
-    notes = [note for _, note in cs.equalities]
-    return _certified(args, report, "farkas", serialize.encode_farkas(outcome, cs.depth, notes),
+    return _certified(args, report, "farkas", serialize.encode_farkas(outcome, cs.depth, cs.notes()),
                       ["no invariant state at depth %d; Farkas certificate emitted" % cs.depth],
                       EXIT_REJECTED)
 

@@ -89,19 +89,18 @@ def action_apply(space, act, part):
     return clopen(space, [image for _, image in cell_images(space, act, part.cells)])
 
 
-def _join_actions(space, acts):
-    """Union of compatible partial actions; None on conflict."""
-    if space.kind == stone.FINITE:
-        srcs = {}
-        tgts = {}
-        for act in acts:
-            for s, t in act:
-                if srcs.get(s, t) != t or tgts.get(t, s) != s:
-                    return None
-                srcs[s] = t
-                tgts[t] = s
-        return tuple(sorted(srcs.items()))
-    raise PresentationError("action joins are only defined on finite spaces")
+def _join_actions(acts):
+    """Union of compatible partial actions on a finite space; None on
+    conflict.  Only table closure joins, and tables are finite only."""
+    srcs = {}
+    tgts = {}
+    for act in acts:
+        for s, t in act:
+            if srcs.get(s, t) != t or tgts.get(t, s) != s:
+                return None
+            srcs[s] = t
+            tgts[t] = s
+    return tuple(sorted(srcs.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +307,7 @@ class Presentation:
                 p = table.products[ge][e]
                 new = compose_actions(self.space, gact, actions[e])
                 if p in actions:
-                    joined = _join_actions(self.space, [actions[p], new])
+                    joined = _join_actions([actions[p], new])
                     if joined is None:
                         raise PresentationError("table products conflict with generator actions")
                     if joined != actions[p]:

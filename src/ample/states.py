@@ -39,17 +39,22 @@ class DepthError(stone.InputError):
 
 
 class ConstraintSystem(Record):
-    # equalities: ((sorted (cell index, change) steps), provenance string)
-    __slots__ = ("pres", "depth", "cells", "equalities", "partial", "skipped")
+    """Each row's sorted (cell index, change) steps, the (word, strip, add)
+    it came from, and the `stone.leaf_spans` span map of the cells."""
+
+    __slots__ = ("pres", "depth", "cells", "equalities", "sources", "span", "partial")
 
     def rows_rhs(self):
         """The step rows, rhs and column count of the system, normalization
         last."""
-        rows = [steps for steps, _ in self.equalities]
-        rhs = [0] * len(rows)
-        rows.append(((0, 1),))
-        rhs.append(1)
-        return rows, rhs, len(self.cells)
+        rows = [*self.equalities, ((0, 1),)]
+        return rows, [0] * len(self.equalities) + [1], len(self.cells)
+
+    def notes(self):
+        """Each row's note, for a Farkas report: its arrow's canonical word, its cells."""
+        pres = self.pres
+        return ["%s: %s = %s" % (word_str(pres.canonical_word(pres.piece_key(word, s))), [s], [a])
+                for word, s, a in self.sources]
 
 
 def build_constraints(pres, depth):
@@ -58,29 +63,29 @@ def build_constraints(pres, depth):
     Each (strip, add) pair (s, a) with s != a of each word's action gives
     the row mu(s) - mu(a), read straight off the action: no bisection is
     built.  On the shift a pair deeper than the truncation cannot be
-    expressed; it is skipped and the system is marked partial.  A row is a
+    expressed; it gives no row and marks the system partial.  A row is a
     sum of +-1 on the index ranges `stone.leaf_spans` gives s and a over
     the depth cells, stored as its sorted nonzero steps, the rows of
     `simplex`.  Distinct cells give distinct rows up to sign, so a row is
     a repeat exactly when its unordered pair {s, a} is, and a repeated
-    pair is dropped before its steps are built.  A note names the
-    canonical word of the pair's arrow.
+    pair is dropped before its steps are built.  Each row keeps the first
+    (word, s, a) that gave it; no text is built here.
     """
     space = pres.space
     shift = space.kind == stone.SHIFT
     leaves, span = stone.leaf_spans(space, space.cells_at_depth(depth))
-    cells = tuple(leaves)
     rows = []
+    sources = []
     seen = set()
-    skipped = []
+    partial = False
     # generator words always enter the enumeration; at depth 0 their pairs
-    # are simply skipped as inexpressible and the system is marked partial
+    # are simply too deep and the system is marked partial
     for word in enumerate_words(pres, max(depth, 1)):
         for s, a in pres.word_action(word):
             if s == a:
                 continue
             if shift and max(len(s), len(a)) > depth:
-                skipped.append("%s: piece %s->%s too deep" % (_arrow_str(pres, word, s), s, a))
+                partial = True
                 continue
             pair = (s, a) if s < a else (a, s)
             if pair in seen:
@@ -90,16 +95,9 @@ def build_constraints(pres, depth):
             step = {s_start: 1, s_end: -1}  # index -> change of the row's value there
             step[a_start] = step.get(a_start, 0) - 1
             step[a_end] = step.get(a_end, 0) + 1
-            steps = tuple(sorted((i, v) for i, v in step.items() if v))
-            rows.append((steps, "%s: %s = %s" % (_arrow_str(pres, word, s), [s], [a])))
-    return ConstraintSystem(
-        pres, depth, cells, tuple(rows), partial=bool(skipped), skipped=tuple(skipped)
-    )
-
-
-def _arrow_str(pres, word, src):
-    """The canonical word of the arrow that `word` names at `src`."""
-    return word_str(pres.canonical_word(pres.piece_key(word, src)))
+            rows.append(tuple(sorted((i, v) for i, v in step.items() if v)))
+            sources.append((word, s, a))
+    return ConstraintSystem(pres, depth, tuple(leaves), tuple(rows), tuple(sources), span, partial)
 
 
 class StateVector(Record):
@@ -175,11 +173,10 @@ def tarski_report(pres, a, depth, budget=stone.DEFAULT_BUDGET):
     if pres.space.kind == stone.SHIFT:
         eff_depth = max(depth, a.max_depth())
     cs = build_constraints(pres, eff_depth)
-    _, span = stone.leaf_spans(pres.space, cs.cells)
-    objective = [Fraction(0)] * len(cs.cells)
+    objective = [0] * len(cs.cells)
     for cell in a.cells:
-        start, end = span[cell]
-        objective[start:end] = [Fraction(1)] * (end - start)
+        start, end = cs.span[cell]
+        objective[start:end] = [1] * (end - start)
 
     res = simplex.maximize(*cs.rows_rhs(), objective)
     infeasible = isinstance(res, simplex.Infeasible)

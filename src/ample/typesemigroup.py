@@ -420,10 +420,14 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
 def search_equiv(pres, f1, f2, depth, budget=stone.DEFAULT_BUDGET):
     """Search an equivalence certificate over pieces of words up to depth.
 
-    Deterministic; any hit verifies.  A miss is never a proof of
-    inequivalence.
+    Deterministic; a hit is returned only once `verify_equiv` accepts it.
+    A miss is never a proof of inequivalence.
     """
     outcome, _ = _search_tiling(pres, f1, f2, depth, budget, exact=True)
+    if outcome.status == "found":
+        res = verify_equiv(pres, f1, f2, outcome.certificate)
+        if not res:
+            raise FamilyError("internal: search produced a non-verifying certificate: %s" % res.reason)
     return outcome
 
 

@@ -100,9 +100,11 @@ def _prefix_map(alpha, beta):
     (SHIFT_2, _prefix_map("", 1), "presentation.generators[0].beta"),
     (SHIFT_2, _prefix_map("", 2.0), "presentation.generators[0].beta"),
     (SHIFT_2, _prefix_map(None, "1"), "presentation.generators[0].alpha"),
+    (FINITE_2, _prefix_map("", "1"), "presentation.generators[0]"),
+    (SHIFT_2, [{"kind": "partial_injection", "pairs": [[0, 1]]}], "presentation.generators[0]"),
 ], ids=["n-string", "n-zero", "k-twelve", "short-pair", "long-pair", "string-point",
         "bool-point", "pair-not-a-list", "pairs-not-a-list", "beta-int", "beta-float",
-        "alpha-null"])
+        "alpha-null", "prefix-map-on-finite", "injection-on-shift"])
 def test_bad_presentation_file_is_exit_three(tmp_path, capsys, space, generators, where):
     pres = tmp_path / "p.json"
     pres.write_text(json.dumps({"space": space, "generators": generators}))
@@ -178,6 +180,45 @@ def test_type_eq_and_verify_cert(tmp_path, capsys):
         "--depth", "0",
     )
     assert code == 2
+
+
+def test_type_eq_prints_no_certificate_that_fails_to_verify(tmp_path, capsys, monkeypatch):
+    c2 = cuntz(2)
+    left = tmp_path / "left.json"
+    right = tmp_path / "right.json"
+    cert = tmp_path / "cert.json"
+    left.write_text(ser.dumps(ser.encode_family(
+        ts.normalize(c2.space, [(whole(c2.space), 1), (whole(c2.space), 2)]))))
+    right.write_text(ser.dumps(ser.encode_family(ts.family_of(whole(c2.space)))))
+    search = ts._search_tiling
+
+    def drop_a_triple(*args, **kwargs):
+        outcome, left_over = search(*args, **kwargs)
+        triples = outcome.certificate.triples[:-1]
+        return ts.SearchOutcome(ts.EquivCertificate(triples), "found", outcome.stats), left_over
+
+    monkeypatch.setattr(ts, "_search_tiling", drop_a_triple)
+    code, out, err = run(capsys, "type-eq", "cuntz:2", "--left", str(left), "--right", str(right),
+                         "--depth", "1", "-o", str(cert))
+    assert (code, out) == (3, "")
+    assert err == ("input error: internal: search produced a non-verifying certificate:"
+                   " domain union at label 2 is ['1'], expected ['']\n")
+    assert not cert.exists()
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 0], [0, 0]], "multiplication table has no identity"),
+    ([[0, 0], [0, 1]], "element 0 has no inverse in the table"),
+    # the generator swaps the points, but the table sends it to the identity
+    ([[0, 1], [1, 0]], "table products conflict with generator actions"),
+])
+def test_a_table_the_groupoid_rejects_is_exit_three(tmp_path, capsys, table, message):
+    path = tmp_path / "pres.json"
+    swap = {"kind": "partial_injection", "pairs": [[0, 1], [1, 0]]}
+    path.write_text(json.dumps({"space": FINITE_2, "generators": [swap],
+                                "isotropy": {"table": table, "gen_elements": [0]}}))
+    code, out, err = run(capsys, "state", str(path), "--depth", "1")
+    assert (code, out, err) == (3, "", "input error at presentation: %s\n" % message)
 
 
 def test_orbits_and_ideal_check(capsys):
@@ -382,6 +423,7 @@ def _bad_witness(field, value):
     ("word", 5, "witness.rows[0][0].bisection.pieces[0].word"),
     ("word", [["g1", True]], "witness.rows[0][0].bisection.pieces[0].word[0]"),
     ("word", [["g1", 1.0]], "witness.rows[0][0].bisection.pieces[0].word[0]"),
+    ("word", [["gx", 1]], "witness.rows[0][0].bisection.pieces[0].word[0]"),
 ])
 def test_bad_witness_field_is_input_error(tmp_path, capsys, field, value, path):
     wfile = tmp_path / "w.json"

@@ -25,6 +25,8 @@ import pytest
 
 from ample import cli
 from ample import serialize as ser
+from ample.groupoid import Presentation, PrefixMap
+from ample.stone import UnitSpace
 
 TABLE = pathlib.Path(__file__).with_name("golden.json")
 ROOT = TABLE.parent.parent
@@ -55,6 +57,10 @@ def write_inputs(d):
                    for i, s in enumerate(sets)]
         (d / name).write_text(ser.dumps({"schema_version": 1, "entries": entries}))
     (d / "SEEDED.json").write_text(ser.dumps(ser.encode_presentation(_seeded_finite(6))))
+    # the shift(2) with one prefix map of the whole space onto the cylinder
+    # of 1: every invariant state vanishes on the cylinder of 2
+    (d / "ONTO1.json").write_text(ser.dumps(ser.encode_presentation(
+        Presentation(UnitSpace.shift(2), [PrefixMap("", "1")]))))
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(ROOT / "bench"))
         workloads = importlib.import_module("workloads")

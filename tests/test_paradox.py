@@ -68,6 +68,23 @@ def test_verify_rejects_bad_shape():
     assert not px.verify_witness(C2, px.ParadoxWitness(clopen(C2.space, []), 2, 1, w.rows)).ok
 
 
+def test_verify_rejects_a_set_over_the_wrong_space():
+    w = px.cuntz_witness(C2, "")
+    res = px.verify_witness(C2, px.ParadoxWitness(whole(C3.space), 2, 1, w.rows))
+    assert (res.ok, res.reason) == (False, "witness set over the wrong space")
+
+
+def test_verify_rejects_a_piece_over_another_presentation():
+    w = px.cuntz_witness(C2, "")
+    # the same space and the same first generator, but another presentation
+    other = gpd.Presentation(C2.space, C2.generators[:1])
+    foreign = from_word(other, ((0, 1),))
+    for piece in (foreign, "not a bisection"):
+        bad = px.ParadoxWitness(w.a, 2, 1, (w.rows[0], ((piece, 1),)))
+        res = px.verify_witness(C2, bad)
+        assert (res.ok, res.reason) == (False, "row 2 has a piece over another presentation")
+
+
 def test_rotation_admits_no_witness_by_exhaustion():
     rot = rotation(3)
     for k, l in ((2, 1), (3, 1), (3, 2)):

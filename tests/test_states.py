@@ -172,7 +172,7 @@ def test_probe_no_unperforation_counterexample_on_cuntz():
 
 def test_farkas_file_constraints_travel():
     cs = st.build_constraints(C2, 1)
-    assert all(note for _, note in cs.equalities)
+    assert all(cs.notes())
 
 
 @pytest.mark.parametrize("spec, depth", [("cuntz:2", d) for d in range(1, 7)]
@@ -261,11 +261,11 @@ def _seeded_finite(seed, points=30, injections=3, pairs=10):
 def test_index_range_rows_match_clopen_expansion(pres, depth):
     cs = st.build_constraints(pres, depth)
     n = len(cs.cells)
-    rows = tuple((dense_row(steps, n), note) for steps, note in cs.equalities)
-    assert (cs.cells, rows, cs.partial, cs.skipped) == _oracle_constraints(pres, depth)
+    rows = tuple(zip((dense_row(steps, n) for steps in cs.equalities), cs.notes()))
+    assert (cs.cells, rows, cs.partial) == _oracle_constraints(pres, depth)[:3]
     assert all(type(v) is int for coeffs, _ in rows for v in coeffs)
     # each row is stored as its nonzero steps, in increasing index order
-    for steps, _ in cs.equalities:
+    for steps in cs.equalities:
         assert all(type(i) is int and type(v) is int and v for i, v in steps)
         assert [i for i, _ in steps] == sorted({i for i, _ in steps})
 
@@ -276,7 +276,32 @@ def test_the_new_cases_repeat_pairs_and_skip_pieces():
     pairs = [(s, a) for w in gpd.enumerate_words(repeats, 2) for s, a in repeats.word_action(w)
              if s != a]
     assert len(pairs) > len({frozenset(p) for p in pairs})
-    assert all(st.build_constraints(ODO, d).skipped for d in range(3))
+    assert all(st.build_constraints(ODO, d).partial for d in range(3))
+
+
+def test_no_note_is_written_unless_a_farkas_report_prints_it(monkeypatch, capsys):
+    # a feasible system is built and solved, and its reports written, without
+    # formatting one provenance note
+    from ample import cli
+
+    argvs = (["state", "pair:40", "--depth", "2"],
+             ["tarski", "odometer:6", "--set", "whole", "--depth", "6"])
+    expected = []
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def refuse(*args):
+        raise AssertionError("a provenance note was formatted")
+
+    monkeypatch.setattr(st, "word_str", refuse)
+    monkeypatch.setattr(gpd.Presentation, "canonical_word", refuse)
+    for spec, depth in (("pair:40", 2), ("odometer:6", 7)):
+        cs = st.build_constraints(parse_presentation_arg(spec), depth)
+        assert st.verify_state(cs, st.solve_state(cs))
+    for argv, out in zip(argvs, expected):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_state_rows_build_no_bisection(monkeypatch):
@@ -323,7 +348,7 @@ def test_rows_rhs_passes_the_rows_through():
     cs = st.build_constraints(C2, 3)
     rows, rhs, n = cs.rows_rhs()
     assert n == len(cs.cells)
-    assert all(row is coeffs for row, (coeffs, _) in zip(rows, cs.equalities))
+    assert all(row is coeffs for row, coeffs in zip(rows, cs.equalities))
     assert (dense_row(rows[-1], n), rhs) == ((1,) * len(cs.cells), [0] * len(cs.equalities) + [1])
 
 

@@ -72,6 +72,33 @@ def test_verify_rejects_wrong_union():
     assert not res.ok
 
 
+def test_verify_rejects_families_over_the_wrong_space():
+    f = fam(C2.space, (X, 1))
+    c3 = cuntz(3)
+    other = fam(c3.space, (whole(c3.space), 1))
+    cert = ts.EquivCertificate(((identity_bisection(C2, X), 1, 1),))
+    for f1, f2 in ((other, f), (f, other)):
+        res = ts.verify_equiv(C2, f1, f2, cert)
+        assert (res.ok, res.reason) == (False, "families over the wrong space")
+
+
+def test_verify_rejects_a_triple_that_is_not_a_bisection_over_the_presentation():
+    f = fam(C2.space, (X, 1))
+    foreign = identity_bisection(cuntz(3), whole(cuntz(3).space))
+    for w in (foreign, "not a bisection"):
+        cert = ts.EquivCertificate(((identity_bisection(C2, X), 1, 1), (w, 1, 1)))
+        res = ts.verify_equiv(C2, f, f, cert)
+        assert (res.ok, res.reason) == (False, "triple 2 is not a bisection over this presentation")
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (1, 0), (-1, 1), (1, 1.0), ("1", 1), (None, 1)])
+def test_verify_rejects_bad_labels(n, m):
+    f = fam(C2.space, (X, 1))
+    cert = ts.EquivCertificate(((identity_bisection(C2, X), n, m),))
+    res = ts.verify_equiv(C2, f, f, cert)
+    assert (res.ok, res.reason) == (False, "triple 1 has bad labels")
+
+
 def test_certificate_algebra_transitive_of_reflexives():
     f = fam(C2.space, (X, 1))
     r = leq_chain.reflexive_cert(C2, f)
