@@ -1,9 +1,10 @@
 """Command line surface: parse inputs, dispatch, emit deterministic reports.
 
 Exit codes: 0 verified or found, 1 rejected or refuted, 2 inconclusive
-within budget, 3 input error.  Reports are JSON on stdout (stable key
-order, no timestamps); --human switches to prose.  All randomness flows
-from --seed, and --budget defaults to stone.DEFAULT_BUDGET search nodes.
+within budget, 3 input error, 4 internal error.  Reports are JSON on
+stdout (stable key order, no timestamps); --human switches to prose.  All
+randomness flows from --seed, and --budget defaults to
+stone.DEFAULT_BUDGET search nodes.
 
 A process pays only for its command: the common command line is parsed
 here from the COMMANDS table, argparse is imported only for help, errors
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(args, report, human_lines):
@@ -212,10 +214,14 @@ def cmd_dichotomy(args, pres):
 
     rep = states.tarski_report(pres, stone.whole(pres.space), args.depth, args.budget)
     side, note = _side(rep)
+    minimal = gpd.is_minimal(pres, args.depth)
+    if side in ("state", "paradox") and minimal != "yes":
+        # the theorem needs a minimal groupoid
+        side, note = "inconclusive", "no side without the minimality hypothesis: minimal is %s" % minimal
     report = {
         "command": "dichotomy",
         "depth": args.depth,
-        "minimal": gpd.is_minimal(pres, args.depth),
+        "minimal": minimal,
         "whole_space": rep.outcome,
         "note": note,
     }
@@ -466,6 +472,7 @@ def _parse_plain(argv):
 def main(argv=None):
     """Run one command; returns its exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
     try:
         args = _parse_plain(argv)
         if args is None:
@@ -487,6 +494,14 @@ def main(argv=None):
     except stone.InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # noqa: BLE001  (any other exception is a fault of the program)
+        import traceback
+
+        traceback.print_exc()
+        args = args or types.SimpleNamespace(command=None, human=False)
+        _emit(args, {"command": args.command, "outcome": "internal error", "reason": str(exc)},
+              ["internal error: %s" % exc])
+        return EXIT_INTERNAL
 
 
 def run():

@@ -113,7 +113,7 @@ def zero(pres):
 
 def unit_indicator(pres, clop):
     """The characteristic function of a clopen subset of the unit space."""
-    return ConvElement(pres, [(pres.piece_key((), cell), cell, Fraction(1)) for cell in clop.cells])
+    return ConvElement(pres, [(pres.piece_key((), (cell, cell)), cell, Fraction(1)) for cell in clop.cells])
 
 
 def bisection_indicator(pres, bis):
@@ -126,8 +126,8 @@ def bisection_indicator(pres, bis):
 
 def from_terms(pres, triples):
     """Build an element from (word, cell, coefficient) triples."""
-    return ConvElement(pres, [(pres.piece_key(tuple(word), cell), cell, coef)
-                              for word, cell, coef in triples])
+    return ConvElement(pres, [(pres.piece_key(word, (cell, dict(pres.word_action(word)).get(cell))),
+                               cell, coef) for word, cell, coef in triples])
 
 
 def _sum(pres, elems):

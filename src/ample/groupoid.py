@@ -264,12 +264,11 @@ class Presentation:
             if len(isotropy.gen_elements) != len(self.generators):
                 raise PresentationError("table must assign an element to every generator")
             self._element_actions, self._element_words = self._close_table(isotropy)
-        self._action_cache = {(): identity_action(space)}
-        self._point_map_cache = {}  # word -> dict(word_action(word)), finite spaces
+        self._action_cache = {(): identity_action(space)}  # words built outside the word tables
+        self._word_tables = {}  # depth -> its WordTable
         self._principal_words = {}  # src -> {tgt: principal_word(src, tgt)}
         self._steps = None  # the one-letter steps `_words_from` walks, finite spaces
         self._key_domains = {}  # arrow key -> action_domain of key_action(key)
-        self._search_words = {}  # depth -> the tiling searches' typesemigroup._Words
 
     def _defining_data(self):
         return (self.space, self.generators, self.isotropy)
@@ -322,28 +321,17 @@ class Presentation:
     # -- word machinery ----------------------------------------------------
 
     def word_action(self, word):
-        """The composite partial action of a word (rightmost applied first).
-
-        Composed from the cached action of word[:-1] when there is one, else
-        letter by letter from the identity; only the word itself is cached.
-        """
+        """The composite partial action of a word (rightmost applied first),
+        composed letter by letter from the identity and cached.  The words
+        of the enumeration keep their actions in the word tables instead."""
         word = tuple(word)
         act = self._action_cache.get(word)
         if act is None:
-            prefix = self._action_cache.get(word[:-1])
-            act, letters = (self._action_cache[()], word) if prefix is None else (prefix, word[-1:])
-            for sym in letters:
+            act = self._action_cache[()]
+            for sym in word:
                 act = compose_actions(self.space, act, self._letter_actions[sym])
             self._action_cache[word] = act
         return act
-
-    def _point_map(self, word):
-        """The action of a word on a finite space as a {point: image} dict."""
-        word = tuple(word)
-        cached = self._point_map_cache.get(word)
-        if cached is None:
-            cached = self._point_map_cache[word] = dict(self.word_action(word))
-        return cached
 
     def table_element(self, word):
         table = self.isotropy
@@ -356,14 +344,15 @@ class Presentation:
     def element_action(self, e):
         return self._element_actions[e]
 
-    def piece_key(self, word, src=None):
-        """Arrow identity key of a word under the isotropy model."""
+    def piece_key(self, word, pair=None):
+        """Arrow identity key of a word under the isotropy model; in the
+        principal model, of its piece that acts by the (source, target)
+        pair, which is then the key."""
         if self.isotropy == FREE:
             return ("w", reduce_word(word))
         if isinstance(self.isotropy, Table):
             return ("e", self.table_element(word))
-        # principal: the arrow is its (source, target) pair
-        return ("p", (src, self._point_map(word).get(src)))
+        return ("p", pair)
 
     def key_action(self, key):
         """The partial action the canonical piece acts by."""
@@ -498,16 +487,19 @@ class Bisection:
                 continue
             if isinstance(pres.isotropy, Table):
                 # a word names its element, which acts wherever any word naming it does
+                act = ()
                 word_dom = pres.key_domain(pres.piece_key(word))
             else:
-                word_dom = action_domain(space, pres.word_action(word))
+                act = pres.word_action(word)
+                word_dom = action_domain(space, act)
             if not dom.subset_of(word_dom):
                 raise PresentationError(
                     "piece domain %r escapes the partial map of its word" % (list(dom.cells),)
                 )
             if space.kind == stone.FINITE:
+                image = dict(act)
                 for x in dom.cells:
-                    merged.setdefault(pres.piece_key(word, x), []).append(x)
+                    merged.setdefault(pres.piece_key(word, (x, image.get(x))), []).append(x)
             else:
                 merged.setdefault(pres.piece_key(word), []).extend(dom.cells)
         out = []
@@ -616,61 +608,87 @@ def from_word(pres, word, domain=None):
 
 
 # ---------------------------------------------------------------------------
-# enumeration and saturation
+# the word table: enumeration and saturation
 
 
 class Enumeration(Record):
     __slots__ = ("bisections",)
 
 
-def enumerate_words(pres, depth):
-    """Freely reduced words of length at most depth whose action is
-    nonempty, by (length, symbols).
+class WordTable:
+    """The words of one presentation up to one depth, each with its action.
 
-    The appended letter acts first, so every extension of a word with an
-    empty action has an empty action too: such a word is neither yielded
-    nor extended.  The words that remain come in the order of the full
-    enumeration.
+    entries: (word, action) for each freely reduced word of length at most
+    the depth whose action is nonempty, by (length, symbols).  images and
+    bisections are the tiling search's memos: shift cell -> its (word,
+    `cell_images`) list, and (word, cell) -> the Bisection of the word on
+    that cell.
 
-    On Finite(n) a word w extended by a letter s acts nonemptily exactly
-    when the range of s meets the domain of w, so only the letters whose
-    range holds a point of that domain are tried.
-
-    Each extension's action comes from `word_action`, which composes it
-    once from its parent's cached action.
+    Each action is composed once, from its parent's: the appended letter
+    acts first, so every extension of a word with an empty action has an
+    empty action too, and such a word is neither listed nor extended.  On
+    Finite(n) a word w extended by a letter s acts nonemptily exactly when
+    the range of s meets the domain of w, so only the letters whose range
+    holds a point of that domain are tried.
     """
-    syms = sorted(
-        [(g, 1) for g in range(len(pres.generators))]
-        + [(g, -1) for g in range(len(pres.generators))],
-        key=_symbol_key,
-    )
-    if pres.space.kind == stone.FINITE:
-        by_point = {}  # point -> the ranks in syms of the letters whose range holds it
-        for rank, s in enumerate(syms):
-            for _, t in pres._letter_actions[s]:
-                by_point.setdefault(t, []).append(rank)
 
-        def candidates(act):
-            ranks = {r for x, _ in act for r in by_point.get(x, ())}
-            return [syms[r] for r in sorted(ranks)]
-    else:
-        def candidates(act):
-            return syms
-    unit = pres.word_action(())
-    level = [((), unit)] if unit else []  # (word, its action)
-    yield from (w for w, _ in level)
-    for _ in range(depth):
-        nxt = []
-        for w, act in level:
-            for s in candidates(act):
-                if w and w[-1][0] == s[0] and w[-1][1] == -s[1]:
-                    continue
-                v = w + (s,)
-                v_act = pres.word_action(v)
-                if v_act:
-                    nxt.append((v, v_act))
-        yield from (w for w, _ in nxt)
-        level = nxt
+    __slots__ = ("space", "entries", "_pieces", "images", "bisections")
+
+    def __init__(self, pres, depth):
+        self.space = space = pres.space
+        letters = pres._letter_actions
+        syms = sorted(letters, key=_symbol_key)
+        if space.kind == stone.FINITE:
+            by_point = {}  # point -> the ranks in syms of the letters whose range holds it
+            for rank, s in enumerate(syms):
+                for _, t in letters[s]:
+                    by_point.setdefault(t, []).append(rank)
+
+            def candidates(act):
+                ranks = {r for x, _ in act for r in by_point.get(x, ())}
+                return [syms[r] for r in sorted(ranks)]
+        else:
+            def candidates(act):
+                return syms
+        unit = identity_action(space)
+        level = [((), unit)] if unit else []
+        found = list(level)
+        for _ in range(depth):
+            nxt = []
+            for w, act in level:
+                for s in candidates(act):
+                    if w and w[-1][0] == s[0] and w[-1][1] == -s[1]:
+                        continue
+                    v_act = compose_actions(space, act, letters[s])
+                    if v_act:
+                        nxt.append((w + (s,), v_act))
+            found += nxt
+            level = nxt
+        self.entries = found
+        self._pieces = None
+        self.images = {}
+        self.bisections = {}
+
+    @property
+    def pieces(self):
+        """(word, action, domain) of each entry, and the depth of the deepest
+        domain, built on first use: on the shift, which takes only free
+        isotropy, the domain is the word's canonical domain
+        `action_domain(action)`; on Finite(n) it is None, and the depth 0."""
+        if self._pieces is None:
+            shift = self.space.kind == stone.SHIFT
+            pieces = [(w, act, action_domain(self.space, act) if shift else None)
+                      for w, act in self.entries]
+            self._pieces = pieces, max((dom.max_depth() for _, _, dom in pieces if shift), default=0)
+        return self._pieces
+
+
+def word_table(pres, depth):
+    """The presentation's WordTable at this depth, built on first use."""
+    table = pres._word_tables.get(depth)
+    if table is None:
+        table = pres._word_tables[depth] = WordTable(pres, depth)
+    return table
 
 
 def enumerate_bisections(pres, depth):
@@ -681,8 +699,8 @@ def enumerate_bisections(pres, depth):
     """
     seen = set()
     out = []
-    for w in enumerate_words(pres, depth):
-        b = from_word(pres, w)
+    for w, act in word_table(pres, depth).entries:
+        b = from_word(pres, w, action_domain(pres.space, act))
         ident = b.identity_key()
         if ident in seen:
             continue
@@ -695,8 +713,9 @@ def saturate(pres, part, depth):
     """The union of all word images of the clopen, over words up to depth,
     canonicalized once.  The empty word acts as the identity, so the clopen
     is one of its images."""
-    return clopen(pres.space, [image for w in enumerate_words(pres, depth)
-                               for _, image in cell_images(pres.space, pres.word_action(w), part.cells)])
+    space = pres.space
+    return clopen(space, [image for _, act in word_table(pres, depth).entries
+                          for _, image in cell_images(space, act, part.cells)])
 
 
 def is_minimal(pres, depth):

@@ -119,7 +119,7 @@ def weaken(pres, w, k2, l2):
     out = ParadoxWitness(w.a, k2, l2, rows)
     res = verify_witness(pres, out)
     if not res:
-        raise WitnessError("internal: weakening produced a non-verifying witness: %s" % res.reason)
+        raise stone.InternalError("weakening produced a non-verifying witness: %s" % res.reason)
     return out
 
 
@@ -147,7 +147,7 @@ def search_witness(pres, a, k, l, depth, budget=stone.DEFAULT_BUDGET):
     w = ParadoxWitness(a, k, l, tuple(map(tuple, rows)))
     res = verify_witness(pres, w)
     if not res:
-        raise WitnessError("internal: search produced a non-verifying witness: %s" % res.reason)
+        raise stone.InternalError("search produced a non-verifying witness: %s" % res.reason)
     return SearchOutcome(w, "found", outcome.stats)
 
 

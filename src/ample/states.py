@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import simplex, stone
 from .stone import Record, clopen
-from .groupoid import enumerate_words, word_str
+from .groupoid import word_str, word_table
 
 # The largest n for which the Tarski report searches an (n+1, n) witness.
 TARSKI_MAX_DROP = 3
@@ -53,7 +53,7 @@ class ConstraintSystem(Record):
     def notes(self):
         """Each row's note, for a Farkas report: its arrow's canonical word, its cells."""
         pres = self.pres
-        return ["%s: %s = %s" % (word_str(pres.canonical_word(pres.piece_key(word, s))), [s], [a])
+        return ["%s: %s = %s" % (word_str(pres.canonical_word(pres.piece_key(word, (s, a)))), [s], [a])
                 for word, s, a in self.sources]
 
 
@@ -80,8 +80,8 @@ def build_constraints(pres, depth):
     partial = False
     # generator words always enter the enumeration; at depth 0 their pairs
     # are simply too deep and the system is marked partial
-    for word in enumerate_words(pres, max(depth, 1)):
-        for s, a in pres.word_action(word):
+    for word, act in word_table(pres, max(depth, 1)).entries:
+        for s, a in act:
             if s == a:
                 continue
             if shift and max(len(s), len(a)) > depth:

@@ -46,6 +46,11 @@ class InputError(ValueError):
     as an input error and exits 3."""
 
 
+class InternalError(Exception):
+    """A fault of the program, not of its input: a search whose certificate
+    fails its own verifier, say.  The CLI reports it and exits 4."""
+
+
 class SpaceMismatch(InputError):
     """Operands live over different unit spaces."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import stone
 from .stone import Frozen, Record, clopen, empty
-from .groupoid import Bisection, cell_images, enumerate_words, identity_bisection
+from .groupoid import Bisection, cell_images, identity_bisection, word_table
 
 
 class FamilyError(stone.InputError):
@@ -196,52 +196,12 @@ class SearchOutcome(Record):
     _uncompared = ("stats",)
 
 
-def _word_pieces(pres, words):
-    """(word, action, canonical domain) of each word in order, the domain
-    only on the shift, where both the cell depth and the compile read it."""
-    shift = pres.space.kind == stone.SHIFT
-    return [(w, pres.word_action(w), pres.key_domain(pres.piece_key(w)) if shift else None)
-            for w in words]
-
-
-def _cell_depth(pres, families, pieces):
-    """Depth of cells tiling the family entries, fine enough for all word domains."""
+def _cell_depth(pres, families, deepest):
+    """Depth of cells tiling the family entries, fine enough for word domains
+    as deep as `deepest`."""
     if pres.space.kind == stone.FINITE:
         return 0
-    depth = 0
-    for fam in families:
-        for c in fam.entries:
-            depth = max(depth, c.max_depth())
-    for _, _, dom in pieces:
-        depth = max(depth, dom.max_depth())
-    return depth
-
-
-class _Words:
-    """What the tiling searches on one presentation at one depth share.
-
-    pieces: `_word_pieces` of the words up to the depth; depth: the
-    `_cell_depth` of the pieces alone; images: shift cell -> its (word,
-    `cell_images`) list, as `_compile_pieces` finds it, filled as searches
-    meet the cell; bisections: (word, cell) -> the Bisection of the word
-    on that cell, filled as searches choose the pair.
-    """
-
-    __slots__ = ("pieces", "depth", "images", "bisections")
-
-    def __init__(self, pres, depth):
-        self.pieces = _word_pieces(pres, enumerate_words(pres, depth))
-        self.depth = _cell_depth(pres, (), self.pieces)
-        self.images = {}
-        self.bisections = {}
-
-
-def _words(pres, depth):
-    """The presentation's `_Words` at this depth, built on first use."""
-    memo = pres._search_words.get(depth)
-    if memo is None:
-        memo = pres._search_words[depth] = _Words(pres, depth)
-    return memo
+    return max([deepest] + [c.max_depth() for fam in families for c in fam.entries])
 
 
 def _family_slots(fam, depth):
@@ -253,7 +213,7 @@ def _family_slots(fam, depth):
 
 
 def _compile_pieces(pres, pieces, cells, targets, cached):
-    """Compile a tiling search onto integer bit masks, from `_word_pieces`.
+    """Compile a tiling search onto integer bit masks, from `WordTable.pieces`.
 
     Returns (options, masks, leaves).  options[cell] lists, in word order,
     (canonical word of the arrow acting there, image mask) for each word
@@ -264,7 +224,7 @@ def _compile_pieces(pres, pieces, cells, targets, cached):
     (1 << end) - (1 << start): on Finite(n) bit x is the point x, and on
     the shift masks grow with the words met, not as k^depth.  A shift cell
     must be no shallower than any word's canonical domain.  On the shift,
-    `cached` (the `_Words.images` of the same pieces, or a new dict)
+    `cached` (the `WordTable.images` of the same pieces, or a new dict)
     supplies the `cell_images` of the cells it holds and keeps those of
     the others.
     """
@@ -283,11 +243,11 @@ def _compile_pieces(pres, pieces, cells, targets, cached):
         images = {cell: [] for cell in cells}
         seen = set()
         for w, act, _ in pieces:
-            keys = tuple((pres.piece_key(w, x), x) for x, _ in act)
+            keys = tuple((pres.piece_key(w, pair), pair) for pair in act)
             if keys in seen:
                 continue
             seen.add(keys)
-            for (key, x), (_, y) in zip(keys, act):
+            for key, (x, y) in keys:
                 if x in images:
                     images[x].append((pres.canonical_word(key), [(x, y)]))
     image_words = {w for t in targets for w in t.cells}
@@ -324,14 +284,15 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
     remainder of a <= certificate.  The backtracking keeps an explicit
     stack, so the slot count is not capped by Python's recursion limit.
     The words, the cells' image words and the chosen bisections come from
-    the presentation's `_Words` at this depth, built once; the masks are
+    the presentation's word table at this depth, built once; the masks are
     the search's own.  Returns the outcome, whose triples follow slot
     order, and the leftover clopen of each label of f2.
     """
-    words = _words(pres, depth)
-    slots = _family_slots(f1, max(words.depth, _cell_depth(pres, [f1, f2], ())))
+    table = word_table(pres, depth)
+    pieces, deepest = table.pieces
+    slots = _family_slots(f1, _cell_depth(pres, [f1, f2], deepest))
     cells = list(dict.fromkeys(cell for _, cell in slots))
-    options, masks, leaves = _compile_pieces(pres, words.pieces, cells, f2.entries, words.images)
+    options, masks, leaves = _compile_pieces(pres, pieces, cells, f2.entries, table.images)
     fits = {cell: [(word, m, image) for word, image in options[cell]
                    for m, mask in zip(f2.labels, masks) if image & mask == image]
             for cell in cells}
@@ -404,7 +365,7 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
     if status != "found":
         return SearchOutcome(None, status, stats), None
     space = pres.space
-    bisections = words.bisections
+    bisections = table.bisections
     triples = []
     for (word, m, _), (label, cell) in zip(chosen, slots):
         bis = bisections.get((word, cell))
@@ -427,7 +388,7 @@ def search_equiv(pres, f1, f2, depth, budget=stone.DEFAULT_BUDGET):
     if outcome.status == "found":
         res = verify_equiv(pres, f1, f2, outcome.certificate)
         if not res:
-            raise FamilyError("internal: search produced a non-verifying certificate: %s" % res.reason)
+            raise stone.InternalError("search produced a non-verifying certificate: %s" % res.reason)
     return outcome
 
 

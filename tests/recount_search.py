@@ -1,22 +1,22 @@
 """The tiling search as it was before it kept fit lists: the oracle of the engine.
 
 `typesemigroup._search_tiling` keeps, per refinement cell, the list of its
-candidates that still fit, and reuses its words, cell images and chosen
-bisections across the searches on one presentation and depth.  This copy
-recounts every open slot's fitting candidates at every node and builds
-everything afresh on each call; the tests compare the two on status,
-triples, stats and leftovers.
+candidates that still fit, and reuses the word table's words, cell images
+and chosen bisections across the searches on one presentation and depth.
+This copy recounts every open slot's fitting candidates at every node and
+builds everything afresh on each call, its word table included; the tests
+compare the two on status, triples, stats and leftovers.
 """
 
 from ample import typesemigroup as ts
-from ample.groupoid import Bisection, enumerate_words
+from ample.groupoid import Bisection, WordTable
 from ample.stone import clopen
 
 
 def search_tiling(pres, f1, f2, depth, budget, exact):
     """Tile the cells of f1 into f2 by pieces; returns (outcome, leftover)."""
-    pieces = ts._word_pieces(pres, enumerate_words(pres, depth))
-    slots = ts._family_slots(f1, ts._cell_depth(pres, [f1, f2], pieces))
+    pieces, deepest = WordTable(pres, depth).pieces
+    slots = ts._family_slots(f1, ts._cell_depth(pres, [f1, f2], deepest))
     cells = list(dict.fromkeys(cell for _, cell in slots))
     options, masks, leaves = ts._compile_pieces(pres, pieces, cells, f2.entries, {})
     fitting = {cell: [(word, m, image) for word, image in options[cell]

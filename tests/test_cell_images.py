@@ -61,8 +61,7 @@ def test_cell_images_give_the_old_image_cells(seed):
     rng = random.Random(seed)
     for pres in _presentations(seed):
         space = pres.space
-        for w in gpd.enumerate_words(pres, 3):
-            act = pres.word_action(w)
+        for _, act in gpd.word_table(pres, 3).entries:
             # raw cell lists, overlapping and repeated cells included
             cells = (rng.choices(range(space.size), k=rng.randint(0, 6)) if space.kind == FINITE
                      else rng.choices([c for d in range(4) for c in space.cells_at_depth(d)],

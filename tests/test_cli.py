@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ample import cli, convalg, serialize as ser, stone
 from ample import paradox as px
 from ample import typesemigroup as ts
-from ample.groupoid import cuntz, odometer, rotation
+from ample.groupoid import cuntz, finite_groupoid, odometer, rotation
 from ample.stone import whole
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -200,10 +200,34 @@ def test_type_eq_prints_no_certificate_that_fails_to_verify(tmp_path, capsys, mo
     monkeypatch.setattr(ts, "_search_tiling", drop_a_triple)
     code, out, err = run(capsys, "type-eq", "cuntz:2", "--left", str(left), "--right", str(right),
                          "--depth", "1", "-o", str(cert))
-    assert (code, out) == (3, "")
-    assert err == ("input error: internal: search produced a non-verifying certificate:"
-                   " domain union at label 2 is ['1'], expected ['']\n")
+    # a fault of the program, not of the input: exit 4, with its traceback
+    assert code == 4
+    assert json.loads(out) == {"command": "type-eq", "outcome": "internal error",
+                               "reason": "search produced a non-verifying certificate:"
+                                         " domain union at label 2 is ['1'], expected ['']"}
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("ample.stone.InternalError: search produced a non-verifying certificate:"
+                        " domain union at label 2 is ['1'], expected ['']\n")
     assert not cert.exists()
+
+
+@pytest.mark.parametrize("human", [False, True])
+def test_any_exception_but_an_input_error_is_an_internal_error(capsys, monkeypatch, human):
+    def fail(args, pres):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli.COMMANDS, "orbits", (fail,) + cli.COMMANDS["orbits"][1:])
+    code, out, err = run(capsys, *(["--human"] if human else []), "orbits", "pair:3")
+    assert code == cli.EXIT_INTERNAL == 4
+    if human:
+        assert out == "internal error: 'lost'\n"
+    else:
+        assert json.loads(out) == {"command": "orbits", "outcome": "internal error",
+                                   "reason": "'lost'"}
+    assert "Traceback" in err and err.endswith("KeyError: 'lost'\n")
+    # an input error keeps its own exit code
+    code, out, err = run(capsys, "orbits", "cuntz:1")
+    assert (code, out) == (3, "") and err.startswith("input error")
 
 
 @pytest.mark.parametrize("table, message", [
@@ -348,7 +372,7 @@ def test_probe_and_dichotomy(capsys):
 
 
 @pytest.mark.parametrize("alias, depth, expected", [
-    ("cuntz:2", 0, 2), ("odometer", 1, 2), ("odometer", 2, 2), ("odometer", 3, 0)])
+    ("cuntz:2", 0, 2), ("odometer", 1, 2), ("odometer", 2, 2), ("rotation:3", 2, 0)])
 def test_dichotomy_claims_no_side_from_a_partial_system(capsys, alias, depth, expected):
     # below depth 3 the odometer's pieces of length 2 and 3 are skipped
     code, out, _ = run(capsys, "dichotomy", alias, "--depth", str(depth), "--budget", "2000")
@@ -360,6 +384,24 @@ def test_dichotomy_claims_no_side_from_a_partial_system(capsys, alias, depth, ex
         assert "skipped" in report["note"]
     else:
         assert report["side"].startswith("stably finite")
+
+
+@pytest.mark.parametrize("alias, depth, minimal", [
+    ("odometer", 3, "unknown"), ("odometer", 6, "unknown"),
+    ("FINITE", 2, "no")])
+def test_dichotomy_claims_no_side_without_minimality(capsys, tmp_path, alias, depth, minimal):
+    # the odometer's system is complete from depth 3 and has a state, but
+    # the truncated odometer is never shown minimal; pair(2) next to a fixed
+    # point has two orbits
+    if alias == "FINITE":
+        alias = str(tmp_path / "two_orbits.json")
+        (tmp_path / "two_orbits.json").write_text(ser.dumps(ser.encode_presentation(
+            finite_groupoid(3, [[(0, 1)]]))))
+    code, out, _ = run(capsys, "dichotomy", alias, "--depth", str(depth), "--budget", "2000")
+    report = json.loads(out)
+    assert (code, report["minimal"], report["side"]) == (2, minimal, "inconclusive")
+    assert report["note"] == "no side without the minimality hypothesis: minimal is %s" % minimal
+    assert "state" not in report and "witness" not in report
 
 
 def test_reports_are_deterministic(capsys):

@@ -342,7 +342,8 @@ def _listed(elem):
 
 ALIASES = ("cuntz:2", "odometer", "rotation:3", "rotation:3:table", "pair:4")
 PRESENTATIONS = {alias: gpd.builtin(alias) for alias in ALIASES}
-WORDS = {alias: list(gpd.enumerate_words(pres, 2)) for alias, pres in PRESENTATIONS.items()}
+WORDS = {alias: [w for w, _ in gpd.word_table(pres, 2).entries]
+         for alias, pres in PRESENTATIONS.items()}
 
 
 @hs.composite
@@ -367,7 +368,8 @@ def test_cylinder_word_algebra_matches_the_clopen_oracle(data):
     pres = PRESENTATIONS[alias]
     raw_a, raw_b = data.draw(_raw_terms(alias)), data.draw(_raw_terms(alias))
     a, b = ca.from_terms(pres, raw_a), ca.from_terms(pres, raw_b)
-    keyed = [(pres.piece_key(word, cell), cell, coef) for word, cell, coef in raw_a]
+    keyed = [(pres.piece_key(word, (cell, dict(pres.word_action(word)).get(cell))), cell, coef)
+             for word, cell, coef in raw_a]
     assert _listed(a) == _canonical_terms(pres, keyed)
     assert _listed(ca.conv(a, b)) == _clopen_conv(a, b)
     assert _listed(ca.star(a)) == _clopen_star(a)

@@ -77,9 +77,14 @@ def _sha256(data):
 
 def summarize(stdout):
     """The top-level scalars and `stats` of a report, and the number of
-    scalars in each of its other top-level containers."""
+    scalars in each of its other top-level containers; of prose (--human),
+    its number of lines."""
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return {"lines": stdout.count("\n")}
     summary = {}
-    for key, value in json.loads(stdout).items():
+    for key, value in report.items():
         if key == "stats" or not isinstance(value, (dict, list)):
             summary[key] = value
             continue
@@ -159,6 +164,7 @@ def test_changes_name_each_field_that_moved():
                                  "  summary.stats.nodes: 16 -> 3"]
     assert summarize('{"a": 1, "b": [[1, 2], {"c": null}], "stats": {"n": 2}, "d": {}}\n') == \
         {"a": 1, "b": 3, "stats": {"n": 2}, "d": 0}
+    assert summarize("found a (2,1) witness\n") == {"lines": 1}
 
 
 if __name__ == "__main__":

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from ample import groupoid as gpd
+from ample import states
+from ample.orbits import orbit_partition
 from ample.groupoid import (
     GroupElement,
     PartialInjection,
@@ -254,7 +256,7 @@ def test_saturate_monotone_in_depth():
 def fold_saturate(pres, part, depth):
     """`saturate` as one clopen union per word, its oracle."""
     out = part
-    for w in gpd.enumerate_words(pres, depth):
+    for w in _enumeration_trying_every_letter(pres, depth):
         out = out.union(gpd.action_apply(pres.space, pres.word_action(w), part))
     return out
 
@@ -292,6 +294,33 @@ def test_minimality_of_cuntz_three_at_depth_five_is_fast():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=10)
     assert proc.stdout == "yes\n"
+
+
+def _minimal_enumerating_per_cell(pres, depth):
+    """`is_minimal` as it was before the word table, its oracle: each
+    depth-d cylinder is saturated under a fresh enumeration of the words."""
+    space = pres.space
+    if space.kind == FINITE:
+        return "yes" if orbit_partition(pres).count == 1 else "no"
+    pieces = [p for act in pres.gen_actions for s, a in act for p in ((s, a), (a, s))]
+    for w in space.cells_at_depth(depth + 1):
+        if not any(w.startswith(s) and len(a) + len(w) - len(s) <= depth for s, a in pieces):
+            return "unknown"
+    for cell in space.cells_at_depth(depth):
+        images = [image for w in _enumeration_trying_every_letter(pres, depth)
+                  for _, image in gpd.cell_images(space, pres.word_action(w), [cell])]
+        if clopen(space, images) != whole(space):
+            return "unknown"
+    return "yes"
+
+
+# cuntz:3 stops at depth 5: at depth 6 the oracle alone takes about 20 s
+@pytest.mark.parametrize("alias, depth", [
+    (alias, depth) for alias in ("cuntz:2", "cuntz:3", "odometer", "odometer:6", "rotation:3",
+                                 "rotation:3:table", "pair:4", "trivial:3")
+    for depth in range(6 if alias == "cuntz:3" else 7)])
+def test_minimality_keeps_the_verdicts_of_enumerating_per_cell(alias, depth):
+    assert is_minimal(builtin(alias), depth) == _minimal_enumerating_per_cell(builtin(alias), depth)
 
 
 def test_builtin_aliases():
@@ -500,23 +529,33 @@ def _nonempty_words(pres, depth):
 def test_enumerated_words_are_the_nonempty_ones_in_order(spec, depth):
     pres = _seeded_finite(4, points=12, injections=3, pairs=4) if spec == "finite" else builtin(spec)
     expected = _nonempty_words(pres, depth)
-    assert list(gpd.enumerate_words(pres, depth)) == expected
+    assert _table_words(pres, depth) == expected
+
+
+def _table_words(pres, depth):
+    return [w for w, _ in gpd.word_table(pres, depth).entries]
+
+
+def _fresh(pres):
+    """An equal presentation with none of the caches of `pres`."""
+    return Presentation(pres.space, pres.generators, pres.isotropy)
 
 
 @pytest.mark.parametrize("spec, depth", [("cuntz:2", 6), ("cuntz:3", 4), ("odometer:6", 5),
                                          ("rotation:4:table", 4), ("pair:5", 3), ("finite", 4)])
 def test_enumeration_caches_the_actions_word_action_computes(spec, depth):
     pres = _seeded_finite(4, points=12, injections=3, pairs=4) if spec == "finite" else builtin(spec)
-    words = list(gpd.enumerate_words(pres, depth))
-    fresh = _seeded_finite(4, points=12, injections=3, pairs=4) if spec == "finite" else builtin(spec)
-    assert set(words) <= set(pres._action_cache)
+    entries = gpd.word_table(pres, depth).entries
+    fresh = _fresh(pres)
     # a fresh presentation composes each word letter by letter
-    assert {w: fresh.word_action(w) for w in pres._action_cache} == pres._action_cache
+    assert [act for _, act in entries] == [fresh.word_action(w) for w, _ in entries]
+    # the table holds the actions, the action cache none of them
+    assert pres._action_cache == {(): gpd.identity_action(pres.space)}
 
 
 def test_enumeration_skips_the_words_with_empty_actions():
     # 12,287 of the 118,097 freely reduced words of length <= 10 act nonemptily
-    assert sum(1 for _ in gpd.enumerate_words(cuntz(2), 10)) == 12287
+    assert len(gpd.word_table(cuntz(2), 10).entries) == 12287
 
 
 def _enumeration_trying_every_letter(pres, depth):
@@ -547,7 +586,58 @@ def _finite_presentations(draw):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(pres=_finite_presentations(), depth=hs.integers(0, 4))
 def test_finite_enumeration_tries_only_letters_into_the_domain(pres, depth):
-    assert list(gpd.enumerate_words(pres, depth)) == _enumeration_trying_every_letter(pres, depth)
+    assert _table_words(pres, depth) == _enumeration_trying_every_letter(pres, depth)
+
+
+@hs.composite
+def _shift_presentations(draw):
+    """Prefix maps and group elements of disjoint cylinder pieces on the shift."""
+    space = UnitSpace.shift(draw(hs.integers(2, 3)))
+    words = [c for d in range(3) for c in space.cells_at_depth(d)]
+    gens = []
+    for g in range(draw(hs.integers(1, 3))):
+        if draw(hs.booleans()):
+            gens.append(PrefixMap(draw(hs.sampled_from(words)), draw(hs.sampled_from(words))))
+            continue
+        strips = space.cells_at_depth(draw(hs.integers(0, 2)))
+        adds = space.cells_at_depth(draw(hs.integers(0, 2)))
+        count = draw(hs.integers(1, min(len(strips), len(adds), 3)))
+        pieces = zip(draw(hs.permutations(strips))[:count], draw(hs.permutations(adds))[:count])
+        gens.append(GroupElement("g%d" % g, tuple(pieces)))
+    return Presentation(space, gens)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(pres=hs.one_of(_shift_presentations(), _finite_presentations()), depth=hs.integers(0, 4))
+def test_word_table_lists_the_nonempty_words_with_their_letter_folds(pres, depth):
+    table = gpd.word_table(pres, depth)
+    fresh = _fresh(pres)
+    assert [w for w, _ in table.entries] == _enumeration_trying_every_letter(fresh, depth)
+    assert [act for _, act in table.entries] == [_letter_fold(fresh, w) for w, _ in table.entries]
+    # the search's pieces add the canonical domain on the shift
+    shift = pres.space.kind != FINITE
+    pieces, deepest = table.pieces
+    assert pieces == [(w, act, fresh.key_domain(fresh.piece_key(w)) if shift else None)
+                      for w, act in table.entries]
+    assert deepest == max((len(c) for _, _, dom in pieces if shift for c in dom.cells), default=0)
+
+
+def test_the_word_table_is_built_once_per_depth_without_word_action(monkeypatch):
+    # each action is composed from its parent's, never through word_action
+    # or the action cache, and every reader shares the one table
+    def refuse(*args, **kwargs):
+        raise AssertionError("an enumerated word went through word_action")
+
+    monkeypatch.setattr(Presentation, "word_action", refuse)
+    for alias in ("cuntz:2", "odometer:6", "pair:5", "rotation:4:table"):
+        pres = builtin(alias)
+        pres._action_cache = None  # any lookup fails
+        table = gpd.word_table(pres, 4)
+        assert gpd.word_table(pres, 4) is table
+        is_minimal(pres, 4)
+        saturate(pres, whole(pres.space), 4)
+        states.build_constraints(pres, 4)
+        assert list(pres._word_tables) == [4] and pres._word_tables[4] is table
 
 
 @pytest.mark.parametrize("space, pieces, which", [

@@ -261,12 +261,33 @@ def test_checker_finds_attribute_readers(tmp_path):
     assert attribute_readers(sorted(tmp_path.glob("*.py")), "isotropy") == ["a.py"]
 
 
+def callers(paths, name):
+    """The names of the files among `paths` that call `name`, as a name or
+    an attribute."""
+    return [path.name for path in paths
+            if any(isinstance(node, ast.Call)
+                   and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                   for node in ast.walk(ast.parse(path.read_text())))]
+
+
+def test_checker_finds_callers(tmp_path):
+    (tmp_path / "a.py").write_text("x = f(1)\n")
+    (tmp_path / "b.py").write_text("y = m.f(2)\n")
+    (tmp_path / "c.py").write_text("z = f\nw = m.f\nv = g(f)\n")
+    assert callers(sorted(tmp_path.glob("*.py")), "f") == ["a.py", "b.py"]
+
+
 def test_only_groupoid_knows_the_isotropy_model_and_the_action_cache():
     # the arrow keys and their algebra live in groupoid; orbits decides
     # principality and serialize writes the model, so they read it too
     paths = sorted(ROOT.glob("src/ample/*.py"))
     assert attribute_readers(paths, "isotropy") == ["groupoid.py", "orbits.py", "serialize.py"]
     assert attribute_readers(paths, "_action_cache") == ["groupoid.py"]
+    # the word tables and the letter actions they are composed from are
+    # groupoid's, and so is composing actions
+    assert attribute_readers(paths, "_word_tables") == ["groupoid.py"]
+    assert attribute_readers(paths, "_letter_actions") == ["groupoid.py"]
+    assert callers(paths, "compose_actions") == ["groupoid.py"]
 
 
 def test_only_the_golden_table_pins_digests():

@@ -8,6 +8,7 @@ import pytest
 
 import leq_chain
 from ample import groupoid as gpd
+from ample import stone
 from ample import paradox as px
 from ample import serialize as ser
 from ample import typesemigroup as ts
@@ -163,6 +164,25 @@ def test_weaken_rejects_bad_shapes_and_witnesses():
     gap = px.ParadoxWitness(w.a, 2, 1, (w.rows[0], ()))
     with pytest.raises(px.WitnessError, match="does not verify: row 2"):
         px.weaken(C2, gap, 5, 3)
+
+
+def test_a_witness_that_fails_its_own_verifier_is_an_internal_error(monkeypatch):
+    # not an input error: the caller's witness and set were fine
+    w = px.cuntz_witness(C2, "")
+    verify = px.verify_witness
+    calls = []
+
+    def reject_all_but_the_first(pres, witness):
+        calls.append(witness)
+        return verify(pres, witness) if len(calls) == 1 else ts.VerifyResult(False, "made up")
+
+    monkeypatch.setattr(px, "verify_witness", reject_all_but_the_first)
+    # weaken checks its input, accepted, and then its result
+    with pytest.raises(stone.InternalError, match="^weakening produced a non-verifying witness: made up$"):
+        px.weaken(C2, w, 3, 2)
+    with pytest.raises(stone.InternalError, match="^search produced a non-verifying witness: made up$"):
+        px.search_witness(C2, X2, 2, 1, 1)
+    assert not issubclass(stone.InternalError, stone.InputError)
 
 
 # The shapes the direct weakening is compared on with the certificate chain.

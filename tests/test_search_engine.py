@@ -95,10 +95,10 @@ def _check_against_the_bisection_calculus(pres, depth):
     order (each first-wins representative of its arrows), restricted to
     the cell, with their image under `apply`."""
     space = pres.space
-    pieces = ts._word_pieces(pres, gpd.enumerate_words(pres, depth))
+    pieces, deepest = gpd.WordTable(pres, depth).pieces
     enum = gpd.enumerate_bisections(pres, depth).bisections
     a = whole(space)
-    cell_depth = ts._cell_depth(pres, [ts.family_of(a)], pieces)
+    cell_depth = ts._cell_depth(pres, [ts.family_of(a)], deepest)
     if space.kind != FINITE:
         assert cell_depth == max(b.dom().max_depth() for b in enum)
     cells = a.expand(cell_depth)
@@ -243,8 +243,8 @@ def test_masks_grow_with_the_words_met_not_with_depth():
     out = px.search_witness(c9, a, 2, 1, 2)
     assert out.status == "found"
     assert px.verify_witness(c9, out.certificate).ok
-    pieces = ts._word_pieces(c9, gpd.enumerate_words(c9, 2))
-    cells = a.expand(ts._cell_depth(c9, [ts.family_of(a)], pieces))
+    pieces, deepest = gpd.WordTable(c9, 2).pieces
+    cells = a.expand(ts._cell_depth(c9, [ts.family_of(a)], deepest))
     options, masks, leaves = ts._compile_pieces(c9, pieces, cells, [a], {})
     to_clopen = _decoder(c9.space, leaves)
     images = [m for found in options.values() for _, m in found]
@@ -400,14 +400,14 @@ def test_one_presentation_searched_at_many_depths_answers_as_fresh_ones(alias):
                 got = _tiling(ts._search_tiling, pres, f1, f2, depth, 2000, exact)
                 fresh = gpd.builtin(alias)
                 assert got == _tiling(ts._search_tiling, fresh, f1, f2, depth, 2000, exact)
-    assert sorted(pres._search_words) == [1, 3, 4]
+    assert sorted(pres._word_tables) == [1, 3, 4]
 
 
 def test_a_memoised_bisection_equals_a_fresh_one():
     pres = gpd.cuntz(2)
     a = whole(pres.space)
     first = px.search_witness(pres, a, 2, 1, 3).certificate
-    memo = pres._search_words[3].bisections
+    memo = pres._word_tables[3].bisections
     assert len(memo) == 2 * len(a.expand(3))
     for (word, cell), bis in memo.items():
         assert bis.pres is pres
@@ -424,7 +424,7 @@ def test_equal_presentations_keep_their_own_memos():
     p1, p2 = gpd.cuntz(2), gpd.cuntz(2)
     assert p1 == p2 and p1 is not p2
     px.search_witness(p1, whole(p1.space), 2, 1, 2)
-    assert list(p1._search_words) == [2] and not p2._search_words
+    assert list(p1._word_tables) == [2] and not p2._word_tables
     out = px.search_witness(p2, whole(p2.space), 2, 1, 2)
-    assert p2._search_words[2] is not p1._search_words[2]
+    assert p2._word_tables[2] is not p1._word_tables[2]
     assert all(bis.pres is p2 for row in out.certificate.rows for bis, _ in row)

@@ -273,8 +273,7 @@ def test_index_range_rows_match_clopen_expansion(pres, depth):
 def test_the_new_cases_repeat_pairs_and_skip_pieces():
     # what the last cases above are there for
     repeats = gpd.finite_groupoid(5, [[(0, 1), (1, 2)], [(0, 1)], [(2, 1), (1, 0)]])
-    pairs = [(s, a) for w in gpd.enumerate_words(repeats, 2) for s, a in repeats.word_action(w)
-             if s != a]
+    pairs = [(s, a) for _, act in gpd.word_table(repeats, 2).entries for s, a in act if s != a]
     assert len(pairs) > len({frozenset(p) for p in pairs})
     assert all(st.build_constraints(ODO, d).partial for d in range(3))
 
