@@ -77,7 +77,7 @@ def _lp_stats(stats):
 def _search_stats(stats):
     """The deterministic work counts of a search, for a report."""
     return {"nodes": stats.nodes, "budget": stats.budget, "cells": stats.cells,
-            "candidates": stats.candidates}
+            "candidates": stats.candidates, "level": stats.level}
 
 
 def _verdict(args, command, res):

@@ -129,8 +129,8 @@ def search_witness(pres, a, k, l, depth, budget=stone.DEFAULT_BUDGET):
     Row n of the witness is label n of k[A].  The one tiling engine,
     typesemigroup._search_tiling, covers each refinement cell of that label
     by a piece of a word up to depth whose range lands in A under a label
-    of l[A].  The search is deterministic; none-within-budget is not a
-    proof.
+    of l[A], at the coarsest cell level that finds.  The search is
+    deterministic; none-within-budget is not a proof.
     """
     if not (k > l >= 1):
         raise WitnessError("need k > l >= 1")

@@ -179,13 +179,15 @@ class SearchBudget:
 class SearchStats(Record):
     """Deterministic work counts of one search.
 
-    nodes counts the candidates tried that fit, so it never exceeds the
-    budget; cells counts the slots to fill, one per refinement cell of each
-    label of the left family (of each row, for a witness); candidates sums
-    their lists of fitting candidates.
+    nodes counts the candidates tried that fit, over every cell level the
+    search tried, so it never exceeds the budget; level is the cell depth
+    that settled the search: the one that found, ran out of budget, or,
+    when none found, the finest.  cells counts that level's slots to fill,
+    one per refinement cell of each label of the left family (of each row,
+    for a witness); candidates sums their lists of fitting candidates.
     """
 
-    __slots__ = ("nodes", "budget", "cells", "candidates")
+    __slots__ = ("nodes", "budget", "cells", "candidates", "level")
 
 
 class SearchOutcome(Record):
@@ -222,8 +224,9 @@ def _compile_pieces(pres, pieces, cells, targets, cached):
     targets[j].  Bit i is leaves[i] of `stone.leaf_spans` over the target
     cells and image words, so a trie node of span [start, end) has the mask
     (1 << end) - (1 << start): on Finite(n) bit x is the point x, and on
-    the shift masks grow with the words met, not as k^depth.  A shift cell
-    must be no shallower than any word's canonical domain.  On the shift,
+    the shift masks grow with the words met, not as k^depth.  A word acts
+    on a shift cell only when the cell lies inside its canonical domain,
+    so a cell shallower than that domain skips the word.  On the shift,
     `cached` (the `WordTable.images` of the same pieces, or a new dict)
     supplies the `cell_images` of the cells it holds and keeps those of
     the others.
@@ -270,27 +273,49 @@ def _compile_pieces(pres, pieces, cells, targets, cached):
 def _search_tiling(pres, f1, f2, depth, budget, exact):
     """The one backtracking search: tile the cells of f1 into f2 by pieces.
 
-    The slots are (label of f1, refinement cell) pairs in family order.  A
-    slot's candidates are the (piece word, label m of f2, image) triples of
-    the words up to depth whose action sends the cell inside entry m of f2.
-    Each refinement cell keeps the list of its candidates that still fit,
-    shared by its slots: placing (word, m, image) drops from the lists of
-    the cells with an open slot the candidates of label m whose image meets
-    image, and undoing it puts the replaced lists back.  At each node the
-    open slot whose list is shortest is filled next, ties going to the
-    earlier slot, by the candidates of that list in order; every one tried
-    costs one unit of budget.  With exact=True the capacity must be
-    consumed entirely (equivalence); otherwise leftovers become the
-    remainder of a <= certificate.  The backtracking keeps an explicit
-    stack, so the slot count is not capped by Python's recursion limit.
-    The words, the cells' image words and the chosen bisections come from
-    the presentation's word table at this depth, built once; the masks are
-    the search's own.  Returns the outcome, whose triples follow slot
-    order, and the leftover clopen of each label of f2.
+    The search steps through cell levels, coarse to fine: from the depth
+    of the families' own cells up to the depth of the deepest canonical
+    domain of a word up to `depth`, where every word acts on whole cells.
+    All levels spend one budget.  The first level that finds settles the
+    search; it ends on the budget as soon as the budget runs out, and is
+    exhausted only once the finest level is.  A tiling at a coarse level
+    refines to one at every finer level by the same words, so the levels
+    find exactly when the finest does, with fewer and larger pieces.
+    On Finite(n) there is one level.  Returns the outcome, whose triples
+    follow slot order, and the leftover clopen of each label of f2.
     """
     table = word_table(pres, depth)
-    pieces, deepest = table.pieces
-    slots = _family_slots(f1, _cell_depth(pres, [f1, f2], deepest))
+    _, deepest = table.pieces
+    tracker = SearchBudget(budget)
+    for level in range(_cell_depth(pres, [f1, f2], 0), _cell_depth(pres, [f1, f2], deepest) + 1):
+        outcome, left = _search_level(pres, table, f1, f2, level, tracker, exact)
+        if outcome.status != "exhausted":
+            break
+    return outcome, left
+
+
+def _search_level(pres, table, f1, f2, level, tracker, exact):
+    """Tile the cells of f1 at depth `level` into f2 by pieces.
+
+    The slots are (label of f1, refinement cell) pairs in family order.  A
+    slot's candidates are the (piece word, label m of f2, image) triples of
+    the table's words acting on the whole cell whose action sends it inside
+    entry m of f2.  Each refinement cell keeps the list of its candidates
+    that still fit, shared by its slots: placing (word, m, image) drops
+    from the lists of the cells with an open slot the candidates of label m
+    whose image meets image, and undoing it puts the replaced lists back.
+    At each node the open slot whose list is shortest is filled next, ties
+    going to the earlier slot, by the candidates of that list in order;
+    every one tried costs one unit of `tracker`, the search's budget.  With
+    exact=True the capacity must be consumed entirely (equivalence);
+    otherwise leftovers become the remainder of a <= certificate.  The
+    backtracking keeps an explicit stack, so the slot count is not capped
+    by Python's recursion limit.  The words, the cells' image words and the
+    chosen bisections come from the presentation's word table, built once;
+    the masks are the level's own.
+    """
+    pieces, _ = table.pieces
+    slots = _family_slots(f1, level)
     cells = list(dict.fromkeys(cell for _, cell in slots))
     options, masks, leaves = _compile_pieces(pres, pieces, cells, f2.entries, table.images)
     fits = {cell: [(word, m, image) for word, image in options[cell]
@@ -304,7 +329,6 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
 
     remaining = dict(zip(f2.labels, masks))
     chosen = [None] * len(slots)
-    tracker = SearchBudget(budget)
 
     def fewest_fitting():
         """The first open slot with the fewest candidates that still fit."""
@@ -361,7 +385,8 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
                     replaced.append((cell, old))
         stack[-1][2:] = i + 1, replaced
 
-    stats = SearchStats(min(tracker.used, budget), budget, len(slots), candidates)
+    stats = SearchStats(min(tracker.used, tracker.limit), tracker.limit, len(slots), candidates,
+                        level)
     if status != "found":
         return SearchOutcome(None, status, stats), None
     space = pres.space

@@ -5,7 +5,10 @@ candidates that still fit, and reuses the word table's words, cell images
 and chosen bisections across the searches on one presentation and depth.
 This copy recounts every open slot's fitting candidates at every node and
 builds everything afresh on each call, its word table included; the tests
-compare the two on status, triples, stats and leftovers.
+compare the two on status, triples, stats and leftovers.  Both step
+through the cell levels from the families' own depth to the finest;
+`search_finest` searches the finest level alone, as the engine did before
+it stepped through levels.
 """
 
 from ample import typesemigroup as ts
@@ -14,9 +17,28 @@ from ample.stone import clopen
 
 
 def search_tiling(pres, f1, f2, depth, budget, exact):
-    """Tile the cells of f1 into f2 by pieces; returns (outcome, leftover)."""
+    """Tile the cells of f1 into f2 by pieces, level by level, coarse to
+    fine, on one budget; returns (outcome, leftover)."""
     pieces, deepest = WordTable(pres, depth).pieces
-    slots = ts._family_slots(f1, ts._cell_depth(pres, [f1, f2], deepest))
+    tracker = ts.SearchBudget(budget)
+    first, last = (ts._cell_depth(pres, [f1, f2], d) for d in (0, deepest))
+    for level in range(first, last + 1):
+        outcome, left = search_level(pres, pieces, f1, f2, level, tracker, exact)
+        if outcome.status != "exhausted":
+            break
+    return outcome, left
+
+
+def search_finest(pres, f1, f2, depth, budget, exact):
+    """Tile the cells of f1 into f2 at the finest level alone."""
+    pieces, deepest = WordTable(pres, depth).pieces
+    level = ts._cell_depth(pres, [f1, f2], deepest)
+    return search_level(pres, pieces, f1, f2, level, ts.SearchBudget(budget), exact)
+
+
+def search_level(pres, pieces, f1, f2, level, tracker, exact):
+    """Tile the cells of f1 at depth `level` into f2 by pieces."""
+    slots = ts._family_slots(f1, level)
     cells = list(dict.fromkeys(cell for _, cell in slots))
     options, masks, leaves = ts._compile_pieces(pres, pieces, cells, f2.entries, {})
     fitting = {cell: [(word, m, image) for word, image in options[cell]
@@ -26,7 +48,6 @@ def search_tiling(pres, f1, f2, depth, budget, exact):
 
     remaining = dict(zip(f2.labels, masks))
     chosen = [None] * len(slots)
-    tracker = ts.SearchBudget(budget)
 
     def fewest_fitting():
         """The first open slot with the fewest candidates that still fit."""
@@ -73,7 +94,8 @@ def search_tiling(pres, f1, f2, depth, budget, exact):
         chosen[s] = opts[i]
         remaining[opts[i][1]] ^= opts[i][2]
 
-    stats = ts.SearchStats(min(tracker.used, budget), budget, len(slots), sum(map(len, candidates)))
+    stats = ts.SearchStats(min(tracker.used, tracker.limit), tracker.limit, len(slots),
+                           sum(map(len, candidates)), level)
     if status != "found":
         return ts.SearchOutcome(None, status, stats), None
     space = pres.space

@@ -202,12 +202,14 @@ def test_type_eq_prints_no_certificate_that_fails_to_verify(tmp_path, capsys, mo
                          "--depth", "1", "-o", str(cert))
     # a fault of the program, not of the input: exit 4, with its traceback
     assert code == 4
+    # the search settles at depth 0, one triple per label: the dropped one
+    # leaves label 2 bare
     assert json.loads(out) == {"command": "type-eq", "outcome": "internal error",
                                "reason": "search produced a non-verifying certificate:"
-                                         " domain union at label 2 is ['1'], expected ['']"}
+                                         " domain label 2 is not covered"}
     assert err.startswith("Traceback (most recent call last):\n")
     assert err.endswith("ample.stone.InternalError: search produced a non-verifying certificate:"
-                        " domain union at label 2 is ['1'], expected ['']\n")
+                        " domain label 2 is not covered\n")
     assert not cert.exists()
 
 
@@ -941,15 +943,58 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize("argv", [
-    ["find-witness", "cuntz:2", "--set", "whole", "--depth", "8", "--budget", "1"],
-    ["dichotomy", "cuntz:2", "--depth", "8"],
+    ["find-witness", "cuntz:2", "--set", "whole", "--depth", "16", "--budget", "1"],
+    ["dichotomy", "cuntz:2", "--depth", "13"],
     ["state", "cuntz:2", "--depth", "13"],
 ], ids=lambda argv: argv[0])
 def test_running_out_of_memory_is_inconclusive(argv):
-    # each needs well over 400 MiB; the limit is set in the child alone
+    # each needs well over 400 MiB (the word table of depth 16, and the state
+    # LP of depth 13); the limit is set in the child alone
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-m", "ample.cli", *argv], env=env, capture_output=True,
                           text=True, timeout=30, preexec_fn=_limit_address_space)
     assert (proc.returncode, proc.stderr) == (2, "")
     assert json.loads(proc.stdout) == {"command": argv[0], "outcome": "inconclusive",
                                        "reason": "out of memory"}
+
+
+# a fresh process runs the command as its one child, so the peak RSS of its
+# children is the command's alone; it prints the exit code, the seconds, the
+# MiB and then the report
+_TIMED = """
+import resource, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.run([sys.executable, "-m", "ample.cli", *sys.argv[1:]],
+                      stdout=subprocess.PIPE, text=True)
+print(proc.returncode, time.perf_counter() - start,
+      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+print(proc.stdout, end="")
+"""
+
+
+@pytest.mark.parametrize("argv, code, status, seconds", [
+    (["find-witness", "cuntz:2", "--set", "whole", "--depth", "8", "--budget", "1"], 2, "budget",
+     0.5),
+    (["find-witness", "cuntz:2", "--set", "whole", "--depth", "8", "--budget", "1000"], 0, "found",
+     0.5),
+    # most of its time is the minimality check over the 256 cylinders of depth 8
+    (["dichotomy", "cuntz:2", "--depth", "8"], 0, None, 3),
+], ids=["find-witness-budget-1", "find-witness-budget-1000", "dichotomy"])
+def test_a_search_settled_at_a_coarse_level_is_small_and_fast(argv, code, status, seconds):
+    # the unit space of cuntz:2 has a witness on the cell of depth 0: the
+    # first node spends a budget of 1, and three nodes find it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _TIMED, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    measured, _, out = proc.stdout.partition("\n")
+    got, elapsed, mib = measured.split()
+    report = json.loads(out)
+    assert int(got) == code
+    assert float(elapsed) < seconds
+    assert float(mib) < 100
+    if status is None:
+        assert report["side"] == "purely infinite at this depth: unit space is paradoxical"
+    else:
+        assert report["status"] == status
+        assert report["stats"]["level"] == 0
+        assert report["stats"]["cells"] == 2

@@ -80,7 +80,8 @@ RECORDS = {
     "VerifyResult": (lambda i: ts.VerifyResult(True), ts.VerifyResult(False, "no"), False),
     "LeqCertificate": (lambda i: ts.search_leq(C2, ts.family_of(A1), FX, 0).certificate,
                        ts.search_leq(C2, FX, FX, 0).certificate, False),
-    "SearchStats": (lambda i: ts.SearchStats(1, 100, 1, 1), ts.SearchStats(2, 100, 1, 1), False),
+    "SearchStats": (lambda i: ts.SearchStats(1, 100, 1, 1, 0), ts.SearchStats(2, 100, 1, 1, 0),
+                    False),
 }
 
 
@@ -123,7 +124,8 @@ def test_records_take_their_constructor_from_the_base(name):
 
 
 def test_keywords_and_defaults_fill_the_fields():
-    assert ts.SearchStats(nodes=1, budget=2, cells=3, candidates=4) == ts.SearchStats(1, 2, 3, 4)
+    assert ts.SearchStats(nodes=1, budget=2, cells=3, candidates=4, level=5) == \
+        ts.SearchStats(1, 2, 3, 4, 5)
     assert sx.Optimal((Fraction(1),), value=Fraction(2)) == sx.Optimal((Fraction(1),), Fraction(2))
     assert PrefixMap(beta="1", alpha="") == PrefixMap("", "1")
     assert ts.VerifyResult(True).reason == ""

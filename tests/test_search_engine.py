@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 import leq_chain
 import recount_search
@@ -221,18 +223,26 @@ def test_the_search_builds_no_bisection_per_word(monkeypatch):
 
 
 def test_chosen_pieces_are_restricted_to_their_cell():
+    # A's own cells reach depth 2, the finest level at depth 2, so its
+    # cylinder 1 is tiled as 11 and 12
     c2 = gpd.cuntz(2)
-    out = px.search_witness(c2, whole(c2.space), 2, 1, 3)
-    cells = c2.space.cells_at_depth(3)
+    a = clopen(c2.space, ["1", "21"])
+    out = px.search_witness(c2, a, 2, 1, 2)
+    assert out.stats.level == 2
     for row in out.certificate.rows:
-        assert [bis.dom() for bis, _ in row] == [clopen(c2.space, [c]) for c in cells]
+        assert [bis.dom() for bis, _ in row] == [clopen(c2.space, [c]) for c in ("11", "12", "21")]
+    # one piece on the whole space cannot fill both labels of 1 + 2, so the
+    # search refines to level 1, where the identity acts on each half
     x = whole(c2.space)
-    f1 = ts.normalize(c2.space, [(x, 1), (x, 2)])
-    f2 = ts.family_of(x)
+    f1 = ts.family_of(x)
+    f2 = ts.normalize(c2.space, [(clopen(c2.space, ["1"]), 1), (clopen(c2.space, ["2"]), 2)])
     out = ts.search_equiv(c2, f1, f2, 1)
-    assert [(bis.dom(), n) for bis, n, _ in out.certificate.triples] == [
-        (clopen(c2.space, [c]), n) for n in (1, 2) for c in ("1", "2")
+    assert out.stats.level == 1
+    assert [(bis.dom(), n, m) for bis, n, m in out.certificate.triples] == [
+        (clopen(c2.space, [c]), 1, m) for m, c in ((1, "1"), (2, "2"))
     ]
+    assert all(bis == gpd.identity_bisection(c2, bis.dom())
+               for bis, _, _ in out.certificate.triples)
 
 
 def test_masks_grow_with_the_words_met_not_with_depth():
@@ -371,7 +381,7 @@ DEEP_SEARCHES = [
     ("rotation:3", ["whole"] * 3, ["whole"] * 2, 2, 100000, False),
     ("odometer", ["whole"] * 2, ["whole"], 3, 3000, False),
     ("cuntz:3", ["whole"], [["1"], ["2"]], 2, 3000, True),
-    ("cuntz:2", ["whole"] * 5, ["whole"] * 2, 2, 3000, False),
+    ("cuntz:2", ["whole"] * 5, [["1"]] * 2, 2, 3000, False),
 ]
 
 
@@ -404,16 +414,17 @@ def test_one_presentation_searched_at_many_depths_answers_as_fresh_ones(alias):
 
 
 def test_a_memoised_bisection_equals_a_fresh_one():
+    # the witness of A settles at the finest level, on A's cells at depth 2
     pres = gpd.cuntz(2)
-    a = whole(pres.space)
-    first = px.search_witness(pres, a, 2, 1, 3).certificate
-    memo = pres._word_tables[3].bisections
-    assert len(memo) == 2 * len(a.expand(3))
+    a = clopen(pres.space, ["1", "21"])
+    first = px.search_witness(pres, a, 2, 1, 2).certificate
+    memo = pres._word_tables[2].bisections
+    assert len(memo) == 2 * len(a.expand(2))
     for (word, cell), bis in memo.items():
         assert bis.pres is pres
         assert bis == gpd.Bisection(gpd.cuntz(2), [(word, clopen(pres.space, [cell]))])
     # a second search hands out the memo's objects, which nothing changed
-    again = px.search_witness(pres, a, 2, 1, 3).certificate
+    again = px.search_witness(pres, a, 2, 1, 2).certificate
     assert again == first
     assert all(b is c for row, again_row in zip(first.rows, again.rows)
                for (b, _), (c, _) in zip(row, again_row))
@@ -428,3 +439,58 @@ def test_equal_presentations_keep_their_own_memos():
     out = px.search_witness(p2, whole(p2.space), 2, 1, 2)
     assert p2._word_tables[2] is not p1._word_tables[2]
     assert all(bis.pres is p2 for row in out.certificate.rows for bis, _ in row)
+
+
+@hs.composite
+def _shift2_searches(draw):
+    """A presentation on shift(2) by prefix maps and group elements of
+    disjoint cylinder pieces, and the families of one search on it: a
+    witness k[A] into l[A], or two random families."""
+    space = UnitSpace.shift(2)
+    words = [c for d in range(3) for c in space.cells_at_depth(d)]
+    gens = []
+    for g in range(draw(hs.integers(1, 2))):
+        if draw(hs.booleans()):
+            gens.append(gpd.PrefixMap(draw(hs.sampled_from(words)), draw(hs.sampled_from(words))))
+            continue
+        strips = space.cells_at_depth(draw(hs.integers(0, 2)))
+        adds = space.cells_at_depth(draw(hs.integers(0, 2)))
+        count = draw(hs.integers(1, min(len(strips), len(adds), 3)))
+        pieces = zip(draw(hs.permutations(strips))[:count], draw(hs.permutations(adds))[:count])
+        gens.append(gpd.GroupElement("g%d" % g, tuple(pieces)))
+
+    def family(labels):
+        sets = [draw(hs.lists(hs.sampled_from(words[1:]), min_size=1, max_size=2))
+                for _ in range(labels)]
+        return ts.normalize(space, [(clopen(space, s), i + 1) for i, s in enumerate(sets)])
+
+    if draw(hs.booleans()):
+        a = family(1)
+        k = draw(hs.integers(2, 3))
+        l = draw(hs.integers(1, k - 1))
+        f1, f2, exact = ts.multiple(a, k), ts.multiple(a, l), False
+    else:
+        f1, f2 = family(draw(hs.integers(1, 2))), family(draw(hs.integers(1, 2)))
+        exact = draw(hs.booleans())
+    return gpd.Presentation(space, gens), f1, f2, exact
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(search=_shift2_searches(), depth=hs.integers(0, 3))
+def test_the_levels_find_exactly_when_the_finest_level_does(search, depth):
+    # a tiling at a coarse level refines to one at the finest by the same
+    # words, and the finest is the last level tried; an exhaustive search
+    # can take exponentially many nodes, and one that ends on the budget
+    # decides nothing, so it is left out
+    pres, f1, f2, exact = search
+    budget = 20000
+    finest, _ = recount_search.search_finest(pres, f1, f2, depth, budget, exact)
+    if exact:
+        out = ts.search_equiv(pres, f1, f2, depth, budget)
+        ok = out.status == "found" and ts.verify_equiv(pres, f1, f2, out.certificate).ok
+    else:
+        out = ts.search_leq(pres, f1, f2, depth, budget)
+        ok = out.status == "found" and ts.verify_leq(pres, f1, f2, out.certificate).ok
+    assume("budget" not in (out.status, finest.status))
+    assert out.status == finest.status
+    assert ok == (out.status == "found")
