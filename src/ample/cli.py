@@ -164,8 +164,9 @@ def cmd_verify_cert(args, pres):
 def cmd_state(args, pres):
     from . import states
 
-    cs = states.build_constraints(pres, args.depth)
-    outcome = states.solve_state(cs)
+    cs, outcome = states.staged_system(pres, args.depth)
+    if outcome is None:
+        outcome = states.solve_state(cs)
     report = {"command": "state", "depth": cs.depth, "partial": cs.partial,
               "stats": _lp_stats(outcome.stats)}
     if isinstance(outcome, states.StateVector):
@@ -176,7 +177,11 @@ def cmd_state(args, pres):
             + ["  mu(%s) = %s" % (c, _rational_str(v)) for c, v in zip(outcome.cells, outcome.values)],
         )
     report["outcome"] = "infeasible"
-    return _certified(args, report, "farkas", serialize.encode_farkas(outcome, cs.depth, cs.notes()),
+    if not states.verify_farkas(cs, outcome):
+        raise stone.InternalError("solver produced a non-verifying Farkas certificate")
+    fc, notes = states.farkas_support(cs, outcome)
+    report["stats"]["support"] = len(fc.equality_multipliers)
+    return _certified(args, report, "farkas", serialize.encode_farkas(fc, cs.depth, notes),
                       ["no invariant state at depth %d; Farkas certificate emitted" % cs.depth],
                       EXIT_REJECTED)
 
@@ -227,7 +232,11 @@ def cmd_dichotomy(args, pres):
     }
     lines = ["minimal: %s" % report["minimal"]]
     if side == "state":
-        report["side"] = "stably finite at this depth: faithful trace candidate exists"
+        # a faithful state is positive on every nonempty clopen
+        zeros = sum(1 for v in rep.state.values if not v)
+        report["side"] = ("stably finite at this depth: faithful trace candidate exists" if not zeros
+                          else "stably finite at this depth: the state found is zero on %d of %d cells"
+                          % (zeros, len(rep.state.values)))
         report["state"] = serialize.encode_state(rep.state)
         lines.append("whole space admits an invariant state: stably finite side")
     elif side == "paradox":

@@ -15,6 +15,22 @@ is built from those ranges, with no clopen expansion, as its integer
 steps in the sense of `simplex`: a row of the LP is never written out
 over all cells, except a kept row in the simplex tableau.
 
+Solving runs in two stages (`staged_system`).  Stage 1 builds and
+solves only the rows of the words of length 1, the generators and their
+inverses, over the depth-d cells; on Finite(n), where the uniform vector
+satisfies every row, it is skipped.  The word table lists words by length,
+and a repeated row keeps its first source, so these rows are exactly the
+first rows of the depth-d system, with the same pairs over the same
+cells: a Farkas vector for them, padded with zeros, is one for the
+depth-d system.  When they are infeasible that certificate settles the
+system, and the depth-d system is never built.  Only when they are
+feasible does stage 2 build and solve the full depth-d system, the one
+whose state is reported.  A Farkas report lists the certificate's
+support alone, the nonzero multipliers with the notes of their rows
+(`farkas_support`), and its `partial` flags the system actually solved:
+a generator pair too deep for the depth marks it, a deeper word's pair
+does not.
+
 A depth-d state is a state of the truncated system only.  Reports always
 carry the depth; nothing is claimed beyond it.
 """
@@ -50,15 +66,18 @@ class ConstraintSystem(Record):
         rows = [*self.equalities, ((0, 1),)]
         return rows, [0] * len(self.equalities) + [1], len(self.cells)
 
-    def notes(self):
-        """Each row's note, for a Farkas report: its arrow's canonical word, its cells."""
+    def notes(self, rows=None):
+        """The note of each row, or of the given row indices, for a Farkas
+        report: its arrow's canonical word, its cells."""
         pres = self.pres
+        sources = self.sources if rows is None else [self.sources[i] for i in rows]
         return ["%s: %s = %s" % (word_str(pres.canonical_word(pres.piece_key(word, (s, a)))), [s], [a])
-                for word, s, a in self.sources]
+                for word, s, a in sources]
 
 
-def build_constraints(pres, depth):
-    """The invariance system of the word actions up to the depth.
+def build_constraints(pres, depth, length=None, universe=None):
+    """The invariance system of the actions of the words up to the length,
+    by default the depth, over the depth cells.
 
     Each (strip, add) pair (s, a) with s != a of each word's action gives
     the row mu(s) - mu(a), read straight off the action: no bisection is
@@ -70,17 +89,24 @@ def build_constraints(pres, depth):
     a repeat exactly when its unordered pair {s, a} is, and a repeated
     pair is dropped before its steps are built.  Each row keeps the first
     (word, s, a) that gave it; no text is built here.
+
+    The generator words always enter: the length is at least 1.  Words are
+    listed by length, so the rows of a shorter length are the first rows
+    of the system of a longer one at the same depth.  `universe`, when
+    given, is the (leaves, span) of the depth cells that another system of
+    this depth already holds, so they are not worked out again.
     """
     space = pres.space
     shift = space.kind == stone.SHIFT
-    leaves, span = stone.leaf_spans(space, space.cells_at_depth(depth))
+    leaves, span = universe or stone.leaf_spans(space, space.cells_at_depth(depth))
     rows = []
     sources = []
     seen = set()
     partial = False
-    # generator words always enter the enumeration; at depth 0 their pairs
-    # are simply too deep and the system is marked partial
-    for word, act in word_table(pres, max(depth, 1)).entries:
+    # at depth 0 the generator pairs are simply too deep and the system is
+    # marked partial
+    length = depth if length is None else length
+    for word, act in word_table(pres, max(length, 1)).entries:
         for s, a in act:
             if s == a:
                 continue
@@ -134,6 +160,37 @@ def solve_state(cs):
     return StateVector(cs.depth, cs.cells, tuple(res.x), res.stats)
 
 
+def staged_system(pres, depth):
+    """(cs, fc): stage 1 of solving the depth-d state LP.
+
+    Stage 1 solves the rows of the words of length 1 alone, over the
+    depth-d cells.  When they are infeasible, cs is that system and fc its
+    FarkasCertificate, one for the depth-d system too once padded with
+    zeros, since its rows are the first rows of that system.  Otherwise cs
+    is the full depth-d system and fc is None: solving it is stage 2, the
+    caller's, by `solve_state` or by maximizing an objective.
+
+    On Finite(n) every row equates two points, so the uniform vector
+    satisfies them all: stage 1 could never settle the system, and it is
+    skipped."""
+    if pres.space.kind == stone.SHIFT:
+        cs = build_constraints(pres, depth, 1)
+        outcome = solve_state(cs)
+        if isinstance(outcome, FarkasCertificate):
+            return cs, outcome
+        return build_constraints(pres, depth, universe=(cs.cells, cs.span)), None
+    return build_constraints(pres, depth), None
+
+
+def farkas_support(cs, fc):
+    """The certificate on its support alone, the rows of its nonzero
+    equality multipliers, and the note of each of those rows."""
+    rows = [i for i, v in enumerate(fc.equality_multipliers) if v]
+    support = FarkasCertificate(tuple(fc.equality_multipliers[i] for i in rows),
+                                fc.normalization_multiplier)
+    return support, cs.notes(rows)
+
+
 def verify_state(cs, sv):
     """Exact recomputation of every constraint against the vector."""
     return sv.cells == cs.cells and simplex.verify_solution(*cs.rows_rhs(), sv.values)
@@ -165,6 +222,9 @@ def tarski_report(pres, a, depth, budget=stone.DEFAULT_BUDGET):
     """Decide, at the truncation, between an invariant state normalized on A
     and a paradoxical witness for A; both can never verify together.
 
+    When stage 1 of `staged_system` finds no state, nothing is maximized;
+    otherwise the full system is maximized on A.
+
     The witness search, and the layers it needs, load only when the state
     LP leaves it to decide."""
     if a.is_empty:
@@ -172,14 +232,14 @@ def tarski_report(pres, a, depth, budget=stone.DEFAULT_BUDGET):
     eff_depth = depth
     if pres.space.kind == stone.SHIFT:
         eff_depth = max(depth, a.max_depth())
-    cs = build_constraints(pres, eff_depth)
-    objective = [0] * len(cs.cells)
-    for cell in a.cells:
-        start, end = cs.span[cell]
-        objective[start:end] = [1] * (end - start)
-
-    res = simplex.maximize(*cs.rows_rhs(), objective)
-    infeasible = isinstance(res, simplex.Infeasible)
+    cs, res = staged_system(pres, eff_depth)
+    if res is None:
+        objective = [0] * len(cs.cells)
+        for cell in a.cells:
+            start, end = cs.span[cell]
+            objective[start:end] = [1] * (end - start)
+        res = simplex.maximize(*cs.rows_rhs(), objective)
+    infeasible = isinstance(res, (FarkasCertificate, simplex.Infeasible))
     if infeasible or res.value == 0:
         from . import paradox as px
 

@@ -347,19 +347,82 @@ def test_bad_set_is_input_error(capsys, spec):
 
 
 def test_lp_reports_carry_stats(capsys):
+    # the generator rows settle cuntz:2: the stats are those of their
+    # system, and the certificate lists its support alone
     code, out, _ = run(capsys, "state", "cuntz:2", "--depth", "3")
     assert code == 1
     report = json.loads(out)
     stats = report["stats"]
-    assert (stats["rows"], stats["rows_kept"], stats["cells"]) == (20, 9, 8)
+    assert (stats["rows"], stats["rows_kept"], stats["cells"], stats["support"]) == (3, 3, 8, 2)
     assert stats["pivots"] > 0
     assert "stats" not in report["farkas"]
-    assert len(report["farkas"]["equality_multipliers"]) == 19
+    assert len(report["farkas"]["equality_multipliers"]) == 2
+    assert len(report["farkas"]["constraints"]) == 2
     code, out, _ = run(capsys, "tarski", "odometer", "--set", "1", "--depth", "3",
                        "--budget", "20000")
     assert code == 0
     stats = json.loads(out)["stats"]
     assert stats["cells"] == 8 and stats["rows_kept"] <= stats["rows"]
+
+
+@pytest.mark.parametrize("alias, depth, multipliers", [
+    ("cuntz:2", 7, ["-1", "-1"]), ("cuntz:3", 4, ["-2", "-2", "1"])])
+def test_a_support_certificate_verifies_on_the_full_system(capsys, alias, depth, multipliers):
+    # zero-padded by its notes, the printed certificate is one for the
+    # depth-d system: the normalization and one multiplier per generator
+    from ample import states
+
+    code, out, _ = run(capsys, "state", alias, "--depth", str(depth))
+    farkas = json.loads(out)["farkas"]
+    assert code == 1
+    assert farkas["equality_multipliers"] == [{"num": v, "den": "1"} for v in multipliers]
+    assert farkas["normalization_multiplier"] == {"num": "1", "den": "1"}
+    full = states.build_constraints(ser.parse_presentation_arg(alias), depth)
+    row_of = {note: i for i, note in enumerate(full.notes())}
+    y = [0] * len(full.equalities)
+    for note, v in zip(farkas["constraints"], multipliers):
+        y[row_of[note]] = int(v)
+    assert states.verify_farkas(full, states.FarkasCertificate(tuple(y), 1))
+
+
+def test_a_farkas_certificate_that_fails_to_verify_is_never_printed(tmp_path, capsys, monkeypatch):
+    from ample import simplex
+
+    solve = simplex.solve_feasibility
+    out_file = tmp_path / "farkas.json"
+
+    def flip_a_multiplier(*args):
+        res = solve(*args)
+        i = next(i for i, v in enumerate(res.y) if v)
+        return simplex.Infeasible(res.y[:i] + (-res.y[i],) + res.y[i + 1:], res.stats)
+
+    monkeypatch.setattr(simplex, "solve_feasibility", flip_a_multiplier)
+    code, out, err = run(capsys, "state", "cuntz:2", "--depth", "3", "-o", str(out_file))
+    assert code == 4
+    assert json.loads(out) == {"command": "state", "outcome": "internal error",
+                               "reason": "solver produced a non-verifying Farkas certificate"}
+    assert err.endswith("ample.stone.InternalError: solver produced a non-verifying Farkas"
+                        " certificate\n")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("values, side", [
+    ((1, 0), "stably finite at this depth: the state found is zero on 1 of 2 cells"),
+    ((1, 1), "stably finite at this depth: faithful trace candidate exists")])
+def test_dichotomy_claims_faithful_only_for_a_positive_state(capsys, monkeypatch, values, side):
+    # cuntz:2 is minimal, and the state is made up
+    from fractions import Fraction
+
+    from ample import states
+
+    def made_up(pres, a, depth, budget):
+        sv = states.StateVector(depth, ("1", "2"), tuple(Fraction(v, sum(values)) for v in values))
+        return states.TarskiReport("state", depth, state=sv, scale=Fraction(1))
+
+    monkeypatch.setattr(states, "tarski_report", made_up)
+    code, out, _ = run(capsys, "dichotomy", "cuntz:2", "--depth", "1")
+    report = json.loads(out)
+    assert (code, report["minimal"], report["whole_space"], report["side"]) == (0, "yes", "state", side)
 
 
 def test_probe_and_dichotomy(capsys):
@@ -944,12 +1007,13 @@ def _limit_address_space():
 
 @pytest.mark.parametrize("argv", [
     ["find-witness", "cuntz:2", "--set", "whole", "--depth", "16", "--budget", "1"],
-    ["dichotomy", "cuntz:2", "--depth", "13"],
-    ["state", "cuntz:2", "--depth", "13"],
+    ["dichotomy", "cuntz:2", "--depth", "16"],
+    ["state", "odometer", "--depth", "23"],
 ], ids=lambda argv: argv[0])
 def test_running_out_of_memory_is_inconclusive(argv):
-    # each needs well over 400 MiB (the word table of depth 16, and the state
-    # LP of depth 13); the limit is set in the child alone
+    # each needs well over 400 MiB (the word table of depth 16, which the
+    # dichotomy's witness search builds too, and the 2^23 cells of the
+    # odometer's state LP); the limit is set in the child alone
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-m", "ample.cli", *argv], env=env, capture_output=True,
                           text=True, timeout=30, preexec_fn=_limit_address_space)
@@ -998,3 +1062,18 @@ def test_a_search_settled_at_a_coarse_level_is_small_and_fast(argv, code, status
         assert report["status"] == status
         assert report["stats"]["level"] == 0
         assert report["stats"]["cells"] == 2
+
+
+def test_an_lp_settled_by_its_generator_rows_is_small_and_fast():
+    # the depth-13 system of cuntz:2 once ran out of 400 MiB; its three
+    # generator rows settle it over the 8,192 cells
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _TIMED, "state", "cuntz:2", "--depth", "13"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    measured, _, out = proc.stdout.partition("\n")
+    got, elapsed, mib = measured.split()
+    stats = json.loads(out)["stats"]
+    assert int(got) == 1
+    assert float(elapsed) < 0.5
+    assert float(mib) < 100
+    assert (stats["rows"], stats["cells"], stats["support"]) == (3, 8192, 2)

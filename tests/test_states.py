@@ -6,15 +6,19 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ample import groupoid as gpd
 from ample import paradox as px
+from ample import simplex
 from ample import states as st
 from ample import typesemigroup as ts
 from ample.groupoid import cuntz, odometer, pair_groupoid, rotation
 from ample.serialize import parse_presentation_arg
 from ample.stone import UnitSpace, clopen, whole
 from dense_lp import dense_row
+from test_groupoid import _shift_presentations
 
 
 C2 = cuntz(2)
@@ -362,10 +366,52 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
 def test_deep_state_lp_stays_small():
-    # 6,144 rows over 1,024 cells; as dense rows of ints they alone take 48 MiB
+    # the full system, 6,144 rows over 1,024 cells, would take 48 MiB as dense
+    # rows of ints alone; its three generator rows settle it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", PEAK_RSS, "state", "cuntz:2", "--depth", "10"],
                          env=env, capture_output=True, text=True, check=True).stdout
     code, kib = map(int, out.split())
     assert code == 1  # no invariant state: a Farkas certificate
     assert kib < 64 * 1024, "peak RSS %.1f MiB" % (kib / 1024)
+
+
+def _check_two_stages_against_the_full_solve(pres, depth):
+    """The staged outcome against one solve of the full depth-d system: the
+    same side, the same state, and a support certificate that verifies on
+    the full system once zero-padded by its row sources."""
+    full = st.build_constraints(pres, depth)
+    oracle = simplex.solve_feasibility(*full.rows_rhs())
+    cs, outcome = st.staged_system(pres, depth)
+    if outcome is None:
+        assert cs == full
+        outcome = st.solve_state(cs)
+    assert isinstance(outcome, st.FarkasCertificate) == isinstance(oracle, simplex.Infeasible)
+    if isinstance(outcome, st.StateVector):
+        assert outcome.values == oracle.x
+        return outcome
+    rows = [i for i, v in enumerate(outcome.equality_multipliers) if v]
+    support, notes = st.farkas_support(cs, outcome)
+    assert notes == cs.notes(rows)
+    row_of = {source: i for i, source in enumerate(full.sources)}
+    y = [0] * len(full.equalities)
+    for i, v in zip(rows, support.equality_multipliers):
+        y[row_of[cs.sources[i]]] = v
+    assert st.verify_farkas(full, st.FarkasCertificate(tuple(y), support.normalization_multiplier))
+    return outcome
+
+
+@pytest.mark.parametrize("depth", range(6))
+@pytest.mark.parametrize("alias", ["cuntz:2", "cuntz:3", "cuntz:4", "odometer", "odometer:5",
+                                   "odometer:6", "rotation:3", "pair:5"])
+def test_two_stages_agree_with_the_full_solve_on_the_builtins(alias, depth):
+    outcome = _check_two_stages_against_the_full_solve(gpd.builtin(alias), depth)
+    # cuntz:k is settled by its generator rows from depth 1 on
+    assert isinstance(outcome, st.FarkasCertificate) == (alias.startswith("cuntz") and depth > 0)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(pres=_shift_presentations(), depth=hs.integers(0, 5))
+def test_two_stages_agree_with_the_full_solve(pres, depth):
+    # drawn systems end at both stages, and some stage-2 systems are infeasible
+    _check_two_stages_against_the_full_solve(pres, depth)
