@@ -164,21 +164,22 @@ def cmd_verify_cert(args, pres):
 def cmd_state(args, pres):
     from . import states
 
-    cs, outcome = states.staged_system(pres, args.depth)
-    if outcome is None:
-        outcome = states.solve_state(cs)
+    cs, outcome = states.solve(pres, args.depth)
     report = {"command": "state", "depth": cs.depth, "partial": cs.partial,
               "stats": _lp_stats(outcome.stats)}
     if isinstance(outcome, states.StateVector):
+        if cs.partial:
+            report.update(outcome="inconclusive", note=PARTIAL_STATE_NOTE)
+            _emit(args, report, ["inconclusive at depth %d: %s" % (cs.depth, PARTIAL_STATE_NOTE)])
+            return EXIT_INCONCLUSIVE
         report["outcome"] = "state"
         return _certified(
             args, report, "state", serialize.encode_state(outcome),
             ["state at depth %d:" % cs.depth]
             + ["  mu(%s) = %s" % (c, _rational_str(v)) for c, v in zip(outcome.cells, outcome.values)],
         )
+    # a subset of the rows with no solution leaves the full system none
     report["outcome"] = "infeasible"
-    if not states.verify_farkas(cs, outcome):
-        raise stone.InternalError("solver produced a non-verifying Farkas certificate")
     fc, notes = states.farkas_support(cs, outcome)
     report["stats"]["support"] = len(fc.equality_multipliers)
     return _certified(args, report, "farkas", serialize.encode_farkas(fc, cs.depth, notes),

@@ -6,7 +6,7 @@ the action of every word up to the depth, and the normalization
 mu(X) = 1.  The rows come from the word actions alone; no bisection is
 built.
 Solving is exact rational LP; the outcome is either a state vector or a
-Farkas certificate, and both re-verify by independent recomputation.
+Farkas certificate, which `solve` re-verifies by independent recomputation.
 
 The unknowns are the leaves of `stone.leaf_spans` over the depth-d
 cells, the cell universe the tiling search shares, and a word of length
@@ -15,7 +15,7 @@ is built from those ranges, with no clopen expansion, as its integer
 steps in the sense of `simplex`: a row of the LP is never written out
 over all cells, except a kept row in the simplex tableau.
 
-Solving runs in two stages (`staged_system`).  Stage 1 builds and
+Solving runs in two stages, both in `solve`.  Stage 1 builds and
 solves only the rows of the words of length 1, the generators and their
 inverses, over the depth-d cells; on Finite(n), where the uniform vector
 satisfies every row, it is skipped.  The word table lists words by length,
@@ -25,7 +25,8 @@ cells: a Farkas vector for them, padded with zeros, is one for the
 depth-d system.  When they are infeasible that certificate settles the
 system, and the depth-d system is never built.  Only when they are
 feasible does stage 2 build and solve the full depth-d system, the one
-whose state is reported.  A Farkas report lists the certificate's
+whose state is reported, its first feasible vertex or one maximizing the
+measure of a given clopen.  A Farkas report lists the certificate's
 support alone, the nonzero multipliers with the notes of their rows
 (`farkas_support`), and its `partial` flags the system actually solved:
 a generator pair too deep for the depth marks it, a deeper word's pair
@@ -152,34 +153,43 @@ class FarkasCertificate(Record):
     _uncompared = ("stats",)
 
 
-def solve_state(cs):
-    """Exactly one of a StateVector or a FarkasCertificate, deterministic."""
-    res = simplex.solve_feasibility(*cs.rows_rhs())
+def solve_state(cs, on=None):
+    """Exactly one of a StateVector or a FarkasCertificate, deterministic: the
+    first feasible vertex or, given a clopen `on`, one that maximizes mu(on)."""
+    rows, rhs, n = cs.rows_rhs()
+    if on is None:
+        res = simplex.solve_feasibility(rows, rhs, n)
+    else:
+        objective = [0] * n
+        for cell in on.cells:
+            start, end = cs.span[cell]
+            objective[start:end] = [1] * (end - start)
+        res = simplex.maximize(rows, rhs, n, objective)
     if isinstance(res, simplex.Infeasible):
         return FarkasCertificate(tuple(res.y[:-1]), res.y[-1], res.stats)
     return StateVector(cs.depth, cs.cells, tuple(res.x), res.stats)
 
 
-def staged_system(pres, depth):
-    """(cs, fc): stage 1 of solving the depth-d state LP.
-
-    Stage 1 solves the rows of the words of length 1 alone, over the
-    depth-d cells.  When they are infeasible, cs is that system and fc its
-    FarkasCertificate, one for the depth-d system too once padded with
-    zeros, since its rows are the first rows of that system.  Otherwise cs
-    is the full depth-d system and fc is None: solving it is stage 2, the
-    caller's, by `solve_state` or by maximizing an objective.
-
-    On Finite(n) every row equates two points, so the uniform vector
-    satisfies them all: stage 1 could never settle the system, and it is
-    skipped."""
+def solve(pres, depth, on=None):
+    """(cs, outcome) of the depth-d state LP, solved in the module's two
+    stages, stage 2 by `solve_state` with `on` over the cells of stage 1: cs
+    is the system solved last.  The outcome has passed `verify_state` or
+    `verify_farkas` on cs; one that fails is a fault of the solver, raised
+    as stone.InternalError."""
+    cs = outcome = None
     if pres.space.kind == stone.SHIFT:
         cs = build_constraints(pres, depth, 1)
         outcome = solve_state(cs)
-        if isinstance(outcome, FarkasCertificate):
-            return cs, outcome
-        return build_constraints(pres, depth, universe=(cs.cells, cs.span)), None
-    return build_constraints(pres, depth), None
+    if not isinstance(outcome, FarkasCertificate):
+        universe = None if cs is None else (cs.cells, cs.span)
+        cs = build_constraints(pres, depth, universe=universe)
+        outcome = solve_state(cs, on)
+    if isinstance(outcome, StateVector):
+        if not verify_state(cs, outcome):
+            raise stone.InternalError("solver produced a non-verifying state")
+    elif not verify_farkas(cs, outcome):
+        raise stone.InternalError("solver produced a non-verifying Farkas certificate")
+    return cs, outcome
 
 
 def farkas_support(cs, fc):
@@ -222,8 +232,8 @@ def tarski_report(pres, a, depth, budget=stone.DEFAULT_BUDGET):
     """Decide, at the truncation, between an invariant state normalized on A
     and a paradoxical witness for A; both can never verify together.
 
-    When stage 1 of `staged_system` finds no state, nothing is maximized;
-    otherwise the full system is maximized on A.
+    The state is the vertex of `solve` that maximizes mu(A), scaled so
+    that mu(A) = 1.
 
     The witness search, and the layers it needs, load only when the state
     LP leaves it to decide."""
@@ -232,15 +242,10 @@ def tarski_report(pres, a, depth, budget=stone.DEFAULT_BUDGET):
     eff_depth = depth
     if pres.space.kind == stone.SHIFT:
         eff_depth = max(depth, a.max_depth())
-    cs, res = staged_system(pres, eff_depth)
-    if res is None:
-        objective = [0] * len(cs.cells)
-        for cell in a.cells:
-            start, end = cs.span[cell]
-            objective[start:end] = [1] * (end - start)
-        res = simplex.maximize(*cs.rows_rhs(), objective)
-    infeasible = isinstance(res, (FarkasCertificate, simplex.Infeasible))
-    if infeasible or res.value == 0:
+    cs, res = solve(pres, eff_depth, a)
+    infeasible = isinstance(res, FarkasCertificate)
+    value = 0 if infeasible else sum(sum(res.values[slice(*cs.span[cell])]) for cell in a.cells)
+    if not value:
         from . import paradox as px
 
         # no state: an (n+1, n) witness for each n; a state that vanishes
@@ -254,8 +259,8 @@ def tarski_report(pres, a, depth, budget=stone.DEFAULT_BUDGET):
                 else "a state exists but vanishes on the set at this depth")
         return TarskiReport("inconclusive", eff_depth, partial=cs.partial, note=note,
                             stats=res.stats)
-    scale = Fraction(1) / res.value
-    sv = StateVector(cs.depth, cs.cells, tuple(v * scale for v in res.x))
+    scale = Fraction(1) / value
+    sv = StateVector(cs.depth, cs.cells, tuple(v * scale for v in res.values))
     return TarskiReport("state", eff_depth, state=sv, scale=scale, partial=cs.partial, stats=res.stats)
 
 

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from ample import cli, convalg, serialize as ser, stone
 from ample import paradox as px
 from ample import typesemigroup as ts
-from ample.groupoid import cuntz, finite_groupoid, odometer, rotation
-from ample.stone import whole
+from ample.groupoid import (GroupElement, Presentation, PrefixMap, cuntz, finite_groupoid, odometer,
+                            rotation)
+from ample.stone import UnitSpace, whole
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -152,6 +153,33 @@ def test_tarski_claims_no_side_from_a_partial_system(capsys, argv):
     assert report["outcome"] == "inconclusive" and report["partial"] is True
     assert "skipped" in report["note"]
     assert "state" not in report
+
+
+@pytest.mark.parametrize("alias, depth", [("cuntz:2", 0), ("odometer", 1), ("odometer", 2)])
+def test_state_claims_no_state_from_a_partial_system(tmp_path, capsys, alias, depth):
+    # cuntz:2 is paradoxical, yet with its depth-1 pieces skipped the
+    # truncated system has a state
+    out_file = tmp_path / "state.json"
+    code, out, _ = run(capsys, "state", alias, "--depth", str(depth), "-o", str(out_file))
+    assert code == 2
+    report = json.loads(out)
+    assert report["outcome"] == "inconclusive" and report["partial"] is True
+    assert report["note"] == cli.PARTIAL_STATE_NOTE
+    assert "state" not in report
+    assert not out_file.exists()
+
+
+def test_a_partial_system_without_a_state_is_still_refuted(tmp_path, capsys):
+    # X onto the cylinders of 1 and of 2 leaves no state, whatever rows the
+    # element too deep for depth 1 would add
+    pres = Presentation(UnitSpace.shift(2), [PrefixMap("", "1"), PrefixMap("", "2"),
+                                             GroupElement("g", (("11", "21"), ("12", "22")))])
+    path = tmp_path / "pres.json"
+    path.write_text(ser.dumps(ser.encode_presentation(pres)))
+    code, out, _ = run(capsys, "state", str(path), "--depth", "1")
+    report = json.loads(out)
+    assert (code, report["outcome"], report["partial"]) == (1, "infeasible", True)
+    assert report["stats"]["support"] == 2
 
 
 def test_type_eq_and_verify_cert(tmp_path, capsys):
@@ -403,6 +431,31 @@ def test_a_farkas_certificate_that_fails_to_verify_is_never_printed(tmp_path, ca
                                "reason": "solver produced a non-verifying Farkas certificate"}
     assert err.endswith("ample.stone.InternalError: solver produced a non-verifying Farkas"
                         " certificate\n")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("solver, argv", [
+    ("solve_feasibility", ["state", "odometer", "--depth", "3"]),
+    ("maximize", ["tarski", "odometer", "--set", "1", "--depth", "3"])], ids=["state", "tarski"])
+def test_a_state_that_fails_to_verify_is_never_printed(tmp_path, capsys, monkeypatch, solver, argv):
+    # the odometer's depth-3 system is complete, and the moved value is
+    # still nonnegative
+    from ample import simplex
+
+    solve = getattr(simplex, solver)
+    out_file = tmp_path / "state.json"
+
+    def move_a_value(*args):
+        res = solve(*args)
+        res.x = (res.x[0] + 1,) + res.x[1:]
+        return res
+
+    monkeypatch.setattr(simplex, solver, move_a_value)
+    code, out, err = run(capsys, *argv, "-o", str(out_file))
+    assert code == 4
+    assert json.loads(out) == {"command": argv[0], "outcome": "internal error",
+                               "reason": "solver produced a non-verifying state"}
+    assert err.endswith("ample.stone.InternalError: solver produced a non-verifying state\n")
     assert not out_file.exists()
 
 

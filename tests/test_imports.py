@@ -194,7 +194,6 @@ NO_CALLER_NEEDED = {
     "verify_witness": "a verifier: part of the trust base whatever calls it",
     "verify_equiv": "a verifier: part of the trust base whatever calls it",
     "verify_leq": "a verifier: part of the trust base whatever calls it",
-    "verify_state": "a verifier: part of the trust base whatever calls it",
     "verify_farkas": "a verifier: part of the trust base whatever calls it",
     "evaluate": "a state's value on a family, the measure the type semigroup is checked against",
     "encode_presentation": "the writer of the presentation format the CLI reads",
@@ -288,6 +287,14 @@ def test_only_groupoid_knows_the_isotropy_model_and_the_action_cache():
     assert attribute_readers(paths, "_word_tables") == ["groupoid.py"]
     assert attribute_readers(paths, "_letter_actions") == ["groupoid.py"]
     assert callers(paths, "compose_actions") == ["groupoid.py"]
+
+
+def test_only_states_solves_the_state_lp_and_checks_its_certificates():
+    # `states.solve` runs both stages and verifies what it returns, so a
+    # command reads a checked outcome and never finishes the LP itself
+    paths = sorted(ROOT.glob("src/ample/*.py"))
+    for name in ("solve_feasibility", "maximize", "solve_state", "verify_state", "verify_farkas"):
+        assert callers(paths, name) == ["states.py"], name
 
 
 def test_only_the_golden_table_pins_digests():

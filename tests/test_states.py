@@ -376,19 +376,25 @@ def test_deep_state_lp_stays_small():
     assert kib < 64 * 1024, "peak RSS %.1f MiB" % (kib / 1024)
 
 
-def _check_two_stages_against_the_full_solve(pres, depth):
-    """The staged outcome against one solve of the full depth-d system: the
-    same side, the same state, and a support certificate that verifies on
-    the full system once zero-padded by its row sources."""
+def _check_two_stages_against_the_full_solve(pres, depth, on=None):
+    """`solve` against one solve of the full depth-d system, for the first
+    feasible vertex or, given `on`, a vertex that maximizes mu(on): the
+    same side, the same state, mu(on) the oracle's optimum, and a support
+    certificate that verifies on the full system once zero-padded by its
+    row sources."""
     full = st.build_constraints(pres, depth)
-    oracle = simplex.solve_feasibility(*full.rows_rhs())
-    cs, outcome = st.staged_system(pres, depth)
-    if outcome is None:
-        assert cs == full
-        outcome = st.solve_state(cs)
+    if on is None:
+        oracle = simplex.solve_feasibility(*full.rows_rhs())
+    else:
+        objective = [int(clopen(pres.space, [c]).subset_of(on)) for c in full.cells]
+        oracle = simplex.maximize(*full.rows_rhs(), objective)
+    cs, outcome = st.solve(pres, depth, on)
     assert isinstance(outcome, st.FarkasCertificate) == isinstance(oracle, simplex.Infeasible)
     if isinstance(outcome, st.StateVector):
+        assert cs == full
         assert outcome.values == oracle.x
+        if on is not None:
+            assert outcome.evaluate_clopen(on) == oracle.value
         return outcome
     rows = [i for i, v in enumerate(outcome.equality_multipliers) if v]
     support, notes = st.farkas_support(cs, outcome)
@@ -401,17 +407,27 @@ def _check_two_stages_against_the_full_solve(pres, depth):
     return outcome
 
 
+def _cylinder(space, depth, pick):
+    """The cylinder set of one cell of depth at most `depth`, by `pick`."""
+    cells = space.cells_at_depth(pick.randint(0, depth))
+    return clopen(space, [pick.choice(cells)])
+
+
 @pytest.mark.parametrize("depth", range(6))
 @pytest.mark.parametrize("alias", ["cuntz:2", "cuntz:3", "cuntz:4", "odometer", "odometer:5",
                                    "odometer:6", "rotation:3", "pair:5"])
 def test_two_stages_agree_with_the_full_solve_on_the_builtins(alias, depth):
-    outcome = _check_two_stages_against_the_full_solve(gpd.builtin(alias), depth)
-    # cuntz:k is settled by its generator rows from depth 1 on
-    assert isinstance(outcome, st.FarkasCertificate) == (alias.startswith("cuntz") and depth > 0)
+    pres = gpd.builtin(alias)
+    cylinder = _cylinder(pres.space, depth, random.Random("%s/%d" % (alias, depth)))
+    for on in (None, whole(pres.space), cylinder):
+        outcome = _check_two_stages_against_the_full_solve(pres, depth, on)
+        # cuntz:k is settled by its generator rows from depth 1 on
+        assert isinstance(outcome, st.FarkasCertificate) == (alias.startswith("cuntz") and depth > 0)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(pres=_shift_presentations(), depth=hs.integers(0, 5))
-def test_two_stages_agree_with_the_full_solve(pres, depth):
+@given(pres=_shift_presentations(), depth=hs.integers(0, 5), pick=hs.randoms(use_true_random=False))
+def test_two_stages_agree_with_the_full_solve(pres, depth, pick):
     # drawn systems end at both stages, and some stage-2 systems are infeasible
-    _check_two_stages_against_the_full_solve(pres, depth)
+    for on in (None, whole(pres.space), _cylinder(pres.space, depth, pick)):
+        _check_two_stages_against_the_full_solve(pres, depth, on)
