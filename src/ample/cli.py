@@ -9,7 +9,9 @@ stone.DEFAULT_BUDGET search nodes.
 A process pays only for its command: the common command line is parsed
 here from the COMMANDS table, argparse is imported only for help, errors
 and rarer syntax, and the search layers (typesemigroup, paradox), states,
-convalg and orbits only by the handlers that call them.
+convalg and orbits only by the handlers that call them.  Rationals are
+int numerators over a denominator, written in lowest terms by
+`serialize.rational_texts`; no command imports fractions.
 """
 
 from __future__ import annotations
@@ -64,9 +66,10 @@ def _parse_set(pres, spec):
         raise stone.CellError("--set %s: %s" % (spec, exc)) from None
 
 
-def _rational_str(q):
-    """q, an int or a Fraction (always in lowest terms), as n or n/d."""
-    return "%d/%d" % (q.numerator, q.denominator) if q.denominator != 1 else str(q.numerator)
+def _rational_str(num, den=1):
+    """num / den, den > 0, in lowest terms as n or n/d."""
+    ((n, d),) = serialize.rational_texts((num,), den)
+    return n if d == "1" else n + "/" + d
 
 
 def _lp_stats(stats):
@@ -176,7 +179,8 @@ def cmd_state(args, pres):
         return _certified(
             args, report, "state", serialize.encode_state(outcome),
             ["state at depth %d:" % cs.depth]
-            + ["  mu(%s) = %s" % (c, _rational_str(v)) for c, v in zip(outcome.cells, outcome.values)],
+            + ["  mu(%s) = %s" % (c, _rational_str(v, outcome.den))
+               for c, v in zip(outcome.cells, outcome.values)],
         )
     # a subset of the rows with no solution leaves the full system none
     report["outcome"] = "infeasible"
@@ -203,10 +207,10 @@ def cmd_tarski(args, pres):
     }
     lines = ["outcome: %s (depth %d)" % (outcome, rep.depth)]
     if outcome == "state":
-        report["scale"] = serialize.encode_rational(rep.scale)
+        report["scale"] = serialize.encode_rational(*rep.scale)
         return _certified(args, report, "state", serialize.encode_state(rep.state),
                           lines + ["state normalized on the set; scale %s"
-                                   % _rational_str(rep.scale)])
+                                   % _rational_str(*rep.scale)])
     if outcome == "paradox":
         report["shape"] = [rep.witness.k, rep.witness.l]
         return _certified(args, report, "witness", serialize.encode_witness(rep.witness),
@@ -219,7 +223,8 @@ def cmd_dichotomy(args, pres):
     from . import states
 
     rep = states.tarski_report(pres, stone.whole(pres.space), args.depth, args.budget)
-    side, note = _side(rep)
+    whole_space, note = _side(rep)
+    side = whole_space
     minimal = gpd.is_minimal(pres, args.depth)
     if side in ("state", "paradox") and minimal != "yes":
         # the theorem needs a minimal groupoid
@@ -228,7 +233,7 @@ def cmd_dichotomy(args, pres):
         "command": "dichotomy",
         "depth": args.depth,
         "minimal": minimal,
-        "whole_space": rep.outcome,
+        "whole_space": whole_space,
         "note": note,
     }
     lines = ["minimal: %s" % report["minimal"]]
@@ -337,9 +342,9 @@ def cmd_isometries(args, pres):
 
 
 def cmd_probe(args, pres):
-    from . import states
+    from . import typesemigroup as ts
 
-    rep = states.probes(pres, args.depth, args.samples, args.seed, budget=args.budget)
+    rep = ts.probes(pres, args.depth, args.samples, args.seed, budget=args.budget)
     report = {
         "command": "probe",
         "depth": rep.depth,

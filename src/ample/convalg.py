@@ -1,4 +1,4 @@
-"""The rational convolution algebra of a presentation.
+"""The integral convolution algebra of a presentation.
 
 An element is a finite rational combination of canonical arrow terms: an
 arrow key (reduced word, table element, or source-target pair, depending
@@ -6,8 +6,10 @@ on the isotropy model) together with a single cell of the key's domain.
 Convolution multiplies arrows pairwise, by the presentation's
 `key_product`; the star swaps an arrow for its `key_inverse`; the
 conditional expectation keeps the terms whose arrows are units.
-Coefficients are plain fractions, so every identity checked here is
-exact and involution needs no conjugation.
+Coefficients are ints: the program builds elements only from indicators,
+coefficient 1, and their products, sums, differences and integer
+multiples, so every identity checked here is exact and involution needs
+no conjugation.
 
 Products and stars work on cylinder words.  A term is one cylinder (or
 point) c of its key's domain, and `groupoid.cell_images` sends, per piece
@@ -22,7 +24,6 @@ which is what makes the isometry constructions purely combinatorial.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from . import stone
@@ -48,8 +49,7 @@ class ConvElement:
         self.pres = pres
         by_key = {}
         for key, cell, coef in raw_terms:
-            coef = Fraction(coef)
-            if coef == 0:
+            if not coef:
                 continue
             by_key.setdefault(key, []).append((cell, coef))
         terms = {}
@@ -113,14 +113,14 @@ def zero(pres):
 
 def unit_indicator(pres, clop):
     """The characteristic function of a clopen subset of the unit space."""
-    return ConvElement(pres, [(pres.piece_key((), (cell, cell)), cell, Fraction(1)) for cell in clop.cells])
+    return ConvElement(pres, [(pres.piece_key((), (cell, cell)), cell, 1) for cell in clop.cells])
 
 
 def bisection_indicator(pres, bis):
     terms = []
     for key, piece, _ in bis.pieces:
         for cell in piece.domain.cells:
-            terms.append((key, cell, Fraction(1)))
+            terms.append((key, cell, 1))
     return ConvElement(pres, terms)
 
 
@@ -158,7 +158,7 @@ def add(a, b):
 
 
 def scale(a, q):
-    q = Fraction(q)
+    """q times a, q an int."""
     return ConvElement(a.pres, [(k, c, q * v) for k, c, v in a.items()])
 
 

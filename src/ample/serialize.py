@@ -7,13 +7,13 @@ parse-serialize-parse is the identity on the files the CLI reads:
 presentations, families, certificates and witnesses.  State, Farkas and
 element files are only written.
 
-Rationals are written as {"num": "...", "den": "..."} decimal strings to
-keep arbitrary precision out of JSON number territory.  They are read
-through .numerator and .denominator, which ints and Fractions both have,
-so importing this module does not import fractions.  Nor does it import
-json, which only `load_json` needs, or the search layers, which only the
-family, certificate and witness decoders need: `dumps` writes with json's
-C string encoder alone.
+Rationals are int numerators over a positive int denominator, written in
+lowest terms as {"num": "...", "den": "..."} decimal strings to keep
+arbitrary precision out of JSON number territory; `rational_texts` writes
+them for the JSON reports and the prose alike.  Importing this module
+does not import fractions, nor json, which only `load_json` needs, nor
+the search layers, which only the family, certificate and witness
+decoders need: `dumps` writes with json's C string encoder alone.
 """
 
 from __future__ import annotations
@@ -102,9 +102,28 @@ def _check_version(data, path):
 # -- rationals ---------------------------------------------------------------
 
 
-def encode_rational(q):
-    """q, an int or a Fraction (always in lowest terms)."""
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+def rational_texts(nums, den=1):
+    """num / den for each int num, over the int den > 0, in lowest terms:
+    the decimal strings of its numerator and denominator."""
+    if den == 1:
+        return [(str(num), "1") for num in nums]
+    # only commands that solve an LP write a den other than 1, and simplex
+    # has loaded math by then
+    from math import gcd
+
+    texts = []
+    for num in nums:
+        g = gcd(num, den)
+        texts.append((str(num // g), str(den // g)))
+    return texts
+
+
+def encode_rationals(nums, den=1):
+    return [{"num": n, "den": d} for n, d in rational_texts(nums, den)]
+
+
+def encode_rational(num, den=1):
+    return encode_rationals((num,), den)[0]
 
 
 # -- spaces and clopens -------------------------------------------------------
@@ -449,17 +468,19 @@ def encode_state(sv):
         "schema_version": SCHEMA_VERSION,
         "kind": "state",
         "depth": sv.depth,
-        "values": [[c, encode_rational(v)] for c, v in zip(sv.cells, sv.values)],
+        "values": [[c, q] for c, q in zip(sv.cells, encode_rationals(sv.values, sv.den))],
     }
 
 
 def encode_farkas(fc, depth, notes=()):
+    *equalities, normalization = encode_rationals(
+        (*fc.equality_multipliers, fc.normalization_multiplier), fc.den)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "farkas",
         "depth": depth,
-        "equality_multipliers": [encode_rational(v) for v in fc.equality_multipliers],
-        "normalization_multiplier": encode_rational(fc.normalization_multiplier),
+        "equality_multipliers": equalities,
+        "normalization_multiplier": normalization,
         "constraints": list(notes),
     }
 

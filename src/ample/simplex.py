@@ -29,15 +29,16 @@ Only the kept rows are written out densely, once each, as the tableau's
 rows: lists of Python ints over one positive int denominator, and the
 phase-one objective row is summed from their steps.  A pivot brings the
 rows it changes to a common denominator and divides each by its gcd, so
-Bland's rule and the pivots build no Fraction, and neither does the
-phase-two objective row, which `maximize` assembles in ints over one
-common denominator.  Fractions are built only at the boundary: for
-fractional changes (scaled to ints on the way in), and for the point,
-the optimum and the Farkas multipliers read off the final tableau.  The
-verifiers sum steps too and write out no row: `verify_solution` weighs
-each step by the sum of x from its index on, and `verify_farkas` adds
-the multiplied steps into one change array and takes its running sum
-over the columns.  No floating point enters anywhere.
+Bland's rule and the pivots work in ints alone, and so does the phase-two
+objective row, which `maximize` assembles over one common denominator.
+Fractional changes are scaled to ints on the way in; the point, the
+optimum and the Farkas multipliers are read off the final tableau as int
+numerators over one positive denominator, in lowest terms together.  The
+verifiers check the identities with the denominators cleared, in ints,
+and sum steps too, writing out no row: `verify_solution` weighs each step
+by the sum of x from its index on, and `verify_farkas` adds the
+multiplied steps into one change array and takes its running sum over
+the columns.  No floating point enters anywhere.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from .stone import Record
 
@@ -59,30 +59,29 @@ class Stats(Record):
 
 
 class Feasible(Record):
-    __slots__ = ("x", "stats")
+    # the point x[j] / den: int numerators over a positive int den, in
+    # lowest terms together
+    __slots__ = ("x", "den", "stats")
     _defaults = {"stats": None}
     _uncompared = ("stats",)
 
 
 class Infeasible(Record):
-    # y: one multiplier per input row
-    __slots__ = ("y", "stats")
+    # the multipliers y[i] / den, one per input row, as in Feasible
+    __slots__ = ("y", "den", "stats")
     _defaults = {"stats": None}
     _uncompared = ("stats",)
 
 
 class Optimal(Record):
-    __slots__ = ("x", "value", "stats")
+    # the point as in Feasible; value: the optimum as (num, den) in lowest terms
+    __slots__ = ("x", "den", "value", "stats")
     _defaults = {"stats": None}
     _uncompared = ("stats",)
 
 
 class Unbounded(Record):
     __slots__ = ()
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _check_shape(rows, rhs, n):
@@ -191,7 +190,7 @@ class _Tableau:
     obj[k] / objden: Python ints over one positive int denominator each."""
 
     def __init__(self, rows, rhs, n):
-        """The phase-one tableau of the step rows `rows` (int or Fraction
+        """The phase-one tableau of the step rows `rows` (int or fractional
         changes) with nonnegative rhs `rhs`, each written out densely here."""
         self.n = n
         self.m = m = len(rows)
@@ -275,15 +274,15 @@ class _Tableau:
                 return "unbounded"
             self.pivot(leave, enter)
 
-    def reduced_cost(self, j):
-        return Fraction(self.obj[j], self.objden)
-
     def solution(self):
-        x = [_ZERO] * self.n
-        for i, j in enumerate(self.basis):
-            if j < self.n:
-                x[j] = Fraction(self.rows[i][-1], self.dens[i])
-        return tuple(x)
+        """The basic point as (ints, den), in lowest terms together."""
+        basic = [(j, i) for i, j in enumerate(self.basis) if j < self.n]
+        den = math.lcm(*(self.dens[i] for _, i in basic))
+        x = [0] * self.n
+        for j, i in basic:
+            x[j] = self.rows[i][-1] * (den // self.dens[i])
+        x, den = _primitive(x, den)
+        return tuple(x), den
 
 
 def _stats(t, rows):
@@ -303,13 +302,15 @@ def _phase_one(rows, rhs, n):
     status = t.bland_min(range(n + t.m))
     assert status == "optimal", "phase one is bounded below by zero"
     if t.obj[-1] < 0:  # the phase-one optimum, -obj[-1], is positive
-        # reduced cost of the i-th artificial is 1 - y_i; dropped rows get 0
-        y = [_ZERO] * len(rows)
+        # reduced cost of the i-th artificial is 1 - y_i, so y_i is
+        # (objden - obj) / objden; dropped rows get 0
+        y = [0] * len(rows)
         for k, i in enumerate(kept):
-            y[i] = signs[k] * (_ONE - t.reduced_cost(n + k))
-        return Infeasible(tuple(y), _stats(t, rows)), None
+            y[i] = signs[k] * (t.objden - t.obj[n + k])
+        y, den = _primitive(y, t.objden)
+        return Infeasible(tuple(y), den, _stats(t, rows)), None
     _drive_out_artificials(t)
-    return Feasible(t.solution(), _stats(t, rows)), t
+    return Feasible(*t.solution(), _stats(t, rows)), t
 
 
 def _drive_out_artificials(t):
@@ -351,39 +352,40 @@ def maximize(rows, rhs, n, objective):
     status = t.bland_min(range(n))
     if status == "unbounded":
         return Unbounded()
-    x = t.solution()
-    value = sum(Fraction(objective[j]) * x[j] for j in range(n))
-    return Optimal(x, value, _stats(t, rows))
+    # the rhs slot of the objective row carries c.x at the basis
+    (value,), vden = _primitive([t.obj[-1]], t.objden)
+    return Optimal(*t.solution(), (value, vden), _stats(t, rows))
 
 
-def verify_solution(rows, rhs, n, x):
-    """Recompute Ax = b and x >= 0 for a point with one entry per column.
+def verify_solution(rows, rhs, n, x, den=1):
+    """Recompute Ax = b and x >= 0 for the point x / den, one int numerator
+    per column over a positive int den: with the denominator cleared, every
+    numerator is nonnegative and A x = b den.
 
     A row's value at x is the sum over its steps of the change times the
     sum of x over the columns from the step's index on."""
     _check_shape(rows, rhs, n)
-    xs = [Fraction(v) for v in x]
-    if len(xs) != n or any(v < 0 for v in xs):
+    if len(x) != n or den <= 0 or any(v < 0 for v in x):
         return False
-    tail = list(itertools.accumulate(reversed(xs), initial=_ZERO))[::-1]
-    return all(sum(Fraction(v) * tail[i] for i, v in steps) == Fraction(b)
-               for steps, b in zip(rows, rhs))
+    tail = list(itertools.accumulate(reversed(x), initial=0))[::-1]
+    return all(sum(c * tail[i] for i, c in steps) == b * den for steps, b in zip(rows, rhs))
 
 
 def verify_farkas(rows, rhs, n, y):
     """Recompute the combination: y.A <= 0 in every column and y.b > 0.
 
-    The multiplied steps of every row add into one change array, whose
-    running sum over the columns is y.A."""
+    A positive common denominator scales y.A and y.b alike, so the
+    multipliers' numerators are checked alone.  The multiplied steps of
+    every row add into one change array, whose running sum over the
+    columns is y.A."""
     _check_shape(rows, rhs, n)
-    ys = [Fraction(v) for v in y]
-    if len(ys) != len(rows):
+    if len(y) != len(rows):
         return False
-    change = [_ZERO] * (n + 1)
-    for v, steps in zip(ys, rows):
+    change = [0] * (n + 1)
+    for v, steps in zip(y, rows):
         if v:
             for i, c in steps:
-                change[i] += v * Fraction(c)
+                change[i] += v * c
     if any(total > 0 for total in itertools.accumulate(change[:n])):
         return False
-    return sum(v * Fraction(b) for v, b in zip(ys, rhs)) > 0
+    return sum(v * b for v, b in zip(y, rhs)) > 0

@@ -7,6 +7,8 @@ mu(X) = 1.  The rows come from the word actions alone; no bisection is
 built.
 Solving is exact rational LP; the outcome is either a state vector or a
 Farkas certificate, which `solve` re-verifies by independent recomputation.
+Both hold int numerators over one positive int denominator, as `simplex`
+returns them.
 
 The unknowns are the leaves of `stone.leaf_spans` over the depth-d
 cells, the cell universe the tiling search shares, and a word of length
@@ -38,17 +40,14 @@ carry the depth; nothing is claimed beyond it.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
+import math
 
 from . import simplex, stone
-from .stone import Record, clopen
+from .stone import Record
 from .groupoid import word_str, word_table
 
 # The largest n for which the Tarski report searches an (n+1, n) witness.
 TARSKI_MAX_DROP = 3
-# The largest multiple n of x a probe tries for y <= n x.
-PROBE_N_CAP = 4
 
 
 class DepthError(stone.InputError):
@@ -128,27 +127,25 @@ def build_constraints(pres, depth, length=None, universe=None):
 
 
 class StateVector(Record):
-    # values: Fractions aligned with cells; stats: a simplex.Stats, set by
+    # mu(cells[j]) = values[j] / den: int numerators over a positive int
+    # den, in lowest terms together; stats: a simplex.Stats, set by
     # solve_state
-    __slots__ = ("depth", "cells", "values", "stats")
+    __slots__ = ("depth", "cells", "values", "den", "stats")
     _defaults = {"stats": None}
     _uncompared = ("stats",)
 
     def evaluate_clopen(self, clop):
+        """mu(clop) times den: the sum of the values of the cells under clop."""
         if clop.space.kind == stone.SHIFT and clop.max_depth() > self.depth:
             raise DepthError("clopen %r deeper than state depth %d" % (list(clop.cells), self.depth))
         _, span = stone.leaf_spans(clop.space, self.cells)
-        total = Fraction(0)
-        for c in clop.cells:
-            start, end = span[c]
-            total += sum(self.values[start:end])
-        return total
+        return sum(sum(self.values[slice(*span[c])]) for c in clop.cells)
 
 
 class FarkasCertificate(Record):
-    # normalization_multiplier: a Fraction; stats: a simplex.Stats, set by
-    # solve_state
-    __slots__ = ("equality_multipliers", "normalization_multiplier", "stats")
+    # the multipliers over one positive int den, as in StateVector; stats:
+    # a simplex.Stats, set by solve_state
+    __slots__ = ("equality_multipliers", "normalization_multiplier", "den", "stats")
     _defaults = {"stats": None}
     _uncompared = ("stats",)
 
@@ -166,8 +163,8 @@ def solve_state(cs, on=None):
             objective[start:end] = [1] * (end - start)
         res = simplex.maximize(rows, rhs, n, objective)
     if isinstance(res, simplex.Infeasible):
-        return FarkasCertificate(tuple(res.y[:-1]), res.y[-1], res.stats)
-    return StateVector(cs.depth, cs.cells, tuple(res.x), res.stats)
+        return FarkasCertificate(res.y[:-1], res.y[-1], res.den, res.stats)
+    return StateVector(cs.depth, cs.cells, res.x, res.den, res.stats)
 
 
 def solve(pres, depth, on=None):
@@ -197,23 +194,26 @@ def farkas_support(cs, fc):
     equality multipliers, and the note of each of those rows."""
     rows = [i for i, v in enumerate(fc.equality_multipliers) if v]
     support = FarkasCertificate(tuple(fc.equality_multipliers[i] for i in rows),
-                                fc.normalization_multiplier)
+                                fc.normalization_multiplier, fc.den)
     return support, cs.notes(rows)
 
 
 def verify_state(cs, sv):
     """Exact recomputation of every constraint against the vector."""
-    return sv.cells == cs.cells and simplex.verify_solution(*cs.rows_rhs(), sv.values)
+    return sv.cells == cs.cells and simplex.verify_solution(*cs.rows_rhs(), sv.values, sv.den)
 
 
 def verify_farkas(cs, fc):
-    y = list(fc.equality_multipliers) + [fc.normalization_multiplier]
-    return simplex.verify_farkas(*cs.rows_rhs(), y)
+    """The multipliers' numerators combine the rows to y.A <= 0 < y.b, over
+    a positive denominator."""
+    y = [*fc.equality_multipliers, fc.normalization_multiplier]
+    return fc.den > 0 and simplex.verify_farkas(*cs.rows_rhs(), y)
 
 
 def evaluate(sv, family):
-    """The value of a state on a labeled family: the sum over its entries."""
-    return sum((sv.evaluate_clopen(c) for c in family.entries), Fraction(0))
+    """The value of a state on a labeled family, the sum over its entries,
+    times sv.den."""
+    return sum(sv.evaluate_clopen(c) for c in family.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +221,9 @@ def evaluate(sv, family):
 
 
 class TarskiReport(Record):
-    # outcome: state | paradox | inconclusive; stats: a simplex.Stats of
-    # the state LP
+    # outcome: state | paradox | inconclusive; scale: 1 / mu(A) of the
+    # solved vertex, as (num, den) in lowest terms; stats: a simplex.Stats
+    # of the state LP
     __slots__ = ("outcome", "depth", "state", "scale", "witness", "partial", "note", "stats")
     _defaults = {"state": None, "scale": None, "witness": None, "partial": False, "note": "",
                  "stats": None}
@@ -233,7 +234,9 @@ def tarski_report(pres, a, depth, budget=stone.DEFAULT_BUDGET):
     and a paradoxical witness for A; both can never verify together.
 
     The state is the vertex of `solve` that maximizes mu(A), scaled so
-    that mu(A) = 1.
+    that mu(A) = 1: mu(c) / mu(A) is the numerator of c over the sum of
+    the numerators of the cells of A, so scaling changes the denominator
+    alone.
 
     The witness search, and the layers it needs, load only when the state
     LP leaves it to decide."""
@@ -259,66 +262,11 @@ def tarski_report(pres, a, depth, budget=stone.DEFAULT_BUDGET):
                 else "a state exists but vanishes on the set at this depth")
         return TarskiReport("inconclusive", eff_depth, partial=cs.partial, note=note,
                             stats=res.stats)
-    scale = Fraction(1) / value
-    sv = StateVector(cs.depth, cs.cells, tuple(v * scale for v in res.values))
-    return TarskiReport("state", eff_depth, state=sv, scale=scale, partial=cs.partial, stats=res.stats)
-
-
-# ---------------------------------------------------------------------------
-# order-unit and almost-unperforation probing
-
-
-class ProbeReport(Record):
-    # almost_unperforation: None or a budget-relative counterexample dict
-    __slots__ = ("depth", "seed", "order_unit", "almost_unperforation")
-
-
-def _random_clopen(rng, space, depth):
-    if space.kind == stone.FINITE:
-        pts = [p for p in range(space.size) if rng.random() < 0.5]
-        if not pts:
-            pts = [rng.randrange(space.size)]
-        return clopen(space, pts)
-    d = rng.randint(1, max(depth, 1))
-    cells = space.cells_at_depth(d)
-    chosen = [c for c in cells if rng.random() < 0.4]
-    if not chosen:
-        chosen = [rng.choice(cells)]
-    return clopen(space, chosen)
-
-
-def probes(pres, depth, samples, seed, budget=stone.DEFAULT_BUDGET):
-    from . import typesemigroup as ts
-
-    rng = random.Random(seed)
-    order_unit = []
-    counterexample = None
-    for _ in range(samples):
-        x = _random_clopen(rng, pres.space, depth)
-        y = _random_clopen(rng, pres.space, depth)
-        fx, fy = ts.family_of(x), ts.family_of(y)
-        least = None
-        for n in range(1, PROBE_N_CAP + 1):
-            out = ts.search_leq(pres, fy, ts.multiple(fx, n), depth, budget)
-            if out.status == "found":
-                ok = ts.verify_leq(pres, fy, ts.multiple(fx, n), out.certificate)
-                least = {"n": n, "certified": bool(ok)}
-                break
-        order_unit.append(
-            {"x": list(x.cells), "y": list(y.cells), "bound": least}
-        )
-        if counterexample is None:
-            n = rng.randint(1, 2)
-            big = ts.search_leq(
-                pres, ts.multiple(fx, n + 1), ts.multiple(fy, n), depth, budget
-            )
-            if big.status == "found":
-                small = ts.search_leq(pres, fx, fy, depth, budget)
-                if small.status != "found":
-                    counterexample = {
-                        "x": list(x.cells),
-                        "y": list(y.cells),
-                        "n": n,
-                        "label": "budget-relative: x <= y not found at this depth, not proven false",
-                    }
-    return ProbeReport(depth, seed, tuple(order_unit), counterexample)
+    # mu(c) / mu(A) = values[c] / value, in lowest terms once the
+    # numerators' gcd, which divides value, is divided out
+    g = math.gcd(*res.values)
+    values = res.values if g == 1 else tuple(v // g for v in res.values)
+    sv = StateVector(cs.depth, cs.cells, values, value // g)
+    k = math.gcd(res.den, value)
+    return TarskiReport("state", eff_depth, state=sv, scale=(res.den // k, value // k),
+                        partial=cs.partial, stats=res.stats)

@@ -11,6 +11,9 @@ together with an equivalence certificate for x + z ~ y.
 Search and verification are strictly separated: anything a search returns
 passes the verifier, and a failed search is never evidence of
 inequivalence.
+
+`probes` draws pairs of clopens from a seed and searches order-unit
+bounds y <= n x and almost-unperforation counterexamples among them.
 """
 
 from __future__ import annotations
@@ -432,3 +435,66 @@ def search_leq(pres, f1, f2, depth, budget=stone.DEFAULT_BUDGET):
                  for m, r in rank.items())
     triples = outcome.certificate.triples + rest
     return SearchOutcome(LeqCertificate(remainder, EquivCertificate(triples)), "found", outcome.stats)
+
+
+# ---------------------------------------------------------------------------
+# order-unit and almost-unperforation probing
+
+# The largest multiple n of x a probe tries for y <= n x.
+PROBE_N_CAP = 4
+
+
+class ProbeReport(Record):
+    # almost_unperforation: None or a budget-relative counterexample dict
+    __slots__ = ("depth", "seed", "order_unit", "almost_unperforation")
+
+
+def _random_clopen(rng, space, depth):
+    if space.kind == stone.FINITE:
+        pts = [p for p in range(space.size) if rng.random() < 0.5]
+        if not pts:
+            pts = [rng.randrange(space.size)]
+        return clopen(space, pts)
+    d = rng.randint(1, max(depth, 1))
+    cells = space.cells_at_depth(d)
+    chosen = [c for c in cells if rng.random() < 0.4]
+    if not chosen:
+        chosen = [rng.choice(cells)]
+    return clopen(space, chosen)
+
+
+def probes(pres, depth, samples, seed, budget=stone.DEFAULT_BUDGET):
+    # only the probes draw at random, so the searches of tarski and
+    # dichotomy load no random
+    import random
+
+    rng = random.Random(seed)
+    order_unit = []
+    counterexample = None
+    for _ in range(samples):
+        x = _random_clopen(rng, pres.space, depth)
+        y = _random_clopen(rng, pres.space, depth)
+        fx, fy = family_of(x), family_of(y)
+        least = None
+        for n in range(1, PROBE_N_CAP + 1):
+            out = search_leq(pres, fy, multiple(fx, n), depth, budget)
+            if out.status == "found":
+                ok = verify_leq(pres, fy, multiple(fx, n), out.certificate)
+                least = {"n": n, "certified": bool(ok)}
+                break
+        order_unit.append(
+            {"x": list(x.cells), "y": list(y.cells), "bound": least}
+        )
+        if counterexample is None:
+            n = rng.randint(1, 2)
+            big = search_leq(pres, multiple(fx, n + 1), multiple(fy, n), depth, budget)
+            if big.status == "found":
+                small = search_leq(pres, fx, fy, depth, budget)
+                if small.status != "found":
+                    counterexample = {
+                        "x": list(x.cells),
+                        "y": list(y.cells),
+                        "n": n,
+                        "label": "budget-relative: x <= y not found at this depth, not proven false",
+                    }
+    return ProbeReport(depth, seed, tuple(order_unit), counterexample)

@@ -5,7 +5,9 @@ running sum is the row's entry in each column.  The tests write many
 systems as dense rows, and compare against code that reads rows densely:
 `as_steps` and `dense_row` convert between the two forms, and the rest of
 this module is the dense presolve and the dense verifiers that the step
-code replaced, kept as its differential oracle.
+code replaced, kept as its differential oracle.  The verifiers here
+compute in Fractions; those of `ample.simplex` take int numerators over
+one denominator and compute in ints.
 """
 
 import itertools

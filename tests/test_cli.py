@@ -410,7 +410,7 @@ def test_a_support_certificate_verifies_on_the_full_system(capsys, alias, depth,
     y = [0] * len(full.equalities)
     for note, v in zip(farkas["constraints"], multipliers):
         y[row_of[note]] = int(v)
-    assert states.verify_farkas(full, states.FarkasCertificate(tuple(y), 1))
+    assert states.verify_farkas(full, states.FarkasCertificate(tuple(y), 1, 1))
 
 
 def test_a_farkas_certificate_that_fails_to_verify_is_never_printed(tmp_path, capsys, monkeypatch):
@@ -422,7 +422,7 @@ def test_a_farkas_certificate_that_fails_to_verify_is_never_printed(tmp_path, ca
     def flip_a_multiplier(*args):
         res = solve(*args)
         i = next(i for i, v in enumerate(res.y) if v)
-        return simplex.Infeasible(res.y[:i] + (-res.y[i],) + res.y[i + 1:], res.stats)
+        return simplex.Infeasible(res.y[:i] + (-res.y[i],) + res.y[i + 1:], res.den, res.stats)
 
     monkeypatch.setattr(simplex, "solve_feasibility", flip_a_multiplier)
     code, out, err = run(capsys, "state", "cuntz:2", "--depth", "3", "-o", str(out_file))
@@ -464,13 +464,11 @@ def test_a_state_that_fails_to_verify_is_never_printed(tmp_path, capsys, monkeyp
     ((1, 1), "stably finite at this depth: faithful trace candidate exists")])
 def test_dichotomy_claims_faithful_only_for_a_positive_state(capsys, monkeypatch, values, side):
     # cuntz:2 is minimal, and the state is made up
-    from fractions import Fraction
-
     from ample import states
 
     def made_up(pres, a, depth, budget):
-        sv = states.StateVector(depth, ("1", "2"), tuple(Fraction(v, sum(values)) for v in values))
-        return states.TarskiReport("state", depth, state=sv, scale=Fraction(1))
+        sv = states.StateVector(depth, ("1", "2"), values, sum(values))
+        return states.TarskiReport("state", depth, state=sv, scale=(1, 1))
 
     monkeypatch.setattr(states, "tarski_report", made_up)
     code, out, _ = run(capsys, "dichotomy", "cuntz:2", "--depth", "1")
@@ -492,15 +490,16 @@ def test_probe_and_dichotomy(capsys):
 @pytest.mark.parametrize("alias, depth, expected", [
     ("cuntz:2", 0, 2), ("odometer", 1, 2), ("odometer", 2, 2), ("rotation:3", 2, 0)])
 def test_dichotomy_claims_no_side_from_a_partial_system(capsys, alias, depth, expected):
-    # below depth 3 the odometer's pieces of length 2 and 3 are skipped
+    # below depth 3 the odometer's pieces of length 2 and 3 are skipped; a
+    # state of such a system says nothing about the whole space either
     code, out, _ = run(capsys, "dichotomy", alias, "--depth", str(depth), "--budget", "2000")
     assert code == expected
     report = json.loads(out)
-    assert report["whole_space"] == "state"
     if expected:
-        assert report["side"] == "inconclusive"
+        assert report["whole_space"] == report["side"] == "inconclusive"
         assert "skipped" in report["note"]
     else:
+        assert report["whole_space"] == "state"
         assert report["side"].startswith("stably finite")
 
 

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +41,7 @@ def _random_element(pres, rng, words, max_cells=2, coef_range=3):
         if dom.is_empty:
             continue
         cell = rng.choice(dom.cells)
-        coef = Fraction(rng.randint(-coef_range, coef_range))
+        coef = rng.randint(-coef_range, coef_range)
         terms.append((w, cell, coef))
     return ca.from_terms(pres, terms)
 
@@ -203,7 +202,7 @@ def _coefficient(a, key, point):
     for cell, coef in a.terms.get(key, {}).items():
         if cell == point if finite else point.startswith(cell):
             return coef
-    return Fraction(0)
+    return 0
 
 
 def test_regular_rep_diagonal_matches_expectation():
@@ -217,7 +216,7 @@ def test_regular_rep_diagonal_matches_expectation():
 
 
 def _trace(sv, a):
-    """tau(a) = sum over cells of mu(cell) times E(a) on that cell."""
+    """tau(a) = sum over cells of mu(cell) times E(a) on that cell, times sv.den."""
     space = a.pres.space
     return sum(v * sv.evaluate_clopen(clopen(space, [cell]))
                for _, cell, v in ca.expectation(a).items())
@@ -226,7 +225,7 @@ def _trace(sv, a):
 def test_trace_normalization_and_generator():
     sv = st.solve_state(st.build_constraints(odometer(), 3))
     odo = odometer()
-    assert _trace(sv, ca.unit_indicator(odo, whole(odo.space))) == 1
+    assert _trace(sv, ca.unit_indicator(odo, whole(odo.space))) == sv.den
     g = ca.bisection_indicator(odo, from_word(odo, ((0, 1),)))
     assert _trace(sv, g) == 0
 
@@ -235,8 +234,8 @@ def test_trace_on_rotation_conjugates():
     rot = rotation(3)
     sv = st.solve_state(st.build_constraints(rot, 0))
     rho = ca.bisection_indicator(rot, from_word(rot, ((0, 1),)))
-    assert _trace(sv, ca.conv(rho, ca.star(rho))) == 1
-    assert _trace(sv, ca.conv(ca.star(rho), rho)) == 1
+    assert _trace(sv, ca.conv(rho, ca.star(rho))) == sv.den
+    assert _trace(sv, ca.conv(ca.star(rho), rho)) == sv.den
 
 
 def test_depth_cap_guards_products():
@@ -260,7 +259,7 @@ def test_convolution_matches_sum_over_factorizations():
             parts = ca.zero(pres)
             for _ in range(rng.randint(1, 2)):
                 parts = ca.add(parts, ca.scale(ca.bisection_indicator(pres, rng.choice(enum)),
-                                               Fraction(rng.randint(-2, 2))))
+                                               rng.randint(-2, 2)))
             return parts
 
         for _ in range(40):
@@ -269,7 +268,7 @@ def test_convolution_matches_sum_over_factorizations():
             for gkey, gsrc in arrows:
                 gact = dict(pres.key_action(gkey))
                 gtgt = gact[gsrc]
-                total = Fraction(0)
+                total = 0
                 for hkey, hsrc in arrows:
                     hact = dict(pres.key_action(hkey))
                     if hact[hsrc] != gtgt:
@@ -298,7 +297,7 @@ def _canonical_terms(pres, raw_terms):
     by_key = {}
     for key, cell, coef in raw_terms:
         if coef:
-            by_key.setdefault(key, []).append((cell, Fraction(coef)))
+            by_key.setdefault(key, []).append((cell, coef))
     terms = {key: stone.sum_cells(pres.space, pairs) for key, pairs in by_key.items()}
     return {key: items for key, items in terms.items() if items}
 

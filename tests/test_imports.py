@@ -138,10 +138,9 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 # Modules that only some commands load: argparse serves only help, errors
-# and rarer syntax, json only the commands that read a file, fractions (and
-# the decimal it imports) only those that compute rationals, and each of
+# and rarer syntax, json only the commands that read a file, and each of
 # these layers only the commands that call it.
-LAZY = {"argparse", "json", "fractions", "decimal", "ample.typesemigroup", "ample.paradox",
+LAZY = {"argparse", "json", "ample.typesemigroup", "ample.paradox",
         "ample.states", "ample.simplex", "ample.convalg", "ample.orbits"}
 
 
@@ -187,6 +186,49 @@ def test_commands_without_rationals_load_neither_argparse_nor_fractions(tmp_path
     # file load json
     code = _main_code(commands, [0] * len(commands))
     assert loaded_after(code, {"argparse", "fractions", "json"}) == "['json']"
+
+
+def test_no_command_loads_fractions_decimal_or_numbers(tmp_path):
+    # rationals are ints over a denominator from the tableau to the report
+    space = cuntz(2).space
+    files = {name: str(tmp_path / (name + ".json")) for name in ("w", "f", "cert", "out")}
+    pathlib.Path(files["f"]).write_text(ser.dumps(ser.encode_family(ts.family_of(whole(space)))))
+    families = ["--left", files["f"], "--right", files["f"]]
+    commands = [
+        ["find-witness", "cuntz:2", "--depth", "1", "-o", files["w"]],
+        ["verify-witness", "cuntz:2", "--witness", files["w"]],
+        ["type-eq", "cuntz:2", *families, "--depth", "0", "-o", files["cert"]],
+        ["verify-cert", "cuntz:2", *families, "--cert", files["cert"]],
+        ["state", "cuntz:2", "--depth", "3"],
+        ["state", "odometer", "--depth", "3", "-o", files["out"]],
+        ["--human", "state", "rotation:3", "--depth", "0"],
+        ["tarski", "odometer", "--set", "1", "--depth", "3"],
+        ["tarski", "cuntz:2", "--set", "1", "--depth", "2"],
+        ["dichotomy", "rotation:3", "--depth", "2"],
+        ["dichotomy", "cuntz:2", "--depth", "3"],
+        ["orbits", "pair:3"],
+        ["ideal-check", "pair:3"],
+        ["isometries", "cuntz:2", "--witness", files["w"], "-o", files["out"]],
+        ["isometries", "cuntz:2", "--witness", files["w"], "--matrix"],
+        ["probe", "cuntz:2", "--depth", "2", "--samples", "3"],
+    ]
+    # every command but `state cuntz:2`, which emits a Farkas certificate, exits 0
+    code = _main_code(commands, [0] * 4 + [1] + [0] * 11)
+    assert loaded_after(code, {"fractions", "decimal", "numbers"}) == "[]"
+
+
+def test_probe_loads_neither_states_nor_simplex():
+    code = _main_code([["probe", "cuntz:2", "--depth", "2", "--samples", "5"]], [0])
+    assert loaded_after(code, {"ample.states", "ample.simplex", "random"}) == "['random']"
+
+
+def test_state_loads_no_random():
+    # only probe draws at random, so neither state nor the witness searches
+    # of tarski and dichotomy load it
+    code = _main_code([["state", "odometer", "--depth", "3"],
+                       ["tarski", "cuntz:2", "--set", "1", "--depth", "2"],
+                       ["dichotomy", "cuntz:2", "--depth", "3"]], [0, 0, 0])
+    assert loaded_after(code, {"random"}) == "[]"
 
 
 # Public names kept without a caller in src/ample or bench/, one reason each.

@@ -87,7 +87,7 @@ def test_depth_projection_consistency():
             for cell in coarse_cs.cells:
                 part = clopen(pres.space, [cell])
                 projected.append(fine.evaluate_clopen(part))
-            candidate = st.StateVector(depth, coarse_cs.cells, tuple(projected))
+            candidate = st.StateVector(depth, coarse_cs.cells, tuple(projected), fine.den)
             assert st.verify_state(coarse_cs, candidate)
 
 

@@ -3,8 +3,6 @@ value within one class, hashing of the shared value types, stats kept out
 of ==, immutability, the constructor rules of the record base, and
 UnitSpace's validation."""
 
-from fractions import Fraction
-
 import pytest
 
 from ample import orbits
@@ -45,17 +43,15 @@ RECORDS = {
     "ArrowPiece": (lambda i: from_word(C2, ((0, 1),)).arrow_pieces[0], ArrowPiece(((0, 1),), A1),
                    True),
     "LabeledFamily": (lambda i: ts.normalize(C2.space, [(X, 1), (A1, 2)]), ts.family_of(X), True),
-    "Feasible": (lambda i: sx.Feasible((Fraction(1),), STATS[i]), sx.Feasible((Fraction(2),)),
-                 False),
-    "Infeasible": (lambda i: sx.Infeasible((Fraction(1),), STATS[i]),
-                   sx.Infeasible((Fraction(-1),)), False),
-    "Optimal": (lambda i: sx.Optimal((Fraction(0),), Fraction(0), STATS[i]),
-                sx.Optimal((Fraction(0),), Fraction(1)), False),
+    "Feasible": (lambda i: sx.Feasible((1,), 2, STATS[i]), sx.Feasible((1,), 3), False),
+    "Infeasible": (lambda i: sx.Infeasible((1,), 1, STATS[i]), sx.Infeasible((-1,), 1), False),
+    "Optimal": (lambda i: sx.Optimal((0,), 1, (0, 1), STATS[i]), sx.Optimal((0,), 1, (1, 1)),
+                False),
     "Unbounded": (lambda i: sx.Unbounded(), None, False),
-    "StateVector": (lambda i: st.StateVector(1, ("1", "2"), (Fraction(1, 2),) * 2, STATS[i]),
-                    st.StateVector(1, ("1", "2"), (Fraction(1), Fraction(0))), False),
-    "FarkasCertificate": (lambda i: st.FarkasCertificate((Fraction(1),), Fraction(-1), STATS[i]),
-                          st.FarkasCertificate((Fraction(1),), Fraction(1)), False),
+    "StateVector": (lambda i: st.StateVector(1, ("1", "2"), (1, 1), 2, STATS[i]),
+                    st.StateVector(1, ("1", "2"), (1, 0), 1), False),
+    "FarkasCertificate": (lambda i: st.FarkasCertificate((1,), -1, 1, STATS[i]),
+                          st.FarkasCertificate((1,), 1, 1), False),
     "SearchOutcome-equiv": (_found(ts.search_equiv, ts.family_of(X), ts.family_of(X), 1),
                             ts.SearchOutcome(None, "exhausted"), False),
     "SearchOutcome-leq": (_found(ts.search_leq, ts.family_of(A1), ts.family_of(X), 1),
@@ -74,7 +70,7 @@ RECORDS = {
     "ConstraintSystem": (lambda i: st.build_constraints(C2, 1), st.build_constraints(C2, 2), False),
     "TarskiReport": (lambda i: st.tarski_report(C2, A1, 1), st.TarskiReport("inconclusive", 1),
                      False),
-    "ProbeReport": (lambda i: st.ProbeReport(1, 0, (), None), st.ProbeReport(1, 1, (), None), False),
+    "ProbeReport": (lambda i: ts.ProbeReport(1, 0, (), None), ts.ProbeReport(1, 1, (), None), False),
     "EquivCertificate": (lambda i: ts.search_equiv(C2, FX, FX, 0).certificate,
                          ts.EquivCertificate(()), False),
     "VerifyResult": (lambda i: ts.VerifyResult(True), ts.VerifyResult(False, "no"), False),
@@ -126,10 +122,10 @@ def test_records_take_their_constructor_from_the_base(name):
 def test_keywords_and_defaults_fill_the_fields():
     assert ts.SearchStats(nodes=1, budget=2, cells=3, candidates=4, level=5) == \
         ts.SearchStats(1, 2, 3, 4, 5)
-    assert sx.Optimal((Fraction(1),), value=Fraction(2)) == sx.Optimal((Fraction(1),), Fraction(2))
+    assert sx.Optimal((1,), 1, value=(2, 1)) == sx.Optimal((1,), 1, (2, 1))
     assert PrefixMap(beta="1", alpha="") == PrefixMap("", "1")
     assert ts.VerifyResult(True).reason == ""
-    assert sx.Feasible(()).stats is None and ts.SearchOutcome(None, "budget").stats is None
+    assert sx.Feasible((), 1).stats is None and ts.SearchOutcome(None, "budget").stats is None
     report = st.TarskiReport("inconclusive", 2)
     assert (report.state, report.partial, report.note, report.stats) == (None, False, "", None)
 

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +25,12 @@ def _q(num, den=1):
 
 
 def test_rational_round_trip():
-    assert ser.encode_rational(Fraction(-7, 12)) == _q(-7, 12)
-    assert ser.encode_rational(Fraction(4, 2)) == _q(2)
+    # an int numerator over a positive den, written in lowest terms
+    assert ser.encode_rational(-7, 12) == _q(-7, 12)
+    assert ser.encode_rational(4, 2) == _q(2)
+    assert ser.encode_rational(-6, 4) == _q(-3, 2)
+    assert ser.encode_rational(0, 5) == _q(0)
+    assert ser.encode_rational(3) == _q(3)
 
 
 def test_space_and_clopen_round_trip():
@@ -108,6 +111,9 @@ def test_state_and_farkas_round_trip():
         "schema_version": 1, "kind": "state", "depth": 0,
         "values": [[0, _q(1, 3)], [1, _q(1, 3)], [2, _q(1, 3)]],
     }
+    # each value is written in its own lowest terms
+    half = st.StateVector(0, (0, 1, 2), (2, 1, 1), 4)
+    assert ser.encode_state(half)["values"] == [[0, _q(1, 2)], [1, _q(1, 4)], [2, _q(1, 4)]]
 
     fc = st.solve_state(st.build_constraints(C2, 1))
     assert ser.encode_farkas(fc, 1, ["a", "b"]) == {
@@ -120,20 +126,20 @@ def test_state_and_farkas_round_trip():
 
 def test_element_round_trip():
     elem = ca.from_terms(
-        C2, [(((0, 1),), "1", Fraction(2, 3)), ((), "2", Fraction(-1))]
+        C2, [(((0, 1),), "1", 2), ((), "2", -1)]
     )
     assert ser.encode_element(elem) == {
         "schema_version": 1, "kind": "element",
         "terms": [
             {"word": [], "cell": "2", "coef": _q(-1)},
-            {"word": [["g1", 1]], "cell": "1", "coef": _q(2, 3)},
+            {"word": [["g1", 1]], "cell": "1", "coef": _q(2)},
         ],
     }
 
 
 def test_table_element_words_round_trip():
     rt = rotation(3, with_table=True)
-    sq = ca.from_terms(rt, [(((0, 1), (0, 1)), 0, Fraction(1))])
+    sq = ca.from_terms(rt, [(((0, 1), (0, 1)), 0, 1)])
     # the canonical representative of the squared rotation is stored
     terms = ser.encode_element(sq)["terms"]
     assert terms == [{"word": [["g1", -1]], "cell": 0, "coef": _q(1)}]
@@ -143,9 +149,9 @@ def test_table_element_words_round_trip():
 def test_principal_element_round_trip():
     p3 = pair_groupoid(3)
     # an off-diagonal arrow: 0 -> 2 needs both transposition generators
-    hop = ca.from_terms(p3, [(((1, 1), (0, 1)), 0, Fraction(1, 2))])
+    hop = ca.from_terms(p3, [(((1, 1), (0, 1)), 0, -3)])
     terms = ser.encode_element(hop)["terms"]
-    assert terms == [{"word": [["g2", 1], ["g1", 1]], "cell": 0, "coef": _q(1, 2)}]
+    assert terms == [{"word": [["g2", 1], ["g1", 1]], "cell": 0, "coef": _q(-3)}]
     assert ser.decode_word(terms[0]["word"], p3) == ((1, 1), (0, 1))
 
 

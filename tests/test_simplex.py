@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import dense_lp
 from ample import simplex as sx
@@ -16,8 +18,8 @@ def test_unique_solution():
     rhs = [0, 0, 1]
     res = sx.solve_feasibility(*as_steps(rows, rhs))
     assert isinstance(res, sx.Feasible)
-    assert res.x == (Fraction(1, 3),) * 3
-    assert sx.verify_solution(*as_steps(rows, rhs), res.x)
+    assert (res.x, res.den) == ((1, 1, 1), 3)
+    assert sx.verify_solution(*as_steps(rows, rhs), res.x, res.den)
 
 
 def test_infeasible_with_farkas():
@@ -34,26 +36,26 @@ def test_negative_rhs_rows_are_handled():
     rhs = [-1]
     res = sx.solve_feasibility(*as_steps(rows, rhs))
     assert isinstance(res, sx.Feasible)
-    assert sx.verify_solution(*as_steps(rows, rhs), res.x)
+    assert sx.verify_solution(*as_steps(rows, rhs), res.x, res.den)
 
 
 def test_redundant_rows():
     res = sx.solve_feasibility(*as_steps([[1, 1], [2, 2]], [1, 2]))
     assert isinstance(res, sx.Feasible)
-    assert sx.verify_solution(*as_steps([[1, 1], [2, 2]], [1, 2]), res.x)
+    assert sx.verify_solution(*as_steps([[1, 1], [2, 2]], [1, 2]), res.x, res.den)
 
 
 def test_maximize_simple():
     res = sx.maximize(*as_steps([[1, 1]], [1]), [1, 0])
     assert isinstance(res, sx.Optimal)
-    assert res.value == 1
-    assert res.x == (Fraction(1), Fraction(0))
+    assert res.value == (1, 1)
+    assert (res.x, res.den) == ((1, 0), 1)
 
 
 def test_maximize_respects_equalities():
     # x0 = x1 and x0 + x1 = 1 forces the half-half point
     res = sx.maximize(*as_steps([[1, -1], [1, 1]], [0, 1]), [1, 0])
-    assert res.value == Fraction(1, 2)
+    assert res.value == (1, 2)
 
 
 def test_maximize_detects_infeasible():
@@ -108,7 +110,7 @@ def _brute_force_points(rows, rhs, n):
             full = [Fraction(0)] * n
             for idx, j in enumerate(cols):
                 full[j] = sol[idx]
-            if sx.verify_solution(*as_steps(rows, rhs), full):
+            if dense_lp.verify_solution(rows, rhs, full):
                 yield full
 
 
@@ -134,7 +136,7 @@ def test_fuzz_against_bruteforce_oracle():
         res = sx.solve_feasibility(*as_steps(rows, rhs))
         brute = _brute_force_feasible(rows, rhs, n)
         if isinstance(res, sx.Feasible):
-            assert sx.verify_solution(*as_steps(rows, rhs), res.x)
+            assert sx.verify_solution(*as_steps(rows, rhs), res.x, res.den)
             assert brute
             agree_feasible += 1
         else:
@@ -156,7 +158,7 @@ def test_redundant_rows_are_dropped_before_pivoting():
     rows, rhs = [[1, 1], [2, 2], [1, -1], [3, 1]], [1, 2, 0, 2]
     res = sx.solve_feasibility(*as_steps(rows, rhs))
     assert isinstance(res, sx.Feasible)
-    assert sx.verify_solution(*as_steps(rows, rhs), res.x)
+    assert sx.verify_solution(*as_steps(rows, rhs), res.x, res.den)
     assert (res.stats.rows, res.stats.rows_kept, res.stats.cols) == (4, 2, 2)
 
 
@@ -172,9 +174,9 @@ def test_dependent_row_with_independent_rhs_is_kept():
 def test_all_zero_rows():
     rows, rhs = [[0, 0, 0], [0, 0, 0]], [0, 0]
     res = sx.solve_feasibility(*as_steps(rows, rhs))
-    assert res == sx.Feasible((Fraction(0),) * 3)
+    assert res == sx.Feasible((0,) * 3, 1)
     assert res.stats.rows_kept == 0
-    assert sx.maximize(*as_steps(rows, rhs), [-1, 0, -2]) == sx.Optimal((Fraction(0),) * 3, Fraction(0))
+    assert sx.maximize(*as_steps(rows, rhs), [-1, 0, -2]) == sx.Optimal((0,) * 3, 1, (0, 1))
     assert isinstance(sx.maximize(*as_steps(rows, rhs), [0, 1, 0]), sx.Unbounded)
     res = sx.solve_feasibility(*as_steps(rows, [0, -1]))
     assert isinstance(res, sx.Infeasible)
@@ -218,7 +220,7 @@ def test_presolve_property_against_unreduced_rows():
             assert len(big.y) == len(big_rows)
             assert sx.verify_farkas(*as_steps(big_rows, big_rhs), big.y)
         else:
-            assert sx.verify_solution(*as_steps(big_rows, big_rhs), big.x)
+            assert sx.verify_solution(*as_steps(big_rows, big_rhs), big.x, big.den)
         objective = [rng.randint(-2, 2) for _ in range(n)]
         small = sx.maximize(*as_steps(rows, rhs), objective)
         big = sx.maximize(*as_steps(big_rows, big_rhs), objective)
@@ -229,7 +231,7 @@ def test_presolve_property_against_unreduced_rows():
             assert sx.verify_farkas(*as_steps(big_rows, big_rhs), big.y)
         elif isinstance(big, sx.Optimal):
             assert big.value == small.value
-            assert sx.verify_solution(*as_steps(big_rows, big_rhs), big.x)
+            assert sx.verify_solution(*as_steps(big_rows, big_rhs), big.x, big.den)
     assert all(count > 10 for count in kinds.values()), kinds
 
 
@@ -238,7 +240,7 @@ def _same_outcome(a, b):
     if not isinstance(a, sx.Unbounded):
         assert a.stats == b.stats
         values = a.y if isinstance(a, sx.Infeasible) else a.x
-        assert all(type(v) is Fraction for v in values)
+        assert all(type(v) is int for v in (*values, a.den))
 
 
 def test_int_and_fraction_rows_give_the_same_outcome_and_stats():
@@ -299,9 +301,9 @@ def test_drive_out_pivots_on_a_negative_entry(monkeypatch):
     monkeypatch.setattr(sx._Tableau, "pivot", spy)
     rows, rhs = [[-1, -1], [1, -2]], [-2, 2]
     res = sx.solve_feasibility(*as_steps(rows, rhs))
-    assert res.x == (2, 0) and res.stats.pivots == 2
+    assert (res.x, res.den) == ((2, 0), 1) and res.stats.pivots == 2
     assert entries[-1] == -3
-    assert sx.maximize(*as_steps(rows, rhs), [1, 1]) == sx.Optimal((2, 0), 2)
+    assert sx.maximize(*as_steps(rows, rhs), [1, 1]) == sx.Optimal((2, 0), 1, (2, 1))
 
 
 def _drive_outs(monkeypatch):
@@ -336,8 +338,8 @@ def test_maximize_after_a_drive_out_matches_the_brute_force_optimum(monkeypatch)
         res = sx.maximize(*as_steps(rows, rhs), objective)
         if not (log and log[-1] and isinstance(res, sx.Optimal)):
             continue
-        assert sx.verify_solution(*as_steps(rows, rhs), res.x)
-        assert res.value == _brute_force_max(rows, rhs, objective)
+        assert sx.verify_solution(*as_steps(rows, rhs), res.x, res.den)
+        assert Fraction(*res.value) == _brute_force_max(rows, rhs, objective)
         checked += 1
     assert checked > 20
 
@@ -346,7 +348,7 @@ def test_mixed_fraction_denominators_and_negative_rhs():
     # x0/2 + x1/3 = 1 and x0/5 - x1 = -1/5 have the one solution (28/17, 9/17)
     rows, rhs = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), -1]], [1, Fraction(-1, 5)]
     res = sx.solve_feasibility(*as_steps(rows, rhs))
-    assert res.x == (Fraction(28, 17), Fraction(9, 17))
+    assert (res.x, res.den) == ((28, 9), 17)
     rng = random.Random(2007)
     kinds = {sx.Feasible: 0, sx.Infeasible: 0}
     for _ in range(150):
@@ -360,11 +362,11 @@ def test_mixed_fraction_denominators_and_negative_rhs():
         if isinstance(res, sx.Infeasible):
             assert sx.verify_farkas(*as_steps(rows, rhs), res.y)
             continue
-        assert sx.verify_solution(*as_steps(rows, rhs), res.x)
+        assert sx.verify_solution(*as_steps(rows, rhs), res.x, res.den)
         objective = [rng.randint(-2, 2) for _ in range(n)]
         best = sx.maximize(*as_steps(rows, rhs), objective)
         if isinstance(best, sx.Optimal):
-            assert best.value == _brute_force_max(rows, rhs, objective)
+            assert Fraction(*best.value) == _brute_force_max(rows, rhs, objective)
     assert all(count > 20 for count in kinds.values()), kinds
 
 
@@ -392,9 +394,10 @@ def test_maximize_with_mixed_objective_denominators_matches_the_brute_force_opti
         if isinstance(res, sx.Infeasible):
             assert sx.verify_farkas(*as_steps(rows, rhs), res.y) and not costed
         elif isinstance(res, sx.Optimal):
-            assert sx.verify_solution(*as_steps(rows, rhs), res.x)
-            assert res.value == sum(c * v for c, v in zip(objective, res.x))
-            assert res.value == _brute_force_max(rows, rhs, objective)
+            assert sx.verify_solution(*as_steps(rows, rhs), res.x, res.den)
+            value = Fraction(*res.value)
+            assert value == sum(c * v for c, v in zip(objective, res.x)) / res.den
+            assert value == _brute_force_max(rows, rhs, objective)
             optimal += 1
     assert many_costed >= 50 and optimal > 100, (many_costed, optimal)
 
@@ -520,10 +523,14 @@ def test_presolve_keeps_the_rows_of_a_dense_greedy_rank_on_state_systems(pres, d
 
 def test_verify_solution_rejects_points_that_are_not_solutions():
     rows, rhs = [[1, -1, 0], [0, 1, -1], [1, 1, 1]], [0, 0, 1]
-    third = Fraction(1, 3)
-    assert sx.verify_solution(*as_steps(rows, rhs), [third] * 3)
-    assert not sx.verify_solution(*as_steps(rows, rhs), [third, third, third + Fraction(1, 100)])
+    assert sx.verify_solution(*as_steps(rows, rhs), [1] * 3, 3)
+    assert sx.verify_solution(*as_steps(rows, rhs), [100] * 3, 300)
+    assert not sx.verify_solution(*as_steps(rows, rhs), [100, 100, 101], 300)
+    assert not sx.verify_solution(*as_steps(rows, rhs), [1] * 3, 1)  # invariant, but of total 3
     assert not sx.verify_solution(*as_steps([[1, 1]], [0]), [1, -1])  # Ax = b, but x is negative
+    # cleared of a denominator that is no positive number, every row holds
+    assert not sx.verify_solution(*as_steps(rows, rhs), [0] * 3, 0)
+    assert not sx.verify_solution(*as_steps([[1, 1]], [0]), [0, 0], -1)
     # a point with fewer or more entries than columns is no point of the system
     assert not sx.verify_solution(*as_steps([[1, 1]], [1]), [1])
     assert not sx.verify_solution(*as_steps([[1, 1]], [1]), [1, 0, 0])
@@ -540,29 +547,30 @@ def test_verify_farkas_rejects_a_flipped_multiplier():
 
 
 def _same_verdicts(rows, rhs, n, points, multipliers):
-    """The step verifiers and the dense ones agree on every candidate;
-    returns how many candidates verified."""
+    """The integer step verifiers and the dense Fraction ones agree on every
+    candidate, (numerators, den) with den > 0; returns how many candidates
+    verified."""
     dense = dense_rows(rows, n)
     accepted = 0
-    for x in points:
-        verdict = sx.verify_solution(rows, rhs, n, x)
-        assert verdict == dense_lp.verify_solution(dense, rhs, x)
+    for x, den in points:
+        verdict = sx.verify_solution(rows, rhs, n, x, den)
+        assert verdict == dense_lp.verify_solution(dense, rhs, [Fraction(v, den) for v in x])
         accepted += verdict
-    for y in multipliers:
+    for y, den in multipliers:
         verdict = sx.verify_farkas(rows, rhs, n, y)
-        assert verdict == dense_lp.verify_farkas(dense, rhs, y)
+        assert verdict == dense_lp.verify_farkas(dense, rhs, [Fraction(v, den) for v in y])
         accepted += verdict
     return accepted
 
 
-def _variants(rng, v, count):
-    """v itself, then copies of it with one entry changed each."""
-    out = [tuple(v)]
+def _variants(rng, v, den, count):
+    """(v, den) itself, then copies of it with one numerator changed each."""
+    out = [(tuple(v), den)]
     for _ in range(count):
         w = list(v)
         k = rng.randrange(len(w))
-        w[k] = rng.choice((-w[k], w[k] + Fraction(1, 7), Fraction(0), Fraction(-1)))
-        out.append(tuple(w))
+        w[k] = rng.choice((-w[k], w[k] + 1, 0, -1))
+        out.append((tuple(w), den))
     return out
 
 
@@ -573,12 +581,12 @@ def test_step_verifiers_agree_with_the_dense_verifiers():
         rows, rhs = _random_system(rng)
         rows, rhs, n = as_steps(rows, rhs)
         res = sx.solve_feasibility(rows, rhs, n)
-        points = [[Fraction(rng.randint(0, 2), 3) for _ in range(n)]]
-        multipliers = [[Fraction(rng.randint(-2, 2)) for _ in rows]]
+        points = [([rng.randint(0, 2) for _ in range(n)], 3)]
+        multipliers = [([rng.randint(-2, 2) for _ in rows], 1)]
         if isinstance(res, sx.Feasible):
-            points += _variants(rng, res.x, 3)
+            points += _variants(rng, res.x, res.den, 3)
         else:
-            multipliers += _variants(rng, res.y, 3)
+            multipliers += _variants(rng, res.y, res.den, 3)
         ok = _same_verdicts(rows, rhs, n, points, multipliers)
         accepted += ok
         rejected += len(points) + len(multipliers) - ok
@@ -588,7 +596,40 @@ def test_step_verifiers_agree_with_the_dense_verifiers():
 @pytest.mark.parametrize("depth", range(1, 8))
 def test_step_verifiers_agree_with_the_dense_verifiers_on_cuntz(depth):
     rows, rhs, n = st.build_constraints(cuntz(2), depth).rows_rhs()
-    y = sx.solve_feasibility(rows, rhs, n).y
+    res = sx.solve_feasibility(rows, rhs, n)
     rng = random.Random(depth)
-    points = [[Fraction(1, n)] * n, [Fraction(0)] * n]
-    assert _same_verdicts(rows, rhs, n, points, _variants(rng, y, 3)) >= 1
+    points = [([1] * n, n), ([0] * n, 1)]
+    assert _same_verdicts(rows, rhs, n, points, _variants(rng, res.y, res.den, 3)) >= 1
+
+
+# small ints and fractions, the entries of the drawn systems
+_ENTRY = hs.one_of(hs.integers(-3, 3), hs.fractions(-3, 3, max_denominator=6))
+
+
+@hs.composite
+def _dense_systems(draw):
+    """A dense system [A | b] of 1 to 5 rows over 1 to 5 columns."""
+    n = draw(hs.integers(1, 5))
+    rows = draw(hs.lists(hs.lists(_ENTRY, min_size=n, max_size=n), min_size=1, max_size=5))
+    return rows, draw(hs.lists(_ENTRY, min_size=len(rows), max_size=len(rows)))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(system=_dense_systems(), objective=hs.lists(hs.integers(-2, 2), min_size=5, max_size=5),
+       data=hs.data())
+def test_integer_verifiers_agree_with_the_fraction_oracle(system, objective, data):
+    # on each solver output, and on a copy of it with one numerator moved
+    dense, rhs = system
+    rows, rhs, n = as_steps(dense, rhs)
+    outputs = [sx.solve_feasibility(rows, rhs, n), sx.maximize(rows, rhs, n, objective[:n])]
+    for res in outputs:
+        if isinstance(res, sx.Unbounded):
+            continue
+        v = res.y if isinstance(res, sx.Infeasible) else res.x
+        k = data.draw(hs.integers(0, len(v) - 1))
+        moved = v[:k] + (v[k] + data.draw(hs.integers(-3, 3).filter(bool)),) + v[k + 1:]
+        candidates = [(v, res.den), (moved, res.den)]
+        if isinstance(res, sx.Infeasible):
+            assert _same_verdicts(rows, rhs, n, [], candidates) >= 1
+        else:
+            assert _same_verdicts(rows, rhs, n, candidates, []) >= 1

@@ -3,8 +3,6 @@ import pathlib
 import random
 import subprocess
 import sys
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -47,14 +45,14 @@ def test_rotation_uniform_state():
     cs = st.build_constraints(ROT, 0)
     out = st.solve_state(cs)
     assert isinstance(out, st.StateVector)
-    assert out.values == (Fraction(1, 3),) * 3
+    assert (out.values, out.den) == ((1, 1, 1), 3)
     assert st.verify_state(cs, out)
 
 
 def test_pair_uniform_state():
     cs = st.build_constraints(pair_groupoid(2), 0)
     out = st.solve_state(cs)
-    assert out.values == (Fraction(1, 2),) * 2
+    assert (out.values, out.den) == ((1, 1), 2)
 
 
 def test_odometer_product_measure_all_depths():
@@ -62,7 +60,7 @@ def test_odometer_product_measure_all_depths():
         cs = st.build_constraints(ODO, depth)
         out = st.solve_state(cs)
         assert isinstance(out, st.StateVector)
-        assert all(v == Fraction(1, 2 ** depth) for v in out.values)
+        assert all(v == 1 for v in out.values) and out.den == 2 ** depth
         assert st.verify_state(cs, out)
     assert st.build_constraints(ODO, 1).partial  # deep carry pieces skipped
     assert not st.build_constraints(ODO, 3).partial
@@ -78,14 +76,14 @@ def test_evaluate_examples():
     cs = st.build_constraints(ROT, 0)
     sv = st.solve_state(cs)
     f = ts.family_of(clopen(ROT.space, [0, 1]))
-    assert st.evaluate(sv, f) == Fraction(2, 3)
+    assert (st.evaluate(sv, f), sv.den) == (2, 3)
 
     cso = st.build_constraints(ODO, 3)
     svo = st.solve_state(cso)
     fam = ts.normalize(
         ODO.space, [(clopen(ODO.space, ["12"]), 1), (clopen(ODO.space, ["21"]), 2)]
     )
-    assert st.evaluate(svo, fam) == Fraction(1, 2)
+    assert 2 * st.evaluate(svo, fam) == svo.den
     assert st.evaluate(svo, ts.LabeledFamily(ODO.space, ())) == 0
 
 
@@ -105,16 +103,16 @@ def test_tarski_cuntz_paradox_at_depth_one():
 def test_tarski_rotation_state():
     rep = st.tarski_report(ROT, whole(ROT.space), 0)
     assert rep.outcome == "state"
-    assert rep.state.values == (Fraction(1, 3),) * 3
-    assert rep.scale == 1
+    assert (rep.state.values, rep.state.den) == ((1, 1, 1), 3)
+    assert rep.scale == (1, 1)
 
 
 def test_tarski_odometer_rescales_on_cylinder():
     a = clopen(ODO.space, ["1"])
     rep = st.tarski_report(ODO, a, 3, budget=20000)
     assert rep.outcome == "state"
-    assert rep.scale == 2
-    assert rep.state.evaluate_clopen(a) == 1
+    assert rep.scale == (2, 1)
+    assert rep.state.evaluate_clopen(a) == rep.state.den
 
 
 def test_tarski_rejects_empty_set():
@@ -144,7 +142,7 @@ def test_state_evaluation_invariant_under_certificates():
 
 
 def test_probe_order_unit_on_cuntz():
-    rep = st.probes(C2, 2, 12, seed=1, budget=20000)
+    rep = ts.probes(C2, 2, 12, seed=1, budget=20000)
     assert rep.depth == 2 and rep.seed == 1
     bounded = [r for r in rep.order_unit if r["bound"] is not None]
     assert bounded, "expected at least one certified order-unit bound"
@@ -170,7 +168,7 @@ def test_probe_pair_groupoid_point_to_point():
 
 
 def test_probe_no_unperforation_counterexample_on_cuntz():
-    rep = st.probes(C2, 2, 200, seed=7, budget=4000)
+    rep = ts.probes(C2, 2, 200, seed=7, budget=4000)
     assert rep.almost_unperforation is None
 
 
@@ -321,30 +319,32 @@ def test_state_rows_build_no_bisection(monkeypatch):
 
 def test_verify_state_rejects_a_vector_that_is_not_the_state():
     cs = st.build_constraints(ROT, 0)
-    third = Fraction(1, 3)
-    assert st.verify_state(cs, st.StateVector(0, (0, 1, 2), (third,) * 3))
-    for cells, values in [
-        ((0, 1, 2), (third, third, third + Fraction(1, 100))),
-        ((0, 1, 2), (Fraction(1),) * 3),  # invariant, but not of total 1
-        ((0, 1, 2), (third,) * 2),
-        ((0, 1, 2), (third,) * 3 + (Fraction(0),)),
-        ((0, 1, 3), (third,) * 3),
+    assert st.verify_state(cs, st.StateVector(0, (0, 1, 2), (1,) * 3, 3))
+    for cells, values, den in [
+        ((0, 1, 2), (100, 100, 101), 300),
+        ((0, 1, 2), (1,) * 3, 1),  # invariant, but not of total 1
+        ((0, 1, 2), (1,) * 2, 3),
+        ((0, 1, 2), (1,) * 3 + (0,), 3),
+        ((0, 1, 3), (1,) * 3, 3),
+        ((0, 1, 2), (-1,) * 3, -3),  # each -1 / -3, but no positive denominator
     ]:
-        assert not st.verify_state(cs, st.StateVector(0, cells, values))
+        assert not st.verify_state(cs, st.StateVector(0, cells, values, den))
     # of total 1 with no invariance row to break, but negative
     cs = st.build_constraints(gpd.trivial(2), 0)
-    assert not st.verify_state(cs, st.StateVector(0, (0, 1), (Fraction(2), Fraction(-1))))
+    assert not st.verify_state(cs, st.StateVector(0, (0, 1), (2, -1), 1))
 
 
 def test_verify_farkas_rejects_a_certificate_with_a_flipped_multiplier():
     cs = st.build_constraints(C2, 1)
     fc = st.solve_state(cs)
     assert st.verify_farkas(cs, fc)
-    eq, norm = fc.equality_multipliers, fc.normalization_multiplier
-    assert not st.verify_farkas(cs, st.FarkasCertificate(eq, -norm))
+    eq, norm, den = fc.equality_multipliers, fc.normalization_multiplier, fc.den
+    assert not st.verify_farkas(cs, st.FarkasCertificate(eq, -norm, den))
+    # the same numerators over a negative denominator are the negated vector
+    assert not st.verify_farkas(cs, st.FarkasCertificate(eq, norm, -den))
     for i, v in enumerate(eq):
         if v:
-            assert not st.verify_farkas(cs, st.FarkasCertificate(eq[:i] + (-v,) + eq[i + 1:], norm))
+            assert not st.verify_farkas(cs, st.FarkasCertificate(eq[:i] + (-v,) + eq[i + 1:], norm, den))
 
 
 def test_rows_rhs_passes_the_rows_through():
@@ -392,9 +392,10 @@ def _check_two_stages_against_the_full_solve(pres, depth, on=None):
     assert isinstance(outcome, st.FarkasCertificate) == isinstance(oracle, simplex.Infeasible)
     if isinstance(outcome, st.StateVector):
         assert cs == full
-        assert outcome.values == oracle.x
+        assert (outcome.values, outcome.den) == (oracle.x, oracle.den)
         if on is not None:
-            assert outcome.evaluate_clopen(on) == oracle.value
+            num, den = oracle.value
+            assert outcome.evaluate_clopen(on) * den == num * outcome.den
         return outcome
     rows = [i for i, v in enumerate(outcome.equality_multipliers) if v]
     support, notes = st.farkas_support(cs, outcome)
@@ -403,7 +404,8 @@ def _check_two_stages_against_the_full_solve(pres, depth, on=None):
     y = [0] * len(full.equalities)
     for i, v in zip(rows, support.equality_multipliers):
         y[row_of[cs.sources[i]]] = v
-    assert st.verify_farkas(full, st.FarkasCertificate(tuple(y), support.normalization_multiplier))
+    assert st.verify_farkas(full, st.FarkasCertificate(tuple(y), support.normalization_multiplier,
+                                                       support.den))
     return outcome
 
 
