@@ -619,10 +619,11 @@ class WordTable:
     """The words of one presentation up to one depth, each with its action.
 
     entries: (word, action) for each freely reduced word of length at most
-    the depth whose action is nonempty, by (length, symbols).  images and
-    bisections are the tiling search's memos: shift cell -> its (word,
-    `cell_images`) list, and (word, cell) -> the Bisection of the word on
-    that cell.
+    the depth whose action is nonempty, by (length, symbols).  images,
+    bisections and levels are the tiling search's memos: shift cell -> its
+    (word, `cell_images`) list; (word, cell) -> the Bisection of the word
+    on that cell, and ((), clopen) -> the identity on that clopen; and
+    (cells, target clopens) -> a compiled cell level of the search.
 
     Each action is composed once, from its parent's: the appended letter
     acts first, so every extension of a word with an empty action has an
@@ -632,7 +633,7 @@ class WordTable:
     holds a point of that domain are tried.
     """
 
-    __slots__ = ("space", "entries", "_pieces", "images", "bisections")
+    __slots__ = ("space", "entries", "_pieces", "images", "bisections", "levels")
 
     def __init__(self, pres, depth):
         self.space = space = pres.space
@@ -668,6 +669,7 @@ class WordTable:
         self._pieces = None
         self.images = {}
         self.bisections = {}
+        self.levels = {}
 
     @property
     def pieces(self):

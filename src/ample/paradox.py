@@ -138,7 +138,7 @@ def search_witness(pres, a, k, l, depth, budget=stone.DEFAULT_BUDGET):
         raise WitnessError("the decomposed set must be nonempty")
     fam_a = family_of(a)
     outcome, _ = ts._search_tiling(pres, multiple(fam_a, k), multiple(fam_a, l), depth, budget,
-                                   exact=False)
+                                   exact=False, leftover=False)
     if outcome.status != "found":
         return outcome
     rows = [[] for _ in range(k)]

@@ -11,15 +11,15 @@ Rationals are int numerators over a positive int denominator, written in
 lowest terms as {"num": "...", "den": "..."} decimal strings to keep
 arbitrary precision out of JSON number territory; `rational_texts` writes
 them for the JSON reports and the prose alike.  Importing this module
-does not import fractions, nor json, which only `load_json` needs, nor
-the search layers, which only the family, certificate and witness
-decoders need: `dumps` writes with json's C string encoder alone.
+does not import fractions, nor json, nor the search layers, which only
+the family, certificate and witness decoders need: `dumps` writes with
+json's C string encoder, and `load_json` reads with json's C scanner.
 """
 
 from __future__ import annotations
 
 import os
-from _json import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote, make_scanner
 
 from . import stone
 from .stone import UnitSpace, clopen
@@ -573,22 +573,58 @@ def dumps(obj):
     return "".join(out)
 
 
-def load_json(path):
-    import json
+class _Reader:
+    """The settings of json's default decoder, which `make_scanner` reads."""
 
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {"NaN": float("nan"), "Infinity": float("inf"),
+                      "-Infinity": float("-inf")}.__getitem__
+
+
+_scan_once = make_scanner(_Reader)
+_JSON_SPACE = " \t\n\r"
+
+
+def _loads(text):
+    """json.loads(text), by the C scanner json.loads itself runs.
+
+    A text the scanner reads whole, between json's whitespace, gives the
+    same value.  Any other text goes to json.loads, which raises its own
+    error: no value, data after it, a UTF-8 BOM, or a malformed value,
+    whose error the scanner builds from json.decoder only once that is
+    loaded (Python 3.11 raises SystemError before).
+    """
+    try:
+        obj, end = _scan_once(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+    except (StopIteration, ValueError, SystemError):
+        end = None
+    if end != len(text.rstrip(_JSON_SPACE)):
+        import json
+
+        return json.loads(text)
+    return obj
+
+
+def load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return _loads(fh.read())
     except OSError as exc:
         raise SchemaError(path, "cannot read: %s" % exc) from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(path, "not UTF-8: %s" % exc) from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError("%s:%d" % (path, exc.lineno), exc.msg) from exc
-    except ValueError as exc:  # an integer literal past the int conversion limit
-        raise SchemaError(path, "number too long to read: %s" % exc) from exc
     except RecursionError:
         raise SchemaError(path, "JSON nested too deeply to read") from None
+    except ValueError as exc:
+        # json.loads raised it, so json is loaded
+        from json import JSONDecodeError
+
+        if isinstance(exc, JSONDecodeError):
+            raise SchemaError("%s:%d" % (path, exc.lineno), exc.msg) from exc
+        # an integer literal past the int conversion limit
+        raise SchemaError(path, "number too long to read: %s" % exc) from exc
 
 
 def parse_presentation_arg(spec):

@@ -273,7 +273,7 @@ def _compile_pieces(pres, pieces, cells, targets, cached):
     return options, [mask_of(zip(t.cells, t.cells)) for t in targets], leaves
 
 
-def _search_tiling(pres, f1, f2, depth, budget, exact):
+def _search_tiling(pres, f1, f2, depth, budget, exact, leftover=True):
     """The one backtracking search: tile the cells of f1 into f2 by pieces.
 
     The search steps through cell levels, coarse to fine: from the depth
@@ -285,50 +285,86 @@ def _search_tiling(pres, f1, f2, depth, budget, exact):
     refines to one at every finer level by the same words, so the levels
     find exactly when the finest does, with fewer and larger pieces.
     On Finite(n) there is one level.  Returns the outcome, whose triples
-    follow slot order, and the leftover clopen of each label of f2.
+    follow slot order, and, when found and `leftover` holds, the leftover
+    clopen of each label of f2 (else None).
     """
     table = word_table(pres, depth)
     _, deepest = table.pieces
     tracker = SearchBudget(budget)
-    for level in range(_cell_depth(pres, [f1, f2], 0), _cell_depth(pres, [f1, f2], deepest) + 1):
-        outcome, left = _search_level(pres, table, f1, f2, level, tracker, exact)
+    first = _cell_depth(pres, [f1, f2], 0)
+    for level in range(first, max(first, deepest) + 1):
+        outcome, left = _search_level(pres, table, f1, f2, level, tracker, exact, leftover)
         if outcome.status != "exhausted":
             break
     return outcome, left
 
 
-def _search_level(pres, table, f1, f2, level, tracker, exact):
+def _compiled_level(pres, table, cells, f2):
+    """(arrivals, masks, leaves, leftovers) of the cells against the
+    entries of f2, memoised in the table.  arrivals[i] lists, in word order
+    and then label order, the (piece word, label m of f2, image) candidates
+    of cells[i] whose image lies inside entry m; masks and leaves are those
+    of `_compile_pieces`; leftovers, filled in by the searches, maps a mask
+    to its clopen."""
+    key = cells, f2.entries
+    level = table.levels.get(key)
+    if level is None:
+        pieces, _ = table.pieces
+        options, masks, leaves = _compile_pieces(pres, pieces, cells, f2.entries, table.images)
+        targets = list(zip(f2.labels, masks))
+        arrivals = [[(word, m, image) for word, image in options[cell]
+                     for m, mask in targets if image & mask == image]
+                    for cell in cells]
+        level = table.levels[key] = arrivals, masks, leaves, {}
+    return level
+
+
+def _search_level(pres, table, f1, f2, level, tracker, exact, leftover):
     """Tile the cells of f1 at depth `level` into f2 by pieces.
 
     The slots are (label of f1, refinement cell) pairs in family order.  A
     slot's candidates are the (piece word, label m of f2, image) triples of
     the table's words acting on the whole cell whose action sends it inside
-    entry m of f2.  Each refinement cell keeps the list of its candidates
-    that still fit, shared by its slots: placing (word, m, image) drops
-    from the lists of the cells with an open slot the candidates of label m
-    whose image meets image, and undoing it puts the replaced lists back.
-    At each node the open slot whose list is shortest is filled next, ties
-    going to the earlier slot, by the candidates of that list in order;
-    every one tried costs one unit of `tracker`, the search's budget.  With
-    exact=True the capacity must be consumed entirely (equivalence);
-    otherwise leftovers become the remainder of a <= certificate.  The
-    backtracking keeps an explicit stack, so the slot count is not capped
-    by Python's recursion limit.  The words, the cells' image words and the
-    chosen bisections come from the presentation's word table, built once;
-    the masks are the level's own.
+    entry m of f2: the cell's arrival list, compiled once per table for
+    these cells and targets.  Each refinement cell keeps, as an int bit
+    set over its arrival list, the candidates that still fit, shared by
+    its slots: placing (word, m, image) clears from the bit sets of the
+    cells with an open slot the candidates of label m whose image meets
+    image, and undoing it restores the replaced ints.  Those conflicts are
+    worked out once per (label, image) in the level, as (cell, bits kept)
+    for the cells that lose a candidate.  At each node the open slot with
+    the fewest fitting candidates is filled next, ties going to the
+    earlier slot, by those candidates in arrival order; every one tried
+    costs one unit of `tracker`, the search's budget.  With exact=True the
+    capacity must be consumed entirely (equivalence); otherwise leftovers
+    become the remainder of a <= certificate.  The backtracking keeps an
+    explicit stack, so the slot count is not capped by Python's recursion
+    limit.  The words, the cells' image words, the compiled levels and
+    the chosen bisections come from the presentation's word table, built
+    once.
     """
-    pieces, _ = table.pieces
     slots = _family_slots(f1, level)
-    cells = list(dict.fromkeys(cell for _, cell in slots))
-    options, masks, leaves = _compile_pieces(pres, pieces, cells, f2.entries, table.images)
-    fits = {cell: [(word, m, image) for word, image in options[cell]
-                   for m, mask in zip(f2.labels, masks) if image & mask == image]
-            for cell in cells}
-    slot_cells = [cell for _, cell in slots]
-    candidates = sum(len(fits[cell]) for cell in slot_cells)
-    unfilled = dict.fromkeys(cells, 0)  # cell -> its open slots
-    for cell in slot_cells:
-        unfilled[cell] += 1
+    index = {}  # cell -> its place in cells
+    slot_cells = [index.setdefault(cell, len(index)) for _, cell in slots]
+    arrivals, masks, leaves, leftovers = _compiled_level(pres, table, tuple(index), f2)
+    fits = [(1 << len(found)) - 1 for found in arrivals]
+    candidates = sum(len(arrivals[c]) for c in slot_cells)
+    unfilled = [0] * len(arrivals)  # cell -> its open slots
+    for c in slot_cells:
+        unfilled[c] += 1
+    conflicts = {}  # (m, image) -> [(cell, its bits that do not conflict)]
+
+    def conflicts_of(m, image):
+        found = conflicts[m, image] = []
+        for c, arrival in enumerate(arrivals):
+            meet, bit = 0, 1
+            for _, n, other in arrival:
+                if n == m and other & image:
+                    meet |= bit
+                bit <<= 1
+            if meet:
+                found.append((c, ~meet))
+        return found
 
     remaining = dict(zip(f2.labels, masks))
     chosen = [None] * len(slots)
@@ -336,37 +372,38 @@ def _search_level(pres, table, f1, f2, level, tracker, exact):
     def fewest_fitting():
         """The first open slot with the fewest candidates that still fit."""
         best, best_count = None, None
-        for s, cell in enumerate(slot_cells):
+        for s, c in enumerate(slot_cells):
             if chosen[s] is None:
-                count = len(fits[cell])
+                count = fits[c].bit_count()
                 if best is None or count < best_count:
                     best, best_count = s, count
                     if not count:
                         break
         return best
 
-    # [slot, its candidates that fit on arrival, next to try, the lists the
-    # slot's placement replaced] down the path
+    # [slot, its fitting candidates not yet tried, what the slot's
+    # placement replaced] down the path
     stack = []
     while True:
         if len(stack) < len(slots):
             s = fewest_fitting()
-            stack.append([s, fits[slot_cells[s]], 0, ()])
+            stack.append([s, fits[slot_cells[s]], ()])
         elif not (exact and any(remaining.values())):
             status = "found"
             break
         # undo the deepest choice and move on to that slot's next candidate,
         # backing up past slots whose candidates are spent
         while stack:
-            s, opts, i, replaced = stack[-1]
+            top = stack[-1]
+            s, untried, replaced = top
             if chosen[s] is not None:
                 _, m, image = chosen[s]
                 remaining[m] |= image
                 chosen[s] = None
                 unfilled[slot_cells[s]] += 1
-                for cell, old in replaced:
-                    fits[cell] = old
-            if i < len(opts):
+                for c, old in replaced:
+                    fits[c] = old
+            if untried:
                 break
             stack.pop()
         if not stack:
@@ -375,18 +412,24 @@ def _search_level(pres, table, f1, f2, level, tracker, exact):
         if not tracker.spend():
             status = "budget"
             break
-        _, m, image = chosen[s] = opts[i]
+        low = untried & -untried
+        here = slot_cells[s]
+        _, m, image = chosen[s] = arrivals[here][low.bit_length() - 1]
         remaining[m] ^= image
-        unfilled[slot_cells[s]] -= 1
+        unfilled[here] -= 1
         replaced = []
-        for cell, count in unfilled.items():
-            if count:
-                old = fits[cell]
-                new = [c for c in old if c[1] != m or not c[2] & image]
-                if len(new) < len(old):
-                    fits[cell] = new
-                    replaced.append((cell, old))
-        stack[-1][2:] = i + 1, replaced
+        if len(stack) < len(slots):  # a slot is still open
+            found = conflicts.get((m, image))
+            if found is None:
+                found = conflicts_of(m, image)
+            for c, keep in found:
+                if unfilled[c]:
+                    old = fits[c]
+                    new = old & keep
+                    if new != old:
+                        fits[c] = new
+                        replaced.append((c, old))
+        top[1:] = untried ^ low, replaced
 
     stats = SearchStats(min(tracker.used, tracker.limit), tracker.limit, len(slots), candidates,
                         level)
@@ -400,9 +443,16 @@ def _search_level(pres, table, f1, f2, level, tracker, exact):
         if bis is None:
             bis = bisections[word, cell] = Bisection(pres, [(word, clopen(space, [cell]))])
         triples.append((bis, label, m))
-    # bit i of a mask is leaves[i]; reversed(bin(mask)) reads it bit 0 first
-    left = {m: clopen(space, [w for w, b in zip(leaves, reversed(bin(mask))) if b == "1"])
-            for m, mask in remaining.items()}
+    left = None
+    if leftover:
+        left = {}
+        for m, mask in remaining.items():
+            c = leftovers.get(mask)
+            if c is None:
+                # bit i of a mask is leaves[i]; reversed(bin(mask)) reads it bit 0 first
+                c = leftovers[mask] = clopen(space, [w for w, b in zip(leaves, reversed(bin(mask)))
+                                                     if b == "1"])
+            left[m] = c
     return SearchOutcome(EquivCertificate(tuple(triples)), "found", stats), left
 
 
@@ -412,7 +462,7 @@ def search_equiv(pres, f1, f2, depth, budget=stone.DEFAULT_BUDGET):
     Deterministic; a hit is returned only once `verify_equiv` accepts it.
     A miss is never a proof of inequivalence.
     """
-    outcome, _ = _search_tiling(pres, f1, f2, depth, budget, exact=True)
+    outcome, _ = _search_tiling(pres, f1, f2, depth, budget, exact=True, leftover=False)
     if outcome.status == "found":
         res = verify_equiv(pres, f1, f2, outcome.certificate)
         if not res:
@@ -425,15 +475,24 @@ def search_leq(pres, f1, f2, depth, budget=stone.DEFAULT_BUDGET):
 
     The nonempty leftover of each label m of f2, in label order, is an
     entry of the remainder, which follows f1's labels on the left side and
-    is matched onto its leftover by the identity.
+    is matched onto its leftover by the identity, memoised in the word
+    table with the search's other bisections.
     """
     outcome, leftover = _search_tiling(pres, f1, f2, depth, budget, exact=False)
     if outcome.status != "found":
         return outcome
-    remainder, rank = normalize_with_map(pres.space, [(c, m) for m, c in leftover.items()])
-    rest = tuple((identity_bisection(pres, leftover[m]), len(f1.entries) + r, m)
-                 for m, r in rank.items())
-    triples = outcome.certificate.triples + rest
+    # the leftovers are canonical and one per label, so they are the
+    # remainder's entries as they stand
+    kept = [(m, c) for m, c in leftover.items() if c.cells]
+    bisections = word_table(pres, depth).bisections
+    rest = []
+    for r, (m, c) in enumerate(kept, len(f1.entries) + 1):
+        bis = bisections.get(((), c))
+        if bis is None:
+            bis = bisections[(), c] = identity_bisection(pres, c)
+        rest.append((bis, r, m))
+    remainder = LabeledFamily(pres.space, tuple(c for _, c in kept))
+    triples = outcome.certificate.triples + tuple(rest)
     return SearchOutcome(LeqCertificate(remainder, EquivCertificate(triples)), "found", outcome.stats)
 
 
@@ -464,9 +523,36 @@ def _random_clopen(rng, space, depth):
 
 
 def probes(pres, depth, samples, seed, budget=stone.DEFAULT_BUDGET):
+    """Draw `samples` pairs of clopens x, y from the seed; for each, search
+    the least n <= PROBE_N_CAP with y <= n x, and, until one is found,
+    an almost-unperforation counterexample: (n+1) x <= n y found, x <= y
+    not.
+
+    A search is deterministic in the presentation, the two families, the
+    depth and the budget, and each spends a fresh budget, so a pair of
+    families searched again reuses its outcome.  The certificate of every
+    bound reported as certified has passed `verify_leq`; one that fails it
+    is a fault of the program, and raises InternalError.
+    """
     # only the probes draw at random, so the searches of tarski and
     # dichotomy load no random
     import random
+
+    outcomes = {}  # (entries of f1, entries of f2) -> the search_leq outcome
+    certified = set()  # the keys of outcomes whose certificate verify_leq accepted
+
+    def leq(f1, f2, certify=False):
+        key = f1.entries, f2.entries
+        out = outcomes.get(key)
+        if out is None:
+            out = outcomes[key] = search_leq(pres, f1, f2, depth, budget)
+        if certify and out.status == "found" and key not in certified:
+            res = verify_leq(pres, f1, f2, out.certificate)
+            if not res:
+                raise stone.InternalError("search produced a non-verifying certificate: %s"
+                                          % res.reason)
+            certified.add(key)
+        return out
 
     rng = random.Random(seed)
     order_unit = []
@@ -477,24 +563,20 @@ def probes(pres, depth, samples, seed, budget=stone.DEFAULT_BUDGET):
         fx, fy = family_of(x), family_of(y)
         least = None
         for n in range(1, PROBE_N_CAP + 1):
-            out = search_leq(pres, fy, multiple(fx, n), depth, budget)
-            if out.status == "found":
-                ok = verify_leq(pres, fy, multiple(fx, n), out.certificate)
-                least = {"n": n, "certified": bool(ok)}
+            if leq(fy, multiple(fx, n), certify=True).status == "found":
+                least = {"n": n, "certified": True}
                 break
         order_unit.append(
             {"x": list(x.cells), "y": list(y.cells), "bound": least}
         )
         if counterexample is None:
             n = rng.randint(1, 2)
-            big = search_leq(pres, multiple(fx, n + 1), multiple(fy, n), depth, budget)
-            if big.status == "found":
-                small = search_leq(pres, fx, fy, depth, budget)
-                if small.status != "found":
-                    counterexample = {
-                        "x": list(x.cells),
-                        "y": list(y.cells),
-                        "n": n,
-                        "label": "budget-relative: x <= y not found at this depth, not proven false",
-                    }
+            if (leq(multiple(fx, n + 1), multiple(fy, n)).status == "found"
+                    and leq(fx, fy).status != "found"):
+                counterexample = {
+                    "x": list(x.cells),
+                    "y": list(y.cells),
+                    "n": n,
+                    "label": "budget-relative: x <= y not found at this depth, not proven false",
+                }
     return ProbeReport(depth, seed, tuple(order_unit), counterexample)

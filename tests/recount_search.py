@@ -1,14 +1,16 @@
-"""The tiling search as it was before it kept fit lists: the oracle of the engine.
+"""The tiling search as it was before it kept fit sets: the oracle of the engine.
 
-`typesemigroup._search_tiling` keeps, per refinement cell, the list of its
-candidates that still fit, and reuses the word table's words, cell images
-and chosen bisections across the searches on one presentation and depth.
-This copy recounts every open slot's fitting candidates at every node and
-builds everything afresh on each call, its word table included; the tests
-compare the two on status, triples, stats and leftovers.  Both step
-through the cell levels from the families' own depth to the finest;
+`typesemigroup._search_tiling` keeps, per refinement cell, an int bit set
+of its candidates that still fit, caches the conflicts of each placement
+within a level, and reuses the word table's words, cell images, compiled
+levels and chosen bisections across the searches on one presentation and
+depth.  This copy recounts every open slot's fitting candidates at every
+node and builds everything afresh on each call, its word table included;
+the tests compare the two on status, triples, stats and leftovers.  Both
+step through the cell levels from the families' own depth to the finest;
 `search_finest` searches the finest level alone, as the engine did before
-it stepped through levels.
+it stepped through levels.  `probes` memoises its queries on top of the
+engine; the tests check it against fresh searches as well.
 """
 
 from ample import typesemigroup as ts

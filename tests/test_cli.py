@@ -241,6 +241,28 @@ def test_type_eq_prints_no_certificate_that_fails_to_verify(tmp_path, capsys, mo
     assert not cert.exists()
 
 
+def test_probe_reports_no_bound_whose_certificate_fails_to_verify(capsys, monkeypatch):
+    search = ts.search_leq
+
+    def drop_a_triple(*args):
+        out = search(*args)
+        if out.status != "found":
+            return out
+        cert = out.certificate
+        broken = ts.LeqCertificate(cert.remainder, ts.EquivCertificate(cert.equivalence.triples[:-1]))
+        return ts.SearchOutcome(broken, "found", out.stats)
+
+    monkeypatch.setattr(ts, "search_leq", drop_a_triple)
+    code, out, err = run(capsys, "probe", "cuntz:2", "--depth", "2", "--seed", "0", "--samples", "5")
+    # a fault of the program, not a bound with "certified": false
+    assert code == 4
+    report = json.loads(out)
+    assert (report["command"], report["outcome"]) == ("probe", "internal error")
+    assert report["reason"].startswith("search produced a non-verifying certificate: ")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "ample.stone.InternalError: search produced a non-verifying certificate: " in err
+
+
 @pytest.mark.parametrize("human", [False, True])
 def test_any_exception_but_an_input_error_is_an_internal_error(capsys, monkeypatch, human):
     def fail(args, pres):
@@ -898,6 +920,43 @@ def test_a_read_file_that_is_not_utf8_is_exit_three(tmp_path, capsys):
     code, _, err = run(capsys, "state", str(path))
     assert code == 3
     assert err.startswith("input error at %s: not UTF-8: " % path)
+
+
+FAMILY_HEAD = '{"schema_version": 1, "entries": [{"set": {"space": {"kind": "shift", "k": 2}, "cells": [""]}'
+
+
+@pytest.mark.parametrize("name, data, where, message", [
+    ("empty", b"", ":1", "Expecting value"),
+    ("blank", b" \n\t ", ":2", "Expecting value"),
+    ("trailing data", b'{"schema_version": 1} x', ":1", "Extra data"),
+    ("trailing object", b'{"schema_version": 1}\n\n{', ":3", "Extra data"),
+    ("bom", b'\xef\xbb\xbf{"schema_version": 1}', ":1", "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ("truncated object", b'{"schema_version": 1, "entries": [', ":1", "Expecting value"),
+    ("truncated list", b"[1, 2", ":1", "Expecting ',' delimiter"),
+    ("trailing comma", b'{"schema_version": 1,}', ":1", "Expecting property name enclosed in double quotes"),
+    ("nan", (FAMILY_HEAD + ', "label": NaN}]}').encode(), None,
+     "family.entries[0].label: expected an integer, got nan"),
+    ("infinity", (FAMILY_HEAD + ', "label": -Infinity}]}').encode(), None,
+     "family.entries[0].label: expected an integer, got -inf"),
+])
+def test_a_malformed_json_file_is_exit_three_with_json_s_message(tmp_path, capsys, name, data, where,
+                                                                   message):
+    path = tmp_path / "f.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "type-eq", "cuntz:2", "--left", str(path), "--right", str(path))
+    assert (code, out) == (3, "")
+    assert err == "input error at %s\n" % (message if where is None else "%s%s: %s" % (path, where, message))
+
+
+def test_a_malformed_json_file_gives_json_s_message_in_a_fresh_process(tmp_path):
+    # a fresh command has not loaded json, whose errors the C scanner builds
+    path = tmp_path / "f.json"
+    path.write_text('{"schema_version": 1, "entries": [')
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ample.cli", "type-eq", "cuntz:2", "--left", str(path),
+                           "--right", str(path)], env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "input error at %s:1: Expecting value\n" % path
 
 
 def test_a_read_file_nested_too_deeply_is_exit_three(tmp_path, capsys):

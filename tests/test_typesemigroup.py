@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 import leq_chain
+from ample import groupoid as gpd
 from ample import stone
 from ample import typesemigroup as ts
 from ample.groupoid import cuntz, from_word, identity_bisection, pair_groupoid
@@ -304,3 +306,76 @@ def test_multiple_is_the_repeated_sum():
     f = ts.normalize(C2.space, [(clopen(C2.space, ["1"]), 1), (X, 2)])
     assert ts.multiple(f, 3) == ts.add(ts.add(f, f), f)
     assert ts.multiple(f, 0).is_empty
+
+
+def _unmemoised_probes(alias, depth, samples, seed, budget):
+    """`ts.probes` without its memo: each query a fresh `search_leq` on a
+    fresh presentation, each certificate verified where it is found.
+    Returns the report and each query's families and outcome status, in
+    order."""
+    asked = []
+
+    def leq(f1, f2):
+        pres = gpd.builtin(alias)
+        out = ts.search_leq(pres, f1, f2, depth, budget)
+        asked.append(((f1.entries, f2.entries), out.status))
+        return out, out.status == "found" and ts.verify_leq(pres, f1, f2, out.certificate).ok
+
+    rng = random.Random(seed)
+    space = gpd.builtin(alias).space
+    order_unit, counterexample = [], None
+    for _ in range(samples):
+        x = ts._random_clopen(rng, space, depth)
+        y = ts._random_clopen(rng, space, depth)
+        fx, fy = ts.family_of(x), ts.family_of(y)
+        least = None
+        for n in range(1, ts.PROBE_N_CAP + 1):
+            out, ok = leq(fy, ts.multiple(fx, n))
+            if out.status == "found":
+                least = {"n": n, "certified": ok}
+                break
+        order_unit.append({"x": list(x.cells), "y": list(y.cells), "bound": least})
+        if counterexample is None:
+            n = rng.randint(1, 2)
+            if (leq(ts.multiple(fx, n + 1), ts.multiple(fy, n))[0].status == "found"
+                    and leq(fx, fy)[0].status != "found"):
+                counterexample = {
+                    "x": list(x.cells), "y": list(y.cells), "n": n,
+                    "label": "budget-relative: x <= y not found at this depth, not proven false",
+                }
+    return ts.ProbeReport(depth, seed, tuple(order_unit), counterexample), asked
+
+
+# (alias, depth, budget): between them their searches find, exhaust and
+# run out of budget, and some pairs get no bound
+PROBE_CASES = [("cuntz:2", 2, 2000), ("cuntz:3", 1, 2), ("rotation:3", 2, 30)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("alias, depth, budget", PROBE_CASES)
+def test_memoised_probes_match_the_unmemoised_oracle(monkeypatch, alias, depth, budget, seed):
+    expected, asked = _unmemoised_probes(alias, depth, 20, seed, budget)
+    searched = []
+    search = ts.search_leq
+
+    def counted(pres, f1, f2, *args):
+        searched.append((f1.entries, f2.entries))
+        return search(pres, f1, f2, *args)
+
+    monkeypatch.setattr(ts, "search_leq", counted)
+    assert ts.probes(gpd.builtin(alias), depth, 20, seed, budget) == expected
+    # each distinct query searched once, in the order first asked
+    assert searched == list(dict.fromkeys(key for key, _ in asked))
+
+
+def test_the_probe_cases_repeat_queries_and_reach_every_outcome():
+    keys, statuses, bounds = [], set(), set()
+    for (alias, depth, budget), seed in itertools.product(PROBE_CASES, range(6)):
+        rep, asked = _unmemoised_probes(alias, depth, 20, seed, budget)
+        keys += [key for key, _ in asked]
+        statuses.update(status for _, status in asked)
+        bounds.update(r["bound"] is None for r in rep.order_unit)
+    assert len(set(keys)) < len(keys)
+    assert statuses == {"found", "exhausted", "budget"}
+    assert bounds == {True, False}
+
