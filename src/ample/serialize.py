@@ -194,15 +194,14 @@ def check_word(word, path):
     return word
 
 
-def decode_clopen(data, path="clopen", space=None):
-    found = decode_space(_need(data, "space", path), path + ".space")
-    if space is not None and found != space:
+def decode_clopen(data, path, space):
+    if decode_space(_need(data, "space", path), path + ".space") != space:
         raise SchemaError(path + ".space", "clopen over the wrong space")
     cells = _need_list(data, "cells", path)
     for i, cell in enumerate(cells):
         check_word(cell, "%s.cells[%d]" % (path, i))
     try:
-        return clopen(found, cells)
+        return clopen(space, cells)
     except (stone.CellError, ValueError) as exc:
         raise SchemaError(path + ".cells", str(exc)) from exc
 

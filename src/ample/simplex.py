@@ -1,11 +1,11 @@
 """Exact rational linear programming for equality systems A x = b, x >= 0.
 
 A row of A is given by its steps: (index, change) pairs with increasing
-indices in 0..n, n the column count, and the row's entry in column j is
-the sum of the changes at indices <= j.  A row that is constant on index
-ranges, as every state-LP row is, has a step only where its value
-changes, so it is a few pairs however many columns there are.  A change
-at index n closes a range and enters no column.
+indices in 0..n, n the column count, and int changes; the row's entry in
+column j is the sum of the changes at indices <= j.  A row that is
+constant on index ranges, as every state-LP row is, has a step only where
+its value changes, so it is a few pairs however many columns there are.
+A change at index n closes a range and enters no column.
 
 Two-phase simplex with Bland's rule, so runs are deterministic and never
 cycle.  Phase one either produces a basic feasible point or certifies
@@ -26,26 +26,25 @@ row depends on earlier rows exactly when its steps do.  It runs
 fraction-free on them, as primitive integer dicts.
 
 Only the kept rows are written out densely, once each, as the tableau's
-rows: lists of Python ints over one positive int denominator, and the
-phase-one objective row is summed from their steps.  A pivot brings the
-rows it changes to a common denominator and divides each by its gcd, so
-Bland's rule and the pivots work in ints alone, and so does the phase-two
-objective row, which `maximize` assembles over one common denominator.
-Fractional changes are scaled to ints on the way in; the point, the
-optimum and the Farkas multipliers are read off the final tableau as int
-numerators over one positive denominator, in lowest terms together.  The
-verifiers check the identities with the denominators cleared, in ints,
-and sum steps too, writing out no row: `verify_solution` weighs each step
-by the sum of x from its index on, and `verify_farkas` adds the
-multiplied steps into one change array and takes its running sum over
-the columns.  No floating point enters anywhere.
+rows: lists of Python ints over one positive int denominator, 1 to begin
+with, and the phase-one objective row is summed from their steps.  A
+pivot brings the rows it changes to a common denominator and divides each
+by its gcd, so Bland's rule and the pivots work in ints alone, and so
+does the phase-two objective row, which `maximize` assembles over one
+common denominator.  The point, the optimum and the Farkas multipliers
+are read off the final tableau as int numerators over one positive
+denominator, in lowest terms together.  The verifiers check the
+identities with the denominators cleared, in ints, and sum steps too,
+writing out no row: `verify_solution` weighs each step by the sum of x
+from its index on, and `verify_farkas` adds the multiplied steps into one
+change array and takes its running sum over the columns.  No floating
+point enters anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 from .stone import Record
 
@@ -98,14 +97,11 @@ def _check_shape(rows, rhs, n):
 
 
 def _integer_steps(steps, rhs, n):
-    """The nonzero steps below n of a row, with its rhs in column n, scaled
-    to a primitive integer dict: the row in difference coordinates."""
+    """The nonzero steps below n of a row, with its rhs in column n, as a
+    primitive integer dict: the row in difference coordinates."""
     r = {i: v for i, v in steps if v and i < n}
     if rhs:
         r[n] = rhs
-    if type(sum(r.values())) is not int:  # a Fraction among them makes the sum one
-        den = math.lcm(*(v.denominator for v in r.values()))
-        r = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
     g = math.gcd(*r.values())
     return {j: v // g for j, v in r.items()} if g > 1 else r
 
@@ -149,19 +145,6 @@ def _independent_rows(rows, rhs, n):
     return kept
 
 
-_denominator = operator.attrgetter("denominator")
-
-
-def _int_row(values):
-    """A list of rationals as (ints, den), den > 0, ints[k] / den == values[k].
-
-    Ints come back unscaled, over 1."""
-    den = math.lcm(*set(map(_denominator, values)))
-    if den == 1:
-        return list(map(int, values)), 1
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _primitive(row, den):
     """The same rationals row / den with the gcd of den and the entries
     divided out."""
@@ -190,43 +173,34 @@ class _Tableau:
     obj[k] / objden: Python ints over one positive int denominator each."""
 
     def __init__(self, rows, rhs, n):
-        """The phase-one tableau of the step rows `rows` (int or fractional
-        changes) with nonnegative rhs `rhs`, each written out densely here."""
+        """The phase-one tableau of the step rows `rows` (int changes) with
+        nonnegative int rhs `rhs`, each written out densely here."""
         self.n = n
         self.m = m = len(rows)
         self.pivots = 0
         # columns: n originals, m artificials, then the rhs
         width = n + m + 1
         self.rows = []
-        self.dens = []
-        scaled = []  # each row's steps below n, as ints over its den
+        self.dens = [1] * m
+        # phase-one reduced costs: c_j - sum of column entries (all cB = 1),
+        # summed as steps; an artificial column sums to its cost 1, and the
+        # rhs slot carries minus the objective
+        change = [0] * n
         for k, (steps, b) in enumerate(zip(rows, rhs)):
-            den = math.lcm(*(v.denominator for i, v in steps if i < n), b.denominator)
-            ints = [(i, v.numerator * (den // v.denominator)) for i, v in steps if i < n]
+            below = [(i, v) for i, v in steps if i < n]
             row = [0] * width
             level = 0
-            for (i, v), (end, _) in zip(ints, ints[1:] + [(n, 0)]):
+            for (i, v), (end, _) in zip(below, [*below[1:], (n, 0)]):
                 level += v
                 if level:
                     row[i:end] = [level] * (end - i)
-            row[n + k] = den
-            row[-1] = b.numerator * (den // b.denominator)
+                change[i] -= v
+            row[n + k] = 1
+            row[-1] = b
             self.rows.append(row)
-            self.dens.append(den)
-            scaled.append(ints)
         self.basis = [n + i for i in range(m)]
-        # phase-one reduced costs: c_j - sum of column entries (all cB = 1),
-        # summed over one denominator as steps; an artificial column sums to
-        # its cost 1, and the rhs slot carries minus the objective
-        self.objden = math.lcm(*self.dens)
-        change = [0] * n
-        total = 0
-        for ints, den, row in zip(scaled, self.dens, self.rows):
-            f = self.objden // den
-            for i, v in ints:
-                change[i] -= f * v
-            total -= f * row[-1]
-        self.obj = [*itertools.accumulate(change), *[0] * m, total]
+        self.obj = [*itertools.accumulate(change), *[0] * m, -sum(rhs)]
+        self.objden = 1
 
     def pivot(self, i, j):
         prow = self.rows[i]
@@ -331,7 +305,7 @@ def solve_feasibility(rows, rhs, n):
 
 def maximize(rows, rhs, n, objective):
     """Maximize c.x over {Ax = b, x >= 0}, step rows over n columns and one
-    objective entry per column; assumes rational data throughout."""
+    objective entry per column; assumes int data throughout."""
     if len(objective) != n:
         raise ValueError("objective length mismatch")
     res, t = _phase_one(rows, rhs, n)
@@ -339,16 +313,15 @@ def maximize(rows, rhs, n, objective):
         return res
     m = t.m
     # minimize -c.x: reduced costs -c_j + sum of c_B * row / den over the
-    # basic rows, all over cden * lden
-    c, cden = _int_row(objective)
-    costed = [(c[j], i) for i, j in enumerate(t.basis) if j < n and c[j]]
+    # basic rows, all over lden
+    costed = [(objective[j], i) for i, j in enumerate(t.basis) if j < n and objective[j]]
     lden = math.lcm(*(t.dens[i] for _, i in costed))
-    obj = [-v * lden for v in c] + [0] * (m + 1)
+    obj = [-v * lden for v in objective] + [0] * (m + 1)
     for cj, i in costed:
         f = cj * (lden // t.dens[i])
         obj = [v + f * w for v, w in zip(obj, t.rows[i])]
     obj[n:n + m] = [0] * m  # artificials are frozen out of phase two
-    t.obj, t.objden = _primitive(obj, cden * lden)
+    t.obj, t.objden = _primitive(obj, lden)
     status = t.bland_min(range(n))
     if status == "unbounded":
         return Unbounded()

@@ -56,8 +56,9 @@ class LabeledFamily(Frozen):
         )
 
 
-def normalize_with_map(space, pairs):
-    """Canonicalize (clopen, label) pairs; also return original->new labels."""
+def normalize(space, pairs):
+    """Canonicalize (clopen, label) pairs: one entry per label, the union
+    of its clopens, labels in order of first appearance, empty ones dropped."""
     by_label = {}  # label -> its cells, labels in order of first appearance
     for c, label in pairs:
         if c.space != space:
@@ -65,22 +66,11 @@ def normalize_with_map(space, pairs):
         if not isinstance(label, int) or label < 1:
             raise FamilyError("labels must be positive integers, got %r" % (label,))
         by_label.setdefault(label, []).extend(c.cells)
-    entries = []
-    label_map = {}
-    for label, cells in by_label.items():
-        if cells:
-            entries.append(clopen(space, cells))
-            label_map[label] = len(entries)
-    return LabeledFamily(space, tuple(entries)), label_map
+    return LabeledFamily(space, tuple(clopen(space, cells) for cells in by_label.values() if cells))
 
 
-def normalize(space, pairs):
-    fam, _ = normalize_with_map(space, pairs)
-    return fam
-
-
-def family_of(clop, label=1):
-    return normalize(clop.space, [(clop, label)])
+def family_of(clop):
+    return normalize(clop.space, [(clop, 1)])
 
 
 def add(f1, f2):

@@ -3,7 +3,8 @@
 `groupoid` kept the image words of shift cells (`shift_image_words`) and
 the image cells of either space (`_image_cells`); `convalg` kept its own
 copy of the rule in `ConvElement._images`; `Bisection.dom`, `ran` and
-`apply` and `typesemigroup.normalize_with_map` folded one clopen union per
+`apply` and `typesemigroup.normalize_with_map`, whose family
+`typesemigroup.normalize` now returns alone, folded one clopen union per
 piece or pair.  This module keeps each verbatim, the methods as functions
 of the object they were called on and `action_apply` over the old image
 cells, so the tests can compare the one rule against all of them.

@@ -7,6 +7,7 @@ back as a witness.  `paradox.weaken` builds the same rows directly; the
 tests keep this chain as its oracle and compare the two byte for byte.
 """
 
+import image_oracle
 from ample import paradox as px
 from ample import typesemigroup as ts
 from ample.groupoid import identity_bisection
@@ -98,7 +99,7 @@ def witness_to_leq(pres, w):
             triples.append((bis, i, m))
             taken[m] = taken[m].union(bis.ran())
     leftover = {m: w.a.difference(ran) for m, ran in taken.items()}
-    remainder, rank = ts.normalize_with_map(pres.space, [(leftover[m], m) for m in sorted(leftover)])
+    remainder, rank = image_oracle.normalize_with_map(pres.space, [(leftover[m], m) for m in sorted(leftover)])
     triples += [(identity_bisection(pres, leftover[m]), w.k + rank[m], m)
                 for m in sorted(leftover) if m in rank]
     return ts.LeqCertificate(remainder, ts.EquivCertificate(tuple(triples)))

@@ -339,6 +339,14 @@ def test_only_states_solves_the_state_lp_and_checks_its_certificates():
         assert callers(paths, name) == ["states.py"], name
 
 
+def test_no_module_takes_a_rational_apart():
+    # every rational is an int numerator over one int denominator, and the
+    # simplex takes int step rows, so no module reads a Fraction's parts
+    paths = sorted(ROOT.glob("src/ample/*.py"))
+    for attr in ("numerator", "denominator"):
+        assert attribute_readers(paths, attr) == [], attr
+
+
 def test_only_the_golden_table_pins_digests():
     # report bytes are pinned in one place, golden.json, which its runner reads
     users = [path.name for path in sorted(ROOT.glob("tests/*.py"))

@@ -37,11 +37,11 @@ def test_space_and_clopen_round_trip():
     for space in (UnitSpace.shift(2), UnitSpace.finite(4)):
         assert ser.decode_space(ser.encode_space(space)) == space
     a = clopen(C2.space, ["12", "2"])
-    assert ser.decode_clopen(ser.encode_clopen(a)) == a
+    assert ser.decode_clopen(ser.encode_clopen(a), "clopen", C2.space) == a
     with pytest.raises(ser.SchemaError):
-        ser.decode_clopen({"space": {"kind": "cantor"}, "cells": []})
+        ser.decode_clopen({"space": {"kind": "cantor"}, "cells": []}, "clopen", C2.space)
     with pytest.raises(ser.SchemaError):
-        ser.decode_clopen(ser.encode_clopen(a), space=UnitSpace.finite(2))
+        ser.decode_clopen(ser.encode_clopen(a), "clopen", UnitSpace.finite(2))
 
 
 def test_presentation_round_trip():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -125,6 +126,29 @@ def _brute_force_max(rows, rhs, objective):
                for x in _brute_force_points(rows, rhs, len(objective)))
 
 
+def _scaled(rows, rhs):
+    """Each row and its rhs times the positive lcm of their denominators:
+    int rows with the same feasible set and the same kept rows.  Returns
+    the int rows, the int rhs and the scales."""
+    out_rows, out_rhs, scales = [], [], []
+    for row, b in zip(rows, rhs):
+        f = math.lcm(*(Fraction(v).denominator for v in (*row, b)))
+        out_rows.append([int(v * f) for v in row])
+        out_rhs.append(int(b * f))
+        scales.append(f)
+    return out_rows, out_rhs, scales
+
+
+def _verifies_unscaled(res, rows, rhs, scales):
+    """The outcome of the scaled system verifies against the unscaled
+    Fraction system in the dense oracle: a point as it stands, and
+    multipliers times the scales."""
+    if isinstance(res, sx.Infeasible):
+        return dense_lp.verify_farkas(rows, rhs, [Fraction(v * f, res.den)
+                                                  for v, f in zip(res.y, scales)])
+    return dense_lp.verify_solution(rows, rhs, [Fraction(v, res.den) for v in res.x])
+
+
 def test_fuzz_against_bruteforce_oracle():
     rng = random.Random(47)
     agree_feasible = agree_infeasible = 0
@@ -209,13 +233,15 @@ def test_presolve_property_against_unreduced_rows():
         m = rng.randint(1, 3)
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
         rhs = [rng.randint(-2, 2) for _ in range(m)]
-        big_rows, big_rhs = _with_implied_rows(rng, rows, rhs)
+        frac_rows, frac_rhs = _with_implied_rows(rng, rows, rhs)
+        big_rows, big_rhs, scales = _scaled(frac_rows, frac_rhs)
         small = sx.solve_feasibility(*as_steps(rows, rhs))
         big = sx.solve_feasibility(*as_steps(big_rows, big_rhs))
         assert type(small) is type(big)
         kinds[type(big)] += 1
         assert big.stats.rows == len(big_rows)
         assert big.stats.rows_kept <= min(len(rows), n + 1)
+        assert _verifies_unscaled(big, frac_rows, frac_rhs, scales)
         if isinstance(big, sx.Infeasible):
             assert len(big.y) == len(big_rows)
             assert sx.verify_farkas(*as_steps(big_rows, big_rhs), big.y)
@@ -229,38 +255,35 @@ def test_presolve_property_against_unreduced_rows():
         if isinstance(big, sx.Infeasible):
             assert len(big.y) == len(big_rows)
             assert sx.verify_farkas(*as_steps(big_rows, big_rhs), big.y)
+            assert _verifies_unscaled(big, frac_rows, frac_rhs, scales)
         elif isinstance(big, sx.Optimal):
+            assert _verifies_unscaled(big, frac_rows, frac_rhs, scales)
             assert big.value == small.value
             assert sx.verify_solution(*as_steps(big_rows, big_rhs), big.x, big.den)
     assert all(count > 10 for count in kinds.values()), kinds
 
 
-def _same_outcome(a, b):
-    assert a == b and type(a) is type(b)
-    if not isinstance(a, sx.Unbounded):
-        assert a.stats == b.stats
-        values = a.y if isinstance(a, sx.Infeasible) else a.x
-        assert all(type(v) is int for v in (*values, a.den))
+def _all_ints(res):
+    """Every numerator and den of an outcome is an int."""
+    if isinstance(res, sx.Unbounded):
+        return True
+    values = res.y if isinstance(res, sx.Infeasible) else res.x
+    if isinstance(res, sx.Optimal):
+        values += res.value
+    return all(type(v) is int for v in (*values, res.den))
 
 
-def test_int_and_fraction_rows_give_the_same_outcome_and_stats():
+def test_outcomes_of_int_rows_hold_int_numerators_and_dens():
     rng = random.Random(2024)
     for _ in range(200):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 5))]
         rhs = [rng.randint(-2, 2) for _ in rows]
         objective = [rng.randint(-2, 2) for _ in range(n)]
-        frows = [[Fraction(v) for v in row] for row in rows]
-        frhs = [Fraction(v) for v in rhs]
-        _same_outcome(sx.solve_feasibility(*as_steps(rows, rhs)),
-                      sx.solve_feasibility(*as_steps(frows, frhs)))
-        _same_outcome(sx.maximize(*as_steps(rows, rhs), objective),
-                      sx.maximize(*as_steps(frows, frhs), objective))
+        assert _all_ints(sx.solve_feasibility(*as_steps(rows, rhs)))
+        assert _all_ints(sx.maximize(*as_steps(rows, rhs), objective))
     for depth in (3, 4):
-        rows, rhs, n = st.build_constraints(cuntz(2), depth).rows_rhs()
-        frows = [tuple((i, Fraction(v)) for i, v in steps) for steps in rows]
-        _same_outcome(sx.solve_feasibility(rows, rhs, n),
-                      sx.solve_feasibility(frows, [Fraction(v) for v in rhs], n))
+        assert _all_ints(sx.solve_feasibility(*st.build_constraints(cuntz(2), depth).rows_rhs()))
 
 
 # over 2 columns: a row with a step past the last column, and a missing rhs
@@ -345,10 +368,13 @@ def test_maximize_after_a_drive_out_matches_the_brute_force_optimum(monkeypatch)
 
 
 def test_mixed_fraction_denominators_and_negative_rhs():
-    # x0/2 + x1/3 = 1 and x0/5 - x1 = -1/5 have the one solution (28/17, 9/17)
+    # x0/2 + x1/3 = 1 and x0/5 - x1 = -1/5 have the one solution (28/17, 9/17);
+    # scaled, they are 3 x0 + 2 x1 = 6 and x0 - 5 x1 = -1
     rows, rhs = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), -1]], [1, Fraction(-1, 5)]
-    res = sx.solve_feasibility(*as_steps(rows, rhs))
+    assert _scaled(rows, rhs) == ([[3, 2], [1, -5]], [6, -1], [6, 5])
+    res = sx.solve_feasibility(*as_steps(*_scaled(rows, rhs)[:2]))
     assert (res.x, res.den) == ((28, 9), 17)
+    assert _verifies_unscaled(res, rows, rhs, [6, 5])
     rng = random.Random(2007)
     kinds = {sx.Feasible: 0, sx.Infeasible: 0}
     for _ in range(150):
@@ -356,16 +382,19 @@ def test_mixed_fraction_denominators_and_negative_rhs():
         rows = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(n)]
                 for _ in range(rng.randint(1, 3))]
         rhs = [Fraction(rng.randint(-3, 3), rng.choice((1, 4, 7))) for _ in rows]
-        res = sx.solve_feasibility(*as_steps(rows, rhs))
+        int_rows, int_rhs, scales = _scaled(rows, rhs)
+        res = sx.solve_feasibility(*as_steps(int_rows, int_rhs))
         kinds[type(res)] += 1
         assert isinstance(res, sx.Feasible) == _brute_force_feasible(rows, rhs, n)
+        assert _verifies_unscaled(res, rows, rhs, scales)
         if isinstance(res, sx.Infeasible):
-            assert sx.verify_farkas(*as_steps(rows, rhs), res.y)
+            assert sx.verify_farkas(*as_steps(int_rows, int_rhs), res.y)
             continue
-        assert sx.verify_solution(*as_steps(rows, rhs), res.x, res.den)
+        assert sx.verify_solution(*as_steps(int_rows, int_rhs), res.x, res.den)
         objective = [rng.randint(-2, 2) for _ in range(n)]
-        best = sx.maximize(*as_steps(rows, rhs), objective)
+        best = sx.maximize(*as_steps(int_rows, int_rhs), objective)
         if isinstance(best, sx.Optimal):
+            assert _verifies_unscaled(best, rows, rhs, scales)
             assert Fraction(*best.value) == _brute_force_max(rows, rhs, objective)
     assert all(count > 20 for count in kinds.values()), kinds
 
@@ -388,14 +417,16 @@ def test_maximize_with_mixed_objective_denominators_matches_the_brute_force_opti
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
         rhs = [rng.randint(-3, 3) for _ in rows]
         objective = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7))) for _ in range(n)]
+        scale = math.lcm(*(c.denominator for c in objective))
         del costed[:]
-        res = sx.maximize(*as_steps(rows, rhs), objective)
+        res = sx.maximize(*as_steps(rows, rhs), [int(c * scale) for c in objective])
         many_costed += bool(costed and costed[0] > 1)
         if isinstance(res, sx.Infeasible):
             assert sx.verify_farkas(*as_steps(rows, rhs), res.y) and not costed
         elif isinstance(res, sx.Optimal):
             assert sx.verify_solution(*as_steps(rows, rhs), res.x, res.den)
-            value = Fraction(*res.value)
+            assert dense_lp.verify_solution(rows, rhs, [Fraction(v, res.den) for v in res.x])
+            value = Fraction(*res.value) / scale
             assert value == sum(c * v for c, v in zip(objective, res.x)) / res.den
             assert value == _brute_force_max(rows, rhs, objective)
             optimal += 1
@@ -471,7 +502,7 @@ def test_presolve_keeps_the_rows_of_a_dense_greedy_rank():
     dropped = a_only = 0
     for _ in range(300):
         rows, rhs = _random_system(rng)
-        kept = sx._independent_rows(*as_steps(rows, rhs))
+        kept = sx._independent_rows(*as_steps(*_scaled(rows, rhs)[:2]))
         assert kept == _dense_independent_rows(rows, rhs) == dense_lp.independent_rows(rows, rhs)
         dropped += len(rows) - len(kept)
         a_part = _dense_independent_rows(rows, [0] * len(rows))
@@ -481,19 +512,6 @@ def test_presolve_keeps_the_rows_of_a_dense_greedy_rank():
         rows, rhs = _range_rows(rng)
         kept = sx._independent_rows(*as_steps(rows, rhs))
         assert kept == _dense_independent_rows(rows, rhs) == dense_lp.independent_rows(rows, rhs)
-
-
-def test_integer_steps_of_int_rows_equal_those_of_fraction_rows():
-    rng = random.Random(77)
-    for _ in range(500):
-        n = rng.randint(1, 8)
-        indices = sorted(rng.sample(range(n + 1), rng.randint(1, n + 1)))
-        steps = [(i, rng.choice((0, 1, -1, 2, -6, 12, 3 * 2**70))) for i in indices]
-        rhs = rng.choice((0, 1, 4, -8))
-        as_fractions = [(i, Fraction(v)) for i, v in steps]
-        got = sx._integer_steps(steps, rhs, n)
-        assert got == sx._integer_steps(as_fractions, Fraction(rhs), n)
-        assert all(type(v) is int for v in got.values())
 
 
 def _seeded_finite_presentation(seed, points=30, injections=3, pairs=10):
@@ -578,9 +596,11 @@ def test_step_verifiers_agree_with_the_dense_verifiers():
     rng = random.Random(1957)
     accepted = rejected = 0
     for _ in range(300):
-        rows, rhs = _random_system(rng)
-        rows, rhs, n = as_steps(rows, rhs)
+        frac_rows, frac_rhs = _random_system(rng)
+        int_rows, int_rhs, scales = _scaled(frac_rows, frac_rhs)
+        rows, rhs, n = as_steps(int_rows, int_rhs)
         res = sx.solve_feasibility(rows, rhs, n)
+        assert _verifies_unscaled(res, frac_rows, frac_rhs, scales)
         points = [([rng.randint(0, 2) for _ in range(n)], 3)]
         multipliers = [([rng.randint(-2, 2) for _ in rows], 1)]
         if isinstance(res, sx.Feasible):
@@ -618,13 +638,16 @@ def _dense_systems(draw):
 @given(system=_dense_systems(), objective=hs.lists(hs.integers(-2, 2), min_size=5, max_size=5),
        data=hs.data())
 def test_integer_verifiers_agree_with_the_fraction_oracle(system, objective, data):
-    # on each solver output, and on a copy of it with one numerator moved
-    dense, rhs = system
-    rows, rhs, n = as_steps(dense, rhs)
+    # on each solver output, and on a copy of it with one numerator moved;
+    # the solver takes the system scaled to ints
+    dense, frac_rhs = system
+    int_rows, int_rhs, scales = _scaled(dense, frac_rhs)
+    rows, rhs, n = as_steps(int_rows, int_rhs)
     outputs = [sx.solve_feasibility(rows, rhs, n), sx.maximize(rows, rhs, n, objective[:n])]
     for res in outputs:
         if isinstance(res, sx.Unbounded):
             continue
+        assert _verifies_unscaled(res, dense, frac_rhs, scales)
         v = res.y if isinstance(res, sx.Infeasible) else res.x
         k = data.draw(hs.integers(0, len(v) - 1))
         moved = v[:k] + (v[k] + data.draw(hs.integers(-3, 3).filter(bool)),) + v[k + 1:]
