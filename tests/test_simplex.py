@@ -656,3 +656,39 @@ def test_integer_verifiers_agree_with_the_fraction_oracle(system, objective, dat
             assert _same_verdicts(rows, rhs, n, [], candidates) >= 1
         else:
             assert _same_verdicts(rows, rhs, n, candidates, []) >= 1
+
+
+def _refined(rows, n, r):
+    """The step rows with every column repeated r times: each step index,
+    n included, scaled by r."""
+    return [tuple((r * i, v) for i, v in steps) for steps in rows], r * n
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(system=_dense_systems(), objective=hs.lists(hs.integers(-2, 2), min_size=5, max_size=5),
+       r=hs.sampled_from((2, 3)))
+def test_repeated_columns_change_no_pivot_and_no_multiplier(system, objective, r):
+    # Bland's rule never enters a repeat of an earlier column, so the
+    # refined system pivots as the coarse one does: the same kind, pivots,
+    # kept rows and multipliers, and the same point on each run's first
+    # column with 0 on the repeats; the objective is constant on each run
+    rows, rhs, n = as_steps(*_scaled(*system)[:2])
+    fine_rows, fine_n = _refined(rows, n, r)
+    fine_objective = [c for c in objective[:n] for _ in range(r)]
+    for coarse, fine in [(sx.solve_feasibility(rows, rhs, n),
+                          sx.solve_feasibility(fine_rows, rhs, fine_n)),
+                         (sx.maximize(rows, rhs, n, objective[:n]),
+                          sx.maximize(fine_rows, rhs, fine_n, fine_objective))]:
+        assert type(fine) is type(coarse)
+        if isinstance(coarse, sx.Unbounded):
+            continue
+        assert (fine.stats.pivots, fine.stats.rows_kept) == (coarse.stats.pivots,
+                                                            coarse.stats.rows_kept)
+        assert fine.stats.cols == fine_n
+        if isinstance(coarse, sx.Infeasible):
+            assert (fine.y, fine.den) == (coarse.y, coarse.den)
+            continue
+        spread = tuple(v if t == 0 else 0 for v in coarse.x for t in range(r))
+        assert (fine.x, fine.den) == (spread, coarse.den)
+        if isinstance(coarse, sx.Optimal):
+            assert fine.value == coarse.value
