@@ -25,6 +25,20 @@ coordinates: they are the row in difference coordinates
 row depends on earlier rows exactly when its steps do.  It runs
 fraction-free on them, as primitive integer dicts.
 
+The simplex then pivots over runs of equal columns, not over columns.
+Every kept row is constant between consecutive step indices, and so is
+the objective of `maximize` between the indices where it changes, so the
+columns of such a run are equal; each row is re-indexed onto one column
+per run, the run's first.  This changes no pivot.  Equal columns have
+equal reduced costs, so Bland's rule, which enters the lowest index with
+a negative one, never enters a repeat while the run's first column can
+enter, and once that column is basic the repeat's reduced cost is 0; the
+ratio test and the drive-out of artificials see the same entries.  So
+the pivots, the basis, the Farkas multipliers and the point are those of
+the tableau over every column, and the point puts each run's value on
+the run's first column and 0 on the rest.  `Stats.cols` counts the input
+columns.
+
 Only the kept rows are written out densely, once each, as the tableau's
 rows: lists of Python ints over one positive int denominator, 1 to begin
 with, and the phase-one objective row is summed from their steps.  A
@@ -52,8 +66,8 @@ from .stone import Record
 class Stats(Record):
     """Deterministic work counts of one solve."""
 
-    # rows: input rows; rows_kept: rows left after presolve; pivots: over
-    # both phases
+    # rows: input rows; rows_kept: rows left after presolve; cols: input
+    # columns, not runs; pivots: over both phases
     __slots__ = ("rows", "rows_kept", "cols", "pivots")
 
 
@@ -165,6 +179,8 @@ def _eliminate(row, den, j, piv, nz):
         den *= piv
     for k, v in nz:
         row[k] -= f * v
+    if den == 1:  # over 1 the row has no gcd to divide out
+        return row, den
     return _primitive(row, den)
 
 
@@ -248,43 +264,60 @@ class _Tableau:
                 return "unbounded"
             self.pivot(leave, enter)
 
-    def solution(self):
-        """The basic point as (ints, den), in lowest terms together."""
+    def solution(self, starts, n):
+        """The basic point over the n input columns as (ints, den), in
+        lowest terms together: each run's value on the run's first column,
+        `starts`, and 0 on the rest of the run."""
         basic = [(j, i) for i, j in enumerate(self.basis) if j < self.n]
         den = math.lcm(*(self.dens[i] for _, i in basic))
-        x = [0] * self.n
+        x = [0] * n
         for j, i in basic:
-            x[j] = self.rows[i][-1] * (den // self.dens[i])
+            x[starts[j]] = self.rows[i][-1] * (den // self.dens[i])
         x, den = _primitive(x, den)
         return tuple(x), den
 
 
-def _stats(t, rows):
-    return Stats(len(rows), t.m, t.n, t.pivots)
+def _stats(t, rows, n):
+    return Stats(len(rows), t.m, n, t.pivots)
 
 
-def _phase_one(rows, rhs, n):
+def _run_starts(rows, n, objective=()):
+    """The first column of each run of equal columns: 0, every step index
+    below n, and every index where the objective changes."""
+    starts = {i for steps in rows for i, _ in steps if i < n}
+    starts.update(j for j in range(1, len(objective)) if objective[j] != objective[j - 1])
+    if n:
+        starts.add(0)
+    return sorted(starts)
+
+
+def _phase_one(rows, rhs, n, objective=()):
+    """(outcome, tableau, run starts) of phase one on the runs of equal
+    columns of the kept rows and the objective."""
     _check_shape(rows, rhs, n)
     kept = _independent_rows(rows, rhs, n)
+    starts = _run_starts([rows[i] for i in kept], n, objective)
+    run = {j: k for k, j in enumerate(starts)}  # a run's first column -> the run
+    run[n] = len(starts)
     a, b, signs = [], [], []
     for i in kept:
         sign = -1 if rhs[i] < 0 else 1
-        a.append(rows[i] if sign == 1 else [(j, -v) for j, v in rows[i]])
+        a.append([(run[j], sign * v) for j, v in rows[i]])
         b.append(sign * rhs[i])
         signs.append(sign)
-    t = _Tableau(a, b, n)
-    status = t.bland_min(range(n + t.m))
+    t = _Tableau(a, b, len(starts))
+    status = t.bland_min(range(t.n + t.m))
     assert status == "optimal", "phase one is bounded below by zero"
     if t.obj[-1] < 0:  # the phase-one optimum, -obj[-1], is positive
         # reduced cost of the i-th artificial is 1 - y_i, so y_i is
         # (objden - obj) / objden; dropped rows get 0
         y = [0] * len(rows)
         for k, i in enumerate(kept):
-            y[i] = signs[k] * (t.objden - t.obj[n + k])
+            y[i] = signs[k] * (t.objden - t.obj[t.n + k])
         y, den = _primitive(y, t.objden)
-        return Infeasible(tuple(y), den, _stats(t, rows)), None
+        return Infeasible(tuple(y), den, _stats(t, rows, n)), None, starts
     _drive_out_artificials(t)
-    return Feasible(*t.solution(), _stats(t, rows)), t
+    return Feasible(*t.solution(starts, n), _stats(t, rows, n)), t, starts
 
 
 def _drive_out_artificials(t):
@@ -299,7 +332,7 @@ def _drive_out_artificials(t):
 def solve_feasibility(rows, rhs, n):
     """A basic feasible point of {Ax = b, x >= 0}, or Farkas multipliers,
     for step rows over n columns."""
-    outcome, _ = _phase_one(rows, rhs, n)
+    outcome, _, _ = _phase_one(rows, rhs, n)
     return outcome
 
 
@@ -308,26 +341,27 @@ def maximize(rows, rhs, n, objective):
     objective entry per column; assumes int data throughout."""
     if len(objective) != n:
         raise ValueError("objective length mismatch")
-    res, t = _phase_one(rows, rhs, n)
+    res, t, starts = _phase_one(rows, rhs, n, objective)
     if isinstance(res, Infeasible):
         return res
-    m = t.m
+    runs, m = t.n, t.m
+    cost = [objective[j] for j in starts]  # the objective is constant on each run
     # minimize -c.x: reduced costs -c_j + sum of c_B * row / den over the
     # basic rows, all over lden
-    costed = [(objective[j], i) for i, j in enumerate(t.basis) if j < n and objective[j]]
+    costed = [(cost[j], i) for i, j in enumerate(t.basis) if j < runs and cost[j]]
     lden = math.lcm(*(t.dens[i] for _, i in costed))
-    obj = [-v * lden for v in objective] + [0] * (m + 1)
+    obj = [-v * lden for v in cost] + [0] * (m + 1)
     for cj, i in costed:
         f = cj * (lden // t.dens[i])
         obj = [v + f * w for v, w in zip(obj, t.rows[i])]
-    obj[n:n + m] = [0] * m  # artificials are frozen out of phase two
+    obj[runs:runs + m] = [0] * m  # artificials are frozen out of phase two
     t.obj, t.objden = _primitive(obj, lden)
-    status = t.bland_min(range(n))
+    status = t.bland_min(range(runs))
     if status == "unbounded":
         return Unbounded()
     # the rhs slot of the objective row carries c.x at the basis
     (value,), vden = _primitive([t.obj[-1]], t.objden)
-    return Optimal(*t.solution(), (value, vden), _stats(t, rows))
+    return Optimal(*t.solution(starts, n), (value, vden), _stats(t, rows, n))
 
 
 def verify_solution(rows, rhs, n, x, den=1):

@@ -325,9 +325,13 @@ def _search_level(pres, table, f1, f2, level, tracker, exact, leftover):
     for the cells that lose a candidate.  At each node the open slot with
     the fewest fitting candidates is filled next, ties going to the
     earlier slot, by those candidates in arrival order; every one tried
-    costs one unit of `tracker`, the search's budget.  With exact=True the
-    capacity must be consumed entirely (equivalence); otherwise leftovers
-    become the remainder of a <= certificate.  The backtracking keeps an
+    costs one unit of `tracker`, the search's budget.  Placed images are
+    nonempty and disjoint within a label, so a node with more open slots
+    than set bits left in the remaining capacity has no completion, and
+    the search backs up from it at once: at the root that ends the level
+    exhausted with no node spent.  With exact=True the capacity must be
+    consumed entirely (equivalence); otherwise leftovers become the
+    remainder of a <= certificate.  The backtracking keeps an
     explicit stack, so the slot count is not capped by Python's recursion
     limit.  The words, the cells' image words, the compiled levels and
     the chosen bisections come from the presentation's word table, built
@@ -357,6 +361,7 @@ def _search_level(pres, table, f1, f2, level, tracker, exact, leftover):
         return found
 
     remaining = dict(zip(f2.labels, masks))
+    free = sum(mask.bit_count() for mask in remaining.values())  # set bits over remaining
     chosen = [None] * len(slots)
 
     def fewest_fitting():
@@ -376,9 +381,12 @@ def _search_level(pres, table, f1, f2, level, tracker, exact, leftover):
     stack = []
     while True:
         if len(stack) < len(slots):
-            s = fewest_fitting()
-            stack.append([s, fits[slot_cells[s]], ()])
-        elif not (exact and any(remaining.values())):
+            # each open slot needs a nonempty image of its own, so a node
+            # with more open slots than free bits has no completion: back up
+            if len(slots) - len(stack) <= free:
+                s = fewest_fitting()
+                stack.append([s, fits[slot_cells[s]], ()])
+        elif not (exact and free):
             status = "found"
             break
         # undo the deepest choice and move on to that slot's next candidate,
@@ -389,6 +397,7 @@ def _search_level(pres, table, f1, f2, level, tracker, exact, leftover):
             if chosen[s] is not None:
                 _, m, image = chosen[s]
                 remaining[m] |= image
+                free += image.bit_count()
                 chosen[s] = None
                 unfilled[slot_cells[s]] += 1
                 for c, old in replaced:
@@ -406,6 +415,7 @@ def _search_level(pres, table, f1, f2, level, tracker, exact, leftover):
         here = slot_cells[s]
         _, m, image = chosen[s] = arrivals[here][low.bit_length() - 1]
         remaining[m] ^= image
+        free -= image.bit_count()
         unfilled[here] -= 1
         replaced = []
         if len(stack) < len(slots):  # a slot is still open

@@ -49,6 +49,7 @@ def search_level(pres, pieces, f1, f2, level, tracker, exact):
     candidates = [fitting[cell] for _, cell in slots]
 
     remaining = dict(zip(f2.labels, masks))
+    free = sum(mask.bit_count() for mask in masks)  # set bits over remaining
     chosen = [None] * len(slots)
 
     def fewest_fitting():
@@ -72,8 +73,10 @@ def search_level(pres, pieces, f1, f2, level, tracker, exact):
     stack = []  # [slot, its candidates that fit on arrival, next to try] down the path
     while True:
         if len(stack) < len(slots):
-            s = fewest_fitting()
-            stack.append([s, [c for c in candidates[s] if c[2] & remaining[c[1]] == c[2]], 0])
+            # more open slots than free bits: no completion
+            if len(slots) - len(stack) <= free:
+                s = fewest_fitting()
+                stack.append([s, [c for c in candidates[s] if c[2] & remaining[c[1]] == c[2]], 0])
         elif not (exact and any(remaining.values())):
             status = "found"
             break
@@ -82,6 +85,7 @@ def search_level(pres, pieces, f1, f2, level, tracker, exact):
             if chosen[s] is not None:
                 _, m, image = chosen[s]
                 remaining[m] |= image
+                free += image.bit_count()
                 chosen[s] = None
             if i < len(opts):
                 break
@@ -95,6 +99,7 @@ def search_level(pres, pieces, f1, f2, level, tracker, exact):
         stack[-1][2] = i + 1
         chosen[s] = opts[i]
         remaining[opts[i][1]] ^= opts[i][2]
+        free -= opts[i][2].bit_count()
 
     stats = ts.SearchStats(min(tracker.used, tracker.limit), tracker.limit, len(slots),
                            sum(map(len, candidates)), level)

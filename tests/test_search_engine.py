@@ -375,12 +375,22 @@ def _sets(pres, *specs):
 
 
 # searches that backtrack through thousands of nodes: (alias, left, right,
-# depth, budget, exact), each family as its entries
+# depth, budget, exact), each family as its entries.  Each has room for its
+# slots, so the capacity bound does not cut it short; the exact searches
+# fail only because a full tiling leaves capacity over
 DEEP_SEARCHES = [
+    ("rotation:3", ["whole"] * 2, ["whole"] * 3, 3, 5000, True),
+    ("rotation:3", [[0, 1]] * 2, ["whole", "whole", [0]], 2, 100000, True),
+    ("odometer", [["1"]], ["whole"], 3, 3000, True),
+    ("cuntz:3", ["whole"], [["1"], ["2"]], 2, 3000, True),
+    ("cuntz:2", ["whole"] * 5, [["1"]] * 3, 2, 3000, False),
+]
+# searches with more slots than the target has room for at every level,
+# which once backtracked through thousands of nodes
+OVERFULL_SEARCHES = [
     ("rotation:3", ["whole"] * 3, ["whole"] * 2, 3, 5000, False),
     ("rotation:3", ["whole"] * 3, ["whole"] * 2, 2, 100000, False),
     ("odometer", ["whole"] * 2, ["whole"], 3, 3000, False),
-    ("cuntz:3", ["whole"], [["1"], ["2"]], 2, 3000, True),
     ("cuntz:2", ["whole"] * 5, [["1"]] * 2, 2, 3000, False),
 ]
 
@@ -395,6 +405,20 @@ def test_deep_searches_match_the_recounting_search(case):
     got = _tiling(ts._search_tiling, pres, f1, f2, depth, budget, exact)
     assert got == _tiling(recount_search.search_tiling, pres, f1, f2, depth, budget, exact)
     assert got[1].nodes > 10 * got[1].cells
+
+
+@pytest.mark.parametrize("case", OVERFULL_SEARCHES,
+                         ids=lambda case: "%s-%d-%d" % (case[0], case[3], case[4]))
+def test_overfull_searches_end_at_the_root(case):
+    # every image is a nonempty mask, so neither search tries a candidate:
+    # the slots outnumber the target's bits at the root of every level
+    alias, left, right, depth, budget, exact = case
+    pres = gpd.builtin(alias)
+    f1, f2 = (ts.normalize(pres.space, [(c, i + 1) for i, c in enumerate(_sets(pres, *specs))])
+              for specs in (left, right))
+    got = _tiling(ts._search_tiling, pres, f1, f2, depth, budget, exact)
+    assert got == _tiling(recount_search.search_tiling, pres, f1, f2, depth, budget, exact)
+    assert (got[0].status, got[1].nodes) == ("exhausted", 0)
 
 
 @pytest.mark.parametrize("alias", ("cuntz:2", "rotation:3:table", "odometer"))

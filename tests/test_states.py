@@ -433,3 +433,20 @@ def test_two_stages_agree_with_the_full_solve(pres, depth, pick):
     # drawn systems end at both stages, and some stage-2 systems are infeasible
     for on in (None, whole(pres.space), _cylinder(pres.space, depth, pick)):
         _check_two_stages_against_the_full_solve(pres, depth, on)
+
+
+def test_the_state_lp_pivots_over_runs_of_equal_columns(monkeypatch):
+    # at odometer:6 depth 7 the 128 cells form 44 runs of equal columns in
+    # the stage-2 rows; the tableau has one column per run, the stats one
+    # per cell
+    tableaux = []
+
+    class Tableau(simplex._Tableau):
+        def __init__(self, rows, rhs, n):
+            super().__init__(rows, rhs, n)
+            tableaux.append(self)
+
+    monkeypatch.setattr(simplex, "_Tableau", Tableau)
+    cs, sv = st.solve(odometer(6), 7)
+    assert len(tableaux) == 2  # stage 1, then stage 2
+    assert (tableaux[-1].n, sv.stats.cols, len(cs.cells), len(sv.values)) == (44, 128, 128, 128)
