@@ -401,15 +401,20 @@ def test_mixed_fraction_denominators_and_negative_rhs():
 
 def test_maximize_with_mixed_objective_denominators_matches_the_brute_force_optimum(monkeypatch):
     # phase two assembles its objective row in ints over one denominator
-    costed = []
-    real = sx._Tableau.bland_min
+    costed, starts = [], []
+    real, real_starts = sx._Tableau.bland_min, sx._run_starts
 
     def spy(t, allowed):
-        if allowed == range(t.n):  # phase two
-            costed.append(sum(1 for j in t.basis if j < t.n and objective[j]))
+        if allowed == range(t.n):  # phase two, over the runs of equal columns
+            costed.append(sum(1 for j in t.basis if j < t.n and objective[starts[j]]))
         return real(t, allowed)
 
+    def run_starts(*args):
+        starts[:] = found = real_starts(*args)
+        return found
+
     monkeypatch.setattr(sx._Tableau, "bland_min", spy)
+    monkeypatch.setattr(sx, "_run_starts", run_starts)
     rng = random.Random(1957)
     optimal = many_costed = 0
     for _ in range(500):
