@@ -4,6 +4,7 @@ import random
 import pytest
 
 import leq_chain
+from ample import cli
 from ample import groupoid as gpd
 from ample import stone
 from ample import typesemigroup as ts
@@ -379,3 +380,52 @@ def test_the_probe_cases_repeat_queries_and_reach_every_outcome():
     assert statuses == {"found", "exhausted", "budget"}
     assert bounds == {True, False}
 
+
+
+# (alias, depth, budget, seed): with every premise found, the first sample
+# whose x <= y is not found is the counterexample: sample 7 and sample 4 of 10
+COUNTEREXAMPLE_CASES = [("rotation:3", 2, 30, 0), ("odometer", 2, 2000, 3)]
+
+
+@pytest.mark.parametrize("alias, depth, budget, seed", COUNTEREXAMPLE_CASES)
+def test_a_found_premise_with_x_below_y_not_found_is_the_counterexample(
+        monkeypatch, capsys, alias, depth, budget, seed):
+    search, draw = ts.search_leq, ts._random_clopen
+    draws, searched = [], []  # the clopens drawn; (sample, families) of each search
+
+    def premise_found(pres, f1, f2, *args):
+        # a query whose left side has more labels than its right, as
+        # (n+1) x <= n y has, is found with an empty certificate, which
+        # verify_leq rejects, so it must never be certified; the order-unit
+        # queries y <= n x and x <= y are searched
+        searched.append(((len(draws) - 1) // 2, (f1.entries, f2.entries)))
+        if len(f1.entries) > len(f2.entries):
+            empty = ts.LeqCertificate(ts.multiple(f1, 0), ts.EquivCertificate(()))
+            return ts.SearchOutcome(empty, "found")
+        return search(pres, f1, f2, *args)
+
+    def drawn(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(ts, "search_leq", premise_found)
+    expected, _ = _unmemoised_probes(alias, depth, 10, seed, budget)
+    assert expected.almost_unperforation is not None
+    monkeypatch.setattr(ts, "_random_clopen", drawn)
+    searched.clear()
+    rep = ts.probes(gpd.builtin(alias), depth, 10, seed, budget)
+    assert rep == expected
+    # no counterexample query is searched after the sample that gave one
+    found = rep.almost_unperforation
+    pairs = list(zip(draws[::2], draws[1::2]))
+    at = next(i for i, (x, y) in enumerate(pairs)
+              if [list(x.cells), list(y.cells)] == [found["x"], found["y"]])
+    assert 0 < at < 9
+    for sample, key in searched:
+        if sample > at:
+            fx, fy = map(ts.family_of, pairs[sample])
+            assert key in [(fy.entries, ts.multiple(fx, n).entries)
+                           for n in range(1, ts.PROBE_N_CAP + 1)]
+    assert cli.main(["--human", "probe", alias, "--depth", str(depth), "--seed", str(seed),
+                     "--samples", "10", "--budget", str(budget)]) == 0
+    assert "budget-relative counterexample: %s\n" % found in capsys.readouterr().out
