@@ -533,6 +533,12 @@ def probes(pres, depth, samples, seed, budget=stone.DEFAULT_BUDGET):
     families searched again reuses its outcome.  The certificate of every
     bound reported as certified has passed `verify_leq`; one that fails it
     is a fault of the program, and raises InternalError.
+
+    A counterexample test searches x <= y first, and the larger premise
+    (n+1) x <= n y only when x <= y is not found.  A counterexample needs
+    both outcomes, whichever is searched first; each search is
+    deterministic, and neither query is certified, so no report depends on
+    the order.
     """
     # only the probes draw at random, so the searches of tarski and
     # dichotomy load no random
@@ -571,8 +577,8 @@ def probes(pres, depth, samples, seed, budget=stone.DEFAULT_BUDGET):
         )
         if counterexample is None:
             n = rng.randint(1, 2)
-            if (leq(multiple(fx, n + 1), multiple(fy, n)).status == "found"
-                    and leq(fx, fy).status != "found"):
+            if (leq(fx, fy).status != "found"
+                    and leq(multiple(fx, n + 1), multiple(fy, n)).status == "found"):
                 counterexample = {
                     "x": list(x.cells),
                     "y": list(y.cells),

@@ -309,9 +309,11 @@ def test_multiple_is_the_repeated_sum():
     assert ts.multiple(f, 0).is_empty
 
 
-def _unmemoised_probes(alias, depth, samples, seed, budget):
+def _unmemoised_probes(alias, depth, samples, seed, budget, conclusion_first=False):
     """`ts.probes` without its memo: each query a fresh `search_leq` on a
-    fresh presentation, each certificate verified where it is found.
+    fresh presentation, each certificate verified where it is found.  A
+    counterexample test searches the premise (n+1) x <= n y first, then
+    x <= y, or, with `conclusion_first`, x <= y first, then the premise.
     Returns the report and each query's families and outcome status, in
     order."""
     asked = []
@@ -338,8 +340,9 @@ def _unmemoised_probes(alias, depth, samples, seed, budget):
         order_unit.append({"x": list(x.cells), "y": list(y.cells), "bound": least})
         if counterexample is None:
             n = rng.randint(1, 2)
-            if (leq(ts.multiple(fx, n + 1), ts.multiple(fy, n))[0].status == "found"
-                    and leq(fx, fy)[0].status != "found"):
+            tests = [lambda: leq(ts.multiple(fx, n + 1), ts.multiple(fy, n))[0].status == "found",
+                     lambda: leq(fx, fy)[0].status != "found"]
+            if all(test() for test in (tests[::-1] if conclusion_first else tests)):
                 counterexample = {
                     "x": list(x.cells), "y": list(y.cells), "n": n,
                     "label": "budget-relative: x <= y not found at this depth, not proven false",
@@ -355,7 +358,8 @@ PROBE_CASES = [("cuntz:2", 2, 2000), ("cuntz:3", 1, 2), ("rotation:3", 2, 30)]
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("alias, depth, budget", PROBE_CASES)
 def test_memoised_probes_match_the_unmemoised_oracle(monkeypatch, alias, depth, budget, seed):
-    expected, asked = _unmemoised_probes(alias, depth, 20, seed, budget)
+    expected, _ = _unmemoised_probes(alias, depth, 20, seed, budget)
+    _, asked = _unmemoised_probes(alias, depth, 20, seed, budget, conclusion_first=True)
     searched = []
     search = ts.search_leq
 
@@ -365,7 +369,8 @@ def test_memoised_probes_match_the_unmemoised_oracle(monkeypatch, alias, depth, 
 
     monkeypatch.setattr(ts, "search_leq", counted)
     assert ts.probes(gpd.builtin(alias), depth, 20, seed, budget) == expected
-    # each distinct query searched once, in the order first asked
+    # each distinct query searched once, in the order first asked when
+    # x <= y is searched before the premise
     assert searched == list(dict.fromkeys(key for key, _ in asked))
 
 
@@ -380,6 +385,23 @@ def test_the_probe_cases_repeat_queries_and_reach_every_outcome():
     assert statuses == {"found", "exhausted", "budget"}
     assert bounds == {True, False}
 
+
+
+def test_the_benchmark_probe_searches_49_queries_and_verifies_34(monkeypatch):
+    # `probe cuntz:2 --depth 2 --seed 0 --samples 50` asks 100 queries (140
+    # with the premise first); 49 are distinct and searched (88), and the
+    # 50 bounds rest on 34 distinct certificates, each verified once
+    _, asked = _unmemoised_probes("cuntz:2", 2, 50, 0, stone.DEFAULT_BUDGET, conclusion_first=True)
+    assert len(asked) == 100
+    calls = {"search_leq": 0, "verify_leq": 0}
+    for name, call in [(name, getattr(ts, name)) for name in calls]:
+        def counted(*args, name=name, call=call):
+            calls[name] += 1
+            return call(*args)
+        monkeypatch.setattr(ts, name, counted)
+    rep = ts.probes(gpd.builtin("cuntz:2"), 2, 50, 0)
+    assert calls == {"search_leq": 49, "verify_leq": 34}
+    assert sum(r["bound"] is not None for r in rep.order_unit) == 50
 
 
 # (alias, depth, budget, seed): with every premise found, the first sample
