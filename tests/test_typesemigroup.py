@@ -386,7 +386,6 @@ def test_the_probe_cases_repeat_queries_and_reach_every_outcome():
     assert bounds == {True, False}
 
 
-
 def test_the_benchmark_probe_searches_49_queries_and_verifies_34(monkeypatch):
     # `probe cuntz:2 --depth 2 --seed 0 --samples 50` asks 100 queries (140
     # with the premise first); 49 are distinct and searched (88), and the
