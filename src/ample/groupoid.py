@@ -469,11 +469,15 @@ def _cells_overlap(space, clopens):
 
 
 class Bisection:
-    """A compact open bisection: disjoint arrow pieces with disjoint ranges."""
+    """A compact open bisection: disjoint arrow pieces with disjoint ranges.
+
+    It is immutable, so `dom()` and `ran()` are computed once, on first use.
+    """
 
     def __init__(self, pres, pieces):
         self.pres = pres
         self.pieces = self._canonicalize(pres, pieces)
+        self._dom = self._ran = None
 
     @staticmethod
     def _canonicalize(pres, pieces):
@@ -549,12 +553,17 @@ class Bisection:
     # -- calculus -----------------------------------------------------------
 
     def dom(self):
-        return clopen(self.pres.space, [c for _, piece, _ in self.pieces for c in piece.domain.cells])
+        if self._dom is None:
+            self._dom = clopen(self.pres.space,
+                               [c for _, piece, _ in self.pieces for c in piece.domain.cells])
+        return self._dom
 
     def ran(self):
-        space = self.pres.space
-        return clopen(space, [image for _, piece, act in self.pieces
-                              for _, image in cell_images(space, act, piece.domain.cells)])
+        if self._ran is None:
+            space = self.pres.space
+            self._ran = clopen(space, [image for _, piece, act in self.pieces
+                                       for _, image in cell_images(space, act, piece.domain.cells)])
+        return self._ran
 
     def inverse(self):
         space = self.pres.space
@@ -620,10 +629,11 @@ class WordTable:
 
     entries: (word, action) for each freely reduced word of length at most
     the depth whose action is nonempty, by (length, symbols).  images,
-    bisections and levels are the tiling search's memos: shift cell -> its
-    (word, `cell_images`) list; (word, cell) -> the Bisection of the word
-    on that cell, and ((), clopen) -> the identity on that clopen; and
-    (cells, target clopens) -> a compiled cell level of the search.
+    bisections, levels and frames are the tiling search's memos: shift
+    cell -> its (word, `cell_images`) list; (word, cell) -> the Bisection
+    of the word on that cell, and ((), clopen) -> the identity on that
+    clopen; (cells, target clopens) -> a compiled cell level of the
+    search; and a frozenset of words -> its `stone.leaf_spans`.
 
     Each action is composed once, from its parent's: the appended letter
     acts first, so every extension of a word with an empty action has an
@@ -633,7 +643,7 @@ class WordTable:
     holds a point of that domain are tried.
     """
 
-    __slots__ = ("space", "entries", "_pieces", "images", "bisections", "levels")
+    __slots__ = ("space", "entries", "_pieces", "images", "bisections", "levels", "frames")
 
     def __init__(self, pres, depth):
         self.space = space = pres.space
@@ -670,6 +680,7 @@ class WordTable:
         self.images = {}
         self.bisections = {}
         self.levels = {}
+        self.frames = {}
 
     @property
     def pieces(self):

@@ -6,10 +6,14 @@ one-sided shift over the alphabet {1, ..., k}.  A compact open subset
 prefix antichain that is maximally merged: no stored word is a prefix of
 another, and never are all k one-letter extensions of a common word stored
 (they merge into the word itself).  With cells sorted, equal sets have
-identical representations, so equality is structural.
+identical representations, so equality is structural: the cells are the
+maximal cylinders inside the set.
 
-The same canonical form serves the coefficient maps of the convolution
-algebra, which are stored as the items of `sum_cells`.
+`clopen` alone validates cells.  It and `union` canonicalise in one pass
+over the sorted cells (`_merged`), which also serves the coefficient maps
+of the convolution algebra, the items of `sum_cells`.  `intersect` and
+`difference` are canonical as built, and `subset_of`, `disjoint_from` and
+`contains_cell` build no clopen.
 
 All values are immutable; every operation is a pure function.
 
@@ -145,7 +149,10 @@ class Frozen(Record):
 
 
 class UnitSpace(Frozen):
-    __slots__ = ("kind", "size")
+    # letters: the alphabet of the shift as single-character strings, () on
+    # Finite(n); it follows from the size, so it is not compared
+    __slots__ = ("kind", "size", "letters")
+    _uncompared = ("letters",)
 
     def __init__(self, kind, size):
         if kind == FINITE:
@@ -158,7 +165,7 @@ class UnitSpace(Frozen):
                 )
         else:
             raise ValueError("unknown space kind %r" % (kind,))
-        super().__init__(kind, size)
+        super().__init__(kind, size, tuple("123456789"[:size]) if kind == SHIFT else ())
 
     def __repr__(self):
         return "UnitSpace(kind=%r, size=%r)" % (self.kind, self.size)
@@ -170,11 +177,6 @@ class UnitSpace(Frozen):
     @classmethod
     def shift(cls, k):
         return cls(SHIFT, k)
-
-    @property
-    def letters(self):
-        """The alphabet of the shift as single-character strings."""
-        return [str(i) for i in range(1, self.size + 1)]
 
     def check_cell(self, cell):
         if self.kind == FINITE:
@@ -228,36 +230,39 @@ def leaf_spans(space, words):
     return leaves, span
 
 
-def _is_prefix(u, v):
-    """True when cylinder(v) is contained in cylinder(u)."""
-    return v.startswith(u)
+def _merged(cells, values, letters):
+    """The canonical cells and values of sorted cells, by one stack pass.
 
-
-def merge_siblings(vals, letters):
-    """The sorted items of a cylinder map in its canonical form.
-
-    `vals` maps pairwise disjoint words to values.  Bottom up, every k
-    siblings p+a (a in `letters`) that share one value are replaced by their
-    parent p with that value.  What remains are the maximal cylinders on
-    which the map is constant, so equal maps give identical items.
+    `values` runs beside `cells`.  A cell inside a kept cell u is dropped;
+    u is on top of the stack, since every word between u and uv in sorted
+    order starts with u.  So the stack is a sorted antichain, and when p+a
+    for the last letter a arrives, its k - 1 other siblings are on top if
+    they are kept at all; with its value, they give way to p, which may
+    complete its own siblings in turn.
     """
-    vals = dict(vals)
-    # the parents of the words of each length; a merge adds its own parent
-    # one level up, which is visited later
-    parents = {}
-    for w in vals:
-        if w:
-            parents.setdefault(len(w), set()).add(w[:-1])
-    for n in range(max(parents, default=0), 0, -1):
-        for p in parents.get(n, ()):
-            kids = [p + a for a in letters]
-            if all(kid in vals for kid in kids) and len({vals[kid] for kid in kids}) == 1:
-                vals[p] = vals[kids[0]]
-                for kid in kids:
-                    del vals[kid]
-                if p:
-                    parents.setdefault(n - 1, set()).add(p[:-1])
-    return sorted(vals.items())
+    head, last, k = letters[:-1], letters[-1], len(letters)
+    out, vals = [], []
+    for w, v in zip(cells, values):
+        if out and w.startswith(out[-1]):
+            continue
+        while w and w[-1] == last and len(out) >= k - 1:
+            i, p = len(out) - k + 1, w[:-1]
+            if out[i:] != [p + a for a in head] or vals[i:].count(v) != k - 1:
+                break
+            del out[i:], vals[i:]
+            w = p
+        out.append(w)
+        vals.append(v)
+    return out, vals
+
+
+def _canonical(space, cells):
+    """The Clopen of valid cells."""
+    if space.kind == FINITE:
+        return Clopen(space, tuple(sorted(set(cells))))
+    if len(cells) > 1:
+        cells = _merged(sorted(cells), [True] * len(cells), space.letters)[0]
+    return Clopen(space, tuple(cells))
 
 
 def sum_cells(space, pairs):
@@ -265,7 +270,7 @@ def sum_cells(space, pairs):
 
     The cells may overlap.  On the shift the sum is refined to the leaves
     of `leaf_spans` over the cells, each the sum of the values of the cells
-    above it, and then merged by `merge_siblings`.
+    above it, and the sorted nonzero leaves are merged by `_merged`.
     """
     vals = {}
     for c, v in pairs:
@@ -278,7 +283,9 @@ def sum_cells(space, pairs):
         start, end = span[c]
         for i in range(start, end):
             total[i] += v
-    return merge_siblings({w: t for w, t in zip(leaves, total) if t}, space.letters)
+    cells, values = _merged([w for w, t in zip(leaves, total) if t], [t for t in total if t],
+                            space.letters)
+    return list(zip(cells, values))
 
 
 class Clopen(Frozen):
@@ -306,41 +313,51 @@ class Clopen(Frozen):
         self.space.check_cell(cell)
         if self.space.kind == FINITE:
             return cell in self.cells
-        return not _cell_minus(cell, self.cells, self.space.letters)
+        return cell.startswith(self.cells)
 
     # -- boolean operations ------------------------------------------------
 
     def union(self, other):
         _same_space(self, other)
-        return clopen(self.space, list(self.cells) + list(other.cells))
+        return _canonical(self.space, self.cells + other.cells)
 
     def intersect(self, other):
         _same_space(self, other)
         if self.space.kind == FINITE:
-            return clopen(self.space, sorted(set(self.cells) & set(other.cells)))
+            return _canonical(self.space, set(self.cells) & set(other.cells))
+        # the deeper cell of each nested pair, a maximal cylinder of the meet
         out = []
         for a in self.cells:
             for b in other.cells:
-                if _is_prefix(a, b):
+                if b.startswith(a):
                     out.append(b)
-                elif _is_prefix(b, a):
+                elif a.startswith(b):
                     out.append(a)
-        return clopen(self.space, out)
+        return Clopen(self.space, tuple(out))
 
     def difference(self, other):
         _same_space(self, other)
         if self.space.kind == FINITE:
-            return clopen(self.space, sorted(set(self.cells) - set(other.cells)))
+            return _canonical(self.space, set(self.cells) - set(other.cells))
+        # each piece is maximal: any larger cylinder inside the cell holds
+        # a cell of other, or the piece would not have been split off
         out = []
         for a in self.cells:
             out.extend(_cell_minus(a, other.cells, self.space.letters))
-        return clopen(self.space, out)
+        return Clopen(self.space, tuple(out))
 
     def subset_of(self, other):
-        return self.difference(other).is_empty
+        _same_space(self, other)
+        if self.space.kind == FINITE:
+            return set(self.cells).issubset(other.cells)
+        return all(a.startswith(other.cells) for a in self.cells)
 
     def disjoint_from(self, other):
-        return self.intersect(other).is_empty
+        _same_space(self, other)
+        if self.space.kind == FINITE:
+            return set(self.cells).isdisjoint(other.cells)
+        return not any(a.startswith(other.cells) for a in self.cells) and \
+            not any(b.startswith(self.cells) for b in other.cells)
 
     def expand(self, depth):
         """The cells of this set refined to uniform `depth` (shift only).
@@ -393,20 +410,10 @@ def clopen(space, cells):
     """Canonicalize a list of cells into a Clopen. Idempotent.
 
     The one place that validates cells: `empty` and `whole`, the only other
-    constructors, build valid cells.
+    public constructors, build valid cells, and the Boolean operations
+    build theirs from the valid cells of their operands.
     """
-    cells = [space.check_cell(c) for c in cells]
-    if space.kind == FINITE:
-        return Clopen(space, tuple(sorted(set(cells))))
-    # absorption: in sorted order a word follows its prefixes, so it is
-    # redundant exactly when it starts with the last word kept
-    kept = []
-    for w in sorted(cells):
-        if not (kept and w.startswith(kept[-1])):
-            kept.append(w)
-    if len(kept) >= space.size:  # fewer than k words have no siblings to merge
-        kept = [w for w, _ in merge_siblings(dict.fromkeys(kept, True), space.letters)]
-    return Clopen(space, tuple(kept))
+    return _canonical(space, [space.check_cell(c) for c in cells])
 
 
 def empty(space):

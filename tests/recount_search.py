@@ -42,7 +42,7 @@ def search_level(pres, pieces, f1, f2, level, tracker, exact):
     """Tile the cells of f1 at depth `level` into f2 by pieces."""
     slots = ts._family_slots(f1, level)
     cells = list(dict.fromkeys(cell for _, cell in slots))
-    options, masks, leaves = ts._compile_pieces(pres, pieces, cells, f2.entries, {})
+    options, masks, leaves = ts._compile_pieces(pres, pieces, cells, f2.entries, {}, {})
     fitting = {cell: [(word, m, image) for word, image in options[cell]
                       for m, mask in zip(f2.labels, masks) if image & mask == image]
                for cell in cells}

@@ -751,6 +751,48 @@ def test_a_cell_outside_the_space_names_its_generator(tmp_path, capsys, space, g
     assert err == "input error at presentation.generators[1]: %s\n" % message
 
 
+# (file, keys, value, message after "input error at "): a bad letter or a
+# non-string cell in a read file, which `stone.clopen` rejects as a CellError
+BAD_FILE_CELLS = [
+    ("witness", ("A", "cells", 0), "3", "witness.A.cells: letter '3' out of range for Shift(2)"),
+    ("witness", ("A", "cells", 0), 5, "witness.A.cells: shift cell must be a word string, got 5"),
+    ("witness", ("rows", 0, 0, "bisection", "pieces", 0, "domain", "cells", 0), "21x",
+     "witness.rows[0][0].bisection.pieces[0].domain.cells: letter 'x' out of range for Shift(2)"),
+    ("witness", ("rows", 0, 0, "bisection", "pieces", 0, "domain", "cells", 0), None,
+     "witness.rows[0][0].bisection.pieces[0].domain.cells: shift cell must be a word string, "
+     "got None"),
+    ("family", ("entries", 1, "set", "cells", 0), "10",
+     "family.entries[1].set.cells: letter '0' out of range for Shift(2)"),
+    ("family", ("entries", 1, "set", "cells", 0), 1,
+     "family.entries[1].set.cells: shift cell must be a word string, got 1"),
+]
+
+
+def test_a_bad_cell_in_a_read_file_is_exit_three_with_its_message(tmp_path, capsys):
+    files = _read_files(tmp_path)
+    capsys.readouterr()  # the reports that wrote the files
+    for name, keys, value, message in BAD_FILE_CELLS:
+        path, argv = files[name]
+        with open(path) as fh:
+            original = fh.read()
+        with open(path, "w") as fh:
+            json.dump(_set(json.loads(original), keys, value), fh)
+        assert run(capsys, *argv) == (3, "", "input error at %s\n" % message), (name, keys, value)
+        with open(path, "w") as fh:
+            fh.write(original)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["find-witness", "cuntz:2", "--set", "13"], "--set 13: letter '3' out of range for Shift(2)"),
+    (["find-witness", "cuntz:2", "--set", "2,0"], "--set 2,0: letter '0' out of range for Shift(2)"),
+    (["tarski", "rotation:3", "--set", "3"], "--set 3: point 3 out of range for Finite(3)"),
+    (["tarski", "rotation:3", "--set", "1,x"],
+     "--set 1,x: invalid literal for int() with base 10: 'x'"),
+], ids=["shift-letter", "shift-second-item", "finite-point", "finite-not-an-int"])
+def test_a_bad_cell_in_set_is_exit_three_with_its_message(capsys, argv, message):
+    assert run(capsys, *argv, "--depth", "1") == (3, "", "input error: %s\n" % message)
+
+
 @pytest.mark.parametrize("row", [1, 2])
 def test_non_associative_table_above_24_elements_is_input_error(tmp_path, capsys, row):
     # Z_25 with two entries of one row swapped keeps its identity and inverses

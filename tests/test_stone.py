@@ -3,7 +3,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+import clopen_oracle as oracle
 from ample import stone
 from ample.stone import UnitSpace, clopen, whole
 
@@ -19,6 +22,14 @@ def test_canonicalize_merges_full_sibling_sets():
 
 def test_canonicalize_absorbs_subcylinders():
     assert clopen(S2, ["11", "12", "1"]).cells == ("1",)
+
+
+def test_canonicalize_merges_only_whole_sibling_sets():
+    # between 1 and 3 sits 21, not 2, so nothing merges until 2 is complete
+    assert clopen(S3, ["1", "21", "3"]).cells == ("1", "21", "3")
+    assert clopen(S3, ["1", "21", "22", "23", "3"]).cells == ("",)
+    assert clopen(UnitSpace.shift(4), ["31", "32", "331", "34"]).cells == ("31", "32", "331", "34")
+    assert clopen(S2, ["121", "122", "11", "2"]).cells == ("",)
 
 
 def test_canonicalize_finite_dedups_and_sorts():
@@ -82,6 +93,18 @@ def test_boolean_dispatch_and_errors():
         clopen(S2, ["13"])
     with pytest.raises(stone.CellError):
         clopen(F3, [3])
+
+
+def test_clopen_rejects_a_cell_of_the_wrong_type_or_range_with_its_message():
+    for space, cell, message in [(S2, 5, "shift cell must be a word string, got 5"),
+                                 (S2, None, "shift cell must be a word string, got None"),
+                                 (F3, "1", "finite cell must be an int, got '1'"),
+                                 (F3, True, "finite cell must be an int, got True"),
+                                 (F3, 3, "point 3 out of range for Finite(3)"),
+                                 (F3, -1, "point -1 out of range for Finite(3)")]:
+        with pytest.raises(stone.CellError) as err:
+            clopen(space, [whole(space).cells[0], cell])
+        assert str(err.value) == message
 
 
 def test_shift_cells_name_their_first_bad_letter():
@@ -183,6 +206,83 @@ def test_sum_cells_random():
                     got = sum(v for c, v in items if w.startswith(c))
                 assert got == want
             assert stone.sum_cells(space, _redecompose(rng, space, pairs)) == items
+
+
+# -- against the dict-and-parents oracle -----------------------------------------
+
+# the spaces the oracle tests draw from, and the longest word they draw
+ORACLE_SPACES = [UnitSpace.shift(k) for k in (2, 3, 4)] + [UnitSpace.finite(n) for n in (1, 3, 5)]
+ORACLE_DEPTH = 5
+
+
+def _cell_lists(space):
+    """Lists of cells; on the shift some words come as all their extensions
+    one or two letters deeper, so full sibling sets, which merge, are common."""
+    if space.kind == stone.FINITE:
+        return hs.lists(hs.integers(0, space.size - 1), max_size=8)
+
+    def refined(pair):
+        word, extra = pair
+        return [word + t for t in space.cells_at_depth(min(extra, ORACLE_DEPTH - len(word)))]
+
+    word = hs.text(alphabet="".join(space.letters), max_size=ORACLE_DEPTH)
+    groups = hs.lists(hs.tuples(word, hs.sampled_from([0, 0, 1, 2])).map(refined), max_size=6)
+    return groups.map(lambda groups: [c for group in groups for c in group])
+
+
+@hs.composite
+def _space_and_lists(draw, count):
+    space = draw(hs.sampled_from(ORACLE_SPACES))
+    return space, [draw(_cell_lists(space)) for _ in range(count)]
+
+
+def _points(space, cells):
+    """The set of the cells, as points or as words of length ORACLE_DEPTH."""
+    if space.kind == stone.FINITE:
+        return set(cells)
+    return {w + t for w in cells for t in space.cells_at_depth(ORACLE_DEPTH - len(w))}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_space_and_lists(1))
+def test_clopen_matches_the_oracle_and_the_set_of_its_cells(drawn):
+    space, (cells,) = drawn
+    a = clopen(space, cells)
+    assert a.cells == oracle.clopen(space, cells)
+    assert _points(space, a.cells) == _points(space, cells)
+    _assert_canonical_items(space, [(c, True) for c in a.cells])
+    assert clopen(space, reversed(a.cells)) == a
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_space_and_lists(2))
+def test_boolean_operations_match_the_oracle_and_the_set_operations(drawn):
+    space, (cells_a, cells_b) = drawn
+    a, b = clopen(space, cells_a), clopen(space, cells_b)
+    pa, pb = _points(space, a.cells), _points(space, b.cells)
+    for name, points in [("union", pa | pb), ("intersect", pa & pb), ("difference", pa - pb)]:
+        got = getattr(a, name)(b)
+        assert got.cells == getattr(oracle, name)(space, a.cells, b.cells), name
+        assert _points(space, got.cells) == points, name
+        assert clopen(space, got.cells) == got, name  # canonical as it stands
+    assert a.subset_of(b) == oracle.subset_of(space, a.cells, b.cells) == (pa <= pb)
+    assert a.disjoint_from(b) == oracle.disjoint_from(space, a.cells, b.cells) == pa.isdisjoint(pb)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_space_and_lists(1), hs.randoms(use_true_random=False))
+def test_sum_cells_matches_the_oracle_and_the_pointwise_sum(drawn, rng):
+    space, (cells,) = drawn
+    pairs = [(c, rng.choice([-1, 1, 1, 1, 2])) for c in cells]
+    items = stone.sum_cells(space, pairs)
+    assert items == oracle.sum_cells(space, pairs)
+    _assert_canonical_items(space, items)
+    want, got = {}, {}
+    for total, source in [(want, pairs), (got, items)]:
+        for c, v in source:
+            for x in _points(space, [c]):
+                total[x] = total.get(x, 0) + v
+    assert {x: v for x, v in got.items() if v} == {x: v for x, v in want.items() if v}
 
 
 # -- the cell universe ---------------------------------------------------------

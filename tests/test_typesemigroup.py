@@ -389,17 +389,19 @@ def test_the_probe_cases_repeat_queries_and_reach_every_outcome():
 def test_the_benchmark_probe_searches_49_queries_and_verifies_34(monkeypatch):
     # `probe cuntz:2 --depth 2 --seed 0 --samples 50` asks 100 queries (140
     # with the premise first); 49 are distinct and searched (88), and the
-    # 50 bounds rest on 34 distinct certificates, each verified once
+    # 50 bounds rest on 34 distinct certificates, each verified once; the
+    # compiled levels of the searches meet 27 distinct sets of image words,
+    # and build one `leaf_spans` frame for each (49 before frames were shared)
     _, asked = _unmemoised_probes("cuntz:2", 2, 50, 0, stone.DEFAULT_BUDGET, conclusion_first=True)
     assert len(asked) == 100
-    calls = {"search_leq": 0, "verify_leq": 0}
-    for name, call in [(name, getattr(ts, name)) for name in calls]:
-        def counted(*args, name=name, call=call):
+    calls = {"search_leq": 0, "verify_leq": 0, "leaf_spans": 0}
+    for module, name in [(ts, "search_leq"), (ts, "verify_leq"), (stone, "leaf_spans")]:
+        def counted(*args, name=name, call=getattr(module, name)):
             calls[name] += 1
             return call(*args)
-        monkeypatch.setattr(ts, name, counted)
+        monkeypatch.setattr(module, name, counted)
     rep = ts.probes(gpd.builtin("cuntz:2"), 2, 50, 0)
-    assert calls == {"search_leq": 49, "verify_leq": 34}
+    assert calls == {"search_leq": 49, "verify_leq": 34, "leaf_spans": 27}
     assert sum(r["bound"] is not None for r in rep.order_unit) == 50
 
 
