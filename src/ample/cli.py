@@ -143,12 +143,24 @@ def cmd_type_eq(args, pres):
 
     f1 = serialize.decode_family(serialize.load_json(args.left), pres)
     f2 = serialize.decode_family(serialize.load_json(args.right), pres)
-    out = ts.search_equiv(pres, f1, f2, args.depth, args.budget)
-    report = {"command": "type-eq", "status": out.status, "depth": args.depth,
-              "stats": _search_stats(out.stats)}
-    if out.status == "found":
+    decided = ts.closed_equiv(pres, f1, f2)
+    report = {"command": "type-eq", "method": "closed_form", "status": "found",
+              "depth": args.depth}
+    if isinstance(decided, ts.Refutation):
+        left, right, modulus = decided.left_count, decided.right_count, decided.modulus
+        report.update(status="refuted", refutation={"modulus": modulus, "left_count": left,
+                                                    "right_count": right})
+        _emit(args, report, ["not equivalent: the cell counts %d and %d differ mod %d"
+                             % (left, right, modulus) if left % modulus != right % modulus
+                             else "not equivalent: one family is empty and the other is not"])
+        return EXIT_REJECTED
+    if decided is None:
+        out = ts.search_equiv(pres, f1, f2, args.depth, args.budget)
+        report.update(method="search", status=out.status, stats=_search_stats(out.stats))
+        decided = out.certificate
+    if decided is not None:
         return _certified(args, report, "certificate",
-                          serialize.encode_equiv_certificate(out.certificate),
+                          serialize.encode_equiv_certificate(decided),
                           ["equivalent: certificate found"])
     _emit(args, report, ["none within budget (not a proof of inequivalence)"])
     return EXIT_INCONCLUSIVE

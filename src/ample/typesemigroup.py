@@ -12,14 +12,23 @@ Search and verification are strictly separated: anything a search returns
 passes the verifier, and a failed search is never evidence of
 inequivalence.
 
+On the shift, `closed_form` decides without a search where the type
+semigroup is known: on a presentation with a generator '' -> i for each
+letter i, which generates the Cuntz groupoid O_k, whose type semigroup
+is {0} with Z/(k-1) added.  The canonical cell count mod k - 1 separates
+families on every shift presentation; such a `Refutation` is the one
+definitive "no", checked by `verify_refutation`.
+
 `probes` draws pairs of clopens from a seed and searches order-unit
 bounds y <= n x and almost-unperforation counterexamples among them.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+
 from . import stone
-from .stone import Frozen, Record, clopen, empty
+from .stone import Frozen, Record, clopen, empty, whole
 from .groupoid import Bisection, cell_images, identity_bisection, word_table
 
 
@@ -152,6 +161,139 @@ class LeqCertificate(Record):
 
 def verify_leq(pres, f1, f2, cert):
     return verify_equiv(pres, add(f1, cert.remainder), f2, cert.equivalence)
+
+
+def _require(res, producer, kind="certificate"):
+    """Raise InternalError unless the verifier accepted: a `kind` that
+    `producer` made and its verifier rejects is a fault of the program,
+    not of its input (exit 4)."""
+    if not res:
+        raise stone.InternalError("%s produced a non-verifying %s: %s" % (producer, kind, res.reason))
+
+
+# ---------------------------------------------------------------------------
+# the closed form on the shift
+
+
+class Refutation(Record):
+    """f1 and f2 are not equivalent, by their canonical cell counts summed
+    over the labels: they differ mod `modulus`, k - 1, or one is 0 and the
+    other not."""
+
+    __slots__ = ("modulus", "left_count", "right_count")
+
+
+def _cell_count(fam):
+    return sum(len(c.cells) for c in fam.entries)
+
+
+def verify_refutation(pres, f1, f2, ref):
+    """Accept iff the counts are those of f1 and f2, over the shift, and
+    separate them.
+
+    Every piece of a shift presentation is a prefix swap s.u -> a.u, which
+    sends a cylinder onto a cylinder, and splitting a cylinder into its k
+    children adds k - 1 cylinders.  So the two sides of any equivalence
+    certificate have equal counts mod k - 1; and only an empty family
+    tiles onto an empty one.
+    """
+    space = pres.space
+    if f1.space != space or f2.space != space or space.kind != stone.SHIFT:
+        return VerifyResult(False, "families over the wrong space, or not over the shift")
+    counts = _cell_count(f1), _cell_count(f2)
+    if (ref.modulus, ref.left_count, ref.right_count) != (space.size - 1,) + counts:
+        return VerifyResult(False, "modulus and counts are not %d, %d and %d"
+                            % ((space.size - 1,) + counts))
+    left, right = counts
+    if left % ref.modulus == right % ref.modulus and (left == 0) == (right == 0):
+        return VerifyResult(False, "the counts %d and %d agree mod %d, and neither or both are 0"
+                            % (left, right, ref.modulus))
+    return VerifyResult(True)
+
+
+def _letter_generators(pres):
+    """{letter i: the first generator acting by '' -> i} when every letter
+    of the shift has one, else None."""
+    found = {}
+    for g, act in enumerate(pres.gen_actions):
+        if len(act) == 1 and act[0][0] == "" and len(act[0][1]) == 1:
+            found.setdefault(act[0][1], g)
+    return found if len(found) == pres.space.size else None
+
+
+def _split(cells, count, letters):
+    """Split the shallowest of the (label, cell) pairs, the first in family
+    order on a tie, into its k children until there are `count`; returns
+    them in family order.  Shallowest first keeps the cells, and so the
+    words between them, as short as the count allows."""
+    queue = sorted((len(c), label, c) for label, c in cells)
+    while len(queue) < count:
+        _, label, c = queue.pop(0)
+        for a in letters:
+            insort(queue, (len(c) + 1, label, c + a))
+    return sorted((label, c) for _, label, c in queue)
+
+
+def closed_form(pres, f1, f2, exact):
+    """Decide f1 ~ f2 (exact) or f1 <= f2 with no search, where the type
+    semigroup of the presentation is known.
+
+    On a shift presentation with a generator g_i acting by '' -> i for
+    each letter i, the groupoid is the Cuntz groupoid O_k, and [f1] = [f2]
+    iff both families are empty, or both are nonempty with equal cell
+    counts mod k - 1; [f1] <= [f2] iff f1 is empty or f2 is not.  The
+    certificate pairs the cells of the two sides in family order, once the
+    side with fewer cells has been split (`_split`) to as many; a pair
+    u.x -> v.x is the word g_v1...g_vn g_um^-1...g_u1^-1 on the cylinder
+    of u.  For <= the remainder is r copies of the whole space, with r
+    congruent to count(f2) - count(f1) mod k - 1, and r >= 1 when f1 is
+    empty and f2 is not.
+
+    Returns an EquivCertificate (exact) or a LeqCertificate, unverified;
+    for exact, a Refutation where the counts separate the families, which
+    they do on every shift presentation where one count is 0 and the other
+    not, or, for k >= 3, where they differ mod k - 1; and None where the closed form does not apply: off the
+    shift, without the letter generators, and for f1 <= an empty f2 with
+    f1 nonempty.  It reads neither a depth nor a budget, and builds no
+    word table.
+    """
+    space = pres.space
+    if space.kind != stone.SHIFT:
+        return None
+    modulus = space.size - 1
+    left, right = _cell_count(f1), _cell_count(f2)
+    if exact and ((left == 0) != (right == 0) or left % modulus != right % modulus):
+        return Refutation(modulus, left, right)
+    gens = _letter_generators(pres)
+    if gens is None or (left and not right):
+        return None
+    if not exact:
+        r = (right - left) % modulus or (modulus if right and not left else 0)
+        remainder = LabeledFamily(space, (whole(space),) * r)
+        f1 = add(f1, remainder)
+    cells = [[(label, c) for label in fam.labels for c in fam.entry(label).cells]
+             for fam in (f1, f2)]
+    count = max(len(side) for side in cells)
+    lcells, rcells = (_split(side, count, space.letters) for side in cells)
+    triples = []
+    for (n, u), (m, v) in zip(lcells, rcells):
+        word = tuple((gens[a], 1) for a in v) + tuple((gens[a], -1) for a in reversed(u))
+        triples.append((Bisection(pres, [(word, clopen(space, [u]))]), n, m))
+    cert = EquivCertificate(tuple(triples))
+    return cert if exact else LeqCertificate(remainder, cert)
+
+
+def closed_equiv(pres, f1, f2):
+    """`closed_form` of f1 ~ f2, verified: a certificate that passed
+    `verify_equiv`, a Refutation that passed `verify_refutation`, or None
+    where the closed form does not apply.  A rejected one raises
+    InternalError."""
+    found = closed_form(pres, f1, f2, exact=True)
+    if isinstance(found, Refutation):
+        _require(verify_refutation(pres, f1, f2, found), "the closed form", "refutation")
+    elif found is not None:
+        _require(verify_equiv(pres, f1, f2, found), "the closed form")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +677,11 @@ def probes(pres, depth, samples, seed, budget=stone.DEFAULT_BUDGET):
     an almost-unperforation counterexample: (n+1) x <= n y found, x <= y
     not.
 
+    Each query tries `closed_form` first, and searches only where it does
+    not apply; so on cuntz:k no query is searched, and every y <= 1 x holds.
     A search is deterministic in the presentation, the two families, the
     depth and the budget, and each spends a fresh budget, so a pair of
-    families searched again reuses its outcome.  Every bound reported is
+    families asked again reuses its outcome.  Every bound reported is
     certified: its certificate has passed `verify_leq`, and one that fails
     it is a fault of the program, which raises InternalError (exit 4).  So
     a bound's "certified" is always True; it stays because the report
@@ -553,19 +697,20 @@ def probes(pres, depth, samples, seed, budget=stone.DEFAULT_BUDGET):
     # dichotomy load no random
     import random
 
-    outcomes = {}  # (entries of f1, entries of f2) -> the search_leq outcome
+    outcomes = {}  # (entries of f1, entries of f2) -> the query's outcome
     certified = set()  # the keys of outcomes whose certificate verify_leq accepted
 
     def leq(f1, f2, certify=False):
         key = f1.entries, f2.entries
         out = outcomes.get(key)
         if out is None:
-            out = outcomes[key] = search_leq(pres, f1, f2, depth, budget)
+            cert = closed_form(pres, f1, f2, exact=False)
+            out = outcomes[key] = (search_leq(pres, f1, f2, depth, budget) if cert is None
+                                   else SearchOutcome(cert, "found"))
         if certify and out.status == "found" and key not in certified:
-            res = verify_leq(pres, f1, f2, out.certificate)
-            if not res:
-                raise stone.InternalError("search produced a non-verifying certificate: %s"
-                                          % res.reason)
+            # only a search's outcome carries stats
+            _require(verify_leq(pres, f1, f2, out.certificate),
+                     "search" if out.stats is not None else "the closed form")
             certified.add(key)
         return out
 

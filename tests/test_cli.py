@@ -182,42 +182,79 @@ def test_a_partial_system_without_a_state_is_still_refuted(tmp_path, capsys):
     assert report["stats"]["support"] == 2
 
 
+def _two_halves_and_whole(tmp_path):
+    """(left, right, cert) paths: the cylinder of 1 under labels 1 and 2,
+    and the whole space, as family files on the shift(2), and a path for a
+    certificate.  The odometer sends 1X onto 2X by its piece 1 -> 2, so
+    its searches tile the left onto the right at depth 1, not at depth 0;
+    and it has no generator '' -> i, so the closed form does not apply."""
+    space = UnitSpace.shift(2)
+    left, right, cert = tmp_path / "left.json", tmp_path / "right.json", tmp_path / "cert.json"
+    one = stone.clopen(space, ["1"])
+    left.write_text(ser.dumps(ser.encode_family(ts.normalize(space, [(one, 1), (one, 2)]))))
+    right.write_text(ser.dumps(ser.encode_family(ts.family_of(whole(space)))))
+    return left, right, cert
+
+
 def test_type_eq_and_verify_cert(tmp_path, capsys):
-    c2 = cuntz(2)
-    left = tmp_path / "left.json"
-    right = tmp_path / "right.json"
-    cert = tmp_path / "cert.json"
-    f1 = ts.normalize(c2.space, [(whole(c2.space), 1), (whole(c2.space), 2)])
-    f2 = ts.family_of(whole(c2.space))
-    left.write_text(ser.dumps(ser.encode_family(f1)))
-    right.write_text(ser.dumps(ser.encode_family(f2)))
+    left, right, cert = _two_halves_and_whole(tmp_path)
     code, out, _ = run(
-        capsys, "type-eq", "cuntz:2", "--left", str(left), "--right", str(right),
+        capsys, "type-eq", "odometer", "--left", str(left), "--right", str(right),
         "--depth", "1", "-o", str(cert),
     )
     assert code == 0
+    assert json.loads(out)["method"] == "search"
     code, out, _ = run(
-        capsys, "verify-cert", "cuntz:2", "--left", str(left), "--right", str(right),
+        capsys, "verify-cert", "odometer", "--left", str(left), "--right", str(right),
         "--cert", str(cert),
     )
     assert code == 0
 
     # inconclusive search: equivalence needs depth 1 but none allowed
     code, out, _ = run(
-        capsys, "type-eq", "cuntz:2", "--left", str(left), "--right", str(right),
+        capsys, "type-eq", "odometer", "--left", str(left), "--right", str(right),
         "--depth", "0",
     )
     assert code == 2
 
 
-def test_type_eq_prints_no_certificate_that_fails_to_verify(tmp_path, capsys, monkeypatch):
-    c2 = cuntz(2)
-    left = tmp_path / "left.json"
-    right = tmp_path / "right.json"
+@pytest.mark.parametrize("k, left, right", [
+    (2, [["1"], ["21", "22"]], [[""]]),
+    (3, [[""]], [["1", "2", "31"]]),
+    (3, [["1"], ["2", "3"]], [["11", "2"], ["3"], ["1211", "1212"]]),
+    (4, [[""]], [["1", "2"], ["3", "41"]]),
+])
+def test_each_closed_form_certificate_type_eq_writes_passes_verify_cert(tmp_path, capsys,
+                                                                       k, left, right):
+    space = UnitSpace.shift(k)
+    paths = {}
+    for side, sets in (("left", left), ("right", right)):
+        paths[side] = tmp_path / (side + ".json")
+        family = ts.normalize(space, [(stone.clopen(space, s), i) for i, s in enumerate(sets, 1)])
+        paths[side].write_text(ser.dumps(ser.encode_family(family)))
     cert = tmp_path / "cert.json"
-    left.write_text(ser.dumps(ser.encode_family(
-        ts.normalize(c2.space, [(whole(c2.space), 1), (whole(c2.space), 2)]))))
-    right.write_text(ser.dumps(ser.encode_family(ts.family_of(whole(c2.space)))))
+    alias, files = "cuntz:%d" % k, ["--left", str(paths["left"]), "--right", str(paths["right"])]
+    code, out, _ = run(capsys, "type-eq", alias, *files, "--depth", "0", "-o", str(cert))
+    assert code == 0 and json.loads(out)["method"] == "closed_form"
+    code, out, _ = run(capsys, "verify-cert", alias, *files, "--cert", str(cert))
+    assert code == 0
+
+
+def test_type_eq_refutes_an_empty_family_against_a_nonempty_one_on_cuntz_2(tmp_path, capsys):
+    # every count agrees mod 1, so only emptiness separates on cuntz:2
+    space = cuntz(2).space
+    none, x = tmp_path / "none.json", tmp_path / "x.json"
+    none.write_text(ser.dumps(ser.encode_family(ts.LabeledFamily(space, ()))))
+    x.write_text(ser.dumps(ser.encode_family(ts.family_of(whole(space)))))
+    code, out, _ = run(capsys, "type-eq", "cuntz:2", "--left", str(none), "--right", str(x))
+    assert code == 1
+    assert json.loads(out)["refutation"] == {"modulus": 1, "left_count": 0, "right_count": 1}
+    code, out, _ = run(capsys, "--human", "type-eq", "cuntz:2", "--left", str(x), "--right", str(none))
+    assert (code, out) == (1, "not equivalent: one family is empty and the other is not\n")
+
+
+def test_type_eq_prints_no_certificate_that_fails_to_verify(tmp_path, capsys, monkeypatch):
+    left, right, cert = _two_halves_and_whole(tmp_path)
     search = ts._search_tiling
 
     def drop_a_triple(*args, **kwargs):
@@ -226,11 +263,11 @@ def test_type_eq_prints_no_certificate_that_fails_to_verify(tmp_path, capsys, mo
         return ts.SearchOutcome(ts.EquivCertificate(triples), "found", outcome.stats), left_over
 
     monkeypatch.setattr(ts, "_search_tiling", drop_a_triple)
-    code, out, err = run(capsys, "type-eq", "cuntz:2", "--left", str(left), "--right", str(right),
+    code, out, err = run(capsys, "type-eq", "odometer", "--left", str(left), "--right", str(right),
                          "--depth", "1", "-o", str(cert))
     # a fault of the program, not of the input: exit 4, with its traceback
     assert code == 4
-    # the search settles at depth 0, one triple per label: the dropped one
+    # the search settles at level 1, one triple per label: the dropped one
     # leaves label 2 bare
     assert json.loads(out) == {"command": "type-eq", "outcome": "internal error",
                                "reason": "search produced a non-verifying certificate:"
@@ -241,6 +278,31 @@ def test_type_eq_prints_no_certificate_that_fails_to_verify(tmp_path, capsys, mo
     assert not cert.exists()
 
 
+def _drop_the_last_triple(cert):
+    """The certificate, or <= certificate, without its last triple."""
+    if isinstance(cert, ts.LeqCertificate):
+        return ts.LeqCertificate(cert.remainder, _drop_the_last_triple(cert.equivalence))
+    return ts.EquivCertificate(cert.triples[:-1])
+
+
+def test_type_eq_prints_no_closed_form_certificate_that_fails_to_verify(tmp_path, capsys,
+                                                                        monkeypatch):
+    left, right, cert = _two_halves_and_whole(tmp_path)
+    closed_form = ts.closed_form
+    monkeypatch.setattr(ts, "closed_form", lambda *args, **kwargs:
+                        _drop_the_last_triple(closed_form(*args, **kwargs)))
+    code, out, err = run(capsys, "type-eq", "cuntz:2", "--left", str(left), "--right", str(right),
+                         "-o", str(cert))
+    # 1X and 1X onto X: one triple per label, and the dropped one leaves
+    # label 2 bare
+    assert code == 4
+    reason = "the closed form produced a non-verifying certificate: domain label 2 is not covered"
+    assert json.loads(out) == {"command": "type-eq", "outcome": "internal error", "reason": reason}
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("ample.stone.InternalError: %s\n" % reason)
+    assert not cert.exists()
+
+
 def test_probe_reports_no_bound_whose_certificate_fails_to_verify(capsys, monkeypatch):
     search = ts.search_leq
 
@@ -248,12 +310,11 @@ def test_probe_reports_no_bound_whose_certificate_fails_to_verify(capsys, monkey
         out = search(*args)
         if out.status != "found":
             return out
-        cert = out.certificate
-        broken = ts.LeqCertificate(cert.remainder, ts.EquivCertificate(cert.equivalence.triples[:-1]))
-        return ts.SearchOutcome(broken, "found", out.stats)
+        return ts.SearchOutcome(_drop_the_last_triple(out.certificate), "found", out.stats)
 
     monkeypatch.setattr(ts, "search_leq", drop_a_triple)
-    code, out, err = run(capsys, "probe", "cuntz:2", "--depth", "2", "--seed", "0", "--samples", "5")
+    # the odometer has no generator '' -> i, so its bounds are searched
+    code, out, err = run(capsys, "probe", "odometer", "--depth", "2", "--seed", "0", "--samples", "5")
     # a fault of the program, not a bound with "certified": false
     assert code == 4
     report = json.loads(out)
@@ -261,6 +322,18 @@ def test_probe_reports_no_bound_whose_certificate_fails_to_verify(capsys, monkey
     assert report["reason"].startswith("search produced a non-verifying certificate: ")
     assert err.startswith("Traceback (most recent call last):\n")
     assert "ample.stone.InternalError: search produced a non-verifying certificate: " in err
+
+
+def test_probe_reports_no_closed_form_bound_that_fails_to_verify(capsys, monkeypatch):
+    closed_form = ts.closed_form
+    monkeypatch.setattr(ts, "closed_form", lambda *args, **kwargs:
+                        _drop_the_last_triple(closed_form(*args, **kwargs)))
+    code, out, err = run(capsys, "probe", "cuntz:2", "--depth", "2", "--seed", "0", "--samples", "5")
+    assert code == 4
+    report = json.loads(out)
+    assert (report["command"], report["outcome"]) == ("probe", "internal error")
+    assert report["reason"].startswith("the closed form produced a non-verifying certificate: ")
+    assert "ample.stone.InternalError: the closed form produced a non-verifying certificate: " in err
 
 
 @pytest.mark.parametrize("human", [False, True])
@@ -578,11 +651,15 @@ def test_search_reports_carry_stats(tmp_path, capsys):
     assert "stats" in report and "stats" not in report["witness"]
     path = tmp_path / "f.json"
     path.write_text(json.dumps(ser.encode_family(ts.family_of(whole(cuntz(2).space)))))
-    code, out, _ = run(capsys, "type-eq", "cuntz:2", "--left", str(path), "--right", str(path),
-                       "--depth", "0")
-    assert code == 0
-    report = json.loads(out)
-    assert "stats" in report and "stats" not in report["certificate"]
+    # the odometer's type-eq searches; cuntz:2's is decided in closed form,
+    # with no search and so no stats
+    for alias, method in (("odometer", "search"), ("cuntz:2", "closed_form")):
+        code, out, _ = run(capsys, "type-eq", alias, "--left", str(path), "--right", str(path),
+                           "--depth", "0")
+        assert code == 0
+        report = json.loads(out)
+        assert report["method"] == method
+        assert ("stats" in report) == (method == "search") and "stats" not in report["certificate"]
 
 
 def _bad_witness(field, value):

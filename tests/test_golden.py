@@ -43,6 +43,13 @@ FAMILIES = {
     "right2.json": (("2111", "2211", "2222"), ("2111", "2211", "2222")),
     "whole.json": (("",),),
 }
+# Families on the shift(3): the whole space, {1, 2}, whose cell count 2
+# differs from its 1 mod 2, and {1, 2, 31}, whose count 3 does not.
+SHIFT3_FAMILIES = {
+    "whole3.json": (("",),),
+    "one_two3.json": (("1", "2"),),
+    "one_two_31_3.json": (("1", "2", "31"),),
+}
 # Seeds of the certify workload whose weak.json, the (5,3) weakening of its
 # depth-3 witness, is copied in as weak<seed>.json.
 CERTIFY_SEEDS = range(1, 11)
@@ -52,10 +59,11 @@ def write_inputs(d):
     """Write every file the rows read into directory d."""
     from test_states import _seeded_finite
 
-    for name, sets in FAMILIES.items():
-        entries = [{"set": {"space": {"kind": "shift", "k": 2}, "cells": list(s)}, "label": i + 1}
-                   for i, s in enumerate(sets)]
-        (d / name).write_text(ser.dumps({"schema_version": 1, "entries": entries}))
+    for k, families in ((2, FAMILIES), (3, SHIFT3_FAMILIES)):
+        for name, sets in families.items():
+            entries = [{"set": {"space": {"kind": "shift", "k": k}, "cells": list(s)},
+                        "label": i + 1} for i, s in enumerate(sets)]
+            (d / name).write_text(ser.dumps({"schema_version": 1, "entries": entries}))
     (d / "SEEDED.json").write_text(ser.dumps(ser.encode_presentation(_seeded_finite(6))))
     # the shift(2) with one prefix map of the whole space onto the cylinder
     # of 1: every invariant state vanishes on the cylinder of 2
@@ -155,6 +163,32 @@ def test_report_is_pinned(row, ran):
     changed = changes(row, ran[command])
     if changed:
         pytest.fail("\n".join([command] + changed), pytrace=False)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a search ran")
+
+
+def test_cuntz_rows_run_no_search(tmp_path, monkeypatch):
+    # the closed form settles `probe` and `type-eq` on cuntz:k: with every
+    # search and word table forbidden, these rows still give their pinned
+    # exit code and stdout
+    from ample import groupoid
+    from ample import typesemigroup as ts
+
+    for module, name in [(ts, "search_leq"), (ts, "search_equiv"), (ts, "word_table"),
+                         (groupoid, "word_table")]:
+        monkeypatch.setattr(module, name, _forbidden)
+    rows = []
+    for row in ROWS:
+        command, alias = [a for a in row["argv"] if a != "--human"][:2]
+        if command in ("probe", "type-eq") and alias.startswith("cuntz:"):
+            rows.append(row)
+    assert len(rows) == 14
+    write_inputs(tmp_path)
+    for row in rows:
+        ran = run_row(tmp_path, row["argv"])
+        assert (ran["exit"], ran["stdout"]) == (row["exit"], row["stdout"]), row["argv"]
 
 
 def test_changes_name_each_field_that_moved():

@@ -13,7 +13,7 @@ import sys
 from ample import serialize as ser
 from ample import typesemigroup as ts
 from ample.groupoid import cuntz
-from ample.stone import whole
+from ample.stone import clopen, whole
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -220,6 +220,25 @@ def test_no_command_loads_fractions_decimal_or_numbers(tmp_path):
 def test_probe_loads_neither_states_nor_simplex():
     code = _main_code([["probe", "cuntz:2", "--depth", "2", "--samples", "5"]], [0])
     assert loaded_after(code, {"ample.states", "ample.simplex", "random"}) == "['random']"
+
+
+def test_closed_form_type_eq_and_probe_load_no_lp_and_no_witness_layer(tmp_path):
+    # on cuntz:k, type-eq and probe settle in closed form, in typesemigroup
+    space = cuntz(3).space
+    files = {name: str(tmp_path / (name + ".json")) for name in ("x", "a", "b", "cert")}
+    for name, cells in (("x", [""]), ("a", ["1", "2"]), ("b", ["1", "2", "31"])):
+        pathlib.Path(files[name]).write_text(
+            ser.dumps(ser.encode_family(ts.family_of(clopen(space, cells)))))
+    commands = [
+        ["type-eq", "cuntz:3", "--left", files["x"], "--right", files["a"]],
+        ["type-eq", "cuntz:3", "--left", files["x"], "--right", files["b"], "-o", files["cert"]],
+        ["verify-cert", "cuntz:3", "--left", files["x"], "--right", files["b"],
+         "--cert", files["cert"]],
+        ["probe", "cuntz:2", "--depth", "2", "--samples", "50"],
+    ]
+    code = _main_code(commands, [1, 0, 0, 0])
+    assert loaded_after(code, {"ample.states", "ample.simplex", "ample.paradox", "ample.convalg",
+                               "ample.orbits"}) == "[]"
 
 
 def test_state_loads_no_random():

@@ -142,12 +142,12 @@ def test_state_evaluation_invariant_under_certificates():
 
 
 def test_probe_order_unit_on_cuntz():
+    # the type semigroup of O_2 is {0, 1}: every nonempty y has y <= 1 x
     rep = ts.probes(C2, 2, 12, seed=1, budget=20000)
     assert rep.depth == 2 and rep.seed == 1
-    bounded = [r for r in rep.order_unit if r["bound"] is not None]
-    assert bounded, "expected at least one certified order-unit bound"
-    for r in bounded:
-        assert r["bound"]["certified"]
+    assert len(rep.order_unit) == 12
+    for r in rep.order_unit:
+        assert r["bound"] == {"n": 1, "certified": True}
 
 
 def test_probe_specific_order_unit_pair():

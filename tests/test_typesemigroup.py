@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leq_chain
 from ample import cli
@@ -310,18 +312,21 @@ def test_multiple_is_the_repeated_sum():
 
 
 def _unmemoised_probes(alias, depth, samples, seed, budget, conclusion_first=False):
-    """`ts.probes` without its memo: each query a fresh `search_leq` on a
-    fresh presentation, each certificate verified where it is found.  A
-    counterexample test searches the premise (n+1) x <= n y first, then
-    x <= y, or, with `conclusion_first`, x <= y first, then the premise.
-    Returns the report and each query's families and outcome status, in
-    order."""
+    """`ts.probes` without its memo: each query a fresh `closed_form`, or
+    where it does not apply a fresh `search_leq`, on a fresh presentation,
+    each certificate verified where it is found.  A counterexample test
+    asks the premise (n+1) x <= n y first, then x <= y, or, with
+    `conclusion_first`, x <= y first, then the premise.  Returns the report
+    and, in order, each query's families, outcome status, and whether it
+    was searched."""
     asked = []
 
     def leq(f1, f2):
         pres = gpd.builtin(alias)
-        out = ts.search_leq(pres, f1, f2, depth, budget)
-        asked.append(((f1.entries, f2.entries), out.status))
+        cert = ts.closed_form(pres, f1, f2, exact=False)
+        out = (ts.search_leq(pres, f1, f2, depth, budget) if cert is None
+               else ts.SearchOutcome(cert, "found"))
+        asked.append(((f1.entries, f2.entries), out.status, cert is None))
         return out, out.status == "found" and ts.verify_leq(pres, f1, f2, out.certificate).ok
 
     rng = random.Random(seed)
@@ -351,8 +356,9 @@ def _unmemoised_probes(alias, depth, samples, seed, budget, conclusion_first=Fal
 
 
 # (alias, depth, budget): between them their searches find, exhaust and
-# run out of budget, and some pairs get no bound
-PROBE_CASES = [("cuntz:2", 2, 2000), ("cuntz:3", 1, 2), ("rotation:3", 2, 30)]
+# run out of budget, and some pairs get no bound; the closed form settles
+# every query of the cuntz:k cases, whatever the budget
+PROBE_CASES = [("cuntz:2", 2, 2000), ("cuntz:3", 1, 2), ("rotation:3", 2, 30), ("odometer", 2, 2)]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -369,31 +375,33 @@ def test_memoised_probes_match_the_unmemoised_oracle(monkeypatch, alias, depth, 
 
     monkeypatch.setattr(ts, "search_leq", counted)
     assert ts.probes(gpd.builtin(alias), depth, 20, seed, budget) == expected
-    # each distinct query searched once, in the order first asked when
-    # x <= y is searched before the premise
-    assert searched == list(dict.fromkeys(key for key, _ in asked))
+    # each distinct query the closed form leaves searched once, in the
+    # order first asked when x <= y is asked before the premise; on
+    # cuntz:k, none
+    assert searched == list(dict.fromkeys(key for key, _, search in asked if search))
+    assert bool(searched) == (not alias.startswith("cuntz"))
 
 
 def test_the_probe_cases_repeat_queries_and_reach_every_outcome():
     keys, statuses, bounds = [], set(), set()
     for (alias, depth, budget), seed in itertools.product(PROBE_CASES, range(6)):
         rep, asked = _unmemoised_probes(alias, depth, 20, seed, budget)
-        keys += [key for key, _ in asked]
-        statuses.update(status for _, status in asked)
+        keys += [key for key, _, search in asked if search]
+        statuses.update(status for _, status, _ in asked)
         bounds.update(r["bound"] is None for r in rep.order_unit)
     assert len(set(keys)) < len(keys)
     assert statuses == {"found", "exhausted", "budget"}
     assert bounds == {True, False}
 
 
-def test_the_benchmark_probe_searches_49_queries_and_verifies_34(monkeypatch):
+def test_the_benchmark_probe_searches_no_query_and_verifies_34(monkeypatch):
     # `probe cuntz:2 --depth 2 --seed 0 --samples 50` asks 100 queries (140
-    # with the premise first); 49 are distinct and searched (88), and the
-    # 50 bounds rest on 34 distinct certificates, each verified once; the
-    # compiled levels of the searches meet 27 distinct sets of image words,
-    # and build one `leaf_spans` frame for each (49 before frames were shared)
+    # with the premise first), all settled in closed form, so none is
+    # searched (49 were before) and no `leaf_spans` frame is built (27
+    # were); the 50 bounds y <= 1 x rest on 34 distinct pairs of families,
+    # and so on 34 certificates, each verified once
     _, asked = _unmemoised_probes("cuntz:2", 2, 50, 0, stone.DEFAULT_BUDGET, conclusion_first=True)
-    assert len(asked) == 100
+    assert len(asked) == 100 and not any(search for _, _, search in asked)
     calls = {"search_leq": 0, "verify_leq": 0, "leaf_spans": 0}
     for module, name in [(ts, "search_leq"), (ts, "verify_leq"), (stone, "leaf_spans")]:
         def counted(*args, name=name, call=getattr(module, name)):
@@ -401,8 +409,8 @@ def test_the_benchmark_probe_searches_49_queries_and_verifies_34(monkeypatch):
             return call(*args)
         monkeypatch.setattr(module, name, counted)
     rep = ts.probes(gpd.builtin("cuntz:2"), 2, 50, 0)
-    assert calls == {"search_leq": 49, "verify_leq": 34, "leaf_spans": 27}
-    assert sum(r["bound"] is not None for r in rep.order_unit) == 50
+    assert calls == {"search_leq": 0, "verify_leq": 34, "leaf_spans": 0}
+    assert all(r["bound"] == {"n": 1, "certified": True} for r in rep.order_unit)
 
 
 # (alias, depth, budget, seed): with every premise found, the first sample
@@ -452,3 +460,95 @@ def test_a_found_premise_with_x_below_y_not_found_is_the_counterexample(
     assert cli.main(["--human", "probe", alias, "--depth", str(depth), "--seed", str(seed),
                      "--samples", "10", "--budget", str(budget)]) == 0
     assert "budget-relative counterexample: %s\n" % found in capsys.readouterr().out
+
+
+@st.composite
+def _cuntz_pairs(draw, least_k=2):
+    """cuntz:k, k in least_k..5, two families of 1-3 labels of 1-5 cells of
+    length at most 4, and a search depth up to 2."""
+    pres = cuntz(draw(st.integers(least_k, 5)))
+    space = pres.space
+    words = st.text(alphabet="".join(space.letters), max_size=4)
+    families = [ts.normalize(space, [(clopen(space, cells), label)
+                                     for label, cells in enumerate(sets, 1)])
+                for sets in draw(st.lists(st.lists(st.lists(words, min_size=1, max_size=5),
+                                                   min_size=1, max_size=3),
+                                          min_size=2, max_size=2))]
+    return pres, *families, draw(st.integers(0, 2))
+
+
+def _altered(cert):
+    """The certificate with its last triple dropped, and with the first
+    triple's left label moved on by one: neither tiles the left family."""
+    triples = cert.triples
+    (w, n, m), rest = triples[0], triples[1:]
+    return [ts.EquivCertificate(triples[:-1]), ts.EquivCertificate(((w, n + 1, m),) + rest)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_cuntz_pairs())
+def test_closed_form_certificates_and_refutations_on_cuntz_verify_and_altered_ones_do_not(case):
+    pres, f1, f2, _ = case
+    found = ts.closed_form(pres, f1, f2, exact=True)
+    if isinstance(found, ts.Refutation):
+        assert ts.verify_refutation(pres, f1, f2, found)
+        modulus, left, right = found.modulus, found.left_count, found.right_count
+        for wrong in [(modulus, left + 1, right), (modulus, left, right + modulus),
+                      (modulus + 1, left, right)]:
+            assert not ts.verify_refutation(pres, f1, f2, ts.Refutation(*wrong))
+    else:
+        assert ts.verify_equiv(pres, f1, f2, found)
+        for wrong in _altered(found):
+            assert not ts.verify_equiv(pres, f1, f2, wrong)
+    for a, b in [(f1, f2), (f2, f1)]:
+        cert = ts.closed_form(pres, a, b, exact=False)
+        assert ts.verify_leq(pres, a, b, cert)
+        for wrong in _altered(cert.equivalence):
+            assert not ts.verify_leq(pres, a, b, ts.LeqCertificate(cert.remainder, wrong))
+
+
+# k >= 3, since the count refutes nothing on cuntz:2; and fewer examples,
+# since a search over cells of depth 4 on cuntz:5 fills hundreds of
+# slots, and may take a second
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_cuntz_pairs(least_k=3))
+def test_the_closed_form_never_refutes_a_pair_the_search_finds(case):
+    pres, f1, f2, depth = case
+    if isinstance(ts.closed_form(pres, f1, f2, exact=True), ts.Refutation):
+        assert ts.search_equiv(pres, f1, f2, depth, budget=2000).status != "found"
+
+
+def test_the_closed_form_splits_the_shallowest_cells_first():
+    # X against eight labels, one depth-3 cylinder each: X splits into the
+    # eight cylinders of depth 3, not into cylinders of depth 1 to 7, and
+    # each goes onto itself by the empty word
+    cells = C2.space.cells_at_depth(3)
+    right = ts.normalize(C2.space, [(clopen(C2.space, [c]), i) for i, c in enumerate(cells, 1)])
+    cert = ts.closed_form(C2, ts.family_of(X), right, exact=True)
+    assert [(w.dom().cells, n, m) for w, n, m in cert.triples] == [
+        ((c,), 1, m) for m, c in enumerate(cells, 1)]
+    assert all(piece.word == () for w, _, _ in cert.triples for piece in w.arrow_pieces)
+
+
+def test_the_closed_form_on_empty_families_and_where_it_does_not_apply():
+    none, whole_family = ts.LabeledFamily(C2.space, ()), ts.family_of(X)
+    # only an empty family is equivalent to an empty one
+    ref = ts.closed_form(C2, none, whole_family, exact=True)
+    assert ref == ts.Refutation(1, 0, 1) and ts.verify_refutation(C2, none, whole_family, ref)
+    assert ts.closed_form(C2, none, none, exact=True) == ts.EquivCertificate(())
+    assert not ts.verify_refutation(C2, none, none, ts.Refutation(1, 0, 0))
+    # 0 <= X with the remainder X; X <= 0 is left to the search
+    leq = ts.closed_form(C2, none, whole_family, exact=False)
+    assert leq.remainder == whole_family and ts.verify_leq(C2, none, whole_family, leq)
+    assert ts.closed_form(C2, whole_family, none, exact=False) is None
+    # off the letter generators the count still refutes for k >= 3, and
+    # nothing else is decided; off the shift nothing is
+    onto = gpd.Presentation(stone.UnitSpace.shift(3), [gpd.PrefixMap("", "1")])
+    x3, one_two = (ts.family_of(clopen(onto.space, cells)) for cells in ([""], ["1", "2"]))
+    assert ts.closed_form(onto, x3, one_two, exact=True) == ts.Refutation(2, 1, 2)
+    assert ts.closed_form(onto, x3, ts.multiple(x3, 3), exact=True) is None
+    assert ts.closed_form(onto, x3, one_two, exact=False) is None
+    assert ts.closed_form(gpd.builtin("odometer"), whole_family, whole_family, exact=True) is None
+    p3 = pair_groupoid(3)
+    point = ts.family_of(clopen(p3.space, [0]))
+    assert ts.closed_form(p3, point, ts.multiple(point, 2), exact=True) is None
