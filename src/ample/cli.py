@@ -147,12 +147,10 @@ def cmd_type_eq(args, pres):
     report = {"command": "type-eq", "method": "closed_form", "status": "found",
               "depth": args.depth}
     if isinstance(decided, ts.Refutation):
-        left, right, modulus = decided.left_count, decided.right_count, decided.modulus
-        report.update(status="refuted", refutation={"modulus": modulus, "left_count": left,
-                                                    "right_count": right})
-        _emit(args, report, ["not equivalent: the cell counts %d and %d differ mod %d"
-                             % (left, right, modulus) if left % modulus != right % modulus
-                             else "not equivalent: one family is empty and the other is not"])
+        report.update(status="refuted", refutation={
+            "modulus": decided.modulus, "left_count": decided.left_count,
+            "right_count": decided.right_count})
+        _emit(args, report, ["not equivalent: " + decided.separation()])
         return EXIT_REJECTED
     if decided is None:
         out = ts.search_equiv(pres, f1, f2, args.depth, args.budget)

@@ -182,6 +182,16 @@ class Refutation(Record):
 
     __slots__ = ("modulus", "left_count", "right_count")
 
+    def separation(self):
+        """Which of the two conditions separates the counts, or None where
+        neither does."""
+        left, right, modulus = self.left_count, self.right_count, self.modulus
+        if left % modulus != right % modulus:
+            return "the cell counts %d and %d differ mod %d" % (left, right, modulus)
+        if (left == 0) != (right == 0):
+            return "one family is empty and the other is not"
+        return None
+
 
 def _cell_count(fam):
     return sum(len(c.cells) for c in fam.entries)
@@ -204,10 +214,9 @@ def verify_refutation(pres, f1, f2, ref):
     if (ref.modulus, ref.left_count, ref.right_count) != (space.size - 1,) + counts:
         return VerifyResult(False, "modulus and counts are not %d, %d and %d"
                             % ((space.size - 1,) + counts))
-    left, right = counts
-    if left % ref.modulus == right % ref.modulus and (left == 0) == (right == 0):
+    if ref.separation() is None:
         return VerifyResult(False, "the counts %d and %d agree mod %d, and neither or both are 0"
-                            % (left, right, ref.modulus))
+                            % (counts + (ref.modulus,)))
     return VerifyResult(True)
 
 
@@ -249,21 +258,25 @@ def closed_form(pres, f1, f2, exact):
     congruent to count(f2) - count(f1) mod k - 1, and r >= 1 when f1 is
     empty and f2 is not.
 
-    Returns an EquivCertificate (exact) or a LeqCertificate, unverified;
-    for exact, a Refutation where the counts separate the families, which
-    they do on every shift presentation where one count is 0 and the other
-    not, or, for k >= 3, where they differ mod k - 1; and None where the closed form does not apply: off the
-    shift, without the letter generators, and for f1 <= an empty f2 with
-    f1 nonempty.  It reads neither a depth nor a budget, and builds no
-    word table.
+    Returns an EquivCertificate (exact) or a LeqCertificate, unverified.
+    For exact, it returns a Refutation where the counts separate the
+    families: on every shift presentation, where one count is 0 and the
+    other not, or, for k >= 3, where they differ mod k - 1.
+
+    It returns None where the closed form does not apply: off the shift,
+    without the letter generators, and for f1 <= an empty f2 with f1
+    nonempty.  It reads neither a depth nor a budget, and builds no word
+    table.
     """
     space = pres.space
     if space.kind != stone.SHIFT:
         return None
     modulus = space.size - 1
     left, right = _cell_count(f1), _cell_count(f2)
-    if exact and ((left == 0) != (right == 0) or left % modulus != right % modulus):
-        return Refutation(modulus, left, right)
+    if exact:
+        refutation = Refutation(modulus, left, right)
+        if refutation.separation() is not None:
+            return refutation
     gens = _letter_generators(pres)
     if gens is None or (left and not right):
         return None
@@ -697,20 +710,18 @@ def probes(pres, depth, samples, seed, budget=stone.DEFAULT_BUDGET):
     # dichotomy load no random
     import random
 
-    outcomes = {}  # (entries of f1, entries of f2) -> the query's outcome
+    outcomes = {}  # (entries of f1, entries of f2) -> (the query's outcome, its producer)
     certified = set()  # the keys of outcomes whose certificate verify_leq accepted
 
     def leq(f1, f2, certify=False):
         key = f1.entries, f2.entries
-        out = outcomes.get(key)
-        if out is None:
+        if key not in outcomes:
             cert = closed_form(pres, f1, f2, exact=False)
-            out = outcomes[key] = (search_leq(pres, f1, f2, depth, budget) if cert is None
-                                   else SearchOutcome(cert, "found"))
+            outcomes[key] = ((search_leq(pres, f1, f2, depth, budget), "search") if cert is None
+                             else (SearchOutcome(cert, "found"), "the closed form"))
+        out, producer = outcomes[key]
         if certify and out.status == "found" and key not in certified:
-            # only a search's outcome carries stats
-            _require(verify_leq(pres, f1, f2, out.certificate),
-                     "search" if out.stats is not None else "the closed form")
+            _require(verify_leq(pres, f1, f2, out.certificate), producer)
             certified.add(key)
         return out
 

@@ -394,6 +394,18 @@ def test_the_probe_cases_repeat_queries_and_reach_every_outcome():
     assert bounds == {True, False}
 
 
+def _probe_calls(monkeypatch, alias):
+    """`probe ALIAS --depth 2 --seed 0 --samples 50`'s report, and its
+    counts of `search_leq`, `verify_leq` and `leaf_spans` calls."""
+    calls = {"search_leq": 0, "verify_leq": 0, "leaf_spans": 0}
+    for module, name in [(ts, "search_leq"), (ts, "verify_leq"), (stone, "leaf_spans")]:
+        def counted(*args, name=name, call=getattr(module, name)):
+            calls[name] += 1
+            return call(*args)
+        monkeypatch.setattr(module, name, counted)
+    return ts.probes(gpd.builtin(alias), 2, 50, 0), calls
+
+
 def test_the_benchmark_probe_searches_no_query_and_verifies_34(monkeypatch):
     # `probe cuntz:2 --depth 2 --seed 0 --samples 50` asks 100 queries (140
     # with the premise first), all settled in closed form, so none is
@@ -402,15 +414,23 @@ def test_the_benchmark_probe_searches_no_query_and_verifies_34(monkeypatch):
     # and so on 34 certificates, each verified once
     _, asked = _unmemoised_probes("cuntz:2", 2, 50, 0, stone.DEFAULT_BUDGET, conclusion_first=True)
     assert len(asked) == 100 and not any(search for _, _, search in asked)
-    calls = {"search_leq": 0, "verify_leq": 0, "leaf_spans": 0}
-    for module, name in [(ts, "search_leq"), (ts, "verify_leq"), (stone, "leaf_spans")]:
-        def counted(*args, name=name, call=getattr(module, name)):
-            calls[name] += 1
-            return call(*args)
-        monkeypatch.setattr(module, name, counted)
-    rep = ts.probes(gpd.builtin("cuntz:2"), 2, 50, 0)
+    rep, calls = _probe_calls(monkeypatch, "cuntz:2")
     assert calls == {"search_leq": 0, "verify_leq": 34, "leaf_spans": 0}
     assert all(r["bound"] == {"n": 1, "certified": True} for r in rep.order_unit)
+
+
+def test_the_odometer_probe_searches_78_queries_and_verifies_32(monkeypatch):
+    # `probe odometer --depth 2 --seed 0 --samples 50`, outside the closed
+    # form, asks 137 queries (the premise first), of which 78 are distinct
+    # and each searched once; the 47 bounds found rest on 32 distinct
+    # certificates, each verified once; and the compiled levels of the
+    # searches meet 21 distinct sets of image words, and build one
+    # `leaf_spans` frame for each, shared through `WordTable.frames`
+    _, asked = _unmemoised_probes("odometer", 2, 50, 0, stone.DEFAULT_BUDGET, conclusion_first=True)
+    assert len(asked) == 137 and all(search for _, _, search in asked)
+    rep, calls = _probe_calls(monkeypatch, "odometer")
+    assert calls == {"search_leq": 78, "verify_leq": 32, "leaf_spans": 21}
+    assert sum(r["bound"] is not None for r in rep.order_unit) == 47
 
 
 # (alias, depth, budget, seed): with every premise found, the first sample
